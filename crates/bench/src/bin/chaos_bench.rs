@@ -29,10 +29,10 @@
 //! panic: CI treats any non-zero exit as a resilience regression.
 
 use std::collections::HashSet;
-use std::io::{Read, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use dram_server::client::{self, Reply};
 use dram_server::{serve, ServerConfig};
 use dram_units::json::{obj, Value};
 
@@ -102,55 +102,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One parsed HTTP reply.
-struct Reply {
-    status: u16,
-    body: String,
-    id: String,
-    retry_after: Option<u64>,
-}
-
-/// One HTTP exchange. Any failure to produce exactly one well-formed
-/// reply — connect error, truncated read, missing status or id — panics:
-/// under chaos a lost response is precisely the bug this bench catches.
-fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> Reply {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.write_all(
-        format!(
-            "{method} {path} HTTP/1.1\r\nhost: chaos\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    assert!(!reply.is_empty(), "lost response: empty reply from {method} {path}");
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .unwrap_or_else(|| panic!("malformed status line: {reply}"));
+/// One HTTP exchange; returns the reply and its `x-request-id`. Any
+/// failure to produce exactly one well-formed reply with an id — connect
+/// error, truncated read, bad framing — panics: under chaos a lost
+/// response is precisely the bug this bench catches.
+fn fetch(addr: SocketAddr, method: &str, path: &str, body: &str) -> (Reply, String) {
+    let reply = client::fetch(addr, method, path, body.as_bytes())
+        .unwrap_or_else(|e| panic!("lost response from {method} {path}: {e}"));
     let id = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .unwrap_or_else(|| panic!("response without x-request-id: {reply}"))
+        .header("x-request-id")
+        .unwrap_or_else(|| panic!("response without x-request-id: {reply:?}"))
         .to_string();
-    let retry_after = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("retry-after: "))
-        .and_then(|v| v.parse().ok());
-    let body = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Reply {
-        status,
-        body,
-        id,
-        retry_after,
-    }
+    (reply, id)
 }
 
 /// An `/v1/evaluate` request whose description is a fresh cache miss:
@@ -187,9 +150,9 @@ fn capture_canon(threads: usize) -> Canon {
     .expect("bind baseline server");
     let addr = handle.local_addr();
     let get = |method: &str, path: &str, body: &str| {
-        let r = exchange(addr, method, path, body);
-        assert_eq!(r.status, 200, "baseline {path} failed: {}", r.body);
-        r.body
+        let (r, _) = fetch(addr, method, path, body);
+        assert_eq!(r.status(), 200, "baseline {path} failed: {}", r.text());
+        r.text().into_owned()
     };
     let canon = Canon {
         healthz: get("GET", "/healthz", ""),
@@ -216,18 +179,19 @@ fn shed_stage(canon: &Canon) -> u64 {
     let mut shed = 0u64;
     for body in [BATCH_BODY, BATCH_BODY, SWEEP_BODY] {
         let path = if body == SWEEP_BODY { "/v1/sweep" } else { "/v1/batch" };
-        let r = exchange(addr, "POST", path, body);
-        assert_eq!(r.status, 503, "expensive route not shed: {}", r.body);
-        assert!(r.body.contains("shedding"), "wrong shed body: {}", r.body);
-        let retry = r.retry_after.expect("shed 503 without retry-after");
-        assert!((1..=30).contains(&retry), "retry-after {retry} out of range");
+        let (r, _) = fetch(addr, "POST", path, body);
+        let text = r.text();
+        assert_eq!(r.status(), 503, "expensive route not shed: {text}");
+        assert!(text.contains("shedding"), "wrong shed body: {text}");
+        let retry = r.head.retry_after().expect("shed 503 without retry-after");
+        assert!((1..=30).contains(&retry.as_secs()), "retry-after {retry:?} out of range");
         shed += 1;
     }
     // Cheap routes keep flowing at the same watermark.
-    let r = exchange(addr, "GET", "/healthz", "");
-    assert_eq!((r.status, r.body.as_str()), (200, canon.healthz.as_str()));
-    let r = exchange(addr, "POST", "/v1/evaluate", EVAL_BODY);
-    assert_eq!((r.status, r.body.as_str()), (200, canon.evaluate.as_str()));
+    let (r, _) = fetch(addr, "GET", "/healthz", "");
+    assert_eq!((r.status(), r.text()), (200, canon.healthz.as_str().into()));
+    let (r, _) = fetch(addr, "POST", "/v1/evaluate", EVAL_BODY);
+    assert_eq!((r.status(), r.text()), (200, canon.evaluate.as_str().into()));
     assert_eq!(handle.metrics().shed(), shed);
     assert_eq!(handle.shutdown(), shed + 2, "shed server drain");
     shed
@@ -252,28 +216,29 @@ fn chaos_client(addr: SocketAddr, count: usize, canon: &Canon) -> ClientTally {
             1 => ("POST", "/v1/batch", BATCH_BODY, &canon.batch),
             _ => ("GET", "/healthz", "", &canon.healthz),
         };
-        let r = exchange(addr, method, path, body);
-        tally.ids.push(r.id);
-        match r.status {
+        let (r, id) = fetch(addr, method, path, body);
+        tally.ids.push(id);
+        let text = r.text();
+        match r.status() {
             200 => {
                 tally.ok += 1;
-                let panicked = r.body.matches(WORKER_PANIC_MARK).count() as u64;
+                let panicked = text.matches(WORKER_PANIC_MARK).count() as u64;
                 if panicked > 0 {
-                    assert_eq!(path, "/v1/batch", "panic leak on {path}: {}", r.body);
+                    assert_eq!(path, "/v1/batch", "panic leak on {path}: {text}");
                     tally.batch_panicked_items += panicked;
                 } else {
                     assert_eq!(
-                        &r.body, canonical,
+                        text, *canonical,
                         "{path} diverged from baseline with no fault to blame"
                     );
                 }
             }
             503 => {
-                assert!(r.body.contains("at capacity"), "unexpected 503: {}", r.body);
-                assert!(r.retry_after.is_some(), "503 without retry-after");
+                assert!(text.contains("at capacity"), "unexpected 503: {text}");
+                assert!(r.head.retry_after().is_some(), "503 without retry-after");
                 tally.rejected += 1;
             }
-            other => panic!("unexpected status {other} on {path}: {}", r.body),
+            other => panic!("unexpected status {other} on {path}: {text}"),
         }
     }
     tally
@@ -286,12 +251,12 @@ fn scrape_prometheus(addr: SocketAddr) -> (String, u64, Vec<String>) {
     let mut rejected = 0u64;
     let mut ids = Vec::new();
     loop {
-        let r = exchange(addr, "GET", "/metrics?format=prometheus", "");
-        ids.push(r.id);
-        if r.status == 200 {
-            return (r.body, rejected, ids);
+        let (r, id) = fetch(addr, "GET", "/metrics?format=prometheus", "");
+        ids.push(id);
+        if r.status() == 200 {
+            return (r.text().into_owned(), rejected, ids);
         }
-        assert_eq!(r.status, 503, "metrics scrape failed: {}", r.body);
+        assert_eq!(r.status(), 503, "metrics scrape failed: {}", r.text());
         rejected += 1;
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -363,9 +328,9 @@ fn main() {
                                        all_ids: &mut Vec<String>,
                                        rejected: &mut u64| {
         loop {
-            let r = exchange(addr, method, path, body);
-            all_ids.push(r.id.clone());
-            if r.status == 503 && r.body.contains("at capacity") {
+            let (r, id) = fetch(addr, method, path, body);
+            all_ids.push(id);
+            if r.status() == 503 && r.text().contains("at capacity") {
                 *rejected += 1;
                 std::thread::sleep(Duration::from_millis(10));
                 continue;
@@ -380,12 +345,9 @@ fn main() {
     for i in 0..BUILD_PANICS {
         let body = unique_description_body("fail", usize::try_from(i).expect("small"));
         let r = send_through_rejections("POST", "/v1/evaluate", &body, &mut all_ids, &mut rejected_seen);
-        assert_eq!(r.status, 500, "build panic {i} not a 500: {}", r.body);
-        assert!(
-            r.body.contains("request handler panicked"),
-            "wrong 500 body: {}",
-            r.body
-        );
+        let text = r.text();
+        assert_eq!(r.status(), 500, "build panic {i} not a 500: {text}");
+        assert!(text.contains("request handler panicked"), "wrong 500 body: {text}");
         worker_served += 1;
     }
     // The budget is spent: the same path heals end to end.
@@ -396,7 +358,7 @@ fn main() {
         &mut all_ids,
         &mut rejected_seen,
     );
-    assert_eq!(r.status, 200, "engine did not heal after panic budget: {}", r.body);
+    assert_eq!(r.status(), 200, "engine did not heal after panic budget: {}", r.text());
     worker_served += 1;
     assert_eq!(handle.metrics().worker_panics(), BUILD_PANICS);
     println!("build panics: {BUILD_PANICS} isolated as 500s, engine healed, pool alive");

@@ -46,6 +46,7 @@ use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use dram_server::client::{self, Conn, Reply};
 use dram_server::{serve, ServerConfig, ServerHandle};
 use dram_units::json::{obj, Value};
 
@@ -126,79 +127,12 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One HTTP exchange; returns (status, body, `x-request-id`).
-fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
-    let mut s = TcpStream::connect(addr).expect("connect");
-    s.write_all(
-        format!(
-            "{method} {path} HTTP/1.1\r\nhost: bench\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .expect("status line");
-    let id = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .unwrap_or_else(|| panic!("response without x-request-id: {reply}"))
-        .to_string();
-    let payload = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload, id)
-}
-
-/// One parsed response off a persistent connection.
-struct Reply {
-    status: u16,
-    id: String,
-    body: String,
-}
-
-/// Reads exactly one `content-length`-framed response, leaving the
-/// reader positioned at the next one.
-fn read_reply(s: &mut impl std::io::BufRead) -> Reply {
-    let mut head = String::new();
-    loop {
-        let before = head.len();
-        s.read_line(&mut head).expect("head line");
-        let line = &head[before..];
-        assert!(!line.is_empty(), "connection ended mid-response: {head:?}");
-        if line == "\r\n" {
-            break;
-        }
-    }
-    let status = s_field(&head, 1).parse().expect("status line");
-    let id = head
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .unwrap_or_else(|| panic!("response without x-request-id: {head}"))
-        .to_string();
-    let length: usize = head
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("content-length: "))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("response without content-length: {head}"));
-    let mut body = vec![0u8; length];
-    s.read_exact(&mut body).expect("body");
-    Reply {
-        status,
-        id,
-        body: String::from_utf8(body).expect("utf-8 body"),
-    }
-}
-
-fn s_field(head: &str, n: usize) -> &str {
-    head.split(' ').nth(n).expect("status line field")
+/// A reply's `x-request-id`; every response must carry one.
+fn request_id(reply: &Reply) -> String {
+    reply
+        .header("x-request-id")
+        .unwrap_or_else(|| panic!("response without x-request-id: {reply:?}"))
+        .to_string()
 }
 
 /// One measured load stage against a running server.
@@ -247,15 +181,17 @@ fn run_stage(
                     let mut canonical: Option<String> = None;
                     for _ in 0..per_client {
                         let t0 = Instant::now();
-                        let (status, reply, id) =
-                            exchange(addr, call.method, call.path, call.body);
+                        let reply =
+                            client::fetch(addr, call.method, call.path, call.body.as_bytes())
+                                .expect("exchange");
                         latencies.push(t0.elapsed().as_micros());
-                        assert_eq!(status, 200, "request failed: {reply}");
-                        ids.push(id);
+                        assert_eq!(reply.status(), 200, "request failed: {reply:?}");
+                        ids.push(request_id(&reply));
+                        let body = reply.text().into_owned();
                         match &canonical {
-                            None => canonical = Some(reply),
+                            None => canonical = Some(body),
                             Some(c) => assert_eq!(
-                                c, &reply,
+                                c, &body,
                                 "response bodies diverged within one client"
                             ),
                         }
@@ -334,11 +270,8 @@ fn run_keepalive_stage(
             .map(|_| {
                 let wire_request = wire_request.as_str();
                 s.spawn(move || {
-                    let conn = TcpStream::connect(addr).expect("connect");
-                    conn.set_read_timeout(Some(Duration::from_secs(30)))
-                        .expect("timeout");
-                    let _ = conn.set_nodelay(true);
-                    let mut conn = std::io::BufReader::new(conn);
+                    let mut conn =
+                        Conn::connect(addr, Duration::from_secs(30)).expect("connect");
                     let mut latencies = Vec::with_capacity(per_client);
                     let mut ids = Vec::with_capacity(per_client);
                     let mut canonical: Option<String> = None;
@@ -347,16 +280,17 @@ fn run_keepalive_stage(
                         let batch = remaining.min(PIPELINE_BATCH);
                         let wire = wire_request.repeat(batch);
                         let t0 = Instant::now();
-                        conn.get_mut().write_all(wire.as_bytes()).expect("send batch");
+                        conn.write_all(wire.as_bytes()).expect("send batch");
                         for _ in 0..batch {
-                            let reply = read_reply(&mut conn);
+                            let reply = conn.read_response().expect("response");
                             latencies.push(t0.elapsed().as_micros());
-                            assert_eq!(reply.status, 200, "request failed: {}", reply.body);
-                            ids.push(reply.id);
+                            assert_eq!(reply.status(), 200, "request failed: {reply:?}");
+                            ids.push(request_id(&reply));
+                            let body = reply.text().into_owned();
                             match &canonical {
-                                None => canonical = Some(reply.body),
+                                None => canonical = Some(body),
                                 Some(c) => assert_eq!(
-                                    c, &reply.body,
+                                    c, &body,
                                     "response bodies diverged within one client"
                                 ),
                             }
@@ -417,12 +351,11 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
             .unwrap_or_else(|e| panic!("soak connect {i}/{count}: {e}"));
         s.set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
-        let mut s = std::io::BufReader::new(s);
-        s.get_mut()
-            .write_all(b"GET /healthz HTTP/1.1\r\nhost: soak\r\n\r\n")
+        let mut s = Conn::new(s);
+        s.write_all(b"GET /healthz HTTP/1.1\r\nhost: soak\r\n\r\n")
             .expect("send");
-        let reply = read_reply(&mut s);
-        assert_eq!(reply.status, 200, "soak connection {i} got {}", reply.body);
+        let reply = s.read_response().expect("response");
+        assert_eq!(reply.status(), 200, "soak connection {i} got {reply:?}");
         conns.push(s);
     }
     println!(
@@ -436,9 +369,9 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
     let mut worst = Duration::ZERO;
     for _ in 0..5 {
         let t0 = Instant::now();
-        let (status, body, _id) = exchange(addr, "GET", "/healthz", "");
+        let reply = client::fetch(addr, "GET", "/healthz", b"").expect("exchange");
         let took = t0.elapsed();
-        assert_eq!(status, 200, "healthz under soak: {body}");
+        assert_eq!(reply.status(), 200, "healthz under soak: {reply:?}");
         assert!(
             took < deadline,
             "healthz took {took:?} with {count} idle connections parked"
@@ -459,7 +392,7 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
     assert!(status.success(), "kill -TERM {pid} failed");
     let mut stray = 0usize;
     for mut s in conns {
-        s.get_ref()
+        s.stream()
             .set_read_timeout(Some(Duration::from_secs(10)))
             .expect("timeout");
         let mut scratch = [0u8; 256];
@@ -534,23 +467,20 @@ fn run_journal_verification(threads: usize, clients: usize) {
         let handles: Vec<_> = (0..clients)
             .map(|_| {
                 s.spawn(move || {
-                    let conn = TcpStream::connect(addr).expect("connect");
-                    conn.set_read_timeout(Some(Duration::from_secs(30)))
-                        .expect("timeout");
-                    let mut conn = std::io::BufReader::new(conn);
+                    let mut conn =
+                        Conn::connect(addr, Duration::from_secs(30)).expect("connect");
                     let mut last_id = String::new();
                     for _ in 0..PER_CLIENT {
-                        conn.get_mut()
-                            .write_all(
-                                b"POST /v1/evaluate HTTP/1.1\r\nhost: bench\r\n\
-                                  content-type: application/json\r\n\
-                                  content-length: 25\r\n\r\n\
-                                  {\"preset\":\"ddr3_1g_55nm\"}",
-                            )
-                            .expect("send");
-                        let reply = read_reply(&mut conn);
-                        assert_eq!(reply.status, 200, "evaluate failed: {}", reply.body);
-                        last_id = reply.id;
+                        conn.write_all(
+                            b"POST /v1/evaluate HTTP/1.1\r\nhost: bench\r\n\
+                              content-type: application/json\r\n\
+                              content-length: 25\r\n\r\n\
+                              {\"preset\":\"ddr3_1g_55nm\"}",
+                        )
+                        .expect("send");
+                        let reply = conn.read_response().expect("response");
+                        assert_eq!(reply.status(), 200, "evaluate failed: {reply:?}");
+                        last_id = request_id(&reply);
                     }
                     last_id
                 })
@@ -564,10 +494,11 @@ fn run_journal_verification(threads: usize, clients: usize) {
     // byte-stably.
     for id in &sampled_ids {
         let path = format!("/debug/requests/{id}");
-        let (status, first, _) = exchange(addr, "GET", &path, "");
-        let (status2, second, _) = exchange(addr, "GET", &path, "");
-        assert_eq!(status, 200, "timeline fetch failed: {first}");
-        assert_eq!(status2, 200, "timeline re-fetch failed: {second}");
+        let first = client::fetch(addr, "GET", &path, b"").expect("exchange");
+        let second = client::fetch(addr, "GET", &path, b"").expect("exchange");
+        assert_eq!(first.status(), 200, "timeline fetch failed: {first:?}");
+        assert_eq!(second.status(), 200, "timeline re-fetch failed: {second:?}");
+        let (first, second) = (first.text(), second.text());
         assert_eq!(
             first, second,
             "timeline for {id} not byte-stable across two replays"
@@ -621,9 +552,10 @@ fn run_journal_verification(threads: usize, clients: usize) {
     );
 
     // On-demand profiling round-trips through the JSON codec.
-    let (status, body, _) = exchange(addr, "GET", "/debug/profile?ms=50", "");
-    assert_eq!(status, 200, "profile fetch failed: {body}");
-    let doc = Value::parse(&body).expect("profile output is valid JSON");
+    let reply =
+        client::fetch(addr, "GET", "/debug/profile?ms=50", b"").expect("exchange");
+    assert_eq!(reply.status(), 200, "profile fetch failed: {reply:?}");
+    let doc = Value::parse(&reply.text()).expect("profile output is valid JSON");
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_array)
@@ -710,8 +642,9 @@ fn main() {
 
         // Warm up: build every model the stages touch before timing starts.
         for (path, body) in [("/v1/evaluate", eval_body), ("/v1/batch", batch_body)] {
-            let (status, reply, _id) = exchange(handle.local_addr(), "POST", path, body);
-            assert_eq!(status, 200, "warm-up ({path}) failed: {reply}");
+            let reply = client::fetch(handle.local_addr(), "POST", path, body.as_bytes())
+                .expect("exchange");
+            assert_eq!(reply.status(), 200, "warm-up ({path}) failed: {reply:?}");
         }
         if args.profile {
             // Drop the warm-up spans so the first stage rollup is clean.

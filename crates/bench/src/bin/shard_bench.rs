@@ -31,13 +31,14 @@
 //! panic: CI treats any non-zero exit as a sharding regression.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use dram_server::client::{self, Reply};
 use dram_server::{route_serve, serve, RetryPolicy, RouterConfig, ServerConfig};
 use dram_units::json::{obj, Value};
 
@@ -119,67 +120,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-// ---------------------------------------------------------------------
-// HTTP plumbing
-// ---------------------------------------------------------------------
-
-struct Reply {
-    status: u16,
-    body: String,
-    retry_after: Option<u64>,
-}
-
-/// One close-per-request HTTP exchange. Transport failures and
-/// truncated bodies (a poisoned relay: declared length, fewer bytes)
-/// come back as `Err` — the caller decides whether its retry budget
-/// covers them.
-fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> Result<Reply, String> {
-    let mut s = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    s.set_read_timeout(Some(Duration::from_secs(20)))
-        .map_err(|e| format!("timeout: {e}"))?;
-    s.write_all(
-        format!(
-            "{method} {path} HTTP/1.1\r\nhost: shard\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).map_err(|e| format!("recv: {e}"))?;
-    if reply.is_empty() {
-        return Err("empty reply".to_string());
-    }
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| format!("malformed status line: {reply:.60}"))?;
-    let declared: Option<usize> = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("content-length: "))
-        .and_then(|v| v.parse().ok());
-    let retry_after = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("retry-after: "))
-        .and_then(|v| v.parse().ok());
-    let payload = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    if let Some(n) = declared {
-        if payload.len() != n {
-            return Err(format!("truncated body: {} of {n} bytes", payload.len()));
-        }
-    }
-    Ok(Reply {
-        status,
-        body: payload,
-        retry_after,
-    })
-}
-
 /// Drives one logical request to completion under `policy`: transport
 /// failures, truncations and 5xx all retry with backoff (honoring
 /// `Retry-After` hints); a spent budget is a *lost request* and panics
@@ -195,28 +135,19 @@ fn request_with_retry(
     let mut schedule = policy.schedule(seed);
     loop {
         let attempt = schedule.attempt();
-        let failure = match exchange(addr, if body.is_empty() { "GET" } else { "POST" }, path, body)
-        {
-            Ok(r) if r.status < 500 => return (r, attempt),
-            Ok(r) => {
-                let hint = r.retry_after.map(Duration::from_secs);
-                match schedule.next_delay(hint) {
-                    Some(delay) => {
-                        std::thread::sleep(delay);
-                        continue;
-                    }
-                    None => format!("status {} ({:.80})", r.status, r.body),
-                }
-            }
-            Err(e) => match schedule.next_delay(None) {
-                Some(delay) => {
-                    std::thread::sleep(delay);
-                    continue;
-                }
-                None => e,
-            },
+        let method = if body.is_empty() { "GET" } else { "POST" };
+        let (hint, failure) = match client::fetch(addr, method, path, body.as_bytes()) {
+            Ok(r) if r.status() < 500 => return (r, attempt),
+            Ok(r) => (
+                r.head.retry_after(),
+                format!("status {} ({:.80})", r.status(), r.text()),
+            ),
+            Err(e) => (None, e.to_string()),
         };
-        panic!("lost request: {path} still failing after {attempt} attempts: {failure}");
+        match schedule.next_delay(hint) {
+            Some(delay) => std::thread::sleep(delay),
+            None => panic!("lost request: {path} still failing after {attempt} attempts: {failure}"),
+        }
     }
 }
 
@@ -316,7 +247,7 @@ fn respawn_node(bin: &Path, port: u16) -> NodeProc {
 fn wait_healthy(addr: SocketAddr, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(10);
     while Instant::now() < deadline {
-        if matches!(exchange(addr, "GET", "/healthz", ""), Ok(r) if r.status == 200) {
+        if matches!(client::fetch(addr, "GET", "/healthz", b""), Ok(r) if r.status() == 200) {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
@@ -361,9 +292,10 @@ fn capture_canon(items: &mut [WorkItem]) {
     let handle = serve("127.0.0.1:0", ServerConfig::default()).expect("bind canon server");
     let addr = handle.local_addr();
     for item in items.iter_mut() {
-        let r = exchange(addr, "POST", item.path, &item.body).expect("canon exchange");
-        assert_eq!(r.status, 200, "canon {} failed: {}", item.path, r.body);
-        item.canon = r.body;
+        let r = client::fetch(addr, "POST", item.path, item.body.as_bytes())
+            .expect("canon exchange");
+        assert_eq!(r.status(), 200, "canon {} failed: {}", item.path, r.text());
+        item.canon = r.text().into_owned();
     }
     assert_eq!(
         handle.shutdown(),
@@ -386,8 +318,8 @@ fn drive_affinity(addr: SocketAddr, items: &[WorkItem], policy: RetryPolicy, see
                 policy,
                 seed ^ (((round as u64) << 32) | i as u64),
             );
-            assert_eq!(r.status, 200, "affinity request failed: {}", r.body);
-            assert_eq!(r.body, item.canon, "description {i} diverged from canon");
+            assert_eq!(r.status(), 200, "affinity request failed: {}", r.text());
+            assert_eq!(r.text(), item.canon, "description {i} diverged from canon");
             retries += u64::from(attempts - 1);
         }
     }
@@ -399,9 +331,9 @@ fn drive_affinity(addr: SocketAddr, items: &[WorkItem], policy: RetryPolicy, see
 // ---------------------------------------------------------------------
 
 fn router_metrics(addr: SocketAddr) -> Value {
-    let r = exchange(addr, "GET", "/metrics", "").expect("router metrics");
-    assert_eq!(r.status, 200, "router metrics: {}", r.body);
-    Value::parse(&r.body).expect("metrics JSON")
+    let r = client::fetch(addr, "GET", "/metrics", b"").expect("router metrics");
+    assert_eq!(r.status(), 200, "router metrics: {}", r.text());
+    Value::parse(&r.text()).expect("metrics JSON")
 }
 
 fn metric(doc: &Value, name: &str) -> f64 {
@@ -518,9 +450,9 @@ fn shard_client(
             policy,
             seed ^ (((client as u64) << 48) | ((i as u64) << 8)),
         );
-        assert_eq!(r.status, 200, "kill-stage request failed: {}", r.body);
+        assert_eq!(r.status(), 200, "kill-stage request failed: {}", r.text());
         assert_eq!(
-            r.body, item.canon,
+            r.text(), item.canon,
             "routed response diverged from single-node canon under faults"
         );
         tally.requests += 1;
@@ -656,8 +588,8 @@ fn main() {
             let item = &all_items[i % all_items.len()];
             let (r, attempts) =
                 request_with_retry(ring_addr, item.path, &item.body, policy, args.seed ^ i as u64);
-            assert_eq!(r.status, 200, "hold-open request failed: {}", r.body);
-            assert_eq!(r.body, item.canon, "hold-open response diverged from canon");
+            assert_eq!(r.status(), 200, "hold-open request failed: {}", r.text());
+            assert_eq!(r.text(), item.canon, "hold-open response diverged from canon");
             extra.requests += 1;
             extra.retries += u64::from(attempts - 1);
             extra.worst_attempts = extra.worst_attempts.max(attempts);
@@ -695,15 +627,15 @@ fn main() {
     // Stage 3: failover observability + clean re-absorption.
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        let r = exchange(ring_addr, "GET", "/healthz", "").expect("router healthz");
-        let doc = Value::parse(&r.body).expect("healthz JSON");
+        let r = client::fetch(ring_addr, "GET", "/healthz", b"").expect("router healthz");
+        let doc = Value::parse(&r.text()).expect("healthz JSON");
         if metric(&doc, "nodes_up") as usize == args.nodes {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "pool never re-absorbed: {}",
-            r.body
+            r.text()
         );
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -717,8 +649,8 @@ fn main() {
     for (i, item) in all_items.iter().enumerate() {
         let (r, attempts) =
             request_with_retry(ring_addr, item.path, &item.body, policy, args.seed ^ ((i as u64) << 16));
-        assert_eq!(r.status, 200, "re-absorption request failed: {}", r.body);
-        assert_eq!(r.body, item.canon, "re-absorption response diverged from canon");
+        assert_eq!(r.status(), 200, "re-absorption request failed: {}", r.text());
+        assert_eq!(r.text(), item.canon, "re-absorption response diverged from canon");
         reabsorb_retries += u64::from(attempts - 1);
     }
     let after = routed_by_node(&router_metrics(ring_addr));

@@ -14,11 +14,12 @@
 //! trace-bench [--commands N] [--chunk BYTES] [--out FILE]
 //! ```
 
-use std::io::{Read, Write as _};
+use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::Instant;
 
 use dram_core::Dram;
+use dram_server::client::{self, Conn};
 use dram_server::{serve, ServerConfig};
 use dram_units::json::obj;
 use dram_workload::{PowerDownPolicy, StreamFold, TraceDecoder, TraceEvent};
@@ -164,15 +165,6 @@ fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Frames one payload batch as a single HTTP chunk onto the socket.
-fn write_chunk(stream: &mut TcpStream, payload: &[u8]) {
-    stream
-        .write_all(format!("{:x}\r\n", payload.len()).as_bytes())
-        .expect("chunk size");
-    stream.write_all(payload).expect("chunk data");
-    stream.write_all(b"\r\n").expect("chunk end");
-}
-
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
     let args = match parse_args() {
@@ -203,13 +195,13 @@ fn main() {
     let rss_before = peak_rss_kb();
     let started = Instant::now();
 
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            b"POST /v1/trace HTTP/1.1\r\nhost: bench\r\n\
-              transfer-encoding: chunked\r\nconnection: close\r\n\r\n",
-        )
-        .expect("head");
+    let mut conn = Conn::new(TcpStream::connect(addr).expect("connect"));
+    let head = client::chunked_head(
+        "POST",
+        "/v1/trace",
+        &[("host", "bench"), ("connection", "close")],
+    );
+    conn.write_all(&head).expect("head");
 
     // Single pass: every generated batch is framed onto the socket and
     // fed to the local decoder+fold. Neither side ever holds more than
@@ -231,7 +223,7 @@ fn main() {
     while gen.emitted < args.commands {
         gen.episode(&mut buf);
         if buf.len() >= args.chunk {
-            write_chunk(&mut stream, buf.as_bytes());
+            client::write_chunk(&mut conn, buf.as_bytes()).expect("chunk");
             decoder.feed(buf.as_bytes(), &mut sink).expect("legal trace");
             buf.clear();
         }
@@ -240,26 +232,17 @@ fn main() {
         use std::fmt::Write as _;
         let _ = writeln!(buf, "!length {}", gen.cycle + 100);
     }
-    write_chunk(&mut stream, buf.as_bytes());
+    client::write_chunk(&mut conn, buf.as_bytes()).expect("chunk");
     decoder.feed(buf.as_bytes(), &mut sink).expect("legal trace");
-    stream.write_all(b"0\r\n\r\n").expect("terminator");
+    conn.write_all(client::LAST_CHUNK).expect("terminator");
     decoder.finish(&mut sink).expect("legal trace");
 
-    let mut reply = String::new();
-    stream.read_to_string(&mut reply).expect("response");
+    let reply = conn.read_to_close().expect("response");
     let elapsed = started.elapsed().as_secs_f64();
     let rss_after = peak_rss_kb();
 
-    let status: u16 = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .expect("status line");
-    assert_eq!(status, 200, "trace rejected: {reply}");
-    let body = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
+    assert_eq!(reply.status(), 200, "trace rejected: {reply:?}");
+    let body = reply.text();
 
     // The acceptance core: the streamed report is bit-identical to the
     // local in-memory fold of the same bytes.

@@ -44,10 +44,14 @@ pub struct Limits {
     pub max_stream: usize,
 }
 
+/// The default [`Limits::max_head`], also the bound the response reader
+/// in [`crate::client`] holds heads to.
+pub(crate) const DEFAULT_MAX_HEAD: usize = 16 * 1024;
+
 impl Default for Limits {
     fn default() -> Self {
         Self {
-            max_head: 16 * 1024,
+            max_head: DEFAULT_MAX_HEAD,
             max_body: 1024 * 1024,
             io_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(15),
@@ -368,17 +372,7 @@ pub fn read_request(stream: &mut TcpStream, limits: &Limits) -> Result<Request, 
             mut request,
             mut body,
         } => {
-            let mut buffered = Vec::new();
-            loop {
-                let more = body.read_chunk(stream, &mut buffered)?;
-                if buffered.len() > limits.max_body {
-                    return Err(HttpError::PayloadTooLarge.into());
-                }
-                if !more {
-                    break;
-                }
-            }
-            request.body = buffered;
+            request.body = body.read_all(stream, limits.max_body)?;
             Ok(request)
         }
     }
@@ -402,11 +396,8 @@ fn read_head(
         while buf.starts_with(b"\r\n") {
             buf.drain(..2);
         }
-        if let Some(pos) = find_head_end(&buf) {
+        if let Some(pos) = find_head(&buf, limits.max_head)? {
             break pos;
-        }
-        if buf.len() > limits.max_head {
-            return Err(HttpError::HeadersTooLarge.into());
         }
         let mut chunk = [0u8; 1024];
         let n = read_bounded(stream, &mut chunk, deadline, limits.io_timeout)?;
@@ -430,32 +421,16 @@ fn read_head(
         if line.is_empty() {
             continue;
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::BadRequest(format!("malformed header `{line}`")))?;
-        // RFC 9112 §5.1: no whitespace is allowed between the field name
-        // and the colon — `Content-Length : 5` is a smuggling vector,
-        // not a header.
-        if name.is_empty() || name.chars().any(|c| c.is_ascii_whitespace()) {
-            return Err(HttpError::BadRequest(format!("malformed header name `{name}`")).into());
-        }
+        let (name, value) = split_field(line)?;
         let name = name.to_ascii_lowercase();
-        let value = value.trim().to_string();
+        let value = value.to_string();
         match headers.entry(name) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(value);
             }
             std::collections::hash_map::Entry::Occupied(mut e) => {
-                // Repeated content-length fields are only acceptable
-                // when they agree (RFC 9110 §8.6); anything else is a
-                // request-smuggling attempt.
                 if e.key() == "content-length" {
-                    if *e.get() != value {
-                        return Err(HttpError::BadRequest(
-                            "conflicting content-length headers".into(),
-                        )
-                        .into());
-                    }
+                    same_length(e.get(), &value)?;
                 } else {
                     let joined = e.get_mut();
                     joined.push_str(", ");
@@ -754,6 +729,31 @@ impl ChunkedBody {
         }
     }
 
+    /// Reads the rest of the body into memory, for routes that need it
+    /// whole. The next pipelined request stays behind for
+    /// [`ChunkedBody::take_leftover`].
+    ///
+    /// # Errors
+    ///
+    /// As [`ChunkedBody::read_chunk`], plus `413` once the decoded body
+    /// passes `max_body`.
+    pub fn read_all(
+        &mut self,
+        stream: &mut TcpStream,
+        max_body: usize,
+    ) -> Result<Vec<u8>, HttpError> {
+        let mut body = Vec::new();
+        loop {
+            let more = self.read_chunk(stream, &mut body)?;
+            if body.len() > max_body {
+                return Err(HttpError::PayloadTooLarge);
+            }
+            if !more {
+                return Ok(body);
+            }
+        }
+    }
+
     /// The bytes read past the chunked terminator — the start of the
     /// next pipelined request. Meaningful only once `read_chunk` has
     /// returned `false`; draining resets the reader's buffer.
@@ -766,20 +766,66 @@ impl ChunkedBody {
     }
 }
 
+// The field rules below are shared by the request parser and the
+// response reader in [`crate::client`], so both ends of every hop frame
+// messages the same way.
+
+/// Position of the `\r\n\r\n` that ends the head at the front of `buf`,
+/// or `None` while the head is still incomplete.
+///
+/// # Errors
+///
+/// `431` once the head — complete or not — is longer than `max_head`
+/// bytes, so the verdict never depends on how reads split the bytes.
+pub(crate) fn find_head(buf: &[u8], max_head: usize) -> Result<Option<usize>, HttpError> {
+    match buf.windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(end) if end + 4 <= max_head => Ok(Some(end)),
+        None if buf.len() <= max_head => Ok(None),
+        _ => Err(HttpError::HeadersTooLarge),
+    }
+}
+
+/// Splits one header line into its name, as sent, and its value with
+/// the optional surrounding whitespace trimmed.
+///
+/// # Errors
+///
+/// `400` for a line without a colon, and for an empty name or one that
+/// holds whitespace: RFC 9112 §5.1 allows none between the name and the
+/// colon, and `Content-Length : 5` is a smuggling vector, not a header.
+pub(crate) fn split_field(line: &str) -> Result<(&str, &str), HttpError> {
+    let (name, value) = line
+        .split_once(':')
+        .ok_or_else(|| HttpError::BadRequest(format!("malformed header `{line}`")))?;
+    if name.is_empty() || name.chars().any(|c| c.is_ascii_whitespace()) {
+        return Err(HttpError::BadRequest(format!("malformed header name `{name}`")));
+    }
+    Ok((name, value.trim()))
+}
+
+/// Checks a repeated `content-length` field against the first one.
+///
+/// # Errors
+///
+/// `400` unless the two agree (RFC 9110 §8.6): anything else is a
+/// smuggling attempt.
+pub(crate) fn same_length(first: &str, again: &str) -> Result<(), HttpError> {
+    if first == again {
+        Ok(())
+    } else {
+        Err(HttpError::BadRequest("conflicting content-length headers".into()))
+    }
+}
+
 /// Parses a `content-length` value: ASCII digits only (the surrounding
 /// optional whitespace was already trimmed). Rust's `usize::parse` also
 /// accepts `+42`, which HTTP does not.
-fn parse_content_length(v: &str) -> Result<usize, HttpError> {
+pub(crate) fn parse_content_length(v: &str) -> Result<usize, HttpError> {
     if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
         return Err(HttpError::BadRequest(format!("bad content-length `{v}`")));
     }
     v.parse::<usize>()
         .map_err(|_| HttpError::BadRequest(format!("bad content-length `{v}`")))
-}
-
-/// Position of the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
 fn parse_request_line(line: &str) -> Result<(String, String, String, bool), HttpError> {

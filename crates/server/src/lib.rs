@@ -40,24 +40,25 @@
 //! under the shared [`retry`] policy, optional hedging, and a federated
 //! `/metrics`. See `docs/SHARDING.md`.
 //!
+//! Clients — the router's upstream hop, the benches, tests and examples —
+//! speak to a server through [`client`], one request writer and one
+//! response reader built on the same field rules as the server's own
+//! parser.
+//!
 //! ## In-process quickstart
 //!
 //! ```
-//! use std::io::{Read, Write};
-//!
 //! let handle = dram_server::serve("127.0.0.1:0", dram_server::ServerConfig::default())
 //!     .expect("bind");
-//! let mut conn = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
-//! conn.write_all(b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
-//!     .expect("send");
-//! let mut reply = String::new();
-//! conn.read_to_string(&mut reply).expect("recv");
-//! assert!(reply.starts_with("HTTP/1.1 200"));
+//! let reply = dram_server::client::fetch(handle.local_addr(), "GET", "/healthz", b"")
+//!     .expect("fetch");
+//! assert_eq!(reply.status(), 200);
 //! handle.shutdown();
 //! ```
 #![warn(missing_docs)]
 
 pub mod api;
+pub mod client;
 pub mod debug;
 pub mod http;
 pub mod metrics;

@@ -43,16 +43,19 @@
 //! peer address before forwarding, answering non-loopback peers the
 //! same detail-free 404 the backend would.
 //!
-//! The front end is deliberately thread-per-connection: a router
-//! connection is a long-lived byte relay, most of its life blocked on
-//! one of two sockets, which is the workload threads model well — the
-//! backend keeps the epoll reactor because it parks thousands of idle
-//! keep-alive connections, a shape the router's pooled upstream side
-//! already collapses down to a handful of streams.
+//! The front end runs one thread per client connection rather than the
+//! backend's epoll reactor. That is a measured choice: a prototype that
+//! served the router through `dram-serve`'s reactor and its default
+//! 4-worker pool raised the routed p50 by about 20 % (138 → 165 µs on
+//! the benchmark's `routed_warm` workload, medians of 6 alternating
+//! pairs on a 2-core host). The upstream side — forwarded requests,
+//! health probes, `/metrics` scrapes — speaks through [`crate::client`],
+//! so upstream responses are framed by the same strict field rules as
+//! the requests the router accepts.
 
 use std::collections::HashMap;
 use std::hash::Hasher as _;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -65,6 +68,7 @@ use dram_obs::journal::{self, EventKind};
 use dram_obs::PromWriter;
 use dram_units::json::{obj, Value};
 
+use crate::client::{ClientError, Conn, Head};
 use crate::http::{self, HttpError, Inbound, Limits, ReadError, Request, Response};
 use crate::retry::RetryPolicy;
 use crate::ring::{Ring, DEFAULT_REPLICAS};
@@ -142,7 +146,7 @@ struct Node {
     /// Up→down transitions observed.
     went_down: AtomicU64,
     /// Idle keep-alive upstream connections.
-    pool: Mutex<Vec<TcpStream>>,
+    pool: Mutex<Vec<Conn>>,
 }
 
 impl Node {
@@ -409,25 +413,12 @@ fn prober_loop(shared: &Arc<Shared>) {
 
 fn probe(node: &Node, timeout: Duration) -> bool {
     let timeout = timeout.max(Duration::from_millis(50));
-    let Ok(mut conn) = TcpStream::connect_timeout(&node.sockaddr, timeout) else {
+    let Ok(mut conn) = Conn::connect(node.sockaddr, timeout) else {
         return false;
     };
-    if conn.set_read_timeout(Some(timeout)).is_err()
-        || conn.set_write_timeout(Some(timeout)).is_err()
-    {
-        return false;
-    }
-    if conn
-        .write_all(b"GET /healthz HTTP/1.1\r\nhost: dram-route\r\nconnection: close\r\n\r\n")
-        .is_err()
-    {
-        return false;
-    }
-    let mut buf = [0u8; 64];
-    let Ok(n) = conn.read(&mut buf) else {
-        return false;
-    };
-    buf[..n].starts_with(b"HTTP/1.1 200")
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: dram-route\r\nconnection: close\r\n\r\n")
+        .is_ok()
+        && conn.read_response().is_ok_and(|reply| reply.status() == 200)
 }
 
 /// One client connection: parse → route → relay, keep-alive until a
@@ -455,21 +446,10 @@ fn handle_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Shared>) {
                 // content-length (simplest correct re-framing), so a
                 // streamed chunked body is bounded by max_body here.
                 // Huge streamed traces should hit a node directly.
-                let mut buffered = Vec::new();
-                let drained = loop {
-                    match body.read_chunk(&mut stream, &mut buffered) {
-                        Ok(true) if buffered.len() > limits.max_body => {
-                            break Err(HttpError::PayloadTooLarge)
-                        }
-                        Ok(true) => {}
-                        Ok(false) => break Ok(()),
-                        Err(e) => break Err(e),
-                    }
-                };
-                match drained {
-                    Ok(()) => {
+                match body.read_all(&mut stream, limits.max_body) {
+                    Ok(bytes) => {
                         carry = body.take_leftover();
-                        request.body = buffered;
+                        request.body = bytes;
                         request
                     }
                     Err(e) => {
@@ -621,22 +601,18 @@ fn routing_key(request: &Request) -> u64 {
     h.write(request.path.as_bytes());
     h.write(request.query.as_bytes());
     h.write(&request.body);
-    h.finish()
+    // FNV of request lines that differ only in their last bytes
+    // (`?i=1`, `?i=2`, …) lands on one narrow arc of the ring; the
+    // finalizer spreads them, as it does for the ring's own points.
+    dram_units::rng::SplitMix64::new(h.finish()).next_u64()
 }
 
-/// What one upstream attempt produced before any relay decision.
+/// What one upstream attempt produced before any relay decision: the
+/// final response head, with its body still on the connection.
 struct Upstream {
     node: usize,
-    stream: TcpStream,
-    status: u16,
-    /// Raw header lines in arrival order (name, value).
-    headers: Vec<(String, String)>,
-    /// Body bytes over-read while finding the end of the head.
-    body_carry: Vec<u8>,
-    content_length: Option<usize>,
-    /// Upstream is willing to serve another request on this stream.
-    reusable: bool,
-    retry_after: Option<u64>,
+    conn: Conn,
+    head: Head,
 }
 
 /// A retryable attempt failure.
@@ -701,7 +677,7 @@ fn proxy(
                     EventKind::Response,
                     conn,
                     request_seq,
-                    u64::from(upstream.status),
+                    u64::from(upstream.head.status),
                 );
                 return relay(shared, upstream, client, client_wants_keep_alive);
             }
@@ -775,40 +751,35 @@ fn candidate_order(shared: &Arc<Shared>, key: u64) -> Vec<usize> {
 /// and body; hop-by-hop headers rewritten (`connection: keep-alive`,
 /// re-framed `content-length`), `x-forwarded-for` appended.
 fn upstream_request_bytes(request: &Request, node_addr: &str, client: &TcpStream) -> Vec<u8> {
-    let mut head = if request.query.is_empty() {
-        format!("{} {} HTTP/1.1\r\n", request.method, request.path)
+    let target = if request.query.is_empty() {
+        request.path.clone()
     } else {
-        format!(
-            "{} {}?{} HTTP/1.1\r\n",
-            request.method, request.path, request.query
-        )
+        format!("{}?{}", request.path, request.query)
     };
-    for (name, value) in &request.headers {
-        match name.as_str() {
-            // Hop-by-hop or re-framed below.
-            "connection" | "content-length" | "transfer-encoding" | "expect" | "host"
-            | "x-forwarded-for" => {}
-            _ => {
-                head.push_str(name);
-                head.push_str(": ");
-                head.push_str(value);
-                head.push_str("\r\n");
-            }
-        }
+    let forwarded_for = client.peer_addr().ok().map(|peer| peer.ip().to_string());
+    let mut headers: Vec<(&str, &str)> = request
+        .headers
+        .iter()
+        // Hop-by-hop or re-framed below.
+        .filter(|(name, _)| {
+            !matches!(
+                name.as_str(),
+                "connection"
+                    | "content-length"
+                    | "transfer-encoding"
+                    | "expect"
+                    | "host"
+                    | "x-forwarded-for"
+            )
+        })
+        .map(|(name, value)| (name.as_str(), value.as_str()))
+        .collect();
+    headers.push(("host", node_addr));
+    if let Some(ip) = &forwarded_for {
+        headers.push(("x-forwarded-for", ip));
     }
-    head.push_str("host: ");
-    head.push_str(node_addr);
-    head.push_str("\r\n");
-    if let Ok(peer) = client.peer_addr() {
-        head.push_str("x-forwarded-for: ");
-        head.push_str(&peer.ip().to_string());
-        head.push_str("\r\n");
-    }
-    head.push_str(&format!("content-length: {}\r\n", request.body.len()));
-    head.push_str("connection: keep-alive\r\n\r\n");
-    let mut out = head.into_bytes();
-    out.extend_from_slice(&request.body);
-    out
+    headers.push(("connection", "keep-alive"));
+    crate::client::request(&request.method, &target, &headers, &request.body)
 }
 
 /// Runs one attempt, optionally racing a hedged second attempt against
@@ -860,8 +831,8 @@ fn attempt_racing(
 }
 
 /// One upstream attempt: pooled connection first (with a transparent
-/// one-shot fresh-connect retry when the pooled stream turns out to be
-/// stale), then a fresh connect.
+/// one-shot fresh-connect retry when the pooled connection turns out
+/// to be stale), then a fresh connect.
 fn attempt(shared: &Arc<Shared>, target: usize, bytes: &[u8]) -> Result<Upstream, AttemptError> {
     let node = &shared.nodes[target];
     let pooled = node
@@ -870,123 +841,56 @@ fn attempt(shared: &Arc<Shared>, target: usize, bytes: &[u8]) -> Result<Upstream
         .unwrap_or_else(PoisonError::into_inner)
         .pop();
     if let Some(conn) = pooled {
-        // A pooled stream may have been closed by the backend (idle
+        // A pooled connection may have been closed by the backend (idle
         // sweep, max-requests budget) after we checked it out; that is
         // not a node failure, so fall through to a fresh connect.
-        if let Ok(upstream) = exchange(conn, target, bytes, &shared.config.limits) {
+        if let Ok(upstream) = exchange(conn, target, bytes) {
             return finish_attempt(shared, upstream);
         }
     }
-    let conn = TcpStream::connect_timeout(&node.sockaddr, CONNECT_TIMEOUT)
-        .map_err(|_| AttemptError::Transport)?;
-    let _ = conn.set_nodelay(true);
-    let upstream = exchange(conn, target, bytes, &shared.config.limits)
-        .map_err(|_| AttemptError::Transport)?;
+    let conn = connect(node, shared.config.limits.io_timeout).map_err(|_| AttemptError::Transport)?;
+    let upstream = exchange(conn, target, bytes).map_err(|_| AttemptError::Transport)?;
     finish_attempt(shared, upstream)
+}
+
+/// A fresh upstream connection: connected within [`CONNECT_TIMEOUT`],
+/// then read and written under `io_timeout` for as long as it is pooled.
+fn connect(node: &Node, io_timeout: Duration) -> std::io::Result<Conn> {
+    let stream = TcpStream::connect_timeout(&node.sockaddr, CONNECT_TIMEOUT)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
+    Ok(Conn::new(stream))
 }
 
 /// Post-exchange classification: 503 is drained, pooled and surfaced
 /// as retryable-with-hint; anything else is the caller's response.
 fn finish_attempt(shared: &Arc<Shared>, mut upstream: Upstream) -> Result<Upstream, AttemptError> {
-    if upstream.status != 503 {
+    if upstream.head.status != 503 {
         return Ok(upstream);
     }
-    let hint = upstream.retry_after.map(Duration::from_secs);
-    // Drain the 503 body so the stream can go back to the pool.
-    if let Some(length) = upstream.content_length {
-        let mut remaining = length.saturating_sub(upstream.body_carry.len());
-        let mut sink = [0u8; 4096];
-        while remaining > 0 {
-            match upstream.stream.read(&mut sink[..remaining.min(4096)]) {
-                Ok(0) | Err(_) => {
-                    upstream.reusable = false;
-                    break;
-                }
-                Ok(n) => remaining -= n,
-            }
-        }
-        if upstream.reusable {
-            pool_return(shared, upstream.node, upstream.stream);
-        }
+    let hint = upstream.head.retry_after();
+    // Drain the 503 body so the connection can go back to the pool.
+    if upstream.conn.read_body(upstream.head.content_length).is_ok() {
+        release(shared, upstream);
     }
     Err(AttemptError::Busy { hint })
 }
 
-/// Writes the request and reads a complete response head (plus any
-/// over-read body bytes). Any failure before that point is one `Err`,
-/// making the caller's retry decision trivial.
-fn exchange(
-    mut conn: TcpStream,
-    node: usize,
-    bytes: &[u8],
-    limits: &Limits,
-) -> Result<Upstream, ()> {
-    conn.set_read_timeout(Some(limits.io_timeout)).map_err(|_| ())?;
-    conn.set_write_timeout(Some(limits.io_timeout)).map_err(|_| ())?;
-    conn.write_all(bytes).and_then(|()| conn.flush()).map_err(|_| ())?;
-
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
-    let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > limits.max_head {
-            return Err(());
-        }
-        let mut chunk = [0u8; 4096];
-        match conn.read(&mut chunk) {
-            Ok(0) | Err(_) => return Err(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+/// Writes the request and reads the final response head; body bytes
+/// read with it stay in the connection. Any failure before that point
+/// is one `Err`, making the caller's retry decision trivial.
+fn exchange(mut conn: Conn, node: usize, bytes: &[u8]) -> Result<Upstream, ClientError> {
+    conn.write_all(bytes)?;
+    // The router never forwards `expect`, so an interim head is
+    // unsolicited; it has no body, and the final head follows it.
+    let head = loop {
+        let head = conn.read_head()?;
+        if head.status >= 200 {
+            break head;
         }
     };
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let body_carry = buf.split_off(head_end + 4);
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or(())?;
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or(())?;
-    let mut headers = Vec::new();
-    let mut content_length = None;
-    let mut reusable = true;
-    let mut retry_after = None;
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(());
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim().to_string();
-        match name.as_str() {
-            "content-length" => content_length = value.parse::<usize>().ok(),
-            "connection" if http::header_has_token(&value, "close") => reusable = false,
-            "retry-after" => retry_after = value.parse::<u64>().ok(),
-            _ => {}
-        }
-        headers.push((name, value));
-    }
-    if content_length.is_none() {
-        // Without framing the only end-of-body signal is EOF.
-        reusable = false;
-    }
-    Ok(Upstream {
-        node,
-        stream: conn,
-        status,
-        headers,
-        body_carry,
-        content_length,
-        reusable,
-        retry_after,
-    })
-}
-
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+    Ok(Upstream { node, conn, head })
 }
 
 /// Relays the upstream response to the client. The decision point is
@@ -1001,16 +905,11 @@ fn relay(
     client_wants_keep_alive: bool,
 ) -> ProxyEnd {
     // Same keep-alive rule as the backend: failures poison their own
-    // connection, and an unframed body can only end by EOF.
-    let keep_client = client_wants_keep_alive
-        && upstream.status < 400
-        && upstream.content_length.is_some();
-    let mut head = format!(
-        "HTTP/1.1 {} {}\r\n",
-        upstream.status,
-        Response::reason(upstream.status)
-    );
-    for (name, value) in &upstream.headers {
+    // connection.
+    let status = upstream.head.status;
+    let keep_client = client_wants_keep_alive && status < 400;
+    let mut head = format!("HTTP/1.1 {status} {}\r\n", Response::reason(status));
+    for (name, value) in &upstream.head.headers {
         if name == "connection" {
             continue;
         }
@@ -1029,63 +928,36 @@ fn relay(
     if client.set_write_timeout(Some(io_timeout)).is_err()
         || client.write_all(head.as_bytes()).is_err()
     {
-        // The *client* went away; the upstream stream is still healthy
-        // but holds an unread body — drop it rather than desync the
-        // pool.
+        // The *client* went away; the upstream connection is still
+        // healthy but holds an unread body — drop it rather than desync
+        // the pool.
         return ProxyEnd::Close;
     }
 
-    // Relay the body: over-read carry first, then the socket.
-    let mut remaining = upstream.content_length;
-    let carry = std::mem::take(&mut upstream.body_carry);
-    let first = match remaining {
-        Some(len) => &carry[..carry.len().min(len)],
-        None => &carry[..],
-    };
-    if !first.is_empty() {
-        if client.write_all(first).is_err() {
+    // Relay the body as it arrives: bytes read with the head first,
+    // then the socket.
+    let mut remaining = upstream.head.content_length;
+    while remaining > 0 {
+        let Ok(part) = upstream.conn.read_body_part(remaining) else {
+            // Upstream died mid-body after bytes were relayed: the one
+            // unretryable failure. Poison the client connection.
+            shared.metrics.poisoned.fetch_add(1, Ordering::Relaxed);
+            shared.nodes[upstream.node].mark_failure(shared);
+            if let Some(line) = shared.log.line(LogLevel::Error, "poisoned") {
+                line.field("node", &shared.nodes[upstream.node].addr)
+                    .field("missing_bytes", remaining)
+                    .emit();
+            }
+            return ProxyEnd::Close;
+        };
+        if client.write_all(part).is_err() {
             return ProxyEnd::Close;
         }
-        if let Some(r) = &mut remaining {
-            *r -= first.len();
-        }
-    }
-    let mut chunk = [0u8; 16 * 1024];
-    loop {
-        let want = match remaining {
-            Some(0) => break,
-            Some(r) => r.min(chunk.len()),
-            None => chunk.len(),
-        };
-        match upstream.stream.read(&mut chunk[..want]) {
-            Ok(0) if remaining.is_none() => break, // clean EOF ends an unframed body
-            Ok(0) | Err(_) => {
-                // Upstream died mid-body after bytes were relayed: the
-                // one unretryable failure. Poison the client connection.
-                shared.metrics.poisoned.fetch_add(1, Ordering::Relaxed);
-                shared.nodes[upstream.node].mark_failure(shared);
-                if let Some(line) = shared.log.line(LogLevel::Error, "poisoned") {
-                    line.field("node", &shared.nodes[upstream.node].addr)
-                        .field("missing_bytes", remaining.unwrap_or(0))
-                        .emit();
-                }
-                return ProxyEnd::Close;
-            }
-            Ok(n) => {
-                if client.write_all(&chunk[..n]).is_err() {
-                    return ProxyEnd::Close;
-                }
-                if let Some(r) = &mut remaining {
-                    *r -= n;
-                }
-            }
-        }
+        remaining -= part.len();
     }
     let _ = client.flush();
     shared.metrics.proxied.fetch_add(1, Ordering::Relaxed);
-    if upstream.reusable {
-        pool_return(shared, upstream.node, upstream.stream);
-    }
+    release(shared, upstream);
     if keep_client {
         ProxyEnd::KeepAlive
     } else {
@@ -1093,13 +965,20 @@ fn relay(
     }
 }
 
-fn pool_return(shared: &Arc<Shared>, node: usize, stream: TcpStream) {
-    let mut pool = shared.nodes[node]
+/// Returns a fully read upstream connection to its node's idle pool
+/// when the node keeps it open. One that holds bytes past the response
+/// is dropped: nothing asked for them, so nothing after them can be
+/// trusted.
+fn release(shared: &Arc<Shared>, upstream: Upstream) {
+    if !upstream.head.keep_alive() || !upstream.conn.buffered().is_empty() {
+        return;
+    }
+    let mut pool = shared.nodes[upstream.node]
         .pool
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     if pool.len() < POOL_PER_NODE {
-        pool.push(stream);
+        pool.push(upstream.conn);
     }
 }
 
@@ -1158,17 +1037,13 @@ fn scrape_backends(shared: &Arc<Shared>) -> Vec<Option<Scrape>> {
 
 /// One backend scrape: bounded connect + read, JSON `/metrics` parse.
 fn scrape_one(sockaddr: SocketAddr, timeout: Duration) -> Option<Scrape> {
-    let mut conn = TcpStream::connect_timeout(&sockaddr, timeout).ok()?;
-    conn.set_read_timeout(Some(timeout)).ok()?;
-    conn.set_write_timeout(Some(timeout)).ok()?;
+    let mut conn = Conn::connect(sockaddr, timeout).ok()?;
     conn.write_all(
         b"GET /metrics?format=json HTTP/1.1\r\nhost: dram-route\r\nconnection: close\r\n\r\n",
     )
     .ok()?;
-    let mut reply = String::new();
-    conn.read_to_string(&mut reply).ok()?;
-    let body = reply.split_once("\r\n\r\n")?.1;
-    let doc = Value::parse(body).ok()?;
+    let reply = conn.read_response().ok()?;
+    let doc = Value::parse(&reply.text()).ok()?;
     let engine = doc.get("engine")?;
     Some(Scrape {
         requests_total: doc.get("requests_total").and_then(Value::as_f64)?,
@@ -1401,5 +1276,33 @@ fn federated_metrics(shared: &Arc<Shared>, request: &Request) -> Response {
             ("nodes", Value::Arr(nodes)),
         ]);
         Response::json(200, doc.to_string())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Keyless requests whose lines differ in one query byte spread over
+    /// every node of the ring, not one node's arc.
+    #[test]
+    fn keyless_routing_keys_spread_over_every_node() {
+        for base in [7000, 41000, 45835] {
+            let nodes: Vec<String> = (0..3).map(|i| format!("127.0.0.1:{}", base + i)).collect();
+            let ring = Ring::new(&nodes, DEFAULT_REPLICAS);
+            let mut routed = [0usize; 3];
+            for i in 1..=40 {
+                let request = Request {
+                    method: "GET".into(),
+                    path: "/v1/presets".into(),
+                    query: format!("i={i}"),
+                    headers: HashMap::new(),
+                    body: Vec::new(),
+                    http11: true,
+                };
+                routed[ring.successors(routing_key(&request))[0]] += 1;
+            }
+            assert!(routed.iter().all(|&n| n >= 5), "base {base}: {routed:?}");
+        }
     }
 }

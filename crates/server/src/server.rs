@@ -809,7 +809,7 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                         served,
                     )
                 } else {
-                    match drain_chunked(&mut stream, &mut body, shared.limits.max_body) {
+                    match body.read_all(&mut stream, shared.limits.max_body) {
                         Ok(bytes) => {
                             request.body = bytes;
                             let leftover = body.take_leftover();
@@ -1027,24 +1027,6 @@ fn serve_trace_stream(
         Verdict::Keep(body.take_leftover())
     } else {
         Verdict::Close
-    }
-}
-
-/// Drains a chunked body into memory for a non-streaming route.
-fn drain_chunked(
-    stream: &mut TcpStream,
-    body: &mut http::ChunkedBody,
-    max_body: usize,
-) -> Result<Vec<u8>, http::HttpError> {
-    let mut buffered = Vec::new();
-    loop {
-        let more = body.read_chunk(stream, &mut buffered)?;
-        if buffered.len() > max_body {
-            return Err(http::HttpError::PayloadTooLarge);
-        }
-        if !more {
-            return Ok(buffered);
-        }
     }
 }
 
@@ -1271,14 +1253,13 @@ impl std::fmt::Debug for ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
+    use crate::client::{Conn, Reply};
+    use std::io::Write;
 
-    fn raw_request(addr: SocketAddr, bytes: &[u8]) -> String {
+    fn raw_request(addr: SocketAddr, bytes: &[u8]) -> Reply {
         let mut s = TcpStream::connect(addr).expect("connect");
         s.write_all(bytes).expect("write");
-        let mut out = String::new();
-        s.read_to_string(&mut out).expect("read");
-        out
+        Conn::new(s).read_to_close().expect("read")
     }
 
     #[test]
@@ -1290,9 +1271,9 @@ mod tests {
             addr,
             b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n",
         );
-        assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
-        assert!(reply.ends_with("{\"status\":\"ok\"}"), "{reply}");
-        assert!(reply.contains("x-request-id: "), "{reply}");
+        assert_eq!(reply.status(), 200, "{reply:?}");
+        assert_eq!(reply.text(), "{\"status\":\"ok\"}", "{reply:?}");
+        assert!(reply.header("x-request-id").is_some(), "{reply:?}");
         assert_eq!(handle.shutdown(), 1);
     }
 
@@ -1310,9 +1291,9 @@ mod tests {
             handle.local_addr(),
             b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
         );
-        assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
-        assert!(reply.contains("retry-after: 1"), "{reply}");
-        assert!(reply.contains("x-request-id: "), "{reply}");
+        assert_eq!(reply.status(), 503, "{reply:?}");
+        assert_eq!(reply.header("retry-after"), Some("1"), "{reply:?}");
+        assert!(reply.header("x-request-id").is_some(), "{reply:?}");
         assert_eq!(handle.metrics().rejected(), 1);
         handle.shutdown();
     }

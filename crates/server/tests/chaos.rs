@@ -11,6 +11,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
+use dram_server::client::{Conn, Reply};
 use dram_server::{serve, ServerConfig, ServerHandle};
 use dram_units::json::obj;
 
@@ -35,9 +36,9 @@ fn start(threads: usize) -> ServerHandle {
     .expect("bind ephemeral")
 }
 
-/// Sends one well-formed request, returns the full raw reply.
-fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> String {
-    use std::io::{Read, Write};
+/// Sends one well-formed request, returns the reply.
+fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Reply {
+    use std::io::Write;
     let mut s = TcpStream::connect(addr).expect("connect");
     s.write_all(
         format!(
@@ -48,24 +49,11 @@ fn raw_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> String
         .as_bytes(),
     )
     .expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    reply
+    Conn::new(s).read_to_close().expect("recv")
 }
 
-fn status_of(reply: &str) -> u16 {
-    reply
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable reply: {reply:?}"))
-}
-
-fn request_id(reply: &str) -> Option<String> {
-    reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .map(str::to_string)
+fn request_id(reply: &Reply) -> Option<String> {
+    reply.header("x-request-id").map(str::to_string)
 }
 
 /// An evaluate body whose description is a guaranteed cache miss (the
@@ -91,13 +79,13 @@ fn injected_handler_panic_is_500_with_id_and_the_pool_recovers() {
     let body = fresh_description_body("chaos protocol panic probe");
 
     let reply = raw_request(addr, "POST", "/v1/evaluate", &body);
-    assert_eq!(status_of(&reply), 500, "{reply}");
-    assert!(reply.contains("request handler panicked"), "{reply}");
+    assert_eq!(reply.status(), 500, "{reply:?}");
+    assert!(reply.text().contains("request handler panicked"), "{reply:?}");
     let panicked_id = request_id(&reply).expect("500 must carry x-request-id");
 
     // Budget exhausted: the identical request now builds and serves.
     let reply = raw_request(addr, "POST", "/v1/evaluate", &body);
-    assert_eq!(status_of(&reply), 200, "{reply}");
+    assert_eq!(reply.status(), 200, "{reply:?}");
     let ok_id = request_id(&reply).expect("200 must carry x-request-id");
     assert_ne!(panicked_id, ok_id);
 
@@ -123,8 +111,8 @@ fn killed_workers_are_respawned_and_requests_keep_flowing() {
     let addr = server.local_addr();
     for _ in 0..5 {
         let reply = raw_request(addr, "GET", "/healthz", "");
-        assert_eq!(status_of(&reply), 200, "{reply}");
-        assert!(reply.ends_with("{\"status\":\"ok\"}"), "{reply}");
+        assert_eq!(reply.status(), 200, "{reply:?}");
+        assert!(reply.text().ends_with("{\"status\":\"ok\"}"), "{reply:?}");
     }
 
     // Respawning is asynchronous; wait for the supervisor to catch up.
@@ -138,7 +126,7 @@ fn killed_workers_are_respawned_and_requests_keep_flowing() {
     // Disarm and prove the pool is healthy again, then drain cleanly.
     dram_faults::disarm();
     let reply = raw_request(addr, "GET", "/healthz", "");
-    assert_eq!(status_of(&reply), 200, "{reply}");
+    assert_eq!(reply.status(), 200, "{reply:?}");
     assert_eq!(server.shutdown(), 6);
 }
 
@@ -151,7 +139,7 @@ fn short_writes_still_deliver_intact_responses() {
     let server = start(1);
     let addr = server.local_addr();
     let clean = raw_request(addr, "GET", "/v1/presets", "");
-    assert_eq!(status_of(&clean), 200);
+    assert_eq!(clean.status(), 200);
 
     let plan = dram_faults::Plan::parse("seed=9;http.write=short").expect("plan");
     dram_faults::arm(&plan);
@@ -160,12 +148,10 @@ fn short_writes_still_deliver_intact_responses() {
     dram_faults::disarm();
 
     // Identical except for the per-request id header.
-    let strip = |reply: &str| {
+    let strip = |reply: &Reply| {
+        let mut reply = reply.clone();
+        reply.head.headers.retain(|(name, _)| name != "x-request-id");
         reply
-            .split("\r\n")
-            .filter(|l| !l.starts_with("x-request-id: "))
-            .collect::<Vec<_>>()
-            .join("\r\n")
     };
     assert_eq!(strip(&clean), strip(&shorted));
     server.shutdown();
@@ -183,12 +169,12 @@ fn queue_reject_burst_is_bounded_and_recovers() {
     let addr = server.local_addr();
     for _ in 0..2 {
         let reply = raw_request(addr, "GET", "/healthz", "");
-        assert_eq!(status_of(&reply), 503, "{reply}");
-        assert!(reply.contains("retry-after: "), "{reply}");
+        assert_eq!(reply.status(), 503, "{reply:?}");
+        assert!(reply.header("retry-after").is_some(), "{reply:?}");
         assert!(request_id(&reply).is_some(), "503 without x-request-id");
     }
     let reply = raw_request(addr, "GET", "/healthz", "");
-    assert_eq!(status_of(&reply), 200, "{reply}");
+    assert_eq!(reply.status(), 200, "{reply:?}");
     assert_eq!(server.metrics().rejected(), 2);
     assert_eq!(dram_faults::injected_total(), 2);
     server.shutdown();
@@ -208,28 +194,29 @@ fn prometheus_scrape_accounts_for_injected_faults() {
     let addr = server.local_addr();
     for _ in 0..3 {
         let reply = raw_request(addr, "GET", "/healthz", "");
-        assert_eq!(status_of(&reply), 503, "{reply}");
+        assert_eq!(reply.status(), 503, "{reply:?}");
     }
     let scrape = raw_request(addr, "GET", "/metrics?format=prometheus", "");
-    assert_eq!(status_of(&scrape), 200, "{scrape}");
+    assert_eq!(scrape.status(), 200, "{scrape:?}");
     let metric = dram_faults::metric_name("server.queue");
-    let value: f64 = scrape
+    let text = scrape.text();
+    let value: f64 = text
         .lines()
         .find_map(|l| l.strip_prefix(metric.as_str()))
         .and_then(|rest| rest.trim().parse().ok())
-        .unwrap_or_else(|| panic!("scrape is missing {metric}:\n{scrape}"));
+        .unwrap_or_else(|| panic!("scrape is missing {metric}:\n{text}"));
     // The registry series is cumulative across arms (sibling tests in
     // this process may have fired the same site), so it bounds from
     // below; the per-arm counter and the per-server counter are exact.
     assert!(value >= 3.0, "{metric} = {value}");
     assert_eq!(dram_faults::injected_total(), 3);
     assert!(
-        scrape.contains("dram_serve_rejected_busy_total 3"),
-        "{scrape}"
+        text.contains("dram_serve_rejected_busy_total 3"),
+        "{text}"
     );
     assert!(
-        scrape.contains("dram_serve_worker_respawns_total 0"),
-        "{scrape}"
+        text.contains("dram_serve_worker_respawns_total 0"),
+        "{text}"
     );
     server.shutdown();
     dram_faults::disarm();

@@ -3,18 +3,21 @@
 //! against a genuinely non-loopback peer, and the guarantee that debug
 //! traffic never pollutes `slow_requests` sampling.
 //!
-//! The journal is process-global, so every test that configures it runs
-//! under one mutex and restores size 0 before releasing it.
+//! The journal and the profiling window are process-global, so every
+//! test that configures the journal or opens `/debug/profile` runs under
+//! one mutex (a second profile window would get 409), and journal users
+//! restore size 0 before releasing it.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{IpAddr, SocketAddr, TcpStream, UdpSocket};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
+use dram_server::client::Conn;
 use dram_server::{serve, ServerConfig, ServerHandle};
 use dram_units::json::Value;
 
-/// Serializes journal-touching tests; the journal switch is global.
+/// Serializes tests that touch the global journal or profiling switch.
 fn journal_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -39,23 +42,9 @@ fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Str
         .as_bytes(),
     )
     .expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .expect("status line");
-    let id = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .unwrap_or_default()
-        .to_string();
-    let payload = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload, id)
+    let reply = Conn::new(s).read_to_close().expect("recv");
+    let id = reply.header("x-request-id").unwrap_or_default().to_string();
+    (reply.status(), reply.text().into_owned(), id)
 }
 
 #[test]
@@ -161,6 +150,9 @@ fn non_loopback_peers_are_refused_with_a_detail_free_404() {
         eprintln!("skipping: host has no non-loopback interface");
         return;
     };
+    // The gate answers before any profile window opens, but a broken
+    // gate must fail this test, not a concurrent one.
+    let _guard = journal_lock();
     // Bind on all interfaces so a connection routed via the external
     // address arrives with a non-loopback peer.
     let handle = serve("0.0.0.0:0", ServerConfig::default()).expect("bind all interfaces");
@@ -189,6 +181,8 @@ fn non_loopback_peers_are_refused_with_a_detail_free_404() {
 
 #[test]
 fn debug_requests_never_enter_slow_request_sampling() {
+    // Opens a profile window below.
+    let _guard = journal_lock();
     let handle = start();
     let addr = handle.local_addr();
     // Debug traffic — including the slow profile endpoint, the worst

@@ -8,76 +8,33 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use dram_server::client::{self, Conn, Reply};
 use dram_server::{serve, ServerConfig, ServerHandle};
 
 fn start(config: ServerConfig) -> ServerHandle {
     serve("127.0.0.1:0", config).expect("bind ephemeral")
 }
 
-fn connect(addr: SocketAddr) -> TcpStream {
+fn connect(addr: SocketAddr) -> Conn {
     let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(30)))
         .expect("timeout");
-    s
+    Conn::new(s)
 }
 
-/// One parsed response off a persistent connection.
-struct Reply {
-    status: u16,
-    head: String,
-    body: String,
+/// Reads exactly one response, leaving the connection positioned at the
+/// next one. Interim 1xx responses carry no body.
+fn read_reply(s: &mut Conn) -> Reply {
+    s.read_response().expect("one complete response")
 }
 
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        let prefix = format!("{name}: ");
-        self.head
-            .split("\r\n")
-            .find_map(|line| line.strip_prefix(prefix.as_str()))
-    }
-
-    fn id(&self) -> String {
-        self.header("x-request-id").expect("x-request-id").to_string()
-    }
+fn id(reply: &Reply) -> String {
+    reply.header("x-request-id").expect("x-request-id").to_string()
 }
 
-/// Reads exactly one response — head to the blank line, then exactly
-/// `content-length` body bytes — leaving the connection positioned at
-/// the next response. Interim 1xx responses carry no body.
-fn read_reply(s: &mut TcpStream) -> Reply {
-    let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        match s.read(&mut byte) {
-            Ok(1) => head.push(byte[0]),
-            other => panic!("connection ended mid-head ({other:?}): {head:?}"),
-        }
-    }
-    let head = String::from_utf8(head).expect("utf-8 head");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line: {head:?}"));
-    let mut body = Vec::new();
-    if status >= 200 {
-        let length: usize = head
-            .split("\r\n")
-            .find_map(|line| line.strip_prefix("content-length: "))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no content-length in: {head:?}"));
-        body.resize(length, 0);
-        s.read_exact(&mut body).expect("body");
-    }
-    Reply {
-        status,
-        head,
-        body: String::from_utf8(body).expect("utf-8 body"),
-    }
-}
-
-/// True once `read` reports EOF (within the socket's read timeout).
-fn at_eof(s: &mut TcpStream) -> bool {
+/// True once `read` reports EOF (within the socket's read timeout) with
+/// no byte left over from earlier responses.
+fn at_eof(s: &mut Conn) -> bool {
     let mut scratch = [0u8; 64];
     matches!(s.read(&mut scratch), Ok(0))
 }
@@ -102,17 +59,17 @@ fn sequential_requests_share_one_connection() {
         s.write_all(req.as_bytes()).expect("send");
         read_reply(&mut s)
     };
-    assert_eq!(baseline.status, 200);
+    assert_eq!(baseline.status(), 200);
 
     let mut s = connect(server.local_addr());
-    let mut ids = vec![baseline.id()];
+    let mut ids = vec![id(&baseline)];
     for i in 0..5 {
         s.write_all(evaluate_request().as_bytes()).expect("send");
         let reply = read_reply(&mut s);
-        assert_eq!(reply.status, 200, "request {i}");
-        assert_eq!(reply.body, baseline.body, "request {i} body drifted");
-        assert_eq!(reply.header("connection"), Some("keep-alive"), "{}", reply.head);
-        ids.push(reply.id());
+        assert_eq!(reply.status(), 200, "request {i}");
+        assert_eq!(reply.text(), baseline.text(), "request {i} body drifted");
+        assert_eq!(reply.header("connection"), Some("keep-alive"), "{:?}", reply.head);
+        ids.push(id(&reply));
     }
     ids.sort();
     ids.dedup();
@@ -131,11 +88,11 @@ fn pipelined_requests_are_answered_in_order() {
     s.write_all(batch.as_bytes()).expect("send");
     let first = read_reply(&mut s);
     let second = read_reply(&mut s);
-    assert_eq!(first.status, 200);
-    assert_eq!(first.body, "{\"status\":\"ok\"}");
-    assert_eq!(second.status, 200);
-    assert!(second.body.contains("\"count\""), "{}", second.body);
-    assert_ne!(first.id(), second.id());
+    assert_eq!(first.status(), 200);
+    assert_eq!(first.text(), "{\"status\":\"ok\"}");
+    assert_eq!(second.status(), 200);
+    assert!(second.text().contains("\"count\""), "{}", second.text());
+    assert_ne!(id(&first), id(&second));
     // The second request was served from the first one's carry without
     // a reactor round-trip.
     assert!(
@@ -157,8 +114,8 @@ fn failed_request_poisons_only_its_connection() {
     let batch = format!("{bad}GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n");
     s.write_all(batch.as_bytes()).expect("send");
     let reply = read_reply(&mut s);
-    assert_eq!(reply.status, 400, "{}", reply.head);
-    assert_eq!(reply.header("connection"), Some("close"), "{}", reply.head);
+    assert_eq!(reply.status(), 400, "{:?}", reply.head);
+    assert_eq!(reply.header("connection"), Some("close"), "{:?}", reply.head);
     assert!(at_eof(&mut s), "connection must close after the failure");
 
     // Only the failed request was served; the pipelined healthz died
@@ -167,7 +124,7 @@ fn failed_request_poisons_only_its_connection() {
     fresh
         .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
         .expect("send");
-    assert_eq!(read_reply(&mut fresh).status, 200);
+    assert_eq!(read_reply(&mut fresh).status(), 200);
     assert_eq!(server.shutdown(), 2);
 }
 
@@ -185,7 +142,7 @@ fn idle_connections_are_closed_by_the_reactor() {
         .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
         .expect("send");
     let reply = read_reply(&mut spoke);
-    assert_eq!(reply.status, 200);
+    assert_eq!(reply.status(), 200);
     assert_eq!(reply.header("connection"), Some("keep-alive"));
 
     let patience = Instant::now() + Duration::from_secs(5);
@@ -207,7 +164,7 @@ fn max_requests_budget_forces_close() {
         s.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
             .expect("send");
         let reply = read_reply(&mut s);
-        assert_eq!(reply.status, 200, "request {i}");
+        assert_eq!(reply.status(), 200, "request {i}");
         let expected = if i < 2 { "keep-alive" } else { "close" };
         assert_eq!(reply.header("connection"), Some(expected), "request {i}");
     }
@@ -223,7 +180,7 @@ fn explicit_close_token_is_honored_case_insensitively() {
     s.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nConnection: TE, Close\r\n\r\n")
         .expect("send");
     let reply = read_reply(&mut s);
-    assert_eq!(reply.status, 200);
+    assert_eq!(reply.status(), 200);
     assert_eq!(reply.header("connection"), Some("close"));
     assert!(at_eof(&mut s));
     server.shutdown();
@@ -243,11 +200,11 @@ fn expect_100_continue_gets_an_interim_go_ahead() {
     // before sending the body.
     s.write_all(head.as_bytes()).expect("send head");
     let interim = read_reply(&mut s);
-    assert_eq!(interim.status, 100, "{}", interim.head);
+    assert_eq!(interim.status(), 100, "{:?}", interim.head);
     s.write_all(body.as_bytes()).expect("send body");
     let reply = read_reply(&mut s);
-    assert_eq!(reply.status, 200, "{}", reply.body);
-    assert!(reply.body.contains("\"idd_ma\""), "{}", reply.body);
+    assert_eq!(reply.status(), 200, "{}", reply.text());
+    assert!(reply.text().contains("\"idd_ma\""), "{}", reply.text());
     server.shutdown();
 }
 
@@ -263,7 +220,7 @@ fn expect_100_continue_oversize_is_rejected_without_interim() {
     )
     .expect("send");
     let reply = read_reply(&mut s);
-    assert_eq!(reply.status, 413, "{}", reply.head);
+    assert_eq!(reply.status(), 413, "{:?}", reply.head);
     assert!(at_eof(&mut s));
     server.shutdown();
 }
@@ -275,28 +232,26 @@ fn chunked_trace_streaming_keeps_the_connection() {
     let mut upload =
         b"POST /v1/trace HTTP/1.1\r\nhost: t\r\ntransfer-encoding: chunked\r\n\r\n".to_vec();
     for piece in trace.as_bytes().chunks(16) {
-        upload.extend_from_slice(format!("{:x}\r\n", piece.len()).as_bytes());
-        upload.extend_from_slice(piece);
-        upload.extend_from_slice(b"\r\n");
+        client::write_chunk(&mut upload, piece).expect("frame chunk");
     }
-    upload.extend_from_slice(b"0\r\n\r\n");
+    upload.extend_from_slice(client::LAST_CHUNK);
 
     let mut s = connect(server.local_addr());
     // Two identical chunked uploads back-to-back, then a buffered
     // request, all on one connection.
     s.write_all(&upload).expect("first upload");
     let first = read_reply(&mut s);
-    assert_eq!(first.status, 200, "{}", first.body);
+    assert_eq!(first.status(), 200, "{}", first.text());
     assert_eq!(first.header("connection"), Some("keep-alive"));
     s.write_all(&upload).expect("second upload");
     let second = read_reply(&mut s);
-    assert_eq!(second.status, 200);
-    assert_eq!(second.body, first.body, "streamed report must not drift");
-    assert_ne!(first.id(), second.id());
+    assert_eq!(second.status(), 200);
+    assert_eq!(second.text(), first.text(), "streamed report must not drift");
+    assert_ne!(id(&first), id(&second));
     s.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
         .expect("send");
     let third = read_reply(&mut s);
-    assert_eq!(third.status, 200);
+    assert_eq!(third.status(), 200);
     assert!(at_eof(&mut s));
     assert_eq!(server.metrics().keepalive_reuses(), 2);
     assert_eq!(server.shutdown(), 3);

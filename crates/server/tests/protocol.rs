@@ -6,11 +6,12 @@
 //! accepted work.
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use dram_core::Dram;
+use dram_server::client::{ClientError, Conn, Reply};
 use dram_server::{serve, Limits, ServerConfig, ServerHandle};
 
 fn start(threads: usize) -> ServerHandle {
@@ -24,13 +25,11 @@ fn start(threads: usize) -> ServerHandle {
     .expect("bind ephemeral")
 }
 
-/// Sends raw bytes, returns the full raw reply.
-fn raw(addr: SocketAddr, bytes: &[u8]) -> String {
+/// Sends raw bytes, returns the reply.
+fn raw(addr: SocketAddr, bytes: &[u8]) -> Reply {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.write_all(bytes).expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    reply
+    Conn::new(s).read_to_close().expect("recv")
 }
 
 /// Issues a well-formed request, returns `(status, body)`.
@@ -44,28 +43,12 @@ fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Stri
         )
         .as_bytes(),
     );
-    split_reply(&reply)
+    (reply.status(), reply.text().into_owned())
 }
 
-fn split_reply(reply: &str) -> (u16, String) {
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable reply: {reply:?}"));
-    let body = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// The `x-request-id` header value of a raw reply, if present.
-fn request_id(reply: &str) -> Option<String> {
-    reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .map(str::to_string)
+/// The `x-request-id` header value of a reply, if present.
+fn request_id(reply: &Reply) -> Option<String> {
+    reply.header("x-request-id").map(str::to_string)
 }
 
 #[test]
@@ -80,7 +63,7 @@ fn malformed_request_line_is_400() {
         "GET /healthz SMTP/1.1\r\n\r\n",
     ] {
         let reply = raw(server.local_addr(), garbage.as_bytes());
-        assert!(reply.starts_with("HTTP/1.1 400"), "{garbage:?} -> {reply}");
+        assert_eq!(reply.status(), 400, "{garbage:?} -> {reply:?}");
     }
     // The server is still alive and serving.
     let (status, _) = request(server.local_addr(), "GET", "/healthz", "");
@@ -107,7 +90,7 @@ fn oversized_body_is_413_before_read() {
         server.local_addr(),
         b"POST /v1/evaluate HTTP/1.1\r\ncontent-length: 1000000\r\nconnection: close\r\n\r\n",
     );
-    assert!(reply.starts_with("HTTP/1.1 413"), "{reply}");
+    assert_eq!(reply.status(), 413, "{reply:?}");
     let (status, _) = request(server.local_addr(), "GET", "/healthz", "");
     assert_eq!(status, 200, "server survived the oversized request");
     server.shutdown();
@@ -121,7 +104,7 @@ fn oversized_headers_are_431() {
         "a".repeat(64 * 1024)
     );
     let reply = raw(server.local_addr(), huge.as_bytes());
-    assert!(reply.starts_with("HTTP/1.1 431"), "{reply}");
+    assert_eq!(reply.status(), 431, "{reply:?}");
     server.shutdown();
 }
 
@@ -156,9 +139,8 @@ fn truncated_json_is_400() {
     )
     .expect("send");
     s.shutdown(std::net::Shutdown::Write).expect("half-close");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    assert!(reply.starts_with("HTTP/1.1 400"), "{reply}");
+    let reply = Conn::new(s).read_to_close().expect("recv");
+    assert_eq!(reply.status(), 400, "{reply:?}");
     server.shutdown();
 }
 
@@ -209,7 +191,7 @@ fn graceful_shutdown_drains_accepted_connections() {
     const CLIENTS: usize = 8;
 
     // Open connections and send complete requests, but don't read yet.
-    let mut conns: Vec<TcpStream> = (0..CLIENTS)
+    let conns: Vec<TcpStream> = (0..CLIENTS)
         .map(|_| {
             let mut s = TcpStream::connect(addr).expect("connect");
             let body = r#"{"preset":"ddr3_1g_55nm"}"#;
@@ -240,13 +222,11 @@ fn graceful_shutdown_drains_accepted_connections() {
     );
 
     // Every already-accepted client still gets a complete 200.
-    for s in &mut conns {
+    for s in conns {
         s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
-        let mut reply = String::new();
-        s.read_to_string(&mut reply).expect("drained response");
-        let (status, body) = split_reply(&reply);
-        assert_eq!(status, 200, "{reply}");
-        assert!(body.contains("idd_ma"), "{body}");
+        let reply = Conn::new(s).read_to_close().expect("drained response");
+        assert_eq!(reply.status(), 200, "{reply:?}");
+        assert!(reply.text().contains("idd_ma"), "{}", reply.text());
     }
 
     // And the listener is really gone: new connections fail.
@@ -311,8 +291,8 @@ fn every_response_carries_a_unique_request_id() {
     ];
     for reply in &replies {
         let id = request_id(reply)
-            .unwrap_or_else(|| panic!("response without x-request-id: {reply}"));
-        assert!(ids.insert(id.clone()), "id `{id}` repeated: {reply}");
+            .unwrap_or_else(|| panic!("response without x-request-id: {reply:?}"));
+        assert!(ids.insert(id.clone()), "id `{id}` repeated: {reply:?}");
     }
     server.shutdown();
 
@@ -330,10 +310,10 @@ fn every_response_carries_a_unique_request_id() {
         shedder.local_addr(),
         b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
-    assert!(reply.starts_with("HTTP/1.1 503"), "{reply}");
+    assert_eq!(reply.status(), 503, "{reply:?}");
     // Ids are unique per server (the counter is per [`RequestIdSource`]),
     // so only presence is asserted across instances.
-    assert!(request_id(&reply).is_some(), "503 carries an id: {reply}");
+    assert!(request_id(&reply).is_some(), "503 carries an id: {reply:?}");
     shedder.shutdown();
 }
 
@@ -364,7 +344,6 @@ fn trickling_client_gets_408_at_the_request_deadline() {
     // than it completes but fast enough to keep resetting a per-read
     // timeout. The server must cut us off at the deadline regardless.
     let head = b"GET /healthz HTTP/1.1\r\nhost: trickle\r\n\r\n";
-    let mut reply = String::new();
     for byte in head {
         if s.write_all(std::slice::from_ref(byte)).is_err() {
             break; // server already answered and closed
@@ -374,13 +353,13 @@ fn trickling_client_gets_408_at_the_request_deadline() {
             break;
         }
     }
-    let _ = s.read_to_string(&mut reply);
+    let reply = Conn::new(s).read_response();
     let elapsed = started.elapsed();
-    assert!(
-        reply.starts_with("HTTP/1.1 408"),
-        "wanted 408 for the trickling client, got: {reply:?}"
-    );
-    assert!(request_id(&reply).is_some(), "408 carries an id: {reply}");
+    let reply = match reply {
+        Ok(reply) if reply.status() == 408 => reply,
+        other => panic!("wanted 408 for the trickling client, got: {other:?}"),
+    };
+    assert!(request_id(&reply).is_some(), "408 carries an id: {reply:?}");
     assert!(
         elapsed < deadline + Duration::from_secs(2),
         "worker was held {elapsed:?}, deadline is {deadline:?}"
@@ -400,16 +379,14 @@ fn silent_probe_writes_nothing_and_counts_nothing() {
     let server = start(1);
     let addr = server.local_addr();
     for _ in 0..3 {
-        let mut s = TcpStream::connect(addr).expect("connect");
+        let s = TcpStream::connect(addr).expect("connect");
         s.shutdown(std::net::Shutdown::Write).expect("half-close");
         s.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
-        let mut received = Vec::new();
-        s.read_to_end(&mut received).expect("read");
-        assert!(
-            received.is_empty(),
-            "probe got {} response bytes: {:?}",
-            received.len(),
-            String::from_utf8_lossy(&received)
+        let received = Conn::new(s).read_response();
+        assert_eq!(
+            received,
+            Err(ClientError::Closed),
+            "probe got response bytes: {received:?}"
         );
     }
     // Give the workers a moment to finish the probe connections, then
@@ -480,11 +457,10 @@ fn content_length_smuggling_vectors_are_rejected() {
     ];
     for (bytes, want) in cases {
         let reply = raw(addr, bytes);
-        let (status, _) = split_reply(&reply);
         assert_eq!(
-            status,
+            reply.status(),
             want,
-            "{} -> {reply}",
+            "{} -> {reply:?}",
             String::from_utf8_lossy(bytes)
         );
     }
@@ -554,8 +530,7 @@ fn metrics_slow_samples_correlate_with_response_ids() {
             addr,
             b"POST /v1/evaluate HTTP/1.1\r\ncontent-length: 29\r\nconnection: close\r\n\r\n{\"preset\":\"ddr3_1g_x16_55nm\"}",
         );
-        let (status, _) = split_reply(&reply);
-        assert_eq!(status, 200, "{reply}");
+        assert_eq!(reply.status(), 200, "{reply:?}");
         seen_ids.insert(request_id(&reply).expect("id header"));
     }
     let (status, body) = request(addr, "GET", "/metrics", "");
@@ -583,13 +558,6 @@ fn metrics_slow_samples_correlate_with_response_ids() {
     server.shutdown();
 }
 
-/// The content-type of a raw reply, if present.
-fn content_type(reply: &str) -> Option<&str> {
-    reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("content-type: "))
-}
-
 /// `/metrics` over the wire in both formats: the JSON document with an
 /// explicit `application/json` content type, and the Prometheus text
 /// exposition behind `?format=prometheus` (and Accept negotiation) with
@@ -603,9 +571,9 @@ fn metrics_serves_both_json_and_prometheus_formats() {
 
     // Default: JSON, explicitly typed.
     let reply = raw(addr, b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n");
-    let (status, body) = split_reply(&reply);
-    assert_eq!(status, 200);
-    assert_eq!(content_type(&reply), Some("application/json"), "{reply}");
+    assert_eq!(reply.status(), 200);
+    assert_eq!(reply.header("content-type"), Some("application/json"), "{reply:?}");
+    let body = reply.text();
     assert!(dram_units::json::Value::parse(&body).is_ok(), "{body}");
 
     // Query-selected Prometheus exposition.
@@ -613,13 +581,13 @@ fn metrics_serves_both_json_and_prometheus_formats() {
         addr,
         b"GET /metrics?format=prometheus HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
-    let (status, prom) = split_reply(&reply);
-    assert_eq!(status, 200);
+    assert_eq!(reply.status(), 200);
     assert_eq!(
-        content_type(&reply),
+        reply.header("content-type"),
         Some("text/plain; version=0.0.4"),
-        "{reply}"
+        "{reply:?}"
     );
+    let prom = reply.text();
     for family in [
         "# TYPE dram_serve_requests_total counter",
         "# TYPE dram_serve_handle_seconds histogram",
@@ -642,9 +610,9 @@ fn metrics_serves_both_json_and_prometheus_formats() {
         b"GET /metrics HTTP/1.1\r\naccept: text/plain\r\nconnection: close\r\n\r\n",
     );
     assert_eq!(
-        content_type(&reply),
+        reply.header("content-type"),
         Some("text/plain; version=0.0.4"),
-        "{reply}"
+        "{reply:?}"
     );
 
     // Unknown formats are a 400, not a silent default.
@@ -652,9 +620,8 @@ fn metrics_serves_both_json_and_prometheus_formats() {
         addr,
         b"GET /metrics?format=yaml HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
-    let (status, body) = split_reply(&reply);
-    assert_eq!(status, 400);
-    assert!(body.contains("unknown metrics format"), "{body}");
+    assert_eq!(reply.status(), 400);
+    assert!(reply.text().contains("unknown metrics format"), "{}", reply.text());
     server.shutdown();
 }
 
@@ -694,8 +661,8 @@ fn sweep_drives_rebuild_counters_onto_both_metrics_formats() {
         addr,
         b"GET /metrics?format=prometheus HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
-    let (status, prom) = split_reply(&reply);
-    assert_eq!(status, 200);
+    assert_eq!(reply.status(), 200);
+    let prom = reply.text();
     for family in [
         "# TYPE dram_model_rebuilds_total counter",
         "# TYPE dram_rebuild_phases_skipped_total counter",

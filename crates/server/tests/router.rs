@@ -1,8 +1,9 @@
 //! End-to-end tests for `dram-route` over real sockets: the all-down
 //! 502 path, single-node byte-identical pass-through, the
 //! poison-on-mid-body-failure rule (no retry once a response byte has
-//! been relayed), and the loopback gate on `/debug/*` holding through
-//! the proxy hop.
+//! been relayed), upstream heads with bad framing never reaching the
+//! client, and the loopback gate on `/debug/*` holding through the
+//! proxy hop.
 
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -10,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use dram_server::client::Conn;
 use dram_server::{route_serve, serve, RouterConfig, ServerConfig};
 use dram_units::json::Value;
 
@@ -26,23 +28,9 @@ fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Str
         .as_bytes(),
     )
     .expect("send");
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|t| t.parse().ok())
-        .expect("status line");
-    let id = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("x-request-id: "))
-        .unwrap_or_default()
-        .to_string();
-    let payload = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, payload, id)
+    let reply = Conn::new(s).read_to_close().expect("recv");
+    let id = reply.header("x-request-id").unwrap_or_default().to_string();
+    (reply.status(), reply.text().into_owned(), id)
 }
 
 #[test]
@@ -113,6 +101,16 @@ fn single_node_pass_through_is_byte_identical() {
 /// `/v1/*` response mid-body: declares 100000 bytes, sends 10, drops
 /// the connection. Returns (address, count of `/v1/*` requests seen).
 fn truncating_upstream() -> (SocketAddr, Arc<AtomicU64>) {
+    scripted_upstream(
+        b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+          content-length: 100000\r\nconnection: keep-alive\r\n\r\n0123456789",
+    )
+}
+
+/// A fake upstream that answers health probes with a 200 and every
+/// `/v1/*` request with `reply`, then drops the connection. Returns
+/// (address, count of `/v1/*` requests seen).
+fn scripted_upstream(reply: &'static [u8]) -> (SocketAddr, Arc<AtomicU64>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake upstream");
     let addr = listener.local_addr().expect("addr");
     let hits = Arc::new(AtomicU64::new(0));
@@ -134,12 +132,9 @@ fn truncating_upstream() -> (SocketAddr, Arc<AtomicU64>) {
                 let head = String::from_utf8_lossy(&buf);
                 if head.contains("/v1/") {
                     hits.fetch_add(1, Ordering::SeqCst);
-                    let _ = conn.write_all(
-                        b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
-                          content-length: 100000\r\nconnection: keep-alive\r\n\r\n0123456789",
-                    );
+                    let _ = conn.write_all(reply);
                     let _ = conn.flush();
-                    // Drop: the upstream dies mid-body.
+                    // Drop: the upstream dies after its script.
                 } else {
                     let _ = conn.write_all(
                         b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
@@ -179,19 +174,16 @@ fn upstream_death_mid_body_poisons_the_client_and_is_never_retried() {
         .as_bytes(),
     )
     .expect("send");
-    let mut reply = Vec::new();
-    s.read_to_end(&mut reply).expect("read to close");
-    let text = String::from_utf8_lossy(&reply);
-    assert!(text.starts_with("HTTP/1.1 200"), "head was relayed: {text}");
-    assert!(
-        text.contains("content-length: 100000"),
-        "original framing relayed: {text}"
+    let mut conn = Conn::new(s);
+    let head = conn.read_head().expect("head terminator");
+    assert_eq!(head.status, 200, "head was relayed: {head:?}");
+    assert_eq!(
+        head.header("content-length"),
+        Some("100000"),
+        "original framing relayed: {head:?}"
     );
-    let delivered = reply
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|p| reply.len() - p - 4)
-        .expect("head terminator");
+    let mut body = Vec::new();
+    let delivered = conn.read_to_end(&mut body).expect("read to close");
     assert!(delivered < 100_000, "body must be truncated, got {delivered}");
 
     // Exactly one upstream attempt: a request that already relayed
@@ -207,6 +199,42 @@ fn upstream_death_mid_body_poisons_the_client_and_is_never_retried() {
         "poisoned counter missing: {body}"
     );
     router.shutdown();
+}
+
+/// An upstream head that the server's own parser would refuse — two
+/// different `content-length` values, or a signed one — fails the
+/// attempt like a dead node: the client gets the 502 path, never the
+/// conflicting head.
+#[test]
+fn upstream_heads_with_bad_content_length_take_the_502_path() {
+    for reply in [
+        &b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 2\r\n\
+           content-length: 5\r\nconnection: keep-alive\r\n\r\nokhello"[..],
+        b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: +5\r\n\
+          connection: keep-alive\r\n\r\nhello",
+    ] {
+        let (upstream, hits) = scripted_upstream(reply);
+        let mut config = RouterConfig {
+            nodes: vec![upstream.to_string()],
+            probe_interval: Duration::from_secs(30),
+            ..RouterConfig::default()
+        };
+        config.retry.max_attempts = 2;
+        let router = route_serve("127.0.0.1:0", config).expect("bind router");
+
+        let (status, body, id) = exchange(
+            router.local_addr(),
+            "POST",
+            "/v1/evaluate",
+            r#"{"preset":"ddr3_1g_x16_55nm"}"#,
+        );
+        assert_eq!(status, 502, "{body}");
+        assert!(!id.is_empty(), "502 carried no x-request-id");
+        let doc = Value::parse(&body).expect("502 body is JSON");
+        assert!(doc.get("error").is_some(), "{body}");
+        assert!(hits.load(Ordering::SeqCst) >= 1, "the upstream was never asked");
+        router.shutdown();
+    }
 }
 
 /// A local IP that is *not* loopback, if the host has one. Routing a

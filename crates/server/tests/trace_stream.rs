@@ -4,11 +4,12 @@
 //! typed trace errors over the wire, and bit-identity of streamed
 //! reports against a local [`dram_workload::StreamFold`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use dram_core::Dram;
+use dram_server::client::{self, Conn, Reply};
 use dram_server::{serve, ServerConfig, ServerHandle};
 use dram_workload::{StreamFold, TraceDecoder, TraceEvent};
 
@@ -23,26 +24,11 @@ fn start(threads: usize) -> ServerHandle {
     .expect("bind ephemeral")
 }
 
-fn split_reply(reply: &str) -> (u16, String) {
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable reply: {reply:?}"));
-    let body = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
-fn raw(addr: SocketAddr, bytes: &[u8]) -> String {
+fn raw(addr: SocketAddr, bytes: &[u8]) -> Reply {
     let mut s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
     let _ = s.write_all(bytes);
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    reply
+    Conn::new(s).read_to_close().expect("recv")
 }
 
 /// Streams `payload` to `path` with chunked transfer encoding, cut into
@@ -54,25 +40,15 @@ fn chunked(addr: SocketAddr, path: &str, payload: &[u8], chunk: usize) -> (u16, 
     let head = format!(
         "POST {path} HTTP/1.1\r\nhost: t\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n"
     );
-    let mut ok = s.write_all(head.as_bytes()).is_ok();
-    if ok {
-        for piece in payload.chunks(chunk.max(1)) {
-            let framed = format!("{:x}\r\n", piece.len());
-            if s.write_all(framed.as_bytes()).is_err()
-                || s.write_all(piece).is_err()
-                || s.write_all(b"\r\n").is_err()
-            {
-                ok = false;
-                break;
-            }
-        }
+    let sent = s.write_all(head.as_bytes()).is_ok()
+        && payload
+            .chunks(chunk.max(1))
+            .all(|piece| client::write_chunk(&mut s, piece).is_ok());
+    if sent {
+        let _ = s.write_all(client::LAST_CHUNK);
     }
-    if ok {
-        let _ = s.write_all(b"0\r\n\r\n");
-    }
-    let mut reply = String::new();
-    s.read_to_string(&mut reply).expect("recv");
-    split_reply(&reply)
+    let reply = Conn::new(s).read_to_close().expect("recv");
+    (reply.status(), reply.text().into_owned())
 }
 
 /// Uploads `payload` with ordinary `Content-Length` framing.
@@ -83,7 +59,8 @@ fn buffered(addr: SocketAddr, path: &str, payload: &[u8]) -> (u16, String) {
     )
     .into_bytes();
     bytes.extend_from_slice(payload);
-    split_reply(&raw(addr, &bytes))
+    let reply = raw(addr, &bytes);
+    (reply.status(), reply.text().into_owned())
 }
 
 /// A trace that visits every power state: bursts of work, an explicit
@@ -206,19 +183,17 @@ fn content_length_with_chunked_transfer_encoding_is_400() {
         b"POST /v1/trace HTTP/1.1\r\nhost: t\r\ncontent-length: 5\r\n\
           transfer-encoding: chunked\r\nconnection: close\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
     );
-    let (status, body) = split_reply(&reply);
-    assert_eq!(status, 400, "{reply}");
-    assert!(body.contains("conflicts"), "{body}");
+    assert_eq!(reply.status(), 400, "{reply:?}");
+    assert!(reply.text().contains("conflicts"), "{}", reply.text());
     // Unknown transfer codings are refused too, not half-applied.
     let reply = raw(
         addr,
         b"POST /v1/trace HTTP/1.1\r\nhost: t\r\ntransfer-encoding: gzip\r\nconnection: close\r\n\r\n",
     );
-    let (status, _) = split_reply(&reply);
-    assert_eq!(status, 400, "{reply}");
+    assert_eq!(reply.status(), 400, "{reply:?}");
     // The server survived both.
     let reply = raw(addr, b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
-    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    assert_eq!(reply.status(), 200, "{reply:?}");
     server.shutdown();
 }
 
@@ -266,7 +241,7 @@ fn trace_errors_carry_kind_and_line_over_the_wire() {
     assert_eq!(status, 400, "{body}");
     // The worker survived every rejection.
     let reply = raw(addr, b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
-    assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+    assert_eq!(reply.status(), 200, "{reply:?}");
     server.shutdown();
 }
 
@@ -291,8 +266,7 @@ fn query_preset_and_method_discipline() {
     assert_eq!(status, 400);
     assert!(body.contains("unknown preset"), "{body}");
     let reply = raw(addr, b"GET /v1/trace HTTP/1.1\r\nconnection: close\r\n\r\n");
-    let (status, _) = split_reply(&reply);
-    assert_eq!(status, 405, "{reply}");
+    assert_eq!(reply.status(), 405, "{reply:?}");
     server.shutdown();
 }
 
@@ -310,8 +284,8 @@ fn trace_counters_reach_both_metrics_formats() {
     // /metrics is GET-only; ask properly.
     assert_eq!(status, 405, "{body}");
     let reply = raw(addr, b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n");
-    let (status, json) = split_reply(&reply);
-    assert_eq!(status, 200);
+    assert_eq!(reply.status(), 200);
+    let json = reply.text();
     let doc = dram_units::json::Value::parse(&json).expect("metrics JSON");
     let trace_requests = doc
         .get("requests_by_route")
@@ -343,8 +317,8 @@ fn trace_counters_reach_both_metrics_formats() {
         addr,
         b"GET /metrics?format=prometheus HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
-    let (status, prom) = split_reply(&reply);
-    assert_eq!(status, 200);
+    assert_eq!(reply.status(), 200);
+    let prom = reply.text();
     for family in [
         "dram_trace_commands_total",
         "dram_trace_bytes_total",

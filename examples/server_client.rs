@@ -1,7 +1,8 @@
-//! Start `dram-serve` on an ephemeral port and query it with nothing but
-//! `std::net::TcpStream` — including a production-shaped retry loop:
-//! exponential backoff with seeded jitter, a `Retry-After` header that
-//! is honored when the server sends one, and a hard attempt cap.
+//! Start `dram-serve` on an ephemeral port and query it through the
+//! workspace's HTTP client (`dram_energy::server::client`) — including a
+//! production-shaped retry loop: exponential backoff with seeded jitter,
+//! a `Retry-After` header that is honored when the server sends one, and
+//! a hard attempt cap.
 //!
 //! To prove the retry path actually runs, the example arms a
 //! deterministic fault plan (`dram_energy::faults`) that rejects the
@@ -12,54 +13,12 @@
 //! cargo run --example server_client
 //! ```
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::net::SocketAddr;
 
+use dram_energy::server::client::{self, Reply};
 use dram_energy::server::retry::RetryPolicy;
 use dram_energy::server::{serve, ServerConfig};
 use dram_energy::units::json::Value;
-
-/// One parsed reply: status, body, and the `Retry-After` seconds if the
-/// server sent the header.
-struct Reply {
-    status: u16,
-    body: String,
-    retry_after: Option<u64>,
-}
-
-/// Minimal HTTP/1.1 exchange: one request, `Connection: close`.
-fn http_once(addr: SocketAddr, method: &str, path: &str, body: &str) -> std::io::Result<Reply> {
-    let mut conn = TcpStream::connect(addr)?;
-    conn.write_all(
-        format!(
-            "{method} {path} HTTP/1.1\r\nhost: example\r\ncontent-type: application/json\r\n\
-             content-length: {}\r\nconnection: close\r\n\r\n{body}",
-            body.len()
-        )
-        .as_bytes(),
-    )?;
-    let mut reply = String::new();
-    conn.read_to_string(&mut reply)?;
-    let status = reply
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let retry_after = reply
-        .split("\r\n")
-        .find_map(|line| line.strip_prefix("retry-after: "))
-        .and_then(|v| v.parse().ok());
-    let body = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    Ok(Reply {
-        status,
-        body,
-        retry_after,
-    })
-}
 
 /// A client that retries 503s and transport errors, honors
 /// `Retry-After`, and gives up when the budget is spent. Everything
@@ -88,19 +47,20 @@ impl RetryingClient {
         let mut schedule = self.policy.schedule(self.seed);
         loop {
             let attempt = schedule.attempt();
-            let outcome = http_once(self.addr, method, path, body);
+            let outcome = client::fetch(self.addr, method, path, body.as_bytes());
             let hint = match &outcome {
-                Ok(r) if r.status == 503 => {
+                Ok(r) if r.status() == 503 => {
                     // The server's own estimate wins over our schedule.
+                    let hint = r.head.retry_after();
                     println!(
                         "  attempt {attempt}: 503 (retry-after: {}) — backing off",
-                        r.retry_after.map_or("none".into(), |s| s.to_string()),
+                        hint.map_or("none".into(), |d| d.as_secs().to_string()),
                     );
-                    r.retry_after.map(Duration::from_secs)
+                    hint
                 }
                 Ok(r) => {
                     if attempt > 1 {
-                        println!("  attempt {attempt}: {} — recovered", r.status);
+                        println!("  attempt {attempt}: {} — recovered", r.status());
                     }
                     return outcome.map_err(|e| e.to_string());
                 }
@@ -136,13 +96,13 @@ fn main() {
 
     println!("GET /v1/presets (first two connections are rejected with 503)");
     let presets = client.call("GET", "/v1/presets", "").expect("presets");
-    println!("  {}\n", presets.body);
+    println!("  {}\n", presets.text());
     dram_energy::faults::disarm();
 
     let evaluated = client
         .call("POST", "/v1/evaluate", r#"{"preset":"ddr3_1g_x16_55nm"}"#)
         .expect("evaluate");
-    let doc = Value::parse(&evaluated.body).expect("valid JSON");
+    let doc = Value::parse(&evaluated.text()).expect("valid JSON");
     let idd = doc.get("idd_ma").expect("idd block");
     println!("POST /v1/evaluate preset=ddr3_1g_x16_55nm");
     for symbol in ["IDD0", "IDD2N", "IDD4R", "IDD4W"] {
@@ -157,14 +117,14 @@ fn main() {
             r#"{"preset":"ddr3_1g_x16_55nm","pattern":"act nop wrt nop rd nop pre nop"}"#,
         )
         .expect("pattern");
-    let doc = Value::parse(&pattern.body).expect("valid JSON");
+    let doc = Value::parse(&pattern.text()).expect("valid JSON");
     println!(
         "\nPOST /v1/pattern \"act nop wrt nop rd nop pre nop\"\n  power = {:.3} W",
         doc.get("power_w").and_then(Value::as_f64).expect("power")
     );
 
     let metrics = client.call("GET", "/metrics", "").expect("metrics");
-    let doc = Value::parse(&metrics.body).expect("valid JSON");
+    let doc = Value::parse(&metrics.text()).expect("valid JSON");
     let engine = doc.get("engine").expect("engine block");
     println!(
         "\nGET /metrics\n  requests_total = {}, rejected_busy = {}, cache hits = {}, misses = {}",

@@ -11,9 +11,10 @@
 //! cargo run --example trace_streaming
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 
+use dram_energy::server::client::{self, Conn};
 use dram_energy::server::{serve, ServerConfig};
 use dram_energy::units::json::Value;
 use dram_energy::workload::{PowerDownPolicy, StreamFold, TraceDecoder, TraceEvent};
@@ -51,27 +52,21 @@ fn main() {
 
     // Stream the trace in 24-byte chunks: most lines straddle a chunk
     // boundary, which is exactly what a real network upload looks like.
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(
-        b"POST /v1/trace HTTP/1.1\r\nhost: example\r\n\
-          transfer-encoding: chunked\r\nconnection: close\r\n\r\n",
-    )
-    .expect("head");
+    let mut conn = Conn::new(TcpStream::connect(addr).expect("connect"));
+    let head = client::chunked_head(
+        "POST",
+        "/v1/trace",
+        &[("host", "example"), ("connection", "close")],
+    );
+    conn.write_all(&head).expect("head");
     for chunk in TRACE.as_bytes().chunks(24) {
-        conn.write_all(format!("{:x}\r\n", chunk.len()).as_bytes())
-            .expect("size");
-        conn.write_all(chunk).expect("data");
-        conn.write_all(b"\r\n").expect("end");
+        client::write_chunk(&mut conn, chunk).expect("chunk");
     }
-    conn.write_all(b"0\r\n\r\n").expect("terminator");
+    conn.write_all(client::LAST_CHUNK).expect("terminator");
 
-    let mut reply = String::new();
-    conn.read_to_string(&mut reply).expect("response");
-    assert!(reply.starts_with("HTTP/1.1 200"), "rejected: {reply}");
-    let body = reply
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
+    let reply = conn.read_to_close().expect("response");
+    assert_eq!(reply.status(), 200, "rejected: {reply:?}");
+    let body = reply.text();
 
     // Fold the same bytes locally — the wire must add nothing.
     let dram = Dram::new(dram_energy::model::reference::ddr3_1g_x16_55nm()).expect("preset");

@@ -43,6 +43,24 @@ if [[ $fast -eq 0 ]]; then
   done
   echo "    $trace written ($(wc -c < "$trace") bytes, all 6 model phases present)"
 
+  echo "==> dram-power --trace smoke (in-memory trace through the power-state machine)"
+  # A legal act/rd/pre access plus a pde..pdx nap must be priced; an act
+  # issued while powered down must exit non-zero naming the violation.
+  trace_dir=$(mktemp -d)
+  printf '# length 2000\n0 0 act\n12 0 rd\n28 0 pre\n100 0 pde\n1000 0 pdx\n' > "$trace_dir/legal.trace"
+  printf '# length 2000\n0 0 pde\n500 0 act\n1000 0 pdx\n' > "$trace_dir/asleep.trace"
+  legal_out=$(./target/release/dram-power --preset 55 --trace "$trace_dir/legal.trace") \
+    || { echo "    dram-power rejected a legal trace"; exit 1; }
+  legal_line=$(grep "^trace .*: 5 commands over" <<<"$legal_out") \
+    || { echo "    dram-power printed no trace line for the legal trace"; exit 1; }
+  if asleep_err=$(./target/release/dram-power --preset 55 --trace "$trace_dir/asleep.trace" 2>&1); then
+    echo "    dram-power priced an act issued while powered down"; exit 1
+  fi
+  grep -q 'act at cycle 500 while in precharge_power_down (command_while_asleep)' <<<"$asleep_err" \
+    || { echo "    dram-power error does not name the violation: $asleep_err"; exit 1; }
+  rm -rf "$trace_dir"
+  echo "    legal trace priced (${legal_line##*— }); act while powered down refused"
+
   echo "==> dram-serve smoke (boot, tracing, deadline, SIGTERM drain)"
   serve_log=$(mktemp)
   ./target/release/dram-serve --addr 127.0.0.1:0 --threads 2 --deadline-ms 1000 > "$serve_log" &

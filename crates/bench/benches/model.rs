@@ -57,6 +57,7 @@ fn main() {
         .trace;
     measurements.push(bench("analyses/trace_simulate_1k", budget, 10, || {
         dram_workload::simulate(&dram, &trace, dram_workload::PowerDownPolicy::AGGRESSIVE)
+            .expect("generated traces are legal")
     }));
 
     print!("{}", render(&measurements));

@@ -9,9 +9,7 @@ use dram_datasheet::corpus::DDR3_1GB;
 use dram_datasheet::{Calculator, Vendor, Workload};
 use dram_schemes::ablations;
 use dram_units::Seconds;
-use dram_workload::{
-    generate_validated, row_energy_share, simulate, PowerDownPolicy, WorkloadSpec,
-};
+use dram_workload::{generate_validated, simulate, PowerDownPolicy, WorkloadSpec};
 
 use crate::Table;
 
@@ -138,12 +136,13 @@ pub fn generate_powerdown() -> String {
         ("sparse (long idle gaps)", WorkloadSpec::sparse(300, 7)),
     ] {
         let w = generate_validated(&dram, &spec).expect("generates");
-        let never = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
-        let aggressive = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE);
+        let bill = |policy| simulate(&dram, &w.trace, policy).expect("generated traces are legal");
+        let never = bill(PowerDownPolicy::NEVER);
+        let aggressive = bill(PowerDownPolicy::AGGRESSIVE);
         let saving = 1.0 - aggressive.energy.joules() / never.energy.joules();
         tbl.row([
             name.to_string(),
-            format!("{:.0}%", row_energy_share(&dram, &w.trace) * 100.0),
+            format!("{:.0}%", never.row_energy_share() * 100.0),
             format!("{:.1}", never.energy_per_bit.picojoules()),
             format!("{:.1}", aggressive.energy_per_bit.picojoules()),
             format!("{:+.0}%", saving * 100.0),

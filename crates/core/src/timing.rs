@@ -4,11 +4,13 @@
 //! operation that takes place inside a bank" (§II): interleaved patterns
 //! like IDD7 are only legal if the per-bank row timings (tRC, tRAS, tRP,
 //! tRCD) and the shared-resource timings (tRRD on the row logic, tCCD on
-//! the shared data bus) hold. This module provides a cycle-accurate
-//! checker for bank-annotated command loops and constructors for the
-//! standard datasheet loops (IDD0, IDD4R/W, IDD7).
+//! the shared data bus) hold. This module provides a cycle-accurate,
+//! incremental [`TimingChecker`] — the one implementation of those rules,
+//! driven by [`TimedPattern::validate`] here and by finite command traces
+//! in `dram-workload` — and constructors for the standard datasheet loops
+//! (IDD0, IDD4R/W, IDD7).
 
-use dram_units::Hertz;
+use dram_units::{Hertz, Seconds};
 
 use crate::error::ModelError;
 use crate::params::Timing;
@@ -16,8 +18,193 @@ use crate::pattern::Command;
 
 /// Converts a timing parameter to clock cycles, rounding up but tolerating
 /// floating-point noise (35 ns at 800 MHz is 28 cycles, not 29).
-fn to_cycles(s: dram_units::Seconds, clock: Hertz) -> u64 {
+#[must_use]
+pub fn to_cycles(s: Seconds, clock: Hertz) -> u64 {
     (s.seconds() * clock.hertz() - 1e-6).ceil().max(0.0) as u64
+}
+
+/// Issue-cycle stamp of an event that has not happened: every window
+/// measured from it is open ([`elapsed`] saturates).
+const NEVER: i64 = i64::MIN;
+
+/// Cycles from `stamp` to `t`, saturating so that [`NEVER`] is always
+/// long enough ago.
+fn elapsed(t: i64, stamp: i64) -> i64 {
+    t.saturating_sub(stamp)
+}
+
+/// Row state of one bank as the checker tracks it.
+#[derive(Debug, Clone, Copy)]
+struct BankTiming {
+    open: bool,
+    last_act: i64,
+    last_pre: i64,
+}
+
+/// An incremental checker of the per-bank and shared-resource timing
+/// rules.
+///
+/// Feed it commands in issue order; [`Self::check`] rejects the first
+/// one that addresses a bank out of range, activates an open bank,
+/// breaks tRC, tRP, tRRD or tFAW on an activate, breaks tRAS on a
+/// precharge, accesses a closed bank or breaks tRCD or tCCD on a column
+/// command, or refreshes with a bank open. Its state is O(banks) plus
+/// the issue cycles of the last four activates (the tFAW window), so it
+/// can run over a stream of any length. CKE transitions carry no
+/// bank-timing constraints here; the trace fold enforces their pairing.
+#[derive(Debug, Clone)]
+pub struct TimingChecker {
+    trc: i64,
+    tras: i64,
+    trp: i64,
+    trcd: i64,
+    trrd: i64,
+    tfaw: i64,
+    tccd: i64,
+    banks: Vec<BankTiming>,
+    last_any_act: i64,
+    last_column: i64,
+    /// Issue cycles of the last four activates, a ring whose oldest
+    /// entry sits at `oldest_act`.
+    recent_acts: [i64; 4],
+    oldest_act: usize,
+}
+
+impl TimingChecker {
+    /// A checker for `banks` banks in the `initial` state, with the row
+    /// timings rounded to cycles of `clock` and a column-to-column delay
+    /// of `tccd_cycles`.
+    #[must_use]
+    pub fn new(
+        timing: &Timing,
+        clock: Hertz,
+        banks: u32,
+        tccd_cycles: u32,
+        initial: InitialBankState,
+    ) -> Self {
+        let cycles = |s: Seconds| i64::try_from(to_cycles(s, clock)).unwrap_or(i64::MAX);
+        let bank = BankTiming {
+            open: matches!(initial, InitialBankState::AllOpen),
+            last_act: NEVER,
+            last_pre: NEVER,
+        };
+        Self {
+            trc: cycles(timing.trc),
+            tras: cycles(timing.tras),
+            trp: cycles(timing.trp),
+            trcd: cycles(timing.trcd),
+            trrd: cycles(timing.trrd),
+            tfaw: cycles(timing.tfaw),
+            tccd: i64::from(tccd_cycles),
+            banks: vec![bank; banks as usize],
+            last_any_act: NEVER,
+            last_column: NEVER,
+            recent_acts: [NEVER; 4],
+            oldest_act: 0,
+        }
+    }
+
+    /// Checks `command` on `bank` at `cycle` against every rule, then
+    /// records its effect.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::TimingViolation`] naming the violated rule.
+    pub fn check(&mut self, cycle: u64, bank: u32, command: Command) -> Result<(), ModelError> {
+        self.issue(cycle, bank, command, true)
+    }
+
+    /// Records the effect of `command` on `bank` at `cycle` without
+    /// checking its timing — a warm-up pass that brings the bank state
+    /// to steady state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::TimingViolation`] if `bank` is out of range.
+    pub(crate) fn record(
+        &mut self,
+        cycle: u64,
+        bank: u32,
+        command: Command,
+    ) -> Result<(), ModelError> {
+        self.issue(cycle, bank, command, false)
+    }
+
+    fn issue(
+        &mut self,
+        cycle: u64,
+        bank: u32,
+        command: Command,
+        strict: bool,
+    ) -> Result<(), ModelError> {
+        let fail = |message: String| Err(ModelError::TimingViolation { message });
+        let t = i64::try_from(cycle).unwrap_or(i64::MAX);
+        let banks = self.banks.len();
+        let Some(b) = self.banks.get_mut(bank as usize) else {
+            return fail(format!("command addresses bank {bank} of {banks}"));
+        };
+        match command {
+            Command::Activate => {
+                if strict {
+                    if b.open {
+                        return fail(format!("activate to open bank {bank} at cycle {t}"));
+                    }
+                    if elapsed(t, b.last_act) < self.trc {
+                        return fail(format!("tRC violated on bank {bank} at cycle {t}"));
+                    }
+                    if elapsed(t, b.last_pre) < self.trp {
+                        return fail(format!("tRP violated on bank {bank} at cycle {t}"));
+                    }
+                    if elapsed(t, self.last_any_act) < self.trrd {
+                        return fail(format!("tRRD violated at cycle {t}"));
+                    }
+                    if elapsed(t, self.recent_acts[self.oldest_act]) < self.tfaw {
+                        return fail(format!("tFAW violated at cycle {t}"));
+                    }
+                }
+                b.open = true;
+                b.last_act = t;
+                self.last_any_act = t;
+                self.recent_acts[self.oldest_act] = t;
+                self.oldest_act = (self.oldest_act + 1) % self.recent_acts.len();
+            }
+            Command::Precharge => {
+                // Precharging a precharged bank is a legal no-op.
+                if strict && b.open && elapsed(t, b.last_act) < self.tras {
+                    return fail(format!("tRAS violated on bank {bank} at cycle {t}"));
+                }
+                b.open = false;
+                b.last_pre = t;
+            }
+            Command::Read | Command::Write => {
+                if strict {
+                    if !b.open {
+                        return fail(format!("column access to closed bank {bank} at cycle {t}"));
+                    }
+                    if elapsed(t, b.last_act) < self.trcd {
+                        return fail(format!("tRCD violated on bank {bank} at cycle {t}"));
+                    }
+                    if elapsed(t, self.last_column) < self.tccd {
+                        return fail(format!("tCCD violated at cycle {t}"));
+                    }
+                }
+                self.last_column = t;
+            }
+            Command::Refresh => {
+                // Auto-refresh requires every bank precharged; tRFC is
+                // not modeled at command granularity.
+                if strict && self.banks.iter().any(|b| b.open) {
+                    return fail(format!("refresh with open banks at cycle {t}"));
+                }
+            }
+            Command::Nop
+            | Command::PowerDownEnter
+            | Command::PowerDownExit
+            | Command::SelfRefreshEnter
+            | Command::SelfRefreshExit => {}
+        }
+        Ok(())
+    }
 }
 
 /// A command scheduled at a clock cycle on a specific bank.
@@ -110,7 +297,7 @@ impl TimedPattern {
     ///
     /// Returns an error if the timing rounds to a zero-length loop.
     pub fn idd0(timing: &Timing, clock: Hertz) -> Result<Self, ModelError> {
-        let cycles = |s: dram_units::Seconds| -> u64 { to_cycles(s, clock) };
+        let cycles = |s: Seconds| -> u64 { to_cycles(s, clock) };
         // Rounding tRAS and tRP up independently can exceed the rounded
         // tRC; the loop must cover both.
         let loop_cycles = cycles(timing.trc)
@@ -141,7 +328,7 @@ impl TimedPattern {
     ///
     /// Returns an error if the timing rounds to a zero-length loop.
     pub fn idd1(timing: &Timing, clock: Hertz) -> Result<Self, ModelError> {
-        let cycles = |s: dram_units::Seconds| -> u64 { to_cycles(s, clock) };
+        let cycles = |s: Seconds| -> u64 { to_cycles(s, clock) };
         let loop_cycles = cycles(timing.trc)
             .max(cycles(timing.tras) + cycles(timing.trp))
             .max(3);
@@ -208,7 +395,7 @@ impl TimedPattern {
         banks: u32,
         tccd_cycles: u32,
     ) -> Result<Self, ModelError> {
-        let cycles = |s: dram_units::Seconds| -> u64 { to_cycles(s, clock) };
+        let cycles = |s: Seconds| -> u64 { to_cycles(s, clock) };
         let banks = banks.max(1);
         // Activate spacing: limited by tRRD between banks, and by tRC/banks
         // for re-visiting the same bank; also cannot outrun the data bus.
@@ -247,7 +434,8 @@ impl TimedPattern {
     }
 
     /// Validates the loop against the per-bank and shared-resource timing
-    /// constraints, simulating three unrolled iterations.
+    /// constraints, simulating three unrolled iterations through a
+    /// [`TimingChecker`].
     ///
     /// # Errors
     ///
@@ -261,129 +449,17 @@ impl TimedPattern {
         tccd_cycles: u32,
         initial: InitialBankState,
     ) -> Result<(), ModelError> {
-        let cycles = |s: dram_units::Seconds| -> u64 { to_cycles(s, clock) };
-        let trc = cycles(timing.trc);
-        let tras = cycles(timing.tras);
-        let trp = cycles(timing.trp);
-        let trcd = cycles(timing.trcd);
-        let trrd = cycles(timing.trrd);
-        let tfaw = cycles(timing.tfaw);
-        let tccd = u64::from(tccd_cycles);
-
-        const FAR_PAST: i64 = -1_000_000;
-        #[derive(Clone, Copy)]
-        struct BankState {
-            open: bool,
-            last_act: i64,
-            last_pre: i64,
-        }
-        let open0 = matches!(initial, InitialBankState::AllOpen);
-        let mut state = vec![
-            BankState {
-                open: open0,
-                last_act: FAR_PAST,
-                last_pre: FAR_PAST
-            };
-            banks as usize
-        ];
-        let mut last_any_act: i64 = FAR_PAST;
-        let mut last_column: i64 = FAR_PAST;
-        // Issue times of the last four activates, oldest first.
-        let mut recent_acts: std::collections::VecDeque<i64> = std::collections::VecDeque::new();
-
-        let fail = |msg: String| Err(ModelError::TimingViolation { message: msg });
-
+        let mut checker = TimingChecker::new(timing, clock, banks, tccd_cycles, initial);
         // Iteration 0 is a warm-up: a loop may schedule a wrapped command
         // (e.g. the read of the last bank's activate) that only makes sense
         // in steady state. Constraints are enforced from iteration 1 on.
-        for iteration in 0..3i64 {
-            let strict = iteration >= 1;
+        for c in &self.commands {
+            checker.record(c.cycle, c.bank, c.command)?;
+        }
+        for iteration in 1..3 {
+            let offset = iteration * self.loop_cycles;
             for c in &self.commands {
-                let t = iteration * self.loop_cycles as i64 + c.cycle as i64;
-                if c.bank >= banks {
-                    return fail(format!("command addresses bank {} of {banks}", c.bank));
-                }
-                let b = &mut state[c.bank as usize];
-                match c.command {
-                    Command::Activate => {
-                        if strict {
-                            if b.open {
-                                return fail(format!(
-                                    "activate to open bank {} at cycle {t}",
-                                    c.bank
-                                ));
-                            }
-                            if t - b.last_act < trc as i64 {
-                                return fail(format!(
-                                    "tRC violated on bank {} at cycle {t}",
-                                    c.bank
-                                ));
-                            }
-                            if t - b.last_pre < trp as i64 {
-                                return fail(format!(
-                                    "tRP violated on bank {} at cycle {t}",
-                                    c.bank
-                                ));
-                            }
-                            if t - last_any_act < trrd as i64 {
-                                return fail(format!("tRRD violated at cycle {t}"));
-                            }
-                            if recent_acts.len() == 4 && t - recent_acts[0] < tfaw as i64 {
-                                return fail(format!("tFAW violated at cycle {t}"));
-                            }
-                        }
-                        b.open = true;
-                        b.last_act = t;
-                        last_any_act = t;
-                        recent_acts.push_back(t);
-                        if recent_acts.len() > 4 {
-                            recent_acts.pop_front();
-                        }
-                    }
-                    Command::Precharge => {
-                        // Precharging a precharged bank is a legal no-op.
-                        if strict && b.open && t - b.last_act < tras as i64 {
-                            return fail(format!("tRAS violated on bank {} at cycle {t}", c.bank));
-                        }
-                        b.open = false;
-                        b.last_pre = t;
-                    }
-                    Command::Read | Command::Write => {
-                        if strict {
-                            if !b.open {
-                                return fail(format!(
-                                    "column access to closed bank {} at cycle {t}",
-                                    c.bank
-                                ));
-                            }
-                            if t - b.last_act < trcd as i64 && b.last_act != FAR_PAST {
-                                return fail(format!(
-                                    "tRCD violated on bank {} at cycle {t}",
-                                    c.bank
-                                ));
-                            }
-                            if t - last_column < tccd as i64 {
-                                return fail(format!("tCCD violated at cycle {t}"));
-                            }
-                        }
-                        last_column = t;
-                    }
-                    Command::Refresh => {
-                        // Auto-refresh requires every bank precharged;
-                        // tRFC is not modeled at pattern granularity.
-                        if strict && state.iter().any(|b| b.open) {
-                            return fail(format!("refresh with open banks at cycle {t}"));
-                        }
-                    }
-                    // CKE transitions have no bank-timing footprint here;
-                    // their legality (matched enter/exit, no commands
-                    // while asleep) is enforced by the stream fold.
-                    Command::Nop
-                    | Command::PowerDownEnter
-                    | Command::PowerDownExit
-                    | Command::SelfRefreshEnter
-                    | Command::SelfRefreshExit => {}
-                }
+                checker.check(offset + c.cycle, c.bank, c.command)?;
             }
         }
         Ok(())

@@ -232,6 +232,17 @@ fn trace_errors_carry_kind_and_line_over_the_wire() {
         doc.get("kind").and_then(|v| v.as_str()),
         Some("refresh_during_self_refresh")
     );
+    // A `!policy` after the first command: the billed prefix used the
+    // old tiering, so the directive is refused at its own line.
+    let payload = b"!preset ddr3_1g_x16_55nm\n0 act 0\n!policy never\n";
+    let (status, body) = buffered(addr, "/v1/trace", payload);
+    assert_eq!(status, 400, "{body}");
+    let doc = dram_units::json::Value::parse(&body).expect("error JSON");
+    assert_eq!(
+        doc.get("kind").and_then(|v| v.as_str()),
+        Some("bad_transition")
+    );
+    assert_eq!(doc.get("line").and_then(|v| v.as_f64()), Some(3.0));
     // No device selected at the first command.
     let (status, body) = buffered(addr, "/v1/trace", b"0 act 0\n");
     assert_eq!(status, 400, "{body}");

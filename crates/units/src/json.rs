@@ -452,17 +452,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(self.err("unescaped control character"));
+                }
                 Some(_) => {
-                    // Consume one whole UTF-8 scalar from the (valid,
-                    // str-backed) input.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
+                    // Copy the whole run up to the next quote, escape or
+                    // control byte. Those are ASCII, so in the (valid,
+                    // str-backed) input the run is whole UTF-8 scalars,
+                    // and each byte is validated once.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -530,6 +534,20 @@ mod tests {
         );
         assert!(Value::parse(r#""\uD83D""#).is_err(), "unpaired surrogate");
         assert!(Value::parse(r#""\uZZZZ""#).is_err());
+    }
+
+    /// Plain runs between escapes are copied whole, multi-byte scalars
+    /// included, and a raw control byte is reported at its own offset.
+    #[test]
+    fn string_runs_keep_scalars_and_control_offsets() {
+        let long = "dram é😀 ".repeat(4096);
+        let doc = format!(r#"{{"text":"{long}\n{long}"}}"#);
+        let v = Value::parse(&doc).unwrap();
+        let text = v.get("text").and_then(Value::as_str);
+        assert_eq!(text, Some(format!("{long}\n{long}").as_str()));
+        let err = Value::parse("\"ab\u{1}c\"").unwrap_err();
+        assert_eq!(err.offset, 3);
+        assert_eq!(err.message, "unescaped control character");
     }
 
     #[test]

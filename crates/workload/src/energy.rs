@@ -1,10 +1,16 @@
 //! Trace-driven energy accounting: total energy, average power, energy
 //! per bit, and the effect of a memory-controller power-down policy.
+//!
+//! This module holds the policy, the five billable states and the report;
+//! the billing itself lives once, in [`crate::StreamFold`]. [`simulate`]
+//! prices an in-memory [`Trace`] by pushing its commands through that
+//! fold, so it and the streamed path agree bit for bit.
 
 use dram_core::lowpower::PowerState;
 use dram_core::{Command, Dram};
 use dram_units::{Joules, Seconds, Watts};
 
+use crate::stream::{StreamFold, TraceError};
 use crate::trace::Trace;
 
 /// A CKE power-down policy of the memory controller (§V: Hur & Lin
@@ -12,9 +18,8 @@ use crate::trace::Trace;
 /// second, deeper tier: after `self_refresh_threshold_cycles` of idling
 /// the controller moves the device from power-down into self-refresh
 /// (IDD6), trading the long tXS-style exit latency for the lowest
-/// standing power. The same policy type drives both the synthetic
-/// pattern path ([`simulate`]) and the streamed path
-/// ([`crate::StreamFold`]).
+/// standing power. It parameterizes [`crate::StreamFold`], the fold
+/// behind both [`simulate`] and the streamed path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PowerDownPolicy {
     /// Enter power-down when the device has been idle this many cycles.
@@ -119,17 +124,12 @@ impl TraceState {
 pub struct StateBreakdown {
     /// Cycles spent in each state.
     pub cycles: [u64; 5],
-    /// Background energy billed in each state.
+    /// Background energy billed in each state: the state's power times
+    /// its cycles times the cycle time.
     pub energy: [Joules; 5],
 }
 
 impl StateBreakdown {
-    /// Adds `cycles` spent in `state`, billed at `energy`.
-    pub fn add(&mut self, state: TraceState, cycles: u64, energy: Joules) {
-        self.cycles[state.index()] += cycles;
-        self.energy[state.index()] += energy;
-    }
-
     /// Cycles spent in `state`.
     #[must_use]
     pub fn cycles(&self, state: TraceState) -> u64 {
@@ -162,11 +162,11 @@ pub struct TraceReport {
     pub energy_per_bit: Joules,
     /// Energy spent in command (row + column) work.
     pub command_energy: Joules,
-    /// Energy spent in standby background.
+    /// Background energy billed awake (`active` plus `standby`).
     pub background_energy: Joules,
-    /// Energy spent in power-down state.
+    /// Energy spent in power-down (precharge and active).
     pub power_down_energy: Joules,
-    /// Cycles spent in power-down.
+    /// Cycles spent in power-down (precharge and active).
     pub power_down_cycles: u64,
     /// Bits transferred.
     pub bits: f64,
@@ -221,132 +221,39 @@ impl CommandEnergyTable {
     }
 }
 
-/// Computes the energy of a trace under a power-down policy.
-///
-/// Command energies come from the charge model; idle time runs at
-/// standby background power, except for idle windows longer than the
-/// policy threshold, which run at power-down power (minus the exit
-/// latency, billed at standby).
-///
-/// The whole accounting — command energy, row-energy share, transferred
-/// bits and the idle windows — folds into a single walk over the trace,
-/// with the per-command model lookups hoisted into a five-entry table.
-#[must_use]
-pub fn simulate(dram: &Dram, trace: &Trace, policy: PowerDownPolicy) -> TraceReport {
-    let clock = dram.description().spec.control_clock;
-    let cycle_time = 1.0 / clock.hertz();
-    let table = CommandEnergyTable::new(dram);
-
-    let mut command_energy = Joules::ZERO;
-    let mut row_energy = Joules::ZERO;
-    let mut column_accesses = 0u64;
-    let mut power_down_cycles = 0u64;
-    let mut self_refresh_cycles = 0u64;
-    let mut bill_gap = |gap: u64| {
-        // Deep tier first: the tail of a long-enough window runs in
-        // self-refresh (minus its exit latency, billed at standby)...
-        let sr = if gap > policy.self_refresh_threshold_cycles {
-            gap.saturating_sub(policy.self_refresh_threshold_cycles)
-                .saturating_sub(policy.self_refresh_exit_latency_cycles)
+impl TraceReport {
+    /// Row-operation share of the command energy: the quantity the §V
+    /// row-granularity schemes attack. Zero for a trace without commands.
+    #[must_use]
+    pub fn row_energy_share(&self) -> f64 {
+        if self.command_energy.joules() > 0.0 {
+            self.row_energy.joules() / self.command_energy.joules()
         } else {
-            0
-        };
-        // ...and the middle runs in power-down. With the deep tier
-        // disabled (`sr == 0`) this reduces to the original formula.
-        if gap > policy.threshold_cycles {
-            power_down_cycles += gap
-                .saturating_sub(policy.threshold_cycles)
-                .saturating_sub(policy.exit_latency_cycles)
-                .saturating_sub(sr);
+            0.0
         }
-        self_refresh_cycles += sr;
-    };
-    let mut cursor = 0u64;
-    for c in trace.commands() {
-        let e = table.energy(c.command);
-        command_energy += e;
-        match c.command {
-            Command::Activate | Command::Precharge => row_energy += e,
-            Command::Read | Command::Write => column_accesses += 1,
-            _ => {}
-        }
-        if c.cycle > cursor {
-            bill_gap(c.cycle - cursor);
-        }
-        cursor = c.cycle + 1;
-    }
-    let total_cycles = trace.length_cycles();
-    if total_cycles > cursor {
-        bill_gap(total_cycles - cursor);
-    }
-
-    let standby_power = dram.state_power(PowerState::PrechargedStandby);
-    let down_power = dram.state_power(PowerState::PrechargePowerDown);
-    let sr_power = dram.state_power(PowerState::SelfRefresh);
-    let standby_cycles = total_cycles
-        .saturating_sub(power_down_cycles)
-        .saturating_sub(self_refresh_cycles);
-
-    let background_energy = standby_power * Seconds::new(standby_cycles as f64 * cycle_time);
-    let power_down_energy = down_power * Seconds::new(power_down_cycles as f64 * cycle_time);
-    let self_refresh_energy = sr_power * Seconds::new(self_refresh_cycles as f64 * cycle_time);
-    let energy = command_energy + background_energy + power_down_energy + self_refresh_energy;
-
-    let mut states = StateBreakdown::default();
-    states.add(TraceState::Standby, standby_cycles, background_energy);
-    states.add(
-        TraceState::PrechargePowerDown,
-        power_down_cycles,
-        power_down_energy,
-    );
-    states.add(
-        TraceState::SelfRefresh,
-        self_refresh_cycles,
-        self_refresh_energy,
-    );
-
-    let bits =
-        column_accesses as f64 * f64::from(dram.description().spec.bits_per_column_access());
-    let duration = trace.duration(clock);
-    let average_power = if duration.seconds() > 0.0 {
-        Watts::new(energy.joules() / duration.seconds())
-    } else {
-        Watts::ZERO
-    };
-    let energy_per_bit = if bits > 0.0 {
-        energy / bits
-    } else {
-        Joules::ZERO
-    };
-
-    TraceReport {
-        energy,
-        duration,
-        average_power,
-        energy_per_bit,
-        command_energy,
-        background_energy,
-        power_down_energy,
-        power_down_cycles,
-        bits,
-        row_energy,
-        self_refresh_energy,
-        self_refresh_cycles,
-        states,
     }
 }
 
-/// Row-operation energy share of a trace: the quantity the §V row-
-/// granularity schemes attack. Derived from the single-pass
-/// [`simulate`] accounting.
-#[must_use]
-pub fn row_energy_share(dram: &Dram, trace: &Trace) -> f64 {
-    let r = simulate(dram, trace, PowerDownPolicy::NEVER);
-    if r.command_energy.joules() > 0.0 {
-        r.row_energy.joules() / r.command_energy.joules()
-    } else {
-        0.0
+/// Computes the energy of an in-memory trace under a power-down policy
+/// by pushing its commands through a [`StreamFold`] and closing it at the
+/// trace length. The billing rules are the fold's (see `docs/TRACES.md`).
+///
+/// # Errors
+///
+/// The fold's [`TraceError`] (line 0) for a command its power-state
+/// machine rejects — a work command while powered down, an unpaired
+/// exit, a self-refresh entry or refresh with a bank open, a bank out
+/// of range — or a trace length that ends inside an exit latency.
+pub fn simulate(
+    dram: &Dram,
+    trace: &Trace,
+    policy: PowerDownPolicy,
+) -> Result<TraceReport, TraceError> {
+    let mut fold = StreamFold::new(dram, policy);
+    for &c in trace.commands() {
+        fold.push(c)?;
     }
+    fold.finish(Some(trace.length_cycles()))
 }
 
 #[cfg(test)]
@@ -354,7 +261,7 @@ mod tests {
     use super::*;
     use crate::generator::{generate_validated, WorkloadSpec};
     use dram_core::reference::ddr3_1g_x16_55nm;
-    use dram_core::Dram;
+    use dram_core::{Command, Dram};
 
     fn model() -> Dram {
         Dram::new(ddr3_1g_x16_55nm()).expect("valid")
@@ -364,7 +271,7 @@ mod tests {
     fn energy_components_sum() {
         let dram = model();
         let w = generate_validated(&dram, &WorkloadSpec::random(300, 5)).expect("ok");
-        let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
+        let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         let sum = r.command_energy + r.background_energy + r.power_down_energy;
         assert!((r.energy.joules() - sum.joules()).abs() < 1e-15);
         assert_eq!(r.power_down_cycles, 0);
@@ -378,8 +285,12 @@ mod tests {
         let dram = model();
         let stream = generate_validated(&dram, &WorkloadSpec::streaming(800, 11)).expect("ok");
         let random = generate_validated(&dram, &WorkloadSpec::random(800, 11)).expect("ok");
-        let e_stream = simulate(&dram, &stream.trace, PowerDownPolicy::NEVER).energy_per_bit;
-        let e_random = simulate(&dram, &random.trace, PowerDownPolicy::NEVER).energy_per_bit;
+        let epb = |trace| {
+            simulate(&dram, trace, PowerDownPolicy::NEVER)
+                .expect("legal")
+                .energy_per_bit
+        };
+        let (e_stream, e_random) = (epb(&stream.trace), epb(&random.trace));
         assert!(
             e_random.joules() > 1.5 * e_stream.joules(),
             "random {} vs streaming {}",
@@ -392,8 +303,8 @@ mod tests {
     fn power_down_saves_energy_on_sparse_traffic() {
         let dram = model();
         let w = generate_validated(&dram, &WorkloadSpec::sparse(100, 13)).expect("ok");
-        let never = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
-        let aggressive = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE);
+        let never = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
+        let aggressive = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal");
         assert!(aggressive.power_down_cycles > 0);
         assert!(
             aggressive.energy < never.energy,
@@ -410,8 +321,8 @@ mod tests {
     fn power_down_is_irrelevant_for_saturated_traffic() {
         let dram = model();
         let w = generate_validated(&dram, &WorkloadSpec::streaming(500, 17)).expect("ok");
-        let never = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
-        let aggressive = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE);
+        let never = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
+        let aggressive = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal");
         let saving = 1.0 - aggressive.energy.joules() / never.energy.joules();
         assert!(
             saving < 0.10,
@@ -424,8 +335,13 @@ mod tests {
         let dram = model();
         let stream = generate_validated(&dram, &WorkloadSpec::streaming(600, 19)).expect("ok");
         let random = generate_validated(&dram, &WorkloadSpec::random(600, 19)).expect("ok");
-        let s = row_energy_share(&dram, &stream.trace);
-        let r = row_energy_share(&dram, &random.trace);
+        let share = |trace| {
+            simulate(&dram, trace, PowerDownPolicy::NEVER)
+                .expect("legal")
+                .row_energy_share()
+        };
+        let s = share(&stream.trace);
+        let r = share(&random.trace);
         assert!(r > 0.5, "random row share {r}");
         assert!(s < r / 2.0, "streaming row share {s} vs random {r}");
     }
@@ -434,7 +350,7 @@ mod tests {
     fn single_pass_matches_per_command_recomputation() {
         let dram = model();
         let w = generate_validated(&dram, &WorkloadSpec::random(400, 29)).expect("ok");
-        let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
+        let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         let naive_row: Joules = w
             .trace
             .commands()
@@ -463,9 +379,10 @@ mod tests {
                     .saturating_sub(policy.exit_latency_cycles);
             }
         }
-        assert_eq!(simulate(&dram, &w.trace, policy).power_down_cycles, pd);
+        let folded = simulate(&dram, &w.trace, policy).expect("legal");
+        assert_eq!(folded.power_down_cycles, pd);
         // And the share derives from the report's own fields.
-        let share = row_energy_share(&dram, &w.trace);
+        let share = r.row_energy_share();
         assert_eq!(
             share.to_bits(),
             (r.row_energy.joules() / r.command_energy.joules()).to_bits()
@@ -498,18 +415,19 @@ mod tests {
             self_refresh_exit_latency_cycles: 0,
             ..PowerDownPolicy::AGGRESSIVE
         };
-        let two_tier = simulate(&dram, &trace, PowerDownPolicy::AGGRESSIVE);
-        let shallow = simulate(&dram, &trace, pd_only);
+        let two_tier = simulate(&dram, &trace, PowerDownPolicy::AGGRESSIVE).expect("legal");
+        let shallow = simulate(&dram, &trace, pd_only).expect("legal");
         assert!(two_tier.self_refresh_cycles > 30_000);
         assert_eq!(shallow.self_refresh_cycles, 0);
         // Self-refresh sits below standby but above power-down, so the
         // deep tier costs more than idealized power-down-forever yet the
-        // breakdown must still cover every cycle exactly once.
-        assert_eq!(
-            two_tier.power_down_cycles + two_tier.self_refresh_cycles
-                + two_tier.states.cycles(TraceState::Standby),
-            40_000
-        );
+        // breakdown must still cover every cycle exactly once. The bank
+        // is open over cycles 1..=30: the 29-cycle gap tiers 7 cycles
+        // into active power-down (29 - 16 threshold - 6 exit) and bills
+        // the other 22, plus the precharge's own cycle, as `active`.
+        assert_eq!(two_tier.states.total_cycles(), 40_000);
+        assert_eq!(two_tier.states.cycles(TraceState::Active), 23);
+        assert_eq!(two_tier.states.cycles(TraceState::ActivePowerDown), 7);
         assert_eq!(
             two_tier.states.cycles(TraceState::SelfRefresh),
             two_tier.self_refresh_cycles
@@ -524,11 +442,39 @@ mod tests {
         assert!(two_tier.energy > shallow.energy);
     }
 
+    /// Explicit CKE commands in an in-memory trace drive the power-state
+    /// machine exactly as they do on the streamed path.
+    #[test]
+    fn explicit_cke_commands_bill_power_down() {
+        let dram = model();
+        let desc = dram.description();
+        let legal = |trace: &Trace| {
+            trace
+                .validate(&desc.timing, desc.spec.control_clock, desc.spec.banks())
+                .expect("bank timing is legal");
+        };
+        let nap = crate::parse_trace("# length 2000\n0 0 pde\n1000 0 pdx\n").expect("parses");
+        legal(&nap);
+        let r = simulate(&dram, &nap, PowerDownPolicy::NEVER).expect("legal");
+        // pde@0 bills its cycle and 3 entry cycles at standby, 4..=999
+        // are powered down, pdx@1000 wakes with no exit latency, and the
+        // 999-cycle tail idles in standby.
+        assert_eq!(r.power_down_cycles, 996);
+        assert_eq!(r.states.cycles(TraceState::PrechargePowerDown), 996);
+        assert_eq!(r.states.cycles(TraceState::Standby), 1004);
+        // Work while powered down is a typed error, not an energy.
+        let busy =
+            crate::parse_trace("# length 2000\n0 0 pde\n500 0 act\n1000 0 pdx\n").expect("parses");
+        legal(&busy);
+        let err = simulate(&dram, &busy, PowerDownPolicy::NEVER).unwrap_err();
+        assert_eq!(err.kind, crate::TraceErrorKind::CommandWhileAsleep);
+    }
+
     #[test]
     fn empty_trace_is_background_only() {
         let dram = model();
         let trace = crate::trace::Trace::new(vec![], 1000).expect("ok");
-        let r = simulate(&dram, &trace, PowerDownPolicy::NEVER);
+        let r = simulate(&dram, &trace, PowerDownPolicy::NEVER).expect("legal");
         assert_eq!(r.command_energy, Joules::ZERO);
         assert_eq!(r.bits, 0.0);
         assert_eq!(r.energy_per_bit, Joules::ZERO);
@@ -541,7 +487,7 @@ mod tests {
     fn trace_energy_agrees_with_analytic_idd7_scale() {
         let dram = model();
         let w = generate_validated(&dram, &WorkloadSpec::random(2000, 23)).expect("ok");
-        let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
+        let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         let analytic = dram.energy_per_bit_random();
         let ratio = r.energy_per_bit.joules() / analytic.joules();
         assert!(

@@ -5,6 +5,7 @@
 //! The generator is deterministic for a given seed, so figure-regenerating
 //! benches produce stable numbers.
 
+use dram_core::timing::to_cycles;
 use dram_core::{Command, Dram, ModelError};
 use dram_units::rng::SplitMix64;
 
@@ -151,9 +152,7 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
     let clock = desc.spec.control_clock;
     let banks = desc.spec.banks();
     let rows = desc.spec.rows_per_bank();
-    let cyc = |s: dram_units::Seconds| -> u64 {
-        (s.seconds() * clock.hertz() - 1e-6).ceil().max(0.0) as u64
-    };
+    let cyc = |s| to_cycles(s, clock);
     let (trc, tras, trp, trcd, trrd, tfaw) = (
         cyc(timing.trc),
         cyc(timing.tras),
@@ -425,8 +424,12 @@ mod page_policy_tests {
         let closed =
             generate_validated(&dram, &WorkloadSpec::streaming(600, 23).with_closed_page())
                 .expect("ok");
-        let e_open = simulate(&dram, &open.trace, PowerDownPolicy::NEVER).energy_per_bit;
-        let e_closed = simulate(&dram, &closed.trace, PowerDownPolicy::NEVER).energy_per_bit;
+        let epb = |trace| {
+            simulate(&dram, trace, PowerDownPolicy::NEVER)
+                .expect("legal")
+                .energy_per_bit
+        };
+        let (e_open, e_closed) = (epb(&open.trace), epb(&closed.trace));
         assert!(
             e_closed.joules() > 2.0 * e_open.joules(),
             "closed {} vs open {}",
@@ -443,8 +446,12 @@ mod page_policy_tests {
         let open = generate_validated(&dram, &WorkloadSpec::random(600, 29)).expect("ok");
         let closed = generate_validated(&dram, &WorkloadSpec::random(600, 29).with_closed_page())
             .expect("ok");
-        let e_open = simulate(&dram, &open.trace, PowerDownPolicy::NEVER).energy_per_bit;
-        let e_closed = simulate(&dram, &closed.trace, PowerDownPolicy::NEVER).energy_per_bit;
+        let epb = |trace| {
+            simulate(&dram, trace, PowerDownPolicy::NEVER)
+                .expect("legal")
+                .energy_per_bit
+        };
+        let (e_open, e_closed) = (epb(&open.trace), epb(&closed.trace));
         let ratio = e_closed.joules() / e_open.joules();
         assert!((0.7..1.4).contains(&ratio), "ratio {ratio}");
     }

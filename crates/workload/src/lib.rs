@@ -4,7 +4,10 @@
 //! open-page memory-controller model that generates timing-legal command
 //! traces from abstract access streams (read share, row-buffer hit rate,
 //! arrival intensity), and trace-driven energy accounting including
-//! CKE power-down policies.
+//! CKE power-down policies. Every trace — buffered or streamed — is
+//! billed by one fold, [`StreamFold`]; [`simulate`] drives it over an
+//! in-memory [`Trace`], and every trace's bank timing is checked by
+//! `dram-core`'s one [`dram_core::timing::TimingChecker`].
 //!
 //! This is the system-side context of the paper's §V discussion: schemes
 //! like Hur & Lin's power-down scheduling \[11\] and Zheng's mini-rank \[14\]
@@ -14,11 +17,12 @@
 //! use dram_core::{Dram, reference::ddr3_1g_x16_55nm};
 //! use dram_workload::{generate_validated, simulate, PowerDownPolicy, WorkloadSpec};
 //!
-//! # fn main() -> Result<(), dram_core::ModelError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let dram = Dram::new(ddr3_1g_x16_55nm())?;
 //! let w = generate_validated(&dram, &WorkloadSpec::random(500, 42))?;
-//! let report = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
+//! let report = simulate(&dram, &w.trace, PowerDownPolicy::NEVER)?;
 //! assert!(report.energy_per_bit.picojoules() > 1.0);
+//! assert!(report.row_energy_share() > 0.5);
 //! # Ok(())
 //! # }
 //! ```
@@ -30,9 +34,7 @@ mod io;
 mod stream;
 mod trace;
 
-pub use energy::{
-    row_energy_share, simulate, PowerDownPolicy, StateBreakdown, TraceReport, TraceState,
-};
+pub use energy::{simulate, PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
 pub use generator::{
     generate, generate_validated, GeneratedWorkload, GeneratorStats, PagePolicy, WorkloadSpec,
 };

@@ -1,15 +1,16 @@
 //! Streaming trace ingestion: an incremental line decoder and a
 //! power-state-machine energy fold, both O(1) in trace length.
 //!
-//! The batch path ([`crate::parse_trace`] → [`crate::Trace`] →
-//! [`crate::simulate`]) buffers the whole trace; this module is the
-//! substrate of the server's `POST /v1/trace` endpoint, which feeds
-//! network chunks straight through [`TraceDecoder::feed`] into a
-//! [`StreamFold`] without ever materializing the command list. The fold
-//! runs the explicit five-state CKE machine of `docs/TRACES.md`:
-//! `Active`, `Standby`, `PrechargePowerDown`, `ActivePowerDown` and
-//! `SelfRefresh`, with entry/exit latencies and per-state powers from
-//! the charge model.
+//! [`StreamFold`] is the one implementation of trace billing. The
+//! in-memory path ([`crate::parse_trace`] → [`crate::Trace`] →
+//! [`crate::simulate`]) pushes a buffered trace's commands through it,
+//! and the server's `POST /v1/trace` endpoint feeds network chunks
+//! straight through [`TraceDecoder::feed`] into it without ever
+//! materializing the command list — so both paths agree bit for bit by
+//! construction. The fold runs the explicit five-state CKE machine of
+//! `docs/TRACES.md`: `Active`, `Standby`, `PrechargePowerDown`,
+//! `ActivePowerDown` and `SelfRefresh`, with entry/exit latencies and
+//! per-state powers from the charge model.
 
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -17,17 +18,15 @@ use std::time::Instant;
 use dram_core::{Command, Dram};
 use dram_units::{Joules, Seconds, Watts};
 
-use crate::energy::{CommandEnergyTable, PowerDownPolicy, StateBreakdown, TraceState, TraceReport};
+use crate::energy::{CommandEnergyTable, PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
 use crate::trace::TraceCommand;
 
-/// Process-wide count of commands folded from streamed traces.
+/// Process-wide count of commands folded from traces.
 pub fn trace_commands_total() -> &'static Arc<dram_obs::Counter> {
     static COUNTER: OnceLock<Arc<dram_obs::Counter>> = OnceLock::new();
     COUNTER.get_or_init(|| {
-        dram_obs::Registry::global().counter(
-            "dram_trace_commands_total",
-            "Commands folded from streamed traces.",
-        )
+        dram_obs::Registry::global()
+            .counter("dram_trace_commands_total", "Commands folded from traces.")
     })
 }
 
@@ -42,14 +41,14 @@ pub fn trace_bytes_total() -> &'static Arc<dram_obs::Counter> {
     })
 }
 
-/// Process-wide per-state cycle counters of streamed-trace accounting.
+/// Process-wide per-state cycle counters of trace accounting.
 fn state_cycles_total() -> &'static [Arc<dram_obs::Counter>; 5] {
     static COUNTERS: OnceLock<[Arc<dram_obs::Counter>; 5]> = OnceLock::new();
     COUNTERS.get_or_init(|| {
         TraceState::ALL.map(|s| {
             dram_obs::Registry::global().counter(
                 &format!("dram_trace_state_cycles_{}_total", s.label()),
-                "Cycles billed to this power state across streamed traces.",
+                "Cycles billed to this power state across traces.",
             )
         })
     })
@@ -417,17 +416,18 @@ struct Sleep {
     entry_remaining: u64,
 }
 
-/// A single-pass energy fold over a streamed command sequence, with an
-/// explicit five-state power-state machine.
+/// A single-pass energy fold over a command sequence, with an explicit
+/// five-state power-state machine: the one implementation of trace
+/// billing.
 ///
-/// Unlike [`crate::simulate`], which needs the whole [`crate::Trace`] in
-/// memory, the fold consumes one [`TraceCommand`] at a time and keeps
-/// O(1) state: per-state powers and command energies are hoisted from
-/// the charge model at construction, so [`StreamFold::push`] never
-/// touches the model again. Explicit CKE commands
-/// ([`Command::PowerDownEnter`] and friends) drive the machine directly;
-/// idle gaps while awake are tiered by the [`PowerDownPolicy`] exactly
-/// like the batch path.
+/// The fold consumes one [`TraceCommand`] at a time and keeps O(1)
+/// state: per-state powers and command energies are hoisted from the
+/// charge model at construction, so [`StreamFold::push`] never touches
+/// the model again. [`crate::simulate`] drives it over an in-memory
+/// [`crate::Trace`]; the server drives it from a [`TraceDecoder`].
+/// Explicit CKE commands ([`Command::PowerDownEnter`] and friends) drive
+/// the machine directly; idle gaps while awake are tiered by the
+/// [`PowerDownPolicy`].
 ///
 /// Billing rules (also in `docs/TRACES.md`):
 ///
@@ -441,6 +441,8 @@ struct Sleep {
 /// * Awake idle gaps tier into power-down past `threshold_cycles` and —
 ///   only with all banks precharged — into self-refresh past
 ///   `self_refresh_threshold_cycles`, each minus its exit latency.
+/// * The fold counts whole cycles per state; [`Self::finish`] prices
+///   each state once, as its power × its cycles × the cycle time.
 #[derive(Debug)]
 pub struct StreamFold {
     policy: PowerDownPolicy,
@@ -454,7 +456,7 @@ pub struct StreamFold {
     cursor: u64,
     last_cycle: Option<u64>,
     sleep: Option<Sleep>,
-    states: StateBreakdown,
+    cycles: [u64; 5],
     command_energy: Joules,
     row_energy: Joules,
     column_accesses: u64,
@@ -485,7 +487,7 @@ impl StreamFold {
             cursor: 0,
             last_cycle: None,
             sleep: None,
-            states: StateBreakdown::default(),
+            cycles: [0; 5],
             command_energy: Joules::ZERO,
             row_energy: Joules::ZERO,
             column_accesses: 0,
@@ -525,12 +527,7 @@ impl StreamFold {
     }
 
     fn bill(&mut self, state: TraceState, cycles: u64) {
-        if cycles == 0 {
-            return;
-        }
-        let energy =
-            self.state_power[state.index()] * Seconds::new(cycles as f64 * self.cycle_time);
-        self.states.add(state, cycles, energy);
+        self.cycles[state.index()] += cycles;
     }
 
     fn awake_state(&self) -> TraceState {
@@ -793,7 +790,13 @@ impl StreamFold {
         }
         self.cursor = end;
 
-        let states = self.states;
+        let cycles = self.cycles;
+        let states = StateBreakdown {
+            cycles,
+            energy: core::array::from_fn(|i| {
+                self.state_power[i] * Seconds::new(cycles[i] as f64 * self.cycle_time)
+            }),
+        };
         let command_energy = self.command_energy;
         let background_energy = states.energy(TraceState::Active) + states.energy(TraceState::Standby);
         let power_down_energy = states.energy(TraceState::PrechargePowerDown)
@@ -956,18 +959,24 @@ mod tests {
         assert_eq!(r.states.total_cycles(), 200);
         assert_eq!(r.power_down_cycles, 147);
         assert_eq!(r.self_refresh_cycles, 0);
+        // Each state's energy is its power × its cycles × the cycle time,
+        // computed once: exactly this expression, to the bit.
         let ct = 1.0 / dram.description().spec.control_clock.hertz();
-        let expect = |s: TraceState, cycles: u64| {
-            (s.power(&dram) * Seconds::new(cycles as f64 * ct)).joules()
-        };
-        assert!((r.states.energy(TraceState::Active).joules() - expect(TraceState::Active, 10)).abs() < 1e-18);
-        assert!((r.states.energy(TraceState::Standby).joules() - expect(TraceState::Standby, 43)).abs() < 1e-18);
-        assert!(
-            (r.power_down_energy.joules() - expect(TraceState::PrechargePowerDown, 147)).abs()
-                < 1e-18
+        let expect = |s: TraceState, cycles: u64| s.power(&dram) * Seconds::new(cycles as f64 * ct);
+        assert_eq!(
+            r.states.energy(TraceState::Active),
+            expect(TraceState::Active, 10)
+        );
+        assert_eq!(
+            r.states.energy(TraceState::Standby),
+            expect(TraceState::Standby, 43)
+        );
+        assert_eq!(
+            r.power_down_energy,
+            expect(TraceState::PrechargePowerDown, 147)
         );
         let cmd = dram.command_energy(Command::Activate) + dram.command_energy(Command::Precharge);
-        assert!((r.command_energy.joules() - cmd.joules()).abs() < 1e-21);
+        assert_eq!(r.command_energy, cmd);
     }
 
     /// Hand-computed self-refresh micro-trace.
@@ -1046,34 +1055,99 @@ mod tests {
         assert_eq!(err.kind, TraceErrorKind::TraceTooShort);
     }
 
-    /// Without explicit CKE commands the fold's totals agree with the
-    /// batch simulate() path (modulo float association order).
+    /// Every field of a report, as bits: equal vectors mean bit-identical
+    /// reports. The destructuring fails to compile if a field is added.
+    fn report_bits(r: &TraceReport) -> Vec<u64> {
+        let TraceReport {
+            energy,
+            duration,
+            average_power,
+            energy_per_bit,
+            command_energy,
+            background_energy,
+            power_down_energy,
+            power_down_cycles,
+            bits,
+            row_energy,
+            self_refresh_energy,
+            self_refresh_cycles,
+            states,
+        } = *r;
+        let mut out = vec![
+            energy.joules().to_bits(),
+            duration.seconds().to_bits(),
+            average_power.watts().to_bits(),
+            energy_per_bit.joules().to_bits(),
+            command_energy.joules().to_bits(),
+            background_energy.joules().to_bits(),
+            power_down_energy.joules().to_bits(),
+            power_down_cycles,
+            bits.to_bits(),
+            row_energy.joules().to_bits(),
+            self_refresh_energy.joules().to_bits(),
+            self_refresh_cycles,
+        ];
+        out.extend(states.cycles);
+        out.extend(states.energy.iter().map(|e| e.joules().to_bits()));
+        out
+    }
+
+    /// `simulate` over an in-memory trace and the decoder feeding a fold
+    /// over the same trace in the streaming grammar give bit-identical
+    /// reports, for every generator shape, page policy and power-down
+    /// policy, whatever the chunking.
     #[test]
-    fn fold_agrees_with_batch_simulate() {
+    fn in_memory_and_streamed_folds_are_bit_identical() {
         use crate::generator::{generate_validated, WorkloadSpec};
+        use core::fmt::Write as _;
         let dram = model();
-        for (spec, policy) in [
-            (WorkloadSpec::sparse(150, 13), PowerDownPolicy::AGGRESSIVE),
-            (WorkloadSpec::random(300, 7), PowerDownPolicy::NEVER),
-            (WorkloadSpec::streaming(300, 5), PowerDownPolicy::AGGRESSIVE),
-        ] {
-            let w = generate_validated(&dram, &spec).expect("ok");
-            let batch = crate::energy::simulate(&dram, &w.trace, policy);
-            let mut fold = StreamFold::new(&dram, policy);
-            for c in w.trace.commands() {
-                fold.push(*c).expect("legal");
+        let shapes = [
+            WorkloadSpec::streaming(300, 5),
+            WorkloadSpec::random(300, 7),
+            WorkloadSpec::sparse(150, 13),
+        ];
+        for shape in shapes {
+            for spec in [shape, shape.with_closed_page()] {
+                for policy in [PowerDownPolicy::NEVER, PowerDownPolicy::AGGRESSIVE] {
+                    let w = generate_validated(&dram, &spec).expect("generates");
+                    let batch = crate::energy::simulate(&dram, &w.trace, policy).expect("legal");
+                    let mut text = format!(
+                        "!policy {} {} {} {}\n",
+                        policy.threshold_cycles,
+                        policy.exit_latency_cycles,
+                        policy.self_refresh_threshold_cycles,
+                        policy.self_refresh_exit_latency_cycles
+                    );
+                    for c in w.trace.commands() {
+                        let _ = writeln!(text, "{} {} {}", c.cycle, c.command, c.bank);
+                    }
+                    let _ = writeln!(text, "!length {}", w.trace.length_cycles());
+                    for chunk in [1, 7, 4096] {
+                        let mut fold = StreamFold::new(&dram, PowerDownPolicy::NEVER);
+                        let mut length = None;
+                        let mut decoder = TraceDecoder::new();
+                        let mut sink = |e: TraceEvent| match e {
+                            TraceEvent::Command(c) => fold.push(c),
+                            TraceEvent::Policy(p) => fold.set_policy(p),
+                            TraceEvent::Length(l) => {
+                                length = Some(l);
+                                Ok(())
+                            }
+                            TraceEvent::Preset(_) => unreachable!("no preset rendered"),
+                        };
+                        for piece in text.as_bytes().chunks(chunk) {
+                            decoder.feed(piece, &mut sink).expect("legal");
+                        }
+                        decoder.finish(&mut sink).expect("legal");
+                        let streamed = fold.finish(length).expect("report");
+                        assert_eq!(
+                            report_bits(&streamed),
+                            report_bits(&batch),
+                            "{spec:?} {policy:?} chunk {chunk}"
+                        );
+                    }
+                }
             }
-            let streamed = fold.finish(Some(w.trace.length_cycles())).expect("report");
-            assert_eq!(streamed.power_down_cycles, batch.power_down_cycles);
-            assert_eq!(streamed.self_refresh_cycles, batch.self_refresh_cycles);
-            let rel = (streamed.energy.joules() - batch.energy.joules()).abs()
-                / batch.energy.joules();
-            assert!(rel < 1e-9, "relative divergence {rel}");
-            assert_eq!(
-                streamed.command_energy.joules().to_bits(),
-                batch.command_energy.joules().to_bits()
-            );
-            assert_eq!(streamed.bits, batch.bits);
         }
     }
 

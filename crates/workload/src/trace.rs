@@ -8,6 +8,7 @@
 //! substrate.
 
 use dram_core::params::Timing;
+use dram_core::timing::{InitialBankState, TimingChecker};
 use dram_core::{Command, ModelError};
 use dram_units::Hertz;
 
@@ -81,110 +82,23 @@ impl Trace {
     }
 
     /// Validates the trace against the per-bank and shared-resource
-    /// timing constraints (cold start: all banks precharged).
+    /// timing constraints (cold start: all banks precharged) by running
+    /// its commands through a [`TimingChecker`].
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::TimingViolation`] for the first violation.
     pub fn validate(&self, timing: &Timing, clock: Hertz, banks: u32) -> Result<(), ModelError> {
-        let cyc = |s: dram_units::Seconds| -> i64 {
-            (s.seconds() * clock.hertz() - 1e-6).ceil().max(0.0) as i64
-        };
-        let trc = cyc(timing.trc);
-        let tras = cyc(timing.tras);
-        let trp = cyc(timing.trp);
-        let trcd = cyc(timing.trcd);
-        let trrd = cyc(timing.trrd);
-        let tfaw = cyc(timing.tfaw);
-        let tccd = i64::from(timing.tccd_cycles);
-
-        const FAR_PAST: i64 = -1_000_000;
-        #[derive(Clone, Copy)]
-        struct Bank {
-            open: bool,
-            last_act: i64,
-            last_pre: i64,
-        }
-        let mut bank_state = vec![
-            Bank {
-                open: false,
-                last_act: FAR_PAST,
-                last_pre: FAR_PAST
-            };
-            banks as usize
-        ];
-        let mut last_any_act = FAR_PAST;
-        let mut last_column = FAR_PAST;
-        let mut recent_acts: std::collections::VecDeque<i64> = std::collections::VecDeque::new();
-        let fail = |m: String| Err(ModelError::TimingViolation { message: m });
-
-        for c in &self.commands {
-            let t = c.cycle as i64;
-            if c.bank >= banks {
-                return fail(format!("command addresses bank {} of {banks}", c.bank));
-            }
-            let b = &mut bank_state[c.bank as usize];
-            match c.command {
-                Command::Activate => {
-                    if b.open {
-                        return fail(format!("activate to open bank {} at {t}", c.bank));
-                    }
-                    if t - b.last_act < trc {
-                        return fail(format!("tRC violated on bank {} at {t}", c.bank));
-                    }
-                    if t - b.last_pre < trp {
-                        return fail(format!("tRP violated on bank {} at {t}", c.bank));
-                    }
-                    if t - last_any_act < trrd {
-                        return fail(format!("tRRD violated at {t}"));
-                    }
-                    if recent_acts.len() == 4 && t - recent_acts[0] < tfaw {
-                        return fail(format!("tFAW violated at {t}"));
-                    }
-                    b.open = true;
-                    b.last_act = t;
-                    last_any_act = t;
-                    recent_acts.push_back(t);
-                    if recent_acts.len() > 4 {
-                        recent_acts.pop_front();
-                    }
-                }
-                Command::Precharge => {
-                    if b.open && t - b.last_act < tras {
-                        return fail(format!("tRAS violated on bank {} at {t}", c.bank));
-                    }
-                    b.open = false;
-                    b.last_pre = t;
-                }
-                Command::Read | Command::Write => {
-                    if !b.open {
-                        return fail(format!("column access to closed bank {} at {t}", c.bank));
-                    }
-                    if t - b.last_act < trcd {
-                        return fail(format!("tRCD violated on bank {} at {t}", c.bank));
-                    }
-                    if t - last_column < tccd {
-                        return fail(format!("tCCD violated at {t}"));
-                    }
-                    last_column = t;
-                }
-                Command::Refresh => {
-                    // Auto-refresh requires all banks precharged; tRFC
-                    // is not modeled at trace granularity.
-                    if bank_state.iter().any(|b| b.open) {
-                        return fail(format!("refresh with open banks at {t}"));
-                    }
-                }
-                // CKE transitions carry no bank-timing constraints; the
-                // stream fold enforces their pairing and legality.
-                Command::Nop
-                | Command::PowerDownEnter
-                | Command::PowerDownExit
-                | Command::SelfRefreshEnter
-                | Command::SelfRefreshExit => {}
-            }
-        }
-        Ok(())
+        let mut checker = TimingChecker::new(
+            timing,
+            clock,
+            banks,
+            timing.tccd_cycles,
+            InitialBankState::AllClosed,
+        );
+        self.commands
+            .iter()
+            .try_for_each(|c| checker.check(c.cycle, c.bank, c.command))
     }
 
     /// Idle gaps between consecutive commands, in cycles — the windows a
@@ -296,27 +210,68 @@ mod tests {
         t.validate(&timing, clock, 8).expect("legal");
     }
 
+    /// One trace per rule `validate` enforces, each breaking only that
+    /// rule first. The 55 nm DDR3 reference at 800 MHz: tRC 40, tRAS 28,
+    /// tRP 12, tRCD 12, tRRD 6, tFAW 32 and tCCD 4 cycles, 8 banks.
     #[test]
     fn early_read_is_rejected() {
+        use Command::{Activate as Act, Precharge as Pre, Read as Rd, Refresh as Ref};
         let (timing, clock) = fixture();
-        let t = Trace::new(
-            vec![
-                TraceCommand {
-                    cycle: 0,
-                    bank: 0,
-                    command: Command::Activate,
-                },
-                TraceCommand {
-                    cycle: 3,
-                    bank: 0,
-                    command: Command::Read,
-                },
-            ],
-            100,
-        )
-        .expect("builds");
-        let err = t.validate(&timing, clock, 8).unwrap_err();
-        assert!(err.to_string().contains("tRCD"));
+        let trace = |commands: &[(u64, u32, Command)]| {
+            let commands = commands
+                .iter()
+                .map(|&(cycle, bank, command)| TraceCommand {
+                    cycle,
+                    bank,
+                    command,
+                })
+                .collect();
+            Trace::new(commands, 100).expect("builds")
+        };
+        let cases = [
+            (
+                "tRC violated on bank 0",
+                trace(&[(0, 0, Act), (28, 0, Pre), (39, 0, Act)]),
+            ),
+            (
+                "tRP violated on bank 0",
+                trace(&[(0, 0, Act), (30, 0, Pre), (40, 0, Act)]),
+            ),
+            ("tRRD violated", trace(&[(0, 0, Act), (5, 1, Act)])),
+            (
+                "tFAW",
+                trace(&[
+                    (0, 0, Act),
+                    (6, 1, Act),
+                    (12, 2, Act),
+                    (18, 3, Act),
+                    (24, 4, Act),
+                ]),
+            ),
+            (
+                "tRAS violated on bank 0",
+                trace(&[(0, 0, Act), (20, 0, Pre)]),
+            ),
+            ("tRCD violated on bank 0", trace(&[(0, 0, Act), (3, 0, Rd)])),
+            (
+                "tCCD violated",
+                trace(&[(0, 0, Act), (6, 1, Act), (18, 0, Rd), (20, 1, Rd)]),
+            ),
+            (
+                "refresh with open banks",
+                trace(&[(0, 0, Act), (10, 0, Ref)]),
+            ),
+            ("command addresses bank 8 of 8", trace(&[(0, 8, Act)])),
+            (
+                "activate to open bank 0",
+                trace(&[(0, 0, Act), (50, 0, Act)]),
+            ),
+            ("column access to closed bank 2", trace(&[(0, 2, Rd)])),
+        ];
+        for (rule, t) in cases {
+            let err = t.validate(&timing, clock, 8).unwrap_err();
+            assert!(err.to_string().contains(rule), "{rule}: {err}");
+        }
     }
 
     #[test]

@@ -60,14 +60,14 @@ fn accounting_is_consistent() {
     for _ in 0..CASES {
         let spec = any_spec(&mut r);
         let w = generate(&dram, &spec).expect("generates");
-        let base = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
+        let base = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         assert!(base.energy.joules().is_finite(), "{spec:?}");
         let sum = base.command_energy + base.background_energy + base.power_down_energy;
         assert!(
             (base.energy.joules() - sum.joules()).abs() < 1e-15,
             "{spec:?}"
         );
-        let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE);
+        let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal");
         assert!(pd.energy.joules() <= base.energy.joules() + 1e-15, "{spec:?}");
     }
 }
@@ -95,8 +95,12 @@ fn energy_grows_with_access_count() {
         let seed = r.next_u64();
         let small = generate(&dram, &WorkloadSpec::random(50, seed)).expect("ok");
         let large = generate(&dram, &WorkloadSpec::random(200, seed)).expect("ok");
-        let e_small = simulate(&dram, &small.trace, PowerDownPolicy::NEVER).energy;
-        let e_large = simulate(&dram, &large.trace, PowerDownPolicy::NEVER).energy;
+        let e_small = simulate(&dram, &small.trace, PowerDownPolicy::NEVER)
+            .expect("legal")
+            .energy;
+        let e_large = simulate(&dram, &large.trace, PowerDownPolicy::NEVER)
+            .expect("legal")
+            .energy;
         assert!(e_large.joules() > e_small.joules(), "seed={seed}");
     }
 }
@@ -112,8 +116,12 @@ fn closed_page_command_energy_dominates_open() {
         let open = generate(&dram, &WorkloadSpec::streaming(150, seed)).expect("ok");
         let closed =
             generate(&dram, &WorkloadSpec::streaming(150, seed).with_closed_page()).expect("ok");
-        let e_open = simulate(&dram, &open.trace, PowerDownPolicy::NEVER).command_energy;
-        let e_closed = simulate(&dram, &closed.trace, PowerDownPolicy::NEVER).command_energy;
+        let e_open = simulate(&dram, &open.trace, PowerDownPolicy::NEVER)
+            .expect("legal")
+            .command_energy;
+        let e_closed = simulate(&dram, &closed.trace, PowerDownPolicy::NEVER)
+            .expect("legal")
+            .command_energy;
         assert!(e_closed.joules() >= e_open.joules(), "seed={seed}");
     }
 }

@@ -6,9 +6,7 @@
 //! Run with: `cargo run --example memory_system [accesses]`
 
 use dram_energy::scaling::presets::ddr3_1g_55nm;
-use dram_energy::workload::{
-    generate_validated, row_energy_share, simulate, PowerDownPolicy, WorkloadSpec,
-};
+use dram_energy::workload::{generate_validated, simulate, PowerDownPolicy, WorkloadSpec};
 use dram_energy::{Command, Dram};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -54,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
     ] {
         let w = generate_validated(&dram, &spec)?;
-        let base = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
-        let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE);
+        let base = simulate(&dram, &w.trace, PowerDownPolicy::NEVER)?;
+        let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE)?;
         let hits = w.stats.row_hits as f64
             / (w.stats.row_hits + w.stats.row_misses + w.stats.row_empty).max(1) as f64;
         let gbps = base.bits / base.duration.seconds() / 1e9;
@@ -64,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             name,
             w.trace.count(Command::Activate),
             hits * 100.0,
-            row_energy_share(&dram, &w.trace) * 100.0,
+            base.row_energy_share() * 100.0,
             base.average_power.milliwatts(),
             base.energy_per_bit.picojoules(),
             (1.0 - pd.energy.joules() / base.energy.joules()) * 100.0,

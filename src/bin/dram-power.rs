@@ -182,7 +182,8 @@ fn run(args: &Args) -> Result<(), String> {
                 dram.description().spec.banks(),
             )
             .map_err(|e| format!("{path}: {e}"))?;
-        let report = simulate(&dram, &trace, PowerDownPolicy::NEVER);
+        let report = simulate(&dram, &trace, PowerDownPolicy::NEVER)
+            .map_err(|e| format!("{path}: {e} ({})", e.kind.label()))?;
         println!(
             "\ntrace `{path}`: {} commands over {:.2} µs — {:.1} mW average, \
              {:.1} pJ/bit ({:.1} kbit moved)",

@@ -73,8 +73,8 @@ fn tutorial_walkthrough() {
 
     // Step 5: under load.
     let w = generate_validated(&dram, &WorkloadSpec::sparse(500, 7)).expect("generates");
-    let idle = simulate(&dram, &w.trace, PowerDownPolicy::NEVER);
-    let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE);
+    let idle = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal trace");
+    let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal trace");
     let saving = 1.0 - pd.energy.joules() / idle.energy.joules();
     assert!(saving > 0.1, "power-down saving {saving}");
 

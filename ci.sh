@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI: everything a PR must keep green, in dependency order.
 #
-#   ./ci.sh            full run (build, tests, clippy, repro smoke)
-#   ./ci.sh --fast     skip clippy and the repro smoke
+#   ./ci.sh            full run (build, tests, clippy, smokes, perfbench)
+#   ./ci.sh --fast     skip clippy, the smokes and perfbench
 #
 # The workspace has no external dependencies, so everything runs with
 # --offline and an empty registry.
@@ -393,6 +393,21 @@ if [[ $fast -eq 0 ]]; then
   trap - EXIT
   rm -f "$route_log" "${node_logs[@]}"
   echo "    SIGTERM -> router drained cleanly"
+
+  echo "==> perfbench (tests, then a 1 s run of each workload)"
+  # perfbench is a package of its own, outside the workspace, yet it
+  # calls the registry, the engine snapshot and the router's JSON
+  # /metrics keys: build and run it here so a change to any of them
+  # fails CI, not only the benchmark.
+  cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+  for workload in evaluate_warm evaluate_cold trace_stream routed_warm; do
+    result=$(cargo run --quiet --release --offline --manifest-path perfbench/Cargo.toml -- \
+      --workload "$workload" --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1) \
+      || { echo "    perfbench $workload exited non-zero"; exit 1; }
+    grep -q '"correct":true' <<<"$result" \
+      || { echo "    perfbench $workload: oracle failed or no result: $result"; exit 1; }
+    echo "    perfbench $workload -> correct"
+  done
 fi
 
 echo "==> ci.sh: all green"

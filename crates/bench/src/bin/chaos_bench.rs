@@ -192,7 +192,7 @@ fn shed_stage(canon: &Canon) -> u64 {
     assert_eq!((r.status(), r.text()), (200, canon.healthz.as_str().into()));
     let (r, _) = fetch(addr, "POST", "/v1/evaluate", EVAL_BODY);
     assert_eq!((r.status(), r.text()), (200, canon.evaluate.as_str().into()));
-    assert_eq!(handle.metrics().shed(), shed);
+    assert_eq!(handle.metrics().shed_load.get(), shed);
     assert_eq!(handle.shutdown(), shed + 2, "shed server drain");
     shed
 }
@@ -360,7 +360,7 @@ fn main() {
     );
     assert_eq!(r.status(), 200, "engine did not heal after panic budget: {}", r.text());
     worker_served += 1;
-    assert_eq!(handle.metrics().worker_panics(), BUILD_PANICS);
+    assert_eq!(handle.metrics().worker_panics.get(), BUILD_PANICS);
     println!("build panics: {BUILD_PANICS} isolated as 500s, engine healed, pool alive");
 
     // Stage 3b: the concurrent chaos load.
@@ -392,7 +392,7 @@ fn main() {
     // The supervisor respawns asynchronously; give it a moment to reap
     // the last injected worker kill before reading the counter.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while handle.metrics().worker_respawns() == 0 && Instant::now() < deadline {
+    while handle.metrics().worker_respawns.get() == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));
     }
 
@@ -416,7 +416,7 @@ fn main() {
     // Every fault accounted, every anomaly blamed on a fault.
     assert_eq!(at("engine.build"), BUILD_PANICS, "build-panic budget mismatch");
     assert_eq!(
-        handle.metrics().worker_panics(),
+        handle.metrics().worker_panics.get(),
         at("engine.build"),
         "caught handler panics != injected build panics"
     );
@@ -431,11 +431,11 @@ fn main() {
         "client-observed 503 rejections != injected queue-full faults"
     );
     assert_eq!(
-        handle.metrics().rejected(),
+        handle.metrics().rejected_busy.get(),
         at("server.queue"),
         "rejected_busy counter != injected queue-full faults"
     );
-    let respawns = handle.metrics().worker_respawns();
+    let respawns = handle.metrics().worker_respawns.get();
     let kills = at("server.worker");
     assert!(kills >= 1, "no worker kills fired; raise --requests");
     assert!(respawns >= 1, "workers were killed but none respawned");

@@ -357,7 +357,7 @@ pub fn arm(plan: &Plan) {
             burst_left: AtomicU32::new(0),
             fired: AtomicU64::new(0),
             counter: dram_obs::Registry::global().counter(
-                leak_name(metric_name(rule.site)),
+                &metric_name(rule.site),
                 "Faults injected at this site by dram-faults.",
             ),
         })
@@ -374,12 +374,6 @@ pub fn disarm() {
     *runtime_slot()
         .lock()
         .unwrap_or_else(PoisonError::into_inner) = None;
-}
-
-/// Registry metric names want `&'static str`; plans are armed a handful
-/// of times per process, so leaking the few site-name strings is fine.
-fn leak_name(name: String) -> &'static str {
-    Box::leak(name.into_boxed_str())
 }
 
 /// A stable per-site salt (FNV-1a over the name): keeps site streams

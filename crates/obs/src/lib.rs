@@ -13,11 +13,12 @@
 //!   under panic). Profiling is **off by default**; disabled call sites
 //!   cost one relaxed atomic load, allocate nothing and record nothing.
 //! * [`Registry::global`] hands out named [`Counter`]s, [`Gauge`]s and
-//!   the log₂-µs [`Histogram`] the server's `/metrics` endpoint has used
-//!   since PR 2 (now generalized here).
+//!   the log₂-µs [`Histogram`] the servers' `/metrics` endpoints use.
 //! * [`chrome_trace`] serializes a drained [`Profile`] into a file
-//!   `chrome://tracing` / Perfetto loads; [`PromWriter`] renders metrics
-//!   in Prometheus text exposition version 0.0.4.
+//!   `chrome://tracing` / Perfetto loads. A `/metrics` document is a
+//!   list of [`Series`] declarations; [`json_members`] renders it as JSON
+//!   and [`PromWriter`] as Prometheus text exposition version 0.0.4, and
+//!   the registry goes through the same two renderers.
 //! * [`journal`] is the always-on flight recorder: a fixed-size,
 //!   lock-light ring buffer of typed lifecycle events (accepts,
 //!   dispatches, cache hits, fault fires, responses, …) written through
@@ -46,7 +47,10 @@ pub mod journal;
 pub mod metrics;
 pub mod span;
 
-pub use export::{chrome_trace, escape_help, escape_label, PromWriter};
+pub use export::{
+    chrome_trace, escape_help, escape_label, json_members, registry_json, wants_prometheus, Kind,
+    PromWriter, Series,
+};
 pub use metrics::{bucket_index, bucket_upper_us, Counter, Gauge, Histogram, Metric, Registry, BUCKETS};
 pub use span::{
     clear, drain, enabled, register_thread, rollup, set_enabled, snapshot, span, ManualSpan,
@@ -298,10 +302,12 @@ mod tests {
     #[test]
     fn prom_writer_renders_families_and_labels() {
         let mut w = PromWriter::new();
-        w.counter("dram_test_total", "A counter.", 42);
+        w.header("dram_test_total", "A counter.", "counter");
+        w.sample("dram_test_total", &[], 42.0);
         w.header("dram_routes_total", "Per-route.", "counter");
         w.sample("dram_routes_total", &[("route", "eval\"x")], 7.0);
-        w.gauge("dram_ratio", "A gauge.", 0.5);
+        w.header("dram_ratio", "A gauge.", "gauge");
+        w.sample("dram_ratio", &[], 0.5);
         let text = w.finish();
         assert!(text.contains("# HELP dram_test_total A counter.\n"));
         assert!(text.contains("# TYPE dram_test_total counter\n"));
@@ -415,6 +421,25 @@ mod tests {
             last = v;
         }
         assert_eq!(last, inf);
+    }
+
+    #[test]
+    fn row_families_keep_their_headers_without_rows() {
+        struct Row(f64);
+        let list = [Series {
+            name: "dram_rows_total",
+            key: "rows",
+            help: "Rows.",
+            kind: Kind::Counter(|r: &Row| r.0),
+        }];
+        let mut w = PromWriter::new();
+        w.rows(&list, "node", [("a", &Row(2.0)), ("b", &Row(3.0))].into_iter());
+        let text = w.finish();
+        assert!(text.contains("dram_rows_total{node=\"a\"} 2\ndram_rows_total{node=\"b\"} 3\n"), "{text}");
+        let mut w = PromWriter::new();
+        w.rows(&list, "node", std::iter::empty());
+        assert_eq!(w.finish(), "# HELP dram_rows_total Rows.\n# TYPE dram_rows_total counter\n");
+        assert_eq!(json_members(&list, &Row(4.0)), vec![("rows".to_string(), Value::Num(4.0))]);
     }
 
     #[test]

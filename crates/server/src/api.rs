@@ -21,7 +21,7 @@ use dram_workload::{
 };
 
 use crate::http::{ChunkedBody, Request, Response};
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{self, Metrics, Route};
 use crate::presets;
 
 /// Largest `requests` array `/v1/batch` accepts in one call.
@@ -71,7 +71,14 @@ pub fn handle(req: &Request, metrics: &Metrics) -> (Route, Response, CacheActivi
         Route::Pattern => with_body(req, |b| pattern(b, &mut activity)),
         Route::Sweep => with_body(req, sweep_handler),
         Route::Trace => trace_buffered(req, &mut activity),
-        Route::Metrics => metrics_response(req, metrics),
+        Route::Metrics => metrics::respond(req, |prometheus| {
+            let engine = EvalEngine::global().snapshot();
+            if prometheus {
+                metrics.to_prometheus(engine)
+            } else {
+                metrics.to_json(engine).to_string()
+            }
+        }),
         // The debug family is served by the loopback-gated router in
         // the server front end *before* requests reach this
         // dispatcher. Reaching this arm means the caller bypassed the
@@ -91,42 +98,6 @@ pub fn handle(req: &Request, metrics: &Metrics) -> (Route, Response, CacheActivi
 
 fn method_not_allowed(allow: &str) -> Response {
     Response::error(405, "method not allowed").with_header("allow", allow)
-}
-
-/// `GET /metrics` with format negotiation.
-///
-/// The `format` query parameter wins when present: `json` or
-/// `prometheus`, anything else is a 400. Without it, an `Accept` header
-/// naming `text/plain` (and not `application/json`) selects Prometheus
-/// text exposition; the default stays the JSON document earlier releases
-/// served, byte for byte.
-fn metrics_response(req: &Request, metrics: &Metrics) -> Response {
-    let snapshot = EvalEngine::global().snapshot();
-    let prometheus = match req.query_param("format") {
-        Some("prometheus") => true,
-        Some("json") => false,
-        Some(other) => {
-            return Response::error(
-                400,
-                &format!("unknown metrics format `{other}`; use `json` or `prometheus`"),
-            )
-        }
-        None => {
-            let accept = req.headers.get("accept").map_or("", String::as_str);
-            accept.contains("text/plain") && !accept.contains("application/json")
-        }
-    };
-    if prometheus {
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            body: metrics.to_prometheus(snapshot).into_bytes(),
-            content_type: dram_obs::PromWriter::CONTENT_TYPE,
-            keep_alive: false,
-        }
-    } else {
-        Response::json(200, metrics.to_json(snapshot).to_string())
-    }
 }
 
 fn healthz() -> Response {

@@ -70,6 +70,10 @@ pub mod router;
 mod server;
 pub mod trace;
 
+#[cfg(test)]
+#[path = "../tests/support/metrics_shape.rs"]
+mod metrics_shape;
+
 pub use http::{Limits, ReadError, Request, Response};
 pub use metrics::{Metrics, RequestRecord, Route, SlowSample};
 pub use retry::{RetryPolicy, RetrySchedule};

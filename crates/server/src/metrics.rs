@@ -1,22 +1,30 @@
 //! Request counters, a latency histogram and slow-request samples for
 //! the `/metrics` endpoint.
 //!
-//! Counters are relaxed atomics: `/metrics` is an observability
-//! endpoint, not an accounting ledger, and the handlers must never
-//! contend on a lock just to count themselves. The slow-request table is
-//! the one mutex-guarded structure — but it is preceded by a per-route
-//! atomic floor, so the common case (a request faster than everything
-//! already sampled) never takes the lock.
+//! Counters are inline relaxed atomics ([`dram_obs::Counter`]):
+//! `/metrics` is an observability endpoint, not an accounting ledger,
+//! and the handlers must never contend on a lock just to count
+//! themselves. Each `/metrics` series is declared once, in `SERIES`
+//! and `ENGINE`: its Prometheus family, its JSON key, its help and the
+//! field it reads. [`Metrics::to_json`] and [`Metrics::to_prometheus`]
+//! walk those lists through the one exporter in `dram_obs`, so the two
+//! formats always agree. The slow-request table is the one
+//! mutex-guarded structure — but it is preceded by a per-route atomic
+//! floor, so the common case (a request faster than everything already
+//! sampled) never takes the lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dram_core::EngineSnapshot;
+use dram_obs::{
+    json_members, registry_json, wants_prometheus, Counter, Histogram, Kind, PromWriter, Registry,
+    Series,
+};
 use dram_units::json::{obj, Value};
 
-pub use dram_obs::{bucket_index, bucket_upper_us, BUCKETS};
-use dram_obs::{Histogram, Metric, PromWriter, Registry};
+use crate::http::{Request, Response};
 
 /// The routes the service exposes, used to label per-route counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,70 +209,209 @@ impl RouteSlow {
     }
 }
 
-/// Thread-safe service counters.
-#[derive(Debug)]
+/// Thread-safe service counters. Call sites count with one relaxed add
+/// on a field, through [`Metrics::record`] for the per-request ones;
+/// `/metrics` reads the fields through `SERIES`.
+#[derive(Debug, Default)]
 pub struct Metrics {
-    requests: [AtomicU64; Route::ALL.len()],
-    errors_4xx: AtomicU64,
-    errors_5xx: AtomicU64,
-    rejected_busy: AtomicU64,
-    shed_load: AtomicU64,
-    worker_panics: AtomicU64,
-    worker_respawns: AtomicU64,
-    keepalive_reuses: AtomicU64,
-    pipelined_requests: AtomicU64,
-    idle_closed: AtomicU64,
+    /// Requests served, per route, in [`Route::ALL`] order.
+    pub(crate) requests: [Counter; Route::ALL.len()],
+    errors_4xx: Counter,
+    errors_5xx: Counter,
+    /// Connections rejected with 503 because the queue was full.
+    pub rejected_busy: Counter,
+    /// Expensive requests shed with 503 at the `--shed-at` watermark.
+    pub shed_load: Counter,
+    /// Request-handler panics that were caught and answered 500.
+    pub worker_panics: Counter,
+    /// Dead worker threads replaced by the supervisor.
+    pub worker_respawns: Counter,
+    /// Requests served after the first on one (kept-alive) connection.
+    pub keepalive_reuses: Counter,
+    /// Requests parsed from bytes an earlier request had over-read.
+    pub pipelined_requests: Counter,
+    /// Parked keep-alive connections closed by the idle-timeout sweep.
+    pub idle_closed: Counter,
     /// EWMA of queue wait in µs, α = 1/8, updated at worker pick-up.
     /// Drives the adaptive `Retry-After` on 503 responses.
     queue_ewma_us: AtomicU64,
+    /// Handling latency (queue wait excluded) of every recorded request.
     latency: Histogram,
     slow: [RouteSlow; Route::ALL.len()],
-    started: Instant,
+    started: Started,
 }
 
-impl Default for Metrics {
+/// When a [`Metrics`] was created (process start, in practice): its
+/// default is now.
+#[derive(Debug)]
+struct Started(Instant);
+
+impl Default for Started {
     fn default() -> Self {
-        Self::new()
+        Started(Instant::now())
     }
 }
+
+/// The server's own `/metrics` series, in JSON document order.
+#[allow(clippy::cast_precision_loss)]
+static SERIES: &[Series<Metrics>] = &[
+    Series {
+        name: "dram_serve_uptime_seconds",
+        key: "uptime_seconds",
+        help: "Seconds since the service started.",
+        kind: Kind::Gauge(|m| m.started.0.elapsed().as_secs_f64()),
+    },
+    Series {
+        name: "dram_serve_build_info",
+        key: "version",
+        help: "Constant 1, labeled with the crate version.",
+        kind: Kind::Info("version", env!("CARGO_PKG_VERSION")),
+    },
+    Series {
+        name: "dram_serve_requests_total",
+        key: "requests_total",
+        help: "Requests served, all routes.",
+        kind: Kind::Counter(|m| m.requests.iter().map(Counter::get).sum::<u64>() as f64),
+    },
+    Series {
+        name: "dram_serve_route_requests_total",
+        key: "requests_by_route",
+        help: "Requests served, per route.",
+        kind: Kind::Labeled("route", |m| {
+            let counts = Route::ALL.iter().zip(&m.requests);
+            counts.map(|(r, c)| (r.label(), c.get() as f64)).collect()
+        }),
+    },
+    Series {
+        name: "dram_serve_responses_4xx_total",
+        key: "responses_4xx",
+        help: "Responses with a 4xx status.",
+        kind: Kind::Counter(|m| m.errors_4xx.get() as f64),
+    },
+    Series {
+        name: "dram_serve_responses_5xx_total",
+        key: "responses_5xx",
+        help: "Responses with a 5xx status.",
+        kind: Kind::Counter(|m| m.errors_5xx.get() as f64),
+    },
+    Series {
+        name: "dram_serve_rejected_busy_total",
+        key: "rejected_busy",
+        help: "Connections rejected with 503 because the accept queue was full.",
+        kind: Kind::Counter(|m| m.rejected_busy.get() as f64),
+    },
+    Series {
+        name: "dram_serve_shed_load_total",
+        key: "shed_load",
+        help: "Expensive requests shed with 503 at the shed-at watermark.",
+        kind: Kind::Counter(|m| m.shed_load.get() as f64),
+    },
+    Series {
+        name: "dram_serve_worker_panics_total",
+        key: "worker_panics",
+        help: "Request-handler panics caught and answered with 500.",
+        kind: Kind::Counter(|m| m.worker_panics.get() as f64),
+    },
+    Series {
+        name: "dram_serve_worker_respawns_total",
+        key: "worker_respawns",
+        help: "Dead worker threads replaced by the supervisor.",
+        kind: Kind::Counter(|m| m.worker_respawns.get() as f64),
+    },
+    Series {
+        name: "dram_serve_keepalive_reuses_total",
+        key: "keepalive_reuses",
+        help: "Requests served on reused keep-alive connections.",
+        kind: Kind::Counter(|m| m.keepalive_reuses.get() as f64),
+    },
+    Series {
+        name: "dram_serve_pipelined_requests_total",
+        key: "pipelined_requests",
+        help: "Pipelined requests served from a connection's carry buffer.",
+        kind: Kind::Counter(|m| m.pipelined_requests.get() as f64),
+    },
+    Series {
+        name: "dram_serve_idle_closed_total",
+        key: "idle_closed",
+        help: "Parked keep-alive connections closed by the idle-timeout sweep.",
+        kind: Kind::Counter(|m| m.idle_closed.get() as f64),
+    },
+    Series {
+        name: "dram_serve_retry_after_seconds",
+        key: "retry_after_s",
+        help: "Current adaptive Retry-After advertised on 503 responses.",
+        kind: Kind::Gauge(|m| m.retry_after_secs() as f64),
+    },
+    Series {
+        name: "dram_serve_handle_seconds",
+        key: "latency_histogram",
+        help: "Request handling latency (queue wait excluded).",
+        kind: Kind::Histogram(|m| &m.latency),
+    },
+];
+
+/// The shared evaluation engine's series, under `"engine"` in JSON.
+#[allow(clippy::cast_precision_loss)]
+static ENGINE: &[Series<EngineSnapshot>] = &[
+    Series {
+        name: "dram_engine_cache_hits_total",
+        key: "cache_hits",
+        help: "Model-cache hits in the shared evaluation engine.",
+        kind: Kind::Counter(|e| e.hits as f64),
+    },
+    Series {
+        name: "dram_engine_cache_misses_total",
+        key: "cache_misses",
+        help: "Model-cache misses (models built) in the shared engine.",
+        kind: Kind::Counter(|e| e.misses as f64),
+    },
+    Series {
+        name: "dram_engine_cache_entries",
+        key: "cache_entries",
+        help: "Models currently cached by the shared engine.",
+        kind: Kind::Gauge(|e| e.entries as f64),
+    },
+    Series {
+        name: "dram_engine_cache_hit_rate",
+        key: "hit_rate",
+        help: "Fraction of engine lookups served from the cache.",
+        kind: Kind::Gauge(EngineSnapshot::hit_rate),
+    },
+    Series {
+        name: "dram_engine_threads",
+        key: "threads",
+        help: "Worker threads the shared engine evaluates with.",
+        kind: Kind::Gauge(|e| e.threads as f64),
+    },
+    Series {
+        name: "dram_engine_error_cache_hits_total",
+        key: "error_cache_hits",
+        help: "Lookups answered from the engine's negative (known-bad) cache.",
+        kind: Kind::Counter(|e| e.error_hits as f64),
+    },
+    Series {
+        name: "dram_engine_error_cache_entries",
+        key: "error_cache_entries",
+        help: "Known-bad descriptions currently memoized by the engine.",
+        kind: Kind::Gauge(|e| e.error_entries as f64),
+    },
+];
 
 impl Metrics {
     /// Creates zeroed counters; uptime starts counting now.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            requests: Default::default(),
-            errors_4xx: AtomicU64::new(0),
-            errors_5xx: AtomicU64::new(0),
-            rejected_busy: AtomicU64::new(0),
-            shed_load: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            keepalive_reuses: AtomicU64::new(0),
-            pipelined_requests: AtomicU64::new(0),
-            idle_closed: AtomicU64::new(0),
-            queue_ewma_us: AtomicU64::new(0),
-            latency: Histogram::new(),
-            slow: Default::default(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Seconds since these metrics were created (process start, in
-    /// practice).
-    #[must_use]
-    pub fn uptime_seconds(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
+        Self::default()
     }
 
     /// Records one served request: route, response status and handling
     /// latency (queue wait excluded).
     pub fn record(&self, route: Route, status: u16, latency: Duration) {
-        self.requests[route.index()].fetch_add(1, Ordering::Relaxed);
+        self.requests[route.index()].inc();
         if (400..500).contains(&status) {
-            self.errors_4xx.fetch_add(1, Ordering::Relaxed);
+            self.errors_4xx.inc();
         } else if status >= 500 {
-            self.errors_5xx.fetch_add(1, Ordering::Relaxed);
+            self.errors_5xx.inc();
         }
         self.latency.observe(latency);
     }
@@ -287,45 +434,6 @@ impl Metrics {
             cache_hits: rec.cache_hits,
             cache_misses: rec.cache_misses,
         });
-    }
-
-    /// Records a connection rejected with 503 because the queue was full.
-    pub fn record_rejected(&self) {
-        self.rejected_busy.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an expensive request shed with 503 at the `--shed-at`
-    /// watermark.
-    pub fn record_shed(&self) {
-        self.shed_load.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request-handler panic that was caught and answered 500.
-    pub fn record_worker_panic(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a dead worker thread replaced by the supervisor.
-    pub fn record_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a request served on a reused (kept-alive) connection —
-    /// any request after the first on one connection.
-    pub fn record_keepalive_reuse(&self) {
-        self.keepalive_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a pipelined request: one parsed from bytes a previous
-    /// request on the same connection had already over-read.
-    pub fn record_pipelined(&self) {
-        self.pipelined_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a parked keep-alive connection closed by the reactor's
-    /// idle-timeout sweep.
-    pub fn record_idle_closed(&self) {
-        self.idle_closed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds one observed queue wait into the EWMA behind
@@ -352,64 +460,6 @@ impl Metrics {
         (2 * ewma_us).div_ceil(1_000_000).clamp(1, 30)
     }
 
-    /// Expensive requests shed so far.
-    #[must_use]
-    pub fn shed(&self) -> u64 {
-        self.shed_load.load(Ordering::Relaxed)
-    }
-
-    /// Caught request-handler panics so far.
-    #[must_use]
-    pub fn worker_panics(&self) -> u64 {
-        self.worker_panics.load(Ordering::Relaxed)
-    }
-
-    /// Worker threads respawned so far.
-    #[must_use]
-    pub fn worker_respawns(&self) -> u64 {
-        self.worker_respawns.load(Ordering::Relaxed)
-    }
-
-    /// Requests served on reused keep-alive connections so far.
-    #[must_use]
-    pub fn keepalive_reuses(&self) -> u64 {
-        self.keepalive_reuses.load(Ordering::Relaxed)
-    }
-
-    /// Pipelined requests (served from a connection's carry buffer
-    /// without returning to the reactor) so far.
-    #[must_use]
-    pub fn pipelined_requests(&self) -> u64 {
-        self.pipelined_requests.load(Ordering::Relaxed)
-    }
-
-    /// Idle keep-alive connections closed by the reactor so far.
-    #[must_use]
-    pub fn idle_closed(&self) -> u64 {
-        self.idle_closed.load(Ordering::Relaxed)
-    }
-
-    /// Total requests served (all routes).
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.requests
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Connections rejected due to backpressure.
-    #[must_use]
-    pub fn rejected(&self) -> u64 {
-        self.rejected_busy.load(Ordering::Relaxed)
-    }
-
-    /// 4xx responses counted so far.
-    #[must_use]
-    pub fn errors_4xx(&self) -> u64 {
-        self.errors_4xx.load(Ordering::Relaxed)
-    }
-
     /// The retained slowest samples for one route, slowest first.
     #[must_use]
     pub fn slow_samples(&self, route: Route) -> Vec<SlowSample> {
@@ -417,36 +467,16 @@ impl Metrics {
     }
 
     /// Serializes counters plus the engine snapshot as the `/metrics`
-    /// JSON document.
+    /// JSON document: `SERIES`, the slow-request table, `ENGINE`
+    /// under `"engine"` and the process-wide [`Registry`] under
+    /// `"registry"`.
     #[must_use]
     pub fn to_json(&self, engine: EngineSnapshot) -> Value {
-        let routes: Vec<(String, Value)> = Route::ALL
-            .iter()
-            .map(|r| {
-                (
-                    r.label().to_string(),
-                    self.requests[r.index()].load(Ordering::Relaxed).into(),
-                )
-            })
-            .collect();
-
-        let mut upper_us: Vec<Value> = Vec::with_capacity(BUCKETS);
-        let mut counts: Vec<Value> = Vec::with_capacity(BUCKETS);
-        for (i, c) in self.latency.counts().iter().enumerate() {
-            match bucket_upper_us(i) {
-                Some(upper) => upper_us.push(upper.into()),
-                // Overflow bucket: no finite upper bound.
-                None => upper_us.push(Value::Null),
-            }
-            counts.push((*c).into());
-        }
-
         let slow: Vec<(String, Value)> = Route::ALL
             .iter()
             .map(|r| {
                 let samples: Vec<Value> = self
-                    .slow[r.index()]
-                    .snapshot()
+                    .slow_samples(*r)
                     .into_iter()
                     .map(|s| {
                         obj(vec![
@@ -463,205 +493,42 @@ impl Metrics {
             })
             .collect();
 
-        // The process-wide registry (model builds, differential rebuilds,
-        // skipped phases, fault-injection counters, ...), flattened into
-        // one name → value object so JSON consumers see the same series
-        // the Prometheus endpoint exports.
-        let registry: Vec<(String, Value)> = Registry::global()
-            .metrics()
-            .into_iter()
-            .map(|(name, metric, _help)| {
-                let value = match metric {
-                    Metric::Counter(c) => c.get().into(),
-                    Metric::Gauge(g) => g.get().into(),
-                    Metric::Histogram(h) => obj(vec![
-                        ("count", h.count().into()),
-                        ("sum_us", h.sum_us().into()),
-                    ]),
-                };
-                (name, value)
-            })
-            .collect();
-
-        obj(vec![
-            ("uptime_seconds", self.uptime_seconds().into()),
-            ("version", env!("CARGO_PKG_VERSION").into()),
-            ("requests_total", self.total().into()),
-            ("requests_by_route", Value::Obj(routes)),
-            (
-                "responses_4xx",
-                self.errors_4xx.load(Ordering::Relaxed).into(),
-            ),
-            (
-                "responses_5xx",
-                self.errors_5xx.load(Ordering::Relaxed).into(),
-            ),
-            ("rejected_busy", self.rejected().into()),
-            ("shed_load", self.shed().into()),
-            ("worker_panics", self.worker_panics().into()),
-            ("worker_respawns", self.worker_respawns().into()),
-            ("keepalive_reuses", self.keepalive_reuses().into()),
-            ("pipelined_requests", self.pipelined_requests().into()),
-            ("idle_closed", self.idle_closed().into()),
-            ("retry_after_s", self.retry_after_secs().into()),
-            (
-                "latency_histogram",
-                obj(vec![
-                    ("bucket_upper_us", upper_us.into()),
-                    ("counts", counts.into()),
-                ]),
-            ),
-            ("slow_requests", Value::Obj(slow)),
-            (
-                "engine",
-                obj(vec![
-                    ("cache_hits", engine.hits.into()),
-                    ("cache_misses", engine.misses.into()),
-                    ("cache_entries", engine.entries.into()),
-                    ("hit_rate", engine.hit_rate().into()),
-                    ("threads", engine.threads.into()),
-                    ("error_cache_hits", engine.error_hits.into()),
-                    ("error_cache_entries", engine.error_entries.into()),
-                ]),
-            ),
-            ("registry", Value::Obj(registry)),
-        ])
+        let mut doc = json_members(SERIES, self);
+        doc.push(("slow_requests".to_string(), Value::Obj(slow)));
+        doc.push(("engine".to_string(), Value::Obj(json_members(ENGINE, &engine))));
+        doc.push(("registry".to_string(), registry_json(Registry::global())));
+        Value::Obj(doc)
     }
 
-    /// Serializes the same state as [`Metrics::to_json`] in Prometheus
-    /// text exposition format (version 0.0.4), plus uptime, build info
-    /// and every metric in the process-wide [`Registry`].
+    /// Serializes the same series as [`Metrics::to_json`], plus the
+    /// histogram's `_sum`, in Prometheus text exposition format
+    /// (version 0.0.4).
     ///
     /// Serve it with `Content-Type: text/plain; version=0.0.4`
     /// ([`PromWriter::CONTENT_TYPE`]).
     #[must_use]
-    #[allow(clippy::cast_precision_loss)]
     pub fn to_prometheus(&self, engine: EngineSnapshot) -> String {
         let mut w = PromWriter::new();
-        w.counter(
-            "dram_serve_requests_total",
-            "Requests served, all routes.",
-            self.total(),
-        );
-        w.header(
-            "dram_serve_route_requests_total",
-            "Requests served, per route.",
-            "counter",
-        );
-        for r in Route::ALL {
-            w.sample(
-                "dram_serve_route_requests_total",
-                &[("route", r.label())],
-                self.requests[r.index()].load(Ordering::Relaxed) as f64,
-            );
-        }
-        w.counter(
-            "dram_serve_responses_4xx_total",
-            "Responses with a 4xx status.",
-            self.errors_4xx.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_serve_responses_5xx_total",
-            "Responses with a 5xx status.",
-            self.errors_5xx.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_serve_rejected_busy_total",
-            "Connections rejected with 503 because the accept queue was full.",
-            self.rejected(),
-        );
-        w.counter(
-            "dram_serve_shed_load_total",
-            "Expensive requests shed with 503 at the shed-at watermark.",
-            self.shed(),
-        );
-        w.counter(
-            "dram_serve_worker_panics_total",
-            "Request-handler panics caught and answered with 500.",
-            self.worker_panics(),
-        );
-        w.counter(
-            "dram_serve_worker_respawns_total",
-            "Dead worker threads replaced by the supervisor.",
-            self.worker_respawns(),
-        );
-        w.counter(
-            "dram_serve_keepalive_reuses_total",
-            "Requests served on reused keep-alive connections.",
-            self.keepalive_reuses(),
-        );
-        w.counter(
-            "dram_serve_pipelined_requests_total",
-            "Pipelined requests served from a connection's carry buffer.",
-            self.pipelined_requests(),
-        );
-        w.counter(
-            "dram_serve_idle_closed_total",
-            "Parked keep-alive connections closed by the idle-timeout sweep.",
-            self.idle_closed(),
-        );
-        w.gauge(
-            "dram_serve_retry_after_seconds",
-            "Current adaptive Retry-After advertised on 503 responses.",
-            self.retry_after_secs() as f64,
-        );
-        w.histogram_seconds(
-            "dram_serve_handle_seconds",
-            "Request handling latency (queue wait excluded).",
-            &self.latency,
-        );
-        w.gauge(
-            "dram_serve_uptime_seconds",
-            "Seconds since the service started.",
-            self.uptime_seconds(),
-        );
-        w.header(
-            "dram_serve_build_info",
-            "Constant 1, labeled with the crate version.",
-            "gauge",
-        );
-        w.sample(
-            "dram_serve_build_info",
-            &[("version", env!("CARGO_PKG_VERSION"))],
-            1.0,
-        );
-        w.counter(
-            "dram_engine_cache_hits_total",
-            "Model-cache hits in the shared evaluation engine.",
-            engine.hits,
-        );
-        w.counter(
-            "dram_engine_cache_misses_total",
-            "Model-cache misses (models built) in the shared engine.",
-            engine.misses,
-        );
-        w.gauge(
-            "dram_engine_cache_entries",
-            "Models currently cached by the shared engine.",
-            engine.entries as f64,
-        );
-        w.gauge(
-            "dram_engine_cache_hit_rate",
-            "Fraction of engine lookups served from the cache.",
-            engine.hit_rate(),
-        );
-        w.gauge(
-            "dram_engine_threads",
-            "Worker threads the shared engine evaluates with.",
-            engine.threads as f64,
-        );
-        w.counter(
-            "dram_engine_error_cache_hits_total",
-            "Lookups answered from the engine's negative (known-bad) cache.",
-            engine.error_hits,
-        );
-        w.gauge(
-            "dram_engine_error_cache_entries",
-            "Known-bad descriptions currently memoized by the engine.",
-            engine.error_entries as f64,
-        );
+        w.series(SERIES, self);
+        w.series(ENGINE, &engine);
         w.registry(Registry::global());
         w.finish()
+    }
+}
+
+/// Answers `GET /metrics` for `dram-serve` and `dram-route` alike: the
+/// format comes from [`wants_prometheus`] (an unknown `?format=` is a
+/// 400), and `render` writes the document, Prometheus text when passed
+/// `true`, JSON otherwise.
+pub(crate) fn respond(req: &Request, render: impl FnOnce(bool) -> String) -> Response {
+    let accept = req.headers.get("accept").map_or("", String::as_str);
+    match wants_prometheus(req.query_param("format"), accept) {
+        Ok(true) => Response {
+            content_type: PromWriter::CONTENT_TYPE,
+            ..Response::json(200, render(true))
+        },
+        Ok(false) => Response::json(200, render(false)),
+        Err(message) => Response::error(400, &message),
     }
 }
 
@@ -675,10 +542,10 @@ mod tests {
         m.record(Route::Evaluate, 200, Duration::from_micros(3));
         m.record(Route::Evaluate, 400, Duration::from_micros(3));
         m.record(Route::Other, 404, Duration::from_micros(1));
-        m.record_rejected();
-        assert_eq!(m.total(), 3);
-        assert_eq!(m.rejected(), 1);
-        assert_eq!(m.errors_4xx(), 2);
+        m.rejected_busy.inc();
+        assert_eq!(m.requests.iter().map(Counter::get).sum::<u64>(), 3);
+        assert_eq!(m.rejected_busy.get(), 1);
+        assert_eq!(m.errors_4xx.get(), 2);
         let doc = m.to_json(EngineSnapshot::default());
         let by_route = doc.get("requests_by_route").unwrap();
         assert_eq!(by_route.get("evaluate").and_then(Value::as_f64), Some(2.0));
@@ -705,42 +572,6 @@ mod tests {
         let uppers = hist.get("bucket_upper_us").and_then(Value::as_array).unwrap();
         assert_eq!(uppers.last(), Some(&Value::Null));
         assert_eq!(uppers.len(), counts.len());
-    }
-
-    /// Boundary semantics of the log₂-µs bucketing: bucket `i` is
-    /// `[2^(i-1), 2^i)` µs, so every sample is strictly below its
-    /// bucket's `bucket_upper_us` and at or above the previous one's.
-    #[test]
-    fn bucket_boundaries_are_exclusive_uppers() {
-        // 0 µs: the dedicated sub-microsecond bucket.
-        assert_eq!(bucket_index(0), 0);
-        // Exact powers of two start the *next* bucket (exclusive upper).
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(2), 2);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 3);
-        assert_eq!(bucket_index(1023), 10);
-        assert_eq!(bucket_index(1024), 11);
-        for k in 0..20 {
-            let v = 1u64 << k;
-            let b = bucket_index(v);
-            assert_eq!(b, k as usize + 1, "2^{k}");
-            // Strictly below the bucket's upper bound 2^b, at or above
-            // the lower bound 2^(b-1).
-            assert!(v < 1u64 << b);
-            assert!(v >= 1u64 << (b - 1));
-        }
-    }
-
-    #[test]
-    fn bucket_saturates_at_the_overflow_bucket() {
-        // The last finite bucket is [2^(BUCKETS-3), 2^(BUCKETS-2)).
-        let top_finite = BUCKETS - 2;
-        assert_eq!(bucket_index((1u64 << top_finite) - 1), top_finite);
-        // From 2^(BUCKETS-2) up, everything saturates into the overflow
-        // bucket — including the u64::MAX sentinel for huge durations.
-        assert_eq!(bucket_index(1u64 << top_finite), BUCKETS - 1);
-        assert_eq!(bucket_index(u64::MAX), BUCKETS - 1);
     }
 
     #[test]
@@ -796,5 +627,278 @@ mod tests {
         assert_eq!(sweep[0].get("handle_us").and_then(Value::as_f64), Some(34000.0));
         assert_eq!(sweep[0].get("cache_misses").and_then(Value::as_f64), Some(2.0));
         assert_eq!(slow.get("healthz").and_then(Value::as_array).map(<[Value]>::len), Some(0));
+    }
+
+    use std::collections::BTreeMap;
+
+    use crate::metrics_shape::{json_shape, prom_headers, prom_label_keys, prom_samples, Bump};
+
+    /// Families this module renders; the registry's are process-global.
+    const OWN: [&str; 2] = ["dram_serve_", "dram_engine_"];
+
+    /// Every counter at a distinct value, one slow sample, a queue-wait
+    /// EWMA and an engine snapshot with distinct fields.
+    fn busy() -> (Metrics, EngineSnapshot) {
+        let m = Metrics::new();
+        for (i, _) in Route::ALL.iter().enumerate() {
+            m.requests[i].bump(10 * (i as u64 + 1));
+        }
+        m.observe(&RequestRecord {
+            id: "abc-00000001",
+            route: Route::Evaluate,
+            status: 200,
+            queue_wait: Duration::from_micros(5),
+            handle: Duration::from_micros(700),
+            cache_hits: 1,
+            cache_misses: 0,
+        });
+        let counters = [
+            &m.errors_4xx,
+            &m.errors_5xx,
+            &m.rejected_busy,
+            &m.shed_load,
+            &m.worker_panics,
+            &m.worker_respawns,
+            &m.keepalive_reuses,
+            &m.pipelined_requests,
+            &m.idle_closed,
+        ];
+        for (i, counter) in counters.into_iter().enumerate() {
+            counter.bump(101 + i as u64);
+        }
+        m.latency.observe_us(3_000_000);
+        m.note_queue_wait(Duration::from_millis(2_600));
+        let engine = EngineSnapshot {
+            hits: 201,
+            misses: 202,
+            entries: 203,
+            threads: 204,
+            error_hits: 205,
+            error_entries: 206,
+        };
+        (m, engine)
+    }
+
+    /// Key paths and value types of the JSON document, in order.
+    const JSON_SHAPE: &str = "\
+uptime_seconds number
+version string
+requests_total number
+requests_by_route object
+requests_by_route.healthz number
+requests_by_route.presets number
+requests_by_route.evaluate number
+requests_by_route.batch number
+requests_by_route.pattern number
+requests_by_route.sweep number
+requests_by_route.trace number
+requests_by_route.metrics number
+requests_by_route.debug number
+requests_by_route.other number
+responses_4xx number
+responses_5xx number
+rejected_busy number
+shed_load number
+worker_panics number
+worker_respawns number
+keepalive_reuses number
+pipelined_requests number
+idle_closed number
+retry_after_s number
+latency_histogram object
+latency_histogram.bucket_upper_us array
+latency_histogram.bucket_upper_us[] number x22
+latency_histogram.bucket_upper_us[] null
+latency_histogram.counts array
+latency_histogram.counts[] number x23
+slow_requests object
+slow_requests.healthz array
+slow_requests.presets array
+slow_requests.evaluate array
+slow_requests.evaluate[] object
+slow_requests.evaluate[].id string
+slow_requests.evaluate[].status number
+slow_requests.evaluate[].queue_us number
+slow_requests.evaluate[].handle_us number
+slow_requests.evaluate[].cache_hits number
+slow_requests.evaluate[].cache_misses number
+slow_requests.batch array
+slow_requests.pattern array
+slow_requests.sweep array
+slow_requests.trace array
+slow_requests.metrics array
+slow_requests.debug array
+slow_requests.other array
+engine object
+engine.cache_hits number
+engine.cache_misses number
+engine.cache_entries number
+engine.hit_rate number
+engine.threads number
+engine.error_cache_hits number
+engine.error_cache_entries number
+registry object";
+
+    #[test]
+    fn json_document_shape_is_pinned() {
+        let (m, engine) = busy();
+        let doc = Value::parse(&m.to_json(engine).to_string()).expect("metrics JSON parses");
+        assert!(doc.get("registry").and_then(Value::as_object).is_some());
+        let shape = json_shape(&doc, &["registry"]).join("\n");
+        assert_eq!(shape, JSON_SHAPE, "actual shape:\n{shape}");
+    }
+
+    /// `# HELP` / `# TYPE` lines of the server and engine families.
+    const PROM_HEADERS: &str = "\
+# HELP dram_engine_cache_entries Models currently cached by the shared engine.
+# HELP dram_engine_cache_hit_rate Fraction of engine lookups served from the cache.
+# HELP dram_engine_cache_hits_total Model-cache hits in the shared evaluation engine.
+# HELP dram_engine_cache_misses_total Model-cache misses (models built) in the shared engine.
+# HELP dram_engine_error_cache_entries Known-bad descriptions currently memoized by the engine.
+# HELP dram_engine_error_cache_hits_total Lookups answered from the engine's negative (known-bad) cache.
+# HELP dram_engine_threads Worker threads the shared engine evaluates with.
+# HELP dram_serve_build_info Constant 1, labeled with the crate version.
+# HELP dram_serve_handle_seconds Request handling latency (queue wait excluded).
+# HELP dram_serve_idle_closed_total Parked keep-alive connections closed by the idle-timeout sweep.
+# HELP dram_serve_keepalive_reuses_total Requests served on reused keep-alive connections.
+# HELP dram_serve_pipelined_requests_total Pipelined requests served from a connection's carry buffer.
+# HELP dram_serve_rejected_busy_total Connections rejected with 503 because the accept queue was full.
+# HELP dram_serve_requests_total Requests served, all routes.
+# HELP dram_serve_responses_4xx_total Responses with a 4xx status.
+# HELP dram_serve_responses_5xx_total Responses with a 5xx status.
+# HELP dram_serve_retry_after_seconds Current adaptive Retry-After advertised on 503 responses.
+# HELP dram_serve_route_requests_total Requests served, per route.
+# HELP dram_serve_shed_load_total Expensive requests shed with 503 at the shed-at watermark.
+# HELP dram_serve_uptime_seconds Seconds since the service started.
+# HELP dram_serve_worker_panics_total Request-handler panics caught and answered with 500.
+# HELP dram_serve_worker_respawns_total Dead worker threads replaced by the supervisor.
+# TYPE dram_engine_cache_entries gauge
+# TYPE dram_engine_cache_hit_rate gauge
+# TYPE dram_engine_cache_hits_total counter
+# TYPE dram_engine_cache_misses_total counter
+# TYPE dram_engine_error_cache_entries gauge
+# TYPE dram_engine_error_cache_hits_total counter
+# TYPE dram_engine_threads gauge
+# TYPE dram_serve_build_info gauge
+# TYPE dram_serve_handle_seconds histogram
+# TYPE dram_serve_idle_closed_total counter
+# TYPE dram_serve_keepalive_reuses_total counter
+# TYPE dram_serve_pipelined_requests_total counter
+# TYPE dram_serve_rejected_busy_total counter
+# TYPE dram_serve_requests_total counter
+# TYPE dram_serve_responses_4xx_total counter
+# TYPE dram_serve_responses_5xx_total counter
+# TYPE dram_serve_retry_after_seconds gauge
+# TYPE dram_serve_route_requests_total counter
+# TYPE dram_serve_shed_load_total counter
+# TYPE dram_serve_uptime_seconds gauge
+# TYPE dram_serve_worker_panics_total counter
+# TYPE dram_serve_worker_respawns_total counter";
+
+    /// (family, label keys) of every server and engine sample.
+    const PROM_LABEL_KEYS: &str = "\
+dram_engine_cache_entries {}
+dram_engine_cache_hit_rate {}
+dram_engine_cache_hits_total {}
+dram_engine_cache_misses_total {}
+dram_engine_error_cache_entries {}
+dram_engine_error_cache_hits_total {}
+dram_engine_threads {}
+dram_serve_build_info {version}
+dram_serve_handle_seconds {le}
+dram_serve_handle_seconds {}
+dram_serve_idle_closed_total {}
+dram_serve_keepalive_reuses_total {}
+dram_serve_pipelined_requests_total {}
+dram_serve_rejected_busy_total {}
+dram_serve_requests_total {}
+dram_serve_responses_4xx_total {}
+dram_serve_responses_5xx_total {}
+dram_serve_retry_after_seconds {}
+dram_serve_route_requests_total {route}
+dram_serve_shed_load_total {}
+dram_serve_uptime_seconds {}
+dram_serve_worker_panics_total {}
+dram_serve_worker_respawns_total {}";
+
+    #[test]
+    fn prometheus_families_are_pinned() {
+        let (m, engine) = busy();
+        let text = m.to_prometheus(engine);
+        let headers: Vec<String> = prom_headers(&text, &OWN).into_iter().collect();
+        assert_eq!(headers.join("\n"), PROM_HEADERS, "actual headers:\n{}", headers.join("\n"));
+        let keys: Vec<String> = prom_label_keys(&text, &OWN).into_iter().collect();
+        assert_eq!(keys.join("\n"), PROM_LABEL_KEYS, "actual label keys:\n{}", keys.join("\n"));
+    }
+
+    /// Each JSON value equals its Prometheus sample, and every sample of
+    /// the server and engine families has a JSON value (uptime and the
+    /// histogram's `_sum`, which JSON does not carry, aside).
+    #[test]
+    fn json_and_prometheus_report_the_same_values() {
+        let (m, engine) = busy();
+        let doc = Value::parse(&m.to_json(engine).to_string()).expect("metrics JSON parses");
+        let prom = m.to_prometheus(engine);
+        let num = |key: &str| doc.get(key).and_then(Value::as_f64).expect(key);
+
+        let mut want: BTreeMap<String, f64> = BTreeMap::new();
+        let version = doc.get("version").and_then(Value::as_str).expect("version");
+        want.insert(format!("dram_serve_build_info{{version=\"{version}\"}}"), 1.0);
+        want.insert("dram_serve_requests_total".into(), num("requests_total"));
+        for (route, n) in doc.get("requests_by_route").and_then(Value::as_object).expect("routes") {
+            want.insert(
+                format!("dram_serve_route_requests_total{{route=\"{route}\"}}"),
+                n.as_f64().expect("route count"),
+            );
+        }
+        for key in [
+            "responses_4xx",
+            "responses_5xx",
+            "rejected_busy",
+            "shed_load",
+            "worker_panics",
+            "worker_respawns",
+            "keepalive_reuses",
+            "pipelined_requests",
+            "idle_closed",
+        ] {
+            want.insert(format!("dram_serve_{key}_total"), num(key));
+        }
+        want.insert("dram_serve_retry_after_seconds".into(), num("retry_after_s"));
+        let hist = doc.get("latency_histogram").expect("histogram");
+        let uppers = hist.get("bucket_upper_us").and_then(Value::as_array).expect("uppers");
+        let counts = hist.get("counts").and_then(Value::as_array).expect("counts");
+        let mut cumulative = 0.0;
+        for (upper, count) in uppers.iter().zip(counts) {
+            cumulative += count.as_f64().expect("bucket count");
+            let le = upper.as_f64().map_or("+Inf".to_string(), |us| (us * 1e-6).to_string());
+            want.insert(format!("dram_serve_handle_seconds_bucket{{le=\"{le}\"}}"), cumulative);
+        }
+        want.insert("dram_serve_handle_seconds_count".into(), cumulative);
+        let eng = doc.get("engine").expect("engine");
+        for (key, family) in [
+            ("cache_hits", "dram_engine_cache_hits_total"),
+            ("cache_misses", "dram_engine_cache_misses_total"),
+            ("cache_entries", "dram_engine_cache_entries"),
+            ("hit_rate", "dram_engine_cache_hit_rate"),
+            ("threads", "dram_engine_threads"),
+            ("error_cache_hits", "dram_engine_error_cache_hits_total"),
+            ("error_cache_entries", "dram_engine_error_cache_entries"),
+        ] {
+            want.insert(family.into(), eng.get(key).and_then(Value::as_f64).expect(key));
+        }
+
+        let got: BTreeMap<String, f64> = prom_samples(&prom)
+            .into_iter()
+            .filter(|(k, _)| OWN.iter().any(|p| k.starts_with(p)))
+            .filter(|(k, _)| k != "dram_serve_uptime_seconds" && k != "dram_serve_handle_seconds_sum")
+            .collect();
+        assert_eq!(got, want);
+        // The state is distinct enough to catch two series swapped.
+        let mut values: Vec<u64> = want.values().map(|v| v.to_bits()).collect();
+        let n = values.len();
+        values.sort_unstable();
+        values.dedup();
+        assert!(values.len() + 25 >= n, "{want:?}");
     }
 }

@@ -34,7 +34,9 @@
 //!   ring ownership, retry/hedge/failover counters, and each backend's
 //!   own scrape aggregated under a bounded per-node timeout so one hung
 //!   node can never stall the router's exporter (last-known values are
-//!   served instead, marked stale).
+//!   served instead, marked stale). Each series is declared once, in
+//!   `View::SERIES`, `NodeView::SERIES` and `SCRAPED`, and both
+//!   formats are rendered from those lists.
 //!
 //! `GET /debug/*` is proxied but stays loopback-gated *at the router*:
 //! the hop to the backend is made from the router's own (loopback)
@@ -65,7 +67,7 @@ use std::time::{Duration, Instant};
 
 use dram_core::batch::{content_key, StableHasher};
 use dram_obs::journal::{self, EventKind};
-use dram_obs::PromWriter;
+use dram_obs::{json_members, Counter, Kind, PromWriter, Series};
 use dram_units::json::{obj, Value};
 
 use crate::client::{ClientError, Conn, Head};
@@ -142,9 +144,9 @@ struct Node {
     /// Consecutive probe/forward failures (reset by any success).
     failures: AtomicU32,
     /// Requests forwarded to this node.
-    routed: AtomicU64,
+    routed: Counter,
     /// Up→down transitions observed.
-    went_down: AtomicU64,
+    went_down: Counter,
     /// Idle keep-alive upstream connections.
     pool: Mutex<Vec<Conn>>,
 }
@@ -166,7 +168,7 @@ impl Node {
     fn mark_failure(&self, shared: &Shared) {
         let failures = self.failures.fetch_add(1, Ordering::Relaxed) + 1;
         if failures >= shared.config.down_after && self.up.swap(false, Ordering::Relaxed) {
-            self.went_down.fetch_add(1, Ordering::Relaxed);
+            self.went_down.inc();
             // Drop pooled connections: they point at a dead process.
             self.pool
                 .lock()
@@ -181,30 +183,30 @@ impl Node {
     }
 }
 
-/// Router-side counters, all relaxed atomics (exact counts matter, and
-/// every increment site is a single hot-path add).
+/// Router-side counters: inline relaxed atomics, one add per
+/// increment site. `/metrics` reads them through `View::SERIES`.
 #[derive(Default)]
 struct RouterMetrics {
     /// Client requests handled (locally answered + proxied).
-    requests: AtomicU64,
+    requests: Counter,
     /// Requests answered by a backend through the proxy path.
-    proxied: AtomicU64,
+    proxied: Counter,
     /// Upstream attempts beyond the first, per the retry policy.
-    retries: AtomicU64,
+    retries: Counter,
     /// Attempts served by a node other than the key's ring owner —
     /// down-node skips at routing time plus mid-request switches.
-    failovers: AtomicU64,
+    failovers: Counter,
     /// Hedged (second, racing) attempts fired.
-    hedges: AtomicU64,
+    hedges: Counter,
     /// Hedges whose response won the race.
-    hedge_wins: AtomicU64,
+    hedge_wins: Counter,
     /// Requests answered 502 because no node could produce a response.
-    bad_gateway: AtomicU64,
+    bad_gateway: Counter,
     /// Client connections poisoned by a mid-body upstream failure.
-    poisoned: AtomicU64,
+    poisoned: Counter,
     /// Backend scrapes that missed their timeout and served last-known
     /// (stale) values instead.
-    stale_scrapes: AtomicU64,
+    stale_scrapes: Counter,
 }
 
 /// A backend's last successful `/metrics` scrape.
@@ -289,7 +291,7 @@ impl RouterHandle {
         if let Some(h) = this.prober.take() {
             let _ = h.join();
         }
-        this.shared.metrics.proxied.load(Ordering::Relaxed)
+        this.shared.metrics.proxied.get()
     }
 }
 
@@ -319,8 +321,8 @@ pub fn route_serve(addr: &str, config: RouterConfig) -> std::io::Result<RouterHa
             sockaddr,
             up: AtomicBool::new(true),
             failures: AtomicU32::new(0),
-            routed: AtomicU64::new(0),
-            went_down: AtomicU64::new(0),
+            routed: Counter::new(),
+            went_down: Counter::new(),
             pool: Mutex::new(Vec::new()),
         });
     }
@@ -485,7 +487,7 @@ fn handle_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Shared>) {
         let request_seq = served;
         journal::set_context(conn, request_seq);
         journal::record(EventKind::WorkerStart, conn, request_seq, served - 1);
-        shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.requests.inc();
 
         let client_wants_keep_alive =
             request.wants_keep_alive() && !shared.shutting_down.load(Ordering::SeqCst);
@@ -551,7 +553,7 @@ fn answer_local(
 ) {
     let id = shared.ids.next_id();
     if response.status == 502 {
-        shared.metrics.bad_gateway.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.bad_gateway.inc();
     }
     let keep = keep_alive && response.status < 400;
     let response = response
@@ -653,10 +655,7 @@ fn proxy(
             return ProxyEnd::Close;
         };
         if position > 0 {
-            shared
-                .metrics
-                .failovers
-                .fetch_add(position as u64, Ordering::Relaxed);
+            shared.metrics.failovers.add(position as u64);
         }
         let target = order[position];
         let backup = order
@@ -670,9 +669,7 @@ fn proxy(
         match outcome {
             Ok(upstream) => {
                 shared.nodes[upstream.node].mark_up(shared);
-                shared.nodes[upstream.node]
-                    .routed
-                    .fetch_add(1, Ordering::Relaxed);
+                shared.nodes[upstream.node].routed.inc();
                 journal::record(
                     EventKind::Response,
                     conn,
@@ -685,12 +682,12 @@ fn proxy(
                 shared.nodes[target].mark_failure(shared);
                 match schedule.next_delay(None) {
                     Some(wait) => {
-                        shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.retries.inc();
                         thread::sleep(wait);
                         // Rotate the failed node to the back so the next
                         // attempt goes to the successor (a failover).
                         order.rotate_left(position + 1);
-                        shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.failovers.inc();
                     }
                     None => {
                         answer_local(
@@ -709,10 +706,10 @@ fn proxy(
                 shared.nodes[target].mark_up(shared);
                 match schedule.next_delay(hint) {
                     Some(wait) => {
-                        shared.metrics.retries.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.retries.inc();
                         thread::sleep(wait);
                         order.rotate_left(position + 1);
-                        shared.metrics.failovers.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.failovers.inc();
                     }
                     None => {
                         answer_local(
@@ -810,14 +807,14 @@ fn attempt_racing(
     };
     let Some((_, outcome)) = first else {
         // The owner is slow: hedge to the successor, first head wins.
-        shared.metrics.hedges.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.hedges.inc();
         spawn_attempt(backup);
         let mut last_err = AttemptError::Transport;
         for _ in 0..2 {
             match rx.recv_timeout(CONNECT_TIMEOUT + shared.config.limits.io_timeout) {
                 Ok((node, Ok(upstream))) => {
                     if node == backup {
-                        shared.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
+                        shared.metrics.hedge_wins.inc();
                     }
                     return Ok(upstream);
                 }
@@ -941,7 +938,7 @@ fn relay(
         let Ok(part) = upstream.conn.read_body_part(remaining) else {
             // Upstream died mid-body after bytes were relayed: the one
             // unretryable failure. Poison the client connection.
-            shared.metrics.poisoned.fetch_add(1, Ordering::Relaxed);
+            shared.metrics.poisoned.inc();
             shared.nodes[upstream.node].mark_failure(shared);
             if let Some(line) = shared.log.line(LogLevel::Error, "poisoned") {
                 line.field("node", &shared.nodes[upstream.node].addr)
@@ -956,7 +953,7 @@ fn relay(
         remaining -= part.len();
     }
     let _ = client.flush();
-    shared.metrics.proxied.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.proxied.inc();
     release(shared, upstream);
     if keep_client {
         ProxyEnd::KeepAlive
@@ -1025,7 +1022,7 @@ fn scrape_backends(shared: &Arc<Shared>) -> Vec<Option<Scrape>> {
                 Some(scrape)
             }
             None => {
-                shared.metrics.stale_scrapes.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.stale_scrapes.inc();
                 cache.get_mut(&index).map(|last| {
                     last.stale = true;
                     last.clone()
@@ -1055,229 +1052,219 @@ fn scrape_one(sockaddr: SocketAddr, timeout: Duration) -> Option<Scrape> {
 
 /// `GET /metrics` on the router: own counters, per-node health and ring
 /// ownership, plus the federated backend scrape. `?format=prometheus`
-/// for text exposition, JSON otherwise.
+/// (or `Accept: text/plain`) for text exposition, JSON otherwise.
 fn federated_metrics(shared: &Arc<Shared>, request: &Request) -> Response {
-    let prometheus = match request.query_param("format") {
-        Some("prometheus") => true,
-        Some("json") => false,
-        Some(other) => {
-            return Response::error(
-                400,
-                &format!("unknown metrics format `{other}`; use `json` or `prometheus`"),
-            )
+    crate::metrics::respond(request, |prometheus| {
+        let scrapes = scrape_backends(shared);
+        let ownership = shared.ring.ownership();
+        let nodes = shared.nodes.iter().zip(ownership).zip(scrapes);
+        let nodes = nodes
+            .map(|((node, ring_points), scrape)| NodeView {
+                node,
+                ring_points,
+                scrape,
+            })
+            .collect();
+        let view = View { shared, nodes };
+        if prometheus {
+            view.to_prometheus()
+        } else {
+            view.to_json().to_string()
         }
-        None => {
-            let accept = request.headers.get("accept").map_or("", String::as_str);
-            accept.contains("text/plain") && !accept.contains("application/json")
-        }
-    };
-    let scrapes = scrape_backends(shared);
-    let ownership = shared.ring.ownership();
-    let m = &shared.metrics;
-    if prometheus {
-        let mut w = PromWriter::new();
-        w.counter(
-            "dram_route_requests_total",
-            "Client requests handled by the router.",
-            m.requests.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_proxied_total",
-            "Requests answered by a backend through the proxy path.",
-            m.proxied.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_retries_total",
-            "Upstream attempts beyond the first, per the retry policy.",
-            m.retries.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_failovers_total",
-            "Requests (or attempts) served off their ring owner.",
-            m.failovers.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_hedges_total",
-            "Hedged second attempts fired after the latency threshold.",
-            m.hedges.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_hedge_wins_total",
-            "Hedged attempts whose response won the race.",
-            m.hedge_wins.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_bad_gateway_total",
-            "Requests answered 502 with no backend response.",
-            m.bad_gateway.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_poisoned_total",
-            "Client connections poisoned by a mid-body upstream failure.",
-            m.poisoned.load(Ordering::Relaxed),
-        );
-        w.counter(
-            "dram_route_stale_scrapes_total",
-            "Backend scrapes that missed the budget and served stale values.",
-            m.stale_scrapes.load(Ordering::Relaxed),
-        );
-        w.gauge(
-            "dram_route_uptime_seconds",
-            "Seconds since the router started.",
-            shared.started.elapsed().as_secs_f64(),
-        );
-        w.header("dram_route_node_up", "Node liveness (1 up, 0 down).", "gauge");
-        for node in &shared.nodes {
-            w.sample(
-                "dram_route_node_up",
-                &[("node", &node.addr)],
-                f64::from(u8::from(node.up.load(Ordering::Relaxed))),
-            );
-        }
-        w.header(
-            "dram_route_node_routed_total",
-            "Requests forwarded to this node.",
-            "counter",
-        );
-        for node in &shared.nodes {
-            w.sample(
-                "dram_route_node_routed_total",
-                &[("node", &node.addr)],
-                node.routed.load(Ordering::Relaxed) as f64,
-            );
-        }
-        w.header(
-            "dram_route_node_down_transitions_total",
-            "Times this node was marked down.",
-            "counter",
-        );
-        for node in &shared.nodes {
-            w.sample(
-                "dram_route_node_down_transitions_total",
-                &[("node", &node.addr)],
-                node.went_down.load(Ordering::Relaxed) as f64,
-            );
-        }
-        w.header(
-            "dram_route_ring_points",
-            "Virtual points this node owns on the consistent-hash ring.",
-            "gauge",
-        );
-        for (node, points) in shared.nodes.iter().zip(&ownership) {
-            w.sample(
-                "dram_route_ring_points",
-                &[("node", &node.addr)],
-                *points as f64,
-            );
-        }
-        w.header(
-            "dram_route_backend_requests_total",
-            "requests_total scraped from this backend (stale=1 if last scrape missed).",
-            "counter",
-        );
-        w.header(
-            "dram_route_backend_cache_hits_total",
-            "Engine cache hits scraped from this backend.",
-            "counter",
-        );
-        w.header(
-            "dram_route_backend_cache_misses_total",
-            "Engine cache misses scraped from this backend.",
-            "counter",
-        );
-        w.header(
-            "dram_route_backend_stale",
-            "Whether this backend's values are last-known (scrape missed).",
-            "gauge",
-        );
-        let mut hits = 0.0;
-        let mut misses = 0.0;
-        for (node, scrape) in shared.nodes.iter().zip(&scrapes) {
-            let labels = [("node", node.addr.as_str())];
-            if let Some(s) = scrape {
-                w.sample("dram_route_backend_requests_total", &labels, s.requests_total);
-                w.sample("dram_route_backend_cache_hits_total", &labels, s.cache_hits);
-                w.sample("dram_route_backend_cache_misses_total", &labels, s.cache_misses);
-                w.sample(
-                    "dram_route_backend_stale",
-                    &labels,
-                    f64::from(u8::from(s.stale)),
-                );
-                hits += s.cache_hits;
-                misses += s.cache_misses;
-            } else {
-                w.sample("dram_route_backend_stale", &labels, 1.0);
-            }
-        }
-        w.gauge(
-            "dram_route_backend_cache_hits_aggregate",
-            "Engine cache hits summed over every reachable backend.",
-            hits,
-        );
-        w.gauge(
-            "dram_route_backend_cache_misses_aggregate",
-            "Engine cache misses summed over every reachable backend.",
-            misses,
-        );
-        Response {
-            status: 200,
-            headers: Vec::new(),
-            body: w.finish().into_bytes(),
-            content_type: PromWriter::CONTENT_TYPE,
-            keep_alive: false,
-        }
-    } else {
-        let mut nodes = Vec::new();
-        let mut hits = 0.0;
-        let mut misses = 0.0;
-        for ((node, scrape), points) in shared.nodes.iter().zip(&scrapes).zip(&ownership) {
-            let mut fields: Vec<(&str, Value)> = vec![
-                ("addr", node.addr.as_str().into()),
-                ("up", node.up.load(Ordering::Relaxed).into()),
-                ("ring_points", (*points as f64).into()),
-                ("routed", (node.routed.load(Ordering::Relaxed) as f64).into()),
-                (
-                    "down_transitions",
-                    (node.went_down.load(Ordering::Relaxed) as f64).into(),
-                ),
-            ];
-            match scrape {
-                Some(s) => {
-                    fields.push(("stale", s.stale.into()));
-                    fields.push(("requests_total", s.requests_total.into()));
-                    fields.push(("cache_hits", s.cache_hits.into()));
-                    fields.push(("cache_misses", s.cache_misses.into()));
-                    hits += s.cache_hits;
-                    misses += s.cache_misses;
+    })
+}
+
+/// One `/metrics` render of the router: its own state plus every node
+/// with the scrape gathered for this render.
+struct View<'a> {
+    shared: &'a Shared,
+    nodes: Vec<NodeView<'a>>,
+}
+
+/// One node as a render sees it.
+struct NodeView<'a> {
+    node: &'a Node,
+    ring_points: usize,
+    scrape: Option<Scrape>,
+}
+
+/// Sums one scraped value over every node that has a scrape.
+fn aggregate(view: &View<'_>, value: fn(&Scrape) -> f64) -> f64 {
+    let scrapes = view.nodes.iter().filter_map(|n| n.scrape.as_ref());
+    scrapes.fold(0.0, |sum, s| sum + value(s))
+}
+
+#[allow(clippy::cast_precision_loss)]
+impl<'a> View<'a> {
+    /// The router-level series, in JSON document order (`nodes` follows).
+    const SERIES: [Series<Self>; 12] = [
+        Series {
+            name: "dram_route_requests_total",
+            key: "requests_total",
+            help: "Client requests handled by the router.",
+            kind: Kind::Counter(|v| v.shared.metrics.requests.get() as f64),
+        },
+        Series {
+            name: "dram_route_proxied_total",
+            key: "proxied_total",
+            help: "Requests answered by a backend through the proxy path.",
+            kind: Kind::Counter(|v| v.shared.metrics.proxied.get() as f64),
+        },
+        Series {
+            name: "dram_route_retries_total",
+            key: "retries_total",
+            help: "Upstream attempts beyond the first, per the retry policy.",
+            kind: Kind::Counter(|v| v.shared.metrics.retries.get() as f64),
+        },
+        Series {
+            name: "dram_route_failovers_total",
+            key: "failovers_total",
+            help: "Requests (or attempts) served off their ring owner.",
+            kind: Kind::Counter(|v| v.shared.metrics.failovers.get() as f64),
+        },
+        Series {
+            name: "dram_route_hedges_total",
+            key: "hedges_total",
+            help: "Hedged second attempts fired after the latency threshold.",
+            kind: Kind::Counter(|v| v.shared.metrics.hedges.get() as f64),
+        },
+        Series {
+            name: "dram_route_hedge_wins_total",
+            key: "hedge_wins_total",
+            help: "Hedged attempts whose response won the race.",
+            kind: Kind::Counter(|v| v.shared.metrics.hedge_wins.get() as f64),
+        },
+        Series {
+            name: "dram_route_bad_gateway_total",
+            key: "bad_gateway_total",
+            help: "Requests answered 502 with no backend response.",
+            kind: Kind::Counter(|v| v.shared.metrics.bad_gateway.get() as f64),
+        },
+        Series {
+            name: "dram_route_poisoned_total",
+            key: "poisoned_total",
+            help: "Client connections poisoned by a mid-body upstream failure.",
+            kind: Kind::Counter(|v| v.shared.metrics.poisoned.get() as f64),
+        },
+        Series {
+            name: "dram_route_stale_scrapes_total",
+            key: "stale_scrapes_total",
+            help: "Backend scrapes that missed the budget and served stale values.",
+            kind: Kind::Counter(|v| v.shared.metrics.stale_scrapes.get() as f64),
+        },
+        Series {
+            name: "dram_route_uptime_seconds",
+            key: "uptime_seconds",
+            help: "Seconds since the router started.",
+            kind: Kind::Gauge(|v| v.shared.started.elapsed().as_secs_f64()),
+        },
+        Series {
+            name: "dram_route_backend_cache_hits_aggregate",
+            key: "backend_cache_hits_aggregate",
+            help: "Engine cache hits summed over every reachable backend.",
+            kind: Kind::Gauge(|v| aggregate(v, |s| s.cache_hits)),
+        },
+        Series {
+            name: "dram_route_backend_cache_misses_aggregate",
+            key: "backend_cache_misses_aggregate",
+            help: "Engine cache misses summed over every reachable backend.",
+            kind: Kind::Gauge(|v| aggregate(v, |s| s.cache_misses)),
+        },
+    ];
+
+    /// The JSON document: `View::SERIES`, then one `nodes[]` object per
+    /// node — its address, `NodeView::SERIES`, and `SCRAPED` when
+    /// it has a scrape.
+    fn to_json(&self) -> Value {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| {
+                let mut fields = vec![("addr".to_string(), n.node.addr.as_str().into())];
+                fields.extend(json_members(&NodeView::SERIES, n));
+                if let Some(scrape) = &n.scrape {
+                    fields.extend(json_members(&SCRAPED, scrape));
                 }
-                None => fields.push(("stale", true.into())),
-            }
-            nodes.push(obj(fields));
-        }
-        let doc = obj(vec![
-            ("requests_total", (m.requests.load(Ordering::Relaxed) as f64).into()),
-            ("proxied_total", (m.proxied.load(Ordering::Relaxed) as f64).into()),
-            ("retries_total", (m.retries.load(Ordering::Relaxed) as f64).into()),
-            ("failovers_total", (m.failovers.load(Ordering::Relaxed) as f64).into()),
-            ("hedges_total", (m.hedges.load(Ordering::Relaxed) as f64).into()),
-            ("hedge_wins_total", (m.hedge_wins.load(Ordering::Relaxed) as f64).into()),
-            ("bad_gateway_total", (m.bad_gateway.load(Ordering::Relaxed) as f64).into()),
-            ("poisoned_total", (m.poisoned.load(Ordering::Relaxed) as f64).into()),
-            ("stale_scrapes_total", (m.stale_scrapes.load(Ordering::Relaxed) as f64).into()),
-            ("uptime_seconds", shared.started.elapsed().as_secs_f64().into()),
-            (
-                "backend_cache_hits_aggregate",
-                hits.into(),
-            ),
-            (
-                "backend_cache_misses_aggregate",
-                misses.into(),
-            ),
-            ("nodes", Value::Arr(nodes)),
-        ]);
-        Response::json(200, doc.to_string())
+                Value::Obj(fields)
+            })
+            .collect();
+        let mut doc = json_members(&Self::SERIES, self);
+        doc.push(("nodes".to_string(), Value::Arr(nodes)));
+        Value::Obj(doc)
+    }
+
+    /// The same series in Prometheus text exposition, the per-node ones
+    /// labelled `node="<addr>"`.
+    fn to_prometheus(&self) -> String {
+        let mut w = PromWriter::new();
+        w.series(&Self::SERIES, self);
+        let rows = self.nodes.iter().map(|n| (n.node.addr.as_str(), n));
+        w.rows(&NodeView::SERIES, "node", rows.clone());
+        let scraped = rows.filter_map(|(addr, n)| Some((addr, n.scrape.as_ref()?)));
+        w.rows(&SCRAPED, "node", scraped);
+        w.finish()
     }
 }
+
+#[allow(clippy::cast_precision_loss)]
+impl NodeView<'_> {
+    /// The per-node series every node reports.
+    const SERIES: [Series<Self>; 5] = [
+        Series {
+            name: "dram_route_node_up",
+            key: "up",
+            help: "Node liveness (1 up, 0 down).",
+            kind: Kind::Flag(|n| n.node.up.load(Ordering::Relaxed)),
+        },
+        Series {
+            name: "dram_route_ring_points",
+            key: "ring_points",
+            help: "Virtual points this node owns on the consistent-hash ring.",
+            kind: Kind::Gauge(|n| n.ring_points as f64),
+        },
+        Series {
+            name: "dram_route_node_routed_total",
+            key: "routed",
+            help: "Requests forwarded to this node.",
+            kind: Kind::Counter(|n| n.node.routed.get() as f64),
+        },
+        Series {
+            name: "dram_route_node_down_transitions_total",
+            key: "down_transitions",
+            help: "Times this node was marked down.",
+            kind: Kind::Counter(|n| n.node.went_down.get() as f64),
+        },
+        Series {
+            name: "dram_route_backend_stale",
+            key: "stale",
+            help: "Whether this backend's values are last-known (scrape missed).",
+            kind: Kind::Flag(|n| n.scrape.as_ref().is_none_or(|s| s.stale)),
+        },
+    ];
+}
+
+/// The per-node series read from a backend's scrape; a node that has
+/// never been scraped has none of them.
+static SCRAPED: [Series<Scrape>; 3] = [
+    Series {
+        name: "dram_route_backend_requests_total",
+        key: "requests_total",
+        help: "requests_total scraped from this backend (stale=1 if last scrape missed).",
+        kind: Kind::Counter(|s| s.requests_total),
+    },
+    Series {
+        name: "dram_route_backend_cache_hits_total",
+        key: "cache_hits",
+        help: "Engine cache hits scraped from this backend.",
+        kind: Kind::Counter(|s| s.cache_hits),
+    },
+    Series {
+        name: "dram_route_backend_cache_misses_total",
+        key: "cache_misses",
+        help: "Engine cache misses scraped from this backend.",
+        kind: Kind::Counter(|s| s.cache_misses),
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -1304,5 +1291,116 @@ mod tests {
             }
             assert!(routed.iter().all(|&n| n >= 5), "base {base}: {routed:?}");
         }
+    }
+
+    /// Each JSON value of the router's `/metrics` equals its Prometheus
+    /// sample. One state: every counter distinct, one node serving its
+    /// last-known scrape marked stale, one node never scraped and down.
+    #[test]
+    fn json_and_prometheus_report_the_same_values() {
+        use crate::metrics_shape::{prom_samples, Bump};
+        use std::collections::BTreeMap;
+
+        // Bound, then closed: scrapes of both nodes are refused at once.
+        let nodes: Vec<String> = (0..2)
+            .map(|_| {
+                let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+                l.local_addr().expect("local addr").to_string()
+            })
+            .collect();
+        let router = route_serve(
+            "127.0.0.1:0",
+            RouterConfig {
+                nodes: nodes.clone(),
+                probe_interval: Duration::from_secs(60),
+                ..RouterConfig::default()
+            },
+        )
+        .expect("bind router");
+        let shared = Arc::clone(&router.shared);
+        let m = &shared.metrics;
+        let counters = [
+            &m.requests,
+            &m.proxied,
+            &m.retries,
+            &m.failovers,
+            &m.hedges,
+            &m.hedge_wins,
+            &m.bad_gateway,
+            &m.poisoned,
+            &m.stale_scrapes,
+        ];
+        for (i, counter) in counters.into_iter().enumerate() {
+            counter.bump(11 + i as u64);
+        }
+        for (i, node) in shared.nodes.iter().enumerate() {
+            node.routed.bump(21 + i as u64);
+            node.went_down.bump(31 + i as u64);
+        }
+        shared.nodes[1].up.store(false, Ordering::Relaxed);
+        shared.scrapes.lock().expect("scrape cache").insert(
+            0,
+            Scrape {
+                requests_total: 41.0,
+                cache_hits: 42.0,
+                cache_misses: 43.0,
+                stale: false,
+            },
+        );
+
+        let get = |query: &str| Request {
+            method: "GET".into(),
+            path: "/metrics".into(),
+            query: query.into(),
+            headers: HashMap::new(),
+            body: Vec::new(),
+            http11: true,
+        };
+        let json = federated_metrics(&shared, &get("format=json"));
+        let prom = federated_metrics(&shared, &get("format=prometheus"));
+        let doc = Value::parse(&String::from_utf8_lossy(&json.body)).expect("metrics JSON");
+        let prom = String::from_utf8(prom.body).expect("UTF-8 exposition");
+
+        let mut want: BTreeMap<String, f64> = BTreeMap::new();
+        for (key, value) in doc.as_object().expect("document") {
+            match key.as_str() {
+                "uptime_seconds" => {}
+                "nodes" => {
+                    for node in value.as_array().expect("nodes") {
+                        let addr = node.get("addr").and_then(Value::as_str).expect("addr");
+                        for (field, v) in node.as_object().expect("node") {
+                            let family = match field.as_str() {
+                                "addr" => continue,
+                                "up" => "dram_route_node_up",
+                                "ring_points" => "dram_route_ring_points",
+                                "routed" => "dram_route_node_routed_total",
+                                "down_transitions" => "dram_route_node_down_transitions_total",
+                                "stale" => "dram_route_backend_stale",
+                                "requests_total" => "dram_route_backend_requests_total",
+                                "cache_hits" => "dram_route_backend_cache_hits_total",
+                                "cache_misses" => "dram_route_backend_cache_misses_total",
+                                other => panic!("unmapped node field `{other}`"),
+                            };
+                            let v = v
+                                .as_f64()
+                                .or_else(|| v.as_bool().map(|b| f64::from(u8::from(b))))
+                                .expect("scalar");
+                            want.insert(format!("{family}{{node=\"{addr}\"}}"), v);
+                        }
+                    }
+                }
+                key => {
+                    want.insert(format!("dram_route_{key}"), value.as_f64().expect(key));
+                }
+            }
+        }
+        // Rendering scrapes, so the Prometheus render counts its own two
+        // missed scrapes on top of the JSON one's.
+        *want.get_mut("dram_route_stale_scrapes_total").expect("stale scrapes") += 2.0;
+        let mut got = prom_samples(&prom);
+        got.remove("dram_route_uptime_seconds").expect("uptime gauge");
+        assert_eq!(got, want);
+        assert_eq!(want.len(), 11 + 5 * 2 + 3, "{want:?}");
+        router.shutdown();
     }
 }

@@ -324,7 +324,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut workers: Vec<Option<JoinHandle<()>>
                 let _ = handle.join();
             }
             generations[slot] += 1;
-            shared.metrics.record_worker_respawn();
+            shared.metrics.worker_respawns.inc();
             if let Some(line) = shared.logger.line(LogLevel::Error, "worker_respawned") {
                 line.field("slot", slot)
                     .field("generation", generations[slot])
@@ -343,7 +343,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut workers: Vec<Option<JoinHandle<()>>
             let died = handle.join().is_err();
             if died && !shared.lock_queue().is_empty() {
                 generations[slot] += 1;
-                shared.metrics.record_worker_respawn();
+                shared.metrics.worker_respawns.inc();
                 workers[slot] = Some(spawn_worker(shared, slot, generations[slot]));
                 shared.available.notify_all();
             }
@@ -473,7 +473,7 @@ fn reactor_loop(
             for token in expired {
                 if let Some(conn) = parked.remove(&token) {
                     epoll.del(conn.stream.as_raw_fd());
-                    shared.metrics.record_idle_closed();
+                    shared.metrics.idle_closed.inc();
                     journal::record(EventKind::Close, conn.conn, 0, conn.served);
                     shared.conns.remove(conn.conn);
                     if let Some(line) = shared.logger.line(LogLevel::Debug, "idle_closed") {
@@ -625,7 +625,7 @@ fn dispatch_conn(conn: ParkedConn, shared: &Shared, queue_depth: usize) {
 /// by readability, so one nonblocking read drains the request bytes
 /// already here and closing doesn't RST the response away.
 fn reject_busy(mut stream: TcpStream, conn: u64, shared: &Shared, queue_depth: usize) {
-    shared.metrics.record_rejected();
+    shared.metrics.rejected_busy.inc();
     let id = shared.ids.next_id();
     journal::record(EventKind::Response, conn, id.seq, 503);
     let retry_after = shared.metrics.retry_after_secs();
@@ -765,7 +765,7 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                 .commit();
             first_of_dispatch = false;
         } else {
-            shared.metrics.record_pipelined();
+            shared.metrics.pipelined_requests.inc();
         }
         let mut request_span = dram_obs::span("server.request").arg("id", id);
         let inbound =
@@ -773,7 +773,7 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
         let verdict = match inbound {
             Ok(http::Inbound::Buffered { request, leftover }) => {
                 if served > 0 {
-                    shared.metrics.record_keepalive_reuse();
+                    shared.metrics.keepalive_reuses.inc();
                 }
                 serve_buffered(
                     &request,
@@ -793,7 +793,7 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                 mut body,
             }) => {
                 if served > 0 {
-                    shared.metrics.record_keepalive_reuse();
+                    shared.metrics.keepalive_reuses.inc();
                 }
                 let route = Route::classify(request.method.as_str(), request.path.as_str());
                 if route == Route::Trace {
@@ -969,7 +969,7 @@ fn serve_trace_stream(
         match handled {
             Ok(result) => result,
             Err(payload) => {
-                shared.metrics.record_worker_panic();
+                shared.metrics.worker_panics.inc();
                 let message = dram_core::batch::panic_message(payload.as_ref());
                 if let Some(line) = shared.logger.line(LogLevel::Error, "handler_panicked") {
                     line.field("id", id)
@@ -1128,7 +1128,7 @@ fn handle_request(
     match handled {
         Ok(result) => result,
         Err(payload) => {
-            shared.metrics.record_worker_panic();
+            shared.metrics.worker_panics.inc();
             let message = dram_core::batch::panic_message(payload.as_ref());
             if let Some(line) = shared.logger.line(LogLevel::Error, "handler_panicked") {
                 line.field("id", id)
@@ -1151,7 +1151,7 @@ fn handle_request(
 fn shed_response(shared: &Shared, route: Route) -> Option<Response> {
     let watermark = shared.shed_at?;
     if route.expensive() && shared.lock_queue().len() >= watermark {
-        shared.metrics.record_shed();
+        shared.metrics.shed_load.inc();
         let retry_after = shared.metrics.retry_after_secs();
         return Some(
             Response::error(503, "server is shedding expensive requests, retry shortly")
@@ -1238,7 +1238,7 @@ impl ServerHandle {
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
-        self.shared.metrics.total()
+        self.shared.metrics.requests.iter().map(dram_obs::Counter::get).sum()
     }
 }
 
@@ -1294,7 +1294,7 @@ mod tests {
         assert_eq!(reply.status(), 503, "{reply:?}");
         assert_eq!(reply.header("retry-after"), Some("1"), "{reply:?}");
         assert!(reply.header("x-request-id").is_some(), "{reply:?}");
-        assert_eq!(handle.metrics().rejected(), 1);
+        assert_eq!(handle.metrics().rejected_busy.get(), 1);
         handle.shutdown();
     }
 }

@@ -91,8 +91,8 @@ fn injected_handler_panic_is_500_with_id_and_the_pool_recovers() {
 
     // The panic was caught in the handler, not a worker death: counted
     // as a panic, no respawn needed.
-    assert_eq!(server.metrics().worker_panics(), 1);
-    assert_eq!(server.metrics().worker_respawns(), 0);
+    assert_eq!(server.metrics().worker_panics.get(), 1);
+    assert_eq!(server.metrics().worker_respawns.get(), 0);
     assert_eq!(dram_faults::injected_total(), 1);
     server.shutdown();
     dram_faults::disarm();
@@ -117,10 +117,10 @@ fn killed_workers_are_respawned_and_requests_keep_flowing() {
 
     // Respawning is asynchronous; wait for the supervisor to catch up.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while server.metrics().worker_respawns() < 3 && Instant::now() < deadline {
+    while server.metrics().worker_respawns.get() < 3 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
     }
-    let respawns = server.metrics().worker_respawns();
+    let respawns = server.metrics().worker_respawns.get();
     assert!(respawns >= 3, "only {respawns} respawns after 5 kills");
 
     // Disarm and prove the pool is healthy again, then drain cleanly.
@@ -175,7 +175,7 @@ fn queue_reject_burst_is_bounded_and_recovers() {
     }
     let reply = raw_request(addr, "GET", "/healthz", "");
     assert_eq!(reply.status(), 200, "{reply:?}");
-    assert_eq!(server.metrics().rejected(), 2);
+    assert_eq!(server.metrics().rejected_busy.get(), 2);
     assert_eq!(dram_faults::injected_total(), 2);
     server.shutdown();
     dram_faults::disarm();

@@ -75,7 +75,7 @@ fn sequential_requests_share_one_connection() {
     ids.dedup();
     assert_eq!(ids.len(), 6, "every response needs its own x-request-id");
     // Five responses on one connection = four reuses.
-    assert_eq!(server.metrics().keepalive_reuses(), 4);
+    assert_eq!(server.metrics().keepalive_reuses.get(), 4);
     assert_eq!(server.shutdown(), 6);
 }
 
@@ -96,9 +96,9 @@ fn pipelined_requests_are_answered_in_order() {
     // The second request was served from the first one's carry without
     // a reactor round-trip.
     assert!(
-        server.metrics().pipelined_requests() >= 1,
+        server.metrics().pipelined_requests.get() >= 1,
         "pipelined counter: {}",
-        server.metrics().pipelined_requests()
+        server.metrics().pipelined_requests.get()
     );
     assert_eq!(server.shutdown(), 2);
 }
@@ -149,7 +149,7 @@ fn idle_connections_are_closed_by_the_reactor() {
     assert!(at_eof(&mut silent), "silent connection not idle-closed");
     assert!(at_eof(&mut spoke), "parked connection not idle-closed");
     assert!(Instant::now() < patience, "idle close took too long");
-    assert_eq!(server.metrics().idle_closed(), 2);
+    assert_eq!(server.metrics().idle_closed.get(), 2);
     assert_eq!(server.shutdown(), 1);
 }
 
@@ -253,6 +253,6 @@ fn chunked_trace_streaming_keeps_the_connection() {
     let third = read_reply(&mut s);
     assert_eq!(third.status(), 200);
     assert!(at_eof(&mut s));
-    assert_eq!(server.metrics().keepalive_reuses(), 2);
+    assert_eq!(server.metrics().keepalive_reuses.get(), 2);
     assert_eq!(server.shutdown(), 3);
 }

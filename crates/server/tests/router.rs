@@ -2,8 +2,8 @@
 //! 502 path, single-node byte-identical pass-through, the
 //! poison-on-mid-body-failure rule (no retry once a response byte has
 //! been relayed), upstream heads with bad framing never reaching the
-//! client, and the loopback gate on `/debug/*` holding through the
-//! proxy hop.
+//! client, the loopback gate on `/debug/*` holding through the proxy
+//! hop, and the federated `/metrics` in both formats.
 
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -14,6 +14,12 @@ use std::time::Duration;
 use dram_server::client::Conn;
 use dram_server::{route_serve, serve, RouterConfig, ServerConfig};
 use dram_units::json::Value;
+
+#[allow(dead_code)]
+#[path = "support/metrics_shape.rs"]
+mod metrics_shape;
+
+use metrics_shape::{json_shape, prom_headers, prom_label_keys};
 
 /// One close-per-request HTTP exchange; returns (status, body, id).
 fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
@@ -288,4 +294,195 @@ fn debug_gating_holds_through_the_proxy_hop() {
     router.shutdown();
     backend.shutdown();
     dram_obs::journal::configure(0);
+}
+
+/// A router over one live `dram-serve` and one node that refuses every
+/// connection; scrapes get a generous budget so the live one always
+/// answers in time.
+fn live_and_dead_pool() -> (dram_server::ServerHandle, dram_server::RouterHandle) {
+    let backend = serve("127.0.0.1:0", ServerConfig::default()).expect("bind backend");
+    let dead = {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind");
+        l.local_addr().expect("local addr").to_string()
+    };
+    let router = route_serve(
+        "127.0.0.1:0",
+        RouterConfig {
+            nodes: vec![backend.local_addr().to_string(), dead],
+            probe_interval: Duration::from_secs(60),
+            scrape_timeout: Duration::from_secs(5),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+    (backend, router)
+}
+
+/// Key paths and value types of the router's JSON `/metrics`: the live
+/// node carries its scraped values, the dead one `stale: true` only.
+const ROUTER_JSON_SHAPE: &str = "\
+requests_total number
+proxied_total number
+retries_total number
+failovers_total number
+hedges_total number
+hedge_wins_total number
+bad_gateway_total number
+poisoned_total number
+stale_scrapes_total number
+uptime_seconds number
+backend_cache_hits_aggregate number
+backend_cache_misses_aggregate number
+nodes array
+nodes[] object
+nodes[].addr string
+nodes[].up bool
+nodes[].ring_points number
+nodes[].routed number
+nodes[].down_transitions number
+nodes[].stale bool
+nodes[].requests_total number
+nodes[].cache_hits number
+nodes[].cache_misses number
+nodes[] object
+nodes[].addr string
+nodes[].up bool
+nodes[].ring_points number
+nodes[].routed number
+nodes[].down_transitions number
+nodes[].stale bool";
+
+/// `# HELP` / `# TYPE` lines of the router's exposition.
+const ROUTER_PROM_HEADERS: &str = "\
+# HELP dram_route_backend_cache_hits_aggregate Engine cache hits summed over every reachable backend.
+# HELP dram_route_backend_cache_hits_total Engine cache hits scraped from this backend.
+# HELP dram_route_backend_cache_misses_aggregate Engine cache misses summed over every reachable backend.
+# HELP dram_route_backend_cache_misses_total Engine cache misses scraped from this backend.
+# HELP dram_route_backend_requests_total requests_total scraped from this backend (stale=1 if last scrape missed).
+# HELP dram_route_backend_stale Whether this backend's values are last-known (scrape missed).
+# HELP dram_route_bad_gateway_total Requests answered 502 with no backend response.
+# HELP dram_route_failovers_total Requests (or attempts) served off their ring owner.
+# HELP dram_route_hedge_wins_total Hedged attempts whose response won the race.
+# HELP dram_route_hedges_total Hedged second attempts fired after the latency threshold.
+# HELP dram_route_node_down_transitions_total Times this node was marked down.
+# HELP dram_route_node_routed_total Requests forwarded to this node.
+# HELP dram_route_node_up Node liveness (1 up, 0 down).
+# HELP dram_route_poisoned_total Client connections poisoned by a mid-body upstream failure.
+# HELP dram_route_proxied_total Requests answered by a backend through the proxy path.
+# HELP dram_route_requests_total Client requests handled by the router.
+# HELP dram_route_retries_total Upstream attempts beyond the first, per the retry policy.
+# HELP dram_route_ring_points Virtual points this node owns on the consistent-hash ring.
+# HELP dram_route_stale_scrapes_total Backend scrapes that missed the budget and served stale values.
+# HELP dram_route_uptime_seconds Seconds since the router started.
+# TYPE dram_route_backend_cache_hits_aggregate gauge
+# TYPE dram_route_backend_cache_hits_total counter
+# TYPE dram_route_backend_cache_misses_aggregate gauge
+# TYPE dram_route_backend_cache_misses_total counter
+# TYPE dram_route_backend_requests_total counter
+# TYPE dram_route_backend_stale gauge
+# TYPE dram_route_bad_gateway_total counter
+# TYPE dram_route_failovers_total counter
+# TYPE dram_route_hedge_wins_total counter
+# TYPE dram_route_hedges_total counter
+# TYPE dram_route_node_down_transitions_total counter
+# TYPE dram_route_node_routed_total counter
+# TYPE dram_route_node_up gauge
+# TYPE dram_route_poisoned_total counter
+# TYPE dram_route_proxied_total counter
+# TYPE dram_route_requests_total counter
+# TYPE dram_route_retries_total counter
+# TYPE dram_route_ring_points gauge
+# TYPE dram_route_stale_scrapes_total counter
+# TYPE dram_route_uptime_seconds gauge";
+
+/// (family, label keys) of every router sample.
+const ROUTER_PROM_LABEL_KEYS: &str = "\
+dram_route_backend_cache_hits_aggregate {}
+dram_route_backend_cache_hits_total {node}
+dram_route_backend_cache_misses_aggregate {}
+dram_route_backend_cache_misses_total {node}
+dram_route_backend_requests_total {node}
+dram_route_backend_stale {node}
+dram_route_bad_gateway_total {}
+dram_route_failovers_total {}
+dram_route_hedge_wins_total {}
+dram_route_hedges_total {}
+dram_route_node_down_transitions_total {node}
+dram_route_node_routed_total {node}
+dram_route_node_up {node}
+dram_route_poisoned_total {}
+dram_route_proxied_total {}
+dram_route_requests_total {}
+dram_route_retries_total {}
+dram_route_ring_points {node}
+dram_route_stale_scrapes_total {}
+dram_route_uptime_seconds {}";
+
+#[test]
+fn metrics_documents_are_pinned_over_the_wire() {
+    let (backend, router) = live_and_dead_pool();
+    let (status, body, _) = exchange(router.local_addr(), "GET", "/metrics", "");
+    assert_eq!(status, 200, "{body}");
+    let doc = Value::parse(&body).expect("metrics JSON");
+    let shape = json_shape(&doc, &[]).join("\n");
+    assert_eq!(shape, ROUTER_JSON_SHAPE, "actual shape:\n{shape}");
+
+    let (status, prom, _) = exchange(router.local_addr(), "GET", "/metrics?format=prometheus", "");
+    assert_eq!(status, 200, "{prom}");
+    let headers: Vec<String> = prom_headers(&prom, &["dram_route_"]).into_iter().collect();
+    let headers = headers.join("\n");
+    assert_eq!(headers, ROUTER_PROM_HEADERS, "actual headers:\n{headers}");
+    let keys: Vec<String> = prom_label_keys(&prom, &["dram_route_"]).into_iter().collect();
+    let keys = keys.join("\n");
+    assert_eq!(keys, ROUTER_PROM_LABEL_KEYS, "actual label keys:\n{keys}");
+    router.shutdown();
+    backend.shutdown();
+}
+
+/// Sends raw request bytes and reads the reply to close.
+fn raw(addr: SocketAddr, bytes: &[u8]) -> dram_server::client::Reply {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.write_all(bytes).expect("send");
+    Conn::new(s).read_to_close().expect("recv")
+}
+
+#[test]
+fn metrics_serves_both_json_and_prometheus_formats() {
+    let (backend, router) = live_and_dead_pool();
+    let addr = router.local_addr();
+
+    // Query-selected Prometheus exposition.
+    let reply = raw(
+        addr,
+        b"GET /metrics?format=prometheus HTTP/1.1\r\nconnection: close\r\n\r\n",
+    );
+    assert_eq!(reply.status(), 200);
+    assert_eq!(
+        reply.header("content-type"),
+        Some("text/plain; version=0.0.4"),
+        "{reply:?}"
+    );
+    assert!(reply.text().contains("# TYPE dram_route_requests_total counter"), "{}", reply.text());
+
+    // Accept-header negotiation selects Prometheus without a query.
+    let reply = raw(
+        addr,
+        b"GET /metrics HTTP/1.1\r\naccept: text/plain\r\nconnection: close\r\n\r\n",
+    );
+    assert_eq!(
+        reply.header("content-type"),
+        Some("text/plain; version=0.0.4"),
+        "{reply:?}"
+    );
+
+    // Unknown formats are a 400, not a silent default.
+    let reply = raw(
+        addr,
+        b"GET /metrics?format=yaml HTTP/1.1\r\nconnection: close\r\n\r\n",
+    );
+    assert_eq!(reply.status(), 400);
+    assert!(reply.text().contains("unknown metrics format"), "{}", reply.text());
+    router.shutdown();
+    backend.shutdown();
 }

@@ -107,19 +107,22 @@ if [[ $fast -eq 0 ]]; then
       printf "!length %d\n", t+100000
     }'
   } > "$trace_file"
-  exec 3<>"/dev/tcp/127.0.0.1/$port"
-  printf 'POST /v1/trace HTTP/1.1\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n' >&3
-  # One chunk per 1000-byte slice of the trace, then the 0 terminator.
-  split -b 1000 "$trace_file" "$trace_file.chunk."
-  for chunk in "$trace_file".chunk.*; do
-    printf '%x\r\n' "$(wc -c < "$chunk")" >&3
-    cat "$chunk" >&3
-    printf '\r\n' >&3
-  done
-  printf '0\r\n\r\n' >&3
-  trace_reply=$(cat <&3)
-  exec 3<&- 3>&-
-  rm -f "$trace_file" "$trace_file".chunk.*
+  post_trace() { # file — streams it as one chunk per 1000-byte slice, prints the reply
+    local file=$1 chunk
+    exec 3<>"/dev/tcp/127.0.0.1/$port"
+    printf 'POST /v1/trace HTTP/1.1\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n' >&3
+    split -b 1000 "$file" "$file.chunk."
+    for chunk in "$file".chunk.*; do
+      printf '%x\r\n' "$(wc -c < "$chunk")" >&3
+      cat "$chunk" >&3
+      printf '\r\n' >&3
+    done
+    printf '0\r\n\r\n' >&3
+    cat <&3
+    exec 3<&- 3>&-
+    rm -f "$file".chunk.*
+  }
+  trace_reply=$(post_trace "$trace_file")
   [[ "${trace_reply:0:12}" == "HTTP/1.1 200" ]] \
     || { echo "    POST /v1/trace -> ${trace_reply:0:12} (want 200)"; exit 1; }
   grep -q '"commands":1004,' <<<"$trace_reply" \
@@ -127,6 +130,19 @@ if [[ $fast -eq 0 ]]; then
   grep -q '"self_refresh":{"cycles":' <<<"$trace_reply" \
     || { echo "    /v1/trace reply has no self_refresh breakdown"; exit 1; }
   echo "    POST /v1/trace (chunked) -> 200 (1004 commands, self-refresh billed)"
+  # The same trace in a second spelling the decoder accepts: CRLF line
+  # ends, tab separators, upper- and mixed-case mnemonics and aliases.
+  # The report must not change, apart from trace_bytes.
+  respelled="$trace_file.respelled"
+  awk '{ sub(/ act /, " ACT "); sub(/ pre /, " Precharge "); sub(/ rd /, " READ ")
+         sub(/ wr /, " Write "); gsub(/ /, "\t"); printf "%s\r\n", $0 }' "$trace_file" > "$respelled"
+  grep -q $'\tPrecharge\t' "$respelled" || { echo "    the trace was not respelled"; exit 1; }
+  respelled_reply=$(post_trace "$respelled")
+  rm -f "$trace_file" "$respelled"
+  report() { sed 's/"trace_bytes":[0-9]*,//' <<<"${1#*$'\r\n\r\n'}"; }
+  [[ "$(report "$trace_reply")" == "$(report "$respelled_reply")" ]] \
+    || { echo "    respelled /v1/trace reply differs: ${respelled_reply##*$'\r\n\r\n'}"; exit 1; }
+  echo "    POST /v1/trace (CRLF, tabs, ACT/Precharge/READ/Write) -> the same report"
 
   # After traffic, /metrics must surface at least one slow-request sample
   # (with its request id) for the evaluate route.

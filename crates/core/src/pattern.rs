@@ -67,23 +67,52 @@ impl Command {
         }
     }
 
-    /// Parses one mnemonic. Accepts the paper's spellings plus common
-    /// aliases (`read`, `write`, `wr`, `activate`, `precharge`).
+    /// Every spelling [`Command::from_mnemonic`] accepts, lower-case:
+    /// the paper's mnemonics plus common aliases.
+    const SPELLINGS: [(&'static str, Command); 16] = [
+        ("act", Command::Activate),
+        ("activate", Command::Activate),
+        ("pre", Command::Precharge),
+        ("precharge", Command::Precharge),
+        ("rd", Command::Read),
+        ("read", Command::Read),
+        ("wrt", Command::Write),
+        ("wr", Command::Write),
+        ("write", Command::Write),
+        ("nop", Command::Nop),
+        ("-", Command::Nop),
+        ("pde", Command::PowerDownEnter),
+        ("pdx", Command::PowerDownExit),
+        ("sre", Command::SelfRefreshEnter),
+        ("srx", Command::SelfRefreshExit),
+        ("ref", Command::Refresh),
+    ];
+
+    /// Parses one mnemonic, ignoring ASCII case. Accepts the paper's
+    /// spellings plus common aliases (`read`, `write`, `wr`, `activate`,
+    /// `precharge`). Allocates nothing.
     #[must_use]
     pub fn from_mnemonic(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "act" | "activate" => Some(Command::Activate),
-            "pre" | "precharge" => Some(Command::Precharge),
-            "rd" | "read" => Some(Command::Read),
-            "wrt" | "wr" | "write" => Some(Command::Write),
-            "nop" | "-" => Some(Command::Nop),
-            "pde" => Some(Command::PowerDownEnter),
-            "pdx" => Some(Command::PowerDownExit),
-            "sre" => Some(Command::SelfRefreshEnter),
-            "srx" => Some(Command::SelfRefreshExit),
-            "ref" => Some(Command::Refresh),
-            _ => None,
-        }
+        Self::from_mnemonic_bytes(s.as_bytes())
+    }
+
+    /// [`Command::from_mnemonic`] for a token a byte-level parser has
+    /// not turned into `str`; bytes outside ASCII never match.
+    #[must_use]
+    #[inline]
+    pub fn from_mnemonic_bytes(token: &[u8]) -> Option<Self> {
+        // Byte by byte rather than `<[u8]>::eq_ignore_ascii_case`, which
+        // calls an out-of-line std helper for every entry it compares.
+        Self::SPELLINGS
+            .iter()
+            .find(|(spelling, _)| {
+                spelling.len() == token.len()
+                    && spelling
+                        .bytes()
+                        .zip(token)
+                        .all(|(s, t)| s == t.to_ascii_lowercase())
+            })
+            .map(|&(_, command)| command)
     }
 
     /// Whether this command only moves the CKE power state (power-down
@@ -289,6 +318,20 @@ mod tests {
             assert_eq!(Command::from_mnemonic(cmd.mnemonic()), Some(cmd));
         }
         assert_eq!(Command::from_mnemonic("bogus"), None);
+        for (spelling, cmd) in [
+            ("ACT", Command::Activate),
+            ("PreCharge", Command::Precharge),
+            ("READ", Command::Read),
+            ("Wr", Command::Write),
+            ("WRITE", Command::Write),
+            ("-", Command::Nop),
+        ] {
+            assert_eq!(Command::from_mnemonic(spelling), Some(cmd), "{spelling}");
+            assert_eq!(Command::from_mnemonic_bytes(spelling.as_bytes()), Some(cmd));
+        }
+        for bogus in [&b"ac"[..], b"acts", b"", b"act\xff", b"\xc3\xa4ct"] {
+            assert_eq!(Command::from_mnemonic_bytes(bogus), None, "{bogus:?}");
+        }
     }
 
     #[test]

@@ -223,6 +223,18 @@ fn trace_errors_carry_kind_and_line_over_the_wire() {
     let doc = dram_units::json::Value::parse(&body).expect("error JSON");
     assert_eq!(doc.get("kind").and_then(|v| v.as_str()), Some("syntax"));
     assert_eq!(doc.get("line").and_then(|v| v.as_f64()), Some(3.0));
+    assert_eq!(
+        doc.get("error").and_then(|v| v.as_str()),
+        Some(r#"line 3: bad cycle "bogus""#)
+    );
+    // The error example of docs/TRACES.md, byte for byte.
+    let payload = b"!preset ddr3_1g_x16_55nm\n0 act 0\n12 rdx 0\n";
+    let (status, body) = buffered(addr, "/v1/trace", payload);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(
+        body,
+        r#"{"error":"line 3: unknown command \"rdx\"","kind":"syntax","line":3}"#
+    );
     // A state-machine violation: refresh while self-refreshing.
     let payload = b"!preset ddr3_1g_x16_55nm\n0 sre\n100 ref\n";
     let (status, body) = buffered(addr, "/v1/trace", payload);
@@ -253,6 +265,36 @@ fn trace_errors_carry_kind_and_line_over_the_wire() {
     // The worker survived every rejection.
     let reply = raw(addr, b"GET /healthz HTTP/1.1\r\nconnection: close\r\n\r\n");
     assert_eq!(reply.status(), 200, "{reply:?}");
+    server.shutdown();
+}
+
+/// An over-long line is `line_too_long` at its own line whether the
+/// body arrives buffered (one decoder chunk) or chunked on the wire.
+#[test]
+fn over_long_lines_are_refused_whatever_the_framing() {
+    let server = start(1);
+    let addr = server.local_addr();
+    let mut payload = b"!preset ddr3_1g_x16_55nm\n0 act 0\n10 pre 0".to_vec();
+    payload.resize(payload.len() + 300, b' ');
+    payload.extend_from_slice(b"\n20 act 1\n");
+    let expected = format!(
+        r#"{{"error":"line 3: line exceeds {} bytes","kind":"line_too_long","line":3}}"#,
+        TraceDecoder::MAX_LINE_BYTES
+    );
+    let (status, body) = buffered(addr, "/v1/trace", &payload);
+    assert_eq!(
+        (status, body.as_str()),
+        (400, expected.as_str()),
+        "buffered"
+    );
+    for chunk in [64, 150] {
+        let (status, body) = chunked(addr, "/v1/trace", &payload, chunk);
+        assert_eq!(
+            (status, body.as_str()),
+            (400, expected.as_str()),
+            "chunked by {chunk}"
+        );
+    }
     server.shutdown();
 }
 

@@ -167,17 +167,45 @@ pub enum TraceEvent {
 /// Memory is O(1): the only buffered state is the partial last line,
 /// bounded by [`Self::MAX_LINE_BYTES`].
 ///
-/// Grammar (one event per line, `#` comments and blank lines ignored):
+/// Grammar: one event per line; blank lines and lines that start with
+/// `#` are skipped, and a `#` later in a line is not a comment. A
+/// command line is `cycle mnemonic [bank]`, its tokens separated by
+/// ASCII whitespace: a `u64` cycle and a `u32` bank in decimal, each
+/// with an optional leading `+`, and any ASCII-case spelling that
+/// [`Command::from_mnemonic`] accepts.
 ///
-/// ```text
-/// !preset ddr3_1g_x16_55nm        # device selection
-/// !policy aggressive              # or: never | <thr> <exit> [<sr_thr> <sr_exit>]
-/// !length 100000                  # declared trace length in cycles
-/// 0 act 0                         # cycle mnemonic [bank]
-/// 12 rd 0
-/// 28 pre 0
-/// 40 pde                          # CKE-low entry (no bank operand)
-/// 900 pdx
+/// ```
+/// use dram_workload::{PowerDownPolicy, TraceDecoder, TraceEvent};
+///
+/// let trace = [
+///     "# device selection",
+///     "!preset ddr3_1g_x16_55nm",
+///     "# never | aggressive | <thr> <exit> [<sr_thr> <sr_exit>]",
+///     "!policy aggressive",
+///     "# declared trace length in cycles",
+///     "!length 100000",
+///     "# cycle mnemonic [bank]",
+///     "0 act 0",
+///     "12 rd 0",
+///     "28 pre 0",
+///     "# CKE-low entry and exit (no bank operand)",
+///     "40 pde",
+///     "900 pdx",
+/// ]
+/// .join("\n");
+/// let mut events = Vec::new();
+/// let mut sink = |event: TraceEvent| {
+///     events.push(event);
+///     Ok(())
+/// };
+/// let mut decoder = TraceDecoder::new();
+/// decoder.feed(trace.as_bytes(), &mut sink)?;
+/// decoder.finish(&mut sink)?;
+/// assert_eq!(events.len(), 8);
+/// assert_eq!(events[0], TraceEvent::Preset("ddr3_1g_x16_55nm".into()));
+/// assert_eq!(events[1], TraceEvent::Policy(PowerDownPolicy::AGGRESSIVE));
+/// assert_eq!(events[2], TraceEvent::Length(100_000));
+/// # Ok::<(), dram_workload::TraceError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceDecoder {
@@ -188,7 +216,8 @@ pub struct TraceDecoder {
 }
 
 impl TraceDecoder {
-    /// Longest accepted line, which bounds the decoder's memory.
+    /// Longest accepted line, newline excluded, which bounds the
+    /// decoder's memory. Every line is held to it, whatever the chunking.
     pub const MAX_LINE_BYTES: usize = 256;
 
     /// A fresh decoder.
@@ -229,24 +258,20 @@ impl TraceDecoder {
         self.bytes += chunk.len() as u64;
         trace_bytes_total().add(chunk.len() as u64);
         let mut rest = chunk;
-        while let Some(pos) = rest.iter().position(|&b| b == b'\n') {
-            let (head, tail) = rest.split_at(pos);
-            rest = &tail[1..];
-            if self.carry.is_empty() {
-                self.parse_line(head, sink)?;
-            } else {
-                self.check_line_budget(head.len())?;
-                let mut carried = core::mem::take(&mut self.carry);
-                carried.extend_from_slice(head);
-                let result = self.parse_line(&carried, sink);
-                carried.clear();
-                self.carry = carried;
-                result?;
-            }
+        if !self.carry.is_empty() {
+            // Complete the line the previous chunk left open.
+            let Some(end) = newline(rest, 0) else {
+                return self.stash(rest);
+            };
+            self.stash(&rest[..end])?;
+            rest = &rest[end + 1..];
+            self.decode_carry(sink)?;
         }
-        self.check_line_budget(rest.len())?;
-        self.carry.extend_from_slice(rest);
-        Ok(())
+        while let Some((event, len)) = self.next_line(rest)? {
+            self.emit(event, sink)?;
+            rest = &rest[len..];
+        }
+        self.stash(rest)
     }
 
     /// Flushes a final line that arrived without a trailing newline.
@@ -261,45 +286,98 @@ impl TraceDecoder {
         if self.carry.is_empty() {
             return Ok(());
         }
-        let mut carried = core::mem::take(&mut self.carry);
-        let result = self.parse_line(&carried, sink);
-        carried.clear();
-        self.carry = carried;
-        result
+        self.decode_carry(sink)
     }
 
-    fn check_line_budget(&self, incoming: usize) -> Result<(), TraceError> {
-        if self.carry.len() + incoming > Self::MAX_LINE_BYTES {
+    /// Buffers the start of a line still awaiting its newline.
+    fn stash(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
+        self.check_line_budget(self.carry.len() + bytes.len())?;
+        self.carry.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn check_line_budget(&self, len: usize) -> Result<(), TraceError> {
+        if len > Self::MAX_LINE_BYTES {
             return Err(TraceError::at(
                 self.line + 1,
                 TraceErrorKind::LineTooLong,
-                format!(
-                    "line exceeds {} bytes",
-                    Self::MAX_LINE_BYTES
-                ),
+                format!("line exceeds {} bytes", Self::MAX_LINE_BYTES),
             ));
         }
         Ok(())
     }
 
-    fn parse_line<F>(&mut self, raw: &[u8], sink: &mut F) -> Result<(), TraceError>
+    /// Decodes the carried line, ended with a newline here so that a
+    /// final line without one decodes like every other line.
+    fn decode_carry<F>(&mut self, sink: &mut F) -> Result<(), TraceError>
     where
         F: FnMut(TraceEvent) -> Result<(), TraceError>,
     {
-        self.line += 1;
-        let line = self.line;
-        let text = core::str::from_utf8(raw)
-            .map_err(|_| TraceError::at(line, TraceErrorKind::Syntax, "line is not UTF-8"))?;
-        let text = text.trim();
-        if text.is_empty() || text.starts_with('#') {
-            return Ok(());
+        let mut carried = core::mem::take(&mut self.carry);
+        carried.push(b'\n');
+        let decoded = self.next_line(&carried);
+        carried.clear();
+        self.carry = carried;
+        match decoded? {
+            Some((event, _)) => self.emit(event, sink),
+            None => Ok(()),
         }
-        let event = if let Some(directive) = text.strip_prefix('!') {
-            Self::parse_directive(line, directive)?
-        } else {
-            self.parse_command(line, text)?
+    }
+
+    /// Hands an event to the sink, stamping its errors with the line.
+    fn emit<F>(&self, event: Option<TraceEvent>, sink: &mut F) -> Result<(), TraceError>
+    where
+        F: FnMut(TraceEvent) -> Result<(), TraceError>,
+    {
+        match event {
+            Some(event) => sink(event).map_err(|e| e.with_line(self.line)),
+            None => Ok(()),
+        }
+    }
+
+    /// Decodes the line at the start of `bytes`: its event, if it has
+    /// one, and its length with the newline. `None` while `bytes` holds
+    /// no newline.
+    fn next_line(
+        &mut self,
+        bytes: &[u8],
+    ) -> Result<Option<(Option<TraceEvent>, usize)>, TraceError> {
+        let (scanned, at) = scan_line(bytes);
+        let Some(end) = newline(bytes, at) else {
+            return Ok(None);
         };
-        sink(event).map_err(|e| e.with_line(line))
+        self.check_line_budget(end)?;
+        self.line += 1;
+        let event = match scanned {
+            Scanned::Command(command) => Some(self.in_order(command)?),
+            Scanned::Other => Self::parse_other(self.line, &bytes[..end])?,
+            Scanned::Malformed(fault) => return Err(fault.error(self.line, &bytes[..end], at)),
+        };
+        Ok(Some((event, end + 1)))
+    }
+
+    /// Passes a command on unless its cycle goes backwards.
+    fn in_order(&mut self, command: TraceCommand) -> Result<TraceEvent, TraceError> {
+        if let Some(last) = self.last_cycle {
+            if command.cycle < last {
+                return Err(TraceError::at(
+                    self.line,
+                    TraceErrorKind::NonMonotonicCycle,
+                    format!("cycle {} after cycle {last}", command.cycle),
+                ));
+            }
+        }
+        self.last_cycle = Some(command.cycle);
+        Ok(TraceEvent::Command(command))
+    }
+
+    /// A blank, `#` comment or `!` directive line.
+    fn parse_other(line: u64, raw: &[u8]) -> Result<Option<TraceEvent>, TraceError> {
+        let text = line_text(line, raw)?.trim();
+        match text.strip_prefix('!') {
+            Some(directive) => Self::parse_directive(line, directive).map(Some),
+            None => Ok(None),
+        }
     }
 
     fn parse_directive(line: u64, directive: &str) -> Result<TraceEvent, TraceError> {
@@ -358,44 +436,148 @@ impl TraceDecoder {
             )),
         }
     }
+}
 
-    fn parse_command(&mut self, line: u64, text: &str) -> Result<TraceEvent, TraceError> {
-        let syntax = |m: String| TraceError::at(line, TraceErrorKind::Syntax, m);
-        let mut tokens = text.split_whitespace();
-        let cycle_tok = tokens.next().unwrap_or("");
-        let cycle = cycle_tok
-            .parse::<u64>()
-            .map_err(|_| syntax(format!("bad cycle {cycle_tok:?}")))?;
-        let mnemonic = tokens
-            .next()
-            .ok_or_else(|| syntax("missing command mnemonic".into()))?;
-        let command = Command::from_mnemonic(mnemonic)
-            .ok_or_else(|| syntax(format!("unknown command {mnemonic:?}")))?;
-        let bank = match tokens.next() {
-            Some(b) => b
-                .parse::<u32>()
-                .map_err(|_| syntax(format!("bad bank {b:?}")))?,
-            None => 0,
+/// A line's bytes as text; a line that is not UTF-8 is a `syntax` error.
+fn line_text(line: u64, raw: &[u8]) -> Result<&str, TraceError> {
+    core::str::from_utf8(raw)
+        .map_err(|_| TraceError::at(line, TraceErrorKind::Syntax, "line is not UTF-8"))
+}
+
+/// What one scan of a line found.
+#[derive(Debug, Clone, Copy)]
+enum Scanned {
+    /// A well-formed `cycle mnemonic [bank]` command.
+    Command(TraceCommand),
+    /// A blank, `#` comment or `!` directive line.
+    Other,
+    /// A command line that breaks the grammar.
+    Malformed(Fault),
+}
+
+/// How a command line breaks the grammar.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    BadCycle,
+    MissingMnemonic,
+    UnknownCommand,
+    BadBank,
+    TrailingTokens,
+}
+
+impl Fault {
+    /// The `syntax` error for the command line `raw` whose scan stopped
+    /// at the token at `at`: formatted only once a line has failed.
+    #[cold]
+    fn error(self, line: u64, raw: &[u8], at: usize) -> TraceError {
+        let text = match line_text(line, raw) {
+            Ok(text) => text,
+            Err(e) => return e,
         };
-        if tokens.next().is_some() {
-            return Err(syntax(format!("trailing tokens after {text:?}")));
-        }
-        if let Some(last) = self.last_cycle {
-            if cycle < last {
-                return Err(TraceError::at(
-                    line,
-                    TraceErrorKind::NonMonotonicCycle,
-                    format!("cycle {cycle} after cycle {last}"),
-                ));
-            }
-        }
-        self.last_cycle = Some(cycle);
-        Ok(TraceEvent::Command(TraceCommand {
-            cycle,
-            bank,
-            command,
-        }))
+        // A token starts at the line's start or after an ASCII byte, and
+        // ends at an ASCII byte or the line's end: both are char
+        // boundaries.
+        let token = &text[at..token_end(raw, at)];
+        let message = match self {
+            Fault::BadCycle => format!("bad cycle {token:?}"),
+            Fault::MissingMnemonic => "missing command mnemonic".to_owned(),
+            Fault::UnknownCommand => format!("unknown command {token:?}"),
+            Fault::BadBank => format!("bad bank {token:?}"),
+            Fault::TrailingTokens => format!(
+                "trailing tokens after {:?}",
+                text.trim_matches(|c| u8::try_from(c).is_ok_and(is_space))
+            ),
+        };
+        TraceError::at(line, TraceErrorKind::Syntax, message)
     }
+}
+
+/// The six ASCII bytes `char::is_whitespace` accepts: the newline ends
+/// a line, the other five separate its tokens.
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// The offset of the first byte at or after `i` that is not a token
+/// separator.
+fn skip_spaces(bytes: &[u8], mut i: usize) -> usize {
+    while bytes.get(i).is_some_and(|&b| b != b'\n' && is_space(b)) {
+        i += 1;
+    }
+    i
+}
+
+/// The offset of the whitespace byte that ends the token at `i`, or the
+/// length of `bytes` if none does.
+fn token_end(bytes: &[u8], i: usize) -> usize {
+    bytes[i..]
+        .iter()
+        .position(|&b| is_space(b))
+        .map_or(bytes.len(), |n| i + n)
+}
+
+/// The offset of the first newline at or after `i`.
+fn newline(bytes: &[u8], i: usize) -> Option<usize> {
+    bytes[i..].iter().position(|&b| b == b'\n').map(|n| i + n)
+}
+
+/// The decimal token at `i` read as `str::parse::<u64>` reads it (an
+/// optional `+`, then digits, without overflow), and the offset of the
+/// whitespace byte that ends it. `None` if the token is no such number
+/// or runs off the end of `bytes`.
+fn decimal(bytes: &[u8], i: usize) -> Option<(u64, usize)> {
+    let first = i + usize::from(bytes.get(i) == Some(&b'+'));
+    let mut i = first;
+    let mut value = 0u64;
+    while let Some(&b) = bytes.get(i) {
+        if !b.is_ascii_digit() {
+            break;
+        }
+        value = value.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        i += 1;
+    }
+    (i > first && bytes.get(i).is_some_and(|&b| is_space(b))).then_some((value, i))
+}
+
+/// Scans the line at the start of `bytes` in one pass. Returns what the
+/// line holds and the offset the scan stopped at: the newline after a
+/// command, else the token that settled the verdict, with the line's
+/// newline at or after it. A scan that runs off the end of `bytes`
+/// stops there, where no newline follows, so the line waits for more.
+fn scan_line(bytes: &[u8]) -> (Scanned, usize) {
+    let start = skip_spaces(bytes, 0);
+    if matches!(bytes.get(start), Some(b'\n' | b'#' | b'!')) {
+        return (Scanned::Other, start);
+    }
+    let Some((cycle, i)) = decimal(bytes, start) else {
+        return (Scanned::Malformed(Fault::BadCycle), start);
+    };
+    let word = skip_spaces(bytes, i);
+    if bytes.get(word) == Some(&b'\n') {
+        return (Scanned::Malformed(Fault::MissingMnemonic), word);
+    }
+    let i = token_end(bytes, word);
+    let Some(command) = Command::from_mnemonic_bytes(&bytes[word..i]) else {
+        return (Scanned::Malformed(Fault::UnknownCommand), word);
+    };
+    let mut at = skip_spaces(bytes, i);
+    let mut bank = 0;
+    if bytes.get(at) != Some(&b'\n') {
+        let Some((Ok(value), i)) = decimal(bytes, at).map(|(v, i)| (u32::try_from(v), i)) else {
+            return (Scanned::Malformed(Fault::BadBank), at);
+        };
+        bank = value;
+        at = skip_spaces(bytes, i);
+        if bytes.get(at) != Some(&b'\n') {
+            return (Scanned::Malformed(Fault::TrailingTokens), at);
+        }
+    }
+    let command = TraceCommand {
+        cycle,
+        bank,
+        command,
+    };
+    (Scanned::Command(command), at)
 }
 
 fn parse_u64(line: u64, what: &str, token: &str) -> Result<u64, TraceError> {
@@ -912,6 +1094,107 @@ mod tests {
         let long = vec![b'x'; 2 * TraceDecoder::MAX_LINE_BYTES];
         let err = decode_all(&long, 64).unwrap_err();
         assert_eq!(err.kind, TraceErrorKind::LineTooLong);
+        // Every complete line is held to the budget however the bytes
+        // were split, a single chunk included: a command padded with
+        // spaces, a long comment, and garbage that would otherwise be a
+        // syntax error.
+        let padded = [&b"0 act 0"[..], &[b' '; 300], b"\n"].concat();
+        let comment = [&b"0 act 0\n#"[..], &[b'c'; 5_000], b"\n"].concat();
+        let garbage = [&long[..], b"\n"].concat();
+        for (input, line) in [(&padded, 1), (&comment, 2), (&garbage, 1)] {
+            for chunk in [64, 150, input.len()] {
+                let err = decode_all(input, chunk).unwrap_err();
+                assert_eq!(err.kind, TraceErrorKind::LineTooLong, "chunk {chunk}");
+                assert_eq!(err.line, line, "chunk {chunk}");
+            }
+        }
+    }
+
+    /// Each way a command line can break the grammar, with the exact
+    /// message it gets.
+    #[test]
+    fn malformed_command_lines_get_exact_messages() {
+        for (text, message) in [
+            (&b"x act 0"[..], r#"bad cycle "x""#),
+            (b"+ act 0", r#"bad cycle "+""#),
+            (b"-5 act 0", r#"bad cycle "-5""#),
+            (b"5act 0", r#"bad cycle "5act""#),
+            (
+                b"18446744073709551616 act",
+                r#"bad cycle "18446744073709551616""#,
+            ),
+            (b"5", "missing command mnemonic"),
+            (b" 5 \t ", "missing command mnemonic"),
+            (b"5 rdx 0", r#"unknown command "rdx""#),
+            (b"5 act 4294967296", r#"bad bank "4294967296""#),
+            (b"5 act # note", r##"bad bank "#""##),
+            (b"5 act 0 x", r#"trailing tokens after "5 act 0 x""#),
+            (b"\t5 act 0 x \r", r#"trailing tokens after "5 act 0 x""#),
+            (b"5 act\xff 0", "line is not UTF-8"),
+            (b"# comment \xff", "line is not UTF-8"),
+        ] {
+            let input = [&b"0 nop\n"[..], text, b"\n"].concat();
+            let err = decode_all(&input, input.len()).unwrap_err();
+            assert_eq!(err.kind, TraceErrorKind::Syntax, "{text:?}");
+            assert_eq!(err.line, 2, "{text:?}");
+            assert_eq!(err.message, message, "{text:?}");
+            assert_eq!(reference_decode(&input).1, Some(err), "{text:?}");
+        }
+    }
+
+    /// The lexical rules: any of the five in-line ASCII whitespace bytes
+    /// separate tokens, CRLF ends lines, numbers take a leading `+`, and
+    /// mnemonics and their aliases match in any ASCII case.
+    #[test]
+    fn decoder_accepts_ascii_whitespace_signs_and_any_case() {
+        let text =
+            b"\t+0\x0bACT\x0c+2\r\n 12 Read 2 \r\n28\tPreCharge\t2\n40 PDE\n\x0b\r\n44 pdx\n";
+        let command = |cycle, command, bank| {
+            TraceEvent::Command(TraceCommand {
+                cycle,
+                bank,
+                command,
+            })
+        };
+        let expected = vec![
+            command(0, Command::Activate, 2),
+            command(12, Command::Read, 2),
+            command(28, Command::Precharge, 2),
+            command(40, Command::PowerDownEnter, 0),
+            command(44, Command::PowerDownExit, 0),
+        ];
+        for chunk in [1, 3, text.len()] {
+            assert_eq!(decode_all(text, chunk).expect("decodes"), expected);
+        }
+        assert_eq!(reference_decode(text), (expected, None));
+    }
+
+    /// The grammar example of docs/TRACES.md decodes as written.
+    #[test]
+    fn documented_grammar_example_decodes() {
+        let doc = include_str!("../../../docs/TRACES.md");
+        let grammar = &doc[doc.find("## Trace grammar").expect("grammar section")..];
+        let start = grammar.find("```text\n").expect("example block") + "```text\n".len();
+        let end = start + grammar[start..].find("```").expect("end of the example");
+        let events = decode_all(&grammar.as_bytes()[start..end], 7).expect("decodes");
+        assert_eq!(events.len(), 11);
+    }
+
+    /// Only ASCII whitespace separates command tokens: a line split by
+    /// U+3000 and U+00A0, which the `str` reference splits, is one
+    /// malformed cycle token.
+    #[test]
+    fn non_ascii_whitespace_does_not_separate_command_tokens() {
+        let text = "0 act 0\n5\u{3000}act\u{a0}3\n";
+        let err = decode_all(text.as_bytes(), text.len()).unwrap_err();
+        assert_eq!(err.kind, TraceErrorKind::Syntax);
+        assert_eq!(err.line, 2);
+        assert_eq!(
+            err.message,
+            format!("bad cycle {:?}", "5\u{3000}act\u{a0}3")
+        );
+        let (events, error) = reference_decode(text.as_bytes());
+        assert_eq!((events.len(), error), (2, None));
     }
 
     #[test]
@@ -1275,6 +1558,257 @@ mod tests {
                 offset = end;
             }
             let _ = decoder.finish(&mut sink);
+        }
+    }
+
+    /// The `str` command-line parser the decoder ran before its byte
+    /// scan, kept as the reference the scan is tested against: Unicode
+    /// `split_whitespace`, `str::parse` and [`Command::from_mnemonic`].
+    fn parse_command(
+        line: u64,
+        text: &str,
+        last_cycle: &mut Option<u64>,
+    ) -> Result<TraceEvent, TraceError> {
+        let syntax = |m: String| TraceError::at(line, TraceErrorKind::Syntax, m);
+        let mut tokens = text.split_whitespace();
+        let cycle_tok = tokens.next().unwrap_or("");
+        let cycle = cycle_tok
+            .parse::<u64>()
+            .map_err(|_| syntax(format!("bad cycle {cycle_tok:?}")))?;
+        let mnemonic = tokens
+            .next()
+            .ok_or_else(|| syntax("missing command mnemonic".into()))?;
+        let command = Command::from_mnemonic(mnemonic)
+            .ok_or_else(|| syntax(format!("unknown command {mnemonic:?}")))?;
+        let bank = match tokens.next() {
+            Some(b) => b
+                .parse::<u32>()
+                .map_err(|_| syntax(format!("bad bank {b:?}")))?,
+            None => 0,
+        };
+        if tokens.next().is_some() {
+            return Err(syntax(format!("trailing tokens after {text:?}")));
+        }
+        if let Some(last) = *last_cycle {
+            if cycle < last {
+                return Err(TraceError::at(
+                    line,
+                    TraceErrorKind::NonMonotonicCycle,
+                    format!("cycle {cycle} after cycle {last}"),
+                ));
+            }
+        }
+        *last_cycle = Some(cycle);
+        Ok(TraceEvent::Command(TraceCommand {
+            cycle,
+            bank,
+            command,
+        }))
+    }
+
+    /// The `str` decoder fed `input` whole, with the line budget held on
+    /// every line: per line a `str::from_utf8` pass, a Unicode `trim`,
+    /// then the directive parser or [`parse_command`]. Returns the
+    /// events before the first error, and that error.
+    fn reference_decode(input: &[u8]) -> (Vec<TraceEvent>, Option<TraceError>) {
+        let mut events = Vec::new();
+        let mut last_cycle = None;
+        let lines: Vec<&[u8]> = input.split(|&b| b == b'\n').collect();
+        for (i, raw) in lines.iter().enumerate() {
+            let line = i as u64 + 1;
+            if i + 1 == lines.len() && raw.is_empty() {
+                break;
+            }
+            let parsed = if raw.len() > TraceDecoder::MAX_LINE_BYTES {
+                Err(TraceError::at(
+                    line,
+                    TraceErrorKind::LineTooLong,
+                    format!("line exceeds {} bytes", TraceDecoder::MAX_LINE_BYTES),
+                ))
+            } else {
+                core::str::from_utf8(raw)
+                    .map_err(|_| TraceError::at(line, TraceErrorKind::Syntax, "line is not UTF-8"))
+                    .and_then(|text| {
+                        let text = text.trim();
+                        if text.is_empty() || text.starts_with('#') {
+                            Ok(None)
+                        } else if let Some(directive) = text.strip_prefix('!') {
+                            TraceDecoder::parse_directive(line, directive).map(Some)
+                        } else {
+                            parse_command(line, text, &mut last_cycle).map(Some)
+                        }
+                    })
+            };
+            match parsed {
+                Ok(event) => events.extend(event),
+                Err(e) => return (events, Some(e)),
+            }
+        }
+        (events, None)
+    }
+
+    /// Seeded differential fuzz: the byte scan, fed at random split
+    /// points, emits exactly the reference's events and first error
+    /// (kind, line and message) on trace-shaped inputs — every number,
+    /// sign, mnemonic and alias in mixed case, all six ASCII whitespace
+    /// bytes, comments, directives, over-long numbers and lines — after
+    /// bit flips and stray high bytes. Inputs holding non-ASCII
+    /// whitespace are skipped: only ASCII whitespace separates command
+    /// tokens now.
+    #[test]
+    fn fuzz_decoder_matches_str_reference() {
+        const SPACES: [u8; 6] = [b' ', b'\t', b'\n', 0x0b, 0x0c, b'\r'];
+        let words: Vec<&str> =
+            "act activate pre precharge rd read wrt wr write nop - pde pdx sre srx ref rdx ac acts bogus # !"
+                .split(' ')
+                .collect();
+        const DIRECTIVES: [&str; 10] = [
+            "!preset ddr3_1g_x16_55nm",
+            "!policy aggressive",
+            "!policy never",
+            "!policy 32 8",
+            "!policy 32 8 1000 100",
+            "!length 100000",
+            "!length +7 8",
+            "!teleport now",
+            "! length 5",
+            "!preset",
+        ];
+        let mut state = 0xd1ff_5eed_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let space = |input: &mut Vec<u8>, next: &mut dyn FnMut() -> usize| {
+            // Mostly in-line separators, now and then a newline.
+            input.push(match SPACES[next() % SPACES.len()] {
+                b'\n' if !next().is_multiple_of(4) => b' ',
+                byte => byte,
+            });
+        };
+        let (mut skipped, mut clean, mut kinds) = (0, 0, Vec::new());
+        for case in 0..10_000 {
+            let mut input = Vec::new();
+            let mut cycle = 0u64;
+            for _ in 0..next() % 24 {
+                match next() % 16 {
+                    0 => input.extend_from_slice(b"# a comment, 0 act 0"),
+                    1 => input.extend_from_slice(DIRECTIVES[next() % DIRECTIVES.len()].as_bytes()),
+                    2 => {
+                        let filler = [b' ', b'x', b'7', b'#'][next() % 4];
+                        input.extend_from_slice(b"1 act 0");
+                        input.resize(input.len() + 240 + next() % 40, filler);
+                    }
+                    3 => {
+                        input.extend_from_slice(b"1");
+                        for _ in 0..18 + next() % 4 {
+                            input.push(b'0' + (next() % 10) as u8);
+                        }
+                        input.extend_from_slice(b" act 4294967295");
+                    }
+                    4 => (0..next() % 4).for_each(|_| space(&mut input, &mut next)),
+                    _ => {
+                        if next() % 4 == 0 {
+                            space(&mut input, &mut next);
+                        }
+                        match next() % 16 {
+                            0 => input.push(b'+'),
+                            1 => input.push(b'-'),
+                            _ => {}
+                        }
+                        cycle = match next() % 24 {
+                            0 => cycle.saturating_sub(next() as u64 % 100),
+                            1 => cycle + ((next() as u64) << 12),
+                            _ => cycle + next() as u64 % 50,
+                        };
+                        input.extend_from_slice(cycle.to_string().as_bytes());
+                        (0..1 + next() % 2).for_each(|_| space(&mut input, &mut next));
+                        for &b in words[next() % words.len()].as_bytes() {
+                            let upper = next() % 2 == 0;
+                            input.push(if upper { b.to_ascii_uppercase() } else { b });
+                        }
+                        if next() % 3 != 0 {
+                            space(&mut input, &mut next);
+                            if next() % 8 == 0 {
+                                input.push(b'+');
+                            }
+                            let bank = match next() % 16 {
+                                0 => 4_294_967_296,
+                                _ => next() as u64 % 8,
+                            };
+                            input.extend_from_slice(bank.to_string().as_bytes());
+                        }
+                        if next() % 10 == 0 {
+                            space(&mut input, &mut next);
+                            input.extend_from_slice(b"# note");
+                        }
+                        if next() % 4 == 0 {
+                            space(&mut input, &mut next);
+                        }
+                    }
+                }
+                input.extend_from_slice(if next() % 6 == 0 { b"\r\n" } else { b"\n" });
+            }
+            if next() % 2 == 0 && !input.is_empty() {
+                for _ in 0..1 + next() % 3 {
+                    let at = next() % input.len();
+                    input[at] ^= 1 << (next() % 8);
+                }
+            }
+            if next() % 3 == 0 {
+                let at = next() % (input.len() + 1);
+                input.insert(at, 0x80 | (next() % 128) as u8);
+            }
+            if next() % 4 == 0 {
+                input.pop();
+            }
+            let text = String::from_utf8_lossy(&input);
+            if text.chars().any(|c| !c.is_ascii() && c.is_whitespace()) {
+                skipped += 1;
+                continue;
+            }
+            let expected = reference_decode(&input);
+            let mut events = Vec::new();
+            let mut sink = |e: TraceEvent| {
+                events.push(e);
+                Ok(())
+            };
+            let mut decoder = TraceDecoder::new();
+            let mut rest = &input[..];
+            let fed = loop {
+                if rest.is_empty() {
+                    break decoder.finish(&mut sink);
+                }
+                let take = match next() % 4 {
+                    0 => rest.len(),
+                    _ => (1 + next() % 40).min(rest.len()),
+                };
+                let (piece, tail) = rest.split_at(take);
+                rest = tail;
+                if let Err(e) = decoder.feed(piece, &mut sink) {
+                    break Err(e);
+                }
+                assert!(decoder.carry_len() <= TraceDecoder::MAX_LINE_BYTES);
+            };
+            let got = (events, fed.err());
+            assert_eq!(got, expected, "case {case}: {text:?}");
+            match &got.1 {
+                Some(e) => kinds.push(e.kind),
+                None => clean += 1,
+            }
+        }
+        // The inputs reach every verdict, not just the first error.
+        assert!(skipped < 100, "{skipped} inputs skipped");
+        assert!(clean > 300, "only {clean} inputs decode cleanly");
+        for kind in [
+            TraceErrorKind::Syntax,
+            TraceErrorKind::LineTooLong,
+            TraceErrorKind::NonMonotonicCycle,
+            TraceErrorKind::UnknownDirective,
+        ] {
+            assert!(kinds.contains(&kind), "no input ends in {}", kind.label());
         }
     }
 }

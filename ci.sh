@@ -144,6 +144,40 @@ if [[ $fast -eq 0 ]]; then
     || { echo "    respelled /v1/trace reply differs: ${respelled_reply##*$'\r\n\r\n'}"; exit 1; }
   echo "    POST /v1/trace (CRLF, tabs, ACT/Precharge/READ/Write) -> the same report"
 
+  # The shipped description as /v1/evaluate text, in two spellings the
+  # lexer must read alike: as shipped, and with CRLF line ends, a tab
+  # before every key=, µm for um (after a digit and in fF/um) and a
+  # trailing `// note` on every line. Quoted text is left alone: a
+  # LogicBlock name holds "column", and the Device name is echoed back.
+  description=crates/dsl/descriptions/ddr3_1gb_x16_55nm.dram
+  evaluate_text() { # file — POSTs it as {"description": ...}, prints the reply
+    local body len
+    body=$(sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e 's/\r/\\r/g' -e 's/\t/\\t/g' "$1" \
+      | awk '{ printf "%s\\n", $0 }')
+    body="{\"description\":\"$body\"}"
+    len=$(printf '%s' "$body" | wc -c) # bytes: µ is two
+    exec 3<>"/dev/tcp/127.0.0.1/$port"
+    printf 'POST /v1/evaluate HTTP/1.1\r\ncontent-length: %d\r\nconnection: close\r\n\r\n%s' \
+      "$len" "$body" >&3
+    cat <&3
+    exec 3<&- 3>&-
+  }
+  respelled_text=$(mktemp)
+  sed -E -e 's/ ([A-Za-z][A-Za-z0-9]*=)/\t\1/g' -e 's/([0-9])um/\1µm/g' -e 's|fF/um|fF/µm|g' \
+    -e 's|$| // note\r|' "$description" > "$respelled_text"
+  grep -q $'\tCWireSignal=0.3fF/µm // note\r$' "$respelled_text" \
+    || { echo "    the description was not respelled"; exit 1; }
+  shipped_reply=$(evaluate_text "$description")
+  respelled_text_reply=$(evaluate_text "$respelled_text")
+  rm -f "$respelled_text"
+  for reply in "$shipped_reply" "$respelled_text_reply"; do
+    [[ "${reply:0:12}" == "HTTP/1.1 200" ]] \
+      || { echo "    POST /v1/evaluate (description) -> ${reply%%$'\r\n\r\n'*}"; exit 1; }
+  done
+  [[ "${shipped_reply#*$'\r\n\r\n'}" == "${respelled_text_reply#*$'\r\n\r\n'}" ]] \
+    || { echo "    respelled description evaluates differently: ${respelled_text_reply#*$'\r\n\r\n'}"; exit 1; }
+  echo "    POST /v1/evaluate (description as shipped; CRLF, tabs, µm, // notes) -> 200, the same body"
+
   # After traffic, /metrics must surface at least one slow-request sample
   # (with its request id) for the evaluate route.
   exec 3<>"/dev/tcp/127.0.0.1/$port"

@@ -132,6 +132,50 @@ mod tests {
         assert_eq!(dram.description().spec.banks(), 32);
     }
 
+    /// The language reference's examples are real: every `text` block
+    /// under *Sections and directives* in `docs/DSL.md` parses when
+    /// appended to the shipped sample, and the *Error reporting* block
+    /// shows the messages its two edits of the sample produce.
+    #[test]
+    fn language_reference_examples_are_real() {
+        const DOC: &str = include_str!("../../../docs/DSL.md");
+        const SAMPLE: &str = include_str!("../descriptions/ddr3_1gb_x16_55nm.dram");
+        let section = |title: &str| {
+            let start = DOC
+                .find(&format!("\n## {title}\n"))
+                .expect("section exists")
+                + 1;
+            let len = DOC[start..].find("\n## ").unwrap_or(DOC.len() - start);
+            &DOC[start..start + len]
+        };
+        let text_blocks = |section: &'static str| -> Vec<&'static str> {
+            section
+                .split("```text\n")
+                .skip(1)
+                .map(|b| b.split("```").next().expect("block is closed"))
+                .collect()
+        };
+        let examples = text_blocks(section("Sections and directives"));
+        assert_eq!(examples.len(), 8, "one block per directive with an example");
+        for example in examples {
+            if let Err(e) = crate::parse(&format!("{SAMPLE}\n{example}")) {
+                panic!("{example}-> {e}");
+            }
+        }
+        let shown = text_blocks(section("Error reporting"));
+        let mut shown = shown[0].lines();
+        let bogus = SAMPLE.replacen("\nOxides ", "\nOxides ToxBogus=5nm ", 1);
+        let no_supply: String = SAMPLE
+            .lines()
+            .filter(|l| !l.starts_with("Supply "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        for edited in [bogus, no_supply] {
+            let err = crate::parse(&edited).expect_err("the edit breaks the sample");
+            assert_eq!(Some(err.to_string().as_str()), shown.next());
+        }
+    }
+
     #[test]
     fn missing_required_parameters_are_listed() {
         let err = crate::parse("FloorplanPhysical\nCellArray BitsPerBL=512\n").unwrap_err();

@@ -7,7 +7,7 @@
 //! directives. See `descriptions/ddr3_1gb_x16_55nm.dram` for a complete
 //! example.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dram_core::params::{
     Axis, BitlineArchitecture, BufferDevice, DeviceGeometry, DramDescription, Electrical,
@@ -87,7 +87,8 @@ enum Section {
 #[derive(Debug)]
 struct Parser {
     section: Section,
-    seen: BTreeSet<&'static str>,
+    /// The [`REQUIRED`] parameters seen so far: bit `i` for `REQUIRED[i]`.
+    seen: u64,
     name: String,
     fp: PhysicalFloorplan,
     tech: Technology,
@@ -103,7 +104,7 @@ impl Default for Parser {
     fn default() -> Self {
         Self {
             section: Section::None,
-            seen: BTreeSet::new(),
+            seen: 0,
             name: String::new(),
             fp: PhysicalFloorplan {
                 bitline_direction: Axis::Vertical,
@@ -277,15 +278,42 @@ const REQUIRED: &[&str] = &[
     "Timing.tCCD",
 ];
 
+const _: () = assert!(
+    REQUIRED.len() <= 64,
+    "`Parser::seen` has one bit per required key"
+);
+
+/// The bit of a required key in `Parser::seen`: its position in
+/// [`REQUIRED`]. Called in const context, so no key is compared at run
+/// time and a misspelt key fails the build.
+const fn bit(key: &str) -> u64 {
+    let mut i = 0;
+    while i < REQUIRED.len() {
+        let (a, b) = (REQUIRED[i].as_bytes(), key.as_bytes());
+        if a.len() == b.len() {
+            let mut j = 0;
+            while j < a.len() && a[j] == b[j] {
+                j += 1;
+            }
+            if j == a.len() {
+                return 1 << i;
+            }
+        }
+        i += 1;
+    }
+    panic!("not a required key")
+}
+
 impl Parser {
-    fn run(mut self, lines: Vec<Line>) -> Result<ParsedFile, DslError> {
+    fn run(mut self, lines: Vec<Line<'_>>) -> Result<ParsedFile, DslError> {
         for line in &lines {
             self.dispatch(line)?;
         }
         let missing: Vec<&str> = REQUIRED
             .iter()
-            .copied()
-            .filter(|k| !self.seen.contains(k))
+            .enumerate()
+            .filter(|&(i, _)| self.seen & (1 << i) == 0)
+            .map(|(_, key)| *key)
             .collect();
         if !missing.is_empty() {
             return Err(DslError::new(
@@ -311,9 +339,9 @@ impl Parser {
         })
     }
 
-    fn dispatch(&mut self, line: &Line) -> Result<(), DslError> {
+    fn dispatch(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         // Section headers and free-standing directives first.
-        match line.head.as_str() {
+        match &*line.head {
             "FloorplanPhysical" => {
                 self.section = Section::FloorplanPhysical;
                 return Ok(());
@@ -357,11 +385,11 @@ impl Parser {
         }
     }
 
-    fn mark(&mut self, key: &'static str) {
-        self.seen.insert(key);
+    fn mark(&mut self, bit: u64) {
+        self.seen |= bit;
     }
 
-    fn parse_device(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_device(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         if let Some(name) = line.value("name") {
             self.name = name.to_string();
             Ok(())
@@ -373,7 +401,7 @@ impl Parser {
         }
     }
 
-    fn parse_pattern(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_pattern(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let words = line
             .list("loop")
             .ok_or_else(|| DslError::new(line.number, "Pattern directive needs `loop= ...`"))?;
@@ -384,7 +412,7 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_logic_block(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_logic_block(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let n = line.number;
         let get = |key: &str| -> Result<&str, DslError> {
             line.value(key)
@@ -408,9 +436,9 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_floorplan(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_floorplan(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let n = line.number;
-        match line.head.as_str() {
+        match &*line.head {
             "CellArray" => {
                 for (key, val) in line.pairs() {
                     let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
@@ -429,11 +457,11 @@ impl Parser {
                         }
                         "BitsPerBL" => {
                             self.fp.bits_per_bitline = value::integer(val).map_err(wrap)?;
-                            self.mark("CellArray.BitsPerBL");
+                            self.mark(const { bit("CellArray.BitsPerBL") });
                         }
                         "BitsPerLWL" => {
                             self.fp.bits_per_local_wordline = value::integer(val).map_err(wrap)?;
-                            self.mark("CellArray.BitsPerLWL");
+                            self.mark(const { bit("CellArray.BitsPerLWL") });
                         }
                         "BLtype" => {
                             self.fp.bitline_architecture = match val {
@@ -450,19 +478,19 @@ impl Parser {
                         }
                         "WLpitch" => {
                             self.fp.wordline_pitch = value::length(val).map_err(wrap)?;
-                            self.mark("CellArray.WLpitch");
+                            self.mark(const { bit("CellArray.WLpitch") });
                         }
                         "BLpitch" => {
                             self.fp.bitline_pitch = value::length(val).map_err(wrap)?;
-                            self.mark("CellArray.BLpitch");
+                            self.mark(const { bit("CellArray.BLpitch") });
                         }
                         "SAStripe" => {
                             self.fp.sa_stripe_width = value::length(val).map_err(wrap)?;
-                            self.mark("CellArray.SAStripe");
+                            self.mark(const { bit("CellArray.SAStripe") });
                         }
                         "LWDStripe" => {
                             self.fp.lwd_stripe_width = value::length(val).map_err(wrap)?;
-                            self.mark("CellArray.LWDStripe");
+                            self.mark(const { bit("CellArray.LWDStripe") });
                         }
                         "BlocksPerCSL" => {
                             self.fp.blocks_per_csl = value::integer(val).map_err(wrap)?;
@@ -481,16 +509,16 @@ impl Parser {
                 let blocks = line
                     .list("blocks")
                     .ok_or_else(|| DslError::new(n, "Horizontal needs `blocks = A1 P1 ...`"))?;
-                self.fp.horizontal_blocks = blocks.to_vec();
-                self.mark("Horizontal.blocks");
+                self.fp.horizontal_blocks = blocks.iter().map(|b| b.to_string()).collect();
+                self.mark(const { bit("Horizontal.blocks") });
                 Ok(())
             }
             "Vertical" => {
                 let blocks = line
                     .list("blocks")
                     .ok_or_else(|| DslError::new(n, "Vertical needs `blocks = A1 P1 ...`"))?;
-                self.fp.vertical_blocks = blocks.to_vec();
-                self.mark("Vertical.blocks");
+                self.fp.vertical_blocks = blocks.iter().map(|b| b.to_string()).collect();
+                self.mark(const { bit("Vertical.blocks") });
                 Ok(())
             }
             "SizeHorizontal" | "SizeVertical" => {
@@ -518,12 +546,12 @@ impl Parser {
         }
     }
 
-    fn parse_signaling(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_signaling(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let n = line.number;
         if line.head == "Signal" {
             // Declaration: `Signal DataW class=wdata wires=io toggle=50%`.
             let name = match line.args.first() {
-                Some(crate::lexer::Arg::Bare(name)) => name.clone(),
+                Some(crate::lexer::Arg::Bare(name)) => (*name).to_string(),
                 _ => return Err(DslError::new(n, "Signal needs a name word first")),
             };
             let class = match line.value("class") {
@@ -655,7 +683,7 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_technology(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_technology(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let n = line.number;
         for (key, val) in line.pairs() {
             let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
@@ -663,59 +691,59 @@ impl Parser {
             match key {
                 "ToxLogic" => {
                     t.tox_logic = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.ToxLogic");
+                    self.mark(const { bit("Technology.ToxLogic") });
                 }
                 "ToxHV" => {
                     t.tox_high_voltage = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.ToxHV");
+                    self.mark(const { bit("Technology.ToxHV") });
                 }
                 "ToxCell" => {
                     t.tox_cell = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.ToxCell");
+                    self.mark(const { bit("Technology.ToxCell") });
                 }
                 "LminLogic" => {
                     t.lmin_logic = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.LminLogic");
+                    self.mark(const { bit("Technology.LminLogic") });
                 }
                 "CjLogic" => {
                     t.junction_cap_logic = value::capacitance_per_length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CjLogic");
+                    self.mark(const { bit("Technology.CjLogic") });
                 }
                 "LminHV" => {
                     t.lmin_high_voltage = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.LminHV");
+                    self.mark(const { bit("Technology.LminHV") });
                 }
                 "CjHV" => {
                     t.junction_cap_high_voltage =
                         value::capacitance_per_length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CjHV");
+                    self.mark(const { bit("Technology.CjHV") });
                 }
                 "CellL" => {
                     t.cell_access_length = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CellL");
+                    self.mark(const { bit("Technology.CellL") });
                 }
                 "CellW" => {
                     t.cell_access_width = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CellW");
+                    self.mark(const { bit("Technology.CellW") });
                 }
                 "CBitline" => {
                     t.bitline_cap = value::capacitance(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CBitline");
+                    self.mark(const { bit("Technology.CBitline") });
                 }
                 "CCell" => {
                     t.cell_cap = value::capacitance(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CCell");
+                    self.mark(const { bit("Technology.CCell") });
                 }
                 "BLtoWLShare" => {
                     t.bl_to_wl_cap_share = value::fraction(val).map_err(wrap)?;
                 }
                 "BitsPerCSL" => {
                     t.bits_per_csl_per_subarray = value::integer(val).map_err(wrap)?;
-                    self.seen.insert("Technology.BitsPerCSL");
+                    self.mark(const { bit("Technology.BitsPerCSL") });
                 }
                 "CWireMWL" => {
                     t.c_wire_mwl = value::capacitance_per_length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CWireMWL");
+                    self.mark(const { bit("Technology.CWireMWL") });
                 }
                 "PredecodeRatio" => {
                     t.mwl_predecode_ratio = value::fraction(val).map_err(wrap)?;
@@ -727,48 +755,48 @@ impl Parser {
                 "WLCtrlP" => t.wl_controller_pmos_width = value::length(val).map_err(wrap)?,
                 "SWDN" => {
                     t.swd_nmos_width = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SWDN");
+                    self.mark(const { bit("Technology.SWDN") });
                 }
                 "SWDP" => {
                     t.swd_pmos_width = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SWDP");
+                    self.mark(const { bit("Technology.SWDP") });
                 }
                 "SWDRestore" => {
                     t.swd_restore_nmos_width = value::length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SWDRestore");
+                    self.mark(const { bit("Technology.SWDRestore") });
                 }
                 "CWireLWL" => {
                     t.c_wire_lwl = value::capacitance_per_length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CWireLWL");
+                    self.mark(const { bit("Technology.CWireLWL") });
                 }
                 "SANSense" => {
                     t.sa_nmos_sense = value::device(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SANSense");
+                    self.mark(const { bit("Technology.SANSense") });
                 }
                 "SAPSense" => {
                     t.sa_pmos_sense = value::device(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SAPSense");
+                    self.mark(const { bit("Technology.SAPSense") });
                 }
                 "SAEq" => {
                     t.sa_equalize = value::device(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SAEq");
+                    self.mark(const { bit("Technology.SAEq") });
                 }
                 "SABitSwitch" => {
                     t.sa_bit_switch = value::device(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SABitSwitch");
+                    self.mark(const { bit("Technology.SABitSwitch") });
                 }
                 "SABLMux" => t.sa_bitline_mux = value::device(val).map_err(wrap)?,
                 "SANSet" => {
                     t.sa_nset = value::device(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SANSet");
+                    self.mark(const { bit("Technology.SANSet") });
                 }
                 "SAPSet" => {
                     t.sa_pset = value::device(val).map_err(wrap)?;
-                    self.seen.insert("Technology.SAPSet");
+                    self.mark(const { bit("Technology.SAPSet") });
                 }
                 "CWireSignal" => {
                     t.c_wire_signal = value::capacitance_per_length(val).map_err(wrap)?;
-                    self.seen.insert("Technology.CWireSignal");
+                    self.mark(const { bit("Technology.CWireSignal") });
                 }
                 other => {
                     return Err(DslError::new(
@@ -781,38 +809,38 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_electrical(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_electrical(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let n = line.number;
         for (key, val) in line.pairs() {
             let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
             match key {
                 "Vdd" => {
                     self.elec.vdd = value::voltage(val).map_err(wrap)?;
-                    self.seen.insert("Electrical.Vdd");
+                    self.mark(const { bit("Electrical.Vdd") });
                 }
                 "Vint" => {
                     self.elec.vint = value::voltage(val).map_err(wrap)?;
-                    self.seen.insert("Electrical.Vint");
+                    self.mark(const { bit("Electrical.Vint") });
                 }
                 "Vbl" => {
                     self.elec.vbl = value::voltage(val).map_err(wrap)?;
-                    self.seen.insert("Electrical.Vbl");
+                    self.mark(const { bit("Electrical.Vbl") });
                 }
                 "Vpp" => {
                     self.elec.vpp = value::voltage(val).map_err(wrap)?;
-                    self.seen.insert("Electrical.Vpp");
+                    self.mark(const { bit("Electrical.Vpp") });
                 }
                 "EffVint" => {
                     self.elec.eff_vint = value::fraction(val).map_err(wrap)?;
-                    self.seen.insert("Electrical.EffVint");
+                    self.mark(const { bit("Electrical.EffVint") });
                 }
                 "EffVbl" => {
                     self.elec.eff_vbl = value::fraction(val).map_err(wrap)?;
-                    self.seen.insert("Electrical.EffVbl");
+                    self.mark(const { bit("Electrical.EffVbl") });
                 }
                 "EffVpp" => {
                     self.elec.eff_vpp = value::fraction(val).map_err(wrap)?;
-                    self.seen.insert("Electrical.EffVpp");
+                    self.mark(const { bit("Electrical.EffVpp") });
                 }
                 "ConstCurrent" => {
                     self.elec.constant_current = value::current(val).map_err(wrap)?;
@@ -828,20 +856,20 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_specification(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_specification(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let n = line.number;
-        match line.head.as_str() {
+        match &*line.head {
             "IO" => {
                 for (key, val) in line.pairs() {
                     let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
                     match key {
                         "width" => {
                             self.spec.io_width = value::integer(val).map_err(wrap)?;
-                            self.seen.insert("IO.width");
+                            self.mark(const { bit("IO.width") });
                         }
                         "datarate" => {
                             self.spec.datarate_per_pin = value::datarate(val).map_err(wrap)?;
-                            self.seen.insert("IO.datarate");
+                            self.mark(const { bit("IO.datarate") });
                         }
                         other => return Err(DslError::new(n, format!("unknown IO key `{other}`"))),
                     }
@@ -855,7 +883,7 @@ impl Parser {
                         "number" => self.spec.clock_wires = value::integer(val).map_err(wrap)?,
                         "frequency" => {
                             self.spec.data_clock = value::frequency(val).map_err(wrap)?;
-                            self.seen.insert("Clock.frequency");
+                            self.mark(const { bit("Clock.frequency") });
                         }
                         other => {
                             return Err(DslError::new(n, format!("unknown Clock key `{other}`")))
@@ -870,19 +898,19 @@ impl Parser {
                     match key {
                         "frequency" => {
                             self.spec.control_clock = value::frequency(val).map_err(wrap)?;
-                            self.seen.insert("Control.frequency");
+                            self.mark(const { bit("Control.frequency") });
                         }
                         "bankadd" => {
                             self.spec.bank_address_bits = value::integer(val).map_err(wrap)?;
-                            self.seen.insert("Control.bankadd");
+                            self.mark(const { bit("Control.bankadd") });
                         }
                         "rowadd" => {
                             self.spec.row_address_bits = value::integer(val).map_err(wrap)?;
-                            self.seen.insert("Control.rowadd");
+                            self.mark(const { bit("Control.rowadd") });
                         }
                         "coladd" => {
                             self.spec.column_address_bits = value::integer(val).map_err(wrap)?;
-                            self.seen.insert("Control.coladd");
+                            self.mark(const { bit("Control.coladd") });
                         }
                         "misc" => {
                             self.spec.control_signals = value::integer(val).map_err(wrap)?;
@@ -900,11 +928,11 @@ impl Parser {
                     match key {
                         "prefetch" => {
                             self.spec.prefetch = value::integer(val).map_err(wrap)?;
-                            self.seen.insert("Access.prefetch");
+                            self.mark(const { bit("Access.prefetch") });
                         }
                         "burst" => {
                             self.spec.burst_length = value::integer(val).map_err(wrap)?;
-                            self.seen.insert("Access.burst");
+                            self.mark(const { bit("Access.burst") });
                         }
                         other => {
                             return Err(DslError::new(n, format!("unknown Access key `{other}`")))
@@ -920,7 +948,7 @@ impl Parser {
         }
     }
 
-    fn parse_timing(&mut self, line: &Line) -> Result<(), DslError> {
+    fn parse_timing(&mut self, line: &Line<'_>) -> Result<(), DslError> {
         let n = line.number;
         if line.head != "Row" && line.head != "Column" && line.head != "Refresh" {
             return Err(DslError::new(
@@ -936,43 +964,76 @@ impl Parser {
             match key {
                 "tRC" => {
                     self.timing.trc = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tRC");
+                    self.mark(const { bit("Timing.tRC") });
                 }
                 "tRAS" => {
                     self.timing.tras = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tRAS");
+                    self.mark(const { bit("Timing.tRAS") });
                 }
                 "tRP" => {
                     self.timing.trp = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tRP");
+                    self.mark(const { bit("Timing.tRP") });
                 }
                 "tRCD" => {
                     self.timing.trcd = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tRCD");
+                    self.mark(const { bit("Timing.tRCD") });
                 }
                 "tRRD" => {
                     self.timing.trrd = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tRRD");
+                    self.mark(const { bit("Timing.tRRD") });
                 }
                 "tFAW" => {
                     self.timing.tfaw = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tFAW");
+                    self.mark(const { bit("Timing.tFAW") });
                 }
                 "tRFC" => {
                     self.timing.trfc = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tRFC");
+                    self.mark(const { bit("Timing.tRFC") });
                 }
                 "tREFI" => {
                     self.timing.trefi = value::time(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tREFI");
+                    self.mark(const { bit("Timing.tREFI") });
                 }
                 "tCCD" => {
                     self.timing.tccd_cycles = value::integer(val).map_err(wrap)?;
-                    self.seen.insert("Timing.tCCD");
+                    self.mark(const { bit("Timing.tCCD") });
                 }
                 other => return Err(DslError::new(n, format!("unknown Timing key `{other}`"))),
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn empty_input_lists_every_required_parameter_in_declaration_order() {
+        assert_eq!(REQUIRED.len(), 57);
+        let err = parse("").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "description error: missing required parameters: {}",
+                REQUIRED.join(", ")
+            )
+        );
+        assert!(err.message().starts_with(
+            "missing required parameters: CellArray.BitsPerBL, CellArray.BitsPerLWL, "
+        ));
+        assert!(err.message().ends_with(", Timing.tREFI, Timing.tCCD"));
+    }
+
+    #[test]
+    fn a_lex_error_on_a_later_line_wins_over_a_parse_error() {
+        // Line 1 alone fails "before any section header"; the whole input
+        // is lexed first.
+        let err = parse("CellArray x=1\nA \"oops").unwrap_err();
+        assert_eq!(
+            (err.line(), err.message()),
+            (2, "unterminated string literal")
+        );
     }
 }

@@ -6,6 +6,8 @@
 //! expected form; the section parser wraps the message with line and key
 //! context.
 
+use std::borrow::Cow;
+
 use dram_core::params::{ActiveDuring, BlockCoord, DeviceGeometry};
 use dram_units::{Amperes, BitsPerSecond, Farads, FaradsPerMeter, Hertz, Meters, Seconds, Volts};
 
@@ -44,7 +46,20 @@ fn split_number(s: &str) -> Result<(f64, &str), String> {
     let value: f64 = num
         .parse()
         .map_err(|_| format!("`{s}` is not a number with optional unit"))?;
+    if !value.is_finite() {
+        // `1e999` parses to infinity.
+        return Err(format!("`{s}` is not a finite number"));
+    }
     Ok((value, unit.trim()))
+}
+
+/// A unit with `µ` spelled `u`, borrowed unless it holds a `µ`.
+fn ascii_micro(unit: &str) -> Cow<'_, str> {
+    if unit.contains('µ') {
+        Cow::Owned(unit.replace('µ', "u"))
+    } else {
+        Cow::Borrowed(unit)
+    }
 }
 
 /// Parses a plain number (no unit allowed).
@@ -78,16 +93,24 @@ pub fn fraction(s: &str) -> Result<f64, String> {
 
 /// Parses a length: `165nm`, `3396um`, `8mm`, `1m` (µ accepted for u).
 pub fn length(s: &str) -> Result<Meters, String> {
+    length_and_scale(s).map(|(length, _)| length)
+}
+
+/// Parses a length and returns its unit's size in meters beside it.
+fn length_and_scale(s: &str) -> Result<(Meters, f64), String> {
     let (v, unit) = split_number(s)?;
-    match unit.replace('µ', "u").as_str() {
-        "nm" => Ok(Meters::from_nm(v)),
-        "um" => Ok(Meters::from_um(v)),
-        "mm" => Ok(Meters::from_mm(v)),
-        "m" => Ok(Meters::new(v)),
-        other => Err(format!(
-            "`{s}`: unknown length unit `{other}` (use nm/um/mm/m)"
-        )),
-    }
+    let scale = match &*ascii_micro(unit) {
+        "nm" => 1e-9,
+        "um" => 1e-6,
+        "mm" => 1e-3,
+        "m" => 1.0,
+        other => {
+            return Err(format!(
+                "`{s}`: unknown length unit `{other}` (use nm/um/mm/m)"
+            ))
+        }
+    };
+    Ok((Meters::new(v * scale), scale))
 }
 
 /// Parses a capacitance: `80fF`, `1.2pF`.
@@ -106,7 +129,7 @@ pub fn capacitance(s: &str) -> Result<Farads, String> {
 /// Parses a specific wire capacitance: `0.25fF/um`.
 pub fn capacitance_per_length(s: &str) -> Result<FaradsPerMeter, String> {
     let (v, unit) = split_number(s)?;
-    match unit.replace('µ', "u").as_str() {
+    match &*ascii_micro(unit) {
         "fF/um" => Ok(FaradsPerMeter::from_ff_per_um(v)),
         "F/m" => Ok(FaradsPerMeter::new(v)),
         other => Err(format!("`{s}`: unknown unit `{other}` (use fF/um or F/m)")),
@@ -166,7 +189,7 @@ pub fn datarate(s: &str) -> Result<BitsPerSecond, String> {
 /// Parses a time: `49ns`, `7.8us`, `64ms`.
 pub fn time(s: &str) -> Result<Seconds, String> {
     let (v, unit) = split_number(s)?;
-    match unit.replace('µ', "u").as_str() {
+    match &*ascii_micro(unit) {
         "s" => Ok(Seconds::new(v)),
         "ms" => Ok(Seconds::new(v * 1e-3)),
         "us" => Ok(Seconds::new(v * 1e-6)),
@@ -202,12 +225,14 @@ pub fn device(s: &str) -> Result<DeviceGeometry, String> {
         .trim()
         .parse()
         .map_err(|_| format!("`{s}`: `{w_str}` is not a number"))?;
-    let l = length(rest)?;
+    if !width_val.is_finite() {
+        return Err(format!("`{s}`: `{w_str}` is not a finite number"));
+    }
     // Width uses the same unit the length carried.
-    let unit_scale = l.meters() / split_number(rest).map(|(v, _)| v).unwrap_or(1.0);
+    let (length, scale) = length_and_scale(rest)?;
     Ok(DeviceGeometry {
-        width: Meters::new(width_val * unit_scale),
-        length: l,
+        width: Meters::new(width_val * scale),
+        length,
     })
 }
 
@@ -297,6 +322,53 @@ mod tests {
         let d = device("50x0.15um").unwrap();
         assert!((d.width.micrometers() - 50.0).abs() < 1e-6);
         assert!(device("0.7um").is_err());
+        // The width's scale comes from the unit, not from the length.
+        let d = device("0.7x0um").unwrap();
+        assert_eq!((d.width, d.length), (Meters::from_um(0.7), Meters::ZERO));
+        assert_eq!(device("7x1nm").unwrap().width, Meters::from_nm(7.0));
+        assert_eq!(device("0.7x0.1µm").unwrap().width, Meters::from_um(0.7));
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        assert_eq!(
+            number("1e999").unwrap_err(),
+            "`1e999` is not a finite number"
+        );
+        assert_eq!(
+            capacitance("1e999fF").unwrap_err(),
+            "`1e999fF` is not a finite number"
+        );
+        assert_eq!(
+            fraction("-1e999%").unwrap_err(),
+            "`-1e999%` is not a finite number"
+        );
+        assert!(length("1e999um").is_err());
+        assert!(time("1e400ns").is_err());
+        for width in ["inf", "NaN", "1e999"] {
+            assert_eq!(
+                device(&format!("{width}x0.1um")).unwrap_err(),
+                format!("`{width}x0.1um`: `{width}` is not a finite number")
+            );
+        }
+        assert!(device("0.7x1e999um").is_err());
+        // Large but finite numbers still parse.
+        assert_eq!(number("1e300").unwrap(), 1e300);
+    }
+
+    #[test]
+    fn micro_sign_spells_u() {
+        assert_eq!(length("3µm").unwrap(), length("3um").unwrap());
+        assert_eq!(
+            capacitance_per_length("0.25fF/µm").unwrap(),
+            capacitance_per_length("0.25fF/um").unwrap()
+        );
+        assert_eq!(time("7.8µs").unwrap(), time("7.8us").unwrap());
+        // Error texts name the unit with `u`, as before.
+        assert_eq!(
+            length("3µx").unwrap_err(),
+            "`3µx`: unknown length unit `ux` (use nm/um/mm/m)"
+        );
     }
 
     #[test]

@@ -837,6 +837,43 @@ mod tests {
             assert_eq!(r.status, 400, "{body}");
             assert!(body_str(&r).contains(want), "{body} -> {}", body_str(&r));
         }
+        // A number too large for an f64 is a parse error, not an
+        // infinite capacitance served as `null`.
+        let (text, line) = reference_text_with("CBitline", "1e999fF");
+        let body = obj(vec![("description", text.into())]).to_string();
+        let (_, r, _) = handle(&post("/v1/evaluate", &body), &m);
+        assert_eq!(r.status, 400, "{}", body_str(&r));
+        let want = format!(
+            "description parse error: line {line}: CBitline: `1e999fF` is not a finite number"
+        );
+        assert!(body_str(&r).contains(&want), "{}", body_str(&r));
+    }
+
+    /// The reference device's description text with the value of `key`
+    /// replaced, and the line that holds it.
+    fn reference_text_with(key: &str, value: &str) -> (String, usize) {
+        let text = dram_dsl::write(&dram_core::reference::ddr3_1g_x16_55nm(), None);
+        let key_at = text
+            .find(&format!(" {key}="))
+            .expect("the writer emits the key");
+        let at = key_at + key.len() + 2;
+        let value_len = text[at..]
+            .find(char::is_whitespace)
+            .expect("the value ends");
+        let end = at + value_len;
+        let line = text[..at].lines().count();
+        (format!("{}{value}{}", &text[..at], &text[end..]), line)
+    }
+
+    #[test]
+    fn evaluate_gives_a_zero_length_device_its_width() {
+        // The width of `0.7x0um` is 0.7 µm: its scale comes from the unit,
+        // not from dividing the zero length by itself.
+        let (text, _) = reference_text_with("SANSense", "0.7x0um");
+        let body = obj(vec![("description", text.into())]).to_string();
+        let (_, r, _) = handle(&post("/v1/evaluate", &body), &Metrics::new());
+        assert_eq!(r.status, 200, "{}", body_str(&r));
+        assert!(!body_str(&r).contains("null"), "{}", body_str(&r));
     }
 
     #[test]

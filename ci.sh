@@ -299,6 +299,10 @@ if [[ $fast -eq 0 ]]; then
   # sampled request reconstructs a complete, ordered, byte-stable
   # timeline and /debug/profile round-trips through dram_units::json.
   ./target/release/serve-bench --journal --clients 8 --threads 8 | sed 's/^/    /'
+  # Connections outnumbering workers: held and queued requests
+  # interleave, and every sampled timeline must still be complete and
+  # ordered (accept -> dispatch -> worker_start -> response).
+  ./target/release/serve-bench --journal --clients 8 --threads 2 | sed 's/^/    /'
 
   echo "==> chaos-bench smoke (seeded faults, writes BENCH_chaos.json)"
   # Fixed seed so the failure schedule (worker kills, build panics, slow

@@ -53,7 +53,8 @@ const MAX_PROFILE_MS: u64 = 10_000;
 /// Where a tracked connection currently lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnState {
-    /// Idle in the reactor's epoll set, waiting to turn readable.
+    /// Quiet, waiting to turn readable: armed in the reactor's epoll
+    /// set, or held by the worker that answered its last request.
     Parked,
     /// Dispatched: sitting in the bounded queue for a worker.
     Queued,

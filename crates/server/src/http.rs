@@ -5,10 +5,16 @@
 //! persistent (keep-alive) connections with pipelining, `Connection`
 //! header token semantics, `Expect: 100-continue` — with the robustness
 //! a network front end cannot skip: a header-size cap, a body size limit
-//! enforced *before* allocation, per-read socket timeouts **and** an
-//! overall per-request deadline (a client trickling one byte per read
-//! interval cannot park a worker past [`Limits::request_deadline`]), and
-//! precise 4xx classification of malformed input.
+//! enforced *before* allocation, a bounded wait for each read and write
+//! **and** an overall per-request deadline (a client trickling one byte
+//! per read interval cannot park a worker past
+//! [`Limits::request_deadline`]), and precise 4xx classification of
+//! malformed input.
+//!
+//! Both front ends keep their client sockets nonblocking for life: a
+//! read or write is tried first, and only when it would block does the
+//! thread wait in `poll(2)`, for a bounded time. No socket option is set
+//! per request.
 //!
 //! Pipelining support is carried through the `leftover` byte buffers:
 //! every parse entry point accepts bytes already pulled off the wire by
@@ -16,9 +22,12 @@
 //! so no byte of a later pipelined request is ever dropped or re-parsed.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
+
+use crate::reactor::{self, POLLIN, POLLOUT};
 
 /// Parsing limits and socket timeouts.
 #[derive(Debug, Clone, Copy)]
@@ -28,14 +37,13 @@ pub struct Limits {
     /// Maximum request body size, in bytes. Larger declared bodies are
     /// rejected with `413` before any body byte is read.
     pub max_body: usize,
-    /// Socket read/write timeout applied to each individual `read`
-    /// while parsing and to response writes. A client that stalls
-    /// completely gets `408` after at most this long.
+    /// Longest wait for the socket to turn readable while parsing, or
+    /// writable while answering. A client that stalls completely gets
+    /// `408` after at most this long.
     pub io_timeout: Duration,
     /// Overall deadline for receiving one complete request (head and
-    /// body). A slowloris client that trickles bytes — resetting the
-    /// per-read timeout on every byte — still gets `408` when this
-    /// expires.
+    /// body). A slowloris client that trickles bytes — ending every
+    /// wait with a fresh byte — still gets `408` when this expires.
     pub request_deadline: Duration,
     /// Maximum total decoded size of a streamed (chunked) request body,
     /// in bytes. Streaming endpoints never buffer the body, so this can
@@ -197,10 +205,71 @@ fn io_to_http(e: &std::io::Error) -> HttpError {
     }
 }
 
-/// Reads one chunk within both the per-read timeout and the overall
-/// request deadline. The effective socket timeout is the smaller of
-/// [`Limits::io_timeout`] and the time left until `deadline`, so a
-/// trickling sender cannot extend its welcome by keeping bytes coming.
+/// Reads into `buf` from a nonblocking socket: reads first, and only
+/// when nothing is there waits in `poll(2)` for at most the lesser of
+/// `io_timeout` and the time left until `deadline`, so a trickling
+/// sender cannot extend its welcome by keeping bytes coming. Past the
+/// deadline, or when a wait runs out, the error is
+/// [`io::ErrorKind::TimedOut`]. On a blocking socket each read waits
+/// for as long as the peer takes, and the deadline is checked only
+/// between reads.
+pub(crate) fn read_within(
+    stream: &mut TcpStream,
+    buf: &mut [u8],
+    deadline: Instant,
+    io_timeout: Duration,
+) -> io::Result<usize> {
+    loop {
+        if Instant::now() >= deadline {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        match stream.read(buf) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if !reactor::wait_ready(stream.as_raw_fd(), POLLIN, left.min(io_timeout))? {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            done => return done,
+        }
+    }
+}
+
+/// Writes all of `bytes` to a nonblocking socket, waiting in
+/// `poll(POLLOUT)` for at most `io_timeout` each time the send buffer
+/// is full. The one writer of both front ends: responses, the
+/// `100 Continue` interim and the router's relay. On a blocking socket
+/// the write itself blocks and `io_timeout` does not apply.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::TimedOut`] when a wait runs out, or the first write
+/// error; the stream state is then unknown and the caller must close.
+pub(crate) fn write_within(
+    stream: &mut TcpStream,
+    mut bytes: &[u8],
+    io_timeout: Duration,
+) -> io::Result<()> {
+    let io_timeout = io_timeout.max(Duration::from_millis(1));
+    while !bytes.is_empty() {
+        match stream.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if !reactor::wait_ready(stream.as_raw_fd(), POLLOUT, io_timeout)? {
+                    return Err(io::ErrorKind::TimedOut.into());
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Reads one chunk within both the wait bound and the overall request
+/// deadline (see [`read_within`]).
 fn read_bounded(
     stream: &mut TcpStream,
     chunk: &mut [u8],
@@ -214,16 +283,7 @@ fn read_bounded(
         Some(inj) if inj.kind == dram_faults::Kind::Short => 1,
         _ => chunk.len(),
     };
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err(HttpError::Timeout);
-    }
-    // `set_read_timeout(Some(0))` is an error in std; clamp up.
-    let timeout = remaining.min(io_timeout).max(Duration::from_millis(1));
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| io_to_http(&e))?;
-    stream.read(&mut chunk[..cap]).map_err(|e| io_to_http(&e))
+    read_within(stream, &mut chunk[..cap], deadline, io_timeout).map_err(|e| io_to_http(&e))
 }
 
 /// How the request body is framed on the wire.
@@ -264,6 +324,10 @@ pub enum Inbound {
 
 /// Reads and parses one request from the stream under the given limits,
 /// without buffering a chunked body.
+///
+/// [`Limits::io_timeout`] and [`Limits::request_deadline`] bind only on
+/// a nonblocking socket; on a blocking one each read waits for as long
+/// as the peer takes, and the deadline is checked only between reads.
 ///
 /// # Errors
 ///
@@ -350,17 +414,13 @@ fn send_continue_if_expected(
     if !request.expects_continue() {
         return Ok(());
     }
-    stream
-        .set_write_timeout(Some(limits.io_timeout.max(Duration::from_millis(1))))
-        .map_err(|e| io_to_http(&e))?;
-    stream
-        .write_all(b"HTTP/1.1 100 Continue\r\n\r\n")
-        .and_then(|()| stream.flush())
+    write_within(stream, b"HTTP/1.1 100 Continue\r\n\r\n", limits.io_timeout)
         .map_err(|e| HttpError::BadRequest(format!("interim write failed: {}", e.kind())))
 }
 
 /// Reads one complete request, buffering chunked bodies in memory
-/// (bounded by [`Limits::max_body`]).
+/// (bounded by [`Limits::max_body`]). As with [`read_inbound`], the
+/// timeouts and the request deadline bind only on a nonblocking socket.
 ///
 /// # Errors
 ///
@@ -955,20 +1015,19 @@ impl Response {
         out
     }
 
-    /// Writes the response with `io_timeout` as the socket write
-    /// timeout, honoring the [`Limits::io_timeout`] contract on the
-    /// write side as well as the read side.
+    /// Writes the response, waiting in `poll(POLLOUT)` for at most
+    /// `io_timeout` whenever the send buffer is full — the
+    /// [`Limits::io_timeout`] contract on the write side. On a blocking
+    /// socket the write itself blocks and `io_timeout` does not apply.
     ///
-    /// `write_all` retries partial writes internally; a hard failure
-    /// (peer gone, write timeout) is returned so the caller can log it —
-    /// the caller must *not* attempt a second response on the same
-    /// connection, the stream state is unknown.
+    /// A hard failure (peer gone, wait ran out) is returned so the
+    /// caller can log it — the caller must *not* attempt a second
+    /// response on the same connection, the stream state is unknown.
     ///
     /// # Errors
     ///
-    /// The first write/flush error, if any.
-    pub fn send_within(&self, stream: &mut TcpStream, io_timeout: Duration) -> std::io::Result<()> {
-        stream.set_write_timeout(Some(io_timeout.max(Duration::from_millis(1))))?;
+    /// The first write error, if any.
+    pub fn send_within(&self, stream: &mut TcpStream, io_timeout: Duration) -> io::Result<()> {
         let bytes = self.to_bytes();
         // Fault site: a `delay` rule stalls the write (served inside the
         // trip); a `short` rule fragments it — the full response is
@@ -977,18 +1036,15 @@ impl Response {
         // without ever corrupting a response.
         if let Some(inj) = dram_faults::trip("http.write") {
             if inj.kind == dram_faults::Kind::Short {
-                let split = bytes.len() / 2;
-                stream.write_all(&bytes[..split])?;
-                stream.flush()?;
-                stream.write_all(&bytes[split..])?;
-                return stream.flush();
+                let (head, tail) = bytes.split_at(bytes.len() / 2);
+                write_within(stream, head, io_timeout)?;
+                return write_within(stream, tail, io_timeout);
             }
         }
-        stream.write_all(&bytes)?;
-        stream.flush()
+        write_within(stream, &bytes, io_timeout)
     }
 
-    /// Best-effort send with the default write timeout; failures are
+    /// Best-effort send with the default `io_timeout`; failures are
     /// swallowed (the peer may already be gone, and the connection
     /// closes either way). Prefer [`Response::send_within`] where the
     /// caller has [`Limits`] and wants to observe the outcome.

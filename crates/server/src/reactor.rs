@@ -1,35 +1,46 @@
-//! Minimal `epoll` + `eventfd` bindings for the connection reactor.
+//! Minimal `epoll`, `eventfd` and `poll` bindings for the connection
+//! reactor and its workers.
 //!
 //! The workspace builds with an empty registry, so — like the signal
 //! handling in `dram-serve` — the kernel interface is declared directly
 //! with a handful of `extern "C"` prototypes instead of pulling in
-//! `libc`/`mio`. Only the slice the reactor needs is bound: create an
-//! epoll instance, add/remove fds with a `u64` token, wait with a
-//! timeout, and an `eventfd` so other threads (workers handing back
-//! idle connections, shutdown) can interrupt the wait.
+//! `libc`/`mio`. Only the slice the front end needs is bound: an epoll
+//! instance whose one-shot registrations any thread may re-arm, an
+//! `eventfd` that is either a plain signal or a semaphore, and `poll(2)`
+//! so a thread can wait on a socket and an eventfd at once.
 //!
 //! Safety lives entirely in this module: the wrappers own their file
-//! descriptors (closed on drop), `epoll_wait` writes only into the
-//! buffer we size for it, and tokens are plain data — the event loop in
-//! `server.rs` never touches a raw pointer.
+//! descriptors (closed on drop), `epoll_wait` and `poll` write only into
+//! the buffers we size for them, and tokens are plain data — the event
+//! loop in `server.rs` never touches a raw pointer.
 
 use std::io;
 use std::time::Duration;
 
-/// Readable / peer-hung-up / edge-triggered event bits, re-exported for
-/// the event loop.
+/// Readable event bit, re-exported for the event loop.
 pub const EPOLLIN: u32 = 0x001;
 /// Peer closed its write half (or the whole connection).
 pub const EPOLLRDHUP: u32 = 0x2000;
-/// Edge-triggered delivery: one notification per readiness transition.
-pub const EPOLLET: u32 = 1 << 31;
+/// One-shot delivery: after one event the registration is disabled
+/// until [`Epoll::rearm`] enables it again.
+pub const EPOLLONESHOT: u32 = 1 << 30;
+
+/// `poll` readable bit.
+pub const POLLIN: i16 = 0x001;
+/// `poll` writable bit.
+pub const POLLOUT: i16 = 0x004;
+/// `poll` peer-hangup bit (the `EPOLLRDHUP` of `poll`).
+pub const POLLRDHUP: i16 = 0x2000;
 
 const EPOLL_CTL_ADD: i32 = 1;
 const EPOLL_CTL_DEL: i32 = 2;
+const EPOLL_CTL_MOD: i32 = 3;
 /// `EPOLL_CLOEXEC` == `O_CLOEXEC`.
 const EPOLL_CLOEXEC: i32 = 0o2_000_000;
 /// `EFD_CLOEXEC` | `EFD_NONBLOCK` == `O_CLOEXEC` | `O_NONBLOCK`.
 const EFD_FLAGS: i32 = 0o2_000_000 | 0o4_000;
+/// `EFD_SEMAPHORE`: each read takes one count instead of all of them.
+const EFD_SEMAPHORE: i32 = 1;
 
 /// `struct epoll_event`; packed on x86-64 only, matching the kernel ABI
 /// (`include/uapi/linux/eventpoll.h`).
@@ -58,17 +69,59 @@ impl EpollEvent {
     }
 }
 
+/// `struct pollfd`: one descriptor and the events to wait for. A
+/// negative `fd` is skipped by the kernel and never reports ready.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+pub struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+impl PollFd {
+    /// Waits on `fd` for `events`; errors and hangups are always
+    /// reported too.
+    #[must_use]
+    pub fn new(fd: i32, events: i16) -> Self {
+        Self {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+
+    /// Whether the last [`poll`] reported anything for this descriptor:
+    /// a requested event, an error or a hangup.
+    #[must_use]
+    pub fn ready(&self) -> bool {
+        self.revents != 0
+    }
+}
+
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    #[link_name = "poll"]
+    fn sys_poll(fds: *mut PollFd, nfds: usize, timeout: i32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
 }
 
-/// An owned epoll instance.
+/// A kernel timeout argument in whole milliseconds, rounded up so a
+/// sub-millisecond wait does not become a busy poll; `None` waits
+/// forever.
+fn timeout_ms(timeout: Option<Duration>) -> i32 {
+    timeout.map_or(-1, |t| {
+        i32::try_from(t.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
+    })
+}
+
+/// An owned epoll instance. Waiting belongs to one thread; registering
+/// and re-arming are safe from any.
 #[derive(Debug)]
 pub struct Epoll {
     fd: i32,
@@ -89,6 +142,19 @@ impl Epoll {
         Ok(Self { fd })
     }
 
+    fn ctl(&self, op: i32, fd: i32, token: u64, events: u32) -> io::Result<()> {
+        let mut ev = EpollEvent {
+            events,
+            data: token,
+        };
+        // SAFETY: `ev` outlives the call; the kernel copies it.
+        let rc = unsafe { epoll_ctl(self.fd, op, fd, &raw mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
     /// Registers `fd` for `events`, tagging notifications with `token`.
     ///
     /// # Errors
@@ -96,25 +162,26 @@ impl Epoll {
     /// The `epoll_ctl` errno — `EMFILE`/`ENOMEM` under fd pressure; the
     /// caller closes the connection rather than losing track of it.
     pub fn add(&self, fd: i32, token: u64, events: u32) -> io::Result<()> {
-        let mut ev = EpollEvent {
-            events,
-            data: token,
-        };
-        // SAFETY: `ev` outlives the call; the kernel copies it.
-        let rc = unsafe { epoll_ctl(self.fd, EPOLL_CTL_ADD, fd, &raw mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        self.ctl(EPOLL_CTL_ADD, fd, token, events)
+    }
+
+    /// Re-enables a registered `fd` whose [`EPOLLONESHOT`] event fired:
+    /// one `epoll_ctl(MOD)`. If the fd is already readable the event is
+    /// delivered at once.
+    ///
+    /// # Errors
+    ///
+    /// The `epoll_ctl` errno (`ENOENT` if `fd` was never added).
+    pub fn rearm(&self, fd: i32, token: u64, events: u32) -> io::Result<()> {
+        self.ctl(EPOLL_CTL_MOD, fd, token, events)
     }
 
     /// Deregisters `fd`. Best-effort: the fd may already be gone, and
     /// closing an fd removes it from every epoll set anyway.
     pub fn del(&self, fd: i32) {
-        let mut ev = EpollEvent::zeroed();
-        // SAFETY: the event argument is ignored for DEL on modern
-        // kernels but must be non-null for pre-2.6.9 compatibility.
-        let _ = unsafe { epoll_ctl(self.fd, EPOLL_CTL_DEL, fd, &raw mut ev) };
+        // The event argument is ignored for DEL on modern kernels but
+        // must be non-null for pre-2.6.9 compatibility.
+        let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
     }
 
     /// Waits up to `timeout` for events, filling `events` from the
@@ -126,12 +193,11 @@ impl Epoll {
     ///
     /// Any `epoll_wait` errno other than `EINTR`.
     pub fn wait(&self, events: &mut [EpollEvent], timeout: Duration) -> io::Result<usize> {
-        let millis = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
         #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
         let cap = events.len().min(i32::MAX as usize) as i32;
         // SAFETY: the out-buffer is sized by `cap`; the kernel writes at
         // most that many entries.
-        let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), cap, millis) };
+        let n = unsafe { epoll_wait(self.fd, events.as_mut_ptr(), cap, timeout_ms(Some(timeout))) };
         if n < 0 {
             let err = io::Error::last_os_error();
             if err.kind() == io::ErrorKind::Interrupted {
@@ -151,77 +217,121 @@ impl Drop for Epoll {
     }
 }
 
-/// A level-triggered wakeup channel (an `eventfd`): any thread can
-/// [`Wake::signal`] to interrupt the reactor's `epoll_wait`; the
-/// reactor [`Wake::drain`]s it so the next wait blocks again.
+/// Waits up to `timeout` (forever for `None`) until one of `fds` is
+/// ready; returns how many are. `EINTR` is reported as zero ready
+/// descriptors, like a timeout: callers re-check their state and wait
+/// again.
+///
+/// # Errors
+///
+/// Any `poll` errno other than `EINTR`.
+pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+    // SAFETY: the kernel reads and writes exactly `fds.len()` entries
+    // (`nfds_t` is `unsigned long`, the width of `usize` on Linux).
+    let n = unsafe { sys_poll(fds.as_mut_ptr(), fds.len(), timeout_ms(timeout)) };
+    if n < 0 {
+        let err = io::Error::last_os_error();
+        if err.kind() == io::ErrorKind::Interrupted {
+            return Ok(0);
+        }
+        return Err(err);
+    }
+    #[allow(clippy::cast_sign_loss)]
+    Ok(n as usize)
+}
+
+/// Waits up to `timeout` for one descriptor to report `events` (or an
+/// error or hangup); `false` when the time ran out first.
+///
+/// # Errors
+///
+/// As [`poll`].
+pub fn wait_ready(fd: i32, events: i16, timeout: Duration) -> io::Result<bool> {
+    let mut fds = [PollFd::new(fd, events)];
+    poll(&mut fds, Some(timeout))?;
+    Ok(fds[0].ready())
+}
+
+/// A nonblocking `eventfd` (close-on-exec). As a signal it is written
+/// once and never read, so it stays readable for every waiter; as a
+/// semaphore each [`EventFd::try_take`] consumes one posted count.
 #[derive(Debug)]
-pub struct Wake {
+pub struct EventFd {
     fd: i32,
 }
 
-impl Wake {
-    /// Creates the eventfd (nonblocking, close-on-exec).
-    ///
-    /// # Errors
-    ///
-    /// The `eventfd` errno, as an [`io::Error`].
-    pub fn new() -> io::Result<Self> {
+impl EventFd {
+    fn with_flags(flags: i32) -> io::Result<Self> {
         // SAFETY: no pointers; returns an fd or -1.
-        let fd = unsafe { eventfd(0, EFD_FLAGS) };
+        let fd = unsafe { eventfd(0, flags) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
         Ok(Self { fd })
     }
 
-    /// The fd to register with [`Epoll::add`].
+    /// A counter that turns readable at its first [`EventFd::post`].
+    ///
+    /// # Errors
+    ///
+    /// The `eventfd` errno, as an [`io::Error`].
+    pub fn new() -> io::Result<Self> {
+        Self::with_flags(EFD_FLAGS)
+    }
+
+    /// A semaphore: readable while its count is positive, and each
+    /// [`EventFd::try_take`] takes one count.
+    ///
+    /// # Errors
+    ///
+    /// The `eventfd` errno, as an [`io::Error`].
+    pub fn semaphore() -> io::Result<Self> {
+        Self::with_flags(EFD_FLAGS | EFD_SEMAPHORE)
+    }
+
+    /// The fd to register with [`Epoll::add`] or wait on with [`poll`].
     #[must_use]
     pub fn fd(&self) -> i32 {
         self.fd
     }
 
-    /// Makes the eventfd readable, waking a blocked `epoll_wait`.
-    /// Best-effort: the counter saturating (`EAGAIN`) already means a
-    /// wake is pending, which is all a signal needs.
-    pub fn signal(&self) {
-        let one: u64 = 1;
+    /// Adds `n` to the count, waking every thread waiting for it to turn
+    /// readable. Best-effort: the counter saturating (`EAGAIN`) already
+    /// leaves it readable, which is all a wake needs.
+    pub fn post(&self, n: u64) {
         // SAFETY: writes exactly the 8 bytes an eventfd requires.
-        let _ = unsafe { write(self.fd, (&raw const one).cast::<u8>(), 8) };
+        let _ = unsafe { write(self.fd, (&raw const n).cast::<u8>(), 8) };
     }
 
-    /// Consumes pending wakes so the next `epoll_wait` can block.
-    pub fn drain(&self) {
+    /// Takes one count without blocking; `false` when the count is zero
+    /// (another waiter took it first).
+    pub fn try_take(&self) -> bool {
         let mut counter = [0u8; 8];
         // SAFETY: reads into an 8-byte buffer; nonblocking, so this
-        // returns -1/EAGAIN once the counter is empty.
-        while unsafe { read(self.fd, counter.as_mut_ptr(), 8) } == 8 {}
+        // returns -1/EAGAIN when the count is zero.
+        (unsafe { read(self.fd, counter.as_mut_ptr(), 8) }) == 8
     }
 }
 
-impl Drop for Wake {
+impl Drop for EventFd {
     fn drop(&mut self) {
         // SAFETY: we own the fd and drop it exactly once.
         unsafe { close(self.fd) };
     }
 }
 
-// The fds are plain kernel handles; both types are used from exactly
-// one thread at a time for waits and from many for signal/ctl, all of
-// which are thread-safe syscalls.
-unsafe impl Send for Epoll {}
-unsafe impl Sync for Epoll {}
-unsafe impl Send for Wake {}
-unsafe impl Sync for Wake {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
+    use std::net::{TcpListener, TcpStream};
+    use std::os::fd::AsRawFd;
 
     #[test]
-    fn wake_interrupts_and_drains() {
+    fn a_signal_stays_readable_for_every_waiter() {
         let epoll = Epoll::new().expect("epoll_create1");
-        let wake = Wake::new().expect("eventfd");
-        epoll.add(wake.fd(), 7, EPOLLIN).expect("register wake");
+        let stop = EventFd::new().expect("eventfd");
+        epoll.add(stop.fd(), 7, EPOLLIN).expect("register stop");
 
         let mut events = [EpollEvent::zeroed(); 4];
         // Nothing pending: the wait times out empty.
@@ -229,22 +339,60 @@ mod tests {
             .wait(&mut events, Duration::from_millis(10))
             .expect("wait");
         assert_eq!(n, 0);
+        assert!(!wait_ready(stop.fd(), POLLIN, Duration::from_millis(10)).expect("poll"));
 
-        // A signal (even several) surfaces as one readable event with
-        // the registration token.
-        wake.signal();
-        wake.signal();
+        // One post surfaces in epoll with the registration token, and
+        // keeps surfacing in `poll` because nothing reads it.
+        stop.post(1);
         let n = epoll
             .wait(&mut events, Duration::from_millis(1000))
             .expect("wait");
         assert_eq!(n, 1);
         assert_eq!(events[0].parts().1, 7);
+        for _ in 0..3 {
+            assert!(wait_ready(stop.fd(), POLLIN, Duration::from_millis(10)).expect("poll"));
+        }
+    }
 
-        // Draining clears it; the next wait blocks again.
-        wake.drain();
+    #[test]
+    fn a_semaphore_hands_out_one_count_per_post() {
+        let sem = EventFd::semaphore().expect("eventfd");
+        assert!(!sem.try_take(), "a fresh semaphore is empty");
+        sem.post(2);
+        assert!(wait_ready(sem.fd(), POLLIN, Duration::from_millis(10)).expect("poll"));
+        assert!(sem.try_take());
+        assert!(sem.try_take());
+        assert!(!sem.try_take(), "two posts, two takes");
+        assert!(!wait_ready(sem.fd(), POLLIN, Duration::from_millis(10)).expect("poll"));
+    }
+
+    #[test]
+    fn a_one_shot_registration_fires_once_until_rearmed() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let epoll = Epoll::new().expect("epoll_create1");
+        let bits = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+        epoll.add(server.as_raw_fd(), 42, bits).expect("register");
+        client.write_all(b"x").expect("write");
+
+        let mut events = [EpollEvent::zeroed(); 4];
         let n = epoll
-            .wait(&mut events, Duration::from_millis(10))
+            .wait(&mut events, Duration::from_secs(1))
             .expect("wait");
-        assert_eq!(n, 0);
+        assert_eq!(n, 1);
+        assert_eq!(events[0].parts().1, 42);
+        // Still readable, but the registration is spent.
+        let n = epoll
+            .wait(&mut events, Duration::from_millis(20))
+            .expect("wait");
+        assert_eq!(n, 0, "a one-shot registration fired twice");
+        // Re-arming with the byte still unread delivers it at once.
+        epoll.rearm(server.as_raw_fd(), 43, bits).expect("rearm");
+        let n = epoll
+            .wait(&mut events, Duration::from_secs(1))
+            .expect("wait");
+        assert_eq!(n, 1);
+        assert_eq!(events[0].parts().1, 43);
     }
 }

@@ -368,7 +368,7 @@ pub fn route_serve(addr: &str, config: RouterConfig) -> std::io::Result<RouterHa
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
-        let Ok((stream, _)) = listener.accept() else {
+        let Ok((stream, peer)) = listener.accept() else {
             if shared.shutting_down.load(Ordering::SeqCst) {
                 return;
             }
@@ -376,6 +376,12 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         };
         if shared.shutting_down.load(Ordering::SeqCst) {
             return;
+        }
+        // Set once for the socket's life, as on `dram-serve`: reads and
+        // writes are tried first and wait in `poll` only when they would
+        // block, so both front ends share one read path.
+        if stream.set_nonblocking(true).is_err() {
+            continue;
         }
         let _ = stream.set_nodelay(true);
         let conn = shared.conns.fetch_add(1, Ordering::Relaxed) + 1;
@@ -385,7 +391,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         let spawned = thread::Builder::new()
             .name(format!("route-conn-{conn}"))
             .spawn(move || {
-                handle_conn(stream, conn, &for_conn);
+                handle_conn(stream, peer, conn, &for_conn);
                 for_conn.active.fetch_sub(1, Ordering::SeqCst);
             });
         if spawned.is_err() {
@@ -425,8 +431,7 @@ fn probe(node: &Node, timeout: Duration) -> bool {
 
 /// One client connection: parse → route → relay, keep-alive until a
 /// failure poisons it, the client closes, or shutdown begins.
-fn handle_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Shared>) {
-    let peer = stream.peer_addr().ok();
+fn handle_conn(mut stream: TcpStream, peer: SocketAddr, conn: u64, shared: &Arc<Shared>) {
     let limits = shared.config.limits;
     let mut carry: Vec<u8> = Vec::new();
     let mut served = 0u64;
@@ -517,9 +522,7 @@ fn handle_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Shared>) {
         // client's peer — the backend only ever sees the router's own
         // loopback address, so forwarding an ungated request would
         // grant every remote client loopback trust.
-        if request.path.starts_with("/debug")
-            && !peer.is_some_and(|p| p.ip().is_loopback())
-        {
+        if request.path.starts_with("/debug") && !peer.ip().is_loopback() {
             answer_local(
                 &mut stream,
                 shared,
@@ -532,7 +535,15 @@ fn handle_conn(mut stream: TcpStream, conn: u64, shared: &Arc<Shared>) {
 
         // Everything else is proxied to the key's owner.
         journal::record(EventKind::Dispatch, conn, request_seq, 0);
-        match proxy(shared, &mut request, conn, request_seq, &mut stream, client_wants_keep_alive) {
+        match proxy(
+            shared,
+            &mut request,
+            conn,
+            request_seq,
+            &mut stream,
+            peer,
+            client_wants_keep_alive,
+        ) {
             ProxyEnd::KeepAlive => continue,
             ProxyEnd::Close => break,
         }
@@ -634,6 +645,7 @@ fn proxy(
     conn: u64,
     request_seq: u64,
     client: &mut TcpStream,
+    peer: SocketAddr,
     client_wants_keep_alive: bool,
 ) -> ProxyEnd {
     let key = routing_key(request);
@@ -663,7 +675,7 @@ fn proxy(
             .skip(position + 1)
             .copied()
             .find(|&n| up_view[n]);
-        let bytes = upstream_request_bytes(request, &shared.nodes[target].addr, client);
+        let bytes = upstream_request_bytes(request, &shared.nodes[target].addr, peer);
 
         let outcome = attempt_racing(shared, target, backup, &bytes);
         match outcome {
@@ -747,13 +759,13 @@ fn candidate_order(shared: &Arc<Shared>, key: u64) -> Vec<usize> {
 /// Serializes `request` for the upstream hop: identical method, target
 /// and body; hop-by-hop headers rewritten (`connection: keep-alive`,
 /// re-framed `content-length`), `x-forwarded-for` appended.
-fn upstream_request_bytes(request: &Request, node_addr: &str, client: &TcpStream) -> Vec<u8> {
+fn upstream_request_bytes(request: &Request, node_addr: &str, peer: SocketAddr) -> Vec<u8> {
     let target = if request.query.is_empty() {
         request.path.clone()
     } else {
         format!("{}?{}", request.path, request.query)
     };
-    let forwarded_for = client.peer_addr().ok().map(|peer| peer.ip().to_string());
+    let forwarded_for = peer.ip().to_string();
     let mut headers: Vec<(&str, &str)> = request
         .headers
         .iter()
@@ -772,9 +784,7 @@ fn upstream_request_bytes(request: &Request, node_addr: &str, client: &TcpStream
         .map(|(name, value)| (name.as_str(), value.as_str()))
         .collect();
     headers.push(("host", node_addr));
-    if let Some(ip) = &forwarded_for {
-        headers.push(("x-forwarded-for", ip));
-    }
+    headers.push(("x-forwarded-for", &forwarded_for));
     headers.push(("connection", "keep-alive"));
     crate::client::request(&request.method, &target, &headers, &request.body)
 }
@@ -922,9 +932,7 @@ fn relay(
     });
 
     let io_timeout = shared.config.limits.io_timeout;
-    if client.set_write_timeout(Some(io_timeout)).is_err()
-        || client.write_all(head.as_bytes()).is_err()
-    {
+    if http::write_within(client, head.as_bytes(), io_timeout).is_err() {
         // The *client* went away; the upstream connection is still
         // healthy but holds an unread body — drop it rather than desync
         // the pool.
@@ -947,12 +955,11 @@ fn relay(
             }
             return ProxyEnd::Close;
         };
-        if client.write_all(part).is_err() {
+        if http::write_within(client, part, io_timeout).is_err() {
             return ProxyEnd::Close;
         }
         remaining -= part.len();
     }
-    let _ = client.flush();
     shared.metrics.proxied.inc();
     release(shared, upstream);
     if keep_client {

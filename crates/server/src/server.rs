@@ -3,17 +3,28 @@
 //!
 //! Architecture: one reactor thread owns a nonblocking listener and a
 //! raw `epoll` set ([`crate::reactor`] — no crates, same `extern "C"`
-//! approach as `dram-serve`'s signal handling). Idle connections are
-//! parked in the epoll set (edge-triggered, readable + peer-hangup);
-//! the moment one turns readable it is *dispatched*: deregistered and
-//! pushed onto the bounded connection queue for the worker pool. A
-//! worker parses requests with blocking reads under the usual deadlines
-//! and keeps serving until the connection goes quiet, then hands it
-//! back to the reactor to park again. Idle sockets therefore cost no
-//! worker and no thread — concurrency is bounded by fds, not by the
-//! pool — while a *talking* connection is always owned by exactly one
-//! worker, which keeps the HTTP parsing, fault-site, and deadline
-//! machinery single-threaded and simple.
+//! approach as `dram-serve`'s signal handling). Each accepted socket is
+//! made nonblocking and `TCP_NODELAY` once, for its whole life, and
+//! registered once for readable-or-hangup with `EPOLLONESHOT`. A quiet
+//! connection is *parked*: armed in the epoll set and kept in a map the
+//! reactor and the workers share. The moment one turns readable, its
+//! registration disarms itself and the reactor *dispatches* it onto the
+//! bounded connection queue. A worker reads and answers requests on it
+//! — trying each read and write first, and waiting in `poll(2)` under
+//! the usual deadlines only when one would block — until it goes quiet.
+//!
+//! A worker that then finds the queue empty *holds* its quiet
+//! connection instead of parking it, waiting in one `poll` on the
+//! connection and on the queue's semaphore. If the connection speaks
+//! first, the worker serves it directly: a keep-alive request costs one
+//! wake-up, with no reactor or queue hop. If a queued connection comes
+//! first, the worker parks the held one with a single `epoll_ctl(MOD)`
+//! and takes the queued one. A held connection that stays quiet for the
+//! idle timeout is closed by its worker. So a quiet socket costs at most
+//! one held slot per worker and otherwise no thread — concurrency is
+//! bounded by fds, not by the pool — while a *talking* connection is
+//! always owned by exactly one worker, which keeps the HTTP parsing,
+//! fault-site, and deadline machinery single-threaded and simple.
 //!
 //! Keep-alive and pipelining: HTTP/1.1 connections persist by default
 //! (`Connection` token lists decide, see
@@ -29,29 +40,33 @@
 //! parser can never interpret attacker-positioned leftovers as a fresh
 //! request.
 //!
-//! When the queue is full the reactor answers `503` with `Retry-After`
-//! itself — a rejected client costs one small write, never a worker.
+//! Every connection's first request goes through the reactor and the
+//! bounded queue. When the queue is full the reactor answers `503` with
+//! `Retry-After` itself — one nonblocking write, so a rejected client
+//! costs neither a worker nor, if it stopped reading, a reactor stall.
 //!
 //! Tracing: every *request* (not connection) gets a [`RequestId`] the
 //! moment a worker starts parsing it, echoed back as `x-request-id`,
 //! labeling the structured log line and any slow-request sample. The
 //! reactor stamps its inline 503s the same way. Queue wait and handling
 //! time are measured separately so a slow request can be blamed on load
-//! or on work.
+//! or on work; a request served from a held connection never queued and
+//! records no queue wait.
 //!
 //! Shutdown is cooperative and *draining*: [`ServerHandle::shutdown`]
-//! wakes the reactor, which stops accepting, gives parked connections a
-//! short grace to flush bytes already in flight (dispatching any that
-//! are readable), closes the rest, and exits; workers then finish every
-//! dispatched connection before joining. No in-flight request is
-//! dropped.
+//! signals a stop eventfd that wakes the reactor and every holding
+//! worker. Holders park their connections; the reactor stops accepting,
+//! gives parked connections a short grace to flush bytes already in
+//! flight (dispatching any that are readable), closes the rest, and
+//! exits; workers then finish every dispatched connection before
+//! joining. No in-flight request is dropped.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -59,7 +74,9 @@ use crate::api::{self, CacheActivity};
 use crate::debug::{ConnInfo, ConnState, ConnTable};
 use crate::http::{self, Limits, ReadError, Response};
 use crate::metrics::{Metrics, RequestRecord, Route};
-use crate::reactor::{Epoll, EpollEvent, Wake, EPOLLET, EPOLLIN, EPOLLRDHUP};
+use crate::reactor::{
+    self, Epoll, EpollEvent, EventFd, PollFd, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP, POLLIN, POLLRDHUP,
+};
 use crate::trace::{LogLevel, Logger, RequestId, RequestIdSource};
 use dram_obs::journal::{self, EventKind};
 
@@ -83,9 +100,9 @@ pub struct ServerConfig {
     /// so embedding the server in tests stays quiet; `dram-serve`
     /// defaults to [`LogLevel::Info`] via `--log`.
     pub log: LogLevel,
-    /// How long a keep-alive connection may sit parked in the reactor
-    /// with no readable bytes before it is closed. Swept with ~100 ms
-    /// granularity.
+    /// How long a keep-alive connection may stay quiet — parked in the
+    /// reactor or held by a worker — before it is closed. The reactor
+    /// sweeps with ~100 ms granularity; a holding worker closes on time.
     pub idle_timeout: Duration,
     /// Requests one connection may carry before the server forces
     /// `connection: close` on the final response — bounds how long a
@@ -107,39 +124,49 @@ impl Default for ServerConfig {
     }
 }
 
-/// A connection dispatched to the worker pool: the stream, bytes a
-/// previous request on it over-read (the pipelining carry), how many
-/// requests it has already answered, and when it entered the queue.
-struct QueuedConn {
+/// One client connection as it moves between the reactor and the
+/// workers.
+struct Client {
     stream: TcpStream,
-    /// Connection id (accept sequence number) — the `conn` field every
-    /// journal event and `/debug/reactor` row uses for this socket.
+    /// Connection id (accept sequence number): the connection's epoll
+    /// token, and the `conn` field of every journal event and
+    /// `/debug/reactor` row for this socket.
     conn: u64,
-    carry: Vec<u8>,
-    served: u64,
-    queued_at: Instant,
-}
-
-/// A quiet keep-alive connection a worker hands back to the reactor.
-struct ReturnedConn {
-    stream: TcpStream,
-    conn: u64,
+    /// The peer as `accept` reported it: the loopback gate for
+    /// `/debug/*` keys on this, never on a header.
+    peer: SocketAddr,
+    /// Requests already answered on this connection.
     served: u64,
 }
 
-/// A connection parked in the reactor's epoll set.
-struct ParkedConn {
-    stream: TcpStream,
-    conn: u64,
-    served: u64,
+/// A connection and when it began its current wait: queued for a
+/// worker, or quiet (parked in the reactor or held by a worker).
+struct Waiting {
+    client: Client,
     since: Instant,
 }
 
 /// State shared between the reactor thread, the workers, the supervisor
 /// and the handle.
 struct Shared {
-    queue: Mutex<VecDeque<QueuedConn>>,
-    available: Condvar,
+    /// The reactor's epoll set. Only the reactor waits on it; workers
+    /// re-arm the connections they park.
+    epoll: Epoll,
+    queue: Mutex<VecDeque<Waiting>>,
+    /// One count per queued connection (an `EFD_SEMAPHORE` eventfd), so
+    /// a worker can wait on the queue and on a held connection in one
+    /// `poll`. When the reactor is done it adds [`SHUTDOWN_SURPLUS`].
+    available: EventFd,
+    /// Quiet connections armed in the epoll set, keyed by connection
+    /// id. The reactor takes one out when its event fires; workers put
+    /// connections in.
+    parked: Mutex<HashMap<u64, Waiting>>,
+    /// Workers holding a quiet connection. The shutdown drain waits for
+    /// them to park it.
+    holding: AtomicUsize,
+    /// Written once by shutdown and never read, so it stays readable:
+    /// wakes the reactor's `epoll_wait` and every holding worker.
+    stop: EventFd,
     shutting_down: AtomicBool,
     accepted: AtomicU64,
     ids: RequestIdSource,
@@ -148,19 +175,14 @@ struct Shared {
     logger: Logger,
     shed_at: Option<usize>,
     max_requests_per_conn: u64,
+    idle_timeout: Duration,
     /// Live per-connection telemetry behind `GET /debug/reactor`:
     /// advisory rows updated at each lifecycle transition, never
     /// consulted for ownership decisions.
     conns: ConnTable,
-    /// Quiet keep-alive connections handed back by workers, adopted by
-    /// the reactor on its next loop turn (after a `wake` signal).
-    returns: Mutex<Vec<ReturnedConn>>,
-    /// Interrupts the reactor's `epoll_wait`: workers signal it when
-    /// returning a connection, shutdown signals it to start the drain.
-    wake: Wake,
-    /// Set (only) by the reactor as it exits; workers may not leave
-    /// their pop loop before this, or a connection dispatched during the
-    /// drain could be left unserved in the queue.
+    /// Set (only) by the reactor as its drain ends, under the `parked`
+    /// lock. From then on nobody dispatches a parked connection, so a
+    /// worker closes what it would park.
     reactor_done: AtomicBool,
     /// Slot indices of workers that died (panicked out of their loop),
     /// pushed by the worker's drop-guard, drained by the supervisor.
@@ -170,11 +192,39 @@ struct Shared {
 }
 
 impl Shared {
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<QueuedConn>> {
+    fn new(config: &ServerConfig) -> io::Result<Self> {
+        Ok(Self {
+            epoll: Epoll::new()?,
+            queue: Mutex::new(VecDeque::new()),
+            available: EventFd::semaphore()?,
+            parked: Mutex::new(HashMap::new()),
+            holding: AtomicUsize::new(0),
+            stop: EventFd::new()?,
+            shutting_down: AtomicBool::new(false),
+            accepted: AtomicU64::new(0),
+            ids: RequestIdSource::new(),
+            metrics: Metrics::new(),
+            limits: config.limits,
+            logger: Logger::new(config.log),
+            shed_at: config.shed_at,
+            max_requests_per_conn: config.max_requests_per_conn.max(1),
+            idle_timeout: config.idle_timeout,
+            conns: ConnTable::default(),
+            reactor_done: AtomicBool::new(false),
+            deaths: Mutex::new(Vec::new()),
+            reaper: Condvar::new(),
+        })
+    }
+
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Waiting>> {
         // Poison-tolerant: a worker that panics while holding the queue
         // lock (it never should, but this file exists because "never
         // should" still happens) must not wedge every other worker.
         self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn lock_parked(&self) -> MutexGuard<'_, HashMap<u64, Waiting>> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -182,15 +232,21 @@ impl Shared {
 /// (anything but a clean exit disarms it first), `Drop` reports the slot
 /// to the supervisor for respawning. Runs during unwind, so it works for
 /// panics that escape the per-request `catch_unwind` — including
-/// deliberate `server.worker` injected faults.
+/// deliberate `server.worker` injected faults. It also owns the worker's
+/// held connection and parks it on the way out, so a worker death costs
+/// capacity, never a reply.
 struct DeathSentinel<'a> {
     shared: &'a Shared,
     slot: usize,
     armed: bool,
+    held: Option<Waiting>,
 }
 
 impl Drop for DeathSentinel<'_> {
     fn drop(&mut self) {
+        if let Some(quiet) = self.held.take() {
+            release(self.shared, quiet);
+        }
         if !self.armed {
             return;
         }
@@ -221,30 +277,11 @@ pub struct ServerHandle {
 /// # Errors
 ///
 /// Returns the bind error if the address is unavailable, or the errno
-/// if the epoll instance / wakeup eventfd cannot be created.
+/// if the epoll instance or an eventfd cannot be created.
 pub fn serve(addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let epoll = Epoll::new()?;
-    let wake = Wake::new()?;
-    let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::new()),
-        available: Condvar::new(),
-        shutting_down: AtomicBool::new(false),
-        accepted: AtomicU64::new(0),
-        ids: RequestIdSource::new(),
-        metrics: Metrics::new(),
-        limits: config.limits,
-        logger: Logger::new(config.log),
-        shed_at: config.shed_at,
-        max_requests_per_conn: config.max_requests_per_conn.max(1),
-        conns: ConnTable::default(),
-        returns: Mutex::new(Vec::new()),
-        wake,
-        reactor_done: AtomicBool::new(false),
-        deaths: Mutex::new(Vec::new()),
-        reaper: Condvar::new(),
-    });
+    let shared = Arc::new(Shared::new(&config)?);
 
     let workers: Vec<Option<JoinHandle<()>>> = (0..config.threads.max(1))
         .map(|slot| Some(spawn_worker(&shared, slot, 0)))
@@ -260,10 +297,9 @@ pub fn serve(addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
 
     let reactor_shared = Arc::clone(&shared);
     let queue_depth = config.queue_depth;
-    let idle_timeout = config.idle_timeout;
     let reactor_thread = std::thread::Builder::new()
         .name("dram-serve-reactor".to_string())
-        .spawn(move || reactor_loop(&listener, &epoll, &reactor_shared, queue_depth, idle_timeout))
+        .spawn(move || reactor_loop(&listener, &reactor_shared, queue_depth))
         .expect("spawn reactor thread");
 
     Ok(ServerHandle {
@@ -345,38 +381,35 @@ fn supervisor_loop(shared: &Arc<Shared>, mut workers: Vec<Option<JoinHandle<()>>
                 generations[slot] += 1;
                 shared.metrics.worker_respawns.inc();
                 workers[slot] = Some(spawn_worker(shared, slot, generations[slot]));
-                shared.available.notify_all();
             }
         }
     }
 }
 
-/// Registration token of the wakeup eventfd.
-const TOKEN_WAKE: u64 = 0;
+/// Registration token of the stop eventfd. Connections use their ids,
+/// counted from 1, so the fixed tokens sit at the top of the range.
+const TOKEN_STOP: u64 = u64::MAX;
 /// Registration token of the listening socket.
-const TOKEN_LISTENER: u64 = 1;
-/// First token handed to an accepted connection.
-const TOKEN_FIRST_CONN: u64 = 2;
+const TOKEN_LISTENER: u64 = u64::MAX - 1;
 /// How long parked connections get to flush in-flight bytes once
 /// shutdown starts before the reactor closes them.
 const DRAIN_GRACE: Duration = Duration::from_millis(250);
-/// The event bits a parked connection registers for: readable or peer
-/// hangup, edge-triggered (one notification per transition — the
-/// connection is dispatched and deregistered on the first).
-const CONN_EVENTS: u32 = EPOLLIN | EPOLLRDHUP | EPOLLET;
+/// The event bits a connection registers for, once, at accept: readable
+/// or peer hangup, one-shot — the event that dispatches it also disarms
+/// it until it is parked again.
+const CONN_EVENTS: u32 = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+/// What the reactor adds to the `available` semaphore when it is done:
+/// more counts than any pool has workers, so the semaphore stays
+/// readable and every waiting worker wakes to find the queue empty for
+/// good.
+const SHUTDOWN_SURPLUS: u64 = 1 << 32;
 
-/// The reactor: owns the listener and the epoll set, parks idle
-/// connections, dispatches readable ones to the worker queue, rejects
-/// with 503 when the queue is full, sweeps idle timeouts, and performs
-/// the shutdown drain. Runs until shutdown; the listener closes (and
-/// the port frees) when this returns.
-fn reactor_loop(
-    listener: &TcpListener,
-    epoll: &Epoll,
-    shared: &Arc<Shared>,
-    queue_depth: usize,
-    idle_timeout: Duration,
-) {
+/// The reactor: owns the listener, dispatches readable parked
+/// connections to the worker queue, rejects with 503 when the queue is
+/// full, sweeps idle timeouts, and performs the shutdown drain. Runs
+/// until shutdown; the listener closes (and the port frees) when this
+/// returns.
+fn reactor_loop(listener: &TcpListener, shared: &Shared, queue_depth: usize) {
     // Name this thread in the obs dense-id table up front: the reactor
     // opens no spans itself, so without this its journal events (and
     // any Chrome trace rows) would belong to an anonymous thread.
@@ -386,14 +419,13 @@ fn reactor_loop(
         // Degraded but not broken: accept() may block the loop between
         // events, yet every connection is still served.
     }
-    let _ = epoll.add(shared.wake.fd(), TOKEN_WAKE, EPOLLIN);
+    let epoll = &shared.epoll;
+    let _ = epoll.add(shared.stop.fd(), TOKEN_STOP, EPOLLIN);
     if let Err(e) = epoll.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN) {
         // Without listener events the server cannot accept at all;
         // surface loudly and park until shutdown.
         log_reactor_error(shared, "reactor_listener_register_failed", &e);
     }
-    let mut parked: HashMap<u64, ParkedConn> = HashMap::new();
-    let mut next_token = TOKEN_FIRST_CONN;
     let mut events = vec![EpollEvent::zeroed(); 256];
     let mut drain_deadline: Option<Instant> = None;
     loop {
@@ -410,113 +442,108 @@ fn reactor_loop(
             }
         };
         if shared.shutting_down.load(Ordering::SeqCst) && drain_deadline.is_none() {
-            // Stop accepting; everything already parked gets the grace
-            // period to show readable bytes and be served.
+            // Stop accepting; everything parked, and everything holders
+            // park now, gets the grace period to show readable bytes and
+            // be served. The stop signal stays readable, so it leaves
+            // the set too.
             drain_deadline = Some(Instant::now() + DRAIN_GRACE);
             epoll.del(listener.as_raw_fd());
+            epoll.del(shared.stop.fd());
         }
         for ev in &events[..n] {
-            let (_bits, token) = ev.parts();
-            match token {
-                TOKEN_WAKE => shared.wake.drain(),
+            match ev.parts().1 {
+                TOKEN_STOP => {}
                 TOKEN_LISTENER => {
                     if drain_deadline.is_none() {
-                        accept_burst(listener, epoll, shared, &mut parked, &mut next_token);
+                        accept_burst(listener, shared);
                     }
                 }
-                token => {
-                    // Readable (or hung up): hand the connection to a
-                    // worker. Deregistered first so no second event can
-                    // race the dispatch.
-                    if let Some(conn) = parked.remove(&token) {
-                        epoll.del(conn.stream.as_raw_fd());
-                        journal::record(EventKind::Wake, conn.conn, 0, conn.served);
-                        dispatch_conn(conn, shared, queue_depth);
+                conn => {
+                    // Readable (or hung up): its one-shot registration is
+                    // spent, so no second event can race the dispatch.
+                    let woken = shared.lock_parked().remove(&conn);
+                    if let Some(quiet) = woken {
+                        journal::record(EventKind::Wake, conn, 0, quiet.client.served);
+                        dispatch(quiet.client, shared, queue_depth);
                     }
                 }
             }
-        }
-        // Adopt quiet keep-alive connections handed back by workers.
-        let returned: Vec<ReturnedConn> = std::mem::take(
-            &mut *shared
-                .returns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-        for conn in returned {
-            if drain_deadline.is_some() {
-                // Shutting down: the response promising keep-alive was
-                // already sent, but a server may close an idle
-                // connection at any time. Dropping closes it.
-                journal::record(EventKind::Close, conn.conn, 0, conn.served);
-                shared.conns.remove(conn.conn);
-                continue;
-            }
-            park_conn(conn.stream, conn.conn, conn.served, epoll, shared, &mut parked, &mut next_token);
         }
         let now = Instant::now();
         if let Some(deadline) = drain_deadline {
-            if parked.is_empty() || now >= deadline {
-                for (_, conn) in parked.drain() {
-                    epoll.del(conn.stream.as_raw_fd());
-                    journal::record(EventKind::Close, conn.conn, 0, conn.served);
-                    shared.conns.remove(conn.conn);
-                }
+            let settled =
+                shared.lock_parked().is_empty() && shared.holding.load(Ordering::SeqCst) == 0;
+            if settled || now >= deadline {
                 break;
             }
-        } else if !parked.is_empty() {
-            let expired: Vec<u64> = parked
-                .iter()
-                .filter(|(_, c)| now.duration_since(c.since) >= idle_timeout)
-                .map(|(t, _)| *t)
+        } else {
+            let expired: Vec<Waiting> = shared
+                .lock_parked()
+                .extract_if(|_, quiet| now.duration_since(quiet.since) >= shared.idle_timeout)
+                .map(|(_, quiet)| quiet)
                 .collect();
-            for token in expired {
-                if let Some(conn) = parked.remove(&token) {
-                    epoll.del(conn.stream.as_raw_fd());
-                    shared.metrics.idle_closed.inc();
-                    journal::record(EventKind::Close, conn.conn, 0, conn.served);
-                    shared.conns.remove(conn.conn);
-                    if let Some(line) = shared.logger.line(LogLevel::Debug, "idle_closed") {
-                        line.field("served", conn.served)
-                            .field("idle_ms", now.duration_since(conn.since).as_millis())
-                            .emit();
-                    }
-                }
+            for quiet in expired {
+                close_idle(shared, quiet);
             }
         }
     }
-    // Workers may only exit once this is visible, or a connection
+    // What is still parked closes now: the promised keep-alive was
+    // honored, and a server may close an idle connection at any time.
+    let rest: Vec<Waiting> = {
+        let mut parked = shared.lock_parked();
+        shared.reactor_done.store(true, Ordering::SeqCst);
+        parked.drain().map(|(_, quiet)| quiet).collect()
+    };
+    for quiet in rest {
+        close(shared, quiet.client);
+    }
+    // Workers may only leave once the reactor is done, or a connection
     // dispatched during the drain could be stranded in the queue.
-    shared.reactor_done.store(true, Ordering::SeqCst);
-    shared.available.notify_all();
+    shared.available.post(SHUTDOWN_SURPLUS);
 }
 
 /// Accepts until the listener would block, parking each connection.
 /// Errors other than `WouldBlock` (fd exhaustion, aborted handshakes)
 /// back off until the next listener event rather than spinning.
-fn accept_burst(
-    listener: &TcpListener,
-    epoll: &Epoll,
-    shared: &Shared,
-    parked: &mut HashMap<u64, ParkedConn>,
-    next_token: &mut u64,
-) {
+fn accept_burst(listener: &TcpListener, shared: &Shared) {
     loop {
         match listener.accept() {
-            Ok((stream, _peer)) => {
+            Ok((stream, peer)) => {
                 let conn = shared.accepted.fetch_add(1, Ordering::SeqCst) + 1;
-                journal::record(
-                    EventKind::Accept,
-                    conn,
-                    0,
-                    u64::from(stream.as_raw_fd().unsigned_abs()),
-                );
-                // Nagle would hold each small pipelined response until
-                // the previous one is ACKed — a 40 ms delayed-ACK stall
-                // per response. Responses are written whole, so there is
-                // nothing for Nagle to coalesce anyway.
+                let fd = stream.as_raw_fd();
+                journal::record(EventKind::Accept, conn, 0, u64::from(fd.unsigned_abs()));
+                // Both options hold for the socket's whole life.
+                // Nonblocking: every read and write is tried first, and
+                // waits in `poll` only when it would block. No Nagle: it
+                // would hold each small pipelined response until the
+                // previous one is ACKed — a 40 ms delayed-ACK stall per
+                // response — and responses are written whole, so there
+                // is nothing for it to coalesce anyway.
+                if let Err(e) = stream.set_nonblocking(true) {
+                    log_reactor_error(shared, "reactor_nonblocking_failed", &e);
+                    journal::record(EventKind::Close, conn, 0, 0);
+                    continue;
+                }
                 let _ = stream.set_nodelay(true);
-                park_conn(stream, conn, 0, epoll, shared, parked, next_token);
+                let since = Instant::now();
+                shared.conns.upsert(
+                    conn,
+                    ConnInfo {
+                        fd,
+                        state: ConnState::Parked,
+                        since,
+                        served: 0,
+                        carry: 0,
+                    },
+                );
+                journal::record(EventKind::Park, conn, 0, 0);
+                let client = Client {
+                    stream,
+                    conn,
+                    peer,
+                    served: 0,
+                };
+                park(shared, Waiting { client, since }, Arm::Add);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -528,55 +555,69 @@ fn accept_burst(
     }
 }
 
-/// Registers a connection in the epoll set and parks it. If the fd
-/// cannot be registered (fd pressure) the connection is dropped —
-/// closed — rather than leaked outside the reactor's bookkeeping.
-fn park_conn(
-    stream: TcpStream,
-    conn: u64,
-    served: u64,
-    epoll: &Epoll,
-    shared: &Shared,
-    parked: &mut HashMap<u64, ParkedConn>,
-    next_token: &mut u64,
-) {
-    if let Err(e) = stream.set_nonblocking(true) {
-        log_reactor_error(shared, "reactor_nonblocking_failed", &e);
-        journal::record(EventKind::Close, conn, 0, served);
-        shared.conns.remove(conn);
+/// How [`park`] arms a connection in the epoll set.
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    /// The one registration, at accept.
+    Add,
+    /// Re-enabling the registration after its one-shot event fired.
+    Rearm,
+}
+
+/// Parks a quiet connection: into the shared map, then armed in the
+/// epoll set, both under the map's lock so the reactor can neither miss
+/// its event nor close it in between. Once the reactor is done nobody
+/// would dispatch it, so it is closed instead — as is a connection the
+/// epoll set refuses (fd pressure), rather than leaked outside the
+/// reactor's bookkeeping.
+fn park(shared: &Shared, quiet: Waiting, arm: Arm) {
+    let fd = quiet.client.stream.as_raw_fd();
+    let conn = quiet.client.conn;
+    let mut parked = shared.lock_parked();
+    if shared.reactor_done.load(Ordering::SeqCst) {
+        drop(parked);
+        close(shared, quiet.client);
         return;
     }
-    let token = *next_token;
-    *next_token += 1;
-    match epoll.add(stream.as_raw_fd(), token, CONN_EVENTS) {
-        Ok(()) => {
-            shared.conns.upsert(
-                conn,
-                ConnInfo {
-                    fd: stream.as_raw_fd(),
-                    state: ConnState::Parked,
-                    since: Instant::now(),
-                    served,
-                    carry: 0,
-                },
-            );
-            journal::record(EventKind::Park, conn, 0, served);
-            parked.insert(
-                token,
-                ParkedConn {
-                    stream,
-                    conn,
-                    served,
-                    since: Instant::now(),
-                },
-            );
-        }
-        Err(e) => {
-            log_reactor_error(shared, "reactor_register_failed", &e);
-            journal::record(EventKind::Close, conn, 0, served);
-            shared.conns.remove(conn);
+    parked.insert(conn, quiet);
+    let armed = match arm {
+        Arm::Add => shared.epoll.add(fd, conn, CONN_EVENTS),
+        Arm::Rearm => shared.epoll.rearm(fd, conn, CONN_EVENTS),
+    };
+    if let Err(e) = armed {
+        let refused = parked.remove(&conn);
+        drop(parked);
+        log_reactor_error(shared, "reactor_register_failed", &e);
+        if let Some(quiet) = refused {
+            close(shared, quiet.client);
         }
     }
+}
+
+/// Ends a worker's hold by parking its connection — parked before it is
+/// uncounted, so the shutdown drain never finds it in neither place.
+fn release(shared: &Shared, quiet: Waiting) {
+    park(shared, quiet, Arm::Rearm);
+    shared.holding.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// Closes a connection: its journal event and table row go with the
+/// socket.
+fn close(shared: &Shared, client: Client) {
+    journal::record(EventKind::Close, client.conn, 0, client.served);
+    shared.conns.remove(client.conn);
+}
+
+/// Closes a connection that stayed quiet for the idle timeout, from the
+/// reactor's sweep or from the worker holding it.
+fn close_idle(shared: &Shared, quiet: Waiting) {
+    shared.metrics.idle_closed.inc();
+    if let Some(line) = shared.logger.line(LogLevel::Debug, "idle_closed") {
+        line.field("served", quiet.client.served)
+            .field("idle_ms", quiet.since.elapsed().as_millis())
+            .emit();
+    }
+    close(shared, quiet.client);
 }
 
 /// Logs a reactor-side I/O failure at `error` level.
@@ -588,13 +629,7 @@ fn log_reactor_error(shared: &Shared, event: &str, e: &io::Error) {
 
 /// Hands a readable connection to the worker pool, or answers 503
 /// inline when the queue is full (or the `server.queue` fault fires).
-fn dispatch_conn(conn: ParkedConn, shared: &Shared, queue_depth: usize) {
-    let ParkedConn {
-        stream,
-        conn,
-        served,
-        ..
-    } = conn;
+fn dispatch(client: Client, shared: &Shared, queue_depth: usize) {
     // Fault site: a `reject` rule makes this dispatch behave as if the
     // queue were full — same 503 path, same accounting — so chaos runs
     // exercise backpressure without needing real load.
@@ -602,50 +637,51 @@ fn dispatch_conn(conn: ParkedConn, shared: &Shared, queue_depth: usize) {
     let mut queue = shared.lock_queue();
     if queue.len() >= queue_depth || injected_full {
         drop(queue);
-        reject_busy(stream, conn, shared, queue_depth);
+        reject_busy(client, shared, queue_depth);
         return;
     }
-    queue.push_back(QueuedConn {
-        stream,
-        conn,
-        carry: Vec::new(),
-        served,
-        queued_at: Instant::now(),
+    let (conn, served) = (client.conn, client.served);
+    queue.push_back(Waiting {
+        client,
+        since: Instant::now(),
     });
     let depth = queue.len();
     drop(queue);
+    // No worker can pop the connection before its count is posted, so
+    // these land ahead of the worker's own events.
     shared.conns.transition(conn, ConnState::Queued, served, 0);
     journal::record(EventKind::Dispatch, conn, 0, served);
     journal::record(EventKind::QueueEnter, conn, 0, depth as u64);
-    shared.available.notify_one();
+    shared.available.post(1);
 }
 
 /// Backpressure: answer 503 inline on the reactor thread and close — a
 /// rejected client never costs worker time. The dispatch was triggered
 /// by readability, so one nonblocking read drains the request bytes
-/// already here and closing doesn't RST the response away.
-fn reject_busy(mut stream: TcpStream, conn: u64, shared: &Shared, queue_depth: usize) {
+/// already here and closing doesn't RST the response away. The answer
+/// is one nonblocking write: a client that stopped reading, with its
+/// buffers full, is closed without it rather than stalling the reactor.
+fn reject_busy(mut client: Client, shared: &Shared, queue_depth: usize) {
     shared.metrics.rejected_busy.inc();
     let id = shared.ids.next_id();
-    journal::record(EventKind::Response, conn, id.seq, 503);
+    journal::record(EventKind::Response, client.conn, id.seq, 503);
     let retry_after = shared.metrics.retry_after_secs();
     let mut scratch = [0u8; 8192];
-    let _ = io::Read::read(&mut stream, &mut scratch);
-    let _ = stream.set_nonblocking(false);
-    let sent = Response::error(503, "server is at capacity, retry shortly")
+    let _ = io::Read::read(&mut client.stream, &mut scratch);
+    let bytes = Response::error(503, "server is at capacity, retry shortly")
         .with_header("retry-after", &retry_after.to_string())
         .with_header("x-request-id", &id.to_string())
-        .send_within(&mut stream, shared.limits.io_timeout);
+        .to_bytes();
+    let sent = io::Write::write(&mut client.stream, &bytes).is_ok_and(|n| n == bytes.len());
     if let Some(line) = shared.logger.line(LogLevel::Error, "rejected") {
         line.field("id", id)
             .field("status", 503)
             .field("queue_depth", queue_depth)
             .field("retry_after", retry_after)
-            .field("write_ok", sent.is_ok())
+            .field("write_ok", sent)
             .emit();
     }
-    journal::record(EventKind::Close, conn, 0, 0);
-    shared.conns.remove(conn);
+    close(shared, client);
 }
 
 fn worker_loop(shared: &Shared, slot: usize) {
@@ -653,47 +689,94 @@ fn worker_loop(shared: &Shared, slot: usize) {
         shared,
         slot,
         armed: true,
+        held: None,
     };
-    loop {
-        let conn = {
-            let mut queue = shared.lock_queue();
-            loop {
-                if let Some(conn) = queue.pop_front() {
-                    break Some(conn);
-                }
-                // Exit requires the reactor to be done: until then a
-                // drain dispatch can still land in the queue, and a
-                // worker that left early would strand it.
-                if shared.shutting_down.load(Ordering::SeqCst)
-                    && shared.reactor_done.load(Ordering::SeqCst)
-                {
-                    break None;
-                }
-                queue = shared
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let Some(conn) = conn else {
-            // Clean exit (shutdown, queue drained): not a death.
-            sentinel.armed = false;
-            return;
-        };
-        if let Some(returned) = serve_connection(conn, shared) {
+    while let Some((client, queued_at)) = next_connection(shared, &mut sentinel.held) {
+        if let Some(client) = serve_connection(client, queued_at, shared) {
             shared
-                .returns
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(returned);
-            shared.wake.signal();
+                .conns
+                .transition(client.conn, ConnState::Parked, client.served, 0);
+            journal::record(EventKind::Park, client.conn, 0, client.served);
+            let quiet = Waiting {
+                client,
+                since: Instant::now(),
+            };
+            // Hold the quiet connection while nothing else waits: its
+            // next request then needs no reactor or queue hop.
+            if shared.lock_queue().is_empty() {
+                shared.holding.fetch_add(1, Ordering::SeqCst);
+                sentinel.held = Some(quiet);
+            } else {
+                park(shared, quiet, Arm::Rearm);
+            }
         }
         // Fault site: a `panic` rule kills this worker *between*
-        // connections — responses were already sent and a quiet
-        // connection already handed back, so the death costs capacity,
-        // never a reply. The sentinel reports the slot and the
+        // connections — responses were already sent, and the sentinel
+        // parks a held connection on the way out, so the death costs
+        // capacity, never a reply. The sentinel reports the slot and the
         // supervisor respawns it.
         dram_faults::trip("server.worker");
+    }
+    // Clean exit (shutdown, queue drained): not a death.
+    sentinel.armed = false;
+}
+
+/// Waits for the next connection to serve: a queued one, with when it
+/// was queued, or the `held` one once it turns readable. Queued work
+/// goes first — it waited its turn, while the held connection already
+/// had one — and taking it parks the held connection. A held connection
+/// is also parked when shutdown starts, and closed when it stays quiet
+/// for the idle timeout. `None` once the reactor is done and the queue
+/// is empty.
+fn next_connection(
+    shared: &Shared,
+    held: &mut Option<Waiting>,
+) -> Option<(Client, Option<Instant>)> {
+    loop {
+        let mut fds = [
+            PollFd::new(shared.available.fd(), POLLIN),
+            PollFd::new(-1, 0),
+            PollFd::new(-1, 0),
+        ];
+        let mut watched = 1;
+        let mut timeout = None;
+        if let Some(quiet) = held.take() {
+            let left = shared.idle_timeout.saturating_sub(quiet.since.elapsed());
+            if shared.shutting_down.load(Ordering::SeqCst) {
+                // The drain treats it like any parked connection.
+                release(shared, quiet);
+                continue;
+            }
+            if left.is_zero() {
+                close_idle(shared, quiet);
+                shared.holding.fetch_sub(1, Ordering::SeqCst);
+                continue;
+            }
+            fds[1] = PollFd::new(quiet.client.stream.as_raw_fd(), POLLIN | POLLRDHUP);
+            fds[2] = PollFd::new(shared.stop.fd(), POLLIN);
+            watched = 3;
+            timeout = Some(left);
+            *held = Some(quiet);
+        }
+        // An error here is as good as a spurious wake-up: every
+        // condition is checked again below and on the next turn.
+        let _ = reactor::poll(&mut fds[..watched], timeout);
+        if fds[0].ready() && shared.available.try_take() {
+            let next = shared.lock_queue().pop_front();
+            if let Some(quiet) = held.take() {
+                release(shared, quiet);
+            }
+            // A count with nothing queued is the reactor's shutdown
+            // surplus: the queue is empty for good.
+            return next.map(|queued| (queued.client, Some(queued.since)));
+        }
+        if fds[1].ready() {
+            if let Some(quiet) = held.take() {
+                shared.holding.fetch_sub(1, Ordering::SeqCst);
+                journal::record(EventKind::Wake, quiet.client.conn, 0, quiet.client.served);
+                return Some((quiet.client, None));
+            }
+        }
     }
 }
 
@@ -707,55 +790,53 @@ enum Verdict {
     Close,
 }
 
-/// Serves requests off a dispatched connection until it goes quiet.
+/// Serves requests off a connection until it goes quiet.
 ///
-/// Pipelined requests (bytes already in the carry) are parsed and
-/// answered back-to-back in order without returning to the reactor;
+/// `queued_at` is when the reactor queued the connection, or `None` for
+/// a held connection its worker serves directly: that request never
+/// queued, so it records no queue wait at all. Pipelined requests (bytes
+/// already in the carry) are parsed and answered back-to-back in order;
 /// once the carry is empty after a kept-alive response, the connection
-/// is handed back (`Some`) to be parked. `None` means the connection
-/// was closed here.
+/// is returned (`Some`) to be held or parked. `None` means the
+/// connection was closed here.
 ///
 /// Chunked-transfer requests to the streaming trace endpoint are handed
 /// their still-on-the-wire body ([`serve_trace_stream`]); chunked
 /// requests to any other route are drained into memory first (bounded
 /// by [`Limits::max_body`]) and served exactly like buffered ones.
-fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn> {
-    let QueuedConn {
-        mut stream,
-        conn,
-        mut carry,
-        mut served,
-        queued_at,
-    } = queued;
-    // The reactor parks streams nonblocking; workers parse with
-    // blocking reads under `read_bounded`'s timeout regime.
-    if stream.set_nonblocking(false).is_err() {
-        journal::record(EventKind::Close, conn, 0, served);
-        shared.conns.remove(conn);
-        return None;
+fn serve_connection(
+    mut client: Client,
+    queued_at: Option<Instant>,
+    shared: &Shared,
+) -> Option<Client> {
+    let conn = client.conn;
+    let mut queue_wait = Duration::ZERO;
+    if let Some(queued_at) = queued_at {
+        queue_wait = queued_at.elapsed();
+        shared.metrics.note_queue_wait(queue_wait);
+        journal::record(
+            EventKind::QueueExit,
+            conn,
+            0,
+            u64::try_from(queue_wait.as_micros()).unwrap_or(u64::MAX),
+        );
     }
-    // The connected socket's peer, captured once per dispatch: the
-    // loopback gate for `/debug/*` keys on this, never on a header.
-    let peer = stream.peer_addr().ok();
-    let mut queue_wait = queued_at.elapsed();
-    shared.metrics.note_queue_wait(queue_wait);
-    journal::record(
-        EventKind::QueueExit,
-        conn,
-        0,
-        u64::try_from(queue_wait.as_micros()).unwrap_or(u64::MAX),
-    );
-    shared.conns.transition(conn, ConnState::Active, served, carry.len());
-    let mut first_of_dispatch = true;
+    shared
+        .conns
+        .transition(conn, ConnState::Active, client.served, 0);
+    let mut carry = Vec::new();
+    let mut pipelined = false;
     loop {
         let started = Instant::now();
         let id = shared.ids.next_id();
-        journal::record(EventKind::WorkerStart, conn, id.seq, served);
+        journal::record(EventKind::WorkerStart, conn, id.seq, client.served);
         // Ambient attribution: engine-cache, rebuild and fault events
         // recorded anywhere below this worker frame land on this
         // (conn, request) pair without API threading.
         journal::set_context(conn, id.seq);
-        if first_of_dispatch {
+        if pipelined {
+            shared.metrics.pipelined_requests.inc();
+        } else if let Some(queued_at) = queued_at {
             // Reactor-to-worker handoff time, attributed to the first
             // request of the dispatch. Manual because the interval
             // crosses threads: the reactor measured its start, this
@@ -763,13 +844,12 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
             dram_obs::ManualSpan::new("server.queue", queued_at, started)
                 .arg("id", id)
                 .commit();
-            first_of_dispatch = false;
-        } else {
-            shared.metrics.pipelined_requests.inc();
         }
+        let served = client.served;
+        let peer = Some(client.peer);
+        let stream = &mut client.stream;
         let mut request_span = dram_obs::span("server.request").arg("id", id);
-        let inbound =
-            http::read_inbound_after(&mut stream, &shared.limits, std::mem::take(&mut carry));
+        let inbound = http::read_inbound_after(stream, &shared.limits, std::mem::take(&mut carry));
         let verdict = match inbound {
             Ok(http::Inbound::Buffered { request, leftover }) => {
                 if served > 0 {
@@ -778,7 +858,7 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                 serve_buffered(
                     &request,
                     leftover,
-                    &mut stream,
+                    stream,
                     shared,
                     id,
                     queue_wait,
@@ -799,7 +879,7 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                 if route == Route::Trace {
                     serve_trace_stream(
                         &request,
-                        &mut stream,
+                        stream,
                         &mut body,
                         shared,
                         id,
@@ -809,14 +889,14 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                         served,
                     )
                 } else {
-                    match body.read_all(&mut stream, shared.limits.max_body) {
+                    match body.read_all(stream, shared.limits.max_body) {
                         Ok(bytes) => {
                             request.body = bytes;
                             let leftover = body.take_leftover();
                             serve_buffered(
                                 &request,
                                 leftover,
-                                &mut stream,
+                                stream,
                                 shared,
                                 id,
                                 queue_wait,
@@ -827,7 +907,7 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                             )
                         }
                         Err(e) => {
-                            answer_protocol_error(&e, &mut stream, shared, id, queue_wait, started);
+                            answer_protocol_error(&e, stream, shared, id, queue_wait, started);
                             Verdict::Close
                         }
                     }
@@ -845,33 +925,35 @@ fn serve_connection(queued: QueuedConn, shared: &Shared) -> Option<ReturnedConn>
                 Verdict::Close
             }
             Err(ReadError::Http(e)) => {
-                answer_protocol_error(&e, &mut stream, shared, id, queue_wait, started);
+                answer_protocol_error(&e, stream, shared, id, queue_wait, started);
                 Verdict::Close
             }
         };
         journal::set_context(0, 0);
         match verdict {
             Verdict::Close => {
-                journal::record(EventKind::Close, conn, 0, served);
-                shared.conns.remove(conn);
+                close(shared, client);
                 return None;
             }
             Verdict::Keep(next) => {
-                served += 1;
+                client.served += 1;
                 carry = next;
                 // Tolerate a stray CRLF after a body (RFC 9112 §2.2) —
                 // it is not the start of a pipelined request, and a
-                // worker must not block waiting to complete one.
+                // worker must not wait to complete one.
                 while carry.starts_with(b"\r\n") {
                     carry.drain(..2);
                 }
                 if carry.is_empty() {
-                    return Some(ReturnedConn { stream, conn, served });
+                    return Some(client);
                 }
-                shared.conns.transition(conn, ConnState::Active, served, carry.len());
+                shared
+                    .conns
+                    .transition(conn, ConnState::Active, client.served, carry.len());
                 // A pipelined request is already (partially) buffered:
                 // keep the worker and serve it immediately, in order.
                 queue_wait = Duration::ZERO;
+                pipelined = true;
             }
         }
     }
@@ -1075,18 +1157,18 @@ fn answer_protocol_error(
     drain_after_error(stream);
 }
 
-/// Bounded post-error drain. The hard cap matters: a client that keeps
-/// trickling after its 408 must not keep holding the worker it just
-/// timed out on.
+/// Bounded post-error drain: reads until the peer stays quiet for
+/// 100 ms, hangs up, or 500 ms pass. The hard cap matters: a client
+/// that keeps trickling after its 408 must not keep holding the worker
+/// it just timed out on.
 fn drain_after_error(stream: &mut TcpStream) {
     let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(100)));
-    let drain_until = Instant::now() + std::time::Duration::from_millis(500);
+    let drain_until = Instant::now() + Duration::from_millis(500);
     let mut scratch = [0u8; 8192];
-    while Instant::now() < drain_until {
-        match io::Read::read(stream, &mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
+    let quiet_for = Duration::from_millis(100);
+    while let Ok(n) = http::read_within(stream, &mut scratch, drain_until, quiet_for) {
+        if n == 0 {
+            break;
         }
     }
 }
@@ -1219,21 +1301,20 @@ impl ServerHandle {
     }
 
     /// Gracefully shuts down: stop accepting, serve everything already
-    /// dispatched or showing readable bytes, close parked idle
+    /// dispatched or showing readable bytes, close quiet keep-alive
     /// connections, join all threads. Returns the number of requests
     /// served over the server's lifetime.
     pub fn shutdown(mut self) -> u64 {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Interrupt the reactor's wait; it runs the drain and exits,
-        // which also closes the listener (the port frees here).
-        self.shared.wake.signal();
+        // Wake the reactor and every holding worker at once. The reactor
+        // runs the drain and exits, which also closes the listener (the
+        // port frees here) and releases the workers.
+        self.shared.stop.post(1);
         if let Some(t) = self.reactor_thread.take() {
             let _ = t.join();
         }
-        // Workers drain the queue, then observe both flags and exit;
-        // the supervisor joins them all (respawning any that die
-        // mid-drain) before exiting itself.
-        self.shared.available.notify_all();
+        // Workers drain the queue, then exit; the supervisor joins them
+        // all (respawning any that die mid-drain) before exiting itself.
         self.shared.reaper.notify_all();
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
@@ -1296,5 +1377,50 @@ mod tests {
         assert!(reply.header("x-request-id").is_some(), "{reply:?}");
         assert_eq!(handle.metrics().rejected_busy.get(), 1);
         handle.shutdown();
+    }
+
+    /// The reactor answers a full queue itself, so its 503 must never
+    /// wait on the client: a keep-alive client that kept sending but
+    /// stopped reading would otherwise stall every accept, dispatch and
+    /// sweep for up to `io_timeout`.
+    #[test]
+    fn rejecting_a_client_that_stopped_reading_does_not_stall() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let silent_peer =
+            TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, peer) = listener.accept().expect("accept");
+        stream.set_nonblocking(true).expect("nonblocking");
+        // Fill the send buffer, and the peer's receive buffer behind it.
+        let chunk = vec![0u8; 64 * 1024];
+        loop {
+            match (&stream).write(&chunk) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("filling the send buffer failed: {e}"),
+            }
+        }
+        let shared = Shared::new(&ServerConfig {
+            limits: Limits {
+                io_timeout: Duration::from_secs(2),
+                ..Limits::default()
+            },
+            ..ServerConfig::default()
+        })
+        .expect("shared state");
+        let client = Client {
+            stream,
+            conn: 1,
+            peer,
+            served: 3,
+        };
+        let started = Instant::now();
+        reject_busy(client, &shared, 0);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_millis(200),
+            "the reject waited {took:?}"
+        );
+        assert_eq!(shared.metrics.rejected_busy.get(), 1);
+        drop(silent_peer);
     }
 }

@@ -130,6 +130,49 @@ fn killed_workers_are_respawned_and_requests_keep_flowing() {
     assert_eq!(server.shutdown(), 6);
 }
 
+/// A worker killed while it waits on a quiet keep-alive connection
+/// hands that connection back before it dies: every request on it is
+/// still answered, on the same socket, by the respawned worker.
+#[test]
+fn a_worker_death_on_a_quiet_connection_costs_no_reply() {
+    use std::io::Write;
+    let _guard = exclusive();
+    let plan = dram_faults::Plan::parse("seed=17;server.worker=panic:times=1").expect("plan");
+    dram_faults::arm(&plan);
+
+    let server = start(1);
+    let stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut conn = Conn::new(stream);
+    let mut ids = Vec::new();
+    for i in 0..3 {
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+            .unwrap_or_else(|e| panic!("send {i}: {e}"));
+        let reply = conn
+            .read_response()
+            .unwrap_or_else(|e| panic!("request {i} got no reply: {e}"));
+        assert_eq!(reply.status(), 200, "request {i}: {reply:?}");
+        assert_eq!(reply.header("connection"), Some("keep-alive"), "request {i}");
+        ids.push(request_id(&reply).expect("x-request-id"));
+    }
+    ids.sort();
+    ids.dedup();
+    assert_eq!(ids.len(), 3, "every reply needs its own id");
+    assert_eq!(dram_faults::injected_total(), 1);
+
+    // Respawning is asynchronous; wait for the supervisor to catch up.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.metrics().worker_respawns.get() < 1 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.metrics().worker_respawns.get(), 1);
+    drop(conn);
+    assert_eq!(server.shutdown(), 3);
+    dram_faults::disarm();
+}
+
 /// Injected short writes slice every response into byte-sized socket
 /// writes; the client still receives it intact, bit for bit.
 #[test]

@@ -217,3 +217,98 @@ fn debug_requests_never_enter_slow_request_sampling() {
     );
     handle.shutdown();
 }
+
+/// A keep-alive request that its worker serves from the held, quiet
+/// connection never queued: its timeline is complete, the worker itself
+/// records the `wake`, and no `server.queue` span carries its id — while
+/// the connection's first request, dispatched by the reactor, has both
+/// a reactor `wake` and a queue span. Between requests `/debug/reactor`
+/// lists the held connection as parked.
+#[test]
+fn a_held_request_never_queues_and_its_connection_shows_parked() {
+    let _guard = journal_lock();
+    dram_obs::journal::configure(4096);
+    dram_obs::set_enabled(true);
+    let handle = start();
+    let addr = handle.local_addr();
+
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut conn = Conn::new(stream);
+    let mut ids = Vec::new();
+    for _ in 0..2 {
+        conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+            .expect("send");
+        let reply = conn.read_response().expect("reply");
+        assert_eq!(reply.status(), 200, "{reply:?}");
+        ids.push(reply.header("x-request-id").expect("id").to_string());
+    }
+
+    // The worker marks its connection parked just after the write the
+    // client has already read; give that a bounded moment to land.
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    let held_row = loop {
+        let (status, body, _) = exchange(addr, "GET", "/debug/reactor", "");
+        assert_eq!(status, 200, "{body}");
+        let doc = Value::parse(&body).expect("reactor JSON parses");
+        let rows = doc.get("table").and_then(Value::as_array).expect("table");
+        let row = rows
+            .iter()
+            .find(|r| r.get("served").and_then(Value::as_f64) == Some(2.0))
+            .map(|r| r.get("state").and_then(Value::as_str).unwrap_or("").to_string());
+        if row.as_deref() == Some("parked") || std::time::Instant::now() > deadline {
+            break row;
+        }
+    };
+    assert_eq!(held_row.as_deref(), Some("parked"), "the held connection's row");
+
+    // (wake thread, worker_start thread, kinds between the two, span
+    // names) of one request's timeline.
+    let timeline = |id: &str| {
+        let (status, body, _) = exchange(addr, "GET", &format!("/debug/requests/{id}"), "");
+        assert_eq!(status, 200, "{body}");
+        let doc = Value::parse(&body).expect("timeline JSON parses");
+        assert_eq!(doc.get("complete").and_then(Value::as_bool), Some(true), "{body}");
+        let events = doc.get("events").and_then(Value::as_array).expect("events");
+        let start = events
+            .iter()
+            .position(|e| e.get("kind").and_then(Value::as_str) == Some("worker_start"))
+            .unwrap_or_else(|| panic!("no worker_start: {body}"));
+        let kind = |e: &Value| e.get("kind").and_then(Value::as_str).unwrap_or("").to_string();
+        let wake = events[..start]
+            .iter()
+            .rposition(|e| kind(e) == "wake")
+            .unwrap_or_else(|| panic!("no wake before worker_start: {body}"));
+        let between: Vec<String> = events[wake + 1..start].iter().map(kind).collect();
+        let thread = |e: &Value| e.get("thread").and_then(Value::as_f64).expect("thread");
+        let spans: Vec<String> = doc
+            .get("spans")
+            .and_then(Value::as_array)
+            .expect("spans")
+            .iter()
+            .filter_map(|s| s.get("name").and_then(Value::as_str).map(String::from))
+            .collect();
+        (thread(&events[wake]), thread(&events[start]), between, spans)
+    };
+    let (reactor_wake, first_worker, queued, first_spans) = timeline(&ids[0]);
+    assert_ne!(reactor_wake, first_worker, "the reactor wakes a parked connection");
+    assert_eq!(queued, ["dispatch", "queue_enter", "queue_exit"]);
+    assert!(
+        first_spans.iter().any(|s| s == "server.queue"),
+        "{first_spans:?}"
+    );
+    let (held_wake, held_worker, between, held_spans) = timeline(&ids[1]);
+    assert_eq!(held_wake, held_worker, "the holding worker records the wake");
+    assert!(between.is_empty(), "a held request passed through {between:?}");
+    assert!(
+        !held_spans.iter().any(|s| s == "server.queue"),
+        "a held request recorded a queue wait: {held_spans:?}"
+    );
+
+    dram_obs::set_enabled(false);
+    drop(conn);
+    handle.shutdown();
+    dram_obs::journal::configure(0);
+}

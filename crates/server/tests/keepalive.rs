@@ -256,3 +256,62 @@ fn chunked_trace_streaming_keeps_the_connection() {
     assert_eq!(server.metrics().keepalive_reuses.get(), 2);
     assert_eq!(server.shutdown(), 3);
 }
+
+#[test]
+fn a_quiet_connection_yields_its_worker_to_queued_work() {
+    // One worker and a long idle timeout: if the worker kept waiting on
+    // a quiet connection instead of taking queued work, the second
+    // client would wait the whole 30 s.
+    let server = start(ServerConfig {
+        threads: 1,
+        idle_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
+    let healthz = b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n";
+    let mut a = connect(server.local_addr());
+    a.write_all(healthz).expect("send on A");
+    let first = read_reply(&mut a);
+    assert_eq!(first.status(), 200);
+    assert_eq!(first.header("connection"), Some("keep-alive"));
+
+    // A goes quiet; B speaks and must be answered promptly.
+    let mut b = connect(server.local_addr());
+    let started = Instant::now();
+    b.write_all(healthz).expect("send on B");
+    let reply = read_reply(&mut b);
+    let waited = started.elapsed();
+    assert_eq!(reply.status(), 200);
+    assert!(
+        waited < Duration::from_secs(1),
+        "B waited {waited:?} behind quiet A"
+    );
+
+    // A's next request is still answered on the same connection.
+    a.write_all(healthz).expect("second send on A");
+    let second = read_reply(&mut a);
+    assert_eq!(second.status(), 200);
+    assert_ne!(id(&first), id(&second));
+    assert_eq!(server.shutdown(), 3);
+}
+
+#[test]
+fn shutdown_does_not_wait_for_a_held_connection() {
+    // A quiet keep-alive connection held by its worker, with a 60 s idle
+    // budget: shutdown must wake the holder at once and close the
+    // connection within the drain, not at the idle timeout.
+    let server = start(ServerConfig {
+        idle_timeout: Duration::from_secs(60),
+        ..ServerConfig::default()
+    });
+    let mut s = connect(server.local_addr());
+    s.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+        .expect("send");
+    let reply = read_reply(&mut s);
+    assert_eq!(reply.header("connection"), Some("keep-alive"));
+
+    let started = Instant::now();
+    assert_eq!(server.shutdown(), 1);
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    assert!(at_eof(&mut s), "the held connection must close cleanly");
+}

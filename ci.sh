@@ -373,11 +373,12 @@ if [[ $fast -eq 0 ]]; then
     || { echo "    ring routing shows no cache-affinity gain (got: ${shard_gain:-none})"; exit 1; }
   echo "    BENCH_shard.json written ($shard_failovers failovers, affinity gain +$shard_gain, 0 lost)"
 
-  echo "==> dram-route smoke (3-node pool, byte-identity, SIGKILL failover, SIGTERM drain)"
+  echo "==> dram-route smoke (3-node pool, byte-identity, SIGKILL failover, idle soak, SIGTERM drain)"
   # Black-box: the shipped binaries only. Boot three dram-serve nodes and
   # a dram-route in front, prove routed bodies match a direct node hit,
   # SIGKILL one node and keep getting 200s while the Prometheus scrape
-  # records the failovers, then drain the router cleanly with SIGTERM.
+  # records the failovers, then park the keep-alive soak's idle clients
+  # on the router and drain it cleanly with SIGTERM.
   node_pids=()
   node_ports=()
   node_logs=()
@@ -439,7 +440,8 @@ if [[ $fast -eq 0 ]]; then
   [[ -n "$route_failovers" && "$route_failovers" -ge 1 ]] \
     || { echo "    dram_route_failovers_total is ${route_failovers:-absent} (want >= 1)"; exit 1; }
   echo "    SIGKILL node 1 -> 40/40 served, $route_failovers failovers in the scrape"
-  kill -TERM "$route_pid"
+  ./target/release/serve-bench --soak "$soak" --soak-addr "127.0.0.1:$rport" --soak-kill "$route_pid" \
+    | sed 's/^/    /'
   wait "$route_pid"
   grep -q 'drained' "$route_log" || { echo "    dram-route did not report a clean drain"; exit 1; }
   kill "${node_pids[1]}" "${node_pids[2]}" 2>/dev/null || true

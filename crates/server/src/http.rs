@@ -11,10 +11,10 @@
 //! [`Limits::request_deadline`]), and precise 4xx classification of
 //! malformed input.
 //!
-//! Both front ends keep their client sockets nonblocking for life: a
-//! read or write is tried first, and only when it would block does the
-//! thread wait in `poll(2)`, for a bounded time. No socket option is set
-//! per request.
+//! The front end that `dram-serve` and `dram-route` share keeps its
+//! client sockets nonblocking for life: a read or write is tried first,
+//! and only when it would block does the thread wait in `poll(2)`, for
+//! a bounded time. No socket option is set per request.
 //!
 //! Pipelining support is carried through the `leftover` byte buffers:
 //! every parse entry point accepts bytes already pulled off the wire by
@@ -238,7 +238,7 @@ pub(crate) fn read_within(
 
 /// Writes all of `bytes` to a nonblocking socket, waiting in
 /// `poll(POLLOUT)` for at most `io_timeout` each time the send buffer
-/// is full. The one writer of both front ends: responses, the
+/// is full. The one writer of the front end: responses, the
 /// `100 Continue` interim and the router's relay. On a blocking socket
 /// the write itself blocks and `io_timeout` does not apply.
 ///

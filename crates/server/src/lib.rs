@@ -38,7 +38,10 @@
 //! shard router that places each request's model-description content
 //! key on a ring of `dram-serve` nodes, with health probing, retries
 //! under the shared [`retry`] policy, optional hedging, and a federated
-//! `/metrics`. See `docs/SHARDING.md`.
+//! `/metrics`. See `docs/SHARDING.md`. Both binaries run one front end:
+//! the router answers its clients on the same reactor, worker pool and
+//! connection lifecycle as `dram-serve`, and only what it answers with
+//! differs.
 //!
 //! Clients — the router's upstream hop, the benches, tests and examples —
 //! speak to a server through [`client`], one request writer and one

@@ -1,8 +1,12 @@
 //! `dram-route` — a fault-tolerant shard router in front of a pool of
 //! `dram-serve` nodes.
 //!
-//! The router reads each request with the same hand-rolled HTTP/1.1
-//! parser the server uses, derives its **content key** (the request's
+//! The router answers its clients on `dram-serve`'s own front end — the
+//! same reactor, worker pool, HTTP/1.1 reads, keep-alive and shutdown
+//! drain — as one more service, with one worker per pooled upstream
+//! connection: a worker keeps its upstream connection for the whole
+//! proxied request. For each request it derives the
+//! **content key** (the request's
 //! model description through [`content_key`] — exactly the digest
 //! `ModelCache` buckets by) and forwards it to the node that owns that
 //! key on a consistent-hash [`Ring`]. A given device description
@@ -18,6 +22,9 @@
 //!   next distinct node clockwise. Forwarding failures count against
 //!   the same threshold (passive detection), and any success — probe or
 //!   proxied response — marks the node up again, re-absorbing its slice.
+//!   A node that goes down has the attempts still waiting on it for a
+//!   response head cut, so a stalled node's requests fail over at once
+//!   instead of holding their workers until `io_timeout`.
 //! * **Retries.** Retryable failures (connect refused, a `503` whose
 //!   `Retry-After` is honored, a timeout before any response head byte)
 //!   are retried against the next ring successor under the shared
@@ -45,21 +52,17 @@
 //! peer address before forwarding, answering non-loopback peers the
 //! same detail-free 404 the backend would.
 //!
-//! The front end runs one thread per client connection rather than the
-//! backend's epoll reactor. That is a measured choice: a prototype that
-//! served the router through `dram-serve`'s reactor and its default
-//! 4-worker pool raised the routed p50 by about 20 % (138 → 165 µs on
-//! the benchmark's `routed_warm` workload, medians of 6 alternating
-//! pairs on a 2-core host). The upstream side — forwarded requests,
-//! health probes, `/metrics` scrapes — speaks through [`crate::client`],
-//! so upstream responses are framed by the same strict field rules as
-//! the requests the router accepts.
+//! The upstream side — forwarded requests, health probes, `/metrics`
+//! scrapes — speaks through [`crate::client`], so upstream responses are
+//! framed by the same strict field rules as the requests the router
+//! accepts.
 
 use std::collections::HashMap;
 use std::hash::Hasher as _;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::os::fd::{AsRawFd, RawFd};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
@@ -71,10 +74,11 @@ use dram_obs::{json_members, Counter, Kind, PromWriter, Series};
 use dram_units::json::{obj, Value};
 
 use crate::client::{ClientError, Conn, Head};
-use crate::http::{self, HttpError, Inbound, Limits, ReadError, Request, Response};
+use crate::http::{self, Inbound, Limits, Request, Response};
 use crate::retry::RetryPolicy;
 use crate::ring::{Ring, DEFAULT_REPLICAS};
-use crate::trace::{LogLevel, Logger, RequestIdSource};
+use crate::server::{self, Exchange, ServerConfig, ServerHandle, Service, Verdict};
+use crate::trace::{LogLevel, Logger};
 
 /// Idle upstream keep-alive connections retained per node.
 const POOL_PER_NODE: usize = 8;
@@ -82,6 +86,10 @@ const POOL_PER_NODE: usize = 8;
 /// Connect timeout for one upstream attempt (reads/writes then run
 /// under [`Limits::io_timeout`]).
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(1_000);
+
+/// How long shutdown lets proxied requests wait on their upstreams
+/// before it cuts them, so a stalled node cannot hold the drain.
+const UPSTREAM_GRACE: Duration = Duration::from_secs(1);
 
 /// Configuration for [`route_serve`].
 #[derive(Debug, Clone)]
@@ -149,6 +157,10 @@ struct Node {
     went_down: Counter,
     /// Idle keep-alive upstream connections.
     pool: Mutex<Vec<Conn>>,
+    /// Attempts waiting on this node for a response head: a duplicate
+    /// of each one's socket, keyed by its fd (unique while it is open).
+    /// [`Node::disconnect`] cuts them.
+    waiting: Mutex<HashMap<RawFd, TcpStream>>,
 }
 
 impl Node {
@@ -169,17 +181,61 @@ impl Node {
         let failures = self.failures.fetch_add(1, Ordering::Relaxed) + 1;
         if failures >= shared.config.down_after && self.up.swap(false, Ordering::Relaxed) {
             self.went_down.inc();
-            // Drop pooled connections: they point at a dead process.
-            self.pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .clear();
+            self.disconnect();
             if let Some(line) = shared.log.line(LogLevel::Info, "node_down") {
                 line.field("node", &self.addr)
                     .field("failures", failures)
                     .emit();
             }
         }
+    }
+
+    /// Drops the idle pool and cuts every attempt still waiting on this
+    /// node for a response head; called once `up` is false, so a node
+    /// that is down holds no worker. A cut attempt fails before a byte
+    /// reached its client, and fails over like any transport failure.
+    fn disconnect(&self) {
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
+        let waiting = self.waiting.lock().unwrap_or_else(PoisonError::into_inner);
+        for socket in waiting.values() {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+
+    /// Registers an attempt about to wait on this node until the guard
+    /// drops. Refused once the node is down — checked under the lock
+    /// [`Node::disconnect`] cuts under, so every attempt is either
+    /// refused or cut.
+    fn wait_on(&self, conn: &Conn) -> std::io::Result<InFlight<'_>> {
+        let socket = conn.stream().try_clone()?;
+        let key = socket.as_raw_fd();
+        let mut waiting = self.waiting.lock().unwrap_or_else(PoisonError::into_inner);
+        if !self.up.load(Ordering::Relaxed) {
+            return Err(std::io::ErrorKind::ConnectionAborted.into());
+        }
+        waiting.insert(key, socket);
+        Ok(InFlight { node: self, key })
+    }
+}
+
+/// An attempt registered by [`Node::wait_on`]; deregisters on drop.
+struct InFlight<'a> {
+    node: &'a Node,
+    key: RawFd,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let waiting = &self.node.waiting;
+        let socket = waiting
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.key);
+        // Closes the duplicate outside the lock.
+        drop(socket);
     }
 }
 
@@ -220,20 +276,15 @@ struct Scrape {
     stale: bool,
 }
 
-/// State shared by the accept loop, connection threads and the prober.
+/// State shared by the front end's workers (through [`Proxy`]) and the
+/// prober.
 struct Shared {
     config: RouterConfig,
     nodes: Vec<Node>,
     ring: Ring,
     metrics: RouterMetrics,
-    ids: RequestIdSource,
     log: Logger,
     started: Instant,
-    shutting_down: AtomicBool,
-    /// Live client connections (drain condition on shutdown).
-    active: AtomicUsize,
-    /// Accept sequence — conn ids for the journal.
-    conns: AtomicU64,
     /// Per-request seed stream for retry jitter and random routing.
     seeds: AtomicU64,
     /// Last-known backend scrapes, by node index.
@@ -258,44 +309,41 @@ impl Shared {
 /// A running router. Dropping the handle does *not* stop it; call
 /// [`RouterHandle::shutdown`].
 pub struct RouterHandle {
-    local_addr: SocketAddr,
+    server: ServerHandle,
     shared: Arc<Shared>,
-    accept: Option<thread::JoinHandle<()>>,
-    prober: Option<thread::JoinHandle<()>>,
+    prober: thread::JoinHandle<()>,
+    /// Sends the prober, as shutdown starts, when to cut what still
+    /// waits on upstreams; hangs up once the front end has drained.
+    stop: mpsc::Sender<Instant>,
 }
 
 impl RouterHandle {
     /// The bound address (resolves port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.server.local_addr()
     }
 
-    /// Stops accepting, waits for in-flight client connections to
-    /// drain, stops the prober, and returns how many requests were
-    /// proxied to backends over the router's lifetime.
+    /// Stops the prober and runs the front end's drain (see
+    /// [`ServerHandle::shutdown`]): stop accepting, serve what is in
+    /// flight, close quiet keep-alive connections. A request still
+    /// waiting on its upstream after [`UPSTREAM_GRACE`] is cut and
+    /// answered 502, so a stalled node cannot hold the drain. Returns
+    /// how many requests were proxied to backends over the router's
+    /// lifetime.
     pub fn shutdown(self) -> u64 {
-        let mut this = self;
-        this.shared.shutting_down.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&this.local_addr, Duration::from_millis(250));
-        if let Some(h) = this.accept.take() {
-            let _ = h.join();
-        }
-        // Keep-alive client connections notice shutdown at their next
-        // request boundary; bound the wait regardless.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while this.shared.active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            thread::sleep(Duration::from_millis(10));
-        }
-        if let Some(h) = this.prober.take() {
-            let _ = h.join();
-        }
-        this.shared.metrics.proxied.get()
+        let _ = self.stop.send(Instant::now() + UPSTREAM_GRACE);
+        self.server.shutdown();
+        drop(self.stop);
+        let _ = self.prober.join();
+        self.shared.metrics.proxied.get()
     }
 }
 
-/// Binds `addr` and starts the router described by `config`.
+/// Binds `addr` and starts the router described by `config` on the
+/// server's front end: its limits and log level, one worker per pooled
+/// upstream connection ([`POOL_PER_NODE`] per node), and otherwise
+/// [`ServerConfig::default`].
 ///
 /// # Errors
 ///
@@ -324,85 +372,51 @@ pub fn route_serve(addr: &str, config: RouterConfig) -> std::io::Result<RouterHa
             routed: Counter::new(),
             went_down: Counter::new(),
             pool: Mutex::new(Vec::new()),
+            waiting: Mutex::new(HashMap::new()),
         });
     }
-    let listener = TcpListener::bind(addr)?;
-    let local_addr = listener.local_addr()?;
-    let ring = Ring::new(&config.nodes, config.replicas);
+    // A worker keeps its upstream connection for the whole proxied
+    // request, so this many requests can wait on upstreams before a
+    // client waits for a worker.
+    let front = ServerConfig {
+        threads: nodes.len() * POOL_PER_NODE,
+        limits: config.limits,
+        log: config.log,
+        ..ServerConfig::default()
+    };
     let shared = Arc::new(Shared {
         log: Logger::new(config.log),
-        ring,
+        ring: Ring::new(&config.nodes, config.replicas),
         nodes,
         metrics: RouterMetrics::default(),
-        ids: RequestIdSource::new(),
         started: Instant::now(),
-        shutting_down: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        conns: AtomicU64::new(0),
         seeds: AtomicU64::new(0),
         scrapes: Mutex::new(HashMap::new()),
         config,
     });
-
+    let server = server::start(addr, front, Box::new(Proxy(Arc::clone(&shared))))?;
+    let (stop, stopping) = mpsc::channel();
     let prober = {
         let shared = Arc::clone(&shared);
         thread::Builder::new()
             .name("route-prober".into())
-            .spawn(move || prober_loop(&shared))
+            .spawn(move || prober_loop(&shared, &stopping))
             .expect("spawn prober")
     };
-    let accept = {
-        let shared = Arc::clone(&shared);
-        thread::Builder::new()
-            .name("route-accept".into())
-            .spawn(move || accept_loop(&listener, &shared))
-            .expect("spawn accept loop")
-    };
     Ok(RouterHandle {
-        local_addr,
+        server,
         shared,
-        accept: Some(accept),
-        prober: Some(prober),
+        prober,
+        stop,
     })
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let Ok((stream, peer)) = listener.accept() else {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        // Set once for the socket's life, as on `dram-serve`: reads and
-        // writes are tried first and wait in `poll` only when they would
-        // block, so both front ends share one read path.
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        let _ = stream.set_nodelay(true);
-        let conn = shared.conns.fetch_add(1, Ordering::Relaxed) + 1;
-        journal::record(EventKind::Accept, conn, 0, 0);
-        shared.active.fetch_add(1, Ordering::SeqCst);
-        let for_conn = Arc::clone(shared);
-        let spawned = thread::Builder::new()
-            .name(format!("route-conn-{conn}"))
-            .spawn(move || {
-                handle_conn(stream, peer, conn, &for_conn);
-                for_conn.active.fetch_sub(1, Ordering::SeqCst);
-            });
-        if spawned.is_err() {
-            shared.active.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Active health probing: `GET /healthz` per node per interval.
-fn prober_loop(shared: &Arc<Shared>) {
-    while !shared.shutting_down.load(Ordering::SeqCst) {
+/// Active health probing: `GET /healthz` per node per interval, until
+/// shutdown. While the front end then drains, whatever still waits on
+/// an upstream at the moment shutdown sent is cut, by taking every node
+/// down.
+fn prober_loop(shared: &Shared, stopping: &mpsc::Receiver<Instant>) {
+    let cut_at = loop {
         for node in &shared.nodes {
             if probe(node, shared.config.probe_interval.min(CONNECT_TIMEOUT)) {
                 node.mark_up(shared);
@@ -410,11 +424,21 @@ fn prober_loop(shared: &Arc<Shared>) {
                 node.mark_failure(shared);
             }
         }
-        // Sleep in slices so shutdown is prompt even with long
-        // intervals.
-        let deadline = Instant::now() + shared.config.probe_interval;
-        while Instant::now() < deadline && !shared.shutting_down.load(Ordering::SeqCst) {
-            thread::sleep(Duration::from_millis(20));
+        match stopping.recv_timeout(shared.config.probe_interval) {
+            Ok(cut_at) => break cut_at,
+            Err(mpsc::RecvTimeoutError::Timeout) => {}
+            // The handle was dropped: the router runs on, and so do
+            // probes.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                thread::sleep(shared.config.probe_interval);
+            }
+        }
+    };
+    let grace = cut_at.saturating_duration_since(Instant::now());
+    if let Err(mpsc::RecvTimeoutError::Timeout) = stopping.recv_timeout(grace) {
+        for node in &shared.nodes {
+            node.up.store(false, Ordering::Relaxed);
+            node.disconnect();
         }
     }
 }
@@ -429,149 +453,53 @@ fn probe(node: &Node, timeout: Duration) -> bool {
         && conn.read_response().is_ok_and(|reply| reply.status() == 200)
 }
 
-/// One client connection: parse → route → relay, keep-alive until a
-/// failure poisons it, the client closes, or shutdown begins.
-fn handle_conn(mut stream: TcpStream, peer: SocketAddr, conn: u64, shared: &Arc<Shared>) {
-    let limits = shared.config.limits;
-    let mut carry: Vec<u8> = Vec::new();
-    let mut served = 0u64;
-    loop {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            break;
-        }
-        let inbound = http::read_inbound_after(&mut stream, &limits, std::mem::take(&mut carry));
-        let mut request = match inbound {
-            Ok(Inbound::Buffered { request, leftover }) => {
-                carry = leftover;
-                request
-            }
-            Ok(Inbound::Streaming {
-                mut request,
-                mut body,
-            }) => {
-                // The router forwards buffered bodies with a
-                // content-length (simplest correct re-framing), so a
-                // streamed chunked body is bounded by max_body here.
-                // Huge streamed traces should hit a node directly.
-                match body.read_all(&mut stream, limits.max_body) {
-                    Ok(bytes) => {
-                        carry = body.take_leftover();
-                        request.body = bytes;
-                        request
-                    }
-                    Err(e) => {
-                        answer_local(
-                            &mut stream,
-                            shared,
-                            conn,
-                            Response::error(e.status(), &e.message()),
-                            false,
-                        );
-                        break;
-                    }
-                }
-            }
-            Err(ReadError::Closed) => break,
-            Err(ReadError::Http(HttpError::Timeout)) if served > 0 => {
-                // An idle keep-alive connection, not a stalled request:
-                // close quietly, as the reactor's idle sweep would.
-                break;
-            }
-            Err(ReadError::Http(e)) => {
-                answer_local(
-                    &mut stream,
-                    shared,
-                    conn,
-                    Response::error(e.status(), &e.message()),
-                    false,
-                );
-                break;
-            }
+/// The router's [`Service`]: `/healthz`, `/metrics` and the `/debug`
+/// gate are answered here, and everything else is proxied to the owner
+/// of its key.
+struct Proxy(Arc<Shared>);
+
+impl Service for Proxy {
+    fn answer(&self, inbound: Inbound, ex: &mut Exchange<'_>) -> Verdict {
+        let shared = &self.0;
+        // The router forwards bodies with a content-length (simplest
+        // correct re-framing), so a chunked body is buffered up to
+        // max_body here. Huge streamed traces should hit a node directly.
+        let Some((request, leftover)) = ex.buffer(inbound) else {
+            return Verdict::Close;
         };
-        served += 1;
-        let request_seq = served;
-        journal::set_context(conn, request_seq);
-        journal::record(EventKind::WorkerStart, conn, request_seq, served - 1);
         shared.metrics.requests.inc();
-
-        let client_wants_keep_alive =
-            request.wants_keep_alive() && !shared.shutting_down.load(Ordering::SeqCst);
-
-        // Routes the router answers itself.
-        if request.path == "/healthz" && request.method == "GET" {
-            answer_local(&mut stream, shared, conn, healthz(shared), client_wants_keep_alive);
-            if client_wants_keep_alive {
-                continue;
-            }
-            break;
-        }
-        if request.path == "/metrics" && request.method == "GET" {
-            answer_local(
-                &mut stream,
-                shared,
-                conn,
-                federated_metrics(shared, &request),
-                client_wants_keep_alive,
-            );
-            if client_wants_keep_alive {
-                continue;
-            }
-            break;
-        }
-        // The debug family is loopback-gated *here*, against the
-        // client's peer — the backend only ever sees the router's own
-        // loopback address, so forwarding an ungated request would
-        // grant every remote client loopback trust.
-        if request.path.starts_with("/debug") && !peer.ip().is_loopback() {
-            answer_local(
-                &mut stream,
-                shared,
-                conn,
-                Response::error(404, "not found"),
-                false,
-            );
-            break;
-        }
-
-        // Everything else is proxied to the key's owner.
-        journal::record(EventKind::Dispatch, conn, request_seq, 0);
-        match proxy(
-            shared,
-            &mut request,
-            conn,
-            request_seq,
-            &mut stream,
-            peer,
-            client_wants_keep_alive,
-        ) {
-            ProxyEnd::KeepAlive => continue,
-            ProxyEnd::Close => break,
-        }
+        let local = if request.method == "GET" && request.path == "/healthz" {
+            healthz(shared)
+        } else if request.method == "GET" && request.path == "/metrics" {
+            federated_metrics(shared, &request)
+        } else if request.path.starts_with("/debug") && !ex.peer.ip().is_loopback() {
+            // The debug family is loopback-gated *here*, against the
+            // client's peer — the backend only ever sees the router's own
+            // loopback address, so forwarding an ungated request would
+            // grant every remote client loopback trust.
+            Response::error(404, "not found")
+        } else {
+            return proxy(shared, &request, leftover, ex);
+        };
+        answer_local(shared, ex, &request, local, leftover)
     }
-    journal::record(EventKind::Close, conn, 0, served);
 }
 
-/// Sends a router-origin response (stamped with a fresh
-/// `x-request-id`), counting 502s. 4xx/5xx poison the connection like
-/// on `dram-serve`; the caller decides via `keep_alive` (pass `false`
-/// to close regardless).
+/// Sends a router-origin response under the front end's request id,
+/// counting 502s. Like every response, a 4xx or 5xx closes its
+/// connection.
 fn answer_local(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    conn: u64,
+    shared: &Shared,
+    ex: &mut Exchange<'_>,
+    request: &Request,
     response: Response,
-    keep_alive: bool,
-) {
-    let id = shared.ids.next_id();
+    leftover: Vec<u8>,
+) -> Verdict {
     if response.status == 502 {
         shared.metrics.bad_gateway.inc();
     }
-    let keep = keep_alive && response.status < 400;
-    let response = response
-        .with_header("x-request-id", &id.to_string())
-        .with_keep_alive(keep);
-    journal::record(EventKind::Response, conn, 0, u64::from(response.status));
-    let _ = response.send_within(stream, shared.config.limits.io_timeout);
+    let keep = ex.keep_decision(request, response.status);
+    ex.send(response, keep, leftover).unwrap_or(Verdict::Close)
 }
 
 fn healthz(shared: &Arc<Shared>) -> Response {
@@ -590,12 +518,6 @@ fn healthz(shared: &Arc<Shared>) -> Response {
 // ---------------------------------------------------------------------
 // Routing and forwarding
 // ---------------------------------------------------------------------
-
-/// How a proxied exchange left the client connection.
-enum ProxyEnd {
-    KeepAlive,
-    Close,
-}
 
 /// The routing key for a request: the model-description content key
 /// when the body carries one (the cache-affinity contract), otherwise a
@@ -638,16 +560,13 @@ enum AttemptError {
 }
 
 /// Forwards `request`, retrying and hedging per config, and relays the
-/// winning response to `client`.
+/// winning response to the client.
 fn proxy(
     shared: &Arc<Shared>,
-    request: &mut Request,
-    conn: u64,
-    request_seq: u64,
-    client: &mut TcpStream,
-    peer: SocketAddr,
-    client_wants_keep_alive: bool,
-) -> ProxyEnd {
+    request: &Request,
+    leftover: Vec<u8>,
+    ex: &mut Exchange<'_>,
+) -> Verdict {
     let key = routing_key(request);
     let mut schedule = shared.config.retry.schedule(shared.next_seed());
     let mut order = candidate_order(shared, key);
@@ -657,14 +576,8 @@ fn proxy(
         // slice for this request).
         let Some(position) = order.iter().position(|&n| up_view[n]) else {
             // Nobody alive: 502, closing the connection (5xx poisons).
-            answer_local(
-                client,
-                shared,
-                conn,
-                Response::error(502, "no upstream node is available"),
-                false,
-            );
-            return ProxyEnd::Close;
+            let response = Response::error(502, "no upstream node is available");
+            return answer_local(shared, ex, request, response, leftover);
         };
         if position > 0 {
             shared.metrics.failovers.add(position as u64);
@@ -675,20 +588,15 @@ fn proxy(
             .skip(position + 1)
             .copied()
             .find(|&n| up_view[n]);
-        let bytes = upstream_request_bytes(request, &shared.nodes[target].addr, peer);
+        let bytes = upstream_request_bytes(request, &shared.nodes[target].addr, ex.peer);
 
         let outcome = attempt_racing(shared, target, backup, &bytes);
         match outcome {
             Ok(upstream) => {
                 shared.nodes[upstream.node].mark_up(shared);
                 shared.nodes[upstream.node].routed.inc();
-                journal::record(
-                    EventKind::Response,
-                    conn,
-                    request_seq,
-                    u64::from(upstream.head.status),
-                );
-                return relay(shared, upstream, client, client_wants_keep_alive);
+                journal::note(EventKind::Response, u64::from(upstream.head.status));
+                return relay(shared, upstream, request, leftover, ex);
             }
             Err(AttemptError::Transport) => {
                 shared.nodes[target].mark_failure(shared);
@@ -702,14 +610,8 @@ fn proxy(
                         shared.metrics.failovers.inc();
                     }
                     None => {
-                        answer_local(
-                            client,
-                            shared,
-                            conn,
-                            Response::error(502, "upstream attempts exhausted"),
-                            false,
-                        );
-                        return ProxyEnd::Close;
+                        let response = Response::error(502, "upstream attempts exhausted");
+                        return answer_local(shared, ex, request, response, leftover);
                     }
                 }
             }
@@ -724,15 +626,10 @@ fn proxy(
                         shared.metrics.failovers.inc();
                     }
                     None => {
-                        answer_local(
-                            client,
-                            shared,
-                            conn,
-                            Response::error(503, "every upstream attempt was shed")
-                                .with_header("retry-after", &hint.map_or(1, |d| d.as_secs().max(1)).to_string()),
-                            false,
-                        );
-                        return ProxyEnd::Close;
+                        let retry_after = hint.map_or(1, |d| d.as_secs().max(1));
+                        let response = Response::error(503, "every upstream attempt was shed")
+                            .with_header("retry-after", &retry_after.to_string());
+                        return answer_local(shared, ex, request, response, leftover);
                     }
                 }
             }
@@ -851,12 +748,12 @@ fn attempt(shared: &Arc<Shared>, target: usize, bytes: &[u8]) -> Result<Upstream
         // A pooled connection may have been closed by the backend (idle
         // sweep, max-requests budget) after we checked it out; that is
         // not a node failure, so fall through to a fresh connect.
-        if let Ok(upstream) = exchange(conn, target, bytes) {
+        if let Ok(upstream) = exchange(node, target, conn, bytes) {
             return finish_attempt(shared, upstream);
         }
     }
     let conn = connect(node, shared.config.limits.io_timeout).map_err(|_| AttemptError::Transport)?;
-    let upstream = exchange(conn, target, bytes).map_err(|_| AttemptError::Transport)?;
+    let upstream = exchange(node, target, conn, bytes).map_err(|_| AttemptError::Transport)?;
     finish_attempt(shared, upstream)
 }
 
@@ -886,8 +783,15 @@ fn finish_attempt(shared: &Arc<Shared>, mut upstream: Upstream) -> Result<Upstre
 
 /// Writes the request and reads the final response head; body bytes
 /// read with it stay in the connection. Any failure before that point
-/// is one `Err`, making the caller's retry decision trivial.
-fn exchange(mut conn: Conn, node: usize, bytes: &[u8]) -> Result<Upstream, ClientError> {
+/// is one `Err`, making the caller's retry decision trivial. Until the
+/// head is in, [`Node::disconnect`] can cut the wait.
+fn exchange(
+    node: &Node,
+    index: usize,
+    mut conn: Conn,
+    bytes: &[u8],
+) -> Result<Upstream, ClientError> {
+    let _in_flight = node.wait_on(&conn)?;
     conn.write_all(bytes)?;
     // The router never forwards `expect`, so an interim head is
     // unsolicited; it has no body, and the final head follows it.
@@ -897,7 +801,11 @@ fn exchange(mut conn: Conn, node: usize, bytes: &[u8]) -> Result<Upstream, Clien
             break head;
         }
     };
-    Ok(Upstream { node, conn, head })
+    Ok(Upstream {
+        node: index,
+        conn,
+        head,
+    })
 }
 
 /// Relays the upstream response to the client. The decision point is
@@ -908,13 +816,14 @@ fn exchange(mut conn: Conn, node: usize, bytes: &[u8]) -> Result<Upstream, Clien
 fn relay(
     shared: &Arc<Shared>,
     mut upstream: Upstream,
-    client: &mut TcpStream,
-    client_wants_keep_alive: bool,
-) -> ProxyEnd {
-    // Same keep-alive rule as the backend: failures poison their own
+    request: &Request,
+    leftover: Vec<u8>,
+    ex: &mut Exchange<'_>,
+) -> Verdict {
+    // The front end's keep-alive rule: failures poison their own
     // connection.
     let status = upstream.head.status;
-    let keep_client = client_wants_keep_alive && status < 400;
+    let keep_client = ex.keep_decision(request, status);
     let mut head = format!("HTTP/1.1 {status} {}\r\n", Response::reason(status));
     for (name, value) in &upstream.head.headers {
         if name == "connection" {
@@ -932,11 +841,11 @@ fn relay(
     });
 
     let io_timeout = shared.config.limits.io_timeout;
-    if http::write_within(client, head.as_bytes(), io_timeout).is_err() {
+    if http::write_within(ex.stream, head.as_bytes(), io_timeout).is_err() {
         // The *client* went away; the upstream connection is still
         // healthy but holds an unread body — drop it rather than desync
         // the pool.
-        return ProxyEnd::Close;
+        return Verdict::Close;
     }
 
     // Relay the body as it arrives: bytes read with the head first,
@@ -953,19 +862,19 @@ fn relay(
                     .field("missing_bytes", remaining)
                     .emit();
             }
-            return ProxyEnd::Close;
+            return Verdict::Close;
         };
-        if http::write_within(client, part, io_timeout).is_err() {
-            return ProxyEnd::Close;
+        if http::write_within(ex.stream, part, io_timeout).is_err() {
+            return Verdict::Close;
         }
         remaining -= part.len();
     }
     shared.metrics.proxied.inc();
     release(shared, upstream);
     if keep_client {
-        ProxyEnd::KeepAlive
+        Verdict::Keep(leftover)
     } else {
-        ProxyEnd::Close
+        Verdict::Close
     }
 }
 
@@ -1308,17 +1217,12 @@ mod tests {
         use crate::metrics_shape::{prom_samples, Bump};
         use std::collections::BTreeMap;
 
-        // Bound, then closed: scrapes of both nodes are refused at once.
-        let nodes: Vec<String> = (0..2)
-            .map(|_| {
-                let l = TcpListener::bind("127.0.0.1:0").expect("bind");
-                l.local_addr().expect("local addr").to_string()
-            })
-            .collect();
+        // Nothing listens on ports 1 and 2: scrapes of both nodes are
+        // refused at once.
         let router = route_serve(
             "127.0.0.1:0",
             RouterConfig {
-                nodes: nodes.clone(),
+                nodes: vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()],
                 probe_interval: Duration::from_secs(60),
                 ..RouterConfig::default()
             },

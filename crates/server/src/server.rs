@@ -1,6 +1,14 @@
 //! The TCP front end: epoll reactor, bounded worker pool, keep-alive,
 //! backpressure, request tracing and graceful shutdown.
 //!
+//! One front end serves both binaries. It owns the whole connection
+//! lifecycle and answers each request it reads through a [`Service`]:
+//! `dram-serve`'s API ([`Api`], started by [`serve`]) or `dram-route`'s
+//! proxy (`crate::router`). The service gets the parsed request and its
+//! [`Exchange`], writes exactly one response and returns the
+//! [`Verdict`]; reads, `100 Continue`, protocol-error answers, keep-alive,
+//! poisoning, backpressure, request ids and the drain stay here.
+//!
 //! Architecture: one reactor thread owns a nonblocking listener and a
 //! raw `epoll` set ([`crate::reactor`] — no crates, same `extern "C"`
 //! approach as `dram-serve`'s signal handling). Each accepted socket is
@@ -176,6 +184,7 @@ struct Shared {
     shed_at: Option<usize>,
     max_requests_per_conn: u64,
     idle_timeout: Duration,
+    service: Box<dyn Service>,
     /// Live per-connection telemetry behind `GET /debug/reactor`:
     /// advisory rows updated at each lifecycle transition, never
     /// consulted for ownership decisions.
@@ -192,7 +201,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn new(config: &ServerConfig) -> io::Result<Self> {
+    fn new(config: &ServerConfig, service: Box<dyn Service>) -> io::Result<Self> {
         Ok(Self {
             epoll: Epoll::new()?,
             queue: Mutex::new(VecDeque::new()),
@@ -209,6 +218,7 @@ impl Shared {
             shed_at: config.shed_at,
             max_requests_per_conn: config.max_requests_per_conn.max(1),
             idle_timeout: config.idle_timeout,
+            service,
             conns: ConnTable::default(),
             reactor_done: AtomicBool::new(false),
             deaths: Mutex::new(Vec::new()),
@@ -279,9 +289,19 @@ pub struct ServerHandle {
 /// Returns the bind error if the address is unavailable, or the errno
 /// if the epoll instance or an eventfd cannot be created.
 pub fn serve(addr: &str, config: ServerConfig) -> io::Result<ServerHandle> {
+    start(addr, config, Box::new(Api))
+}
+
+/// Binds a listener and starts the reactor plus worker pool answering
+/// with `service`; no thread starts unless the bind succeeds.
+pub(crate) fn start(
+    addr: &str,
+    config: ServerConfig,
+    service: Box<dyn Service>,
+) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
-    let shared = Arc::new(Shared::new(&config)?);
+    let shared = Arc::new(Shared::new(&config, service)?);
 
     let workers: Vec<Option<JoinHandle<()>>> = (0..config.threads.max(1))
         .map(|slot| Some(spawn_worker(&shared, slot, 0)))
@@ -781,7 +801,7 @@ fn next_connection(
 }
 
 /// What one served request decided about its connection.
-enum Verdict {
+pub(crate) enum Verdict {
     /// Serve another request: the connection stays open and these are
     /// the over-read bytes of the next pipelined request (often empty).
     Keep(Vec<u8>),
@@ -790,20 +810,46 @@ enum Verdict {
     Close,
 }
 
+/// What a front end answers its requests with: `dram-serve`'s [`Api`]
+/// or `dram-route`'s proxy.
+pub(crate) trait Service: Send + Sync {
+    /// Answers one request read off `ex.stream`: writes exactly one
+    /// response and says whether the connection serves another.
+    fn answer(&self, inbound: http::Inbound, ex: &mut Exchange<'_>) -> Verdict;
+}
+
+/// One request's exchange with its client, as the front end hands it to
+/// its [`Service`].
+pub(crate) struct Exchange<'a> {
+    /// The client connection, nonblocking for life.
+    pub(crate) stream: &'a mut TcpStream,
+    /// The peer as `accept` reported it: the loopback gate for
+    /// `/debug/*` keys on this, never on a header.
+    pub(crate) peer: SocketAddr,
+    /// The request's id, which its response carries as `x-request-id`.
+    pub(crate) id: RequestId,
+    /// Requests already answered on this connection.
+    served: u64,
+    /// The front end's limits, budgets, counters and logger.
+    shared: &'a Shared,
+    /// How long the connection waited in the queue before this request:
+    /// zero for a held or pipelined one.
+    queue_wait: Duration,
+    /// When the worker began reading the request.
+    started: Instant,
+    /// The `server.request` span, open from the read to the response.
+    span: dram_obs::SpanGuard,
+}
+
 /// Serves requests off a connection until it goes quiet.
 ///
 /// `queued_at` is when the reactor queued the connection, or `None` for
 /// a held connection its worker serves directly: that request never
 /// queued, so it records no queue wait at all. Pipelined requests (bytes
-/// already in the carry) are parsed and answered back-to-back in order;
+/// already in the carry) are read and answered back-to-back in order;
 /// once the carry is empty after a kept-alive response, the connection
 /// is returned (`Some`) to be held or parked. `None` means the
 /// connection was closed here.
-///
-/// Chunked-transfer requests to the streaming trace endpoint are handed
-/// their still-on-the-wire body ([`serve_trace_stream`]); chunked
-/// requests to any other route are drained into memory first (bounded
-/// by [`Limits::max_body`]) and served exactly like buffered ones.
 fn serve_connection(
     mut client: Client,
     queued_at: Option<Instant>,
@@ -845,73 +891,24 @@ fn serve_connection(
                 .arg("id", id)
                 .commit();
         }
-        let served = client.served;
-        let peer = Some(client.peer);
-        let stream = &mut client.stream;
-        let mut request_span = dram_obs::span("server.request").arg("id", id);
-        let inbound = http::read_inbound_after(stream, &shared.limits, std::mem::take(&mut carry));
+        let mut ex = Exchange {
+            stream: &mut client.stream,
+            peer: client.peer,
+            id,
+            served: client.served,
+            shared,
+            queue_wait,
+            started,
+            span: dram_obs::span("server.request").arg("id", id),
+        };
+        let inbound =
+            http::read_inbound_after(ex.stream, &shared.limits, std::mem::take(&mut carry));
         let verdict = match inbound {
-            Ok(http::Inbound::Buffered { request, leftover }) => {
-                if served > 0 {
+            Ok(inbound) => {
+                if ex.served > 0 {
                     shared.metrics.keepalive_reuses.inc();
                 }
-                serve_buffered(
-                    &request,
-                    leftover,
-                    stream,
-                    shared,
-                    id,
-                    queue_wait,
-                    started,
-                    &mut request_span,
-                    served,
-                    peer,
-                )
-            }
-            Ok(http::Inbound::Streaming {
-                mut request,
-                mut body,
-            }) => {
-                if served > 0 {
-                    shared.metrics.keepalive_reuses.inc();
-                }
-                let route = Route::classify(request.method.as_str(), request.path.as_str());
-                if route == Route::Trace {
-                    serve_trace_stream(
-                        &request,
-                        stream,
-                        &mut body,
-                        shared,
-                        id,
-                        queue_wait,
-                        started,
-                        &mut request_span,
-                        served,
-                    )
-                } else {
-                    match body.read_all(stream, shared.limits.max_body) {
-                        Ok(bytes) => {
-                            request.body = bytes;
-                            let leftover = body.take_leftover();
-                            serve_buffered(
-                                &request,
-                                leftover,
-                                stream,
-                                shared,
-                                id,
-                                queue_wait,
-                                started,
-                                &mut request_span,
-                                served,
-                                peer,
-                            )
-                        }
-                        Err(e) => {
-                            answer_protocol_error(&e, stream, shared, id, queue_wait, started);
-                            Verdict::Close
-                        }
-                    }
-                }
+                shared.service.answer(inbound, &mut ex)
             }
             Err(ReadError::Closed) => {
                 // Never-spoke probe, or a keep-alive peer hanging up
@@ -920,15 +917,13 @@ fn serve_connection(
                 // type-safe — `Closed` carries no status, so no response
                 // can even be constructed for it.
                 if let Some(line) = shared.logger.line(LogLevel::Debug, "peer_closed") {
-                    line.field("id", id).field("served", served).emit();
+                    line.field("id", id).field("served", ex.served).emit();
                 }
                 Verdict::Close
             }
-            Err(ReadError::Http(e)) => {
-                answer_protocol_error(&e, stream, shared, id, queue_wait, started);
-                Verdict::Close
-            }
+            Err(ReadError::Http(e)) => ex.refuse(&e),
         };
+        drop(ex);
         journal::set_context(0, 0);
         match verdict {
             Verdict::Close => {
@@ -959,67 +954,169 @@ fn serve_connection(
     }
 }
 
-/// Whether the connection survives this response: the client must want
-/// it, the request budget must allow it, every error poisons it
-/// (pipelined bytes behind a failed request are never trusted — the
-/// parsers may have desynced), and a draining server closes everything.
-fn keep_decision(req: &http::Request, status: u16, served: u64, shared: &Shared) -> bool {
-    req.wants_keep_alive()
-        && status < 400
-        && served + 1 < shared.max_requests_per_conn
-        && !shared.shutting_down.load(Ordering::SeqCst)
+impl Exchange<'_> {
+    /// Whether the connection survives this response: the client must
+    /// want it, the request budget must allow it, every error poisons it
+    /// (pipelined bytes behind a failed request are never trusted — the
+    /// parsers may have desynced), and a draining server closes
+    /// everything.
+    pub(crate) fn keep_decision(&self, req: &http::Request, status: u16) -> bool {
+        req.wants_keep_alive()
+            && status < 400
+            && self.served + 1 < self.shared.max_requests_per_conn
+            && !self.shared.shutting_down.load(Ordering::SeqCst)
+    }
+
+    /// The request with its whole body in memory, and the bytes read
+    /// past it. A chunked body is read to its end, bounded by
+    /// [`Limits::max_body`]; one that fails is answered with its 4xx
+    /// here, and `None` means the connection closes.
+    pub(crate) fn buffer(&mut self, inbound: http::Inbound) -> Option<(http::Request, Vec<u8>)> {
+        match inbound {
+            http::Inbound::Buffered { request, leftover } => Some((request, leftover)),
+            http::Inbound::Streaming {
+                mut request,
+                mut body,
+            } => match body.read_all(self.stream, self.shared.limits.max_body) {
+                Ok(bytes) => {
+                    request.body = bytes;
+                    Some((request, body.take_leftover()))
+                }
+                Err(e) => {
+                    self.refuse(&e);
+                    None
+                }
+            },
+        }
+    }
+
+    /// Answers a protocol-level failure (bad framing, oversized payload,
+    /// deadline) with its 4xx, records it under [`Route::Other`], and
+    /// drains what the client already sent. Always a close: after a
+    /// framing error the connection's byte stream cannot be trusted, so
+    /// any buffered pipelined requests die with it.
+    fn refuse(&mut self, e: &http::HttpError) -> Verdict {
+        let response = Response::error(e.status(), &e.message());
+        // Sent or not, the connection closes.
+        self.respond(
+            Route::Other,
+            response,
+            false,
+            CacheActivity::default(),
+            Vec::new(),
+        );
+        // The request was not fully read; drain what the client already
+        // sent so closing the socket doesn't RST the response out of its
+        // receive buffer.
+        drain_after_error(self.stream);
+        Verdict::Close
+    }
+
+    /// Sends `response` under the request id, saying whether the
+    /// connection serves another request, and notes it in the journal:
+    /// how every answer ends. `Keep(leftover)` if `keep`; a failed write
+    /// is the error, and the connection closes.
+    pub(crate) fn send(
+        &mut self,
+        response: Response,
+        keep: bool,
+        leftover: Vec<u8>,
+    ) -> io::Result<Verdict> {
+        let status = response.status;
+        let sent = response
+            .with_header("x-request-id", &self.id.to_string())
+            .with_keep_alive(keep)
+            .send_within(self.stream, self.shared.limits.io_timeout);
+        journal::note(EventKind::Response, u64::from(status));
+        sent.map(|()| {
+            if keep {
+                Verdict::Keep(leftover)
+            } else {
+                Verdict::Close
+            }
+        })
+    }
+
+    /// [`Exchange::send`], then the metrics and the one structured log
+    /// line — `info` normally, `error` for a 5xx or a failed write. A
+    /// write failure is logged, never "fixed" with a second response.
+    fn respond(
+        &mut self,
+        route: Route,
+        response: Response,
+        keep: bool,
+        cache: CacheActivity,
+        leftover: Vec<u8>,
+    ) -> Verdict {
+        let handle_time = self.started.elapsed();
+        let status = response.status;
+        self.span.add_arg("route", route.label());
+        self.span.add_arg("status", status);
+        let sent = self.send(response, keep, leftover);
+        let id = self.id.to_string();
+        self.shared.metrics.observe(&RequestRecord {
+            id: &id,
+            route,
+            status,
+            queue_wait: self.queue_wait,
+            handle: handle_time,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+        });
+        let level = if status >= 500 || sent.is_err() {
+            LogLevel::Error
+        } else {
+            LogLevel::Info
+        };
+        if let Some(line) = self.shared.logger.line(level, "request") {
+            let mut line = line
+                .field("id", &id)
+                .field("route", route.label())
+                .field("status", status)
+                .field("queue_us", self.queue_wait.as_micros())
+                .field("handle_us", handle_time.as_micros())
+                .field("cache_hits", cache.hits)
+                .field("cache_misses", cache.misses);
+            if let Err(e) = &sent {
+                line = line.field("write_error", e.kind());
+            }
+            line.emit();
+        }
+        sent.unwrap_or(Verdict::Close)
+    }
+}
+
+/// `dram-serve`'s service: the JSON API, the streamed trace endpoint and
+/// the loopback-gated `/debug` family.
+///
+/// Chunked-transfer requests to the streaming trace endpoint are handed
+/// their still-on-the-wire body ([`serve_trace_stream`]); chunked
+/// requests to any other route are drained into memory first (bounded
+/// by [`Limits::max_body`]) and served exactly like buffered ones.
+struct Api;
+
+impl Service for Api {
+    fn answer(&self, inbound: http::Inbound, ex: &mut Exchange<'_>) -> Verdict {
+        match inbound {
+            http::Inbound::Streaming { request, mut body }
+                if Route::classify(request.method.as_str(), request.path.as_str())
+                    == Route::Trace =>
+            {
+                serve_trace_stream(ex, &request, &mut body)
+            }
+            inbound => match ex.buffer(inbound) {
+                Some((request, leftover)) => serve_buffered(ex, &request, leftover),
+                None => Verdict::Close,
+            },
+        }
+    }
 }
 
 /// Answers a fully-buffered request: route, handle, send, record.
-#[allow(clippy::too_many_arguments)]
-fn serve_buffered(
-    req: &http::Request,
-    leftover: Vec<u8>,
-    stream: &mut TcpStream,
-    shared: &Shared,
-    id: RequestId,
-    queue_wait: std::time::Duration,
-    started: Instant,
-    request_span: &mut dram_obs::SpanGuard,
-    served: u64,
-    peer: Option<SocketAddr>,
-) -> Verdict {
-    let (route, response, cache) = handle_request(req, shared, id, peer);
-    let handle_time = started.elapsed();
-    let keep = keep_decision(req, response.status, served, shared);
-    request_span.add_arg("route", route.label());
-    request_span.add_arg("status", response.status);
-    let response = response
-        .with_header("x-request-id", &id.to_string())
-        .with_keep_alive(keep);
-    let sent = response.send_within(stream, shared.limits.io_timeout);
-    journal::note(EventKind::Response, u64::from(response.status));
-    let rendered_id = id.to_string();
-    shared.metrics.observe(&RequestRecord {
-        id: &rendered_id,
-        route,
-        status: response.status,
-        queue_wait,
-        handle: handle_time,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-    });
-    log_request(
-        shared,
-        &rendered_id,
-        route.label(),
-        response.status,
-        queue_wait,
-        handle_time,
-        cache.hits,
-        cache.misses,
-        &sent,
-    );
-    if keep && sent.is_ok() {
-        Verdict::Keep(leftover)
-    } else {
-        Verdict::Close
-    }
+fn serve_buffered(ex: &mut Exchange<'_>, req: &http::Request, leftover: Vec<u8>) -> Verdict {
+    let (route, response, cache) = handle_request(ex, req);
+    let keep = ex.keep_decision(req, response.status);
+    ex.respond(route, response, keep, cache, leftover)
 }
 
 /// Answers `POST /v1/trace` with a chunked body still on the wire: the
@@ -1028,25 +1125,19 @@ fn serve_buffered(
 /// expensive for load shedding (it holds its worker for the entire
 /// upload) and the handler runs under the same `catch_unwind` as the
 /// buffered path.
-#[allow(clippy::too_many_arguments)]
 fn serve_trace_stream(
+    ex: &mut Exchange<'_>,
     req: &http::Request,
-    stream: &mut TcpStream,
     body: &mut http::ChunkedBody,
-    shared: &Shared,
-    id: RequestId,
-    queue_wait: std::time::Duration,
-    started: Instant,
-    request_span: &mut dram_obs::SpanGuard,
-    served: u64,
 ) -> Verdict {
     let route = Route::Trace;
+    let shared = ex.shared;
     let (response, cache) = if let Some(response) = shed_response(shared, route) {
         (response, CacheActivity::default())
     } else {
         let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _s = dram_obs::span("server.trace_stream").arg("id", id);
-            api::handle_trace_stream(req, stream, body)
+            let _s = dram_obs::span("server.trace_stream").arg("id", ex.id);
+            api::handle_trace_stream(req, ex.stream, body)
         }));
         match handled {
             Ok(result) => result,
@@ -1054,7 +1145,7 @@ fn serve_trace_stream(
                 shared.metrics.worker_panics.inc();
                 let message = dram_core::batch::panic_message(payload.as_ref());
                 if let Some(line) = shared.logger.line(LogLevel::Error, "handler_panicked") {
-                    line.field("id", id)
+                    line.field("id", ex.id)
                         .field("route", route.label())
                         .field("panic", &message)
                         .emit();
@@ -1066,95 +1157,18 @@ fn serve_trace_stream(
             }
         }
     };
-    let handle_time = started.elapsed();
-    let keep = keep_decision(req, response.status, served, shared);
-    request_span.add_arg("route", route.label());
-    request_span.add_arg("status", response.status);
-    let response = response
-        .with_header("x-request-id", &id.to_string())
-        .with_keep_alive(keep);
-    let sent = response.send_within(stream, shared.limits.io_timeout);
-    journal::note(EventKind::Response, u64::from(response.status));
-    let rendered_id = id.to_string();
-    shared.metrics.observe(&RequestRecord {
-        id: &rendered_id,
-        route,
-        status: response.status,
-        queue_wait,
-        handle: handle_time,
-        cache_hits: cache.hits,
-        cache_misses: cache.misses,
-    });
-    log_request(
-        shared,
-        &rendered_id,
-        route.label(),
-        response.status,
-        queue_wait,
-        handle_time,
-        cache.hits,
-        cache.misses,
-        &sent,
-    );
-    if response.status >= 400 {
+    let keep = ex.keep_decision(req, response.status);
+    let failed = response.status >= 400;
+    // Kept alive, the stream was fully consumed: anything past the
+    // chunked terminator is the next pipelined request.
+    let verdict = ex.respond(route, response, keep, cache, body.take_leftover());
+    if failed {
         // The upload was cut short (shed, protocol error, trace error)
         // and the client may still be sending: drain briefly so closing
         // doesn't RST the response out of its receive buffer.
-        drain_after_error(stream);
-        return Verdict::Close;
+        drain_after_error(ex.stream);
     }
-    if keep && sent.is_ok() {
-        // The stream was fully consumed; anything past the chunked
-        // terminator is the next pipelined request.
-        Verdict::Keep(body.take_leftover())
-    } else {
-        Verdict::Close
-    }
-}
-
-/// Answers a protocol-level failure (bad framing, oversized payload,
-/// deadline) with its 4xx, records it under [`Route::Other`], and
-/// drains what the client already sent. Always followed by a close:
-/// after a framing error the connection's byte stream cannot be
-/// trusted, so any buffered pipelined requests die with it.
-fn answer_protocol_error(
-    e: &http::HttpError,
-    stream: &mut TcpStream,
-    shared: &Shared,
-    id: RequestId,
-    queue_wait: std::time::Duration,
-    started: Instant,
-) {
-    let handle_time = started.elapsed();
-    let response =
-        Response::error(e.status(), &e.message()).with_header("x-request-id", &id.to_string());
-    let sent = response.send_within(stream, shared.limits.io_timeout);
-    journal::note(EventKind::Response, u64::from(e.status()));
-    let rendered_id = id.to_string();
-    shared.metrics.observe(&RequestRecord {
-        id: &rendered_id,
-        route: Route::Other,
-        status: e.status(),
-        queue_wait,
-        handle: handle_time,
-        cache_hits: 0,
-        cache_misses: 0,
-    });
-    log_request(
-        shared,
-        &rendered_id,
-        Route::Other.label(),
-        e.status(),
-        queue_wait,
-        handle_time,
-        0,
-        0,
-        &sent,
-    );
-    // The request was not fully read; drain what the client already
-    // sent so closing the socket doesn't RST the response out of its
-    // receive buffer.
-    drain_after_error(stream);
+    verdict
 }
 
 /// Bounded post-error drain: reads until the peer stays quiet for
@@ -1182,29 +1196,25 @@ fn drain_after_error(stream: &mut TcpStream) {
 /// and metrics scrapes keep working while a backlog clears.
 ///
 /// Panic isolation: a panicking handler answers 500 (carrying
-/// `x-request-id` like every response, added by the caller) instead of
-/// unwinding through the worker; the panic is counted in
-/// `worker_panics_total` and logged with its message.
-fn handle_request(
-    req: &http::Request,
-    shared: &Shared,
-    id: RequestId,
-    peer: Option<SocketAddr>,
-) -> (Route, Response, CacheActivity) {
+/// `x-request-id` like every response) instead of unwinding through the
+/// worker; the panic is counted in `worker_panics_total` and logged with
+/// its message.
+fn handle_request(ex: &Exchange<'_>, req: &http::Request) -> (Route, Response, CacheActivity) {
+    let shared = ex.shared;
     let route = Route::classify(req.method.as_str(), req.path.as_str());
     if route == Route::Debug {
         // The loopback-gated introspection router. Short-circuited
         // before shedding and before `api::handle`: debug requests must
         // work exactly when the server is in trouble, and the gate
         // needs the peer address only this front end knows.
-        let response = crate::debug::handle(req, peer, &shared.conns);
+        let response = crate::debug::handle(req, Some(ex.peer), &shared.conns);
         return (route, response, CacheActivity::default());
     }
     if let Some(response) = shed_response(shared, route) {
         return (route, response, CacheActivity::default());
     }
     let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _s = dram_obs::span("server.handle").arg("id", id);
+        let _s = dram_obs::span("server.handle").arg("id", ex.id);
         api::handle(req, &shared.metrics)
     }));
     match handled {
@@ -1213,7 +1223,7 @@ fn handle_request(
             shared.metrics.worker_panics.inc();
             let message = dram_core::batch::panic_message(payload.as_ref());
             if let Some(line) = shared.logger.line(LogLevel::Error, "handler_panicked") {
-                line.field("id", id)
+                line.field("id", ex.id)
                     .field("route", route.label())
                     .field("panic", &message)
                     .emit();
@@ -1241,44 +1251,6 @@ fn shed_response(shared: &Shared, route: Route) -> Option<Response> {
         );
     }
     None
-}
-
-/// Emits the one structured line a served request gets: `info` normally,
-/// escalated to `error` for 5xx responses or a failed response write.
-/// Exactly one response was (attempted to be) written before this —
-/// a write failure is logged, never "fixed" with a second response.
-#[allow(clippy::too_many_arguments)]
-fn log_request(
-    shared: &Shared,
-    id: &str,
-    route: &str,
-    status: u16,
-    queue_wait: std::time::Duration,
-    handle_time: std::time::Duration,
-    cache_hits: u32,
-    cache_misses: u32,
-    sent: &io::Result<()>,
-) {
-    let level = if status >= 500 || sent.is_err() {
-        LogLevel::Error
-    } else {
-        LogLevel::Info
-    };
-    let Some(line) = shared.logger.line(level, "request") else {
-        return;
-    };
-    let mut line = line
-        .field("id", id)
-        .field("route", route)
-        .field("status", status)
-        .field("queue_us", queue_wait.as_micros())
-        .field("handle_us", handle_time.as_micros())
-        .field("cache_hits", cache_hits)
-        .field("cache_misses", cache_misses);
-    if let Err(e) = sent {
-        line = line.field("write_error", e.kind());
-    }
-    line.emit();
 }
 
 impl ServerHandle {
@@ -1399,14 +1371,14 @@ mod tests {
                 Err(e) => panic!("filling the send buffer failed: {e}"),
             }
         }
-        let shared = Shared::new(&ServerConfig {
+        let config = ServerConfig {
             limits: Limits {
                 io_timeout: Duration::from_secs(2),
                 ..Limits::default()
             },
             ..ServerConfig::default()
-        })
-        .expect("shared state");
+        };
+        let shared = Shared::new(&config, Box::new(Api)).expect("shared state");
         let client = Client {
             stream,
             conn: 1,

@@ -2,17 +2,23 @@
 //! 502 path, single-node byte-identical pass-through, the
 //! poison-on-mid-body-failure rule (no retry once a response byte has
 //! been relayed), upstream heads with bad framing never reaching the
-//! client, the loopback gate on `/debug/*` holding through the proxy
-//! hop, and the federated `/metrics` in both formats.
+//! client, hedging to the next ring successor, the loopback gate on
+//! `/debug/*` holding through the proxy hop, the federated `/metrics` in
+//! both formats, the connection lifecycle the router shares with
+//! `dram-serve`'s front end: 4xx poisoning, the drain after an error and
+//! a shutdown that does not wait for idle clients, and a node that
+//! accepts connections and never answers.
 
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
+use dram_core::batch::content_key;
 use dram_server::client::Conn;
-use dram_server::{route_serve, serve, RouterConfig, ServerConfig};
+use dram_server::ring::DEFAULT_REPLICAS;
+use dram_server::{presets, route_serve, serve, Ring, RouterConfig, ServerConfig};
 use dram_units::json::Value;
 
 #[allow(dead_code)]
@@ -117,14 +123,24 @@ fn truncating_upstream() -> (SocketAddr, Arc<AtomicU64>) {
 /// `/v1/*` request with `reply`, then drops the connection. Returns
 /// (address, count of `/v1/*` requests seen).
 fn scripted_upstream(reply: &'static [u8]) -> (SocketAddr, Arc<AtomicU64>) {
+    upstream_with(move || reply)
+}
+
+/// [`scripted_upstream`] answering each `/v1/*` request with what
+/// `script` returns, on that request's own thread.
+fn upstream_with(
+    script: impl Fn() -> &'static [u8] + Send + Sync + 'static,
+) -> (SocketAddr, Arc<AtomicU64>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake upstream");
     let addr = listener.local_addr().expect("addr");
     let hits = Arc::new(AtomicU64::new(0));
     let hits_in = Arc::clone(&hits);
+    let script = Arc::new(script);
     std::thread::spawn(move || {
         for conn in listener.incoming() {
             let Ok(mut conn) = conn else { continue };
             let hits = Arc::clone(&hits_in);
+            let script = Arc::clone(&script);
             std::thread::spawn(move || {
                 let _ = conn.set_read_timeout(Some(Duration::from_secs(5)));
                 let mut buf = Vec::new();
@@ -138,7 +154,7 @@ fn scripted_upstream(reply: &'static [u8]) -> (SocketAddr, Arc<AtomicU64>) {
                 let head = String::from_utf8_lossy(&buf);
                 if head.contains("/v1/") {
                     hits.fetch_add(1, Ordering::SeqCst);
-                    let _ = conn.write_all(reply);
+                    let _ = conn.write_all(script());
                     let _ = conn.flush();
                     // Drop: the upstream dies after its script.
                 } else {
@@ -241,6 +257,66 @@ fn upstream_heads_with_bad_content_length_take_the_502_path() {
         assert!(hits.load(Ordering::SeqCst) >= 1, "the upstream was never asked");
         router.shutdown();
     }
+}
+
+/// With `hedge_after` armed, an owner that has produced no head by then
+/// is raced by the next ring successor, and the first head wins. Two
+/// scripted upstreams share one flag: the first `/v1/` request either
+/// sees is answered 500 ms late, every other one at once.
+#[test]
+fn a_slow_owner_is_hedged_to_its_successor() {
+    const LATE: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                          content-length: 6\r\nconnection: close\r\n\r\n\"late\"";
+    const PROMPT: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                            content-length: 8\r\nconnection: close\r\n\r\n\"prompt\"";
+    let answered = Arc::new(AtomicBool::new(false));
+    let nodes: Vec<String> = (0..2)
+        .map(|_| {
+            let answered = Arc::clone(&answered);
+            let (addr, _) = upstream_with(move || {
+                if answered.swap(true, Ordering::SeqCst) {
+                    PROMPT
+                } else {
+                    std::thread::sleep(Duration::from_millis(500));
+                    LATE
+                }
+            });
+            addr.to_string()
+        })
+        .collect();
+    let router = route_serve(
+        "127.0.0.1:0",
+        RouterConfig {
+            nodes,
+            probe_interval: Duration::from_secs(30),
+            hedge_after: Some(Duration::from_millis(50)),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+
+    let started = Instant::now();
+    let (status, body, _) = exchange(
+        router.local_addr(),
+        "POST",
+        "/v1/evaluate",
+        r#"{"preset":"ddr3_1g_x16_55nm"}"#,
+    );
+    let took = started.elapsed();
+    assert_eq!((status, body.as_str()), (200, "\"prompt\""));
+    assert!(
+        took < Duration::from_millis(400),
+        "the hedged request took {took:?}"
+    );
+
+    let (status, body, _) = exchange(router.local_addr(), "GET", "/metrics", "");
+    assert_eq!(status, 200, "{body}");
+    let doc = Value::parse(&body).expect("metrics JSON");
+    for key in ["hedges_total", "hedge_wins_total"] {
+        let value = doc.get(key).and_then(Value::as_f64);
+        assert_eq!(value, Some(1.0), "{key}: {body}");
+    }
+    router.shutdown();
 }
 
 /// A local IP that is *not* loopback, if the host has one. Routing a
@@ -485,4 +561,243 @@ fn metrics_serves_both_json_and_prometheus_formats() {
     assert!(reply.text().contains("unknown metrics format"), "{}", reply.text());
     router.shutdown();
     backend.shutdown();
+}
+
+/// A router whose one node refuses every connection: enough for the
+/// routes the router answers itself.
+fn router_without_a_pool() -> dram_server::RouterHandle {
+    route_serve(
+        "127.0.0.1:0",
+        RouterConfig {
+            nodes: vec!["127.0.0.1:1".to_string()],
+            probe_interval: Duration::from_secs(30),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router")
+}
+
+/// True once `read` reports EOF with no byte left over from earlier
+/// responses.
+fn at_eof(conn: &mut Conn) -> bool {
+    let mut scratch = [0u8; 64];
+    matches!(conn.read(&mut scratch), Ok(0))
+}
+
+/// A request the router answers 4xx poisons its connection: the response
+/// says `connection: close`, and a request pipelined behind it is never
+/// answered.
+#[test]
+fn a_4xx_from_the_router_poisons_its_connection() {
+    let router = router_without_a_pool();
+    let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    s.write_all(
+        b"GET /metrics?format=yaml HTTP/1.1\r\nhost: t\r\n\r\n\
+          GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n",
+    )
+    .expect("send");
+    let mut conn = Conn::new(s);
+    let reply = conn.read_response().expect("the 400");
+    assert_eq!(reply.status(), 400, "{reply:?}");
+    assert_eq!(reply.header("connection"), Some("close"), "{reply:?}");
+    assert!(at_eof(&mut conn), "a request behind the 400 was answered");
+    router.shutdown();
+}
+
+/// A body declared over `max_body` is answered 413 before it is read.
+/// The client is still uploading, so the router drains what arrives
+/// before it closes: the client reads the 413, not a reset.
+#[test]
+fn the_routers_4xx_reaches_a_client_still_uploading() {
+    let router = router_without_a_pool();
+    let mut upload = format!(
+        "POST /v1/evaluate HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n",
+        4 * 1024 * 1024
+    )
+    .into_bytes();
+    upload.resize(upload.len() + 256 * 1024, b' ');
+    for attempt in 0..5 {
+        let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        // The router may stop reading; what it refuses is not the point.
+        let _ = s.write_all(&upload);
+        let reply = Conn::new(s).read_to_close();
+        let reply = reply.unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
+        assert_eq!(reply.status(), 413, "attempt {attempt}: {reply:?}");
+    }
+    router.shutdown();
+}
+
+/// A keep-alive client that went quiet after one request: shutdown
+/// closes its connection within the drain, not when a read times out.
+#[test]
+fn shutdown_does_not_wait_for_an_idle_keepalive_client() {
+    let router = router_without_a_pool();
+    let s = TcpStream::connect(router.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    let mut conn = Conn::new(s);
+    conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+        .expect("send");
+    let reply = conn.read_response().expect("response");
+    assert_eq!(reply.status(), 200, "{reply:?}");
+    assert_eq!(reply.header("connection"), Some("keep-alive"), "{reply:?}");
+
+    let started = Instant::now();
+    router.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    assert!(at_eof(&mut conn), "the idle connection must close cleanly");
+}
+
+/// A live `dram-serve`, and a node that reads requests but never
+/// answers: a hung process, or one behind a partition that sends no
+/// reset. Each node owns at least one preset on the ring of `nodes`.
+struct StalledPool {
+    live: dram_server::ServerHandle,
+    nodes: Vec<String>,
+    on_live: &'static str,
+    on_stalled: &'static str,
+    /// One message per `/v1/` request the stalled node has read.
+    stalled_reads: mpsc::Receiver<()>,
+}
+
+fn live_and_stalled_nodes() -> StalledPool {
+    let live = serve("127.0.0.1:0", ServerConfig::default()).expect("bind backend");
+    let (listener, nodes, on_live, on_stalled) = loop {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stalled node");
+        let nodes = vec![
+            live.local_addr().to_string(),
+            listener.local_addr().expect("addr").to_string(),
+        ];
+        let ring = Ring::new(&nodes, DEFAULT_REPLICAS);
+        let owned_by = |node: usize| {
+            presets::NAMES.into_iter().find(|name| {
+                let desc = presets::by_name(name).expect("listed preset");
+                ring.successors(content_key(&desc))[0] == node
+            })
+        };
+        // Another port until each node owns a preset.
+        if let (Some(on_live), Some(on_stalled)) = (owned_by(0), owned_by(1)) {
+            break (listener, nodes, on_live, on_stalled);
+        }
+    };
+    let (read, stalled_reads) = mpsc::channel();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { continue };
+            let read = read.clone();
+            std::thread::spawn(move || {
+                let mut head = Vec::new();
+                let mut chunk = [0u8; 1024];
+                // Read until the peer hangs up, answering nothing.
+                while let Ok(n @ 1..) = conn.read(&mut chunk) {
+                    head.extend_from_slice(&chunk[..n]);
+                    if head.starts_with(b"POST /v1/") && head.windows(4).any(|w| w == b"\r\n\r\n") {
+                        let _ = read.send(());
+                        head.clear();
+                    }
+                }
+            });
+        }
+    });
+    StalledPool {
+        live,
+        nodes,
+        on_live,
+        on_stalled,
+        stalled_reads,
+    }
+}
+
+/// A close-per-request `POST /v1/evaluate` of `preset`.
+fn evaluate(preset: &str) -> Vec<u8> {
+    let body = format!(r#"{{"preset":"{preset}"}}"#);
+    format!(
+        "POST /v1/evaluate HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n\
+         content-length: {}\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+/// Requests waiting on a stalled node hold only their own workers:
+/// `/healthz` and a request the live node owns still answer at once,
+/// and shutdown cuts the stalled requests — each answered 502 — instead
+/// of waiting out `io_timeout` on every one.
+#[test]
+fn a_stalled_node_holds_only_its_own_requests() {
+    let pool = live_and_stalled_nodes();
+    let router = route_serve(
+        "127.0.0.1:0",
+        RouterConfig {
+            nodes: pool.nodes,
+            // Probes must not take the stalled node down mid-test.
+            probe_interval: Duration::from_secs(60),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+
+    // More stalled requests than the front end's default 4 workers.
+    let waiting: Vec<TcpStream> = (0..6)
+        .map(|_| {
+            let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            s.write_all(&evaluate(pool.on_stalled)).expect("send");
+            s
+        })
+        .collect();
+    for _ in &waiting {
+        pool.stalled_reads
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every stalled request reaches the stalled node");
+    }
+
+    let healthz = b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n";
+    for request in [healthz.to_vec(), evaluate(pool.on_live)] {
+        let started = Instant::now();
+        let reply = raw(router.local_addr(), &request);
+        let took = started.elapsed();
+        assert_eq!(reply.status(), 200, "{reply:?}");
+        assert!(took < Duration::from_secs(1), "answered after {took:?}");
+    }
+
+    let started = Instant::now();
+    router.shutdown();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(3), "shutdown took {took:?}");
+    for s in waiting {
+        let reply = Conn::new(s).read_to_close().expect("an answer");
+        assert_eq!(reply.status(), 502, "{reply:?}");
+    }
+    pool.live.shutdown();
+}
+
+/// Once probes take a stalled node down, the requests already waiting
+/// on it are cut and fail over to the successor, long before their
+/// reads would time out.
+#[test]
+fn requests_waiting_on_a_node_that_goes_down_fail_over() {
+    let pool = live_and_stalled_nodes();
+    let router = route_serve(
+        "127.0.0.1:0",
+        RouterConfig {
+            nodes: pool.nodes,
+            probe_interval: Duration::from_millis(100),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+
+    let started = Instant::now();
+    let reply = raw(router.local_addr(), &evaluate(pool.on_stalled));
+    let took = started.elapsed();
+    assert_eq!(reply.status(), 200, "{reply:?}");
+    assert!(took < Duration::from_secs(2), "failed over after {took:?}");
+    pool.stalled_reads
+        .recv_timeout(Duration::from_secs(1))
+        .expect("the request waited on the stalled node first");
+    router.shutdown();
+    pool.live.shutdown();
 }

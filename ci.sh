@@ -89,6 +89,33 @@ if [[ $fast -eq 0 ]]; then
   smoke POST /v1/evaluate '{"preset":"ddr3_1g_x16_55nm"}'
   smoke POST /v1/batch '{"requests":[{"preset":"ddr3_1g_x16_55nm"},{"preset":"ddr2_1g_75nm"}]}'
 
+  # A cached model keeps its /v1/evaluate body once it has been hit. Two
+  # presets no request above has named: the first POST of each misses
+  # and renders, the second hits and is served from the stored body. The
+  # two bodies must be the same bytes, and /v1/batch, which renders every
+  # item, must return exactly them.
+  post_body() { # path body — prints the body of a 200 reply
+    local reply
+    exec 3<>"/dev/tcp/127.0.0.1/$port"
+    printf 'POST %s HTTP/1.1\r\ncontent-length: %s\r\nconnection: close\r\n\r\n%s' \
+      "$1" "${#2}" "$2" >&3
+    reply=$(cat <&3)
+    exec 3<&- 3>&-
+    [[ "${reply:0:12}" == "HTTP/1.1 200" ]] || { echo "    POST $1 -> ${reply:0:12} (want 200)" >&2; return 1; }
+    printf '%s' "${reply#*$'\r\n\r\n'}"
+  }
+  stored=()
+  for preset in sdr_128m_170nm ddr5_16g_18nm; do
+    miss=$(post_body /v1/evaluate "{\"preset\":\"$preset\"}") || exit 1
+    hit=$(post_body /v1/evaluate "{\"preset\":\"$preset\"}") || exit 1
+    [[ "$miss" == "$hit" ]] || { echo "    $preset: the stored body differs from the rendered one"; exit 1; }
+    stored+=("$hit")
+  done
+  batch=$(post_body /v1/batch '{"requests":[{"preset":"sdr_128m_170nm"},{"preset":"ddr5_16g_18nm"}]}') || exit 1
+  [[ "$batch" == "{\"count\":2,\"results\":[${stored[0]},${stored[1]}]}" ]] \
+    || { echo "    /v1/batch differs from the stored /v1/evaluate bodies: $batch"; exit 1; }
+  echo "    POST /v1/evaluate twice per preset -> the same bytes on a miss and a hit, and in /v1/batch"
+
   # Stream a generated command trace through /v1/trace with chunked
   # transfer-encoding (the one route that folds chunks incrementally).
   # 200 plus a self-refresh breakdown proves the five-state machine ran;

@@ -370,19 +370,6 @@ pub fn content_key(desc: &DramDescription) -> u64 {
     h.finish()
 }
 
-/// Content hash over every field of a description, with floats hashed by
-/// bit pattern. Two descriptions that compare equal hash equal; the
-/// converse is enforced by structural comparison at lookup time.
-///
-/// Since the router tier landed this is simply [`content_key`] — the
-/// cache and the shard ring must agree on keying, so both use the same
-/// stable digest (a `DefaultHasher` key would differ across processes
-/// and defeat cache affinity).
-#[must_use]
-pub fn content_hash(desc: &DramDescription) -> u64 {
-    content_key(desc)
-}
-
 /// Hit/miss counters of a [`ModelCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
@@ -533,7 +520,25 @@ impl ModelCache {
         &self,
         desc: &DramDescription,
     ) -> Result<(Arc<Dram>, bool), ModelError> {
-        let key = content_hash(desc);
+        self.get_or_build_keyed(content_key(desc), desc)
+    }
+
+    /// [`ModelCache::get_or_build_traced`] under a key the caller already
+    /// holds, such as a named preset's, so a hit hashes nothing.
+    ///
+    /// `key` must be `content_key(desc)`; debug builds assert it. Any
+    /// other key files the model in the wrong bucket: a later lookup
+    /// under the right key misses and builds it again.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError`] if the description fails validation.
+    pub fn get_or_build_keyed(
+        &self,
+        key: u64,
+        desc: &DramDescription,
+    ) -> Result<(Arc<Dram>, bool), ModelError> {
+        debug_assert_eq!(key, content_key(desc), "a cache key is the content key");
         let cached = {
             let _s = dram_obs::span("engine.cache_lookup");
             self.lookup(key, desc)
@@ -724,17 +729,20 @@ impl EvalEngine {
         self.cache.get_or_build(desc)
     }
 
-    /// Like [`EvalEngine::model`], but also reports whether the model
-    /// came from the cache (`true`) or was built by this call (`false`).
+    /// Like [`EvalEngine::model`], under a key the caller already holds
+    /// (`key` must be `content_key(desc)`), and also reports whether the
+    /// model came from the cache (`true`) or was built by this call
+    /// (`false`). See [`ModelCache::get_or_build_keyed`].
     ///
     /// # Errors
     ///
     /// Returns [`ModelError`] if the description fails validation.
-    pub fn model_traced(
+    pub fn model_keyed(
         &self,
+        key: u64,
         desc: &DramDescription,
     ) -> Result<(Arc<Dram>, bool), ModelError> {
-        self.cache.get_or_build_traced(desc)
+        self.cache.get_or_build_keyed(key, desc)
     }
 
     /// Builds models for a batch of descriptions, in parallel, memoized.
@@ -760,19 +768,21 @@ impl EvalEngine {
         })
     }
 
-    /// [`EvalEngine::evaluate_many`] with per-item cache-hit reporting:
-    /// `out[i]` carries the model for `descs[i]` plus whether it was a
+    /// [`EvalEngine::evaluate_many`] over `(key, description)` items,
+    /// each key `content_key` of its description as in
+    /// [`EvalEngine::model_keyed`], with per-item cache-hit reporting:
+    /// `out[i]` carries the model for `items[i]` plus whether it was a
     /// cache hit, in input order regardless of thread count. Panics are
     /// isolated per item exactly like [`EvalEngine::evaluate_many`].
-    pub fn evaluate_many_traced(
+    pub fn evaluate_many_keyed(
         &self,
-        descs: &[DramDescription],
+        items: &[(u64, &DramDescription)],
     ) -> Vec<Result<(Arc<Dram>, bool), ModelError>> {
-        let _s = dram_obs::span("engine.evaluate_many").arg("items", descs.len());
-        self.map(descs, |d| {
+        let _s = dram_obs::span("engine.evaluate_many").arg("items", items.len());
+        self.map(items, |&(key, d)| {
             isolate(|| {
                 dram_faults::trip("engine.worker");
-                self.cache.get_or_build_traced(d)
+                self.cache.get_or_build_keyed(key, d)
             })
         })
     }
@@ -1100,46 +1110,46 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_tracks_field_changes() {
+    fn content_key_tracks_field_changes() {
         let base = ddr3_1g_x16_55nm();
-        let h0 = content_hash(&base);
-        assert_eq!(h0, content_hash(&base.clone()), "hash is deterministic");
+        let h0 = content_key(&base);
+        assert_eq!(h0, content_key(&base.clone()), "hash is deterministic");
 
         let mut d = base.clone();
         d.technology.bitline_cap = d.technology.bitline_cap * 1.0001;
-        assert_ne!(h0, content_hash(&d), "technology float");
+        assert_ne!(h0, content_key(&d), "technology float");
 
         let mut d = base.clone();
         d.electrical.vdd = d.electrical.vdd * 1.0001;
-        assert_ne!(h0, content_hash(&d), "electrical float");
+        assert_ne!(h0, content_key(&d), "electrical float");
 
         let mut d = base.clone();
         d.timing.trc = d.timing.trc * 1.0001;
-        assert_ne!(h0, content_hash(&d), "timing float");
+        assert_ne!(h0, content_key(&d), "timing float");
 
         let mut d = base.clone();
         d.spec.prefetch = 4;
-        assert_ne!(h0, content_hash(&d), "spec integer");
+        assert_ne!(h0, content_key(&d), "spec integer");
 
         let mut d = base.clone();
         d.floorplan.bits_per_bitline *= 2;
-        assert_ne!(h0, content_hash(&d), "floorplan integer");
+        assert_ne!(h0, content_key(&d), "floorplan integer");
 
         let mut d = base.clone();
         d.name.push('!');
-        assert_ne!(h0, content_hash(&d), "name");
+        assert_ne!(h0, content_key(&d), "name");
 
         let mut d = base.clone();
         if let Some(sig) = d.signaling.signals.first_mut() {
             sig.toggle_rate *= 1.0001;
         }
-        assert_ne!(h0, content_hash(&d), "signaling float");
+        assert_ne!(h0, content_key(&d), "signaling float");
 
         let mut d = base.clone();
         if let Some(block) = d.logic_blocks.first_mut() {
             block.gates += 1;
         }
-        assert_ne!(h0, content_hash(&d), "logic block");
+        assert_ne!(h0, content_key(&d), "logic block");
     }
 
     /// The content key is the shard-routing contract: `dram-route`
@@ -1155,9 +1165,6 @@ mod tests {
             "content_key for the ddr3_1g_x16_55nm reference changed: \
              this re-maps the whole shard ring (got {key:#018x})"
         );
-        // The cache and the router must key identically, or routed
-        // requests would warm the wrong node's cache.
-        assert_eq!(key, content_hash(&ddr3_1g_x16_55nm()));
     }
 
     /// `StableHasher` must encode every integer width deterministically
@@ -1193,15 +1200,20 @@ mod tests {
     fn traced_lookups_report_per_call_hits() {
         let engine = EvalEngine::new().threads(2);
         let desc = ddr3_1g_x16_55nm();
-        let (first, hit) = engine.model_traced(&desc).expect("builds");
+        let key = content_key(&desc);
+        let (first, hit) = engine.model_keyed(key, &desc).expect("builds");
         assert!(!hit, "first sight must build");
-        let (second, hit) = engine.model_traced(&desc).expect("cached");
+        let (second, hit) = engine.model_keyed(key, &desc).expect("cached");
         assert!(hit, "second lookup must hit");
         assert!(Arc::ptr_eq(&first, &second));
 
         let mut other = ddr3_1g_x16_55nm();
         other.technology.bitline_cap = other.technology.bitline_cap * 1.5;
-        let out = engine.evaluate_many_traced(&[desc.clone(), other, desc]);
+        let out = engine.evaluate_many_keyed(&[
+            (key, &desc),
+            (content_key(&other), &other),
+            (key, &desc),
+        ]);
         let flags: Vec<bool> = out.iter().map(|r| r.as_ref().unwrap().1).collect();
         // desc was already cached; `other` is new; the second desc entry
         // hits whichever call cached it first.

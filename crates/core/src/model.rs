@@ -6,6 +6,9 @@
 //! and device capacitances, book per-operation charges, and convert them
 //! to energies. Pattern power and IDD currents are then cheap queries.
 
+use std::sync::OnceLock;
+
+use dram_units::json::{obj, Value};
 use dram_units::{Amperes, Hertz, Joules, Watts};
 
 use crate::area::AreaReport;
@@ -71,6 +74,9 @@ pub struct Dram {
     read: OperationEnergy,
     write: OperationEnergy,
     clock_cycle: OperationEnergy,
+    /// [`evaluate_document`] of this model, encoded on the first
+    /// [`Dram::evaluate_body`] call. Every build starts it empty.
+    body: OnceLock<Box<str>>,
 }
 
 /// Average power, supply current and background share of one pattern run.
@@ -269,6 +275,7 @@ impl Dram {
             read,
             write,
             clock_cycle,
+            body: OnceLock::new(),
         })
     }
 
@@ -345,6 +352,7 @@ impl Dram {
             read,
             write,
             clock_cycle,
+            body: OnceLock::new(),
         })
     }
 
@@ -625,6 +633,64 @@ impl Dram {
     pub fn area(&self) -> AreaReport {
         AreaReport::new(&self.desc, &self.geom)
     }
+
+    /// `evaluate_document(self).to_string()`, encoded on the first call
+    /// and kept for the life of the model, so later calls copy nothing.
+    #[must_use]
+    pub fn evaluate_body(&self) -> &str {
+        self.body
+            .get_or_init(|| evaluate_document(self).to_string().into_boxed_str())
+    }
+}
+
+/// The `dram-serve` `/v1/evaluate` response document for one model:
+/// datasheet currents, per-operation energies, background power, energy
+/// per bit and die area.
+///
+/// It reads only the model, so a cached model can keep its encoding
+/// ([`Dram::evaluate_body`]). `/v1/batch` builds it per item, so batch
+/// entries are bit-identical to single `/v1/evaluate` bodies.
+#[must_use]
+pub fn evaluate_document(dram: &Dram) -> Value {
+    let idd = dram.idd();
+    let idd_ma: Vec<(String, Value)> = IddKind::ALL
+        .iter()
+        .map(|&k| (k.symbol().to_string(), (idd.get(k).amperes() * 1e3).into()))
+        .collect();
+    let ops: Vec<(String, Value)> = Operation::ALL
+        .iter()
+        .map(|&op| {
+            let e = dram.operation_energy(op);
+            (
+                op.to_string(),
+                obj(vec![
+                    ("external_pj", (e.external().joules() * 1e12).into()),
+                    ("internal_pj", (e.internal().joules() * 1e12).into()),
+                ]),
+            )
+        })
+        .collect();
+    let area = dram.area();
+    obj(vec![
+        ("name", dram.description().name.as_str().into()),
+        ("idd_ma", Value::Obj(idd_ma)),
+        ("operations", Value::Obj(ops)),
+        ("background_w", dram.background_power().watts().into()),
+        (
+            "energy_per_bit_pj",
+            obj(vec![
+                (
+                    "streaming",
+                    (dram.energy_per_bit_streaming().joules() * 1e12).into(),
+                ),
+                (
+                    "random",
+                    (dram.energy_per_bit_random().joules() * 1e12).into(),
+                ),
+            ]),
+        ),
+        ("die_area_mm2", (area.die.square_meters() * 1e6).into()),
+    ])
 }
 
 /// Validates parameter ranges that the geometry pass does not cover.
@@ -984,6 +1050,27 @@ mod tests {
         d.electrical.vint = dram_units::Volts::new(d.electrical.vint.volts() * 1.2);
         let m2 = Dram::new(d).expect("builds");
         assert!(m2.mixed_workload_power().power > base);
+    }
+
+    /// The stored body is the rendered document on every call, and a
+    /// rebuild renders its own instead of inheriting the base model's.
+    #[test]
+    fn evaluate_body_is_never_stale() {
+        use crate::perturb::{ParamId, Perturbation};
+        let base = model();
+        let want = evaluate_document(&base).to_string();
+        assert_eq!(base.evaluate_body(), want, "first call");
+        assert_eq!(base.evaluate_body(), want, "stored copy");
+
+        let pert = Perturbation::single(ParamId::BitlineCap, 0.8);
+        let mut perturbed = ddr3_1g_x16_55nm();
+        pert.apply(&mut perturbed);
+        let rebuilt = base
+            .rebuild_from(&perturbed, pert.dirty_set())
+            .expect("perturbed builds");
+        let fresh = Dram::new(perturbed).expect("perturbed builds");
+        assert_eq!(rebuilt.evaluate_body(), fresh.evaluate_body());
+        assert_ne!(rebuilt.evaluate_body(), base.evaluate_body());
     }
 }
 

@@ -12,8 +12,10 @@
 //! builds to individual request ids in logs and slow-request samples.
 
 use std::net::TcpStream;
+use std::sync::Arc;
 
-use dram_core::{Dram, DramDescription, EvalEngine, IddKind, ModelError, Operation, Pattern};
+pub use dram_core::evaluate_document;
+use dram_core::{content_key, Dram, DramDescription, EvalEngine, ModelError, Pattern};
 use dram_units::json::{obj, Value};
 use dram_workload::{
     PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceErrorKind, TraceEvent, TraceReport,
@@ -22,7 +24,7 @@ use dram_workload::{
 
 use crate::http::{ChunkedBody, Request, Response};
 use crate::metrics::{self, Metrics, Route};
-use crate::presets;
+use crate::presets::{self, Preset};
 
 /// Largest `requests` array `/v1/batch` accepts in one call.
 pub const MAX_BATCH_ITEMS: usize = 256;
@@ -129,122 +131,113 @@ fn with_body(req: &Request, f: impl FnOnce(&Value) -> Response) -> Response {
     }
 }
 
+/// The device a request names, resolved once: an entry of the preset
+/// table, or a description parsed from the request.
+pub(crate) enum Device {
+    Preset(&'static Preset),
+    Parsed(Box<DramDescription>),
+}
+
+impl Device {
+    fn description(&self) -> &DramDescription {
+        match self {
+            Device::Preset(p) => p.description(),
+            Device::Parsed(d) => d,
+        }
+    }
+
+    /// The content key, which is both the model-cache key and the
+    /// shard-routing key: a preset's comes from the table, a parsed
+    /// description is hashed here.
+    pub(crate) fn key(&self) -> u64 {
+        match self {
+            Device::Preset(p) => p.key(),
+            Device::Parsed(d) => content_key(d),
+        }
+    }
+
+    /// Builds (or fetches from the global cache) the device's model,
+    /// noting the hit or miss in `activity`; the flag is `true` on a hit.
+    fn model(&self, activity: &mut CacheActivity) -> Result<(Arc<Dram>, bool), ModelError> {
+        let (model, hit) = EvalEngine::global().model_keyed(self.key(), self.description())?;
+        activity.note(hit);
+        Ok((model, hit))
+    }
+}
+
+/// The table entry for a preset name, or the 400 message naming the
+/// valid ones.
+fn preset(name: &str) -> Result<&'static Preset, String> {
+    presets::get(name).ok_or_else(|| {
+        format!(
+            "unknown preset `{name}`; valid presets: {}",
+            presets::NAMES.join(", ")
+        )
+    })
+}
+
 /// Resolves the device a request addresses: `"preset"` (a name from
 /// [`presets::NAMES`]) or `"description"` (description-language text).
 /// Errors are returned as the message for a 400 body, so batch items
 /// can carry them inline.
 ///
-/// Public because the shard router keys requests exactly the way the
-/// cache does: resolve, then [`dram_core::batch::content_key`] — using
-/// the same resolver guarantees router placement and backend cache
-/// bucketing can never disagree.
-pub fn resolve_description(body: &Value) -> Result<DramDescription, String> {
+/// The shard router resolves request bodies here too, and routes on
+/// [`Device::key`]: the cache and the ring key every request alike.
+pub(crate) fn resolve(body: &Value) -> Result<Device, String> {
     match (body.get("preset"), body.get("description")) {
         (Some(_), Some(_)) => Err("give either `preset` or `description`, not both".into()),
         (Some(p), None) => {
             let name = p.as_str().ok_or("`preset` must be a string")?;
-            presets::by_name(name).ok_or_else(|| {
-                format!(
-                    "unknown preset `{name}`; valid presets: {}",
-                    presets::NAMES.join(", ")
-                )
-            })
+            preset(name).map(Device::Preset)
         }
         (None, Some(d)) => {
             let text = d.as_str().ok_or("`description` must be a string")?;
             dram_dsl::parse_description(text)
+                .map(|d| Device::Parsed(Box::new(d)))
                 .map_err(|e| format!("description parse error: {e}"))
         }
         (None, None) => Err("request needs a `preset` name or a `description` text".into()),
     }
 }
 
-/// Builds (or fetches from the global cache) the model for a resolved
-/// description, noting the hit/miss in `activity`.
-fn model_for(
-    desc: &DramDescription,
-    activity: &mut CacheActivity,
-) -> Result<std::sync::Arc<Dram>, Response> {
-    match EvalEngine::global().model_traced(desc) {
-        Ok((model, hit)) => {
-            activity.note(hit);
-            Ok(model)
-        }
-        Err(e) => Err(Response::error(400, &model_error_message(&e))),
-    }
+/// Resolves a request body to an owned description, exactly as the
+/// handlers resolve it. [`dram_core::batch::content_key`] of the result
+/// is the key the service caches and routes the request under, so tools
+/// outside the crate can place a request body on the shard ring.
+pub fn resolve_description(body: &Value) -> Result<DramDescription, String> {
+    resolve(body).map(|device| match device {
+        Device::Preset(p) => p.description().clone(),
+        Device::Parsed(d) => *d,
+    })
+}
+
+/// [`Device::model`] with a failed build as its 400 response.
+fn model_for(device: &Device, activity: &mut CacheActivity) -> Result<(Arc<Dram>, bool), Response> {
+    device
+        .model(activity)
+        .map_err(|e| Response::error(400, &model_error_message(&e)))
 }
 
 fn model_error_message(e: &ModelError) -> String {
     format!("invalid description: {e}")
 }
 
-/// The `/v1/evaluate` response document for one description.
-///
-/// Public so tests and the load generator can assert the served bytes
-/// are identical to a direct library evaluation. `/v1/batch` reuses it
-/// verbatim per item, so batch entries are bit-identical to single
-/// `/v1/evaluate` bodies.
-#[must_use]
-pub fn evaluate_document(dram: &Dram) -> Value {
-    let idd = dram.idd();
-    let idd_ma: Vec<(String, Value)> = IddKind::ALL
-        .iter()
-        .map(|&k| {
-            (
-                k.symbol().to_string(),
-                (idd.get(k).amperes() * 1e3).into(),
-            )
-        })
-        .collect();
-    let ops: Vec<(String, Value)> = Operation::ALL
-        .iter()
-        .map(|&op| {
-            let e = dram.operation_energy(op);
-            (
-                op.to_string(),
-                obj(vec![
-                    ("external_pj", (e.external().joules() * 1e12).into()),
-                    ("internal_pj", (e.internal().joules() * 1e12).into()),
-                ]),
-            )
-        })
-        .collect();
-    let area = dram.area();
-    obj(vec![
-        ("name", dram.description().name.as_str().into()),
-        ("idd_ma", Value::Obj(idd_ma)),
-        ("operations", Value::Obj(ops)),
-        ("background_w", dram.background_power().watts().into()),
-        (
-            "energy_per_bit_pj",
-            obj(vec![
-                (
-                    "streaming",
-                    (dram.energy_per_bit_streaming().joules() * 1e12).into(),
-                ),
-                (
-                    "random",
-                    (dram.energy_per_bit_random().joules() * 1e12).into(),
-                ),
-            ]),
-        ),
-        ("die_area_mm2", (area.die.square_meters() * 1e6).into()),
-    ])
-}
-
 fn evaluate(body: &Value, activity: &mut CacheActivity) -> Response {
-    let desc = match resolve_description(body) {
+    let device = match resolve(body) {
         Ok(d) => d,
         Err(msg) => return Response::error(400, &msg),
     };
-    match model_for(&desc, activity) {
-        Ok(dram) => Response::json(200, evaluate_document(&dram).to_string()),
+    match model_for(&device, activity) {
+        // A hit serves the body the cached model keeps. A miss renders
+        // afresh, so a model asked for once stores no copy.
+        Ok((dram, true)) => Response::json(200, dram.evaluate_body().to_owned()),
+        Ok((dram, false)) => Response::json(200, evaluate_document(&dram).to_string()),
         Err(r) => r,
     }
 }
 
 /// `POST /v1/batch`: `{"requests": [<evaluate request>, ...]}` answered
-/// through [`EvalEngine::evaluate_many_traced`] in one parallel,
+/// through [`EvalEngine::evaluate_many_keyed`] in one parallel,
 /// memoized pass.
 ///
 /// `results[i]` corresponds to `requests[i]`: either the exact
@@ -272,21 +265,22 @@ fn batch(body: &Value, activity: &mut CacheActivity) -> Response {
     // Resolve every item first, then build all resolvable models in one
     // engine pass so duplicates share work and distinct items build in
     // parallel.
-    let resolved: Vec<Result<DramDescription, String>> = items
+    let resolved: Vec<Result<Device, String>> = items
         .iter()
         .map(|item| {
             if matches!(item, Value::Obj(_)) {
-                resolve_description(item)
+                resolve(item)
             } else {
                 Err("batch item must be a JSON object".into())
             }
         })
         .collect();
-    let descs: Vec<DramDescription> = resolved
+    let keyed: Vec<(u64, &DramDescription)> = resolved
         .iter()
-        .filter_map(|r| r.as_ref().ok().cloned())
+        .filter_map(|r| r.as_ref().ok())
+        .map(|d| (d.key(), d.description()))
         .collect();
-    let mut models = EvalEngine::global().evaluate_many_traced(&descs).into_iter();
+    let mut models = EvalEngine::global().evaluate_many_keyed(&keyed).into_iter();
 
     let results: Vec<Value> = resolved
         .into_iter()
@@ -336,7 +330,7 @@ pub fn pattern_document(dram: &Dram, pattern: &Pattern) -> Value {
 }
 
 fn pattern(body: &Value, activity: &mut CacheActivity) -> Response {
-    let desc = match resolve_description(body) {
+    let device = match resolve(body) {
         Ok(d) => d,
         Err(msg) => return Response::error(400, &msg),
     };
@@ -347,8 +341,8 @@ fn pattern(body: &Value, activity: &mut CacheActivity) -> Response {
         Ok(p) => p,
         Err(e) => return Response::error(400, &format!("bad pattern: {e}")),
     };
-    let dram = match model_for(&desc, activity) {
-        Ok(d) => d,
+    let dram = match model_for(&device, activity) {
+        Ok((d, _)) => d,
         Err(r) => return r,
     };
     // Opt-in single-bank timing validation (`"checked": true`).
@@ -397,7 +391,7 @@ pub fn sweep_document(
 }
 
 fn sweep_handler(body: &Value) -> Response {
-    let desc = match resolve_description(body) {
+    let device = match resolve(body) {
         Ok(d) => d,
         Err(msg) => return Response::error(400, &msg),
     };
@@ -418,7 +412,7 @@ fn sweep_handler(body: &Value) -> Response {
             _ => return Response::error(400, "`top` must be a positive integer"),
         },
     };
-    match sweep_document(&desc, variation, top) {
+    match sweep_document(device.description(), variation, top) {
         Ok(doc) => Response::json(200, doc.to_string()),
         Err(r) => r,
     }
@@ -504,13 +498,13 @@ fn trace_error_response(e: &TraceError) -> Response {
 }
 
 /// Event-application state of one `/v1/trace` request: resolves the
-/// device from the `?preset=` query or the `!preset` directive, defers
+/// preset from the `?preset=` query or the `!preset` directive, defers
 /// building the [`StreamFold`] to the first command (directives may
 /// still change the device or policy before then), and accumulates the
 /// cache activity its one model lookup causes.
 struct TraceSession {
     activity: CacheActivity,
-    desc: Option<(String, DramDescription)>,
+    preset: Option<&'static Preset>,
     policy: PowerDownPolicy,
     fold: Option<StreamFold>,
     length: Option<u64>,
@@ -518,24 +512,13 @@ struct TraceSession {
 
 impl TraceSession {
     fn new(req: &Request) -> Result<Self, Response> {
-        let desc = match req.query_param("preset") {
-            Some(name) => match presets::by_name(name) {
-                Some(d) => Some((name.to_string(), d)),
-                None => {
-                    return Err(Response::error(
-                        400,
-                        &format!(
-                            "unknown preset `{name}`; valid presets: {}",
-                            presets::NAMES.join(", ")
-                        ),
-                    ))
-                }
-            },
+        let preset = match req.query_param("preset") {
+            Some(name) => Some(preset(name).map_err(|msg| Response::error(400, &msg))?),
             None => None,
         };
         Ok(Self {
             activity: CacheActivity::default(),
-            desc,
+            preset,
             policy: PowerDownPolicy::NEVER,
             fold: None,
             length: None,
@@ -551,10 +534,10 @@ impl TraceSession {
                         "!preset must precede the first command",
                     ));
                 }
-                let desc = presets::by_name(&name).ok_or_else(|| {
+                let preset = presets::get(&name).ok_or_else(|| {
                     trace_err(TraceErrorKind::Syntax, format!("unknown preset `{name}`"))
                 })?;
-                self.desc = Some((name, desc));
+                self.preset = Some(preset);
                 Ok(())
             }
             TraceEvent::Policy(policy) => match self.fold.as_mut() {
@@ -570,24 +553,15 @@ impl TraceSession {
             }
             TraceEvent::Command(c) => {
                 if self.fold.is_none() {
-                    let Some((_, desc)) = self.desc.as_ref() else {
+                    let Some(preset) = self.preset else {
                         return Err(trace_err(
                             TraceErrorKind::Syntax,
                             "trace needs a `!preset` directive or `?preset=` query parameter",
                         ));
                     };
-                    let dram = match EvalEngine::global().model_traced(desc) {
-                        Ok((model, hit)) => {
-                            self.activity.note(hit);
-                            model
-                        }
-                        Err(e) => {
-                            return Err(trace_err(
-                                TraceErrorKind::Syntax,
-                                model_error_message(&e),
-                            ))
-                        }
-                    };
+                    let (dram, _) = Device::Preset(preset)
+                        .model(&mut self.activity)
+                        .map_err(|e| trace_err(TraceErrorKind::Syntax, model_error_message(&e)))?;
                     self.fold = Some(StreamFold::new(&dram, self.policy));
                 }
                 self.fold.as_mut().expect("fold built above").push(c)
@@ -604,16 +578,12 @@ impl TraceSession {
                 "trace contains no commands",
             ));
         };
-        let name = self
-            .desc
-            .as_ref()
-            .map(|(n, _)| n.clone())
-            .unwrap_or_default();
+        let name = self.preset.map_or("", Preset::name);
         let commands = fold.commands();
         match fold.finish(self.length) {
             Ok(report) => Response::json(
                 200,
-                trace_document(&name, &report, commands, trace_bytes).to_string(),
+                trace_document(name, &report, commands, trace_bytes).to_string(),
             ),
             Err(e) => trace_error_response(&e),
         }

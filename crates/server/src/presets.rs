@@ -3,10 +3,13 @@
 //! Every preset the library ships — the paper's calibrated 55 nm DDR3
 //! reference plus the roadmap generations — is addressable by a stable
 //! string name, so clients can evaluate without shipping a description
-//! file.
+//! file. Each preset's description and content key are built once per
+//! process, on first use, into one table that every request reads.
+
+use std::sync::OnceLock;
 
 use dram_core::reference::ddr3_1g_x16_55nm;
-use dram_core::DramDescription;
+use dram_core::{content_key, DramDescription};
 use dram_scaling::presets;
 
 /// All preset names, in catalog order.
@@ -21,9 +24,64 @@ pub const NAMES: [&str; 8] = [
     "ddr5_16g_18nm",
 ];
 
-/// Builds the description for a preset name; `None` for unknown names.
+/// One entry of the process-wide preset table. Only the table builds
+/// one, so its key is always the content key of its description.
+#[derive(Debug)]
+pub struct Preset {
+    name: &'static str,
+    description: DramDescription,
+    key: u64,
+}
+
+impl Preset {
+    /// The name clients send, one of [`NAMES`].
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The description the name stands for.
+    #[must_use]
+    pub fn description(&self) -> &DramDescription {
+        &self.description
+    }
+
+    /// `content_key(self.description())`: the model-cache and
+    /// shard-routing key.
+    #[must_use]
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+}
+
+/// The preset called `name`, from the table built on first use; `None`
+/// for unknown names.
+#[must_use]
+pub fn get(name: &str) -> Option<&'static Preset> {
+    static TABLE: OnceLock<[Preset; NAMES.len()]> = OnceLock::new();
+    TABLE
+        .get_or_init(|| {
+            NAMES.map(|name| {
+                let description = build(name).expect("every listed name builds");
+                Preset {
+                    name,
+                    key: content_key(&description),
+                    description,
+                }
+            })
+        })
+        .iter()
+        .find(|p| p.name == name)
+}
+
+/// The description for a preset name, cloned from the table; `None` for
+/// unknown names.
 #[must_use]
 pub fn by_name(name: &str) -> Option<DramDescription> {
+    get(name).map(|p| p.description.clone())
+}
+
+fn build(name: &str) -> Option<DramDescription> {
     match name {
         "ddr3_1g_x16_55nm" => Some(ddr3_1g_x16_55nm()),
         "sdr_128m_170nm" => Some(presets::sdr_128m_170nm()),

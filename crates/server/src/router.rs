@@ -6,8 +6,8 @@
 //! drain — as one more service, with one worker per pooled upstream
 //! connection: a worker keeps its upstream connection for the whole
 //! proxied request. For each request it derives the
-//! **content key** (the request's
-//! model description through [`content_key`] — exactly the digest
+//! **content key** (the request's model description through
+//! [`content_key`](dram_core::batch::content_key) — exactly the digest
 //! `ModelCache` buckets by) and forwards it to the node that owns that
 //! key on a consistent-hash [`Ring`]. A given device description
 //! therefore always lands on the same node, whose engine cache stays
@@ -68,7 +68,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dram_core::batch::{content_key, StableHasher};
+use dram_core::batch::StableHasher;
 use dram_obs::journal::{self, EventKind};
 use dram_obs::{json_members, Counter, Kind, PromWriter, Series};
 use dram_units::json::{obj, Value};
@@ -526,8 +526,8 @@ fn healthz(shared: &Arc<Shared>) -> Response {
 fn routing_key(request: &Request) -> u64 {
     if !request.body.is_empty() {
         if let Ok(doc) = Value::parse(&String::from_utf8_lossy(&request.body)) {
-            if let Ok(desc) = crate::api::resolve_description(&doc) {
-                return content_key(&desc);
+            if let Ok(device) = crate::api::resolve(&doc) {
+                return device.key();
             }
         }
     }
@@ -1206,6 +1206,27 @@ mod tests {
                 routed[ring.successors(routing_key(&request))[0]] += 1;
             }
             assert!(routed.iter().all(|&n| n >= 5), "base {base}: {routed:?}");
+        }
+    }
+
+    /// A named preset routes on its table key, and that key is the
+    /// content key of its description: shard placement, the backend cache
+    /// and perfbench's ring-owner oracle all agree on it.
+    #[test]
+    fn preset_routing_key_is_the_table_key_and_the_content_key() {
+        for name in crate::presets::NAMES {
+            let key = crate::presets::get(name).expect("listed preset").key();
+            let desc = crate::presets::by_name(name).expect("listed preset");
+            assert_eq!(key, dram_core::content_key(&desc), "{name}");
+            let request = Request {
+                method: "POST".into(),
+                path: "/v1/evaluate".into(),
+                query: String::new(),
+                headers: HashMap::new(),
+                body: obj(vec![("preset", name.into())]).to_string().into_bytes(),
+                http11: true,
+            };
+            assert_eq!(routing_key(&request), key, "{name}");
         }
     }
 

@@ -138,26 +138,29 @@ impl Value {
 
 impl fmt::Display for Value {
     /// Writes compact JSON (no whitespace). Non-finite numbers — which
-    /// JSON cannot represent — serialize as `null`.
+    /// JSON cannot represent — serialize as `null`. Keys and strings are
+    /// escaped straight into `f`, and nested values recurse on `f`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Value::Num(n) => {
                 if n.is_finite() {
+                    // A fresh formatter: the caller's width or precision
+                    // flags must not reach the number.
                     write!(f, "{n}")
                 } else {
                     f.write_str("null")
                 }
             }
-            Value::Str(s) => f.write_str(&escape(s)),
+            Value::Str(s) => write_escaped(f, s),
             Value::Arr(items) => {
                 f.write_char('[')?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
                         f.write_char(',')?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_char(']')
             }
@@ -167,7 +170,9 @@ impl fmt::Display for Value {
                     if i > 0 {
                         f.write_char(',')?;
                     }
-                    write!(f, "{}:{v}", escape(k))?;
+                    write_escaped(f, k)?;
+                    f.write_char(':')?;
+                    v.fmt(f)?;
                 }
                 f.write_char('}')
             }
@@ -222,26 +227,37 @@ impl From<Vec<Value>> for Value {
 /// Escapes a string as a JSON literal, quotes included.
 ///
 /// This is the one escaper of the workspace: the bench harness' timing
-/// serializer and the server's response encoder both call it.
+/// serializer calls it, and the [`Value`] writer shares its loop.
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    write_escaped(&mut out, s).expect("writing to a String cannot fail");
+    out
+}
+
+/// Writes `s` as a JSON string literal, quotes included. Runs that need
+/// no escape are written whole; every byte that does is ASCII, so each
+/// run ends on a character boundary.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\t' => out.write_str("\\t")?,
+            b'\r' => out.write_str("\\r")?,
+            _ => write!(out, "\\u{b:04x}")?,
         }
     }
-    out.push('"');
-    out
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 struct Parser<'a> {
@@ -592,6 +608,49 @@ mod tests {
         assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
         assert_eq!(escape("plain"), "\"plain\"");
+    }
+
+    /// The exact bytes of a document with every escape class, non-ASCII
+    /// text, nesting and the awkward numbers: the writer's output format.
+    #[test]
+    fn writer_pins_exact_bytes() {
+        let doc = obj(vec![
+            (
+                "key \"q\" \\ \u{1f}",
+                "line\nfeed\ttab\rcr\u{1f}unit \"q\" \\".into(),
+            ),
+            ("text", "Grüße, 東京 😀".into()),
+            (
+                "nested",
+                vec![
+                    Value::Null,
+                    true.into(),
+                    vec![obj(vec![("k", Value::Arr(vec![]))]), obj(vec![])].into(),
+                ]
+                .into(),
+            ),
+            (
+                "numbers",
+                vec![
+                    (-0.0).into(),
+                    1e21.into(),
+                    5e-324.into(),
+                    f64::NAN.into(),
+                    (-1.5).into(),
+                ]
+                .into(),
+            ),
+        ]);
+        let want = format!(
+            "{}{}{}",
+            r#"{"key \"q\" \\ \u001f":"line\nfeed\ttab\rcr\u001funit \"q\" \\","#,
+            r#""text":"Grüße, 東京 😀","nested":[null,true,[{"k":[]},{}]],"#,
+            format_args!(
+                r#""numbers":[-0,1000000000000000000000,0.{}5,null,-1.5]}}"#,
+                "0".repeat(323)
+            ),
+        );
+        assert_eq!(doc.to_string(), want);
     }
 
     #[test]

@@ -43,12 +43,14 @@ if [[ $fast -eq 0 ]]; then
   done
   echo "    $trace written ($(wc -c < "$trace") bytes, all 6 model phases present)"
 
-  echo "==> dram-power --trace smoke (in-memory trace through the power-state machine)"
+  echo "==> dram-power --trace smoke (the /v1/trace grammar through the power-state machine)"
   # A legal act/rd/pre access plus a pde..pdx nap must be priced; an act
-  # issued while powered down must exit non-zero naming the violation.
+  # issued while powered down and a rd under tRCD must each exit
+  # non-zero naming the violation.
   trace_dir=$(mktemp -d)
-  printf '# length 2000\n0 0 act\n12 0 rd\n28 0 pre\n100 0 pde\n1000 0 pdx\n' > "$trace_dir/legal.trace"
-  printf '# length 2000\n0 0 pde\n500 0 act\n1000 0 pdx\n' > "$trace_dir/asleep.trace"
+  printf '!length 2000\n0 act 0\n12 rd 0\n28 pre 0\n100 pde\n1000 pdx\n' > "$trace_dir/legal.trace"
+  printf '!length 2000\n0 pde\n500 act\n1000 pdx\n' > "$trace_dir/asleep.trace"
+  printf '0 act 0\n6 rd 0\n28 pre 0\n' > "$trace_dir/trcd.trace"
   legal_out=$(./target/release/dram-power --preset 55 --trace "$trace_dir/legal.trace") \
     || { echo "    dram-power rejected a legal trace"; exit 1; }
   legal_line=$(grep "^trace .*: 5 commands over" <<<"$legal_out") \
@@ -58,8 +60,13 @@ if [[ $fast -eq 0 ]]; then
   fi
   grep -q 'act at cycle 500 while in precharge_power_down (command_while_asleep)' <<<"$asleep_err" \
     || { echo "    dram-power error does not name the violation: $asleep_err"; exit 1; }
+  if trcd_err=$(./target/release/dram-power --preset 55 --trace "$trace_dir/trcd.trace" 2>&1); then
+    echo "    dram-power priced a rd issued under tRCD"; exit 1
+  fi
+  grep -q '(timing)' <<<"$trcd_err" \
+    || { echo "    dram-power error does not name the timing violation: $trcd_err"; exit 1; }
   rm -rf "$trace_dir"
-  echo "    legal trace priced (${legal_line##*— }); act while powered down refused"
+  echo "    legal trace priced (${legal_line##*— }); act while powered down and rd under tRCD refused"
 
   echo "==> dram-serve smoke (boot, tracing, deadline, SIGTERM drain)"
   serve_log=$(mktemp)
@@ -120,6 +127,8 @@ if [[ $fast -eq 0 ]]; then
   # transfer-encoding (the one route that folds chunks incrementally).
   # 200 plus a self-refresh breakdown proves the five-state machine ran;
   # the counters must then be visible in the Prometheus scrape below.
+  # The trace keeps the preset's bank timing, so dram-power, which also
+  # checks it, must price the same file.
   trace_file=$(mktemp)
   {
     printf '!preset ddr3_1g_x16_55nm\n!policy aggressive\n'
@@ -127,17 +136,20 @@ if [[ $fast -eq 0 ]]; then
       t = 0
       for (i = 0; i < 250; i++) {
         b = i % 8
-        printf "%d act %d\n%d rd %d\n%d wr %d\n%d pre %d\n", t, b, t+6, b, t+10, b, t+14, b
+        printf "%d act %d\n%d rd %d\n%d wr %d\n%d pre %d\n", t, b, t+12, b, t+16, b, t+28, b
         t += 120
       }
       printf "%d pde\n%d pdx\n%d sre\n%d srx\n", t, t+2000, t+4000, t+90000
       printf "!length %d\n", t+100000
     }'
   } > "$trace_file"
-  post_trace() { # file — streams it as one chunk per 1000-byte slice, prints the reply
+  priced=$(./target/release/dram-power --preset 55 --trace "$trace_file" 2>&1) \
+    && grep -q ': 1004 commands over' <<<"$priced" \
+    || { echo "    dram-power did not price the /v1/trace smoke trace's 1004 commands: $priced"; exit 1; }
+  post_trace() { # file [query] — streams it as one chunk per 1000-byte slice, prints the reply
     local file=$1 chunk
     exec 3<>"/dev/tcp/127.0.0.1/$port"
-    printf 'POST /v1/trace HTTP/1.1\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n' >&3
+    printf 'POST /v1/trace%s HTTP/1.1\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n' "${2:-}" >&3
     split -b 1000 "$file" "$file.chunk."
     for chunk in "$file".chunk.*; do
       printf '%x\r\n' "$(wc -c < "$chunk")" >&3
@@ -156,7 +168,7 @@ if [[ $fast -eq 0 ]]; then
     || { echo "    /v1/trace reply did not count 1004 commands"; exit 1; }
   grep -q '"self_refresh":{"cycles":' <<<"$trace_reply" \
     || { echo "    /v1/trace reply has no self_refresh breakdown"; exit 1; }
-  echo "    POST /v1/trace (chunked) -> 200 (1004 commands, self-refresh billed)"
+  echo "    POST /v1/trace (chunked) -> 200 (1004 commands, self-refresh billed); dram-power priced it too"
   # The same trace in a second spelling the decoder accepts: CRLF line
   # ends, tab separators, upper- and mixed-case mnemonics and aliases.
   # The report must not change, apart from trace_bytes.
@@ -170,6 +182,21 @@ if [[ $fast -eq 0 ]]; then
   [[ "$(report "$trace_reply")" == "$(report "$respelled_reply")" ]] \
     || { echo "    respelled /v1/trace reply differs: ${respelled_reply##*$'\r\n\r\n'}"; exit 1; }
   echo "    POST /v1/trace (CRLF, tabs, ACT/Precharge/READ/Write) -> the same report"
+  # One file through both readers: gen_trace writes the /v1/trace
+  # grammar without a !preset, which dram-power prices and the server
+  # folds when the query names the device.
+  gen_file=$(mktemp)
+  cargo run -q --release --offline -p dram-workload --example gen_trace > "$gen_file"
+  priced=$(./target/release/dram-power --preset 55 --trace "$gen_file" 2>&1) \
+    && grep -q ': 300 commands over' <<<"$priced" \
+    || { echo "    dram-power did not price gen_trace's 300 commands: $priced"; exit 1; }
+  gen_reply=$(post_trace "$gen_file" '?preset=ddr3_1g_x16_55nm')
+  rm -f "$gen_file"
+  [[ "${gen_reply:0:12}" == "HTTP/1.1 200" ]] \
+    || { echo "    POST gen_trace output -> ${gen_reply:0:12} (want 200): ${gen_reply##*$'\r\n\r\n'}"; exit 1; }
+  grep -q '"commands":300,' <<<"$gen_reply" \
+    || { echo "    /v1/trace reply did not count gen_trace's 300 commands"; exit 1; }
+  echo "    gen_trace output -> dram-power and POST /v1/trace?preset=ddr3_1g_x16_55nm both price 300 commands"
 
   # The shipped description as /v1/evaluate text, in two spellings the
   # lexer must read alike: as shipped, and with CRLF line ends, a tab

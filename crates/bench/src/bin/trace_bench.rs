@@ -18,11 +18,14 @@ use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::Instant;
 
+use dram_core::timing::{InitialBankState, TimingChecker};
 use dram_core::Dram;
 use dram_server::client::{self, Conn};
 use dram_server::{serve, ServerConfig};
 use dram_units::json::obj;
-use dram_workload::{PowerDownPolicy, StreamFold, TraceDecoder, TraceEvent};
+use dram_workload::{
+    PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceErrorKind, TraceEvent,
+};
 
 const OUT_FILE: &str = "BENCH_trace.json";
 const PRESET: &str = "ddr3_1g_x16_55nm";
@@ -89,7 +92,8 @@ impl Lcg {
 /// are emitted; returns the final cycle. Episodes keep the state
 /// machine legal: banks close before refresh or self-refresh, exit
 /// commands respect the policy's exit-latency window (AGGRESSIVE:
-/// power-down exit 6, self-refresh exit 512).
+/// power-down exit 6, self-refresh exit 512), and bursts keep the
+/// preset's bank timing.
 struct TraceGen {
     rng: Lcg,
     cycle: u64,
@@ -133,19 +137,23 @@ impl TraceGen {
                 *t += 50 + self.rng.next() % 100;
                 self.emitted += 1;
             }
-            // The common case: an open-page burst on one bank.
+            // The common case: an open-page burst on one bank, spaced
+            // for the preset's tRCD and tRP (12 cycles), tCCD (4) and
+            // tRAS (28).
             _ => {
                 let bank = self.rng.next() % 8;
+                let act = *t;
                 let _ = writeln!(buf, "{t} act {bank}");
-                *t += 6;
+                *t += 12;
                 let columns = 1 + self.rng.next() % 4;
                 for i in 0..columns {
                     let op = if (self.rng.next() + i) % 2 == 1 { "wr" } else { "rd" };
                     let _ = writeln!(buf, "{t} {op} {bank}");
                     *t += 4;
                 }
+                *t = (*t).max(act + 28);
                 let _ = writeln!(buf, "{t} pre {bank}");
-                *t += 10 + self.rng.next() % 200;
+                *t += 12 + self.rng.next() % 200;
                 self.emitted += 2 + columns;
             }
         }
@@ -204,14 +212,27 @@ fn main() {
     conn.write_all(&head).expect("head");
 
     // Single pass: every generated batch is framed onto the socket and
-    // fed to the local decoder+fold. Neither side ever holds more than
-    // one batch.
+    // fed to the local decoder+fold, which also checks every command's
+    // bank timing. Neither side ever holds more than one batch.
+    let desc = dram.description();
+    let mut checker = TimingChecker::new(
+        &desc.timing,
+        desc.spec.control_clock,
+        desc.spec.banks(),
+        desc.timing.tccd_cycles,
+        InitialBankState::AllClosed,
+    );
     let mut fold = StreamFold::new(&dram, PowerDownPolicy::AGGRESSIVE);
     let mut declared_length = None;
     let mut decoder = TraceDecoder::new();
     let mut sink = |e: TraceEvent| {
         match e {
-            TraceEvent::Command(c) => fold.push(c)?,
+            TraceEvent::Command(c) => {
+                checker
+                    .check(c.cycle, c.bank, c.command)
+                    .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
+                fold.push(c)?;
+            }
             TraceEvent::Length(n) => declared_length = Some(n),
             TraceEvent::Policy(_) | TraceEvent::Preset(_) => {}
         }

@@ -1,5 +1,7 @@
-//! Developer tool: emits a random-workload trace in the plain-text
-//! format, for feeding into `dram-power --trace`.
+//! Developer tool: emits a random-workload trace in the `/v1/trace`
+//! grammar (`docs/TRACES.md`), for `dram-power --trace` or
+//! `POST /v1/trace?preset=ddr3_1g_x16_55nm`. It names no device, so
+//! give one with `--preset` or `?preset=`.
 //!
 //! Run with: `cargo run -p dram-workload --example gen_trace > trace.txt`
 

@@ -453,7 +453,18 @@ mod tests {
                 .validate(&desc.timing, desc.spec.control_clock, desc.spec.banks())
                 .expect("bank timing is legal");
         };
-        let nap = crate::parse_trace("# length 2000\n0 0 pde\n1000 0 pdx\n").expect("parses");
+        let trace = |commands: &[(u64, Command)]| {
+            let commands = commands
+                .iter()
+                .map(|&(cycle, command)| crate::TraceCommand {
+                    cycle,
+                    bank: 0,
+                    command,
+                })
+                .collect();
+            Trace::new(commands, 2000).expect("builds")
+        };
+        let nap = trace(&[(0, Command::PowerDownEnter), (1000, Command::PowerDownExit)]);
         legal(&nap);
         let r = simulate(&dram, &nap, PowerDownPolicy::NEVER).expect("legal");
         // pde@0 bills its cycle and 3 entry cycles at standby, 4..=999
@@ -463,8 +474,11 @@ mod tests {
         assert_eq!(r.states.cycles(TraceState::PrechargePowerDown), 996);
         assert_eq!(r.states.cycles(TraceState::Standby), 1004);
         // Work while powered down is a typed error, not an energy.
-        let busy =
-            crate::parse_trace("# length 2000\n0 0 pde\n500 0 act\n1000 0 pdx\n").expect("parses");
+        let busy = trace(&[
+            (0, Command::PowerDownEnter),
+            (500, Command::Activate),
+            (1000, Command::PowerDownExit),
+        ]);
         legal(&busy);
         let err = simulate(&dram, &busy, PowerDownPolicy::NEVER).unwrap_err();
         assert_eq!(err.kind, crate::TraceErrorKind::CommandWhileAsleep);

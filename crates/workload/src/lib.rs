@@ -4,10 +4,12 @@
 //! open-page memory-controller model that generates timing-legal command
 //! traces from abstract access streams (read share, row-buffer hit rate,
 //! arrival intensity), and trace-driven energy accounting including
-//! CKE power-down policies. Every trace — buffered or streamed — is
-//! billed by one fold, [`StreamFold`]; [`simulate`] drives it over an
-//! in-memory [`Trace`], and every trace's bank timing is checked by
-//! `dram-core`'s one [`dram_core::timing::TimingChecker`].
+//! CKE power-down policies. Trace text has one grammar, the one
+//! `POST /v1/trace` reads: [`TraceDecoder`] is its one reader and
+//! [`write_trace`] renders a [`Trace`] in it. Every trace — buffered or
+//! streamed — is billed by one fold, [`StreamFold`]; [`simulate`] drives
+//! it over an in-memory [`Trace`], and every trace's bank timing is
+//! checked by `dram-core`'s one [`dram_core::timing::TimingChecker`].
 //!
 //! This is the system-side context of the paper's §V discussion: schemes
 //! like Hur & Lin's power-down scheduling \[11\] and Zheng's mini-rank \[14\]
@@ -30,7 +32,6 @@
 
 mod energy;
 mod generator;
-mod io;
 mod stream;
 mod trace;
 
@@ -38,9 +39,8 @@ pub use energy::{simulate, PowerDownPolicy, StateBreakdown, TraceReport, TraceSt
 pub use generator::{
     generate, generate_validated, GeneratedWorkload, GeneratorStats, PagePolicy, WorkloadSpec,
 };
-pub use io::{parse_trace, write_trace};
 pub use stream::{
-    trace_bytes_total, trace_commands_total, StreamFold, TraceDecoder, TraceError, TraceErrorKind,
-    TraceEvent,
+    trace_bytes_total, trace_commands_total, write_trace, StreamFold, TraceDecoder, TraceError,
+    TraceErrorKind, TraceEvent,
 };
 pub use trace::{Trace, TraceCommand};

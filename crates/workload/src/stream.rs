@@ -1,17 +1,19 @@
 //! Streaming trace ingestion: an incremental line decoder and a
-//! power-state-machine energy fold, both O(1) in trace length.
+//! power-state-machine energy fold, both O(1) in trace length, and
+//! [`write_trace`], which renders a [`Trace`] in the decoder's grammar.
 //!
-//! [`StreamFold`] is the one implementation of trace billing. The
-//! in-memory path ([`crate::parse_trace`] → [`crate::Trace`] →
-//! [`crate::simulate`]) pushes a buffered trace's commands through it,
-//! and the server's `POST /v1/trace` endpoint feeds network chunks
-//! straight through [`TraceDecoder::feed`] into it without ever
-//! materializing the command list — so both paths agree bit for bit by
-//! construction. The fold runs the explicit five-state CKE machine of
-//! `docs/TRACES.md`: `Active`, `Standby`, `PrechargePowerDown`,
-//! `ActivePowerDown` and `SelfRefresh`, with entry/exit latencies and
-//! per-state powers from the charge model.
+//! [`TraceDecoder`] is the one reader of trace text and [`StreamFold`]
+//! the one implementation of trace billing. [`crate::simulate`] pushes
+//! an in-memory [`Trace`]'s commands through the fold; the server's
+//! `POST /v1/trace` endpoint and `dram-power --trace` feed their bytes
+//! through [`TraceDecoder::feed`] into it without ever materializing the
+//! command list — so every path agrees bit for bit by construction. The
+//! fold runs the explicit five-state CKE machine of `docs/TRACES.md`:
+//! `Active`, `Standby`, `PrechargePowerDown`, `ActivePowerDown` and
+//! `SelfRefresh`, with entry/exit latencies and per-state powers from
+//! the charge model.
 
+use core::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -19,7 +21,7 @@ use dram_core::{Command, Dram};
 use dram_units::{Joules, Seconds, Watts};
 
 use crate::energy::{CommandEnergyTable, PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
-use crate::trace::TraceCommand;
+use crate::trace::{Trace, TraceCommand};
 
 /// Process-wide count of commands folded from traces.
 pub fn trace_commands_total() -> &'static Arc<dram_obs::Counter> {
@@ -77,6 +79,9 @@ pub enum TraceErrorKind {
     BadTransition,
     /// The declared trace length ends before the last billed cycle.
     TraceTooShort,
+    /// A command breaks a bank-timing rule that
+    /// [`dram_core::timing::TimingChecker`] enforces.
+    Timing,
 }
 
 impl TraceErrorKind {
@@ -92,6 +97,7 @@ impl TraceErrorKind {
             TraceErrorKind::RefreshDuringSelfRefresh => "refresh_during_self_refresh",
             TraceErrorKind::BadTransition => "bad_transition",
             TraceErrorKind::TraceTooShort => "trace_too_short",
+            TraceErrorKind::Timing => "timing",
         }
     }
 }
@@ -109,7 +115,8 @@ pub struct TraceError {
 }
 
 impl TraceError {
-    fn new(kind: TraceErrorKind, message: impl Into<String>) -> Self {
+    /// An error of `kind` at line 0, for the decoder to stamp.
+    pub fn new(kind: TraceErrorKind, message: impl Into<String>) -> Self {
         Self {
             line: 0,
             kind,
@@ -237,12 +244,6 @@ impl TraceDecoder {
     #[must_use]
     pub fn bytes_fed(&self) -> u64 {
         self.bytes
-    }
-
-    /// Lines parsed so far.
-    #[must_use]
-    pub fn lines(&self) -> u64 {
-        self.line
     }
 
     /// Feeds one chunk, emitting every completed event into `sink`.
@@ -438,6 +439,19 @@ impl TraceDecoder {
     }
 }
 
+/// Renders a trace in the grammar [`TraceDecoder`] reads: a comment
+/// header, a `!length` directive so an idle tail survives the round
+/// trip, then one `cycle mnemonic bank` line per command, the bank
+/// always written.
+#[must_use]
+pub fn write_trace(trace: &Trace) -> String {
+    let mut out = format!("# cycle command bank\n!length {}\n", trace.length_cycles());
+    for c in trace.commands() {
+        let _ = writeln!(out, "{} {} {}", c.cycle, c.command, c.bank);
+    }
+    out
+}
+
 /// A line's bytes as text; a line that is not UTF-8 is a `syntax` error.
 fn line_text(line: u64, raw: &[u8]) -> Result<&str, TraceError> {
     core::str::from_utf8(raw)
@@ -606,7 +620,8 @@ struct Sleep {
 /// state: per-state powers and command energies are hoisted from the
 /// charge model at construction, so [`StreamFold::push`] never touches
 /// the model again. [`crate::simulate`] drives it over an in-memory
-/// [`crate::Trace`]; the server drives it from a [`TraceDecoder`].
+/// [`crate::Trace`]; the server and `dram-power --trace` drive it from a
+/// [`TraceDecoder`].
 /// Explicit CKE commands ([`Command::PowerDownEnter`] and friends) drive
 /// the machine directly; idle gaps while awake are tiered by the
 /// [`PowerDownPolicy`].
@@ -1169,15 +1184,52 @@ mod tests {
         assert_eq!(reference_decode(text), (expected, None));
     }
 
+    /// The text between `open` and `close` after the first `section` of
+    /// `source`.
+    fn quoted<'a>(source: &'a str, section: &str, open: &str, close: &str) -> &'a str {
+        let body = &source[source.find(section).expect(section)..];
+        let start = body.find(open).expect(open) + open.len();
+        &body[start..start + body[start..].find(close).expect(close)]
+    }
+
+    /// The grammar example of docs/TRACES.md.
+    fn documented_grammar_example() -> &'static str {
+        let doc = include_str!("../../../docs/TRACES.md");
+        quoted(doc, "## Trace grammar", "```text\n", "```")
+    }
+
     /// The grammar example of docs/TRACES.md decodes as written.
     #[test]
     fn documented_grammar_example_decodes() {
-        let doc = include_str!("../../../docs/TRACES.md");
-        let grammar = &doc[doc.find("## Trace grammar").expect("grammar section")..];
-        let start = grammar.find("```text\n").expect("example block") + "```text\n".len();
-        let end = start + grammar[start..].find("```").expect("end of the example");
-        let events = decode_all(&grammar.as_bytes()[start..end], 7).expect("decodes");
+        let events = decode_all(documented_grammar_example().as_bytes(), 7).expect("decodes");
         assert_eq!(events.len(), 11);
+    }
+
+    /// The hand-written traces — the docs/TRACES.md grammar example and
+    /// the trace examples/trace_streaming.rs uploads — keep the bank
+    /// timing of the 55 nm DDR3 reference they name.
+    #[test]
+    fn hand_written_traces_are_timing_legal() {
+        let example = include_str!("../../../examples/trace_streaming.rs");
+        let d = ddr3_1g_x16_55nm();
+        for text in [
+            documented_grammar_example(),
+            quoted(example, "const TRACE", "\"\\\n", "\";"),
+        ] {
+            let commands: Vec<TraceCommand> = decode_all(text.as_bytes(), text.len())
+                .expect("decodes")
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Command(c) => Some(c),
+                    _ => None,
+                })
+                .collect();
+            assert!(commands.len() > 4, "{text}");
+            Trace::new(commands, u64::MAX)
+                .expect("builds")
+                .validate(&d.timing, d.spec.control_clock, d.spec.banks())
+                .unwrap_or_else(|e| panic!("{e} in\n{text}"));
+        }
     }
 
     /// Only ASCII whitespace separates command tokens: a line split by
@@ -1376,13 +1428,12 @@ mod tests {
     }
 
     /// `simulate` over an in-memory trace and the decoder feeding a fold
-    /// over the same trace in the streaming grammar give bit-identical
-    /// reports, for every generator shape, page policy and power-down
-    /// policy, whatever the chunking.
+    /// over the same trace as [`write_trace`] renders it give
+    /// bit-identical reports, for every generator shape, page policy and
+    /// power-down policy, whatever the chunking.
     #[test]
     fn in_memory_and_streamed_folds_are_bit_identical() {
         use crate::generator::{generate_validated, WorkloadSpec};
-        use core::fmt::Write as _;
         let dram = model();
         let shapes = [
             WorkloadSpec::streaming(300, 5),
@@ -1394,17 +1445,14 @@ mod tests {
                 for policy in [PowerDownPolicy::NEVER, PowerDownPolicy::AGGRESSIVE] {
                     let w = generate_validated(&dram, &spec).expect("generates");
                     let batch = crate::energy::simulate(&dram, &w.trace, policy).expect("legal");
-                    let mut text = format!(
-                        "!policy {} {} {} {}\n",
+                    let text = format!(
+                        "!policy {} {} {} {}\n{}",
                         policy.threshold_cycles,
                         policy.exit_latency_cycles,
                         policy.self_refresh_threshold_cycles,
-                        policy.self_refresh_exit_latency_cycles
+                        policy.self_refresh_exit_latency_cycles,
+                        write_trace(&w.trace)
                     );
-                    for c in w.trace.commands() {
-                        let _ = writeln!(text, "{} {} {}", c.cycle, c.command, c.bank);
-                    }
-                    let _ = writeln!(text, "!length {}", w.trace.length_cycles());
                     for chunk in [1, 7, 4096] {
                         let mut fold = StreamFold::new(&dram, PowerDownPolicy::NEVER);
                         let mut length = None;

@@ -75,12 +75,6 @@ impl Trace {
         self.commands.iter().filter(|c| c.command == cmd).count()
     }
 
-    /// Wall-clock duration at a control clock.
-    #[must_use]
-    pub fn duration(&self, clock: Hertz) -> dram_units::Seconds {
-        dram_units::Seconds::new(self.length_cycles as f64 / clock.hertz())
-    }
-
     /// Validates the trace against the per-bank and shared-resource
     /// timing constraints (cold start: all banks precharged) by running
     /// its commands through a [`TimingChecker`].
@@ -294,64 +288,5 @@ mod tests {
         .expect("builds");
         // gap between cycle 1..20 (19 cycles) and 21..100 (79 cycles)
         assert_eq!(t.idle_gaps(), vec![19, 79]);
-    }
-
-    #[test]
-    fn duration_uses_the_clock() {
-        let t = Trace::new(vec![], 800).expect("builds");
-        let d = t.duration(Hertz::from_mhz(800.0));
-        assert!((d.seconds() - 1e-6).abs() < 1e-12);
-    }
-}
-
-impl Trace {
-    /// Per-bank command counts, index = bank id — the utilization view a
-    /// controller policy reasons about.
-    #[must_use]
-    pub fn bank_histogram(&self, banks: u32) -> Vec<usize> {
-        let mut hist = vec![0usize; banks as usize];
-        for c in &self.commands {
-            if let Some(slot) = hist.get_mut(c.bank as usize) {
-                *slot += 1;
-            }
-        }
-        hist
-    }
-}
-
-#[cfg(test)]
-mod histogram_tests {
-    use super::*;
-
-    #[test]
-    fn histogram_counts_per_bank() {
-        let t = Trace::new(
-            vec![
-                TraceCommand {
-                    cycle: 0,
-                    bank: 0,
-                    command: Command::Activate,
-                },
-                TraceCommand {
-                    cycle: 50,
-                    bank: 0,
-                    command: Command::Precharge,
-                },
-                TraceCommand {
-                    cycle: 60,
-                    bank: 3,
-                    command: Command::Activate,
-                },
-            ],
-            100,
-        )
-        .expect("builds");
-        let h = t.bank_histogram(8);
-        assert_eq!(h[0], 2);
-        assert_eq!(h[3], 1);
-        assert_eq!(h.iter().sum::<usize>(), 3);
-        // Out-of-range banks are ignored rather than panicking.
-        let small = t.bank_histogram(2);
-        assert_eq!(small.iter().sum::<usize>(), 2);
     }
 }

@@ -8,7 +8,10 @@
 use dram_core::reference::ddr3_1g_x16_55nm;
 use dram_core::Dram;
 use dram_units::rng::SplitMix64;
-use dram_workload::{generate, parse_trace, simulate, write_trace, PowerDownPolicy, WorkloadSpec};
+use dram_workload::{
+    generate, simulate, write_trace, PowerDownPolicy, Trace, TraceCommand, TraceDecoder,
+    TraceEvent, WorkloadSpec,
+};
 
 const CASES: usize = 48;
 
@@ -72,17 +75,39 @@ fn accounting_is_consistent() {
     }
 }
 
-/// The text format round-trips every generated trace.
+/// `write_trace` output decodes back to the trace's commands and length:
+/// every generated trace, an empty one, and one whose idle tail runs
+/// long past its only command.
 #[test]
 fn trace_text_roundtrip() {
     let dram = model();
     let mut r = SplitMix64::new(0xD003);
-    for _ in 0..CASES {
-        let spec = any_spec(&mut r);
-        let w = generate(&dram, &spec).expect("generates");
-        let text = write_trace(&w.trace);
-        let back = parse_trace(&text).expect("own output parses");
-        assert_eq!(back, w.trace, "{spec:?}");
+    let mut traces: Vec<Trace> = (0..CASES)
+        .map(|_| generate(&dram, &any_spec(&mut r)).expect("generates").trace)
+        .collect();
+    traces.push(Trace::new(vec![], 500).expect("builds"));
+    let act = TraceCommand {
+        cycle: 0,
+        bank: 3,
+        command: dram_core::Command::Activate,
+    };
+    traces.push(Trace::new(vec![act], 1000).expect("builds"));
+    for trace in traces {
+        let text = write_trace(&trace);
+        let (mut commands, mut length) = (Vec::new(), None);
+        let mut sink = |e: TraceEvent| {
+            match e {
+                TraceEvent::Command(c) => commands.push(c),
+                TraceEvent::Length(n) => length = Some(n),
+                other => panic!("unexpected {other:?}"),
+            }
+            Ok(())
+        };
+        let mut decoder = TraceDecoder::new();
+        decoder.feed(text.as_bytes(), &mut sink).expect("own output decodes");
+        decoder.finish(&mut sink).expect("own output decodes");
+        assert_eq!(commands, trace.commands(), "{text}");
+        assert_eq!(length, Some(trace.length_cycles()), "{text}");
     }
 }
 

@@ -28,12 +28,12 @@ const TRACE: &str = "\
 !policy aggressive
 # burst on banks 0 and 1
 0 act 0
-6 rd 0
-10 rd 0
-14 pre 0
+12 rd 0
+16 rd 0
+28 pre 0
 40 act 1
-46 wr 1
-50 pre 1
+52 wr 1
+68 pre 1
 # explicit CKE-low nap
 500 pde
 2500 pdx

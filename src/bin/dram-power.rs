@@ -3,14 +3,22 @@
 //! per-operation energy breakdowns and pattern power.
 //!
 //! ```text
-//! dram-power <file.dram> [--pattern "act nop rd nop pre nop"] [--breakdown]
-//! dram-power --preset <feature_nm> [--breakdown]
+//! dram-power <file.dram> [--pattern "act nop rd nop pre nop"] [--trace trace.txt] [--breakdown]
+//! dram-power --preset <feature_nm> [--trace trace.txt] [--breakdown]
 //! ```
+//!
+//! A `--trace` file is in the `/v1/trace` grammar (see `docs/TRACES.md`).
 
+use std::io::Read;
 use std::process::ExitCode;
 
+use dram_energy::model::content_key;
+use dram_energy::model::timing::{InitialBankState, TimingChecker};
 use dram_energy::scaling::{presets, TechNode};
-use dram_energy::{dsl, Dram, Operation, Pattern};
+use dram_energy::server::presets as named;
+use dram_energy::workload::{PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceEvent};
+use dram_energy::workload::{TraceErrorKind, TraceReport};
+use dram_energy::{dsl, Command, Dram, Operation, Pattern};
 
 struct Args {
     input: Option<String>,
@@ -67,9 +75,10 @@ fn usage() {
     eprintln!(
         "dram-power — description-driven DRAM power model (Vogelsang, MICRO 2010)\n\n\
          usage:\n  dram-power <file.dram> [--pattern \"act nop rd pre\"] [--trace trace.txt] [--breakdown]\n  \
-         dram-power --preset <feature_nm> [--breakdown]\n\n\
+         dram-power --preset <feature_nm> [--trace trace.txt] [--breakdown]\n\n\
          the description language is documented in the dram-dsl crate; a complete\n\
-         example ships at crates/dsl/descriptions/ddr3_1gb_x16_55nm.dram"
+         example ships at crates/dsl/descriptions/ddr3_1gb_x16_55nm.dram\n\
+         a --trace file is in the /v1/trace grammar (see docs/TRACES.md)"
     );
 }
 
@@ -172,22 +181,11 @@ fn run(args: &Args) -> Result<(), String> {
     }
 
     if let Some(path) = &args.trace {
-        use dram_energy::workload::{parse_trace, simulate, PowerDownPolicy};
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let trace = parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-        trace
-            .validate(
-                &dram.description().timing,
-                dram.description().spec.control_clock,
-                dram.description().spec.banks(),
-            )
-            .map_err(|e| format!("{path}: {e}"))?;
-        let report = simulate(&dram, &trace, PowerDownPolicy::NEVER)
-            .map_err(|e| format!("{path}: {e} ({})", e.kind.label()))?;
+        let (commands, report) = price_trace(path, &dram)?;
         println!(
             "\ntrace `{path}`: {} commands over {:.2} µs — {:.1} mW average, \
              {:.1} pJ/bit ({:.1} kbit moved)",
-            trace.commands().len(),
+            commands,
             report.duration.seconds() * 1e6,
             report.average_power.milliwatts(),
             report.energy_per_bit.picojoules(),
@@ -195,6 +193,63 @@ fn run(args: &Args) -> Result<(), String> {
         );
     }
     Ok(())
+}
+
+/// Prices the trace file at `path` on `dram` as `/v1/trace` does, in
+/// fixed-size reads through one [`TraceDecoder`] into a [`StreamFold`],
+/// after checking each command's bank timing: O(1) memory in the trace.
+fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
+    let desc = dram.description();
+    let key = content_key(desc);
+    let mut checker = TimingChecker::new(
+        &desc.timing,
+        desc.spec.control_clock,
+        desc.spec.banks(),
+        desc.timing.tccd_cycles,
+        InitialBankState::AllClosed,
+    );
+    let mut fold = StreamFold::new(dram, PowerDownPolicy::NEVER);
+    let mut length = None;
+    let mut sink = |event: TraceEvent| match event {
+        TraceEvent::Command(c) if c.command == Command::Nop => Ok(()),
+        TraceEvent::Command(c) => {
+            checker
+                .check(c.cycle, c.bank, c.command)
+                .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
+            fold.push(c)
+        }
+        TraceEvent::Policy(policy) => fold.set_policy(policy),
+        TraceEvent::Length(cycles) => {
+            length = Some(cycles);
+            Ok(())
+        }
+        TraceEvent::Preset(_) if fold.commands() > 0 => Err(TraceError::new(
+            TraceErrorKind::BadTransition,
+            "!preset must precede the first command",
+        )),
+        TraceEvent::Preset(name) if named::get(&name).is_some_and(|p| p.key() == key) => Ok(()),
+        TraceEvent::Preset(name) => Err(TraceError::new(
+            TraceErrorKind::Syntax,
+            format!("!preset {name} is not `{}`", desc.name),
+        )),
+    };
+    let fail = |e: TraceError| format!("{path}: {e} ({})", e.kind.label());
+    let mut file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
+    let mut buf = vec![0; 64 * 1024];
+    let mut decoder = TraceDecoder::new();
+    loop {
+        match file.read(&mut buf) {
+            Ok(0) => break,
+            Ok(n) => decoder.feed(&buf[..n], &mut sink).map_err(fail)?,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(format!("{path}: {e}")),
+        }
+    }
+    decoder.finish(&mut sink).map_err(fail)?;
+    let commands = fold.commands();
+    fold.finish(length)
+        .map(|report| (commands, report))
+        .map_err(fail)
 }
 
 fn main() -> ExitCode {

@@ -169,19 +169,32 @@ if [[ $fast -eq 0 ]]; then
   grep -q '"self_refresh":{"cycles":' <<<"$trace_reply" \
     || { echo "    /v1/trace reply has no self_refresh breakdown"; exit 1; }
   echo "    POST /v1/trace (chunked) -> 200 (1004 commands, self-refresh billed); dram-power priced it too"
-  # The same trace in a second spelling the decoder accepts: CRLF line
-  # ends, tab separators, upper- and mixed-case mnemonics and aliases.
-  # The report must not change, apart from trace_bytes.
+  # The same trace in other spellings the decoder accepts, on every other
+  # line, so each chunk alternates between the decoder's single-space
+  # branch and its full grammar: upper- and mixed-case mnemonics and
+  # aliases on every line, and on the even lines in turn a `+` on the
+  # cycle with CRLF, a doubled space, or tab separators with CRLF.
+  # Neither reader's figures may change, apart from trace_bytes.
   respelled="$trace_file.respelled"
   awk '{ sub(/ act /, " ACT "); sub(/ pre /, " Precharge "); sub(/ rd /, " READ ")
-         sub(/ wr /, " Write "); gsub(/ /, "\t"); printf "%s\r\n", $0 }' "$trace_file" > "$respelled"
-  grep -q $'\tPrecharge\t' "$respelled" || { echo "    the trace was not respelled"; exit 1; }
+         sub(/ wr /, " Write ") }
+       NR % 2 == 1 { print; next }
+       NR / 2 % 3 == 0 { if ($0 ~ /^[0-9]/) $0 = "+" $0; printf "%s\r\n", $0; next }
+       NR / 2 % 3 == 1 { sub(/ /, "  "); print; next }
+       { gsub(/ /, "\t"); printf "%s\r\n", $0 }' "$trace_file" > "$respelled"
+  for spelling in '^+[0-9]' '^[0-9]*  [A-Za-z]' $'\tPrecharge\t' '^[0-9]* ACT [0-9]*$'; do
+    grep -q "$spelling" "$respelled" || { echo "    the trace was not respelled ($spelling)"; exit 1; }
+  done
+  respelled_priced=$(./target/release/dram-power --preset 55 --trace "$respelled" 2>&1) \
+    || { echo "    dram-power refused the respelled trace: $respelled_priced"; exit 1; }
+  [[ "${respelled_priced//"$respelled"/"$trace_file"}" == "$priced" ]] \
+    || { echo "    dram-power priced the respelled trace differently: $respelled_priced"; exit 1; }
   respelled_reply=$(post_trace "$respelled")
   rm -f "$trace_file" "$respelled"
   report() { sed 's/"trace_bytes":[0-9]*,//' <<<"${1#*$'\r\n\r\n'}"; }
   [[ "$(report "$trace_reply")" == "$(report "$respelled_reply")" ]] \
     || { echo "    respelled /v1/trace reply differs: ${respelled_reply##*$'\r\n\r\n'}"; exit 1; }
-  echo "    POST /v1/trace (CRLF, tabs, ACT/Precharge/READ/Write) -> the same report"
+  echo "    every other line respelled (+cycle, doubled space, tabs, CRLF, ACT/Precharge/READ/Write) -> the same report and dram-power figures"
   # One file through both readers: gen_trace writes the /v1/trace
   # grammar without a !preset, which dram-power prices and the server
   # folds when the query names the device.

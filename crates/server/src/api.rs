@@ -475,14 +475,6 @@ pub fn trace_document(name: &str, report: &TraceReport, commands: u64, trace_byt
     ])
 }
 
-fn trace_err(kind: TraceErrorKind, message: impl Into<String>) -> TraceError {
-    TraceError {
-        line: 0,
-        kind,
-        message: message.into(),
-    }
-}
-
 /// The 400 body for a typed trace error: the rendered message plus the
 /// machine-checkable kind and the 1-based source line (0 if unknown).
 fn trace_error_response(e: &TraceError) -> Response {
@@ -529,13 +521,13 @@ impl TraceSession {
         match event {
             TraceEvent::Preset(name) => {
                 if self.fold.is_some() {
-                    return Err(trace_err(
+                    return Err(TraceError::new(
                         TraceErrorKind::BadTransition,
                         "!preset must precede the first command",
                     ));
                 }
                 let preset = presets::get(&name).ok_or_else(|| {
-                    trace_err(TraceErrorKind::Syntax, format!("unknown preset `{name}`"))
+                    TraceError::new(TraceErrorKind::Syntax, format!("unknown preset `{name}`"))
                 })?;
                 self.preset = Some(preset);
                 Ok(())
@@ -554,14 +546,16 @@ impl TraceSession {
             TraceEvent::Command(c) => {
                 if self.fold.is_none() {
                     let Some(preset) = self.preset else {
-                        return Err(trace_err(
+                        return Err(TraceError::new(
                             TraceErrorKind::Syntax,
                             "trace needs a `!preset` directive or `?preset=` query parameter",
                         ));
                     };
                     let (dram, _) = Device::Preset(preset)
                         .model(&mut self.activity)
-                        .map_err(|e| trace_err(TraceErrorKind::Syntax, model_error_message(&e)))?;
+                        .map_err(|e| {
+                            TraceError::new(TraceErrorKind::Syntax, model_error_message(&e))
+                        })?;
                     self.fold = Some(StreamFold::new(&dram, self.policy));
                 }
                 self.fold.as_mut().expect("fold built above").push(c)
@@ -573,7 +567,7 @@ impl TraceSession {
     /// the caller can still collect [`Self::activity`] afterwards.
     fn finish_response(&mut self, trace_bytes: u64) -> Response {
         let Some(fold) = self.fold.take() else {
-            return trace_error_response(&trace_err(
+            return trace_error_response(&TraceError::new(
                 TraceErrorKind::Syntax,
                 "trace contains no commands",
             ));

@@ -1247,40 +1247,176 @@ mod tests {
         assert_eq!(&wire[used..], b"garbage after");
     }
 
-    /// Seeded fuzz over arbitrary byte splits: the decoder must never
-    /// panic and never emit more bytes than it consumed.
+    /// A chunked encoding, with the places a fuzzer breaks it.
+    struct Framed {
+        wire: Vec<u8>,
+        /// Each size line's offset, with the body bytes sent before it.
+        sizes: Vec<(usize, usize)>,
+        /// The offset of the CRLF after each chunk's data, with the body
+        /// bytes sent through that chunk.
+        data_ends: Vec<(usize, usize)>,
+    }
+
+    /// A chunked encoding of `body` in random chunk sizes up to
+    /// `max_chunk`, each size in upper- or lower-case hex with leading
+    /// zeros and an extension now and then, then the last chunk and up to
+    /// two trailer fields.
+    fn frame_chunked(body: &[u8], max_chunk: usize, next: &mut impl FnMut() -> usize) -> Framed {
+        let (mut wire, mut sizes, mut data_ends) = (Vec::new(), Vec::new(), Vec::new());
+        let size_line = |wire: &mut Vec<u8>, size: usize, next: &mut dyn FnMut() -> usize| {
+            wire.resize(wire.len() + next() % 3, b'0');
+            let hex = match next() % 2 {
+                0 => format!("{size:x}"),
+                _ => format!("{size:X}"),
+            };
+            wire.extend_from_slice(hex.as_bytes());
+            if next().is_multiple_of(4) {
+                wire.extend_from_slice([&b";ext"[..], b";name=value", b";a;b=\"c\""][next() % 3]);
+            }
+            wire.extend_from_slice(b"\r\n");
+        };
+        let mut sent = 0;
+        while sent < body.len() {
+            let size = (1 + next() % max_chunk).min(body.len() - sent);
+            sizes.push((wire.len(), sent));
+            size_line(&mut wire, size, next);
+            wire.extend_from_slice(&body[sent..sent + size]);
+            sent += size;
+            data_ends.push((wire.len(), sent));
+            wire.extend_from_slice(b"\r\n");
+        }
+        sizes.push((wire.len(), sent));
+        size_line(&mut wire, 0, next);
+        for _ in 0..next() % 3 {
+            wire.extend_from_slice(b"x-checksum: 0a1b\r\n");
+        }
+        wire.extend_from_slice(b"\r\n");
+        Framed {
+            wire,
+            sizes,
+            data_ends,
+        }
+    }
+
+    /// Feeds `wire` to `d` in random pieces until the decoder is done or
+    /// fails. Returns the bytes consumed or the error, and the body.
+    fn feed_in_pieces(
+        d: &mut ChunkedDecoder,
+        wire: &[u8],
+        next: &mut impl FnMut() -> usize,
+    ) -> (Result<usize, HttpError>, Vec<u8>) {
+        let mut out = Vec::new();
+        let mut offset = 0;
+        while offset < wire.len() && !d.is_done() {
+            let end = match next() % 4 {
+                0 => wire.len(),
+                _ => (offset + 1 + next() % 24).min(wire.len()),
+            };
+            match d.advance(&wire[offset..end], &mut out) {
+                Ok(used) => offset += used,
+                Err(e) => return (Err(e), out),
+            }
+        }
+        (Ok(offset), out)
+    }
+
+    /// Seeded fuzz of chunked framing with exact expectations, over
+    /// random bodies, chunk sizes, size spellings, trailers and read
+    /// splits: a well-formed encoding decodes to exactly its body and
+    /// stops at its end; a non-hex size digit or a byte other than CRLF
+    /// after chunk data is a 400 and a chunk over `max_chunk` a 413, each
+    /// after exactly the body bytes before it; trailers of 16 KiB pass
+    /// and one byte more is a 431.
     #[test]
-    fn fuzz_chunked_decoder_never_panics() {
+    fn fuzz_chunked_decoder_decodes_exactly() {
         let mut state = 0xfeed_f00d_u64;
         let mut next = move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
+            (state >> 33) as usize
         };
-        for _ in 0..500 {
-            let len = (next() % 200) as usize;
-            let bytes: Vec<u8> = (0..len)
-                .map(|_| match next() % 6 {
-                    0 => b'\r',
-                    1 => b'\n',
-                    2..=3 => b"0123456789abcdef"[(next() % 16) as usize],
-                    4 => b';',
-                    _ => (next() % 256) as u8,
-                })
-                .collect();
-            let mut d = ChunkedDecoder::new(4096);
-            let mut out = Vec::new();
-            let mut offset = 0;
-            while offset < bytes.len() {
-                let end = (offset + 1 + (next() % 9) as usize).min(bytes.len());
-                match d.advance(&bytes[offset..end], &mut out) {
-                    Ok(0) => break,
-                    Ok(used) => offset += used,
-                    Err(_) => break,
+        let bad_request = |r: &Result<usize, HttpError>| matches!(r, Err(HttpError::BadRequest(_)));
+        for case in 0..2_000 {
+            let body: Vec<u8> = (0..next() % 700).map(|_| next() as u8).collect();
+            let max_chunk = 1 + next() % 300;
+            let Framed {
+                mut wire,
+                sizes,
+                data_ends,
+            } = frame_chunked(&body, max_chunk, &mut next);
+            let framed = wire.len();
+            if next().is_multiple_of(4) {
+                wire.extend_from_slice(b"POST / HTTP/1.1\r\n");
+            }
+            let mut d = ChunkedDecoder::new(max_chunk);
+            let (consumed, out) = feed_in_pieces(&mut d, &wire, &mut next);
+            assert_eq!(consumed, Ok(framed), "case {case}");
+            assert!(d.is_done(), "case {case}");
+            assert_eq!(out, body, "case {case}");
+
+            let mut wire = wire[..framed].to_vec();
+            let (at, before) = sizes[next() % sizes.len()];
+            match next() % 3 {
+                0 => {
+                    // A non-hex byte in place of one size digit.
+                    let digits = wire[at..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_hexdigit())
+                        .count();
+                    wire[at + next() % digits] = b"gGxz-+.\xff"[next() % 8];
+                    let mut d = ChunkedDecoder::new(max_chunk);
+                    let (result, out) = feed_in_pieces(&mut d, &wire, &mut next);
+                    assert!(bad_request(&result), "case {case}: {result:?}");
+                    assert_eq!(out, body[..before], "case {case}");
+                }
+                1 if !data_ends.is_empty() => {
+                    // A byte other than the CR or LF due after chunk data.
+                    let (end, sent) = data_ends[next() % data_ends.len()];
+                    let at = end + next() % 2;
+                    let mut byte = next() as u8;
+                    if byte == wire[at] {
+                        byte ^= 1;
+                    }
+                    wire[at] = byte;
+                    let mut d = ChunkedDecoder::new(max_chunk);
+                    let (result, out) = feed_in_pieces(&mut d, &wire, &mut next);
+                    assert!(bad_request(&result), "case {case}: {result:?}");
+                    assert_eq!(out, body[..sent], "case {case}");
+                }
+                _ => {
+                    // One size line over the cap.
+                    let digits = wire[at..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_hexdigit())
+                        .count();
+                    let over = format!("{:x}", max_chunk + 1 + next() % 4096);
+                    wire.splice(at..at + digits, over.bytes());
+                    let mut d = ChunkedDecoder::new(max_chunk);
+                    let (result, out) = feed_in_pieces(&mut d, &wire, &mut next);
+                    assert_eq!(result, Err(HttpError::PayloadTooLarge), "case {case}");
+                    assert_eq!(out, body[..before], "case {case}");
                 }
             }
-            assert!(out.len() <= bytes.len());
+        }
+        // Trailers, terminating CRLF included, may take 16 KiB exactly.
+        for extra in [0, 1] {
+            let field = b"x-pad: ";
+            let fill = ChunkedDecoder::MAX_TRAILER_BYTES + extra - field.len() - 4;
+            let wire = [
+                &b"3\r\nabc\r\n0\r\n"[..],
+                field,
+                &vec![b'p'; fill],
+                b"\r\n\r\n",
+            ]
+            .concat();
+            let mut d = ChunkedDecoder::new(16);
+            let (result, out) = feed_in_pieces(&mut d, &wire, &mut next);
+            assert_eq!(out, b"abc");
+            match extra {
+                0 => assert_eq!((result, d.is_done()), (Ok(wire.len()), true)),
+                _ => assert_eq!(result, Err(HttpError::HeadersTooLarge)),
+            }
         }
     }
 

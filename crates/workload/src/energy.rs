@@ -7,7 +7,7 @@
 //! fold, so it and the streamed path agree bit for bit.
 
 use dram_core::lowpower::PowerState;
-use dram_core::{Command, Dram};
+use dram_core::Dram;
 use dram_units::{Joules, Seconds, Watts};
 
 use crate::stream::{StreamFold, TraceError};
@@ -181,46 +181,6 @@ pub struct TraceReport {
     pub states: StateBreakdown,
 }
 
-/// External energy of each command kind, looked up from the charge model
-/// once per simulation instead of once per trace entry.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CommandEnergyTable {
-    activate: Joules,
-    precharge: Joules,
-    read: Joules,
-    write: Joules,
-    refresh: Joules,
-    nop: Joules,
-}
-
-impl CommandEnergyTable {
-    pub(crate) fn new(dram: &Dram) -> Self {
-        Self {
-            activate: dram.command_energy(Command::Activate),
-            precharge: dram.command_energy(Command::Precharge),
-            read: dram.command_energy(Command::Read),
-            write: dram.command_energy(Command::Write),
-            refresh: dram.command_energy(Command::Refresh),
-            nop: dram.command_energy(Command::Nop),
-        }
-    }
-
-    pub(crate) fn energy(&self, command: Command) -> Joules {
-        match command {
-            Command::Activate => self.activate,
-            Command::Precharge => self.precharge,
-            Command::Read => self.read,
-            Command::Write => self.write,
-            Command::Refresh => self.refresh,
-            Command::Nop
-            | Command::PowerDownEnter
-            | Command::PowerDownExit
-            | Command::SelfRefreshEnter
-            | Command::SelfRefreshExit => self.nop,
-        }
-    }
-}
-
 impl TraceReport {
     /// Row-operation share of the command energy: the quantity the §V
     /// row-granularity schemes attack. Zero for a trace without commands.
@@ -261,7 +221,7 @@ mod tests {
     use super::*;
     use crate::generator::{generate_validated, WorkloadSpec};
     use dram_core::reference::ddr3_1g_x16_55nm;
-    use dram_core::{Command, Dram};
+    use dram_core::{Command, Dram, DramDescription};
 
     fn model() -> Dram {
         Dram::new(ddr3_1g_x16_55nm()).expect("valid")
@@ -346,47 +306,115 @@ mod tests {
         assert!(s < r / 2.0, "streaming row share {s} vs random {r}");
     }
 
+    /// The eight preset devices the server names.
+    fn every_preset() -> [DramDescription; 8] {
+        use dram_scaling::presets;
+        [
+            ddr3_1g_x16_55nm(),
+            presets::sdr_128m_170nm(),
+            presets::ddr2_1g_75nm(),
+            presets::ddr2_1g_65nm(),
+            presets::ddr3_1g_65nm(),
+            presets::ddr3_1g_55nm(),
+            presets::ddr3_2g_55nm(),
+            presets::ddr5_16g_18nm(),
+        ]
+    }
+
+    /// A `length`-cycle trace of `commands`, all on bank 0.
+    fn bank0_trace(commands: &[(u64, Command)], length: u64) -> Trace {
+        let commands = commands
+            .iter()
+            .map(|&(cycle, command)| crate::TraceCommand {
+                cycle,
+                bank: 0,
+                command,
+            })
+            .collect();
+        Trace::new(commands, length).expect("builds")
+    }
+
+    /// A nap: powered down from cycle 0 to 1000 of 2000.
+    const NAP: [(u64, Command); 2] = [(0, Command::PowerDownEnter), (1000, Command::PowerDownExit)];
+
+    /// Every command kind once, in a legal order.
+    const EVERY_KIND: [(u64, Command); 10] = [
+        (0, Command::Activate),
+        (12, Command::Read),
+        (16, Command::Write),
+        (28, Command::Precharge),
+        (50, Command::Nop),
+        (100, Command::Refresh),
+        (300, Command::PowerDownEnter),
+        (900, Command::PowerDownExit),
+        (1000, Command::SelfRefreshEnter),
+        (90_000, Command::SelfRefreshExit),
+    ];
+
+    /// The fold's per-command energies sum to the naive
+    /// `Dram::command_energy` recomputation bit for bit, on every preset
+    /// and for traces that carry every command kind: the random and
+    /// sparse generator shapes, the nap of
+    /// `explicit_cke_commands_bill_power_down`, and `ref`, `pde`/`pdx`
+    /// and `sre`/`srx` in one trace.
     #[test]
     fn single_pass_matches_per_command_recomputation() {
-        let dram = model();
-        let w = generate_validated(&dram, &WorkloadSpec::random(400, 29)).expect("ok");
-        let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
-        let naive_row: Joules = w
-            .trace
-            .commands()
-            .iter()
-            .filter(|c| matches!(c.command, Command::Activate | Command::Precharge))
-            .map(|c| dram.command_energy(c.command))
-            .sum();
-        let naive_all: Joules = w
-            .trace
-            .commands()
-            .iter()
-            .map(|c| dram.command_energy(c.command))
-            .sum();
-        assert_eq!(r.row_energy.joules().to_bits(), naive_row.joules().to_bits());
-        assert_eq!(
-            r.command_energy.joules().to_bits(),
-            naive_all.joules().to_bits()
-        );
-        // The folded idle accounting agrees with the standalone pass.
-        let policy = PowerDownPolicy::AGGRESSIVE;
-        let mut pd = 0u64;
-        for gap in w.trace.idle_gaps() {
-            if gap > policy.threshold_cycles {
-                pd += gap
-                    .saturating_sub(policy.threshold_cycles)
-                    .saturating_sub(policy.exit_latency_cycles);
+        for description in every_preset() {
+            let name = description.name.clone();
+            let dram = Dram::new(description).expect("valid");
+            let random = generate_validated(&dram, &WorkloadSpec::random(400, 29)).expect("ok");
+            let sparse = generate_validated(&dram, &WorkloadSpec::sparse(150, 13)).expect("ok");
+            let traces = [
+                random.trace.clone(),
+                sparse.trace,
+                bank0_trace(&NAP, 2000),
+                bank0_trace(&EVERY_KIND, 100_000),
+            ];
+            for trace in &traces {
+                let r = simulate(&dram, trace, PowerDownPolicy::NEVER).expect("legal");
+                // Summed from +0.0, as the fold sums: `Iterator::sum` of
+                // no floats is -0.0.
+                let naive = |row_only: bool| {
+                    trace
+                        .commands()
+                        .iter()
+                        .filter(|c| {
+                            !row_only || matches!(c.command, Command::Activate | Command::Precharge)
+                        })
+                        .fold(Joules::ZERO, |sum, c| sum + dram.command_energy(c.command))
+                };
+                let (naive_row, naive_all) = (naive(true), naive(false));
+                assert_eq!(
+                    r.row_energy.joules().to_bits(),
+                    naive_row.joules().to_bits(),
+                    "{name}"
+                );
+                assert_eq!(
+                    r.command_energy.joules().to_bits(),
+                    naive_all.joules().to_bits(),
+                    "{name}"
+                );
             }
+            // The folded idle accounting agrees with the standalone pass.
+            let policy = PowerDownPolicy::AGGRESSIVE;
+            let mut pd = 0u64;
+            for gap in random.trace.idle_gaps() {
+                if gap > policy.threshold_cycles {
+                    pd += gap
+                        .saturating_sub(policy.threshold_cycles)
+                        .saturating_sub(policy.exit_latency_cycles);
+                }
+            }
+            let folded = simulate(&dram, &random.trace, policy).expect("legal");
+            assert_eq!(folded.power_down_cycles, pd, "{name}");
+            // And the share derives from the report's own fields.
+            let r = simulate(&dram, &random.trace, PowerDownPolicy::NEVER).expect("legal");
+            assert_eq!(
+                r.row_energy_share().to_bits(),
+                (r.row_energy.joules() / r.command_energy.joules()).to_bits(),
+                "{name}"
+            );
         }
-        let folded = simulate(&dram, &w.trace, policy).expect("legal");
-        assert_eq!(folded.power_down_cycles, pd);
-        // And the share derives from the report's own fields.
-        let share = r.row_energy_share();
-        assert_eq!(
-            share.to_bits(),
-            (r.row_energy.joules() / r.command_energy.joules()).to_bits()
-        );
     }
 
     #[test]
@@ -453,18 +481,7 @@ mod tests {
                 .validate(&desc.timing, desc.spec.control_clock, desc.spec.banks())
                 .expect("bank timing is legal");
         };
-        let trace = |commands: &[(u64, Command)]| {
-            let commands = commands
-                .iter()
-                .map(|&(cycle, command)| crate::TraceCommand {
-                    cycle,
-                    bank: 0,
-                    command,
-                })
-                .collect();
-            Trace::new(commands, 2000).expect("builds")
-        };
-        let nap = trace(&[(0, Command::PowerDownEnter), (1000, Command::PowerDownExit)]);
+        let nap = bank0_trace(&NAP, 2000);
         legal(&nap);
         let r = simulate(&dram, &nap, PowerDownPolicy::NEVER).expect("legal");
         // pde@0 bills its cycle and 3 entry cycles at standby, 4..=999
@@ -474,11 +491,14 @@ mod tests {
         assert_eq!(r.states.cycles(TraceState::PrechargePowerDown), 996);
         assert_eq!(r.states.cycles(TraceState::Standby), 1004);
         // Work while powered down is a typed error, not an energy.
-        let busy = trace(&[
-            (0, Command::PowerDownEnter),
-            (500, Command::Activate),
-            (1000, Command::PowerDownExit),
-        ]);
+        let busy = bank0_trace(
+            &[
+                (0, Command::PowerDownEnter),
+                (500, Command::Activate),
+                (1000, Command::PowerDownExit),
+            ],
+            2000,
+        );
         legal(&busy);
         let err = simulate(&dram, &busy, PowerDownPolicy::NEVER).unwrap_err();
         assert_eq!(err.kind, crate::TraceErrorKind::CommandWhileAsleep);

@@ -20,7 +20,7 @@ use std::time::Instant;
 use dram_core::{Command, Dram};
 use dram_units::{Joules, Seconds, Watts};
 
-use crate::energy::{CommandEnergyTable, PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
+use crate::energy::{PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
 use crate::trace::{Trace, TraceCommand};
 
 /// Process-wide count of commands folded from traces.
@@ -179,7 +179,15 @@ pub enum TraceEvent {
 /// command line is `cycle mnemonic [bank]`, its tokens separated by
 /// ASCII whitespace: a `u64` cycle and a `u32` bank in decimal, each
 /// with an optional leading `+`, and any ASCII-case spelling that
-/// [`Command::from_mnemonic`] accepts.
+/// [`Command::from_mnemonic`] accepts. Directive words are separated by
+/// the same ASCII whitespace.
+///
+/// The single-space spelling that [`write_trace`] and the other writers
+/// emit — `cycle mnemonic [bank]` with one space before each token, no
+/// sign and a bare `\n` — is decoded on a faster path through the same
+/// grammar: a line that strays from it at any byte is read again from
+/// its start by the full scan, so both give the same events and the same
+/// errors.
 ///
 /// ```
 /// use dram_workload::{PowerDownPolicy, TraceDecoder, TraceEvent};
@@ -268,8 +276,20 @@ impl TraceDecoder {
             rest = &rest[end + 1..];
             self.decode_carry(sink)?;
         }
-        while let Some((event, len)) = self.next_line(rest)? {
-            self.emit(event, sink)?;
+        loop {
+            let len = if let Some((command, len)) = single_space_command(rest) {
+                self.line += 1;
+                let event = self.in_order(command)?;
+                self.emit(event, sink)?;
+                len
+            } else if let Some((event, len)) = self.next_line(rest)? {
+                if let Some(event) = event {
+                    self.emit(event, sink)?;
+                }
+                len
+            } else {
+                break;
+            };
             rest = &rest[len..];
         }
         self.stash(rest)
@@ -320,20 +340,17 @@ impl TraceDecoder {
         carried.clear();
         self.carry = carried;
         match decoded? {
-            Some((event, _)) => self.emit(event, sink),
-            None => Ok(()),
+            Some((Some(event), _)) => self.emit(event, sink),
+            _ => Ok(()),
         }
     }
 
     /// Hands an event to the sink, stamping its errors with the line.
-    fn emit<F>(&self, event: Option<TraceEvent>, sink: &mut F) -> Result<(), TraceError>
+    fn emit<F>(&self, event: TraceEvent, sink: &mut F) -> Result<(), TraceError>
     where
         F: FnMut(TraceEvent) -> Result<(), TraceError>,
     {
-        match event {
-            Some(event) => sink(event).map_err(|e| e.with_line(self.line)),
-            None => Ok(()),
-        }
+        sink(event).map_err(|e| e.with_line(self.line))
     }
 
     /// Decodes the line at the start of `bytes`: its event, if it has
@@ -374,15 +391,17 @@ impl TraceDecoder {
 
     /// A blank, `#` comment or `!` directive line.
     fn parse_other(line: u64, raw: &[u8]) -> Result<Option<TraceEvent>, TraceError> {
-        let text = line_text(line, raw)?.trim();
+        let text = line_text(line, raw)?.trim_start_matches(is_space_char);
         match text.strip_prefix('!') {
             Some(directive) => Self::parse_directive(line, directive).map(Some),
             None => Ok(None),
         }
     }
 
+    /// A directive's words, separated by ASCII whitespace as a command
+    /// line's tokens are.
     fn parse_directive(line: u64, directive: &str) -> Result<TraceEvent, TraceError> {
-        let mut tokens = directive.split_whitespace();
+        let mut tokens = directive.split(is_space_char).filter(|t| !t.is_empty());
         let name = tokens.next().unwrap_or("");
         let rest: Vec<&str> = tokens.collect();
         let syntax = |m: String| TraceError::at(line, TraceErrorKind::Syntax, m);
@@ -499,7 +518,7 @@ impl Fault {
             Fault::BadBank => format!("bad bank {token:?}"),
             Fault::TrailingTokens => format!(
                 "trailing tokens after {:?}",
-                text.trim_matches(|c| u8::try_from(c).is_ok_and(is_space))
+                text.trim_matches(is_space_char)
             ),
         };
         TraceError::at(line, TraceErrorKind::Syntax, message)
@@ -510,6 +529,11 @@ impl Fault {
 /// a line, the other five separate its tokens.
 fn is_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t'..=b'\r')
+}
+
+/// [`is_space`] for a `char`: no other character separates or trims.
+fn is_space_char(c: char) -> bool {
+    u8::try_from(c).is_ok_and(is_space)
 }
 
 /// The offset of the first byte at or after `i` that is not a token
@@ -594,6 +618,58 @@ fn scan_line(bytes: &[u8]) -> (Scanned, usize) {
     (Scanned::Command(command), at)
 }
 
+/// The command line at the start of `bytes` in the spelling every writer
+/// in the repository emits: 1 to 19 cycle digits, one space, a mnemonic
+/// of graphic ASCII bytes, optionally one space and 1 to 9 bank digits,
+/// then `\n`. Returns the command and the line's length with its
+/// newline, or `None` at the first byte this spelling does not expect,
+/// the end of `bytes` included. [`scan_line`] reads every line this
+/// accepts to the same command, so a `None` only sends the line there.
+fn single_space_command(bytes: &[u8]) -> Option<(TraceCommand, usize)> {
+    let (cycle, i) = digits(bytes, 0, 19)?;
+    if bytes.get(i) != Some(&b' ') {
+        return None;
+    }
+    let word = i + 1;
+    let mut i = word;
+    while bytes.get(i).is_some_and(|b| (0x21..=0x7e).contains(b)) {
+        i += 1;
+    }
+    let command = Command::from_mnemonic_bytes(&bytes[word..i])?;
+    let mut bank = 0;
+    if bytes.get(i) == Some(&b' ') {
+        let (value, end) = digits(bytes, i + 1, 9)?;
+        bank = u32::try_from(value).ok()?;
+        i = end;
+    }
+    let command = TraceCommand {
+        cycle,
+        bank,
+        command,
+    };
+    (bytes.get(i) == Some(&b'\n')).then_some((command, i + 1))
+}
+
+/// The run of 1 to `max` decimal digits at `start` as a number, and the
+/// offset after it; `None` for no digit or more than `max`. Up to 19
+/// digits always fit a `u64`.
+fn digits(bytes: &[u8], start: usize, max: usize) -> Option<(u64, usize)> {
+    let mut value = 0u64;
+    let mut i = start;
+    while let Some(&b) = bytes.get(i) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        if i - start == max {
+            return None;
+        }
+        value = value * 10 + u64::from(digit);
+        i += 1;
+    }
+    (i > start).then_some((value, i))
+}
+
 fn parse_u64(line: u64, what: &str, token: &str) -> Result<u64, TraceError> {
     token
         .parse::<u64>()
@@ -643,7 +719,11 @@ struct Sleep {
 #[derive(Debug)]
 pub struct StreamFold {
     policy: PowerDownPolicy,
-    table: CommandEnergyTable,
+    /// Each command's charge-model energy, indexed by `Command as usize`.
+    command_energies: [Joules; Command::ALL.len()],
+    /// [`Self::command_energies`] for the row commands `act` and `pre`,
+    /// zero for the rest.
+    row_energies: [Joules; Command::ALL.len()],
     state_power: [Watts; 5],
     cycle_time: f64,
     bits_per_column: f64,
@@ -672,9 +752,19 @@ impl StreamFold {
     #[must_use]
     pub fn new(dram: &Dram, policy: PowerDownPolicy) -> Self {
         let spec = &dram.description().spec;
+        let mut command_energies = [Joules::ZERO; Command::ALL.len()];
+        let mut row_energies = [Joules::ZERO; Command::ALL.len()];
+        for command in Command::ALL {
+            let energy = dram.command_energy(command);
+            command_energies[command as usize] = energy;
+            if matches!(command, Command::Activate | Command::Precharge) {
+                row_energies[command as usize] = energy;
+            }
+        }
         Self {
             policy,
-            table: CommandEnergyTable::new(dram),
+            command_energies,
+            row_energies,
             state_power: TraceState::ALL.map(|s| s.power(dram)),
             cycle_time: 1.0 / spec.control_clock.hertz(),
             bits_per_column: f64::from(spec.bits_per_column_access()),
@@ -809,11 +899,8 @@ impl StreamFold {
 
         self.last_cycle = Some(c.cycle);
         self.commands += 1;
-        let e = self.table.energy(c.command);
-        self.command_energy += e;
-        if matches!(c.command, Command::Activate | Command::Precharge) {
-            self.row_energy += e;
-        }
+        self.command_energy += self.command_energies[c.command as usize];
+        self.row_energy += self.row_energies[c.command as usize];
         Ok(())
     }
 
@@ -1247,6 +1334,33 @@ mod tests {
         );
         let (events, error) = reference_decode(text.as_bytes());
         assert_eq!((events.len(), error), (2, None));
+    }
+
+    /// Directive lines follow the same rule: U+00A0, U+2003 and U+3000
+    /// neither separate a directive's words nor trim its line.
+    #[test]
+    fn non_ascii_whitespace_does_not_separate_directive_words() {
+        for (directive, kind, message) in [
+            (
+                "!preset\u{a0}ddr3_1g_x16_55nm",
+                TraceErrorKind::UnknownDirective,
+                "unknown directive !preset\u{a0}ddr3_1g_x16_55nm".to_owned(),
+            ),
+            (
+                "!policy\u{2003}aggressive",
+                TraceErrorKind::UnknownDirective,
+                "unknown directive !policy\u{2003}aggressive".to_owned(),
+            ),
+            (
+                "!length 100\u{3000}",
+                TraceErrorKind::Syntax,
+                format!("bad !length value {:?}", "100\u{3000}"),
+            ),
+        ] {
+            let text = format!("0 act 0\n{directive}\n");
+            let err = decode_all(text.as_bytes(), text.len()).unwrap_err();
+            assert_eq!((err.kind, err.line, err.message), (kind, 2, message));
+        }
     }
 
     #[test]
@@ -1699,7 +1813,8 @@ mod tests {
     /// points, emits exactly the reference's events and first error
     /// (kind, line and message) on trace-shaped inputs — every number,
     /// sign, mnemonic and alias in mixed case, all six ASCII whitespace
-    /// bytes, comments, directives, over-long numbers and lines — after
+    /// bytes, comments, directives, over-long numbers and lines, and
+    /// single-space lines at the edges of the short branch — after
     /// bit flips and stray high bytes. Inputs holding non-ASCII
     /// whitespace are skipped: only ASCII whitespace separates command
     /// tokens now.
@@ -1757,6 +1872,44 @@ mod tests {
                         input.extend_from_slice(b" act 4294967295");
                     }
                     4 => (0..next() % 4).for_each(|_| space(&mut input, &mut next)),
+                    5 => {
+                        // A single-space line at the edges of the
+                        // decoder's short branch: cycles of 19 and 20
+                        // digits, banks of 9 and 10, the 9-byte
+                        // `precharge`, a byte at or above 0x80 inside the
+                        // mnemonic, a trailing space.
+                        cycle = match next() % 3 {
+                            0 => cycle.max(10u64.pow(19) - 25) + next() as u64 % 50,
+                            _ => cycle + next() as u64 % 50,
+                        };
+                        input.extend_from_slice(cycle.to_string().as_bytes());
+                        input.push(b' ');
+                        let mut word = ["precharge", "activate", "pre", "act", "rd", "wr", "pdx"]
+                            [next() % 7]
+                            .as_bytes()
+                            .to_vec();
+                        match next() % 16 {
+                            0 => word.insert(next() % word.len(), 0xff),
+                            1 => word.splice(1..1, "é".bytes()).for_each(drop),
+                            2 => word.make_ascii_uppercase(),
+                            _ => {}
+                        }
+                        input.extend_from_slice(&word);
+                        let bank = match next() % 8 {
+                            0 => None,
+                            1 => Some(format!("{}", 999_999_990 + next() % 20)),
+                            2 => Some(format!("{:0>1$}", next() % 8, 9 + next() % 2)),
+                            3 => Some(["4294967295", "4294967296"][next() % 2].to_owned()),
+                            _ => Some(format!("{}", next() % 8)),
+                        };
+                        if let Some(bank) = bank {
+                            input.push(b' ');
+                            input.extend_from_slice(bank.as_bytes());
+                        }
+                        if next().is_multiple_of(8) {
+                            input.push(b' ');
+                        }
+                    }
                     _ => {
                         if next() % 4 == 0 {
                             space(&mut input, &mut next);

@@ -22,6 +22,33 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo clippy (deny warnings)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
 
+  echo "==> command-line refusals (an unknown flag and a bad number, per binary)"
+  # All nine binaries read their flags through one reader
+  # (dram_units::cli::Flags): each must exit non-zero on an unknown flag
+  # and on a bad number, naming what it refused.
+  refuse() { # binary message args... — fails unless the binary refuses args with message
+    local bin=$1 want=$2 err
+    shift 2
+    if err=$(./target/release/"$bin" "$@" 2>&1 >/dev/null); then
+      echo "    $bin $* exited 0"; exit 1
+    fi
+    grep -qF -- "$want" <<<"$err" || { echo "    $bin $*: no \"$want\" in: $err"; exit 1; }
+  }
+  for bin in dram-serve dram-route dram-power repro serve-bench chaos-bench shard-bench \
+    trace-bench sweep-bench; do
+    refuse "$bin" '`--no-such-flag`' --no-such-flag
+  done
+  refuse dram-serve 'bad thread count `0`' --threads 0
+  refuse dram-route 'bad probe interval `x`' --probe-ms x
+  refuse dram-power 'bad feature size `x`' --preset x
+  refuse repro 'bad thread count `x`' --threads x
+  refuse serve-bench 'bad soak connection count `0`' --soak 0
+  refuse chaos-bench 'bad request count `10` (minimum 50)' --requests 10
+  refuse shard-bench 'bad node count `9` (2..=8)' --nodes 9
+  refuse trace-bench 'bad chunk size `3`' --chunk 3
+  refuse sweep-bench 'bad thread count `0`' --threads 0
+  echo "    9 binaries refused --no-such-flag and a bad number, naming each"
+
   echo "==> repro all --timing smoke (writes BENCH_repro.json)"
   start=$(date +%s)
   ./target/release/repro all --timing > /dev/null
@@ -152,6 +179,7 @@ if [[ $fast -eq 0 ]]; then
     printf 'POST /v1/trace%s HTTP/1.1\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n' "${2:-}" >&3
     split -b 1000 "$file" "$file.chunk."
     for chunk in "$file".chunk.*; do
+      [[ -e "$chunk" ]] || continue # an empty file splits into no chunks
       printf '%x\r\n' "$(wc -c < "$chunk")" >&3
       cat "$chunk" >&3
       printf '\r\n' >&3
@@ -210,6 +238,29 @@ if [[ $fast -eq 0 ]]; then
   grep -q '"commands":300,' <<<"$gen_reply" \
     || { echo "    /v1/trace reply did not count gen_trace's 300 commands"; exit 1; }
   echo "    gen_trace output -> dram-power and POST /v1/trace?preset=ddr3_1g_x16_55nm both price 300 commands"
+  # Both readers refuse alike: a trace with no command line (syntax, no
+  # line) and a !preset after a nop command line (bad_transition, line
+  # 2). dram-power names the line as "line N:" and ends with "(kind)";
+  # the server's 400 body carries both as fields.
+  refused_file=$(mktemp)
+  for refused in '' $'0 nop\n!preset ddr3_1g_x16_55nm\n'; do
+    printf '%s' "$refused" > "$refused_file"
+    if power_err=$(./target/release/dram-power --preset 55 --trace "$refused_file" 2>&1); then
+      echo "    dram-power priced a trace /v1/trace refuses: ${refused@Q}"; exit 1
+    fi
+    power_kind=$(sed -n 's/.*(\([a-z_]*\))$/\1/p' <<<"$power_err")
+    power_line=$(sed -n 's/.*: line \([0-9]*\): .*/\1/p' <<<"$power_err")
+    refused_reply=$(post_trace "$refused_file" '?preset=ddr3_1g_x16_55nm')
+    [[ "${refused_reply:0:12}" == "HTTP/1.1 400" ]] \
+      || { echo "    POST ${refused@Q} -> ${refused_reply:0:12} (want 400)"; exit 1; }
+    refused_body=${refused_reply#*$'\r\n\r\n'}
+    serve_kind=$(sed -n 's/.*"kind":"\([a-z_]*\)".*/\1/p' <<<"$refused_body")
+    serve_line=$(sed -n 's/.*"line":\([0-9]*\).*/\1/p' <<<"$refused_body")
+    [[ -n "$serve_kind" && "$power_kind" == "$serve_kind" && "${power_line:-0}" == "$serve_line" ]] \
+      || { echo "    the readers refuse ${refused@Q} differently: $power_err | $refused_body"; exit 1; }
+  done
+  rm -f "$refused_file"
+  echo "    an empty trace and a !preset after a nop -> both readers refuse with the same kind and line"
 
   # The shipped description as /v1/evaluate text, in two spellings the
   # lexer must read alike: as shipped, and with CRLF line ends, a tab

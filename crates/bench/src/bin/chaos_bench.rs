@@ -34,6 +34,7 @@ use std::time::{Duration, Instant};
 
 use dram_server::client::{self, Reply};
 use dram_server::{serve, ServerConfig};
+use dram_units::cli::{exit_usage, in_range, Flags};
 use dram_units::json::{obj, Value};
 
 const OUT_FILE: &str = "BENCH_chaos.json";
@@ -62,45 +63,27 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         out: OUT_FILE.to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
         match a.as_str() {
             "--requests" => {
-                let v = value_of("--requests")?;
-                args.requests = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 50)
+                let v = flags.value("--requests")?;
+                args.requests = in_range(&v, 50..)
                     .ok_or_else(|| format!("bad request count `{v}` (minimum 50)"))?;
             }
-            "--clients" => {
-                let v = value_of("--clients")?;
-                args.clients = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad client count `{v}`"))?;
-            }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                args.threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad thread count `{v}`"))?;
-            }
-            "--seed" => {
-                let v = value_of("--seed")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--out" => args.out = value_of("--out")?,
+            "--clients" => args.clients = flags.number("--clients", "client count", 1..)?,
+            "--threads" => args.threads = flags.number("--threads", "thread count", 1..)?,
+            "--seed" => args.seed = flags.number("--seed", "seed", ..)?,
+            "--out" => args.out = flags.value("--out")?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(args)
 }
+
+const USAGE: &str =
+    "usage: chaos-bench [--requests N] [--clients C] [--threads T] [--seed S] [--out FILE]";
 
 /// One HTTP exchange; returns the reply and its `x-request-id`. Any
 /// failure to produce exactly one well-formed reply with an id — connect
@@ -272,19 +255,7 @@ fn prom_value(scrape: &str, metric: &str) -> Option<f64> {
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: chaos-bench [--requests N] [--clients C] [--threads T] [--seed S] \
-                 [--out FILE]"
-            );
-            std::process::exit(i32::from(!msg.is_empty()));
-        }
-    };
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
 
     // Stage 1: canonical bodies from a pristine server (faults disarmed).
     let canon = capture_canon(args.threads);

@@ -16,12 +16,13 @@ use std::time::{Duration, Instant};
 use dram_bench::harness::{self, Measurement};
 use dram_bench::ReportId;
 use dram_core::EvalEngine;
+use dram_units::cli::Flags;
 
 /// File the `--timing` run is serialized to, for cross-run comparison.
 const TIMING_FILE: &str = "BENCH_repro.json";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         print_usage();
         return;
@@ -51,23 +52,17 @@ fn main() {
         return;
     }
 
-    let timing = take_flag(&mut args, "--timing");
-    let threads = take_threads(&mut args);
-    let profile = take_value(&mut args, "--profile");
+    let Run {
+        timing,
+        threads,
+        profile,
+        selected,
+    } = parse_run(args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
     if profile.is_some() {
         dram_obs::set_enabled(true);
-    }
-
-    let mut selected: Vec<ReportId> = Vec::new();
-    for a in &args {
-        if a == "all" {
-            selected.extend(ReportId::ALL);
-        } else if let Some(r) = ReportId::parse(a) {
-            selected.push(r);
-        } else {
-            eprintln!("unknown report `{a}` (try `repro --list`)");
-            std::process::exit(2);
-        }
     }
 
     let mut engine = EvalEngine::new();
@@ -143,20 +138,7 @@ fn write_profile(path: &str) {
     };
 
     println!("\n== span profile ==\n");
-    println!(
-        "{:28} {:>8} {:>12} {:>12} {:>12}",
-        "span", "count", "total ms", "mean ms", "max ms"
-    );
-    for r in dram_obs::rollup(&profile) {
-        println!(
-            "{:28} {:>8} {:>12.3} {:>12.3} {:>12.3}",
-            r.name,
-            r.count,
-            r.total_us as f64 / 1e3,
-            r.mean_us / 1e3,
-            r.max_us as f64 / 1e3,
-        );
-    }
+    print!("{}", dram_obs::rollup_table(&profile));
     println!(
         "\nwrote {path}: {} spans, {} trace events (load in chrome://tracing or Perfetto)",
         profile.spans.len(),
@@ -164,38 +146,36 @@ fn write_profile(path: &str) {
     );
 }
 
-/// Removes `flag` from `args`, reporting whether it was present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
+/// A report run: the flags and the reports the command line selected.
+struct Run {
+    timing: bool,
+    threads: Option<usize>,
+    profile: Option<String>,
+    selected: Vec<ReportId>,
 }
 
-/// Removes `flag VALUE` from `args`, returning the value if present.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{flag} needs a value");
-        std::process::exit(2);
+/// Reads `--timing`, `--threads N`, `--profile FILE` and report names.
+fn parse_run(args: Vec<String>) -> Result<Run, String> {
+    let mut run = Run {
+        timing: false,
+        threads: None,
+        profile: None,
+        selected: Vec::new(),
+    };
+    let mut flags = Flags::new(args);
+    while let Some(a) = flags.next_arg() {
+        match a.as_str() {
+            "--timing" => run.timing = true,
+            "--threads" => run.threads = Some(flags.number("--threads", "thread count", ..)?),
+            "--profile" => run.profile = Some(flags.value("--profile")?),
+            "all" => run.selected.extend(ReportId::ALL),
+            other => run.selected.push(
+                ReportId::parse(other)
+                    .ok_or_else(|| format!("unknown report `{other}` (try `repro --list`)"))?,
+            ),
+        }
     }
-    let value = args[pos + 1].clone();
-    args.drain(pos..=pos + 1);
-    Some(value)
-}
-
-/// Removes `--threads N` from `args` and parses the count.
-fn take_threads(args: &mut Vec<String>) -> Option<usize> {
-    let pos = args.iter().position(|a| a == "--threads")?;
-    if pos + 1 >= args.len() {
-        eprintln!("--threads needs a count");
-        std::process::exit(2);
-    }
-    let n = args[pos + 1].parse::<usize>().unwrap_or_else(|_| {
-        eprintln!("--threads: `{}` is not a number", args[pos + 1]);
-        std::process::exit(2);
-    });
-    args.drain(pos..=pos + 1);
-    Some(n)
+    Ok(run)
 }
 
 fn print_usage() {

@@ -48,6 +48,7 @@ use std::time::{Duration, Instant};
 
 use dram_server::client::{self, Conn, Reply};
 use dram_server::{serve, ServerConfig, ServerHandle};
+use dram_units::cli::{exit_usage, Flags};
 use dram_units::json::{obj, Value};
 
 const OUT_FILE: &str = "BENCH_server.json";
@@ -80,52 +81,27 @@ fn parse_args() -> Result<Args, String> {
         soak_addr: None,
         soak_kill: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
         match a.as_str() {
-            "--requests" => {
-                let v = value_of("--requests")?;
-                args.requests = v.parse().map_err(|_| format!("bad request count `{v}`"))?;
-            }
-            "--clients" => {
-                let v = value_of("--clients")?;
-                args.clients = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad client count `{v}`"))?;
-            }
-            "--threads" => {
-                let v = value_of("--threads")?;
-                args.threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad thread count `{v}`"))?;
-            }
-            "--out" => args.out = value_of("--out")?,
+            "--requests" => args.requests = flags.number("--requests", "request count", ..)?,
+            "--clients" => args.clients = flags.number("--clients", "client count", 1..)?,
+            "--threads" => args.threads = flags.number("--threads", "thread count", 1..)?,
+            "--out" => args.out = flags.value("--out")?,
             "--profile" => args.profile = true,
             "--journal" => args.journal = true,
-            "--soak" => {
-                let v = value_of("--soak")?;
-                args.soak = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad soak connection count `{v}`"))?,
-                );
-            }
-            "--soak-addr" => args.soak_addr = Some(value_of("--soak-addr")?),
-            "--soak-kill" => args.soak_kill = Some(value_of("--soak-kill")?),
-            "--help" | "-h" => {
-                return Err(String::new());
-            }
+            "--soak" => args.soak = Some(flags.number("--soak", "soak connection count", 1..)?),
+            "--soak-addr" => args.soak_addr = Some(flags.value("--soak-addr")?),
+            "--soak-kill" => args.soak_kill = Some(flags.value("--soak-kill")?),
+            "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(args)
 }
+
+const USAGE: &str = "usage: serve-bench [--requests N] [--clients C] [--threads T] [--out FILE] \
+                 [--profile]\n       serve-bench --soak N --soak-addr HOST:PORT [--soak-kill PID]\n                        serve-bench --journal [--clients C] [--threads T]";
 
 /// A reply's `x-request-id`; every response must carry one.
 fn request_id(reply: &Reply) -> String {
@@ -159,101 +135,49 @@ struct Call<'a> {
     body: &'a str,
 }
 
-/// Drives `requests` closed-loop requests from `clients` threads and
-/// checks every response is a 200 with one identical body.
-fn run_stage(
-    name: &str,
-    handle: &ServerHandle,
-    server_threads: usize,
-    clients: usize,
-    requests: usize,
-    call: &Call<'_>,
-) -> StageResult {
-    let addr = handle.local_addr();
-    let per_client = requests.div_ceil(clients);
-    let started = Instant::now();
-    let mut results: Vec<(Vec<u128>, String, Vec<String>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut latencies = Vec::with_capacity(per_client);
-                    let mut ids = Vec::with_capacity(per_client);
-                    let mut canonical: Option<String> = None;
-                    for _ in 0..per_client {
-                        let t0 = Instant::now();
-                        let reply =
-                            client::fetch(addr, call.method, call.path, call.body.as_bytes())
-                                .expect("exchange");
-                        latencies.push(t0.elapsed().as_micros());
-                        assert_eq!(reply.status(), 200, "request failed: {reply:?}");
-                        ids.push(request_id(&reply));
-                        let body = reply.text().into_owned();
-                        match &canonical {
-                            None => canonical = Some(body),
-                            Some(c) => assert_eq!(
-                                c, &body,
-                                "response bodies diverged within one client"
-                            ),
-                        }
-                    }
-                    (latencies, canonical.expect("at least one request"), ids)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
-    });
-    let total_s = started.elapsed().as_secs_f64();
+/// What one client of a stage saw: a latency and an `x-request-id` per
+/// request, and the one body every request returned.
+#[derive(Default)]
+struct Samples {
+    latencies: Vec<u128>,
+    ids: Vec<String>,
+    body: Option<String>,
+}
 
-    let first_body = results[0].1.clone();
-    let mut latencies: Vec<u128> = Vec::with_capacity(clients * per_client);
-    let mut seen_ids: HashSet<String> = HashSet::with_capacity(clients * per_client);
-    for (ls, reply, ids) in results.drain(..) {
-        assert_eq!(reply, first_body, "response bodies diverged across clients");
-        latencies.extend(ls);
-        for id in ids {
-            assert!(seen_ids.insert(id.clone()), "request id `{id}` repeated");
+impl Samples {
+    /// Records one reply, timed from `since`: it must be a 200 whose body
+    /// matches the client's earlier ones.
+    fn record(&mut self, reply: &Reply, since: Instant) {
+        self.latencies.push(since.elapsed().as_micros());
+        assert_eq!(reply.status(), 200, "request failed: {reply:?}");
+        self.ids.push(request_id(reply));
+        let body = reply.text();
+        match &self.body {
+            None => self.body = Some(body.into_owned()),
+            Some(c) => assert_eq!(c, &body, "response bodies diverged within one client"),
         }
-    }
-    latencies.sort_unstable();
-    let n = latencies.len();
-    let pct = |p: f64| {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let idx = (((n - 1) as f64) * p).round() as usize;
-        latencies[idx] as f64
-    };
-    #[allow(clippy::cast_precision_loss)]
-    StageResult {
-        name: name.to_string(),
-        server_threads,
-        clients,
-        requests: n,
-        total_s,
-        throughput_rps: n as f64 / total_s,
-        mean_us: latencies.iter().sum::<u128>() as f64 / n as f64,
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-        max_us: pct(1.0),
-        body: first_body,
     }
 }
 
-/// The keep-alive counterpart of [`run_stage`]: each client opens one
-/// connection and drives all its requests over it, pipelined in batches
-/// of [`PIPELINE_BATCH`]. Latency samples measure batch-start to each
-/// response. The same 200/identical-body/unique-id assertions apply.
-fn run_keepalive_stage(
-    name: &str,
-    handle: &ServerHandle,
-    server_threads: usize,
-    clients: usize,
-    requests: usize,
-    call: &Call<'_>,
-) -> StageResult {
-    let addr = handle.local_addr();
-    let per_client = requests.div_ceil(clients);
+/// How a client sends its `n` requests, the one thing stages differ in.
+type Client = fn(SocketAddr, &Call<'_>, usize, &mut Samples);
+
+/// A fresh connection per request, closed after its response; latency
+/// is send to response.
+fn close_per_request(addr: SocketAddr, call: &Call<'_>, n: usize, samples: &mut Samples) {
+    for _ in 0..n {
+        let t0 = Instant::now();
+        let reply =
+            client::fetch(addr, call.method, call.path, call.body.as_bytes()).expect("exchange");
+        samples.record(&reply, t0);
+    }
+}
+
+/// One connection for all `n` requests, pipelined in batches of
+/// [`PIPELINE_BATCH`]; latency is batch start to each response.
+fn pipelined(addr: SocketAddr, call: &Call<'_>, n: usize, samples: &mut Samples) {
     assert!(
-        (per_client as u64) < ServerConfig::default().max_requests_per_conn,
+        (n as u64) < ServerConfig::default().max_requests_per_conn,
         "per-client request count exceeds the server's per-connection budget"
     );
     let wire_request = format!(
@@ -264,40 +188,43 @@ fn run_keepalive_stage(
         call.body.len(),
         call.body
     );
+    let mut conn = Conn::connect(addr, Duration::from_secs(30)).expect("connect");
+    let mut remaining = n;
+    while remaining > 0 {
+        let batch = remaining.min(PIPELINE_BATCH);
+        let wire = wire_request.repeat(batch);
+        let t0 = Instant::now();
+        conn.write_all(wire.as_bytes()).expect("send batch");
+        for _ in 0..batch {
+            let reply = conn.read_response().expect("response");
+            samples.record(&reply, t0);
+        }
+        remaining -= batch;
+    }
+}
+
+/// Drives `requests` closed-loop requests from `clients` threads, each
+/// sending its share with `send`, and checks every response is a 200
+/// with one identical body and a request id no other response carries.
+fn run_stage(
+    name: &str,
+    handle: &ServerHandle,
+    server_threads: usize,
+    clients: usize,
+    requests: usize,
+    call: &Call<'_>,
+    send: Client,
+) -> StageResult {
+    let addr = handle.local_addr();
+    let per_client = requests.div_ceil(clients);
     let started = Instant::now();
-    let mut results: Vec<(Vec<u128>, String, Vec<String>)> = std::thread::scope(|s| {
+    let results: Vec<Samples> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|_| {
-                let wire_request = wire_request.as_str();
                 s.spawn(move || {
-                    let mut conn =
-                        Conn::connect(addr, Duration::from_secs(30)).expect("connect");
-                    let mut latencies = Vec::with_capacity(per_client);
-                    let mut ids = Vec::with_capacity(per_client);
-                    let mut canonical: Option<String> = None;
-                    let mut remaining = per_client;
-                    while remaining > 0 {
-                        let batch = remaining.min(PIPELINE_BATCH);
-                        let wire = wire_request.repeat(batch);
-                        let t0 = Instant::now();
-                        conn.write_all(wire.as_bytes()).expect("send batch");
-                        for _ in 0..batch {
-                            let reply = conn.read_response().expect("response");
-                            latencies.push(t0.elapsed().as_micros());
-                            assert_eq!(reply.status(), 200, "request failed: {reply:?}");
-                            ids.push(request_id(&reply));
-                            let body = reply.text().into_owned();
-                            match &canonical {
-                                None => canonical = Some(body),
-                                Some(c) => assert_eq!(
-                                    c, &body,
-                                    "response bodies diverged within one client"
-                                ),
-                            }
-                        }
-                        remaining -= batch;
-                    }
-                    (latencies, canonical.expect("at least one request"), ids)
+                    let mut samples = Samples::default();
+                    send(addr, call, per_client, &mut samples);
+                    samples
                 })
             })
             .collect();
@@ -305,13 +232,17 @@ fn run_keepalive_stage(
     });
     let total_s = started.elapsed().as_secs_f64();
 
-    let first_body = results[0].1.clone();
+    let first_body = results[0].body.clone().expect("at least one request");
     let mut latencies: Vec<u128> = Vec::with_capacity(clients * per_client);
     let mut seen_ids: HashSet<String> = HashSet::with_capacity(clients * per_client);
-    for (ls, body, ids) in results.drain(..) {
-        assert_eq!(body, first_body, "response bodies diverged across clients");
-        latencies.extend(ls);
-        for id in ids {
+    for samples in results {
+        assert_eq!(
+            samples.body.as_ref(),
+            Some(&first_body),
+            "response bodies diverged across clients"
+        );
+        latencies.extend(samples.latencies);
+        for id in samples.ids {
             assert!(seen_ids.insert(id.clone()), "request id `{id}` repeated");
         }
     }
@@ -412,23 +343,8 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
 /// request, handler, engine) and prints their per-name rollup. Draining
 /// also clears the sink, so each stage reports only its own spans.
 fn print_stage_rollup(stage: &str) {
-    let profile = dram_obs::drain();
     println!("\n-- span rollup: {stage} --");
-    println!(
-        "{:28} {:>8} {:>12} {:>12} {:>12}",
-        "span", "count", "total ms", "mean ms", "max ms"
-    );
-    #[allow(clippy::cast_precision_loss)]
-    for r in dram_obs::rollup(&profile) {
-        println!(
-            "{:28} {:>8} {:>12.3} {:>12.3} {:>12.3}",
-            r.name,
-            r.count,
-            r.total_us as f64 / 1e3,
-            r.mean_us / 1e3,
-            r.max_us as f64 / 1e3,
-        );
-    }
+    print!("{}", dram_obs::rollup_table(&dram_obs::drain()));
 }
 
 /// Events the flight recorder must capture for every verified request,
@@ -588,19 +504,7 @@ fn stage_json(s: &StageResult) -> Value {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: serve-bench [--requests N] [--clients C] [--threads T] [--out FILE] \
-                 [--profile]\n       serve-bench --soak N --soak-addr HOST:PORT [--soak-kill PID]\n                        serve-bench --journal [--clients C] [--threads T]"
-            );
-            std::process::exit(i32::from(!msg.is_empty()));
-        }
-    };
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
 
     if args.journal {
         run_journal_verification(args.threads, args.clients);
@@ -651,65 +555,39 @@ fn main() {
             dram_obs::clear();
         }
 
-        stages.push(run_stage(
-            &format!("server/evaluate_warm/threads={threads}"),
-            &handle,
-            threads,
-            args.clients,
-            args.requests,
-            &Call {
-                method: "POST",
-                path: "/v1/evaluate",
-                body: eval_body,
-            },
-        ));
-        if args.profile {
-            print_stage_rollup(&stages.last().expect("just pushed").name);
-        }
-        stages.push(run_stage(
-            &format!("server/batch_warm/threads={threads}"),
-            &handle,
-            threads,
-            args.clients,
-            args.requests,
-            &Call {
-                method: "POST",
-                path: "/v1/batch",
-                body: batch_body,
-            },
-        ));
-        if args.profile {
-            print_stage_rollup(&stages.last().expect("just pushed").name);
-        }
-        stages.push(run_stage(
-            &format!("server/healthz/threads={threads}"),
-            &handle,
-            threads,
-            args.clients,
-            args.requests,
-            &Call {
-                method: "GET",
-                path: "/healthz",
-                body: "",
-            },
-        ));
-        if args.profile {
-            print_stage_rollup(&stages.last().expect("just pushed").name);
-        }
-        stages.push(run_keepalive_stage(
-            &format!("server/healthz_keepalive/threads={threads}"),
-            &handle,
-            threads,
-            args.clients,
-            args.requests,
-            &Call {
-                method: "GET",
-                path: "/healthz",
-                body: "",
-            },
-        ));
-        if args.profile {
-            print_stage_rollup(&stages.last().expect("just pushed").name);
+        let healthz = Call {
+            method: "GET",
+            path: "/healthz",
+            body: "",
+        };
+        let evaluate = Call {
+            method: "POST",
+            path: "/v1/evaluate",
+            body: eval_body,
+        };
+        let batch = Call {
+            method: "POST",
+            path: "/v1/batch",
+            body: batch_body,
+        };
+        for (stage, call, send) in [
+            ("evaluate_warm", &evaluate, close_per_request as Client),
+            ("batch_warm", &batch, close_per_request),
+            ("healthz", &healthz, close_per_request),
+            ("healthz_keepalive", &healthz, pipelined),
+        ] {
+            stages.push(run_stage(
+                &format!("server/{stage}/threads={threads}"),
+                &handle,
+                threads,
+                args.clients,
+                args.requests,
+                call,
+                send,
+            ));
+            if args.profile {
+                print_stage_rollup(&stages.last().expect("just pushed").name);
+            }
         }
         handle.shutdown();
     }

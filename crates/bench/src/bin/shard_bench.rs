@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use dram_server::client::{self, Reply};
 use dram_server::{route_serve, serve, RetryPolicy, RouterConfig, ServerConfig};
+use dram_units::cli::{exit_usage, in_range, Flags};
 use dram_units::json::{obj, Value};
 
 const OUT_FILE: &str = "BENCH_shard.json";
@@ -72,53 +73,32 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         out: OUT_FILE.to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
         match a.as_str() {
             "--nodes" => {
-                let v = value_of("--nodes")?;
-                args.nodes = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| (2..=8).contains(&n))
-                    .ok_or_else(|| format!("bad node count `{v}` (2..=8)"))?;
+                let v = flags.value("--nodes")?;
+                args.nodes =
+                    in_range(&v, 2..=8).ok_or_else(|| format!("bad node count `{v}` (2..=8)"))?;
             }
             "--requests" => {
-                let v = value_of("--requests")?;
-                args.requests = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 60)
+                let v = flags.value("--requests")?;
+                args.requests = in_range(&v, 60..)
                     .ok_or_else(|| format!("bad request count `{v}` (minimum 60)"))?;
             }
-            "--clients" => {
-                let v = value_of("--clients")?;
-                args.clients = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad client count `{v}`"))?;
-            }
-            "--kills" => {
-                let v = value_of("--kills")?;
-                args.kills = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad kill budget `{v}`"))?;
-            }
-            "--seed" => {
-                let v = value_of("--seed")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--out" => args.out = value_of("--out")?,
+            "--clients" => args.clients = flags.number("--clients", "client count", 1..)?,
+            "--kills" => args.kills = flags.number("--kills", "kill budget", 1..)?,
+            "--seed" => args.seed = flags.number("--seed", "seed", ..)?,
+            "--out" => args.out = flags.value("--out")?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(args)
 }
+
+const USAGE: &str = "usage: shard-bench [--nodes N] [--requests N] [--clients C] [--kills K] \
+                     [--seed S] [--out FILE]";
 
 /// Drives one logical request to completion under `policy`: transport
 /// failures, truncations and 5xx all retry with backoff (honoring
@@ -468,19 +448,7 @@ fn shard_client(
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!(
-                "usage: shard-bench [--nodes N] [--requests N] [--clients C] [--kills K] \
-                 [--seed S] [--out FILE]"
-            );
-            std::process::exit(i32::from(!msg.is_empty()));
-        }
-    };
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
     let bin = serve_binary();
     let policy = RetryPolicy {
         max_attempts: 6,

@@ -27,6 +27,7 @@ use dram_sensitivity::{
     interaction_matrix_with, interaction_matrix_with_full_rebuild, sweep_with,
     sweep_with_full_rebuild, InteractionMatrix, Sweep,
 };
+use dram_units::cli::{exit_usage, Flags};
 
 const OUT_FILE: &str = "BENCH_sweep.json";
 const VARIATION: f64 = 0.2;
@@ -43,26 +44,20 @@ fn parse_args() -> Result<Args, String> {
         threads: 8,
         out: OUT_FILE.to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
         match a.as_str() {
             "--quick" => args.quick = true,
-            "--threads" => {
-                let v = value_of("--threads")?;
-                args.threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad thread count `{v}`"))?;
-            }
-            "--out" => args.out = value_of("--out")?,
+            "--threads" => args.threads = flags.number("--threads", "thread count", 1..)?,
+            "--out" => args.out = flags.value("--out")?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(args)
 }
+
+const USAGE: &str = "usage: sweep-bench [--quick] [--threads T] [--out FILE]";
 
 fn sweeps_match(a: &Sweep, b: &Sweep) -> bool {
     a.baseline_watts.to_bits() == b.baseline_watts.to_bits()
@@ -112,16 +107,7 @@ impl Comparison {
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!("usage: sweep-bench [--quick] [--threads T] [--out FILE]");
-            std::process::exit(if msg.is_empty() { 0 } else { 2 });
-        }
-    };
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 2));
     let (budget, max_iters) = if args.quick {
         (Duration::from_millis(1), 1)
     } else {

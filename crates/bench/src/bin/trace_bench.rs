@@ -22,6 +22,7 @@ use dram_core::timing::{InitialBankState, TimingChecker};
 use dram_core::Dram;
 use dram_server::client::{self, Conn};
 use dram_server::{serve, ServerConfig};
+use dram_units::cli::{exit_usage, Flags};
 use dram_units::json::obj;
 use dram_workload::{
     PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceErrorKind, TraceEvent,
@@ -46,33 +47,20 @@ fn parse_args() -> Result<Args, String> {
         chunk: 16 * 1024,
         out: OUT_FILE.to_string(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
         match a.as_str() {
-            "--commands" => {
-                let v = value_of("--commands")?;
-                args.commands = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad command count `{v}`"))?;
-            }
-            "--chunk" => {
-                let v = value_of("--chunk")?;
-                args.chunk = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 16)
-                    .ok_or_else(|| format!("bad chunk size `{v}`"))?;
-            }
-            "--out" => args.out = value_of("--out")?,
+            "--commands" => args.commands = flags.number("--commands", "command count", 1..)?,
+            "--chunk" => args.chunk = flags.number("--chunk", "chunk size", 16..)?,
+            "--out" => args.out = flags.value("--out")?,
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
     Ok(args)
 }
+
+const USAGE: &str = "usage: trace-bench [--commands N] [--chunk BYTES] [--out FILE]";
 
 /// Deterministic PCG-style generator: the same seed always produces the
 /// same trace, so runs are reproducible bit for bit.
@@ -175,16 +163,7 @@ fn peak_rss_kb() -> u64 {
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}");
-            }
-            eprintln!("usage: trace-bench [--commands N] [--chunk BYTES] [--out FILE]");
-            std::process::exit(i32::from(!msg.is_empty()));
-        }
-    };
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
 
     let server = serve(
         "127.0.0.1:0",

@@ -502,29 +502,15 @@ impl ModelCache {
     ///
     /// Returns [`ModelError`] if the description fails validation.
     pub fn get_or_build(&self, desc: &DramDescription) -> Result<Arc<Dram>, ModelError> {
-        self.get_or_build_traced(desc).map(|(model, _)| model)
-    }
-
-    /// Like [`ModelCache::get_or_build`], but also reports whether the
-    /// lookup was a cache hit (`true`) or had to build (`false`).
-    ///
-    /// This is the per-call hook a serving front end needs to attribute
-    /// cache activity to individual requests — the aggregate
-    /// [`ModelCache::stats`] counters cannot distinguish concurrent
-    /// callers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError`] if the description fails validation.
-    pub fn get_or_build_traced(
-        &self,
-        desc: &DramDescription,
-    ) -> Result<(Arc<Dram>, bool), ModelError> {
         self.get_or_build_keyed(content_key(desc), desc)
+            .map(|(model, _)| model)
     }
 
-    /// [`ModelCache::get_or_build_traced`] under a key the caller already
-    /// holds, such as a named preset's, so a hit hashes nothing.
+    /// [`ModelCache::get_or_build`] under a key the caller already holds,
+    /// such as a named preset's, so a hit hashes nothing; also reports
+    /// whether the lookup was a cache hit (`true`) or had to build
+    /// (`false`), which the aggregate [`ModelCache::stats`] counters
+    /// cannot attribute to concurrent callers.
     ///
     /// `key` must be `content_key(desc)`; debug builds assert it. Any
     /// other key files the model in the wrong bucket: a later lookup

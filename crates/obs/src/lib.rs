@@ -53,8 +53,8 @@ pub use export::{
 };
 pub use metrics::{bucket_index, bucket_upper_us, Counter, Gauge, Histogram, Metric, Registry, BUCKETS};
 pub use span::{
-    clear, drain, enabled, register_thread, rollup, set_enabled, snapshot, span, ManualSpan,
-    Profile, Rollup, SpanGuard, SpanRecord, ThreadInfo,
+    clear, drain, enabled, register_thread, rollup, rollup_table, set_enabled, snapshot, span,
+    ManualSpan, Profile, Rollup, SpanGuard, SpanRecord, ThreadInfo,
 };
 
 #[cfg(test)]
@@ -180,6 +180,12 @@ mod tests {
         assert_eq!(rolled[1].total_us, 40);
         assert!((rolled[1].mean_us - 20.0).abs() < 1e-12);
         assert_eq!(rolled[1].max_us, 30);
+        assert_eq!(
+            rollup_table(&profile),
+            "span                            count     total ms      mean ms       max ms\n\
+             b                                   1        0.100        0.100        0.100\n\
+             a                                   2        0.040        0.020        0.030\n"
+        );
     }
 
     #[test]

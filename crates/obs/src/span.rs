@@ -379,3 +379,27 @@ pub fn rollup(profile: &Profile) -> Vec<Rollup> {
     by_name.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.name.cmp(&b.name)));
     by_name
 }
+
+/// [`rollup`] as a table: a header line, then one line per span name
+/// with its count and its total, mean and largest duration in ms.
+#[must_use]
+pub fn rollup_table(profile: &Profile) -> String {
+    use fmt::Write as _;
+    let mut table = format!(
+        "{:28} {:>8} {:>12} {:>12} {:>12}\n",
+        "span", "count", "total ms", "mean ms", "max ms"
+    );
+    #[allow(clippy::cast_precision_loss)]
+    for r in rollup(profile) {
+        let _ = writeln!(
+            table,
+            "{:28} {:>8} {:>12.3} {:>12.3} {:>12.3}",
+            r.name,
+            r.count,
+            r.total_us as f64 / 1e3,
+            r.mean_us / 1e3,
+            r.max_us as f64 / 1e3,
+        );
+    }
+    table
+}

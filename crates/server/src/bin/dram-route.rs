@@ -30,10 +30,10 @@
 //! until SIGINT/SIGTERM, then drains in-flight client connections.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use dram_server::{route_serve, LogLevel, RouterConfig};
+use dram_server::{route_serve, wait_for_shutdown_signal, LogLevel, RouterConfig};
+use dram_units::cli::{exit_usage, Flags};
 
 struct Args {
     addr: String,
@@ -50,77 +50,37 @@ fn parse_args() -> Result<Args, String> {
         },
         journal: 16_384,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
+        let config = &mut args.config;
         match a.as_str() {
-            "--addr" => args.addr = value_of("--addr")?,
-            "--node" => args.config.nodes.push(value_of("--node")?),
-            "--replicas" => {
-                let v = value_of("--replicas")?;
-                args.config.replicas = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad replica count `{v}`"))?;
-            }
+            "--addr" => args.addr = flags.value("--addr")?,
+            "--node" => config.nodes.push(flags.value("--node")?),
+            "--replicas" => config.replicas = flags.number("--replicas", "replica count", 1..)?,
             "--probe-ms" => {
-                let v = value_of("--probe-ms")?;
-                args.config.probe_interval = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&ms| ms >= 1)
-                    .map(Duration::from_millis)
-                    .ok_or_else(|| format!("bad probe interval `{v}`"))?;
+                let ms = flags.number("--probe-ms", "probe interval", 1..)?;
+                config.probe_interval = Duration::from_millis(ms);
             }
             "--down-after" => {
-                let v = value_of("--down-after")?;
-                args.config.down_after = v
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad down-after threshold `{v}`"))?;
+                config.down_after = flags.number("--down-after", "down-after threshold", 1..)?;
             }
             "--retries" => {
-                let v = value_of("--retries")?;
-                args.config.retry.max_attempts = v
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad attempt budget `{v}`"))?;
+                config.retry.max_attempts = flags.number("--retries", "attempt budget", 1..)?;
             }
-            "--retry-seed" => {
-                let v = value_of("--retry-seed")?;
-                args.config.retry_seed =
-                    v.parse().map_err(|_| format!("bad retry seed `{v}`"))?;
-            }
+            "--retry-seed" => config.retry_seed = flags.number("--retry-seed", "retry seed", ..)?,
             "--hedge-ms" => {
-                let v = value_of("--hedge-ms")?;
-                args.config.hedge_after = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&ms| ms >= 1)
-                        .map(Duration::from_millis)
-                        .ok_or_else(|| format!("bad hedge threshold `{v}`"))?,
-                );
+                let ms = flags.number("--hedge-ms", "hedge threshold", 1..)?;
+                config.hedge_after = Some(Duration::from_millis(ms));
             }
             "--scrape-ms" => {
-                let v = value_of("--scrape-ms")?;
-                args.config.scrape_timeout = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&ms| ms >= 1)
-                    .map(Duration::from_millis)
-                    .ok_or_else(|| format!("bad scrape timeout `{v}`"))?;
+                let ms = flags.number("--scrape-ms", "scrape timeout", 1..)?;
+                config.scrape_timeout = Duration::from_millis(ms);
             }
-            "--random" => args.config.random_routing = true,
-            "--journal" => {
-                let v = value_of("--journal")?;
-                args.journal = v.parse().map_err(|_| format!("bad journal size `{v}`"))?;
-            }
+            "--random" => config.random_routing = true,
+            "--journal" => args.journal = flags.number("--journal", "journal size", ..)?,
             "--log" => {
-                let v = value_of("--log")?;
-                args.config.log = LogLevel::parse(&v)
+                let v = flags.value("--log")?;
+                config.log = LogLevel::parse(&v)
                     .ok_or_else(|| format!("bad log level `{v}` (off|error|info|debug)"))?;
             }
             "--help" | "-h" => return Err(String::new()),
@@ -133,9 +93,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn usage() {
-    eprintln!(
-        "dram-route — consistent-hash shard router for dram-serve pools\n\n\
+const USAGE: &str = "dram-route — consistent-hash shard router for dram-serve pools\n\n\
          usage:\n  dram-route --node HOST:PORT [--node HOST:PORT ...]\n\
              [--addr HOST:PORT] [--replicas N] [--probe-ms MS] [--down-after N]\n\
              [--retries N] [--retry-seed N] [--hedge-ms MS] [--scrape-ms MS]\n\
@@ -148,64 +106,10 @@ fn usage() {
          \x20         fail over to ring successors and re-absorb their slice on return\n\
          metrics:  GET /metrics federates the pool (per-node health, ring ownership,\n\
          \x20         retries/hedges/failovers, backend cache stats; ?format=prometheus)\n\
-         docs:     docs/SHARDING.md"
-    );
-}
-
-/// SIGINT/SIGTERM → a flag the main loop polls (same inline-libc shape
-/// as `dram-serve`: no external crates, async-signal-safe store).
-#[cfg(unix)]
-mod signals {
-    use super::{AtomicBool, Ordering};
-
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    extern "C" fn on_signal(_signum: i32) {
-        REQUESTED.store(true, Ordering::Relaxed);
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn requested() -> bool {
-        REQUESTED.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub fn install() {}
-
-    pub fn requested() -> bool {
-        false
-    }
-}
+         docs:     docs/SHARDING.md";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            usage();
-            return if msg.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
-    };
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
 
     dram_obs::journal::configure(args.journal);
 
@@ -232,10 +136,7 @@ fn main() -> ExitCode {
         log.label(),
     );
 
-    signals::install();
-    while !signals::requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_for_shutdown_signal();
 
     println!("dram-route: shutdown requested, draining client connections");
     let proxied = handle.shutdown();

@@ -31,10 +31,10 @@
 //! e.g. `seed=7;engine.worker=panic:p=0.05;http.read=delay:ms=40:p=0.2`.
 
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use dram_server::{serve, Limits, LogLevel, ServerConfig};
+use dram_server::{serve, wait_for_shutdown_signal, Limits, LogLevel, ServerConfig};
+use dram_units::cli::{exit_usage, Flags};
 
 struct Args {
     addr: String,
@@ -55,85 +55,42 @@ fn parse_args() -> Result<Args, String> {
         journal: 16_384,
         faults: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
+        let config = &mut args.config;
         match a.as_str() {
-            "--addr" => args.addr = value_of("--addr")?,
-            "--threads" => {
-                let v = value_of("--threads")?;
-                args.config.threads = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad thread count `{v}`"))?;
-            }
-            "--queue" => {
-                let v = value_of("--queue")?;
-                args.config.queue_depth = v
-                    .parse()
-                    .map_err(|_| format!("bad queue depth `{v}`"))?;
-            }
+            "--addr" => args.addr = flags.value("--addr")?,
+            "--threads" => config.threads = flags.number("--threads", "thread count", 1..)?,
+            "--queue" => config.queue_depth = flags.number("--queue", "queue depth", ..)?,
             "--max-body" => {
-                let v = value_of("--max-body")?;
-                args.config.limits.max_body = v
-                    .parse()
-                    .map_err(|_| format!("bad body limit `{v}`"))?;
+                config.limits.max_body = flags.number("--max-body", "body limit", ..)?;
             }
             "--deadline-ms" => {
-                let v = value_of("--deadline-ms")?;
-                args.config.limits.request_deadline = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&ms| ms >= 1)
-                    .map(Duration::from_millis)
-                    .ok_or_else(|| format!("bad request deadline `{v}`"))?;
+                let ms = flags.number("--deadline-ms", "request deadline", 1..)?;
+                config.limits.request_deadline = Duration::from_millis(ms);
             }
             "--idle-ms" => {
-                let v = value_of("--idle-ms")?;
-                args.config.idle_timeout = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&ms| ms >= 1)
-                    .map(Duration::from_millis)
-                    .ok_or_else(|| format!("bad idle timeout `{v}`"))?;
+                let ms = flags.number("--idle-ms", "idle timeout", 1..)?;
+                config.idle_timeout = Duration::from_millis(ms);
             }
             "--max-requests" => {
-                let v = value_of("--max-requests")?;
-                args.config.max_requests_per_conn = v
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| format!("bad per-connection request cap `{v}`"))?;
+                config.max_requests_per_conn =
+                    flags.number("--max-requests", "per-connection request cap", 1..)?;
             }
             "--log" => {
-                let v = value_of("--log")?;
-                args.config.log = LogLevel::parse(&v)
+                let v = flags.value("--log")?;
+                config.log = LogLevel::parse(&v)
                     .ok_or_else(|| format!("bad log level `{v}` (off|error|info|debug)"))?;
             }
-            "--profile" => args.profile = Some(value_of("--profile")?),
-            "--journal" => {
-                let v = value_of("--journal")?;
-                args.journal = v
-                    .parse()
-                    .map_err(|_| format!("bad journal size `{v}`"))?;
-            }
+            "--profile" => args.profile = Some(flags.value("--profile")?),
+            "--journal" => args.journal = flags.number("--journal", "journal size", ..)?,
             "--shed-at" => {
-                let v = value_of("--shed-at")?;
-                args.config.shed_at = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad shed watermark `{v}`"))?,
-                );
+                config.shed_at = Some(flags.number("--shed-at", "shed watermark", 1..)?);
             }
             "--faults" => {
-                let v = value_of("--faults")?;
-                args.faults = Some(
-                    dram_faults::Plan::parse(&v).map_err(|e| format!("bad fault spec: {e}"))?,
-                );
+                let v = flags.value("--faults")?;
+                args.faults =
+                    Some(dram_faults::Plan::parse(&v).map_err(|e| format!("bad fault spec: {e}"))?);
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
@@ -152,9 +109,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn usage() {
-    eprintln!(
-        "dram-serve — HTTP/JSON evaluation service for the DRAM energy model\n\n\
+const USAGE: &str = "dram-serve — HTTP/JSON evaluation service for the DRAM energy model\n\n\
          usage:\n  dram-serve [--addr HOST:PORT] [--threads N] [--queue N] [--max-body BYTES]\n\
              [--deadline-ms MS] [--idle-ms MS] [--max-requests N]\n\
              [--log off|error|info|debug] [--profile FILE] [--journal N]\n\
@@ -172,65 +127,10 @@ fn usage() {
          \x20         deterministic fault plan, e.g. `seed=7;engine.worker=panic:p=0.05`\n\
          \x20         (see docs/RESILIENCE.md)\n\
          endpoints: GET /healthz, GET /v1/presets, POST /v1/evaluate, POST /v1/batch,\n\
-         POST /v1/pattern, POST /v1/sweep, GET /metrics, GET /debug/* (docs/SERVER.md)"
-    );
-}
-
-/// SIGINT/SIGTERM → a flag the main loop polls. Registered through the
-/// libc `signal` entry point declared inline: the workspace links no
-/// external crates, and storing a relaxed atomic is async-signal-safe.
-#[cfg(unix)]
-mod signals {
-    use super::{AtomicBool, Ordering};
-
-    pub static REQUESTED: AtomicBool = AtomicBool::new(false);
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    extern "C" fn on_signal(_signum: i32) {
-        REQUESTED.store(true, Ordering::Relaxed);
-    }
-
-    pub fn install() {
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, on_signal);
-            signal(SIGTERM, on_signal);
-        }
-    }
-
-    pub fn requested() -> bool {
-        REQUESTED.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(not(unix))]
-mod signals {
-    pub fn install() {}
-
-    pub fn requested() -> bool {
-        false
-    }
-}
+         POST /v1/pattern, POST /v1/sweep, GET /metrics, GET /debug/* (docs/SERVER.md)";
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            usage();
-            return if msg.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
-    };
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
 
     if args.profile.is_some() {
         dram_obs::set_enabled(true);
@@ -265,10 +165,7 @@ fn main() -> ExitCode {
         args.config.log.label()
     );
 
-    signals::install();
-    while !signals::requested() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_for_shutdown_signal();
 
     println!("dram-serve: shutdown requested, draining in-flight requests");
     let served = handle.shutdown();

@@ -139,12 +139,14 @@ impl Head {
     /// default, as on the request side.
     #[must_use]
     pub fn keep_alive(&self) -> bool {
-        let has = |token| {
-            self.headers
-                .iter()
-                .any(|(n, v)| n == "connection" && http::header_has_token(v, token))
-        };
-        !has("close") && (self.http11 || has("keep-alive"))
+        http::keeps_alive(
+            |token| {
+                self.headers
+                    .iter()
+                    .any(|(n, v)| n == "connection" && http::header_has_token(v, token))
+            },
+            self.http11,
+        )
     }
 }
 

@@ -109,11 +109,11 @@ impl Request {
     /// either token falls back to the HTTP-version default.
     #[must_use]
     pub fn wants_keep_alive(&self) -> bool {
-        match self.headers.get("connection") {
-            Some(v) if header_has_token(v, "close") => false,
-            Some(v) if header_has_token(v, "keep-alive") => true,
-            _ => self.http11,
-        }
+        let connection = self.headers.get("connection");
+        keeps_alive(
+            |token| connection.is_some_and(|v| header_has_token(v, token)),
+            self.http11,
+        )
     }
 
     /// Whether the client declared `Expect: 100-continue` and is holding
@@ -124,6 +124,15 @@ impl Request {
             .get("expect")
             .is_some_and(|v| header_has_token(v, "100-continue"))
     }
+}
+
+/// Whether a connection persists past a message (RFC 9112 §9.3), given
+/// whether its `Connection` field lists a token: `close` wins over
+/// `keep-alive` if a confused peer sends both, and the absence of either
+/// token falls back to the HTTP-version default (1.1 persists).
+#[must_use]
+pub fn keeps_alive(connection_has: impl Fn(&str) -> bool, http11: bool) -> bool {
+    !connection_has("close") && (http11 || connection_has("keep-alive"))
 }
 
 /// Whether a comma-separated header value contains `token`, compared
@@ -1042,14 +1051,6 @@ impl Response {
             }
         }
         write_within(stream, &bytes, io_timeout)
-    }
-
-    /// Best-effort send with the default `io_timeout`; failures are
-    /// swallowed (the peer may already be gone, and the connection
-    /// closes either way). Prefer [`Response::send_within`] where the
-    /// caller has [`Limits`] and wants to observe the outcome.
-    pub fn send(&self, stream: &mut TcpStream) {
-        let _ = self.send_within(stream, Limits::default().io_timeout);
     }
 }
 

@@ -79,6 +79,7 @@ mod metrics_shape;
 
 pub use http::{Limits, ReadError, Request, Response};
 pub use metrics::{Metrics, RequestRecord, Route, SlowSample};
+pub use reactor::wait_for_shutdown_signal;
 pub use retry::{RetryPolicy, RetrySchedule};
 pub use ring::Ring;
 pub use router::{route_serve, RouterConfig, RouterHandle};

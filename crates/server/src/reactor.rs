@@ -1,13 +1,14 @@
-//! Minimal `epoll`, `eventfd` and `poll` bindings for the connection
-//! reactor and its workers.
+//! Minimal `epoll`, `eventfd`, `poll` and `signal` bindings for the
+//! connection reactor, its workers and the server binaries.
 //!
-//! The workspace builds with an empty registry, so — like the signal
-//! handling in `dram-serve` — the kernel interface is declared directly
-//! with a handful of `extern "C"` prototypes instead of pulling in
-//! `libc`/`mio`. Only the slice the front end needs is bound: an epoll
-//! instance whose one-shot registrations any thread may re-arm, an
-//! `eventfd` that is either a plain signal or a semaphore, and `poll(2)`
-//! so a thread can wait on a socket and an eventfd at once.
+//! The workspace builds with an empty registry, so the kernel interface
+//! is declared directly with a handful of `extern "C"` prototypes
+//! instead of pulling in `libc`/`mio`. Only the slice the front end
+//! needs is bound: an epoll instance whose one-shot registrations any
+//! thread may re-arm, an `eventfd` that is either a plain signal or a
+//! semaphore, `poll(2)` so a thread can wait on a socket and an eventfd
+//! at once, and the SIGINT/SIGTERM wait `dram-serve` and `dram-route`
+//! drain on.
 //!
 //! Safety lives entirely in this module: the wrappers own their file
 //! descriptors (closed on drop), `epoll_wait` and `poll` write only into
@@ -15,6 +16,7 @@
 //! loop in `server.rs` never touches a raw pointer.
 
 use std::io;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Readable event bit, re-exported for the event loop.
@@ -109,6 +111,7 @@ extern "C" {
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     fn close(fd: i32) -> i32;
+    fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
 }
 
 /// A kernel timeout argument in whole milliseconds, rounded up so a
@@ -317,6 +320,29 @@ impl Drop for EventFd {
     fn drop(&mut self) {
         // SAFETY: we own the fd and drop it exactly once.
         unsafe { close(self.fd) };
+    }
+}
+
+/// Set by [`on_signal`]; read by [`wait_for_shutdown_signal`].
+static SHUTDOWN_REQUESTED: AtomicBool = AtomicBool::new(false);
+
+extern "C" fn on_signal(_signum: i32) {
+    SHUTDOWN_REQUESTED.store(true, Ordering::Relaxed);
+}
+
+/// Blocks until the process receives SIGINT or SIGTERM, looking every
+/// 50 ms at the flag the handler sets: a server binary's cue to drain.
+pub fn wait_for_shutdown_signal() {
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    // SAFETY: both are valid signal numbers, and the handler only
+    // stores to an atomic, which is async-signal-safe.
+    unsafe {
+        signal(SIGINT, on_signal);
+        signal(SIGTERM, on_signal);
+    }
+    while !SHUTDOWN_REQUESTED.load(Ordering::Relaxed) {
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 

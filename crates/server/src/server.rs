@@ -1123,7 +1123,7 @@ fn serve_buffered(ex: &mut Exchange<'_>, req: &http::Request, leftover: Vec<u8>)
 /// handler pulls decoded chunks through the trace decoder as they
 /// arrive, so the body is never buffered whole. The route counts as
 /// expensive for load shedding (it holds its worker for the entire
-/// upload) and the handler runs under the same `catch_unwind` as the
+/// upload) and the handler runs under the same [`guarded`] as the
 /// buffered path.
 fn serve_trace_stream(
     ex: &mut Exchange<'_>,
@@ -1131,32 +1131,9 @@ fn serve_trace_stream(
     body: &mut http::ChunkedBody,
 ) -> Verdict {
     let route = Route::Trace;
-    let shared = ex.shared;
-    let (response, cache) = if let Some(response) = shed_response(shared, route) {
-        (response, CacheActivity::default())
-    } else {
-        let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _s = dram_obs::span("server.trace_stream").arg("id", ex.id);
-            api::handle_trace_stream(req, ex.stream, body)
-        }));
-        match handled {
-            Ok(result) => result,
-            Err(payload) => {
-                shared.metrics.worker_panics.inc();
-                let message = dram_core::batch::panic_message(payload.as_ref());
-                if let Some(line) = shared.logger.line(LogLevel::Error, "handler_panicked") {
-                    line.field("id", ex.id)
-                        .field("route", route.label())
-                        .field("panic", &message)
-                        .emit();
-                }
-                (
-                    Response::error(500, "internal error: request handler panicked"),
-                    CacheActivity::default(),
-                )
-            }
-        }
-    };
+    let (response, cache) = guarded(ex.shared, ex.id, route, "server.trace_stream", || {
+        api::handle_trace_stream(req, ex.stream, body)
+    });
     let keep = ex.keep_decision(req, response.status);
     let failed = response.status >= 400;
     // Kept alive, the stream was fully consumed: anything past the
@@ -1187,18 +1164,8 @@ fn drain_after_error(stream: &mut TcpStream) {
     }
 }
 
-/// Routes one parsed request: the load-shedding check first, then the
-/// API handler under `catch_unwind`.
-///
-/// Shedding: when a watermark is configured and the queue is at or above
-/// it, expensive routes are answered 503 with the adaptive `Retry-After`
-/// instead of handled — cheap routes still get through, so health checks
-/// and metrics scrapes keep working while a backlog clears.
-///
-/// Panic isolation: a panicking handler answers 500 (carrying
-/// `x-request-id` like every response) instead of unwinding through the
-/// worker; the panic is counted in `worker_panics_total` and logged with
-/// its message.
+/// Routes one parsed request: `/debug/*` to its loopback-gated router,
+/// every other route to the API handler under [`guarded`].
 fn handle_request(ex: &Exchange<'_>, req: &http::Request) -> (Route, Response, CacheActivity) {
     let shared = ex.shared;
     let route = Route::classify(req.method.as_str(), req.path.as_str());
@@ -1210,31 +1177,53 @@ fn handle_request(ex: &Exchange<'_>, req: &http::Request) -> (Route, Response, C
         let response = crate::debug::handle(req, Some(ex.peer), &shared.conns);
         return (route, response, CacheActivity::default());
     }
+    let (response, cache) = guarded(shared, ex.id, route, "server.handle", || {
+        let (_, response, cache) = api::handle(req, &shared.metrics);
+        (response, cache)
+    });
+    (route, response, cache)
+}
+
+/// Runs the handler of request `id` on `route` inside span `span`: the
+/// load-shedding check first, then the handler under `catch_unwind`.
+///
+/// Shedding: when a watermark is configured and the queue is at or above
+/// it, expensive routes are answered 503 with the adaptive `Retry-After`
+/// instead of handled — cheap routes still get through, so health checks
+/// and metrics scrapes keep working while a backlog clears.
+///
+/// Panic isolation: a panicking handler answers 500 (carrying
+/// `x-request-id` like every response) instead of unwinding through the
+/// worker; the panic is counted in `worker_panics_total` and logged with
+/// its message.
+fn guarded(
+    shared: &Shared,
+    id: RequestId,
+    route: Route,
+    span: &'static str,
+    handler: impl FnOnce() -> (Response, CacheActivity),
+) -> (Response, CacheActivity) {
     if let Some(response) = shed_response(shared, route) {
-        return (route, response, CacheActivity::default());
+        return (response, CacheActivity::default());
     }
     let handled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _s = dram_obs::span("server.handle").arg("id", ex.id);
-        api::handle(req, &shared.metrics)
+        let _s = dram_obs::span(span).arg("id", id);
+        handler()
     }));
-    match handled {
-        Ok(result) => result,
-        Err(payload) => {
-            shared.metrics.worker_panics.inc();
-            let message = dram_core::batch::panic_message(payload.as_ref());
-            if let Some(line) = shared.logger.line(LogLevel::Error, "handler_panicked") {
-                line.field("id", ex.id)
-                    .field("route", route.label())
-                    .field("panic", &message)
-                    .emit();
-            }
-            (
-                route,
-                Response::error(500, "internal error: request handler panicked"),
-                CacheActivity::default(),
-            )
+    handled.unwrap_or_else(|payload| {
+        shared.metrics.worker_panics.inc();
+        let message = dram_core::batch::panic_message(payload.as_ref());
+        if let Some(line) = shared.logger.line(LogLevel::Error, "handler_panicked") {
+            line.field("id", id)
+                .field("route", route.label())
+                .field("panic", &message)
+                .emit();
         }
-    }
+        (
+            Response::error(500, "internal error: request handler panicked"),
+            CacheActivity::default(),
+        )
+    })
 }
 
 /// The load-shedding check: when a watermark is configured and the

@@ -268,6 +268,34 @@ fn trace_errors_carry_kind_and_line_over_the_wire() {
     server.shutdown();
 }
 
+/// A command at cycle `u64::MAX`, or an exit whose latency would carry
+/// billing past it, is a `syntax` 400 at its own line, buffered or
+/// chunked: neither wraps the fold's cycle count nor panics the handler.
+#[test]
+fn billing_past_the_last_cycle_is_refused_at_its_line() {
+    let server = start(1);
+    let addr = server.local_addr();
+    for (payload, line, error) in [
+        (
+            &b"!preset ddr3_1g_x16_55nm\n0 act 0\n18446744073709551615 pre 0\n"[..],
+            3,
+            "line 3: pre at cycle 18446744073709551615 passes the last billable cycle, \
+             18446744073709551614",
+        ),
+        (
+            b"!preset ddr3_1g_x16_55nm\n!policy 16 18446744073709551615\n0 pde\n100 pdx\n",
+            4,
+            "line 4: pdx at cycle 100 plus 18446744073709551615 exit cycles passes the \
+             last billable cycle, 18446744073709551614",
+        ),
+    ] {
+        let want = format!(r#"{{"error":"{error}","kind":"syntax","line":{line}}}"#);
+        assert_eq!(buffered(addr, "/v1/trace", payload), (400, want.clone()));
+        assert_eq!(chunked(addr, "/v1/trace", payload, 7), (400, want));
+    }
+    server.shutdown();
+}
+
 /// An over-long line is `line_too_long` at its own line whether the
 /// body arrives buffered (one decoder chunk) or chunked on the wire.
 #[test]

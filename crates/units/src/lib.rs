@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 mod arith;
+pub mod cli;
 pub mod eng;
 pub mod json;
 pub mod rng;

@@ -783,13 +783,6 @@ impl StreamFold {
         }
     }
 
-    /// The policy in force (directives may have replaced the initial
-    /// one before the first command).
-    #[must_use]
-    pub fn policy(&self) -> PowerDownPolicy {
-        self.policy
-    }
-
     /// Replaces the policy. Only legal before the first command.
     ///
     /// # Errors
@@ -953,14 +946,41 @@ impl StreamFold {
                 format!("exit at cycle {} overlaps the entry command", c.cycle),
             ));
         }
+        let cursor = Self::billed_through(c, exit_latency)?;
         self.bill_sleep_gap(c.cycle - self.cursor);
         self.sleep = None;
         // The exit command cycle and the wake latency run with the
         // clock tree restarting: billed at the awake state.
         let awake = self.awake_state();
-        self.bill(awake, 1 + exit_latency);
-        self.cursor = c.cycle + 1 + exit_latency;
+        self.bill(awake, cursor - c.cycle);
+        self.cursor = cursor;
         Ok(())
+    }
+
+    /// The cursor once `c` has billed its own cycle and `latency` exit
+    /// cycles after it. The cursor is the first unbilled cycle, so the
+    /// last billable cycle is `u64::MAX - 1`; a command that would bill
+    /// past it is a [`TraceErrorKind::Syntax`] error.
+    fn billed_through(c: TraceCommand, latency: u64) -> Result<u64, TraceError> {
+        c.cycle
+            .checked_add(1)
+            .and_then(|end| end.checked_add(latency))
+            .ok_or_else(|| {
+                let exit = if latency > 0 {
+                    format!(" plus {latency} exit cycles")
+                } else {
+                    String::new()
+                };
+                TraceError::new(
+                    TraceErrorKind::Syntax,
+                    format!(
+                        "{} at cycle {}{exit} passes the last billable cycle, {}",
+                        c.command.mnemonic(),
+                        c.cycle,
+                        u64::MAX - 1
+                    ),
+                )
+            })
     }
 
     fn push_awake(&mut self, c: TraceCommand) -> Result<(), TraceError> {
@@ -978,10 +998,11 @@ impl StreamFold {
                 ));
             }
         } else {
+            let cursor = Self::billed_through(c, 0)?;
             self.bill_awake_gap(c.cycle - self.cursor);
             let awake = self.awake_state();
             self.bill(awake, 1);
-            self.cursor = c.cycle + 1;
+            self.cursor = cursor;
         }
         match c.command {
             Command::Activate => {
@@ -1502,6 +1523,55 @@ mod tests {
         fold.push(cmd(90, Command::Activate)).expect("ok");
         let err = fold.finish(Some(10)).unwrap_err();
         assert_eq!(err.kind, TraceErrorKind::TraceTooShort);
+    }
+
+    /// The last billable cycle is `u64::MAX - 1`: a command there is
+    /// billed, and a command or an exit latency that would bill past it
+    /// is refused as `syntax` instead of wrapping the cursor.
+    #[test]
+    fn billing_past_the_last_cycle_is_refused() {
+        let dram = model();
+        let cmd = |cycle, command| TraceCommand {
+            cycle,
+            bank: 0,
+            command,
+        };
+        let mut fold = StreamFold::new(&dram, PowerDownPolicy::NEVER);
+        fold.push(cmd(0, Command::Activate)).expect("ok");
+        fold.push(cmd(u64::MAX - 1, Command::Precharge))
+            .expect("the last billable cycle");
+        let report = fold.finish(None).expect("ends at u64::MAX");
+        assert_eq!(report.states.cycles.iter().sum::<u64>(), u64::MAX);
+
+        let mut fold = StreamFold::new(&dram, PowerDownPolicy::NEVER);
+        fold.push(cmd(0, Command::Activate)).expect("ok");
+        let err = fold.push(cmd(u64::MAX, Command::Precharge)).unwrap_err();
+        assert_eq!(err.kind, TraceErrorKind::Syntax);
+        assert_eq!(
+            err.message,
+            "pre at cycle 18446744073709551615 passes the last billable cycle, \
+             18446744073709551614"
+        );
+
+        let sleepy = |exit_latency_cycles| PowerDownPolicy {
+            exit_latency_cycles,
+            ..PowerDownPolicy::NEVER
+        };
+        let mut fold = StreamFold::new(&dram, sleepy(u64::MAX - 101));
+        fold.push(cmd(0, Command::PowerDownEnter)).expect("ok");
+        fold.push(cmd(100, Command::PowerDownExit))
+            .expect("the exit latency ends at the last billable cycle");
+        let report = fold.finish(None).expect("ends at u64::MAX");
+        assert_eq!(report.states.cycles.iter().sum::<u64>(), u64::MAX);
+        let mut fold = StreamFold::new(&dram, sleepy(u64::MAX));
+        fold.push(cmd(0, Command::PowerDownEnter)).expect("ok");
+        let err = fold.push(cmd(100, Command::PowerDownExit)).unwrap_err();
+        assert_eq!(err.kind, TraceErrorKind::Syntax);
+        assert_eq!(
+            err.message,
+            "pdx at cycle 100 plus 18446744073709551615 exit cycles passes the last \
+             billable cycle, 18446744073709551614"
+        );
     }
 
     /// Every field of a report, as bits: equal vectors mean bit-identical

@@ -16,6 +16,7 @@ use dram_energy::model::content_key;
 use dram_energy::model::timing::{InitialBankState, TimingChecker};
 use dram_energy::scaling::{presets, TechNode};
 use dram_energy::server::presets as named;
+use dram_energy::units::cli::Flags;
 use dram_energy::workload::{PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceEvent};
 use dram_energy::workload::{TraceErrorKind, TraceReport};
 use dram_energy::{dsl, Command, Dram, Operation, Pattern};
@@ -36,27 +37,12 @@ fn parse_args() -> Result<Args, String> {
         trace: None,
         breakdown: false,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
+    let mut flags = Flags::from_env();
+    while let Some(a) = flags.next_arg() {
         match a.as_str() {
-            "--pattern" => {
-                args.pattern = Some(
-                    it.next()
-                        .ok_or_else(|| "--pattern needs a value".to_string())?,
-                );
-            }
-            "--preset" => {
-                let nm = it
-                    .next()
-                    .ok_or_else(|| "--preset needs a feature size".to_string())?;
-                args.preset_nm = Some(nm.parse().map_err(|_| format!("bad feature size `{nm}`"))?);
-            }
-            "--trace" => {
-                args.trace = Some(
-                    it.next()
-                        .ok_or_else(|| "--trace needs a file".to_string())?,
-                );
-            }
+            "--pattern" => args.pattern = Some(flags.value("--pattern")?),
+            "--preset" => args.preset_nm = Some(flags.number("--preset", "feature size", ..)?),
+            "--trace" => args.trace = Some(flags.value("--trace")?),
             "--breakdown" => args.breakdown = true,
             "--help" | "-h" => return Err(String::new()),
             other if args.input.is_none() && !other.starts_with('-') => {
@@ -196,8 +182,9 @@ fn run(args: &Args) -> Result<(), String> {
 }
 
 /// Prices the trace file at `path` on `dram` as `/v1/trace` does, in
-/// fixed-size reads through one [`TraceDecoder`] into a [`StreamFold`],
-/// after checking each command's bank timing: O(1) memory in the trace.
+/// fixed-size reads through one [`TraceDecoder`] into a [`StreamFold`]
+/// built at the first command line, after checking each command's bank
+/// timing: O(1) memory in the trace.
 fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
     let desc = dram.description();
     let key = content_key(desc);
@@ -208,22 +195,31 @@ fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
         desc.timing.tccd_cycles,
         InitialBankState::AllClosed,
     );
-    let mut fold = StreamFold::new(dram, PowerDownPolicy::NEVER);
+    let mut policy = PowerDownPolicy::NEVER;
+    let mut fold = None;
     let mut length = None;
     let mut sink = |event: TraceEvent| match event {
-        TraceEvent::Command(c) if c.command == Command::Nop => Ok(()),
         TraceEvent::Command(c) => {
-            checker
-                .check(c.cycle, c.bank, c.command)
-                .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
+            let fold = fold.get_or_insert_with(|| StreamFold::new(dram, policy));
+            if c.command != Command::Nop {
+                checker
+                    .check(c.cycle, c.bank, c.command)
+                    .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
+            }
             fold.push(c)
         }
-        TraceEvent::Policy(policy) => fold.set_policy(policy),
+        TraceEvent::Policy(p) => match fold.as_mut() {
+            Some(fold) => fold.set_policy(p),
+            None => {
+                policy = p;
+                Ok(())
+            }
+        },
         TraceEvent::Length(cycles) => {
             length = Some(cycles);
             Ok(())
         }
-        TraceEvent::Preset(_) if fold.commands() > 0 => Err(TraceError::new(
+        TraceEvent::Preset(_) if fold.is_some() => Err(TraceError::new(
             TraceErrorKind::BadTransition,
             "!preset must precede the first command",
         )),
@@ -246,6 +242,12 @@ fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
         }
     }
     decoder.finish(&mut sink).map_err(fail)?;
+    let fold = fold.ok_or_else(|| {
+        fail(TraceError::new(
+            TraceErrorKind::Syntax,
+            "trace contains no commands",
+        ))
+    })?;
     let commands = fold.commands();
     fold.finish(length)
         .map(|report| (commands, report))

@@ -1,8 +1,9 @@
 //! `dram-power --trace` end to end: the binary reads the `/v1/trace`
 //! grammar that `write_trace` writes, prices it with the fold `simulate`
 //! runs, and refuses a bank-timing violation, a foreign `!preset`, a late
-//! `!policy` and the retired `cycle bank command` spelling, each with
-//! its line and kind.
+//! `!policy`, the retired `cycle bank command` spelling, a trace without
+//! a command line and a `!preset` after one, each with its line and kind
+//! as `/v1/trace` does.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -74,6 +75,22 @@ fn refused_traces_name_their_line_and_kind() {
             "old-spelling",
             "0 0 act\n",
             &[r#"line 1: unknown command "0" (syntax)"#],
+        ),
+        ("empty", "", &[": trace contains no commands (syntax)"]),
+        (
+            "comment-only",
+            "# no command line\n",
+            &[": trace contains no commands (syntax)"],
+        ),
+        (
+            "preset-only",
+            "!preset ddr3_1g_x16_55nm\n",
+            &[": trace contains no commands (syntax)"],
+        ),
+        (
+            "preset-after-nop",
+            "0 nop\n!preset ddr3_1g_x16_55nm\n0 act 0\n",
+            &["line 2: !preset must precede the first command (bad_transition)"],
         ),
     ] {
         let (out, _) = price(name, text);

@@ -43,11 +43,18 @@ if [[ $fast -eq 0 ]]; then
   refuse dram-power 'bad feature size `x`' --preset x
   refuse repro 'bad thread count `x`' --threads x
   refuse serve-bench 'bad soak connection count `0`' --soak 0
+  refuse serve-bench 'bad request count `0`' --requests 0
   refuse chaos-bench 'bad request count `10` (minimum 50)' --requests 10
   refuse shard-bench 'bad node count `9` (2..=8)' --nodes 9
   refuse trace-bench 'bad chunk size `3`' --chunk 3
   refuse sweep-bench 'bad thread count `0`' --threads 0
   echo "    9 binaries refused --no-such-flag and a bad number, naming each"
+  for bin in dram-serve dram-route dram-power repro serve-bench chaos-bench shard-bench \
+    trace-bench sweep-bench; do
+    help=$(./target/release/"$bin" --help 2>&1) || { echo "    $bin --help exited non-zero"; exit 1; }
+    grep -q 'usage:' <<<"$help" || { echo "    $bin --help printed no usage: $help"; exit 1; }
+  done
+  echo "    9 binaries answered --help with their usage and exit 0"
 
   echo "==> repro all --timing smoke (writes BENCH_repro.json)"
   start=$(date +%s)
@@ -544,7 +551,17 @@ if [[ $fast -eq 0 ]]; then
     || { echo "    routed evaluate -> ${routed:0:12} (want 200)"; exit 1; }
   [[ "${direct#*$'\r\n\r\n'}" == "${routed#*$'\r\n\r\n'}" ]] \
     || { echo "    routed body diverges from the direct node hit"; exit 1; }
-  echo "    routed /v1/evaluate -> 200, byte-identical to the direct node"
+  # The relay rewrites only hop-by-hop fields: the routed head carries the
+  # direct one's status line and fields, apart from the request id.
+  head_fields() { # reply -> status line, then its fields sorted, request id dropped
+    local head=${1%%$'\r\n\r\n'*}
+    head=${head//$'\r'/}
+    sed -n 1p <<<"$head"
+    sed 1d <<<"$head" | grep -v '^x-request-id:' | sort
+  }
+  [[ "$(head_fields "$direct")" == "$(head_fields "$routed")" ]] \
+    || { echo "    routed head diverges from the direct node hit:"; head_fields "$routed"; exit 1; }
+  echo "    routed /v1/evaluate -> 200, byte-identical body and matching head to the direct node"
   kill -9 "${node_pids[0]}"
   # 40 distinct keyless requests: the dead node owned ~a third of these
   # slices, so the survivors must absorb them while every reply stays 200.

@@ -84,7 +84,7 @@ fn parse_args() -> Result<Args, String> {
     let mut flags = Flags::from_env();
     while let Some(a) = flags.next_arg() {
         match a.as_str() {
-            "--requests" => args.requests = flags.number("--requests", "request count", ..)?,
+            "--requests" => args.requests = flags.number("--requests", "request count", 1..)?,
             "--clients" => args.clients = flags.number("--clients", "client count", 1..)?,
             "--threads" => args.threads = flags.number("--threads", "thread count", 1..)?,
             "--out" => args.out = flags.value("--out")?,

@@ -299,9 +299,15 @@ impl Conn {
             self.start = 0;
             self.end = n;
         }
+        Ok(self.take_buffered(remaining))
+    }
+
+    /// Consumes up to `max` buffered bytes without touching the socket:
+    /// the part of a body that arrived with its head.
+    pub(crate) fn take_buffered(&mut self, max: usize) -> &[u8] {
         let from = self.start;
-        self.start += (self.end - from).min(remaining);
-        Ok(&self.buf[from..self.start])
+        self.start += (self.end - from).min(max);
+        &self.buf[from..self.start]
     }
 
     /// Reads one response, head and body.

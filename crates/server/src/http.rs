@@ -1421,6 +1421,231 @@ mod tests {
         }
     }
 
+    /// A request as the parser hands it on, body read to its end.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Parsed {
+        method: String,
+        path: String,
+        query: String,
+        headers: std::collections::BTreeMap<String, String>,
+        body: Vec<u8>,
+        http11: bool,
+    }
+
+    /// Parses `wire` as one request off a loopback connection: the first
+    /// `split` bytes are the carry an earlier read left, the rest arrive
+    /// on the socket, which the peer then shuts.
+    fn parse_split(
+        listener: &std::net::TcpListener,
+        wire: &[u8],
+        split: usize,
+        limits: &Limits,
+    ) -> Result<Parsed, ReadError> {
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        peer.write_all(&wire[split..]).unwrap();
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+        let carry = wire[..split].to_vec();
+        let (request, body) = match read_inbound_after(&mut stream, limits, carry)? {
+            Inbound::Buffered { mut request, .. } => {
+                let body = std::mem::take(&mut request.body);
+                (request, body)
+            }
+            Inbound::Streaming { request, mut body } => {
+                let bytes = body.read_all(&mut stream, limits.max_body)?;
+                (request, bytes)
+            }
+        };
+        Ok(Parsed {
+            method: request.method,
+            path: request.path,
+            query: request.query,
+            headers: request.headers.into_iter().collect(),
+            body,
+            http11: request.http11,
+        })
+    }
+
+    /// A random request for the head fuzzer, and what parsing it gives.
+    struct Generated {
+        wire: Vec<u8>,
+        /// Bytes of the head, its blank line included.
+        head_len: usize,
+        expected: Parsed,
+        /// Where the method sits, and the first `content-length` digits.
+        method: std::ops::Range<usize>,
+        digits: std::ops::Range<usize>,
+        /// Whether the head declares a length or chunked framing.
+        framed: bool,
+    }
+
+    /// A request with a random method, a target with or without a query,
+    /// either version, fields in random letter case and padding (one
+    /// repeated with different values), and no body, a `content-length`
+    /// one (its field now and then repeated) or a chunked one.
+    fn generate(next: &mut dyn FnMut() -> usize) -> Generated {
+        let method = ["GET", "POST", "PUT", "DELETE", "PATCH", "OPTIONS", "QZX"][next() % 7];
+        let path: String = (0..1 + next() % 3)
+            .map(|_| ["/v1", "/evaluate", "/trace", "/x-9", "/a.b"][next() % 5])
+            .collect();
+        let query: Vec<String> = (0..next() % 3)
+            .map(|i| format!("k{i}={}", next() % 1000))
+            .collect();
+        let query = query.join("&");
+        let http11 = !next().is_multiple_of(4);
+        let mut wire = format!("{method} {path}");
+        if !query.is_empty() {
+            wire.push('?');
+            wire.push_str(&query);
+        }
+        wire.push_str(&format!(" HTTP/1.{}\r\n", u8::from(http11)));
+        let mut headers = std::collections::BTreeMap::new();
+        let mut digits = 0..0;
+        let mut field = |name: &str, value: &str, next: &mut dyn FnMut() -> usize| {
+            for c in name.chars() {
+                let upper = c.to_ascii_uppercase();
+                wire.push(if next().is_multiple_of(2) { upper } else { c });
+            }
+            let pad = [" ", "", "  ", "\t"][next() % 4];
+            wire.push(':');
+            wire.push_str(pad);
+            if name == "content-length" && digits.is_empty() {
+                digits = wire.len()..wire.len() + value.len();
+            }
+            for part in [value, pad, "\r\n"] {
+                wire.push_str(part);
+            }
+            // Agreeing lengths collapse; other repeats join in order.
+            headers
+                .entry(name.to_string())
+                .and_modify(|joined: &mut String| {
+                    if name != "content-length" {
+                        joined.push_str(", ");
+                        joined.push_str(value);
+                    }
+                })
+                .or_insert_with(|| value.to_string());
+        };
+        field("host", "dram", next);
+        for i in 0..next() % 3 {
+            field("x-tag", &format!("t{i}"), next);
+        }
+        let framing = next() % 3;
+        let (body, encoded) = match framing {
+            0 => (String::new(), String::new()),
+            1 => {
+                let body: String = (0..next() % 64)
+                    .map(|_| char::from(b'a' + (next() % 26) as u8))
+                    .collect();
+                for _ in 0..1 + next() % 2 {
+                    field("content-length", &body.len().to_string(), next);
+                }
+                (body.clone(), body)
+            }
+            _ => {
+                field("transfer-encoding", "chunked", next);
+                let encoded = "3\r\nabc\r\n5\r\ndefgh\r\n0\r\n\r\n";
+                ("abcdefgh".to_string(), encoded.to_string())
+            }
+        };
+        for i in 0..next() % 4 {
+            field(&format!("x-extra-{i}"), &"v".repeat(next() % 20), next);
+        }
+        wire.push_str("\r\n");
+        let head_len = wire.len();
+        wire.push_str(&encoded);
+        Generated {
+            wire: wire.into_bytes(),
+            head_len,
+            expected: Parsed {
+                method: method.to_string(),
+                path,
+                query,
+                headers,
+                body: body.into_bytes(),
+                http11,
+            },
+            method: 0..method.len(),
+            digits,
+            framed: framing != 0,
+        }
+    }
+
+    /// Seeded fuzz of the request-head parser. The same bytes give the
+    /// same request whatever the read split; a flipped bit gives a
+    /// request or a 400, and a flip that breaks the method or a length
+    /// digit is always a 400; a head past `max_head` is a 431 whether or
+    /// not its blank line has arrived; `content-length` beside chunked
+    /// framing is a 400.
+    #[test]
+    fn fuzz_request_heads_fail_with_typed_errors() {
+        let mut state = 0x5eed_4ead_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let limits = Limits::default();
+        for case in 0..300 {
+            let Generated {
+                wire,
+                head_len,
+                expected,
+                method,
+                digits,
+                framed,
+            } = generate(&mut next);
+
+            // Read splits: the same request wherever the carry ends.
+            for split in [0, wire.len(), next() % (wire.len() + 1)] {
+                let parsed = parse_split(&listener, &wire, split, &limits);
+                assert_eq!(parsed, Ok(expected.clone()), "case {case} split {split}");
+            }
+
+            // One flipped bit in the head.
+            let mut flipped = wire.clone();
+            let at = next() % head_len;
+            flipped[at] ^= 1 << (next() % 8);
+            let broken = (method.contains(&at) && !flipped[at].is_ascii_uppercase())
+                || (digits.contains(&at) && !flipped[at].is_ascii_digit());
+            match parse_split(&listener, &flipped, next() % (wire.len() + 1), &limits) {
+                Ok(_) => assert!(!broken, "case {case}: flip at {at} accepted"),
+                Err(ReadError::Http(HttpError::BadRequest(_))) => {}
+                Err(other) => panic!("case {case}: flip at {at} gave {other:?}"),
+            }
+
+            // Oversize, with and without the blank line.
+            let unterminated = &wire[..head_len - 2];
+            let tight = head_len - 1 - next() % 8;
+            for (bytes, max_head) in [(&wire[..], tight), (unterminated, head_len - 3)] {
+                let split = next() % (bytes.len() + 1);
+                let oversize = parse_split(&listener, bytes, split, &Limits { max_head, ..limits });
+                let want = Err(HttpError::HeadersTooLarge.into());
+                assert_eq!(oversize, want, "case {case} max_head {max_head}");
+            }
+
+            // A length beside chunked framing, in either order.
+            let mut smuggled = unterminated.to_vec();
+            smuggled.extend_from_slice(match next() % 2 {
+                0 => b"Content-Length: 3\r\ntransfer-encoding: Chunked\r\n",
+                _ => b"Transfer-Encoding: chunked\r\ncontent-length: 3\r\n",
+            });
+            smuggled.extend_from_slice(b"\r\n3\r\nabc\r\n0\r\n\r\n");
+            let split = next() % (smuggled.len() + 1);
+            match parse_split(&listener, &smuggled, split, &limits) {
+                Err(ReadError::Http(HttpError::BadRequest(m))) if !framed => {
+                    assert!(m.contains("conflicts with chunked"), "case {case}: {m}");
+                }
+                // Beside the head's own framing a length conflicts or a
+                // coding stacks: a 400 either way.
+                Err(ReadError::Http(HttpError::BadRequest(_))) => {}
+                other => panic!("case {case}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn content_length_values_are_strictly_digits() {
         assert_eq!(parse_content_length("0").unwrap(), 0);

@@ -156,11 +156,11 @@ struct Node {
     /// Up→down transitions observed.
     went_down: Counter,
     /// Idle keep-alive upstream connections.
-    pool: Mutex<Vec<Conn>>,
-    /// Attempts waiting on this node for a response head: a duplicate
-    /// of each one's socket, keyed by its fd (unique while it is open).
+    pool: Mutex<Vec<Link>>,
+    /// Attempts waiting on this node for a response head: each one's
+    /// cut handle, keyed by its fd (unique while it is open).
     /// [`Node::disconnect`] cuts them.
-    waiting: Mutex<HashMap<RawFd, TcpStream>>,
+    waiting: Mutex<HashMap<RawFd, Arc<TcpStream>>>,
 }
 
 impl Node {
@@ -205,19 +205,36 @@ impl Node {
         }
     }
 
-    /// Registers an attempt about to wait on this node until the guard
+    /// Registers an attempt about to wait on `link` until the guard
     /// drops. Refused once the node is down — checked under the lock
     /// [`Node::disconnect`] cuts under, so every attempt is either
     /// refused or cut.
-    fn wait_on(&self, conn: &Conn) -> std::io::Result<InFlight<'_>> {
-        let socket = conn.stream().try_clone()?;
-        let key = socket.as_raw_fd();
+    fn wait_on(&self, link: &Link) -> std::io::Result<InFlight<'_>> {
+        let key = link.cut.as_raw_fd();
         let mut waiting = self.waiting.lock().unwrap_or_else(PoisonError::into_inner);
         if !self.up.load(Ordering::Relaxed) {
             return Err(std::io::ErrorKind::ConnectionAborted.into());
         }
-        waiting.insert(key, socket);
+        waiting.insert(key, Arc::clone(&link.cut));
         Ok(InFlight { node: self, key })
+    }
+}
+
+/// An upstream connection, and the duplicate of its socket that
+/// [`Node::disconnect`] cuts it through: made once, when the connection
+/// opens, and pooled with it.
+struct Link {
+    conn: Conn,
+    cut: Arc<TcpStream>,
+}
+
+impl Link {
+    fn new(stream: TcpStream) -> std::io::Result<Self> {
+        let cut = Arc::new(stream.try_clone()?);
+        Ok(Self {
+            conn: Conn::new(stream),
+            cut,
+        })
     }
 }
 
@@ -230,12 +247,8 @@ struct InFlight<'a> {
 impl Drop for InFlight<'_> {
     fn drop(&mut self) {
         let waiting = &self.node.waiting;
-        let socket = waiting
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(&self.key);
-        // Closes the duplicate outside the lock.
-        drop(socket);
+        let mut waiting = waiting.lock().unwrap_or_else(PoisonError::into_inner);
+        waiting.remove(&self.key);
     }
 }
 
@@ -546,7 +559,7 @@ fn routing_key(request: &Request) -> u64 {
 /// final response head, with its body still on the connection.
 struct Upstream {
     node: usize,
-    conn: Conn,
+    link: Link,
     head: Head,
 }
 
@@ -744,27 +757,28 @@ fn attempt(shared: &Arc<Shared>, target: usize, bytes: &[u8]) -> Result<Upstream
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .pop();
-    if let Some(conn) = pooled {
+    if let Some(link) = pooled {
         // A pooled connection may have been closed by the backend (idle
         // sweep, max-requests budget) after we checked it out; that is
         // not a node failure, so fall through to a fresh connect.
-        if let Ok(upstream) = exchange(node, target, conn, bytes) {
+        if let Ok(upstream) = exchange(node, target, link, bytes) {
             return finish_attempt(shared, upstream);
         }
     }
-    let conn = connect(node, shared.config.limits.io_timeout).map_err(|_| AttemptError::Transport)?;
-    let upstream = exchange(node, target, conn, bytes).map_err(|_| AttemptError::Transport)?;
+    let link =
+        connect(node, shared.config.limits.io_timeout).map_err(|_| AttemptError::Transport)?;
+    let upstream = exchange(node, target, link, bytes).map_err(|_| AttemptError::Transport)?;
     finish_attempt(shared, upstream)
 }
 
 /// A fresh upstream connection: connected within [`CONNECT_TIMEOUT`],
 /// then read and written under `io_timeout` for as long as it is pooled.
-fn connect(node: &Node, io_timeout: Duration) -> std::io::Result<Conn> {
+fn connect(node: &Node, io_timeout: Duration) -> std::io::Result<Link> {
     let stream = TcpStream::connect_timeout(&node.sockaddr, CONNECT_TIMEOUT)?;
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
-    Ok(Conn::new(stream))
+    Link::new(stream)
 }
 
 /// Post-exchange classification: 503 is drained, pooled and surfaced
@@ -775,7 +789,12 @@ fn finish_attempt(shared: &Arc<Shared>, mut upstream: Upstream) -> Result<Upstre
     }
     let hint = upstream.head.retry_after();
     // Drain the 503 body so the connection can go back to the pool.
-    if upstream.conn.read_body(upstream.head.content_length).is_ok() {
+    if upstream
+        .link
+        .conn
+        .read_body(upstream.head.content_length)
+        .is_ok()
+    {
         release(shared, upstream);
     }
     Err(AttemptError::Busy { hint })
@@ -788,22 +807,22 @@ fn finish_attempt(shared: &Arc<Shared>, mut upstream: Upstream) -> Result<Upstre
 fn exchange(
     node: &Node,
     index: usize,
-    mut conn: Conn,
+    mut link: Link,
     bytes: &[u8],
 ) -> Result<Upstream, ClientError> {
-    let _in_flight = node.wait_on(&conn)?;
-    conn.write_all(bytes)?;
+    let _in_flight = node.wait_on(&link)?;
+    link.conn.write_all(bytes)?;
     // The router never forwards `expect`, so an interim head is
     // unsolicited; it has no body, and the final head follows it.
     let head = loop {
-        let head = conn.read_head()?;
+        let head = link.conn.read_head()?;
         if head.status >= 200 {
             break head;
         }
     };
     Ok(Upstream {
         node: index,
-        conn,
+        link,
         head,
     })
 }
@@ -822,37 +841,19 @@ fn relay(
 ) -> Verdict {
     // The front end's keep-alive rule: failures poison their own
     // connection.
-    let status = upstream.head.status;
-    let keep_client = ex.keep_decision(request, status);
-    let mut head = format!("HTTP/1.1 {status} {}\r\n", Response::reason(status));
-    for (name, value) in &upstream.head.headers {
-        if name == "connection" {
-            continue;
-        }
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str(if keep_client {
-        "connection: keep-alive\r\n\r\n"
-    } else {
-        "connection: close\r\n\r\n"
-    });
-
+    let keep_client = ex.keep_decision(request, upstream.head.status);
+    let (first, mut remaining) = first_write(&mut upstream, keep_client);
     let io_timeout = shared.config.limits.io_timeout;
-    if http::write_within(ex.stream, head.as_bytes(), io_timeout).is_err() {
+    if http::write_within(ex.stream, &first, io_timeout).is_err() {
         // The *client* went away; the upstream connection is still
-        // healthy but holds an unread body — drop it rather than desync
-        // the pool.
+        // healthy but may hold an unread body — drop it rather than
+        // desync the pool.
         return Verdict::Close;
     }
 
-    // Relay the body as it arrives: bytes read with the head first,
-    // then the socket.
-    let mut remaining = upstream.head.content_length;
+    // Relay the rest of the body as it arrives.
     while remaining > 0 {
-        let Ok(part) = upstream.conn.read_body_part(remaining) else {
+        let Ok(part) = upstream.link.conn.read_body_part(remaining) else {
             // Upstream died mid-body after bytes were relayed: the one
             // unretryable failure. Poison the client connection.
             shared.metrics.poisoned.inc();
@@ -878,12 +879,49 @@ fn relay(
     }
 }
 
+/// The first write of a relayed reply, and the body bytes still on the
+/// upstream socket after it. The write is the upstream head as the
+/// client gets it — the first `connection` field carries the client's
+/// disposition, later ones go, and one is appended if the upstream sent
+/// none — followed by the body bytes already read with that head. It
+/// reads nothing more: a reply whose body arrived with its head leaves
+/// in one write, and the rest of a longer one streams after it.
+fn first_write(upstream: &mut Upstream, keep_client: bool) -> (Vec<u8>, usize) {
+    let Upstream { link, head, .. } = upstream;
+    let held = link.conn.take_buffered(head.content_length);
+    let status = head.status;
+    let mut out = format!("HTTP/1.1 {status} {}\r\n", Response::reason(status));
+    out.reserve(256 + held.len());
+    let mut connection = Some(if keep_client { "keep-alive" } else { "close" });
+    for (name, value) in &head.headers {
+        let value = if name != "connection" {
+            value.as_str()
+        } else if let Some(disposition) = connection.take() {
+            disposition
+        } else {
+            continue;
+        };
+        for part in [name.as_str(), ": ", value, "\r\n"] {
+            out.push_str(part);
+        }
+    }
+    if let Some(disposition) = connection {
+        for part in ["connection: ", disposition, "\r\n"] {
+            out.push_str(part);
+        }
+    }
+    out.push_str("\r\n");
+    let mut out = out.into_bytes();
+    out.extend_from_slice(held);
+    (out, head.content_length - held.len())
+}
+
 /// Returns a fully read upstream connection to its node's idle pool
 /// when the node keeps it open. One that holds bytes past the response
 /// is dropped: nothing asked for them, so nothing after them can be
 /// trusted.
 fn release(shared: &Arc<Shared>, upstream: Upstream) {
-    if !upstream.head.keep_alive() || !upstream.conn.buffered().is_empty() {
+    if !upstream.head.keep_alive() || !upstream.link.conn.buffered().is_empty() {
         return;
     }
     let mut pool = shared.nodes[upstream.node]
@@ -891,7 +929,7 @@ fn release(shared: &Arc<Shared>, upstream: Upstream) {
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     if pool.len() < POOL_PER_NODE {
-        pool.push(upstream.conn);
+        pool.push(upstream.link);
     }
 }
 
@@ -1227,6 +1265,84 @@ mod tests {
                 http11: true,
             };
             assert_eq!(routing_key(&request), key, "{name}");
+        }
+    }
+
+    /// The bytes a relay hands the client socket first. A reply whose
+    /// body arrived with its head is one buffer: the upstream response
+    /// with its `connection` field carrying the client's disposition, and
+    /// nothing left on the upstream socket. A reply with part of its body
+    /// still to come sends what arrived and owes the rest; a head without
+    /// a `connection` field gets one last.
+    #[test]
+    fn a_reply_read_with_its_head_is_one_buffer() {
+        use std::io::Read as _;
+        use std::net::TcpListener;
+
+        const HEAD: &str = "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                            content-length: 11\r\nconnection: keep-alive\r\n\
+                            x-request-id: 24\r\n\r\n";
+        const BODY: &str = "{\"ok\":true}";
+        let bare = HEAD.replace("connection: keep-alive\r\n", "");
+        // (upstream bytes, bytes the upstream has sent when its head is
+        // read, keep the client, the first write, body bytes owed)
+        let whole = format!("{HEAD}{BODY}");
+        let cases = [
+            (whole.clone(), whole.len(), true, whole.clone(), 0),
+            (
+                whole.clone(),
+                whole.len(),
+                false,
+                whole.replace("keep-alive", "close"),
+                0,
+            ),
+            (
+                whole.clone(),
+                HEAD.len() + 4,
+                true,
+                whole[..HEAD.len() + 4].to_string(),
+                7,
+            ),
+            (
+                format!("{bare}{BODY}"),
+                bare.len() + 11,
+                true,
+                {
+                    let fields = bare.trim_end_matches("\r\n");
+                    format!("{fields}\r\nconnection: keep-alive\r\n\r\n{BODY}")
+                },
+                0,
+            ),
+        ];
+        for (wire, sent, keep_client, want, owed) in cases {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind upstream");
+            let addr = listener.local_addr().expect("addr");
+            let upstream = std::thread::spawn(move || {
+                let (mut peer, _) = listener.accept().expect("accept");
+                peer.write_all(&wire.as_bytes()[..sent]).expect("send");
+                (peer, wire)
+            });
+            let mut link = Link::new(TcpStream::connect(addr).expect("connect")).expect("link");
+            // Every byte the upstream sends is on the socket before the
+            // relay reads the head.
+            let (mut peer, wire) = upstream.join().expect("upstream");
+            let head = link.conn.read_head().expect("head");
+            let mut upstream = Upstream {
+                node: 0,
+                link,
+                head,
+            };
+            let (first, remaining) = first_write(&mut upstream, keep_client);
+            assert_eq!(String::from_utf8(first).expect("UTF-8"), want);
+            assert_eq!(remaining, owed);
+            assert!(upstream.link.conn.buffered().is_empty());
+            // What is owed is still on the upstream socket.
+            let (rest, conn) = (&wire.as_bytes()[sent..], &mut upstream.link.conn);
+            peer.write_all(rest).expect("send the rest");
+            drop(peer);
+            let mut relayed = Vec::new();
+            conn.read_to_end(&mut relayed).expect("read the rest");
+            assert_eq!(relayed, rest);
         }
     }
 

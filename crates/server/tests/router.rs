@@ -2,12 +2,13 @@
 //! 502 path, single-node byte-identical pass-through, the
 //! poison-on-mid-body-failure rule (no retry once a response byte has
 //! been relayed), upstream heads with bad framing never reaching the
-//! client, hedging to the next ring successor, the loopback gate on
-//! `/debug/*` holding through the proxy hop, the federated `/metrics` in
-//! both formats, the connection lifecycle the router shares with
-//! `dram-serve`'s front end: 4xx poisoning, the drain after an error and
-//! a shutdown that does not wait for idle clients, and a node that
-//! accepts connections and never answers.
+//! client, a body that streams in after its head, hedging to the next
+//! ring successor, the loopback gate on `/debug/*` holding through the
+//! proxy hop, the federated `/metrics` in both formats, the connection
+//! lifecycle the router shares with `dram-serve`'s front end: 4xx
+//! poisoning, the drain after an error and a shutdown that does not wait
+//! for idle clients, and a node that accepts connections and never
+//! answers, on a fresh connection or a pooled one.
 
 use std::io::{Read, Write};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream, UdpSocket};
@@ -219,6 +220,109 @@ fn upstream_death_mid_body_poisons_the_client_and_is_never_retried() {
     assert!(
         doc.get("poisoned_total").and_then(Value::as_f64).unwrap_or(0.0) >= 1.0,
         "poisoned counter missing: {body}"
+    );
+    router.shutdown();
+}
+
+/// Reads one request off a scripted upstream's connection, its head and
+/// its `content-length` body; returns the head, or `None` once the peer
+/// hangs up.
+fn read_request(conn: &mut TcpStream) -> Option<String> {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        match conn.read(&mut byte) {
+            Ok(1) => head.push(byte[0]),
+            _ => return None,
+        }
+    }
+    let head = String::from_utf8_lossy(&head).into_owned();
+    let length = head
+        .lines()
+        .find_map(|line| line.strip_prefix("content-length: "))
+        .map_or(0, |n| n.parse().expect("the router frames bodies by length"));
+    conn.read_exact(&mut vec![0; length]).ok()?;
+    Some(head)
+}
+
+/// A body that reaches the router after its head, in two parts, is
+/// relayed as it arrives: the client reads exactly the upstream's
+/// response, and the upstream connection goes back to the pool and
+/// carries the next request.
+#[test]
+fn a_body_streamed_after_its_head_is_relayed_exactly_and_its_connection_reused() {
+    const HEAD: &str = "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                        content-length: 17\r\nconnection: keep-alive\r\n\r\n";
+    const BODY: [&str; 2] = ["{\"streamed\":", "true}"];
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake upstream");
+    let addr = listener.local_addr().expect("addr");
+    // (connections that carried a `/v1/` request, `/v1/` requests)
+    let seen = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+    let seen_in = Arc::clone(&seen);
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(mut conn) = conn else { continue };
+            let seen = Arc::clone(&seen_in);
+            std::thread::spawn(move || {
+                let mut served = 0;
+                while let Some(head) = read_request(&mut conn) {
+                    if !head.contains(" /v1/") {
+                        let _ = conn.write_all(
+                            b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nconnection: close\r\n\r\nok",
+                        );
+                        return;
+                    }
+                    if served == 0 {
+                        seen.0.fetch_add(1, Ordering::SeqCst);
+                    }
+                    served += 1;
+                    seen.1.fetch_add(1, Ordering::SeqCst);
+                    for part in [HEAD, BODY[0], BODY[1]] {
+                        std::thread::sleep(Duration::from_millis(40));
+                        if conn.write_all(part.as_bytes()).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+        }
+    });
+    let router = route_serve(
+        "127.0.0.1:0",
+        RouterConfig {
+            nodes: vec![addr.to_string()],
+            probe_interval: Duration::from_secs(30),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+
+    let mut s = TcpStream::connect(router.local_addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    let want = format!("{HEAD}{}{}", BODY[0], BODY[1]);
+    let body = r#"{"preset":"ddr3_1g_x16_55nm"}"#;
+    for connection in ["keep-alive", "close"] {
+        s.write_all(
+            format!(
+                "POST /v1/evaluate HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n\
+                 content-length: {}\r\nconnection: {connection}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .expect("send");
+        let want = want.replace("keep-alive", connection);
+        let mut got = vec![0; want.len()];
+        s.read_exact(&mut got).expect("the whole response");
+        assert_eq!(String::from_utf8_lossy(&got), want);
+    }
+    let mut rest = Vec::new();
+    s.read_to_end(&mut rest).expect("read to close");
+    assert!(rest.is_empty(), "bytes after the response: {rest:?}");
+    assert_eq!(
+        (seen.0.load(Ordering::SeqCst), seen.1.load(Ordering::SeqCst)),
+        (1, 2),
+        "(upstream connections, requests)"
     );
     router.shutdown();
 }
@@ -663,25 +767,7 @@ struct StalledPool {
 }
 
 fn live_and_stalled_nodes() -> StalledPool {
-    let live = serve("127.0.0.1:0", ServerConfig::default()).expect("bind backend");
-    let (listener, nodes, on_live, on_stalled) = loop {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind stalled node");
-        let nodes = vec![
-            live.local_addr().to_string(),
-            listener.local_addr().expect("addr").to_string(),
-        ];
-        let ring = Ring::new(&nodes, DEFAULT_REPLICAS);
-        let owned_by = |node: usize| {
-            presets::NAMES.into_iter().find(|name| {
-                let desc = presets::by_name(name).expect("listed preset");
-                ring.successors(content_key(&desc))[0] == node
-            })
-        };
-        // Another port until each node owns a preset.
-        if let (Some(on_live), Some(on_stalled)) = (owned_by(0), owned_by(1)) {
-            break (listener, nodes, on_live, on_stalled);
-        }
-    };
+    let (live, listener, nodes, on_live, on_stalled) = live_node_and_listener();
     let (read, stalled_reads) = mpsc::channel();
     std::thread::spawn(move || {
         for conn in listener.incoming() {
@@ -707,6 +793,36 @@ fn live_and_stalled_nodes() -> StalledPool {
         on_live,
         on_stalled,
         stalled_reads,
+    }
+}
+
+/// A live `dram-serve` and a listener for a scripted node, the ring's
+/// node list over both, and a preset each of them owns on that ring.
+fn live_node_and_listener() -> (
+    dram_server::ServerHandle,
+    TcpListener,
+    Vec<String>,
+    &'static str,
+    &'static str,
+) {
+    let live = serve("127.0.0.1:0", ServerConfig::default()).expect("bind backend");
+    loop {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted node");
+        let nodes = vec![
+            live.local_addr().to_string(),
+            listener.local_addr().expect("addr").to_string(),
+        ];
+        let ring = Ring::new(&nodes, DEFAULT_REPLICAS);
+        let owned_by = |node: usize| {
+            presets::NAMES.into_iter().find(|name| {
+                let desc = presets::by_name(name).expect("listed preset");
+                ring.successors(content_key(&desc))[0] == node
+            })
+        };
+        // Another port until each node owns a preset.
+        if let (Some(on_live), Some(on_stalled)) = (owned_by(0), owned_by(1)) {
+            return (live, listener, nodes, on_live, on_stalled);
+        }
     }
 }
 
@@ -800,4 +916,77 @@ fn requests_waiting_on_a_node_that_goes_down_fail_over() {
         .expect("the request waited on the stalled node first");
     router.shutdown();
     pool.live.shutdown();
+}
+
+/// A request waiting on a *pooled* connection is cut like one on a fresh
+/// connection. The scripted node answers one request on a kept-alive
+/// connection, then stalls: it reads the next request on that connection
+/// and its probes and answers none of them. Once probes take it down,
+/// the request waiting on the reused connection fails over to the live
+/// node long before its read would time out.
+#[test]
+fn a_request_waiting_on_a_reused_connection_is_cut_when_its_node_goes_down() {
+    const ANSWER: &[u8] = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                            content-length: 7\r\nconnection: keep-alive\r\n\r\n\"first\"";
+    let (live, listener, nodes, _, on_scripted) = live_node_and_listener();
+    let stalled = Arc::new(AtomicBool::new(false));
+    // (connection index, request index on it) of every `/v1/` request.
+    let (read, reads) = mpsc::channel();
+    {
+        let stalled = Arc::clone(&stalled);
+        std::thread::spawn(move || {
+            for (index, conn) in listener.incoming().enumerate() {
+                let Ok(mut conn) = conn else { continue };
+                let (stalled, read) = (Arc::clone(&stalled), read.clone());
+                std::thread::spawn(move || {
+                    let mut served = 0;
+                    while let Some(head) = read_request(&mut conn) {
+                        let v1 = head.contains(" /v1/");
+                        if v1 {
+                            let _ = read.send((index, served));
+                        }
+                        if stalled.load(Ordering::SeqCst) {
+                            // Hold the connection, answering nothing.
+                            let _ = conn.read_to_end(&mut Vec::new());
+                            return;
+                        }
+                        if !v1 {
+                            let _ = conn.write_all(
+                                b"HTTP/1.1 200 OK\r\ncontent-length: 2\r\nconnection: close\r\n\r\nok",
+                            );
+                            return;
+                        }
+                        let _ = conn.write_all(ANSWER);
+                        stalled.store(true, Ordering::SeqCst);
+                        served += 1;
+                    }
+                });
+            }
+        });
+    }
+    let router = route_serve(
+        "127.0.0.1:0",
+        RouterConfig {
+            nodes,
+            probe_interval: Duration::from_millis(100),
+            ..RouterConfig::default()
+        },
+    )
+    .expect("bind router");
+
+    let reply = raw(router.local_addr(), &evaluate(on_scripted));
+    assert_eq!((reply.status(), reply.text().as_ref()), (200, "\"first\""));
+    let (pooled, first) = reads.recv_timeout(Duration::from_secs(1)).expect("first read");
+    assert_eq!(first, 0);
+
+    let started = Instant::now();
+    let reply = raw(router.local_addr(), &evaluate(on_scripted));
+    let took = started.elapsed();
+    assert_eq!(reply.status(), 200, "{reply:?}");
+    assert!(reply.text().starts_with('{'), "not the live node's answer: {reply:?}");
+    assert!(took < Duration::from_secs(2), "failed over after {took:?}");
+    let waited = reads.recv_timeout(Duration::from_secs(1)).expect("second read");
+    assert_eq!(waited, (pooled, 1), "the request did not wait on the pooled connection");
+    router.shutdown();
+    live.shutdown();
 }

@@ -16,7 +16,7 @@ use dram_energy::model::content_key;
 use dram_energy::model::timing::{InitialBankState, TimingChecker};
 use dram_energy::scaling::{presets, TechNode};
 use dram_energy::server::presets as named;
-use dram_energy::units::cli::Flags;
+use dram_energy::units::cli::{exit_usage, Flags};
 use dram_energy::workload::{PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceEvent};
 use dram_energy::workload::{TraceErrorKind, TraceReport};
 use dram_energy::{dsl, Command, Dram, Operation, Pattern};
@@ -51,22 +51,15 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if args.input.is_none() && args.preset_nm.is_none() {
-        return Err(String::new());
-    }
     Ok(args)
 }
 
-fn usage() {
-    eprintln!(
-        "dram-power — description-driven DRAM power model (Vogelsang, MICRO 2010)\n\n\
-         usage:\n  dram-power <file.dram> [--pattern \"act nop rd pre\"] [--trace trace.txt] [--breakdown]\n  \
-         dram-power --preset <feature_nm> [--trace trace.txt] [--breakdown]\n\n\
-         the description language is documented in the dram-dsl crate; a complete\n\
-         example ships at crates/dsl/descriptions/ddr3_1gb_x16_55nm.dram\n\
-         a --trace file is in the /v1/trace grammar (see docs/TRACES.md)"
-    );
-}
+const USAGE: &str = "dram-power — description-driven DRAM power model (Vogelsang, MICRO 2010)\n\n\
+     usage:\n  dram-power <file.dram> [--pattern \"act nop rd pre\"] [--trace trace.txt] [--breakdown]\n  \
+     dram-power --preset <feature_nm> [--trace trace.txt] [--breakdown]\n\n\
+     the description language is documented in the dram-dsl crate; a complete\n\
+     example ships at crates/dsl/descriptions/ddr3_1gb_x16_55nm.dram\n\
+     a --trace file is in the /v1/trace grammar (see docs/TRACES.md)";
 
 fn run(args: &Args) -> Result<(), String> {
     let (description, file_pattern) = if let Some(path) = &args.input {
@@ -255,20 +248,17 @@ fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
 }
 
 fn main() -> ExitCode {
-    match parse_args() {
-        Ok(args) => match run(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(msg) => {
-            if !msg.is_empty() {
-                eprintln!("error: {msg}\n");
-            }
-            usage();
-            ExitCode::from(2)
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 2));
+    if args.input.is_none() && args.preset_nm.is_none() {
+        // Nothing to evaluate: the usage alone, as a refusal.
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    }
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
 }

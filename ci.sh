@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI: everything a PR must keep green, in dependency order.
 #
-#   ./ci.sh            full run (build, tests, clippy, smokes, perfbench)
-#   ./ci.sh --fast     skip clippy, the smokes and perfbench
+#   ./ci.sh            full run (build, tests, format, clippy, smokes, perfbench)
+#   ./ci.sh --fast     skip the format check, clippy, the smokes and perfbench
 #
 # The workspace has no external dependencies, so everything runs with
 # --offline and an empty registry.
@@ -19,19 +19,23 @@ echo "==> cargo test --workspace"
 cargo test --workspace --release -q --offline
 
 if [[ $fast -eq 0 ]]; then
+  echo "==> cargo fmt --check (the crates kept rustfmt-clean)"
+  # A crate joins this list once it is formatted; the rest are not yet.
+  cargo fmt -p dram-dsl -p dram-units -p dram-datasheet -- --check
+
   echo "==> cargo clippy (deny warnings)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
 
   echo "==> command-line refusals (an unknown flag and a bad number, per binary)"
   # All nine binaries read their flags through one reader
-  # (dram_units::cli::Flags): each must exit non-zero on an unknown flag
-  # and on a bad number, naming what it refused.
-  refuse() { # binary message args... — fails unless the binary refuses args with message
-    local bin=$1 want=$2 err
+  # (dram_units::cli::Flags): each must exit 2 on an unknown flag and on
+  # a bad number, naming what it refused. No failed run exits 2
+  # (docs/SERVER.md), so a script can tell the two apart.
+  refuse() { # binary message args... — fails unless the binary refuses args with message and exit 2
+    local bin=$1 want=$2 err status=0
     shift 2
-    if err=$(./target/release/"$bin" "$@" 2>&1 >/dev/null); then
-      echo "    $bin $* exited 0"; exit 1
-    fi
+    err=$(./target/release/"$bin" "$@" 2>&1 >/dev/null) || status=$?
+    [[ $status -eq 2 ]] || { echo "    $bin $* exited $status, not 2"; exit 1; }
     grep -qF -- "$want" <<<"$err" || { echo "    $bin $*: no \"$want\" in: $err"; exit 1; }
   }
   for bin in dram-serve dram-route dram-power repro serve-bench chaos-bench shard-bench \
@@ -48,7 +52,7 @@ if [[ $fast -eq 0 ]]; then
   refuse shard-bench 'bad node count `9` (2..=8)' --nodes 9
   refuse trace-bench 'bad chunk size `3`' --chunk 3
   refuse sweep-bench 'bad thread count `0`' --threads 0
-  echo "    9 binaries refused --no-such-flag and a bad number, naming each"
+  echo "    9 binaries refused --no-such-flag and a bad number with exit 2, naming each"
   for bin in dram-serve dram-route dram-power repro serve-bench chaos-bench shard-bench \
     trace-bench sweep-bench; do
     help=$(./target/release/"$bin" --help 2>&1) || { echo "    $bin --help exited non-zero"; exit 1; }

@@ -255,7 +255,7 @@ fn prom_value(scrape: &str, metric: &str) -> Option<f64> {
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
 
     // Stage 1: canonical bodies from a pristine server (faults disarmed).
     let canon = capture_canon(args.threads);

@@ -504,7 +504,7 @@ fn stage_json(s: &StageResult) -> Value {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
 
     if args.journal {
         run_journal_verification(args.threads, args.clients);

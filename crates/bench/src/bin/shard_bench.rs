@@ -448,7 +448,7 @@ fn shard_client(
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
     let bin = serve_binary();
     let policy = RetryPolicy {
         max_attempts: 6,

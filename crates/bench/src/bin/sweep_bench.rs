@@ -107,7 +107,7 @@ impl Comparison {
 }
 
 fn main() {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 2));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
     let (budget, max_iters) = if args.quick {
         (Duration::from_millis(1), 1)
     } else {

@@ -163,7 +163,7 @@ fn peak_rss_kb() -> u64 {
 
 #[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 fn main() {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
 
     let server = serve(
         "127.0.0.1:0",

@@ -414,8 +414,10 @@ impl EngineSnapshot {
     }
 }
 
-/// One hash bucket: every cached description whose content hash collides.
-type Bucket = Vec<(DramDescription, Arc<Dram>)>;
+/// One hash bucket: every cached model whose description's content hash
+/// collides. A model holds its description as it was built from, so the
+/// bucket compares against [`Dram::description`] and keeps no copy.
+type Bucket = Vec<Arc<Dram>>;
 
 /// Capacity of the negative cache: enough to absorb a retry storm of
 /// known-bad descriptions, small enough that a hostile client cycling
@@ -563,10 +565,10 @@ impl ModelCache {
         // A concurrent builder may have won the race; keep its model so
         // every caller shares one allocation. This call still built a
         // model, so it reports a miss either way.
-        if let Some((_, existing)) = bucket.iter().find(|(d, _)| d == desc) {
+        if let Some(existing) = bucket.iter().find(|m| m.description() == desc) {
             return Ok((Arc::clone(existing), false));
         }
-        bucket.push((desc.clone(), Arc::clone(&built)));
+        bucket.push(Arc::clone(&built));
         Ok((built, false))
     }
 
@@ -575,8 +577,8 @@ impl ModelCache {
         buckets
             .get(&key)?
             .iter()
-            .find(|(d, _)| d == desc)
-            .map(|(_, m)| Arc::clone(m))
+            .find(|m| m.description() == desc)
+            .map(Arc::clone)
     }
 
     /// Current hit/miss counters.
@@ -1058,6 +1060,41 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    /// Builders released together on one new description all get the
+    /// model filed first: a builder that lost the race drops its own.
+    /// Each round races on a description no earlier round built.
+    #[test]
+    fn racing_builders_share_one_model() {
+        const BUILDERS: u64 = 8;
+        let cache = ModelCache::new();
+        for round in 0..16 {
+            let mut desc = ddr3_1g_x16_55nm();
+            desc.electrical.vdd = dram_units::Volts::new(1.4 + 0.01 * f64::from(round));
+            let before = cache.stats();
+            let barrier = std::sync::Barrier::new(BUILDERS as usize);
+            let models: Vec<Arc<Dram>> = std::thread::scope(|s| {
+                let builders: Vec<_> = (0..BUILDERS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            cache.get_or_build(&desc).expect("builds")
+                        })
+                    })
+                    .collect();
+                builders
+                    .into_iter()
+                    .map(|b| b.join().expect("builder thread"))
+                    .collect()
+            });
+            assert!(models.iter().all(|m| Arc::ptr_eq(m, &models[0])));
+            assert_eq!(cache.len(), round as usize + 1);
+            let stats = cache.stats();
+            let misses = stats.misses - before.misses;
+            assert!(misses >= 1, "round {round}: {stats:?}");
+            assert_eq!(misses + stats.hits - before.hits, BUILDERS);
+        }
     }
 
     #[test]

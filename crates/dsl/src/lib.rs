@@ -39,7 +39,7 @@
 #![warn(missing_docs)]
 
 mod error;
-pub mod lexer;
+mod lexer;
 mod parser;
 pub mod value;
 mod writer;

@@ -18,7 +18,7 @@ use dram_core::Pattern;
 use dram_units::{Amperes, BitsPerSecond, Farads, FaradsPerMeter, Hertz, Meters, Seconds, Volts};
 
 use crate::error::DslError;
-use crate::lexer::{lex, Line};
+use crate::lexer::{Lexer, Line};
 use crate::value;
 
 /// Result of parsing a description file.
@@ -49,7 +49,22 @@ pub struct ParsedFile {
 pub fn parse(input: &str) -> Result<ParsedFile, DslError> {
     let _s = dram_obs::span("dsl.parse").arg("bytes", input.len());
     parses_total().inc();
-    Parser::default().run(lex(input)?)
+    let mut parser = Parser::default();
+    let mut lines = Lexer::new(input);
+    // Each line is parsed as soon as it is split. The first parse error
+    // waits for the rest of the text to lex: a lex error on any line
+    // wins over it.
+    let mut failed = None;
+    while let Some(line) = lines.next_line() {
+        let line = line?;
+        if failed.is_none() {
+            failed = parser.dispatch(&line).err();
+        }
+    }
+    match failed {
+        Some(e) => Err(e),
+        None => parser.finish(),
+    }
 }
 
 /// Process-wide count of [`parse`] calls, registered once.
@@ -305,10 +320,9 @@ const fn bit(key: &str) -> u64 {
 }
 
 impl Parser {
-    fn run(mut self, lines: Vec<Line<'_>>) -> Result<ParsedFile, DslError> {
-        for line in &lines {
-            self.dispatch(line)?;
-        }
+    /// The parsed file, once every line has been dispatched, or the
+    /// list of required parameters no line gave.
+    fn finish(self) -> Result<ParsedFile, DslError> {
         let missing: Vec<&str> = REQUIRED
             .iter()
             .enumerate()
@@ -339,9 +353,9 @@ impl Parser {
         })
     }
 
-    fn dispatch(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn dispatch(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         // Section headers and free-standing directives first.
-        match &*line.head {
+        match line.head {
             "FloorplanPhysical" => {
                 self.section = Section::FloorplanPhysical;
                 return Ok(());
@@ -389,7 +403,7 @@ impl Parser {
         self.seen |= bit;
     }
 
-    fn parse_device(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_device(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         if let Some(name) = line.value("name") {
             self.name = name.to_string();
             Ok(())
@@ -401,7 +415,7 @@ impl Parser {
         }
     }
 
-    fn parse_pattern(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_pattern(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let words = line
             .list("loop")
             .ok_or_else(|| DslError::new(line.number, "Pattern directive needs `loop= ...`"))?;
@@ -412,7 +426,7 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_logic_block(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_logic_block(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let n = line.number;
         let get = |key: &str| -> Result<&str, DslError> {
             line.value(key)
@@ -436,9 +450,9 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_floorplan(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_floorplan(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let n = line.number;
-        match &*line.head {
+        match line.head {
             "CellArray" => {
                 for (key, val) in line.pairs() {
                     let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
@@ -546,7 +560,7 @@ impl Parser {
         }
     }
 
-    fn parse_signaling(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_signaling(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let n = line.number;
         if line.head == "Signal" {
             // Declaration: `Signal DataW class=wdata wires=io toggle=50%`.
@@ -683,7 +697,7 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_technology(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_technology(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let n = line.number;
         for (key, val) in line.pairs() {
             let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
@@ -809,7 +823,7 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_electrical(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_electrical(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let n = line.number;
         for (key, val) in line.pairs() {
             let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
@@ -856,9 +870,9 @@ impl Parser {
         Ok(())
     }
 
-    fn parse_specification(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_specification(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let n = line.number;
-        match &*line.head {
+        match line.head {
             "IO" => {
                 for (key, val) in line.pairs() {
                     let wrap = |e: String| DslError::new(n, format!("{key}: {e}"));
@@ -948,7 +962,7 @@ impl Parser {
         }
     }
 
-    fn parse_timing(&mut self, line: &Line<'_>) -> Result<(), DslError> {
+    fn parse_timing(&mut self, line: &Line<'_, '_>) -> Result<(), DslError> {
         let n = line.number;
         if line.head != "Row" && line.head != "Column" && line.head != "Refresh" {
             return Err(DslError::new(
@@ -1028,12 +1042,138 @@ mod tests {
 
     #[test]
     fn a_lex_error_on_a_later_line_wins_over_a_parse_error() {
-        // Line 1 alone fails "before any section header"; the whole input
-        // is lexed first.
+        // Line 1 alone fails "before any section header"; the rest of the
+        // input is still lexed.
         let err = parse("CellArray x=1\nA \"oops").unwrap_err();
         assert_eq!(
             (err.line(), err.message()),
             (2, "unterminated string literal")
+        );
+    }
+
+    /// The two-stage parse the one-pass [`parse`] replaced: the whole
+    /// text lexed into lines first, then each line dispatched.
+    fn two_stage(input: &str) -> Result<ParsedFile, DslError> {
+        let lines = crate::lexer::reference::lex(input)?;
+        let mut parser = Parser::default();
+        for line in &lines {
+            line.as_one_pass(|l| parser.dispatch(l))?;
+        }
+        parser.finish()
+    }
+
+    /// What a parse gives, in a comparable form: the description, the
+    /// pattern and the content key, or the error.
+    type Verdict = Result<(DramDescription, Option<Pattern>, u64), DslError>;
+
+    fn verdict(parsed: Result<ParsedFile, DslError>) -> Verdict {
+        parsed.map(|p| {
+            let key = dram_core::content_key(&p.description);
+            (p.description, p.pattern, key)
+        })
+    }
+
+    /// Every description the crate can vouch for: each preset's written
+    /// source, both shipped `.dram` files, every example of the language
+    /// reference appended to the shipped sample, and seeded edits of the
+    /// presets written back, as a service receives them.
+    fn shipped_and_written() -> Vec<String> {
+        const SAMPLE: &str = include_str!("../descriptions/ddr3_1gb_x16_55nm.dram");
+        const DOC: &str = include_str!("../../../docs/DSL.md");
+        let mut out = crate::lexer::tests::preset_sources();
+        out.push(SAMPLE.to_string());
+        out.push(include_str!("../descriptions/ddr5_16gb_x16_18nm.dram").to_string());
+        let start = DOC
+            .find("\n## Sections and directives\n")
+            .expect("section exists");
+        let section = DOC[start + 1..].split("\n## ").next().expect("section");
+        for block in section.split("```text\n").skip(1) {
+            let example = block.split("```").next().expect("block is closed");
+            out.push(format!("{SAMPLE}\n{example}"));
+        }
+        let bases: Vec<DramDescription> = out
+            .iter()
+            .take(8)
+            .map(|text| parse(text).expect("presets parse").description)
+            .collect();
+        let mut rng = dram_units::rng::SplitMix64::new(0xC01D_DE5C);
+        for i in 0..400 {
+            let mut desc = bases[i % bases.len()].clone();
+            for _ in 0..3 {
+                let param = rng.pick(&dram_core::ParamId::ALL);
+                param.apply(&mut desc, rng.range_f64(0.9, 1.1));
+            }
+            out.push(crate::write(&desc, None));
+        }
+        out
+    }
+
+    #[test]
+    fn shipped_and_written_descriptions_parse_as_the_reference_does() {
+        for text in shipped_and_written() {
+            let got = verdict(parse(&text));
+            assert!(got.is_ok(), "{got:?}\n{text}");
+            assert_eq!(got, verdict(two_stage(&text)), "{text}");
+        }
+    }
+
+    /// Seeded differential fuzz: over the lexer's corpus and presets
+    /// with values, keys and words mangled, the one-pass parse gives the
+    /// same description, pattern and content key, or the same error (line
+    /// and message), as the two-stage parse. That holds the deferred
+    /// errors: a lex error on any line wins over a parse error on an
+    /// earlier one.
+    #[test]
+    fn one_pass_parse_matches_the_two_stage_reference() {
+        let mut inputs = crate::lexer::tests::fuzz_corpus();
+        let mut rng = dram_units::rng::SplitMix64::new(0x0DE5_C0DE);
+        let sources = crate::lexer::tests::preset_sources();
+        for case in 0..4_000 {
+            let source = &sources[case % sources.len()];
+            let mut words: Vec<String> = source.split(' ').map(str::to_string).collect();
+            for _ in 0..=rng.range_usize(2) {
+                let at = rng.range_usize(words.len());
+                let word = &words[at];
+                words[at] = match rng.range_u32(8) {
+                    // A value's number or unit changed.
+                    0 => word.replacen(|c: char| c.is_ascii_digit(), "x", 1),
+                    1 => {
+                        let unit = *rng.pick(&["nm", "µm", "UM", "u m", "mm"]);
+                        word.replace("um", unit)
+                    }
+                    2 => format!("{word}{}", rng.pick(&["e", "e5", "1e999", "%", ".", "x2"])),
+                    // A key's case, or a word lost or doubled.
+                    3 => word.to_ascii_lowercase(),
+                    4 => String::new(),
+                    5 => format!("{word} {word}"),
+                    // A quote or an `=` where none belongs.
+                    6 => format!("{word}{}", rng.pick(&["\"", "=", " = ", "\"x y\""])),
+                    _ => {
+                        let equals = *rng.pick(&[" = ", "==", "=\""]);
+                        word.replace('=', equals)
+                    }
+                };
+            }
+            inputs.push(words.join(" "));
+        }
+        assert!(inputs.len() >= 10_000, "only {} inputs", inputs.len());
+        let (mut clean, mut errors) = (0, std::collections::BTreeSet::new());
+        for input in &inputs {
+            let want = verdict(two_stage(input));
+            assert_eq!(verdict(parse(input)), want, "{input:?}");
+            match want {
+                Ok(_) => clean += 1,
+                Err(e) => {
+                    errors.insert(e.message().split('`').next().unwrap_or("").to_string());
+                }
+            }
+        }
+        // The corpus reaches clean parses and many kinds of error.
+        assert!(clean > 100, "only {clean} inputs parse");
+        assert!(
+            errors.len() > 20,
+            "only {} kinds of error: {errors:?}",
+            errors.len()
         );
     }
 }

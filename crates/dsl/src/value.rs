@@ -11,46 +11,67 @@ use std::borrow::Cow;
 use dram_core::params::{ActiveDuring, BlockCoord, DeviceGeometry};
 use dram_units::{Amperes, BitsPerSecond, Farads, FaradsPerMeter, Hertz, Meters, Seconds, Volts};
 
-/// Splits a literal into its numeric prefix and unit suffix.
-fn split_number(s: &str) -> Result<(f64, &str), String> {
-    let s = s.trim();
+/// `s` without surrounding whitespace. A literal that starts and ends in
+/// a visible ASCII character, as written descriptions do, is returned
+/// as is without a scan.
+fn trim(s: &str) -> &str {
     let bytes = s.as_bytes();
-    let mut end = 0;
-    while end < bytes.len() {
-        let c = bytes[end] as char;
-        let numeric = c.is_ascii_digit()
-            || c == '.'
-            || (end == 0 && (c == '-' || c == '+'))
-            // exponent: only if followed by a digit or sign+digit
-            || ((c == 'e' || c == 'E')
-                && bytes
-                    .get(end + 1)
-                    .map(|&n| {
-                        (n as char).is_ascii_digit()
-                            || ((n == b'+' || n == b'-')
-                                && bytes
-                                    .get(end + 2)
-                                    .is_some_and(|&m| (m as char).is_ascii_digit()))
-                    })
-                    .unwrap_or(false));
-        if !numeric {
-            break;
-        }
-        // consume the sign of an exponent together with the 'e'
-        if (c == 'e' || c == 'E') && matches!(bytes.get(end + 1), Some(b'+') | Some(b'-')) {
-            end += 1;
-        }
-        end += 1;
+    match (bytes.first(), bytes.last()) {
+        (Some(first), Some(last)) if first.is_ascii_graphic() && last.is_ascii_graphic() => s,
+        _ => s.trim(),
     }
-    let (num, unit) = s.split_at(end);
-    let value: f64 = num
-        .parse()
-        .map_err(|_| format!("`{s}` is not a number with optional unit"))?;
+}
+
+/// Where the numeric prefix of a trimmed literal ends: an optional sign,
+/// then digits and `.`, each `e` or `E` followed by a digit or a signed
+/// digit taking its exponent along.
+fn prefix_end(s: &str) -> usize {
+    let bytes = s.as_bytes();
+    let mut end = usize::from(matches!(bytes.first(), Some(b'+' | b'-')));
+    loop {
+        match bytes.get(end) {
+            Some(b'0'..=b'9' | b'.') => end += 1,
+            Some(b'e' | b'E') => {
+                let sign = usize::from(matches!(bytes.get(end + 1), Some(b'+' | b'-')));
+                if !bytes.get(end + 1 + sign).is_some_and(u8::is_ascii_digit) {
+                    return end;
+                }
+                end += 2 + sign;
+            }
+            _ => return end,
+        }
+    }
+}
+
+/// Splits a literal into its numeric prefix, parsed, and unit suffix.
+///
+/// A unit holds no digit and no `.`, so the number of a well-formed
+/// literal ends after its last one: that prefix, found from the short
+/// end, goes straight to `f64::from_str`, the one pass over its digits.
+/// A prefix `f64::from_str` accepts is all of what [`prefix_end`] scans,
+/// since no byte of the unit can continue a number; only when it refuses
+/// does the forward scan decide where the number ends.
+fn split_number(s: &str) -> Result<(f64, &str), String> {
+    let s = trim(s);
+    let last = s
+        .bytes()
+        .rposition(|b| b.is_ascii_digit() || b == b'.')
+        .map_or(0, |k| k + 1);
+    let (value, end) = match s[..last].parse::<f64>() {
+        Ok(value) => (value, last),
+        Err(_) => {
+            let end = prefix_end(s);
+            let value = s[..end]
+                .parse()
+                .map_err(|_| format!("`{s}` is not a number with optional unit"))?;
+            (value, end)
+        }
+    };
     if !value.is_finite() {
         // `1e999` parses to infinity.
         return Err(format!("`{s}` is not a finite number"));
     }
-    Ok((value, unit.trim()))
+    Ok((value, trim(&s[end..])))
 }
 
 /// A unit with `µ` spelled `u`, borrowed unless it holds a `µ`.
@@ -254,13 +275,26 @@ pub fn mux_ratio(s: &str) -> Result<u32, String> {
 pub fn active_during(s: &str) -> Result<ActiveDuring, String> {
     let mut out = ActiveDuring::default();
     for part in s.split(',') {
-        match part.trim().to_ascii_lowercase().as_str() {
-            "always" => out.always = true,
-            "act" | "activate" => out.activate = true,
-            "pre" | "precharge" => out.precharge = true,
-            "rd" | "read" => out.read = true,
-            "wrt" | "wr" | "write" => out.write = true,
-            other => return Err(format!("unknown operation `{other}` in active set `{s}`")),
+        let part = part.trim();
+        // The longest operation name, `precharge`, has nine letters.
+        let mut lower = [0u8; 9];
+        let name = lower.get_mut(..part.len()).map(|l| {
+            l.copy_from_slice(part.as_bytes());
+            l.make_ascii_lowercase();
+            &*l
+        });
+        match name {
+            Some(b"always") => out.always = true,
+            Some(b"act" | b"activate") => out.activate = true,
+            Some(b"pre" | b"precharge") => out.precharge = true,
+            Some(b"rd" | b"read") => out.read = true,
+            Some(b"wrt" | b"wr" | b"write") => out.write = true,
+            _ => {
+                return Err(format!(
+                    "unknown operation `{}` in active set `{s}`",
+                    part.to_ascii_lowercase()
+                ))
+            }
         }
     }
     Ok(out)
@@ -269,6 +303,146 @@ pub fn active_during(s: &str) -> Result<ActiveDuring, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram_units::rng::SplitMix64;
+
+    /// The scan [`split_number`] replaced, kept as its reference.
+    fn reference_split_number(s: &str) -> Result<(f64, &str), String> {
+        let s = s.trim();
+        let bytes = s.as_bytes();
+        let mut end = 0;
+        while end < bytes.len() {
+            let c = bytes[end] as char;
+            let numeric = c.is_ascii_digit()
+                || c == '.'
+                || (end == 0 && (c == '-' || c == '+'))
+                // exponent: only if followed by a digit or sign+digit
+                || ((c == 'e' || c == 'E')
+                    && bytes
+                        .get(end + 1)
+                        .map(|&n| {
+                            (n as char).is_ascii_digit()
+                                || ((n == b'+' || n == b'-')
+                                    && bytes
+                                        .get(end + 2)
+                                        .is_some_and(|&m| (m as char).is_ascii_digit()))
+                        })
+                        .unwrap_or(false));
+            if !numeric {
+                break;
+            }
+            // consume the sign of an exponent together with the 'e'
+            if (c == 'e' || c == 'E') && matches!(bytes.get(end + 1), Some(b'+') | Some(b'-')) {
+                end += 1;
+            }
+            end += 1;
+        }
+        let (num, unit) = s.split_at(end);
+        let value: f64 = num
+            .parse()
+            .map_err(|_| format!("`{s}` is not a number with optional unit"))?;
+        if !value.is_finite() {
+            // `1e999` parses to infinity.
+            return Err(format!("`{s}` is not a finite number"));
+        }
+        Ok((value, unit.trim()))
+    }
+
+    /// A literal over the characters the scan cares about: signs, digits,
+    /// dots, exponent letters, unit letters and whitespace.
+    fn numberish(r: &mut SplitMix64) -> String {
+        const CHARS: &[char] = &[
+            '0', '1', '5', '9', '.', '.', 'e', 'E', '+', '-', 'u', 'm', '%', ' ', '\u{a0}', 'x',
+            'µ', 'i', 'n', 'f', 'a', 'N', '_',
+        ];
+        let len = r.range_usize(12);
+        (0..len).map(|_| *r.pick(CHARS)).collect()
+    }
+
+    /// Seeded differential fuzz: the scan gives the same number, unit
+    /// and error text as the one it replaced, on random literals and on
+    /// every shape a written description uses.
+    #[test]
+    fn split_number_matches_reference() {
+        let mut inputs: Vec<String> = [
+            "",
+            "+",
+            "-",
+            ".",
+            "e5",
+            "-e5",
+            "1e",
+            "1e+",
+            "1e+5",
+            "1.e5",
+            "1e5e5",
+            "1.2.3",
+            "5eggs",
+            "1e999",
+            "-1e999%",
+            "0.09999999999999999um",
+            " 5 nm ",
+            "\u{a0}7\u{3000}",
+            "1E-2",
+            "+.5",
+            "1e-x",
+            "inf",
+            "NaN",
+            "-0",
+            "-0.0e5",
+            "5.",
+            ".5",
+            "..5",
+            "1.5.",
+            "1e5.",
+            "9007199254740992",
+            "9007199254740993",
+            "-9007199254740993.0",
+            "0.9007199254740993",
+            "900719925474099.3e1",
+            "1e22",
+            "1e23",
+            "1e-22",
+            "1e-23",
+            "12345678901234567890123",
+            "0.0000000000000000000000001um",
+            "1.0000000000000000000000",
+            "1e0000000000000000000001",
+            "4.9e-324",
+            "1.7976931348623157e308",
+            "2e308",
+            "0.09999999999999999um",
+            "14.000000000000002ns",
+            "49.99999999999999x",
+        ]
+        .iter()
+        .map(|s| (*s).to_string())
+        .collect();
+        let mut r = SplitMix64::new(0x5917_0B7E);
+        inputs.extend((0..20_000).map(|_| numberish(&mut r)));
+        // Written values: up to 17 significant digits, any power of ten.
+        for _ in 0..20_000 {
+            let v = f64::from_bits(r.next_u64() >> 2) * if r.chance(0.5) { 1.0 } else { -1.0 };
+            let text = match r.range_u32(3) {
+                0 => format!("{v}um"),
+                1 => format!("{v:e}"),
+                _ => format!(
+                    "{}",
+                    r.range_f64(0.0, 1e6) / 10f64.powi(r.range_u32(12) as i32)
+                ),
+            };
+            inputs.push(text);
+        }
+        fn bits(v: Result<(f64, &str), String>) -> Result<(u64, &str), String> {
+            v.map(|(n, unit)| (n.to_bits(), unit))
+        }
+        for s in &inputs {
+            assert_eq!(
+                bits(split_number(s)),
+                bits(reference_split_number(s)),
+                "{s:?}"
+            );
+        }
+    }
 
     #[test]
     fn lengths() {
@@ -387,6 +561,18 @@ mod tests {
         let a = active_during("rd,wrt").unwrap();
         assert!(a.read && a.write);
         assert!(active_during("act,refresh").is_err());
+        // Names match in any case, around whitespace; errors name the
+        // part in lower case.
+        let a = active_during(" ACT , Precharge,wR ").unwrap();
+        assert!(a.activate && a.precharge && a.write && !a.read);
+        assert_eq!(
+            active_during("rd,ReFresh").unwrap_err(),
+            "unknown operation `refresh` in active set `rd,ReFresh`"
+        );
+        assert_eq!(
+            active_during("PRECHARGES").unwrap_err(),
+            "unknown operation `precharges` in active set `PRECHARGES`"
+        );
     }
 
     #[test]

@@ -109,7 +109,7 @@ const USAGE: &str = "dram-route — consistent-hash shard router for dram-serve 
          docs:     docs/SHARDING.md";
 
 fn main() -> ExitCode {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
 
     dram_obs::journal::configure(args.journal);
 

@@ -130,7 +130,7 @@ const USAGE: &str = "dram-serve — HTTP/JSON evaluation service for the DRAM en
          POST /v1/pattern, POST /v1/sweep, GET /metrics, GET /debug/* (docs/SERVER.md)";
 
 fn main() -> ExitCode {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 1));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
 
     if args.profile.is_some() {
         dram_obs::set_enabled(true);

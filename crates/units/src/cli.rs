@@ -4,7 +4,9 @@
 //! every such loop repeats (take the next argument, take a flag's value,
 //! parse a number within a range) with one message per failure:
 //! `--threads needs a value` and ``bad thread count `0` ``.
-//! [`exit_usage`] ends the process for a command line a binary refused.
+//! [`exit_usage`] ends the process for a command line a binary refused,
+//! with exit status 2, which no binary gives for anything else, so a
+//! script can tell a bad flag from a failed run.
 
 use std::ops::RangeBounds;
 use std::str::FromStr;
@@ -70,15 +72,14 @@ pub fn in_range<T: FromStr + PartialOrd>(v: &str, range: impl RangeBounds<T>) ->
 }
 
 /// Ends the process for a command line its binary refused with `msg`:
-/// `error: <msg>` and a blank line, then `usage`, on stderr, and exit
-/// `status`. An empty `msg` is a request for help: `usage` alone, and
-/// exit 0.
-pub fn exit_usage(msg: &str, usage: &str, status: i32) -> ! {
+/// `error: <msg>` and a blank line, then `usage`, on stderr, and exit 2.
+/// An empty `msg` is a request for help: `usage` alone, and exit 0.
+pub fn exit_usage(msg: &str, usage: &str) -> ! {
     if !msg.is_empty() {
         eprintln!("error: {msg}\n");
     }
     eprintln!("{usage}");
-    std::process::exit(if msg.is_empty() { 0 } else { status })
+    std::process::exit(if msg.is_empty() { 0 } else { 2 })
 }
 
 #[cfg(test)]

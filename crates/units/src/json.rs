@@ -68,17 +68,7 @@ impl Value {
     ///
     /// Returns [`JsonError`] with the byte offset of the first problem.
     pub fn parse(input: &str) -> Result<Value, JsonError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
+        Parser::new(input).document()
     }
 
     /// Object member lookup (first match). `None` on non-objects.
@@ -261,11 +251,38 @@ fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Strings decode through [`Parser::string_reference`], for the
+    /// differential fuzz.
+    #[cfg(test)]
+    reference: bool,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            #[cfg(test)]
+            reference: false,
+        }
+    }
+
+    /// The whole text as one document: trailing non-whitespace is an
+    /// error.
+    fn document(mut self) -> Result<Value, JsonError> {
+        self.skip_ws();
+        let v = self.value(0)?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -405,14 +422,91 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err(format!("unparseable number `{text}`")))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
+        #[cfg(test)]
+        if self.reference {
+            return self.string_reference();
+        }
+        self.expect(b'"')?;
+        // The text up to the next `"` bounds the decoded length: escapes
+        // only shrink. An escaped quote before the closing one makes the
+        // bound short, and the string grows past it.
+        let bound = self.text[self.pos..].find('"').unwrap_or(0);
+        let mut out = String::with_capacity(bound);
+        loop {
+            // A run of plain bytes, copied whole. It ends at an ASCII
+            // byte or at the end of the text, so it is whole UTF-8
+            // scalars of the (str-backed) input, already validated.
+            let start = self.pos;
+            self.pos = run_end(self.bytes, start);
+            out.push_str(&self.text[start..self.pos]);
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => self.escape(&mut out)?,
+                Some(_) => return Err(self.err("unescaped control character")),
+            }
+        }
+    }
+
+    /// Decodes the escape at `pos` (a `\`) onto `out`, leaving `pos`
+    /// past it.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        self.pos += 1;
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                let hi = self.hex4()?;
+                let c = if (0xD800..0xDC00).contains(&hi) {
+                    // High surrogate: a `\uXXXX` low surrogate must follow.
+                    if self.peek() != Some(b'\\') {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 1;
+                    if self.peek() != Some(b'u') {
+                        return Err(self.err("unpaired surrogate"));
+                    }
+                    self.pos += 1;
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(cp).ok_or_else(|| self.err("invalid surrogate pair"))?
+                } else {
+                    char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
+                };
+                // hex4 leaves pos past the digits.
+                out.push(c);
+                return Ok(());
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The decoder [`Parser::string`] replaced, kept as its reference.
+    #[cfg(test)]
+    fn string_reference(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -451,13 +545,11 @@ impl Parser<'_> {
                                 if !(0xDC00..0xE000).contains(&lo) {
                                     return Err(self.err("invalid low surrogate"));
                                 }
-                                let cp =
-                                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                                let cp = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
                                 char::from_u32(cp)
                                     .ok_or_else(|| self.err("invalid surrogate pair"))?
                             } else {
-                                char::from_u32(hi)
-                                    .ok_or_else(|| self.err("invalid code point"))?
+                                char::from_u32(hi).ok_or_else(|| self.err("invalid code point"))?
                             };
                             out.push(c);
                             // hex4 leaves pos past the digits; skip the
@@ -503,6 +595,37 @@ impl Parser<'_> {
     }
 }
 
+/// Where the run of plain string bytes from `i` ends: at the first `"`,
+/// `\` or control byte, or at the end of `bytes`.
+///
+/// Eight bytes are tested at a time. For a byte `b` and a bound `c` of at
+/// most 0x80, the high bit of `(b - c) & !b` is set exactly when `b < c`:
+/// `c` is 0x20 for control bytes, and 1 for a `"` or `\` once XOR has
+/// turned it to 0. In the whole word a byte that borrows also sets bits
+/// in the bytes above it, so only the lowest set bit is exact; it is the
+/// first byte that ends the run.
+fn run_end(bytes: &[u8], mut i: usize) -> usize {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    while let Some(chunk) = bytes.get(i..i + 8) {
+        let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+        let quote = x ^ (ONES * u64::from(b'"'));
+        let backslash = x ^ (ONES * u64::from(b'\\'));
+        let stops = (x.wrapping_sub(ONES * 0x20) & !x
+            | quote.wrapping_sub(ONES) & !quote
+            | backslash.wrapping_sub(ONES) & !backslash)
+            & HIGH;
+        if stops != 0 {
+            return i + (stops.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while matches!(bytes.get(i), Some(&b) if b >= 0x20 && b != b'"' && b != b'\\') {
+        i += 1;
+    }
+    i
+}
+
 /// Convenience: builds an object value from key/value pairs.
 #[must_use]
 pub fn obj(members: Vec<(&str, Value)>) -> Value {
@@ -513,6 +636,9 @@ pub fn obj(members: Vec<(&str, Value)>) -> Value {
             .collect(),
     )
 }
+
+#[cfg(test)]
+mod fuzz;
 
 #[cfg(test)]
 mod tests {

@@ -105,7 +105,10 @@ fn period_frequency_inverse() {
     for _ in 0..CASES {
         let f = mag(&mut r);
         let frq = Hertz::from_mhz(f);
-        assert!(approx(frq.to_period().to_hertz().hertz(), frq.hertz()), "f={f}");
+        assert!(
+            approx(frq.to_period().to_hertz().hertz(), frq.hertz()),
+            "f={f}"
+        );
     }
 }
 

@@ -248,7 +248,7 @@ fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE, 2));
+    let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
     if args.input.is_none() && args.preset_nm.is_none() {
         // Nothing to evaluate: the usage alone, as a refusal.
         eprintln!("{USAGE}");

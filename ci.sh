@@ -412,15 +412,21 @@ if [[ $fast -eq 0 ]]; then
   trap - EXIT
   rm -f "$serve_log"
 
-  echo "==> serve-bench smoke (writes BENCH_server.json)"
+  # The benches write their files under target/ci, so a run leaves the
+  # committed BENCH_*.json files as they are.
+  bench_out=target/ci
+  mkdir -p "$bench_out"
+
+  echo "==> serve-bench smoke (writes $bench_out/BENCH_server.json)"
   # The bench itself asserts the keep-alive stage reaches >= 2x the
   # close-per-request throughput on /healthz and that bodies stay
   # bit-identical across 1 vs N server threads.
-  ./target/release/serve-bench --requests 600 --clients 4 --threads 4 > /dev/null
-  test -s BENCH_server.json
-  grep -q '"keepalive_speedup"' BENCH_server.json \
-    || { echo "    BENCH_server.json records no keepalive_speedup"; exit 1; }
-  echo "    BENCH_server.json written ($(wc -c < BENCH_server.json) bytes, keep-alive >= 2x verified)"
+  server_json=$bench_out/BENCH_server.json
+  ./target/release/serve-bench --requests 600 --clients 4 --threads 4 --out "$server_json" > /dev/null
+  test -s "$server_json"
+  grep -q '"keepalive_speedup"' "$server_json" \
+    || { echo "    $server_json records no keepalive_speedup"; exit 1; }
+  echo "    $server_json written ($(wc -c < "$server_json") bytes, keep-alive >= 2x verified)"
 
   echo "==> serve-bench --journal (timeline completeness under concurrency)"
   # Boots its own in-process server with the journal armed, drives an
@@ -433,74 +439,78 @@ if [[ $fast -eq 0 ]]; then
   # ordered (accept -> dispatch -> worker_start -> response).
   ./target/release/serve-bench --journal --clients 8 --threads 2 | sed 's/^/    /'
 
-  echo "==> chaos-bench smoke (seeded faults, writes BENCH_chaos.json)"
+  echo "==> chaos-bench smoke (seeded faults, writes $bench_out/BENCH_chaos.json)"
   # Fixed seed so the failure schedule (worker kills, build panics, slow
   # reads, short writes, queue rejects) replays identically on every run.
   # chaos-bench exits non-zero if any resilience invariant breaks: a lost
   # or duplicated response, an unaccounted fault, a missing respawn, or a
   # dirty drain.
-  ./target/release/chaos-bench --requests 200 --clients 4 --seed 7 > /dev/null
-  test -s BENCH_chaos.json
-  grep -q '"invariants_hold":true' BENCH_chaos.json \
-    || { echo "    BENCH_chaos.json does not report invariants_hold"; exit 1; }
-  respawns=$(sed -n 's|.*"worker_respawns":\([0-9]*\).*|\1|p' BENCH_chaos.json)
+  chaos_json=$bench_out/BENCH_chaos.json
+  ./target/release/chaos-bench --requests 200 --clients 4 --seed 7 --out "$chaos_json" > /dev/null
+  test -s "$chaos_json"
+  grep -q '"invariants_hold":true' "$chaos_json" \
+    || { echo "    $chaos_json does not report invariants_hold"; exit 1; }
+  respawns=$(sed -n 's|.*"worker_respawns":\([0-9]*\).*|\1|p' "$chaos_json")
   [[ -n "$respawns" && "$respawns" -ge 1 ]] \
     || { echo "    chaos run saw no worker respawns (got: ${respawns:-none})"; exit 1; }
-  echo "    BENCH_chaos.json written (invariants hold, $respawns worker respawns)"
+  echo "    $chaos_json written (invariants hold, $respawns worker respawns)"
 
-  echo "==> sweep-bench smoke (differential vs full rebuilds, writes BENCH_sweep.json)"
+  echo "==> sweep-bench smoke (differential vs full rebuilds, writes $bench_out/BENCH_sweep.json)"
   # A reduced run of both paths; sweep-bench itself exits non-zero if the
   # differential results are not bit-identical to full rebuilds.
-  ./target/release/sweep-bench --quick > /dev/null
-  test -s BENCH_sweep.json
-  grep -q '"sweep": {.*"bit_identical": true' BENCH_sweep.json \
+  sweep_json=$bench_out/BENCH_sweep.json
+  ./target/release/sweep-bench --quick --out "$sweep_json" > /dev/null
+  test -s "$sweep_json"
+  grep -q '"sweep": {.*"bit_identical": true' "$sweep_json" \
     || { echo "    differential sweep is not bit-identical"; exit 1; }
-  grep -q '"interaction_matrix": {.*"bit_identical": true' BENCH_sweep.json \
+  grep -q '"interaction_matrix": {.*"bit_identical": true' "$sweep_json" \
     || { echo "    differential interaction matrix is not bit-identical"; exit 1; }
-  phases_skipped=$(sed -n 's|.*"phases_skipped": \([0-9]*\).*|\1|p' BENCH_sweep.json)
+  phases_skipped=$(sed -n 's|.*"phases_skipped": \([0-9]*\).*|\1|p' "$sweep_json")
   [[ -n "$phases_skipped" && "$phases_skipped" -ge 1 ]] \
     || { echo "    differential path skipped no build phases (got: ${phases_skipped:-none})"; exit 1; }
-  sweep_speedup=$(sed -n 's|.*"sweep": {.*"speedup": \([0-9.]*\).*|\1|p' BENCH_sweep.json)
-  matrix_speedup=$(sed -n 's|.*"interaction_matrix": {.*"speedup": \([0-9.]*\).*|\1|p' BENCH_sweep.json)
+  sweep_speedup=$(sed -n 's|.*"sweep": {.*"speedup": \([0-9.]*\).*|\1|p' "$sweep_json")
+  matrix_speedup=$(sed -n 's|.*"interaction_matrix": {.*"speedup": \([0-9.]*\).*|\1|p' "$sweep_json")
   awk -v s="$sweep_speedup" -v m="$matrix_speedup" 'BEGIN { exit !(s >= 1.0 && m >= 1.0) }' \
     || { echo "    differential path is slower than full rebuilds (sweep ${sweep_speedup}x, matrix ${matrix_speedup}x)"; exit 1; }
-  echo "    BENCH_sweep.json written (sweep ${sweep_speedup}x, matrix ${matrix_speedup}x, $phases_skipped phases skipped)"
+  echo "    $sweep_json written (sweep ${sweep_speedup}x, matrix ${matrix_speedup}x, $phases_skipped phases skipped)"
 
-  echo "==> trace-bench smoke (streams 1M commands, writes BENCH_trace.json)"
+  echo "==> trace-bench smoke (streams 1M commands, writes $bench_out/BENCH_trace.json)"
   # trace-bench boots the server in-process, streams a seeded trace with
   # chunked framing and exits non-zero unless the served report is
   # byte-identical to an in-memory StreamFold of the same bytes and the
   # peak-RSS delta stays bounded (the O(1)-memory claim).
-  trace_bench_out=$(./target/release/trace-bench --commands 1000000)
+  trace_json=$bench_out/BENCH_trace.json
+  trace_bench_out=$(./target/release/trace-bench --commands 1000000 --out "$trace_json")
   grep -q 'bit-identical to in-memory fold: yes' <<<"$trace_bench_out" \
     || { echo "    trace-bench did not report bit-identity"; exit 1; }
-  test -s BENCH_trace.json
-  grep -q '"bit_identical":true' BENCH_trace.json \
-    || { echo "    BENCH_trace.json does not record bit_identical"; exit 1; }
-  trace_rss=$(sed -n 's|.*"peak_rss_delta_kb":\([0-9]*\).*|\1|p' BENCH_trace.json)
+  test -s "$trace_json"
+  grep -q '"bit_identical":true' "$trace_json" \
+    || { echo "    $trace_json does not record bit_identical"; exit 1; }
+  trace_rss=$(sed -n 's|.*"peak_rss_delta_kb":\([0-9]*\).*|\1|p' "$trace_json")
   [[ -n "$trace_rss" && "$trace_rss" -le 262144 ]] \
     || { echo "    trace-bench peak RSS delta ${trace_rss:-unknown} kB exceeds the 256 MiB bound"; exit 1; }
-  trace_rate=$(sed -n 's|.*"mb_per_s":\([0-9.]*\).*|\1|p' BENCH_trace.json)
-  echo "    BENCH_trace.json written (bit-identical, ${trace_rate:-?} MB/s, peak RSS delta ${trace_rss} kB)"
+  trace_rate=$(sed -n 's|.*"mb_per_s":\([0-9.]*\).*|\1|p' "$trace_json")
+  echo "    $trace_json written (bit-identical, ${trace_rate:-?} MB/s, peak RSS delta ${trace_rss} kB)"
 
-  echo "==> shard-bench smoke (multi-process pool, writes BENCH_shard.json)"
+  echo "==> shard-bench smoke (multi-process pool, writes $bench_out/BENCH_shard.json)"
   # Boots real dram-serve children behind the in-process router, SIGKILLs
   # them on a seeded schedule, and exits non-zero if any request is lost
   # beyond the retry budget, any body diverges from the single-node
   # canon, or the ring's cache-hit rate fails to beat random routing.
-  ./target/release/shard-bench --requests 120 --kills 2 --seed 7 > /dev/null
-  test -s BENCH_shard.json
-  grep -q '"invariants_hold":true' BENCH_shard.json \
-    || { echo "    BENCH_shard.json does not report invariants_hold"; exit 1; }
-  grep -q '"lost_requests":0' BENCH_shard.json \
+  shard_json=$bench_out/BENCH_shard.json
+  ./target/release/shard-bench --requests 120 --kills 2 --seed 7 --out "$shard_json" > /dev/null
+  test -s "$shard_json"
+  grep -q '"invariants_hold":true' "$shard_json" \
+    || { echo "    $shard_json does not report invariants_hold"; exit 1; }
+  grep -q '"lost_requests":0' "$shard_json" \
     || { echo "    shard run lost requests"; exit 1; }
-  shard_failovers=$(sed -n 's|.*"failovers":\([0-9]*\).*|\1|p' BENCH_shard.json)
+  shard_failovers=$(sed -n 's|.*"failovers":\([0-9]*\).*|\1|p' "$shard_json")
   [[ -n "$shard_failovers" && "$shard_failovers" -ge 1 ]] \
     || { echo "    shard run recorded no failovers (got: ${shard_failovers:-none})"; exit 1; }
-  shard_gain=$(sed -n 's|.*"affinity_gain":\([0-9.]*\).*|\1|p' BENCH_shard.json)
+  shard_gain=$(sed -n 's|.*"affinity_gain":\([0-9.]*\).*|\1|p' "$shard_json")
   awk -v g="${shard_gain:-0}" 'BEGIN { exit !(g > 0.05) }' \
     || { echo "    ring routing shows no cache-affinity gain (got: ${shard_gain:-none})"; exit 1; }
-  echo "    BENCH_shard.json written ($shard_failovers failovers, affinity gain +$shard_gain, 0 lost)"
+  echo "    $shard_json written ($shard_failovers failovers, affinity gain +$shard_gain, 0 lost)"
 
   echo "==> dram-route smoke (3-node pool, byte-identity, SIGKILL failover, idle soak, SIGTERM drain)"
   # Black-box: the shipped binaries only. Boot three dram-serve nodes and

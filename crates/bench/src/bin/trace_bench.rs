@@ -198,7 +198,6 @@ fn main() {
         &desc.timing,
         desc.spec.control_clock,
         desc.spec.banks(),
-        desc.timing.tccd_cycles,
         InitialBankState::AllClosed,
     );
     let mut fold = StreamFold::new(&dram, PowerDownPolicy::AGGRESSIVE);

@@ -44,17 +44,13 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use dram_units::{Joules, Seconds};
-
 use crate::charges::{ChargeBatch, ChargeModel};
 use crate::geometry::Geometry;
 use crate::params::{
     ActiveDuring, DramDescription, Electrical, LogicBlock, PhysicalFloorplan, SegmentSpec,
     SignalingFloorplan, Specification, Technology, Timing, WireCount,
 };
-use crate::pattern::Command;
 use crate::perturb::{BuildPhase, Perturbation};
-use crate::power::static_power;
 use crate::{Dram, ModelError, PowerSummary};
 
 /// Hashes an `f64` by bit pattern (`-0.0` and `0.0` hash differently;
@@ -785,8 +781,9 @@ impl EvalEngine {
     /// hashing, ledger allocation or cache traffic. Every `out[i]` is
     /// bit-identical to
     /// `Dram::new(perturbed_desc)?.mixed_workload_power()` — phases re-run
-    /// with the same arithmetic in the same order — and input order is
-    /// preserved regardless of thread count.
+    /// with the same arithmetic in the same order, and the loop is priced
+    /// by the function behind [`Dram::timed_pattern_power`] — and input
+    /// order is preserved regardless of thread count.
     ///
     /// Per-item failures (validation of an over-perturbed description,
     /// a worker panic) land in that item's slot; the batch completes.
@@ -802,13 +799,8 @@ impl EvalEngine {
         let _s = dram_obs::span("engine.evaluate_perturbations").arg("items", perts.len());
         let base_model = self.cache.get_or_build(base)?;
         // The mixed workload is built from spec and timing, which no
-        // ParamId edits; the command sequence and loop rate are shared by
-        // the whole batch.
+        // ParamId edits; one loop is shared by the whole batch.
         let pattern = base_model.mixed_workload();
-        let commands: Vec<Command> = pattern.commands().iter().map(|c| c.command).collect();
-        let f = base.spec.control_clock;
-        let loop_time = pattern.loop_cycles() as f64 / f.hertz();
-        let rate = Seconds::new(loop_time).to_hertz();
         let base_batch = ChargeBatch::from_model(&ChargeModel::new(
             base_model.description(),
             base_model.geometry(),
@@ -860,37 +852,7 @@ impl EvalEngine {
                             skipped,
                         );
                     }
-                    let command_energy: Joules = commands
-                        .iter()
-                        .map(|&c| match c {
-                            Command::Activate => ops[0],
-                            Command::Precharge => ops[1],
-                            Command::Read => ops[2],
-                            Command::Write => ops[3],
-                            // Mixed workloads never schedule refresh, but
-                            // price it like `Dram::refresh_command_energy`
-                            // so the replay can never silently diverge.
-                            Command::Refresh => {
-                                (ops[0] + ops[1])
-                                    * crate::lowpower::rows_per_refresh(
-                                        u64::from(desc.spec.banks()) * desc.spec.rows_per_bank(),
-                                    )
-                            }
-                            Command::Nop
-                            | Command::PowerDownEnter
-                            | Command::PowerDownExit
-                            | Command::SelfRefreshEnter
-                            | Command::SelfRefreshExit => Joules::ZERO,
-                        })
-                        .sum();
-                    let e = &desc.electrical;
-                    let background = ops[4] * f + static_power(e);
-                    let power = background + command_energy * rate;
-                    Ok(PowerSummary {
-                        power,
-                        current: power / e.vdd,
-                        background,
-                    })
+                    Ok(crate::model::loop_power(desc, &ops, &pattern))
                 })
             })
         }))

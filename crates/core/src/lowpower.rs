@@ -119,16 +119,11 @@ impl Dram {
 
     /// External energy of one auto-refresh command: the activate +
     /// precharge of every row the command refreshes
-    /// ([`rows_per_refresh`] of them). This is what a
-    /// [`crate::Command::Refresh`] in a trace costs.
+    /// ([`rows_per_refresh`] of them), as [`Dram::command_energy`]
+    /// prices a [`crate::Command::Refresh`].
     #[must_use]
     pub fn refresh_command_energy(&self) -> dram_units::Joules {
-        let spec = &self.description().spec;
-        let act = self.operation_energy(crate::Operation::Activate).external();
-        let pre = self
-            .operation_energy(crate::Operation::Precharge)
-            .external();
-        (act + pre) * rows_per_refresh(u64::from(spec.banks()) * spec.rows_per_bank())
+        self.command_energy(crate::Command::Refresh)
     }
 
     /// Average power of refreshing the whole device once per refresh

@@ -15,11 +15,11 @@ use crate::area::AreaReport;
 use crate::charges::ChargeModel;
 use crate::error::ModelError;
 use crate::geometry::Geometry;
-use crate::params::DramDescription;
+use crate::params::{DramDescription, Specification};
 use crate::pattern::{Command, Pattern};
 use crate::perturb::{BuildPhase, DirtySet};
 use crate::power::{static_power, Operation, OperationEnergy};
-use crate::timing::{TimedCommand, TimedPattern};
+use crate::timing::{InitialBankState, Schedule, TimedCommand};
 
 /// Process-wide count of [`Dram::new`] calls, registered once.
 fn model_builds_total() -> &'static std::sync::Arc<dram_obs::Counter> {
@@ -395,18 +395,9 @@ impl Dram {
     /// ([`Dram::refresh_command_energy`]).
     #[must_use]
     pub fn command_energy(&self, cmd: Command) -> Joules {
-        match cmd {
-            Command::Activate => self.activate.external(),
-            Command::Precharge => self.precharge.external(),
-            Command::Read => self.read.external(),
-            Command::Write => self.write.external(),
-            Command::Refresh => self.refresh_command_energy(),
-            Command::Nop
-            | Command::PowerDownEnter
-            | Command::PowerDownExit
-            | Command::SelfRefreshEnter
-            | Command::SelfRefreshExit => Joules::ZERO,
-        }
+        energy_of(cmd, &self.desc.spec, |op| {
+            self.operation_energy(op).external()
+        })
     }
 
     /// Continuous background power: clock/control/always-on logic at the
@@ -464,30 +455,21 @@ impl Dram {
                 command,
             })
             .collect();
-        let timed = TimedPattern::new(commands, pattern.len() as u64)?;
-        timed.validate(
+        Schedule::new(commands, pattern.len() as u64)?.validate_loop(
             &self.desc.timing,
             self.desc.spec.control_clock,
             self.desc.spec.banks(),
-            self.desc.timing.tccd_cycles,
-            crate::timing::InitialBankState::AllClosed,
+            InitialBankState::AllClosed,
         )?;
         Ok(self.pattern_power(pattern))
     }
 
-    /// Average power of a bank-annotated timed loop.
+    /// Average power of a bank-annotated schedule read as a repeating
+    /// loop.
     #[must_use]
-    pub fn timed_pattern_power(&self, pattern: &TimedPattern) -> PowerSummary {
-        let f = self.desc.spec.control_clock;
-        let loop_time = pattern.loop_cycles() as f64 / f.hertz();
-        let command_energy: Joules = pattern
-            .commands()
-            .iter()
-            .map(|c| self.command_energy(c.command))
-            .sum();
-        let background = self.background_power();
-        let power = background + command_energy * dram_units::Seconds::new(loop_time).to_hertz();
-        self.summarize(power, background)
+    pub fn timed_pattern_power(&self, pattern: &Schedule) -> PowerSummary {
+        let energies = Operation::ALL.map(|op| self.operation_energy(op).external());
+        loop_power(&self.desc, &energies, pattern)
     }
 
     fn summarize(&self, power: Watts, background: Watts) -> PowerSummary {
@@ -514,34 +496,30 @@ impl Dram {
         let idd2n = background / vdd;
 
         let idd0 = {
-            let p = TimedPattern::idd0(timing, f).expect("validated timing builds IDD0");
+            let p = Schedule::idd0(timing, f).expect("validated timing builds IDD0");
             self.timed_pattern_power(&p).current
         };
         let idd1 = {
-            let p = TimedPattern::idd1(timing, f).expect("validated timing builds IDD1");
+            let p = Schedule::idd1(timing, f).expect("validated timing builds IDD1");
             self.timed_pattern_power(&p).current
         };
         let idd4r = {
-            let p = TimedPattern::idd4(Command::Read, timing.tccd_cycles, spec.banks())
+            let p = Schedule::idd4(Command::Read, timing, spec.banks())
                 .expect("validated timing builds IDD4R");
             self.timed_pattern_power(&p).current
         };
         let idd4w = {
-            let p = TimedPattern::idd4(Command::Write, timing.tccd_cycles, spec.banks())
+            let p = Schedule::idd4(Command::Write, timing, spec.banks())
                 .expect("validated timing builds IDD4W");
             self.timed_pattern_power(&p).current
         };
         let idd5 = {
-            let total_rows = u64::from(spec.banks()) * spec.rows_per_bank();
-            let rows_per_refresh = (total_rows / REFRESH_COMMANDS_PER_WINDOW).max(1) as f64;
-            let refresh_energy =
-                (self.activate.external() + self.precharge.external()) * rows_per_refresh;
+            let refresh_energy = self.refresh_command_energy();
             let p = background + Watts::new(refresh_energy.joules() / timing.trfc.seconds());
             p / vdd
         };
         let idd7 = {
-            let p = TimedPattern::idd7(timing, f, spec.banks(), timing.tccd_cycles)
-                .expect("validated timing builds IDD7");
+            let p = Schedule::idd7(timing, f, spec.banks()).expect("validated timing builds IDD7");
             self.timed_pattern_power(&p).current
         };
 
@@ -571,10 +549,9 @@ impl Dram {
     ///
     /// Never panics for a validated model.
     #[must_use]
-    pub fn mixed_workload(&self) -> TimedPattern {
+    pub fn mixed_workload(&self) -> Schedule {
         let spec = &self.desc.spec;
-        let timing = &self.desc.timing;
-        let base = TimedPattern::idd7(timing, spec.control_clock, spec.banks(), timing.tccd_cycles)
+        let base = Schedule::idd7(&self.desc.timing, spec.control_clock, spec.banks())
             .expect("validated timing builds IDD7");
         let commands: Vec<TimedCommand> = base
             .commands()
@@ -590,7 +567,7 @@ impl Dram {
                 }
             })
             .collect();
-        TimedPattern::new(commands, base.loop_cycles()).expect("same loop stays valid")
+        Schedule::new(commands, base.cycles()).expect("same loop stays valid")
     }
 
     /// Power of the mixed activate/read/write/precharge workload used for
@@ -616,14 +593,12 @@ impl Dram {
     #[must_use]
     pub fn energy_per_bit_random(&self) -> Joules {
         let spec = &self.desc.spec;
-        let timing = &self.desc.timing;
-        let pattern =
-            TimedPattern::idd7(timing, spec.control_clock, spec.banks(), timing.tccd_cycles)
-                .expect("validated timing builds IDD7");
+        let pattern = Schedule::idd7(&self.desc.timing, spec.control_clock, spec.banks())
+            .expect("validated timing builds IDD7");
         let summary = self.timed_pattern_power(&pattern);
         let bits_per_loop =
             pattern.count(Command::Read) as f64 * f64::from(spec.bits_per_column_access());
-        let loop_time = pattern.loop_cycles() as f64 / spec.control_clock.hertz();
+        let loop_time = pattern.cycles() as f64 / spec.control_clock.hertz();
         let rate = dram_units::BitsPerSecond::new(bits_per_loop / loop_time);
         summary.power / rate
     }
@@ -640,6 +615,55 @@ impl Dram {
     pub fn evaluate_body(&self) -> &str {
         self.body
             .get_or_init(|| evaluate_document(self).to_string().into_boxed_str())
+    }
+}
+
+/// External energy of one `cmd` on a device of `spec`, given each
+/// operation's external energy: the one command price. One
+/// auto-refresh is the activate + precharge of every row it refreshes
+/// ([`crate::lowpower::rows_per_refresh`] of them).
+fn energy_of(cmd: Command, spec: &Specification, external: impl Fn(Operation) -> Joules) -> Joules {
+    match cmd {
+        Command::Activate => external(Operation::Activate),
+        Command::Precharge => external(Operation::Precharge),
+        Command::Read => external(Operation::Read),
+        Command::Write => external(Operation::Write),
+        Command::Refresh => {
+            (external(Operation::Activate) + external(Operation::Precharge))
+                * crate::lowpower::rows_per_refresh(u64::from(spec.banks()) * spec.rows_per_bank())
+        }
+        Command::Nop
+        | Command::PowerDownEnter
+        | Command::PowerDownExit
+        | Command::SelfRefreshEnter
+        | Command::SelfRefreshExit => Joules::ZERO,
+    }
+}
+
+/// Average power of `schedule` read as a repeating loop on a device
+/// described by `desc`, from the external energies of its operations in
+/// [`Operation::ALL`] order (§III.B.4): the command energies spread over
+/// the loop time, plus the background of clock cycles and the constant
+/// sink. [`Dram::timed_pattern_power`] and the engine's sweep fast path
+/// both price loops here.
+pub(crate) fn loop_power(
+    desc: &DramDescription,
+    energies: &[Joules; 5],
+    schedule: &Schedule,
+) -> PowerSummary {
+    let f = desc.spec.control_clock;
+    let loop_time = schedule.cycles() as f64 / f.hertz();
+    let command_energy: Joules = schedule
+        .commands()
+        .iter()
+        .map(|c| energy_of(c.command, &desc.spec, |op| energies[op as usize]))
+        .sum();
+    let background = energies[Operation::ClockCycle as usize] * f + static_power(&desc.electrical);
+    let power = background + command_energy * dram_units::Seconds::new(loop_time).to_hertz();
+    PowerSummary {
+        power,
+        current: power / desc.electrical.vdd,
+        background,
     }
 }
 

@@ -1,14 +1,16 @@
-//! Bank-level timing validation and standard datasheet patterns.
+//! Bank-level timing validation and command schedules.
 //!
 //! "Concurrent operation of banks is ... limited to that portion of an
 //! operation that takes place inside a bank" (§II): interleaved patterns
 //! like IDD7 are only legal if the per-bank row timings (tRC, tRAS, tRP,
 //! tRCD) and the shared-resource timings (tRRD on the row logic, tCCD on
 //! the shared data bus) hold. This module provides a cycle-accurate,
-//! incremental [`TimingChecker`] — the one implementation of those rules,
-//! driven by [`TimedPattern::validate`] here and by finite command traces
-//! in `dram-workload` — and constructors for the standard datasheet loops
-//! (IDD0, IDD4R/W, IDD7).
+//! incremental [`TimingChecker`] — the one implementation of those rules
+//! — and [`Schedule`], the one command schedule type. A datasheet loop
+//! (IDD0, IDD1, IDD4R/W, IDD7) is a schedule read as one pass of a
+//! repeating loop; a controller trace in `dram-workload` is a schedule
+//! read as a finite sequence. Both checks run the schedule's commands
+//! through a checker in one loop.
 
 use dram_units::{Hertz, Seconds};
 
@@ -72,16 +74,10 @@ pub struct TimingChecker {
 
 impl TimingChecker {
     /// A checker for `banks` banks in the `initial` state, with the row
-    /// timings rounded to cycles of `clock` and a column-to-column delay
-    /// of `tccd_cycles`.
+    /// timings rounded to cycles of `clock` and the column-to-column
+    /// delay of `timing.tccd_cycles`.
     #[must_use]
-    pub fn new(
-        timing: &Timing,
-        clock: Hertz,
-        banks: u32,
-        tccd_cycles: u32,
-        initial: InitialBankState,
-    ) -> Self {
+    pub fn new(timing: &Timing, clock: Hertz, banks: u32, initial: InitialBankState) -> Self {
         let cycles = |s: Seconds| i64::try_from(to_cycles(s, clock)).unwrap_or(i64::MAX);
         let bank = BankTiming {
             open: matches!(initial, InitialBankState::AllOpen),
@@ -95,7 +91,7 @@ impl TimingChecker {
             trcd: cycles(timing.trcd),
             trrd: cycles(timing.trrd),
             tfaw: cycles(timing.tfaw),
-            tccd: i64::from(tccd_cycles),
+            tccd: i64::from(timing.tccd_cycles),
             banks: vec![bank; banks as usize],
             last_any_act: NEVER,
             last_column: NEVER,
@@ -114,20 +110,19 @@ impl TimingChecker {
         self.issue(cycle, bank, command, true)
     }
 
-    /// Records the effect of `command` on `bank` at `cycle` without
-    /// checking its timing — a warm-up pass that brings the bank state
-    /// to steady state.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::TimingViolation`] if `bank` is out of range.
-    pub(crate) fn record(
+    /// Issues `commands` shifted by `offset` cycles: checked when
+    /// `strict`, otherwise only recorded — a warm-up pass that brings the
+    /// bank state to steady state. The one loop both [`Schedule`] checks
+    /// drive.
+    fn pass(
         &mut self,
-        cycle: u64,
-        bank: u32,
-        command: Command,
+        commands: &[TimedCommand],
+        offset: u64,
+        strict: bool,
     ) -> Result<(), ModelError> {
-        self.issue(cycle, bank, command, false)
+        commands
+            .iter()
+            .try_for_each(|c| self.issue(offset + c.cycle, c.bank, c.command, strict))
     }
 
     fn issue(
@@ -210,8 +205,8 @@ impl TimingChecker {
 /// A command scheduled at a clock cycle on a specific bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimedCommand {
-    /// Cycle within the loop (0-based, strictly less than the loop
-    /// length).
+    /// Issue cycle at the control clock (0-based, below its schedule's
+    /// cycle count).
     pub cycle: u64,
     /// Bank index.
     pub bank: u32,
@@ -228,42 +223,45 @@ pub enum InitialBankState {
     AllOpen,
 }
 
-/// A repeating, bank-annotated command loop at the control clock.
+/// A bank-annotated command schedule at the control clock: a cycle count
+/// and the commands issued within it.
+///
+/// A datasheet loop reads it as one pass of a repeating loop
+/// ([`Self::validate_loop`], `Dram::timed_pattern_power`); a controller
+/// trace reads it as a finite sequence that ends at its cycle count
+/// ([`Self::validate_trace`], and the fold, generator and writer of
+/// `dram-workload`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TimedPattern {
+pub struct Schedule {
     commands: Vec<TimedCommand>,
-    loop_cycles: u64,
+    cycles: u64,
 }
 
-impl TimedPattern {
-    /// Creates a timed pattern.
+impl Schedule {
+    /// Creates a schedule of `cycles` cycles: nops are dropped and the
+    /// commands sorted by cycle.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::EmptyPattern`] if the loop has no cycles, and
-    /// [`ModelError::BadParameter`] if a command lies outside the loop or
-    /// the commands are not sorted by cycle.
-    pub fn new(mut commands: Vec<TimedCommand>, loop_cycles: u64) -> Result<Self, ModelError> {
-        if loop_cycles == 0 {
+    /// Returns [`ModelError::EmptyPattern`] if the schedule has no cycles,
+    /// and [`ModelError::BadParameter`] if a command lies at or past its
+    /// end.
+    pub fn new(mut commands: Vec<TimedCommand>, cycles: u64) -> Result<Self, ModelError> {
+        if cycles == 0 {
             return Err(ModelError::EmptyPattern);
         }
         commands.retain(|c| c.command != Command::Nop);
-        for c in &commands {
-            if c.cycle >= loop_cycles {
-                return Err(ModelError::BadParameter {
-                    name: "timed_pattern",
-                    reason: format!(
-                        "command {} at cycle {} outside loop of {loop_cycles} cycles",
-                        c.command, c.cycle
-                    ),
-                });
-            }
-        }
         commands.sort_by_key(|c| c.cycle);
-        Ok(Self {
-            commands,
-            loop_cycles,
-        })
+        if let Some(last) = commands.last().filter(|c| c.cycle >= cycles) {
+            return Err(ModelError::BadParameter {
+                name: "schedule",
+                reason: format!(
+                    "command {} at cycle {} outside schedule of {cycles} cycles",
+                    last.command, last.cycle
+                ),
+            });
+        }
+        Ok(Self { commands, cycles })
     }
 
     /// The scheduled commands (nops removed), sorted by cycle.
@@ -272,22 +270,40 @@ impl TimedPattern {
         &self.commands
     }
 
-    /// Loop length in control-clock cycles.
+    /// Length in control-clock cycles: one loop pass, or the whole trace.
     #[must_use]
-    pub fn loop_cycles(&self) -> u64 {
-        self.loop_cycles
+    pub fn cycles(&self) -> u64 {
+        self.cycles
     }
 
-    /// Count of a given command per loop.
+    /// Occurrences of a given command.
     #[must_use]
     pub fn count(&self, cmd: Command) -> usize {
         self.commands.iter().filter(|c| c.command == cmd).count()
     }
 
-    /// Rate of a given command: occurrences per second at clock `f`.
+    /// Rate of a given command: occurrences per second at `clock`.
     #[must_use]
     pub fn rate(&self, cmd: Command, clock: Hertz) -> Hertz {
-        clock * (self.count(cmd) as f64 / self.loop_cycles as f64)
+        clock * (self.count(cmd) as f64 / self.cycles as f64)
+    }
+
+    /// Idle gaps between consecutive commands, in cycles — the windows a
+    /// power-down policy can exploit.
+    #[must_use]
+    pub fn idle_gaps(&self) -> Vec<u64> {
+        let mut gaps = Vec::new();
+        let mut cursor = 0u64;
+        for c in &self.commands {
+            if c.cycle > cursor {
+                gaps.push(c.cycle - cursor);
+            }
+            cursor = c.cycle + 1;
+        }
+        if self.cycles > cursor {
+            gaps.push(self.cycles - cursor);
+        }
+        gaps
     }
 
     /// The IDD0 loop: one activate and one precharge on bank 0, repeating
@@ -356,15 +372,15 @@ impl TimedPattern {
         )
     }
 
-    /// The IDD4 loop: seamless column bursts every `tccd_cycles` on
-    /// rotating banks (rows already open). `cmd` selects read (IDD4R) or
-    /// write (IDD4W).
+    /// The IDD4 loop: seamless column bursts every tCCD on rotating banks
+    /// (rows already open). `cmd` selects read (IDD4R) or write (IDD4W).
     ///
     /// # Errors
     ///
     /// Returns an error for a zero tCCD or bank count.
-    pub fn idd4(cmd: Command, tccd_cycles: u32, banks: u32) -> Result<Self, ModelError> {
-        if tccd_cycles == 0 || banks == 0 {
+    pub fn idd4(cmd: Command, timing: &Timing, banks: u32) -> Result<Self, ModelError> {
+        let tccd = timing.tccd_cycles;
+        if tccd == 0 || banks == 0 {
             return Err(ModelError::BadParameter {
                 name: "idd4",
                 reason: "tCCD and bank count must be positive".into(),
@@ -373,12 +389,12 @@ impl TimedPattern {
         let slots = banks.min(4);
         let commands = (0..slots)
             .map(|i| TimedCommand {
-                cycle: u64::from(i * tccd_cycles),
+                cycle: u64::from(i * tccd),
                 bank: i % banks,
                 command: cmd,
             })
             .collect();
-        Self::new(commands, u64::from(slots * tccd_cycles))
+        Self::new(commands, u64::from(slots * tccd))
     }
 
     /// An IDD7-style loop: bank-interleaved activates at tRRD with a
@@ -389,12 +405,7 @@ impl TimedPattern {
     /// # Errors
     ///
     /// Returns an error if the timing produces an empty loop.
-    pub fn idd7(
-        timing: &Timing,
-        clock: Hertz,
-        banks: u32,
-        tccd_cycles: u32,
-    ) -> Result<Self, ModelError> {
+    pub fn idd7(timing: &Timing, clock: Hertz, banks: u32) -> Result<Self, ModelError> {
         let cycles = |s: Seconds| -> u64 { to_cycles(s, clock) };
         let banks = banks.max(1);
         // Activate spacing: limited by tRRD between banks, and by tRC/banks
@@ -406,7 +417,7 @@ impl TimedPattern {
             )
             // At most four activates per tFAW window.
             .max(cycles(timing.tfaw).div_ceil(4))
-            .max(u64::from(tccd_cycles))
+            .max(u64::from(timing.tccd_cycles))
             .max(1);
         let trcd = cycles(timing.trcd).max(1);
         let tras = cycles(timing.tras).max(trcd + 1);
@@ -433,36 +444,47 @@ impl TimedPattern {
         Self::new(commands, loop_cycles)
     }
 
-    /// Validates the loop against the per-bank and shared-resource timing
-    /// constraints, simulating three unrolled iterations through a
-    /// [`TimingChecker`].
+    /// Checks the schedule as a repeating loop against the per-bank and
+    /// shared-resource timing constraints: a warm-up pass from `initial`,
+    /// then two checked passes.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::TimingViolation`] describing the first
     /// violated constraint.
-    pub fn validate(
+    pub fn validate_loop(
         &self,
         timing: &Timing,
         clock: Hertz,
         banks: u32,
-        tccd_cycles: u32,
         initial: InitialBankState,
     ) -> Result<(), ModelError> {
-        let mut checker = TimingChecker::new(timing, clock, banks, tccd_cycles, initial);
-        // Iteration 0 is a warm-up: a loop may schedule a wrapped command
+        let mut checker = TimingChecker::new(timing, clock, banks, initial);
+        // Pass 0 is a warm-up: a loop may schedule a wrapped command
         // (e.g. the read of the last bank's activate) that only makes sense
-        // in steady state. Constraints are enforced from iteration 1 on.
-        for c in &self.commands {
-            checker.record(c.cycle, c.bank, c.command)?;
-        }
+        // in steady state. Constraints are enforced from pass 1 on.
+        checker.pass(&self.commands, 0, false)?;
         for iteration in 1..3 {
-            let offset = iteration * self.loop_cycles;
-            for c in &self.commands {
-                checker.check(offset + c.cycle, c.bank, c.command)?;
-            }
+            checker.pass(&self.commands, iteration * self.cycles, true)?;
         }
         Ok(())
+    }
+
+    /// Checks the schedule as a finite trace, one pass from all banks
+    /// precharged, against the per-bank and shared-resource timing
+    /// constraints.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::TimingViolation`] for the first violation.
+    pub fn validate_trace(
+        &self,
+        timing: &Timing,
+        clock: Hertz,
+        banks: u32,
+    ) -> Result<(), ModelError> {
+        let mut checker = TimingChecker::new(timing, clock, banks, InitialBankState::AllClosed);
+        checker.pass(&self.commands, 0, true)
     }
 }
 
@@ -476,15 +498,29 @@ mod tests {
         (d.timing, d.spec.control_clock)
     }
 
+    /// A schedule of `cycles` cycles from `(cycle, bank, command)`
+    /// triples.
+    fn schedule(commands: &[(u64, u32, Command)], cycles: u64) -> Result<Schedule, ModelError> {
+        let commands = commands
+            .iter()
+            .map(|&(cycle, bank, command)| TimedCommand {
+                cycle,
+                bank,
+                command,
+            })
+            .collect();
+        Schedule::new(commands, cycles)
+    }
+
     #[test]
     fn idd0_loop_is_valid_and_trc_long() {
         let (t, f) = fixture();
-        let p = TimedPattern::idd0(&t, f).expect("builds");
+        let p = Schedule::idd0(&t, f).expect("builds");
         // 49 ns at 800 MHz = 40 cycles.
-        assert_eq!(p.loop_cycles(), 40);
+        assert_eq!(p.cycles(), 40);
         assert_eq!(p.count(Command::Activate), 1);
         assert_eq!(p.count(Command::Precharge), 1);
-        p.validate(&t, f, 8, 4, InitialBankState::AllClosed)
+        p.validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .expect("IDD0 loop is legal");
         // Activate rate is 1/tRC.
         let rate = p.rate(Command::Activate, f);
@@ -494,10 +530,10 @@ mod tests {
     #[test]
     fn idd4_loop_is_seamless_and_valid() {
         let (t, f) = fixture();
-        let p = TimedPattern::idd4(Command::Read, 4, 8).expect("builds");
-        assert_eq!(p.loop_cycles(), 16);
+        let p = Schedule::idd4(Command::Read, &t, 8).expect("builds");
+        assert_eq!(p.cycles(), 16);
         assert_eq!(p.count(Command::Read), 4);
-        p.validate(&t, f, 8, 4, InitialBankState::AllOpen)
+        p.validate_loop(&t, f, 8, InitialBankState::AllOpen)
             .expect("IDD4R loop is legal");
         // One read per tCCD: rate = clock/4.
         let rate = p.rate(Command::Read, f);
@@ -507,9 +543,9 @@ mod tests {
     #[test]
     fn idd4_on_closed_banks_is_rejected() {
         let (t, f) = fixture();
-        let p = TimedPattern::idd4(Command::Read, 4, 8).expect("builds");
+        let p = Schedule::idd4(Command::Read, &t, 8).expect("builds");
         let err = p
-            .validate(&t, f, 8, 4, InitialBankState::AllClosed)
+            .validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .unwrap_err();
         assert!(err.to_string().contains("closed bank"));
     }
@@ -517,55 +553,28 @@ mod tests {
     #[test]
     fn idd7_loop_is_valid() {
         let (t, f) = fixture();
-        let p = TimedPattern::idd7(&t, f, 8, 4).expect("builds");
-        p.validate(&t, f, 8, 4, InitialBankState::AllClosed)
+        let p = Schedule::idd7(&t, f, 8).expect("builds");
+        p.validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .expect("IDD7 loop is legal");
         assert_eq!(p.count(Command::Activate), 8);
         assert_eq!(p.count(Command::Read), 8);
         assert_eq!(p.count(Command::Precharge), 8);
         // Activates are spaced at least tRC/8 apart, so all eight fit.
-        assert!(p.loop_cycles() >= 40);
+        assert!(p.cycles() >= 40);
     }
 
     #[test]
     fn trc_violation_is_detected() {
+        use Command::{Activate as Act, Precharge as Pre};
         let (t, f) = fixture();
-        // Activate + precharge squeezed into half a tRC.
-        let p = TimedPattern::new(
-            vec![
-                TimedCommand {
-                    cycle: 0,
-                    bank: 0,
-                    command: Command::Activate,
-                },
-                TimedCommand {
-                    cycle: 28,
-                    bank: 0,
-                    command: Command::Precharge,
-                },
-            ],
-            20, // loop shorter than tRC=40 cycles -> impossible
-        );
-        // cycle 28 outside loop of 20 -> construction error
-        assert!(p.is_err());
-        let p = TimedPattern::new(
-            vec![
-                TimedCommand {
-                    cycle: 0,
-                    bank: 0,
-                    command: Command::Activate,
-                },
-                TimedCommand {
-                    cycle: 15,
-                    bank: 0,
-                    command: Command::Precharge,
-                },
-            ],
-            20,
-        )
-        .expect("builds");
+        // Activate + precharge squeezed into half a tRC: cycle 28 lies
+        // outside a 20-cycle loop, and a command at the cycle count lies
+        // outside it too -> construction errors.
+        assert!(schedule(&[(0, 0, Act), (28, 0, Pre)], 20).is_err());
+        assert!(schedule(&[(100, 0, Act)], 100).is_err());
+        let p = schedule(&[(0, 0, Act), (15, 0, Pre)], 20).expect("builds");
         let err = p
-            .validate(&t, f, 8, 4, InitialBankState::AllClosed)
+            .validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .unwrap_err();
         let msg = err.to_string();
         assert!(
@@ -577,24 +586,9 @@ mod tests {
     #[test]
     fn tccd_violation_is_detected() {
         let (t, f) = fixture();
-        let p = TimedPattern::new(
-            vec![
-                TimedCommand {
-                    cycle: 0,
-                    bank: 0,
-                    command: Command::Read,
-                },
-                TimedCommand {
-                    cycle: 1,
-                    bank: 1,
-                    command: Command::Read,
-                },
-            ],
-            8,
-        )
-        .expect("builds");
+        let p = schedule(&[(0, 0, Command::Read), (1, 1, Command::Read)], 8).expect("builds");
         let err = p
-            .validate(&t, f, 8, 4, InitialBankState::AllOpen)
+            .validate_loop(&t, f, 8, InitialBankState::AllOpen)
             .unwrap_err();
         assert!(err.to_string().contains("tCCD"));
     }
@@ -620,9 +614,9 @@ mod tests {
                 command: Command::Precharge,
             });
         }
-        let p = TimedPattern::new(cmds, 128).expect("builds");
+        let p = Schedule::new(cmds, 128).expect("builds");
         let err = p
-            .validate(&t, f, 8, 4, InitialBankState::AllClosed)
+            .validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .unwrap_err();
         assert!(err.to_string().contains("tFAW"), "{err}");
     }
@@ -649,59 +643,124 @@ mod tests {
                 });
             }
         }
-        let p = TimedPattern::new(cmds, 128).expect("builds");
-        p.validate(&t, f, 8, 4, InitialBankState::AllClosed)
+        let p = Schedule::new(cmds, 128).expect("builds");
+        p.validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .expect("four per window is legal");
     }
 
     #[test]
     fn activate_to_open_bank_is_detected() {
         let (t, f) = fixture();
-        let p = TimedPattern::new(
-            vec![TimedCommand {
-                cycle: 0,
-                bank: 0,
-                command: Command::Activate,
-            }],
-            60,
-        )
-        .expect("builds");
+        let p = schedule(&[(0, 0, Command::Activate)], 60).expect("builds");
         // Second iteration activates the still-open bank.
         let err = p
-            .validate(&t, f, 8, 4, InitialBankState::AllClosed)
+            .validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .unwrap_err();
         assert!(err.to_string().contains("open bank"));
     }
 
     #[test]
     fn nops_are_dropped_and_commands_sorted() {
-        let p = TimedPattern::new(
-            vec![
-                TimedCommand {
-                    cycle: 5,
-                    bank: 0,
-                    command: Command::Precharge,
-                },
-                TimedCommand {
-                    cycle: 2,
-                    bank: 0,
-                    command: Command::Nop,
-                },
-                TimedCommand {
-                    cycle: 0,
-                    bank: 0,
-                    command: Command::Activate,
-                },
-            ],
-            10,
-        )
-        .expect("builds");
-        assert_eq!(p.commands().len(), 2);
-        assert_eq!(p.commands()[0].command, Command::Activate);
+        use Command::{Activate as Act, Nop, Precharge as Pre};
+        for (commands, cycles) in [
+            ([(5, 0, Pre), (2, 0, Nop), (0, 0, Act)], 10),
+            ([(10, 0, Pre), (5, 0, Nop), (0, 0, Act)], 100),
+        ] {
+            let p = schedule(&commands, cycles).expect("builds");
+            assert_eq!(p.commands().len(), 2);
+            assert_eq!(p.commands()[0].command, Command::Activate);
+            assert_eq!(p.count(Command::Activate), 1);
+        }
     }
 
     #[test]
     fn zero_loop_is_rejected() {
-        assert!(TimedPattern::new(vec![], 0).is_err());
+        assert!(Schedule::new(vec![], 0).is_err());
+    }
+
+    #[test]
+    fn legal_access_sequence_validates() {
+        use Command::{Activate as Act, Precharge as Pre, Read as Rd};
+        let (timing, clock) = fixture();
+        // act @0, rd @12 (tRCD=12 cycles at 800 MHz), pre @28 (tRAS), next
+        // act @40 (tRC).
+        let t = schedule(
+            &[
+                (0, 0, Act),
+                (12, 0, Rd),
+                (28, 0, Pre),
+                (40, 0, Act),
+                (52, 0, Rd),
+            ],
+            100,
+        )
+        .expect("builds");
+        t.validate_trace(&timing, clock, 8).expect("legal");
+    }
+
+    /// One trace per rule `validate_trace` enforces, each breaking only
+    /// that rule first. The 55 nm DDR3 reference at 800 MHz: tRC 40,
+    /// tRAS 28, tRP 12, tRCD 12, tRRD 6, tFAW 32 and tCCD 4 cycles, 8
+    /// banks.
+    #[test]
+    fn early_read_is_rejected() {
+        use Command::{Activate as Act, Precharge as Pre, Read as Rd, Refresh as Ref};
+        let (timing, clock) = fixture();
+        let trace = |commands: &[(u64, u32, Command)]| schedule(commands, 100).expect("builds");
+        let cases = [
+            (
+                "tRC violated on bank 0",
+                trace(&[(0, 0, Act), (28, 0, Pre), (39, 0, Act)]),
+            ),
+            (
+                "tRP violated on bank 0",
+                trace(&[(0, 0, Act), (30, 0, Pre), (40, 0, Act)]),
+            ),
+            ("tRRD violated", trace(&[(0, 0, Act), (5, 1, Act)])),
+            (
+                "tFAW",
+                trace(&[
+                    (0, 0, Act),
+                    (6, 1, Act),
+                    (12, 2, Act),
+                    (18, 3, Act),
+                    (24, 4, Act),
+                ]),
+            ),
+            (
+                "tRAS violated on bank 0",
+                trace(&[(0, 0, Act), (20, 0, Pre)]),
+            ),
+            ("tRCD violated on bank 0", trace(&[(0, 0, Act), (3, 0, Rd)])),
+            (
+                "tCCD violated",
+                trace(&[(0, 0, Act), (6, 1, Act), (18, 0, Rd), (20, 1, Rd)]),
+            ),
+            (
+                "refresh with open banks",
+                trace(&[(0, 0, Act), (10, 0, Ref)]),
+            ),
+            ("command addresses bank 8 of 8", trace(&[(0, 8, Act)])),
+            (
+                "activate to open bank 0",
+                trace(&[(0, 0, Act), (50, 0, Act)]),
+            ),
+            ("column access to closed bank 2", trace(&[(0, 2, Rd)])),
+        ];
+        for (rule, t) in cases {
+            let err = t.validate_trace(&timing, clock, 8).unwrap_err();
+            assert!(err.to_string().contains(rule), "{rule}: {err}");
+        }
+    }
+
+    #[test]
+    fn idle_gaps_are_found() {
+        let t = schedule(
+            &[(0, 0, Command::Activate), (20, 0, Command::Precharge)],
+            100,
+        )
+        .expect("builds");
+        // gap between cycle 1..20 (19 cycles) and 21..100 (79 cycles)
+        assert_eq!(t.idle_gaps(), vec![19, 79]);
     }
 }

@@ -8,7 +8,7 @@
 
 use dram_core::geometry::Geometry;
 use dram_core::reference::ddr3_1g_x16_55nm;
-use dram_core::timing::{InitialBankState, TimedPattern};
+use dram_core::timing::{InitialBankState, Schedule};
 use dram_core::{Command, Dram, Pattern};
 use dram_units::rng::SplitMix64;
 use dram_units::{Meters, Seconds};
@@ -100,21 +100,21 @@ fn standard_loops_stay_legal_under_random_timing() {
         let timing = &desc.timing;
         let clock = desc.spec.control_clock;
 
-        let idd0 = TimedPattern::idd0(timing, clock).expect("builds");
+        let idd0 = Schedule::idd0(timing, clock).expect("builds");
         assert!(idd0
-            .validate(timing, clock, 8, timing.tccd_cycles, InitialBankState::AllClosed)
+            .validate_loop(timing, clock, 8, InitialBankState::AllClosed)
             .is_ok());
 
-        let idd1 = TimedPattern::idd1(timing, clock).expect("builds");
+        let idd1 = Schedule::idd1(timing, clock).expect("builds");
         assert!(
-            idd1.validate(timing, clock, 8, timing.tccd_cycles, InitialBankState::AllClosed)
+            idd1.validate_loop(timing, clock, 8, InitialBankState::AllClosed)
                 .is_ok(),
             "idd1 illegal at trc={trc_ns} clock={clock_mhz}"
         );
 
-        let idd7 = TimedPattern::idd7(timing, clock, 8, timing.tccd_cycles).expect("builds");
+        let idd7 = Schedule::idd7(timing, clock, 8).expect("builds");
         assert!(
-            idd7.validate(timing, clock, 8, timing.tccd_cycles, InitialBankState::AllClosed)
+            idd7.validate_loop(timing, clock, 8, InitialBankState::AllClosed)
                 .is_ok(),
             "idd7 illegal at trc={trc_ns} trrd={trrd_ns} clock={clock_mhz}"
         );

@@ -171,6 +171,34 @@ fn streamed_reports_are_bit_identical_to_the_library_fold() {
     }
 }
 
+/// Each preset's §IV.B mixed loop, uploaded once as `write_trace` text,
+/// reads the loop price `Dram::timed_pattern_power` within 4 ulps: the
+/// served fold and the loop price agree over the wire too.
+#[test]
+fn a_mixed_loop_uploaded_as_a_trace_prices_as_the_loop() {
+    let server = start(1);
+    for name in dram_server::presets::NAMES {
+        let preset = dram_server::presets::get(name).expect("a preset");
+        let dram = Dram::new(preset.description().clone()).expect("builds");
+        let pattern = dram.mixed_workload();
+        let text = dram_workload::write_trace(&pattern);
+        let path = format!("/v1/trace?preset={name}");
+        let (status, body) = buffered(server.local_addr(), &path, text.as_bytes());
+        assert_eq!(status, 200, "{name}: {body}");
+        let doc = dram_units::json::Value::parse(&body).expect("trace JSON");
+        let served = doc
+            .get("average_power_w")
+            .and_then(|v| v.as_f64())
+            .expect("average_power_w");
+        let looped = dram.timed_pattern_power(&pattern).power.watts();
+        assert!(
+            served.to_bits().abs_diff(looped.to_bits()) <= 4,
+            "{name}: served {served} vs loop {looped}"
+        );
+    }
+    server.shutdown();
+}
+
 /// Satellite: a request carrying both `Content-Length` and
 /// `Transfer-Encoding: chunked` is a smuggling vector — rejected with
 /// 400 before any body handling, and the server stays alive.

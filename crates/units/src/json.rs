@@ -580,16 +580,20 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Reads four hex digits, returning the code unit and leaving `pos`
-    /// just past them.
+    /// Reads four ASCII hex digits, returning the code unit and leaving
+    /// `pos` just past them. A sign is not a digit: `\u+12a` is refused.
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         if end > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let text = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        let mut v = 0;
+        for &b in &self.bytes[self.pos..end] {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v * 16 + digit;
+        }
         self.pos = end;
         Ok(v)
     }

@@ -295,7 +295,11 @@ fn bad_escapes_fail_at_their_letter() {
     for _ in 0..ESCAPE_CASES {
         // Four characters after `\u`, some not hex digits.
         let hex: String = (0..4)
-            .map(|_| *r.pick(&['0', '7', 'a', 'F', 'd', 'G', 'x', ' ', '"', '\\', 'é']))
+            .map(|_| {
+                *r.pick(&[
+                    '0', '7', 'a', 'F', 'd', 'G', 'x', ' ', '"', '\\', 'é', '+', '-',
+                ])
+            })
             .collect();
         let input = format!("\"\\u{hex}\"");
         let want = if hex.chars().all(|c| c.is_ascii_hexdigit()) {
@@ -312,13 +316,14 @@ fn bad_escapes_fail_at_their_letter() {
         };
         assert_eq!(parse("escape", &input), want, "{input:?}");
     }
-    // An escape cut short by the end of the text.
+    // Escapes cut short by the end of the text, and a signed one.
     for (input, want) in [
         ("\"\\", at(2, "invalid escape")),
         ("\"\\u", at(3, "truncated \\u escape")),
         ("\"\\u12", at(3, "truncated \\u escape")),
         ("\"\\u123", at(3, "truncated \\u escape")),
         ("\"\\u1234", at(7, "unterminated string")),
+        ("\"\\u+12a\"", at(3, "invalid \\u escape")),
     ] {
         assert_eq!(parse("escape", input), Err(want), "{input:?}");
     }

@@ -3,15 +3,15 @@
 //!
 //! This module holds the policy, the five billable states and the report;
 //! the billing itself lives once, in [`crate::StreamFold`]. [`simulate`]
-//! prices an in-memory [`Trace`] by pushing its commands through that
+//! prices an in-memory [`Schedule`] by pushing its commands through that
 //! fold, so it and the streamed path agree bit for bit.
 
 use dram_core::lowpower::PowerState;
+use dram_core::timing::Schedule;
 use dram_core::Dram;
 use dram_units::{Joules, Seconds, Watts};
 
 use crate::stream::{StreamFold, TraceError};
-use crate::trace::Trace;
 
 /// A CKE power-down policy of the memory controller (§V: Hur & Lin
 /// schedule power-down usage against its re-entry latency), with a
@@ -194,9 +194,10 @@ impl TraceReport {
     }
 }
 
-/// Computes the energy of an in-memory trace under a power-down policy
-/// by pushing its commands through a [`StreamFold`] and closing it at the
-/// trace length. The billing rules are the fold's (see `docs/TRACES.md`).
+/// Computes the energy of an in-memory schedule, read as a finite trace,
+/// under a power-down policy by pushing its commands through a
+/// [`StreamFold`] and closing it at the schedule's cycle count. The
+/// billing rules are the fold's (see `docs/TRACES.md`).
 ///
 /// # Errors
 ///
@@ -206,14 +207,14 @@ impl TraceReport {
 /// of range — or a trace length that ends inside an exit latency.
 pub fn simulate(
     dram: &Dram,
-    trace: &Trace,
+    trace: &Schedule,
     policy: PowerDownPolicy,
 ) -> Result<TraceReport, TraceError> {
     let mut fold = StreamFold::new(dram, policy);
     for &c in trace.commands() {
         fold.push(c)?;
     }
-    fold.finish(Some(trace.length_cycles()))
+    fold.finish(Some(trace.cycles()))
 }
 
 #[cfg(test)]
@@ -221,6 +222,7 @@ mod tests {
     use super::*;
     use crate::generator::{generate_validated, WorkloadSpec};
     use dram_core::reference::ddr3_1g_x16_55nm;
+    use dram_core::timing::TimedCommand;
     use dram_core::{Command, Dram, DramDescription};
 
     fn model() -> Dram {
@@ -322,16 +324,16 @@ mod tests {
     }
 
     /// A `length`-cycle trace of `commands`, all on bank 0.
-    fn bank0_trace(commands: &[(u64, Command)], length: u64) -> Trace {
+    fn bank0_trace(commands: &[(u64, Command)], length: u64) -> Schedule {
         let commands = commands
             .iter()
-            .map(|&(cycle, command)| crate::TraceCommand {
+            .map(|&(cycle, command)| TimedCommand {
                 cycle,
                 bank: 0,
                 command,
             })
             .collect();
-        Trace::new(commands, length).expect("builds")
+        Schedule::new(commands, length).expect("builds")
     }
 
     /// A nap: powered down from cycle 0 to 1000 of 2000.
@@ -422,22 +424,7 @@ mod tests {
         let dram = model();
         // One access episode, then ~40k idle cycles: far past the
         // AGGRESSIVE self-refresh threshold.
-        let trace = crate::trace::Trace::new(
-            vec![
-                crate::trace::TraceCommand {
-                    cycle: 0,
-                    bank: 0,
-                    command: Command::Activate,
-                },
-                crate::trace::TraceCommand {
-                    cycle: 30,
-                    bank: 0,
-                    command: Command::Precharge,
-                },
-            ],
-            40_000,
-        )
-        .expect("builds");
+        let trace = bank0_trace(&[(0, Command::Activate), (30, Command::Precharge)], 40_000);
         let pd_only = PowerDownPolicy {
             self_refresh_threshold_cycles: u64::MAX,
             self_refresh_exit_latency_cycles: 0,
@@ -476,9 +463,9 @@ mod tests {
     fn explicit_cke_commands_bill_power_down() {
         let dram = model();
         let desc = dram.description();
-        let legal = |trace: &Trace| {
+        let legal = |trace: &Schedule| {
             trace
-                .validate(&desc.timing, desc.spec.control_clock, desc.spec.banks())
+                .validate_trace(&desc.timing, desc.spec.control_clock, desc.spec.banks())
                 .expect("bank timing is legal");
         };
         let nap = bank0_trace(&NAP, 2000);
@@ -507,12 +494,62 @@ mod tests {
     #[test]
     fn empty_trace_is_background_only() {
         let dram = model();
-        let trace = crate::trace::Trace::new(vec![], 1000).expect("ok");
+        let trace = Schedule::new(vec![], 1000).expect("ok");
         let r = simulate(&dram, &trace, PowerDownPolicy::NEVER).expect("legal");
         assert_eq!(r.command_energy, Joules::ZERO);
         assert_eq!(r.bits, 0.0);
         assert_eq!(r.energy_per_bit, Joules::ZERO);
         assert!(r.background_energy.joules() > 0.0);
+    }
+
+    /// Units in the last place between two finite floats of one sign.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// A loop is a trace: one pass of each datasheet loop (IDD0, IDD1,
+    /// IDD4R, IDD4W, IDD7) and of the §IV.B mixed workload, folded as a
+    /// finite trace, averages to the loop price of
+    /// `Dram::timed_pattern_power` within 4 ulps on every preset. The two
+    /// reach the same price by different arithmetic (energy over duration
+    /// against power per loop), so one loop is pinned: over many loops
+    /// the fold's running sums drift further apart.
+    #[test]
+    fn one_loop_as_a_trace_prices_as_the_loop() {
+        for description in every_preset() {
+            let name = description.name.clone();
+            let dram = Dram::new(description).expect("valid");
+            let desc = dram.description();
+            let (timing, clock, banks) = (&desc.timing, desc.spec.control_clock, desc.spec.banks());
+            let loops = [
+                ("IDD0", Schedule::idd0(timing, clock).expect("builds")),
+                ("IDD1", Schedule::idd1(timing, clock).expect("builds")),
+                (
+                    "IDD4R",
+                    Schedule::idd4(Command::Read, timing, banks).expect("builds"),
+                ),
+                (
+                    "IDD4W",
+                    Schedule::idd4(Command::Write, timing, banks).expect("builds"),
+                ),
+                (
+                    "IDD7",
+                    Schedule::idd7(timing, clock, banks).expect("builds"),
+                ),
+                ("mixed", dram.mixed_workload()),
+            ];
+            for (pattern_name, pattern) in loops {
+                let traced = simulate(&dram, &pattern, PowerDownPolicy::NEVER)
+                    .expect("legal")
+                    .average_power
+                    .watts();
+                let looped = dram.timed_pattern_power(&pattern).power.watts();
+                assert!(
+                    ulps(traced, looped) <= 4,
+                    "{name} {pattern_name}: trace {traced} vs loop {looped}"
+                );
+            }
+        }
     }
 
     /// The trace simulator and the analytic IDD7 estimate must agree on

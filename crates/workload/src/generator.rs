@@ -5,11 +5,9 @@
 //! The generator is deterministic for a given seed, so figure-regenerating
 //! benches produce stable numbers.
 
-use dram_core::timing::to_cycles;
+use dram_core::timing::{to_cycles, Schedule, TimedCommand};
 use dram_core::{Command, Dram, ModelError};
 use dram_units::rng::SplitMix64;
-
-use crate::trace::{Trace, TraceCommand};
 
 /// Row-buffer management policy of the modeled controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -109,7 +107,7 @@ pub struct GeneratorStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct GeneratedWorkload {
     /// The command trace.
-    pub trace: Trace,
+    pub trace: Schedule,
     /// Hit/miss statistics.
     pub stats: GeneratorStats,
 }
@@ -208,7 +206,7 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
                 stats.row_misses += 1;
                 // A different row: precharge then activate.
                 let t_pre = t_arrival.max(bank_state[b].earliest_pre);
-                commands.push(TraceCommand {
+                commands.push(TimedCommand {
                     cycle: t_pre,
                     bank,
                     command: Command::Precharge,
@@ -229,7 +227,7 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
             if recent_acts.len() == 4 {
                 t_act = t_act.max(recent_acts[0] + tfaw);
             }
-            commands.push(TraceCommand {
+            commands.push(TimedCommand {
                 cycle: t_act,
                 bank,
                 command: Command::Activate,
@@ -249,7 +247,7 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
         let t_col = t_arrival
             .max(bank_state[b].earliest_column)
             .max(next_column);
-        commands.push(TraceCommand {
+        commands.push(TimedCommand {
             cycle: t_col,
             bank,
             command: column_cmd,
@@ -260,7 +258,7 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
         // Closed-page policy: auto-precharge once tRAS allows.
         if spec.policy == PagePolicy::ClosedPage {
             let t_pre = bank_state[b].earliest_pre.max(t_col + 1);
-            commands.push(TraceCommand {
+            commands.push(TimedCommand {
                 cycle: t_pre,
                 bank,
                 command: Command::Precharge,
@@ -276,7 +274,7 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
     for (i, b) in bank_state.iter().enumerate() {
         if b.open_row.is_some() {
             let t_pre = b.earliest_pre.max(cursor + 1);
-            commands.push(TraceCommand {
+            commands.push(TimedCommand {
                 cycle: t_pre,
                 bank: u32::try_from(i).expect("bank index fits"),
                 command: Command::Precharge,
@@ -285,7 +283,7 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
         }
     }
 
-    let trace = Trace::new(commands, end + trp.max(1))?;
+    let trace = Schedule::new(commands, end + trp.max(1))?;
     Ok(GeneratedWorkload { trace, stats })
 }
 
@@ -308,7 +306,7 @@ pub fn generate_validated(
     let w = generate(dram, spec)?;
     let desc = dram.description();
     w.trace
-        .validate(&desc.timing, desc.spec.control_clock, desc.spec.banks())
+        .validate_trace(&desc.timing, desc.spec.control_clock, desc.spec.banks())
         .expect("generator emits legal traces");
     Ok(w)
 }

@@ -4,12 +4,15 @@
 //! open-page memory-controller model that generates timing-legal command
 //! traces from abstract access streams (read share, row-buffer hit rate,
 //! arrival intensity), and trace-driven energy accounting including
-//! CKE power-down policies. Trace text has one grammar, the one
-//! `POST /v1/trace` reads: [`TraceDecoder`] is its one reader and
-//! [`write_trace`] renders a [`Trace`] in it. Every trace — buffered or
-//! streamed — is billed by one fold, [`StreamFold`]; [`simulate`] drives
-//! it over an in-memory [`Trace`], and every trace's bank timing is
-//! checked by `dram-core`'s one [`dram_core::timing::TimingChecker`].
+//! CKE power-down policies. An in-memory trace is a
+//! [`dram_core::timing::Schedule`] — the one command schedule type,
+//! which the datasheet loops share — read as a finite sequence. Trace
+//! text has one grammar, the one `POST /v1/trace` reads:
+//! [`TraceDecoder`] is its one reader and [`write_trace`] renders a
+//! schedule in it. Every trace — buffered or streamed — is billed by one
+//! fold, [`StreamFold`]; [`simulate`] drives it over a schedule, and
+//! every trace's bank timing is checked by `dram-core`'s one
+//! [`dram_core::timing::TimingChecker`].
 //!
 //! This is the system-side context of the paper's §V discussion: schemes
 //! like Hur & Lin's power-down scheduling \[11\] and Zheng's mini-rank \[14\]
@@ -33,8 +36,10 @@
 mod energy;
 mod generator;
 mod stream;
-mod trace;
 
+/// The decoder's command type under its trace-side name: one scheduled
+/// command of a [`dram_core::timing::Schedule`].
+pub use dram_core::timing::TimedCommand as TraceCommand;
 pub use energy::{simulate, PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
 pub use generator::{
     generate, generate_validated, GeneratedWorkload, GeneratorStats, PagePolicy, WorkloadSpec,
@@ -43,4 +48,3 @@ pub use stream::{
     trace_bytes_total, trace_commands_total, write_trace, StreamFold, TraceDecoder, TraceError,
     TraceErrorKind, TraceEvent,
 };
-pub use trace::{Trace, TraceCommand};

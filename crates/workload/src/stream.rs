@@ -1,10 +1,10 @@
 //! Streaming trace ingestion: an incremental line decoder and a
 //! power-state-machine energy fold, both O(1) in trace length, and
-//! [`write_trace`], which renders a [`Trace`] in the decoder's grammar.
+//! [`write_trace`], which renders a [`Schedule`] in the decoder's grammar.
 //!
 //! [`TraceDecoder`] is the one reader of trace text and [`StreamFold`]
 //! the one implementation of trace billing. [`crate::simulate`] pushes
-//! an in-memory [`Trace`]'s commands through the fold; the server's
+//! an in-memory [`Schedule`]'s commands through the fold; the server's
 //! `POST /v1/trace` endpoint and `dram-power --trace` feed their bytes
 //! through [`TraceDecoder::feed`] into it without ever materializing the
 //! command list — so every path agrees bit for bit by construction. The
@@ -17,11 +17,11 @@ use core::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use dram_core::timing::{Schedule, TimedCommand};
 use dram_core::{Command, Dram};
 use dram_units::{Joules, Seconds, Watts};
 
 use crate::energy::{PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
-use crate::trace::{Trace, TraceCommand};
 
 /// Process-wide count of commands folded from traces.
 pub fn trace_commands_total() -> &'static Arc<dram_obs::Counter> {
@@ -158,7 +158,7 @@ impl std::error::Error for TraceError {}
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A `cycle command [bank]` line.
-    Command(TraceCommand),
+    Command(TimedCommand),
     /// A `!preset <name>` directive (device selection).
     Preset(String),
     /// A `!policy ...` directive (controller power-down policy).
@@ -375,7 +375,7 @@ impl TraceDecoder {
     }
 
     /// Passes a command on unless its cycle goes backwards.
-    fn in_order(&mut self, command: TraceCommand) -> Result<TraceEvent, TraceError> {
+    fn in_order(&mut self, command: TimedCommand) -> Result<TraceEvent, TraceError> {
         if let Some(last) = self.last_cycle {
             if command.cycle < last {
                 return Err(TraceError::at(
@@ -458,13 +458,13 @@ impl TraceDecoder {
     }
 }
 
-/// Renders a trace in the grammar [`TraceDecoder`] reads: a comment
-/// header, a `!length` directive so an idle tail survives the round
-/// trip, then one `cycle mnemonic bank` line per command, the bank
+/// Renders a schedule as a trace in the grammar [`TraceDecoder`] reads:
+/// a comment header, a `!length` directive so an idle tail survives the
+/// round trip, then one `cycle mnemonic bank` line per command, the bank
 /// always written.
 #[must_use]
-pub fn write_trace(trace: &Trace) -> String {
-    let mut out = format!("# cycle command bank\n!length {}\n", trace.length_cycles());
+pub fn write_trace(trace: &Schedule) -> String {
+    let mut out = format!("# cycle command bank\n!length {}\n", trace.cycles());
     for c in trace.commands() {
         let _ = writeln!(out, "{} {} {}", c.cycle, c.command, c.bank);
     }
@@ -481,7 +481,7 @@ fn line_text(line: u64, raw: &[u8]) -> Result<&str, TraceError> {
 #[derive(Debug, Clone, Copy)]
 enum Scanned {
     /// A well-formed `cycle mnemonic [bank]` command.
-    Command(TraceCommand),
+    Command(TimedCommand),
     /// A blank, `#` comment or `!` directive line.
     Other,
     /// A command line that breaks the grammar.
@@ -610,7 +610,7 @@ fn scan_line(bytes: &[u8]) -> (Scanned, usize) {
             return (Scanned::Malformed(Fault::TrailingTokens), at);
         }
     }
-    let command = TraceCommand {
+    let command = TimedCommand {
         cycle,
         bank,
         command,
@@ -625,7 +625,7 @@ fn scan_line(bytes: &[u8]) -> (Scanned, usize) {
 /// newline, or `None` at the first byte this spelling does not expect,
 /// the end of `bytes` included. [`scan_line`] reads every line this
 /// accepts to the same command, so a `None` only sends the line there.
-fn single_space_command(bytes: &[u8]) -> Option<(TraceCommand, usize)> {
+fn single_space_command(bytes: &[u8]) -> Option<(TimedCommand, usize)> {
     let (cycle, i) = digits(bytes, 0, 19)?;
     if bytes.get(i) != Some(&b' ') {
         return None;
@@ -642,7 +642,7 @@ fn single_space_command(bytes: &[u8]) -> Option<(TraceCommand, usize)> {
         bank = u32::try_from(value).ok()?;
         i = end;
     }
-    let command = TraceCommand {
+    let command = TimedCommand {
         cycle,
         bank,
         command,
@@ -692,11 +692,11 @@ struct Sleep {
 /// five-state power-state machine: the one implementation of trace
 /// billing.
 ///
-/// The fold consumes one [`TraceCommand`] at a time and keeps O(1)
+/// The fold consumes one [`TimedCommand`] at a time and keeps O(1)
 /// state: per-state powers and command energies are hoisted from the
 /// charge model at construction, so [`StreamFold::push`] never touches
 /// the model again. [`crate::simulate`] drives it over an in-memory
-/// [`crate::Trace`]; the server and `dram-power --trace` drive it from a
+/// [`Schedule`]; the server and `dram-power --trace` drive it from a
 /// [`TraceDecoder`].
 /// Explicit CKE commands ([`Command::PowerDownEnter`] and friends) drive
 /// the machine directly; idle gaps while awake are tiered by the
@@ -865,7 +865,7 @@ impl StreamFold {
     ///
     /// Returns a [`TraceError`] (line 0 — the decoder stamps it) on any
     /// state-machine violation; see [`TraceErrorKind`].
-    pub fn push(&mut self, c: TraceCommand) -> Result<(), TraceError> {
+    pub fn push(&mut self, c: TimedCommand) -> Result<(), TraceError> {
         if c.command == Command::Nop {
             return Ok(());
         }
@@ -904,7 +904,7 @@ impl StreamFold {
         )
     }
 
-    fn push_asleep(&mut self, c: TraceCommand) -> Result<(), TraceError> {
+    fn push_asleep(&mut self, c: TimedCommand) -> Result<(), TraceError> {
         let sleep = self.sleep.expect("asleep");
         let in_self_refresh = sleep.state == TraceState::SelfRefresh;
         let exit_latency = match c.command {
@@ -961,7 +961,7 @@ impl StreamFold {
     /// cycles after it. The cursor is the first unbilled cycle, so the
     /// last billable cycle is `u64::MAX - 1`; a command that would bill
     /// past it is a [`TraceErrorKind::Syntax`] error.
-    fn billed_through(c: TraceCommand, latency: u64) -> Result<u64, TraceError> {
+    fn billed_through(c: TimedCommand, latency: u64) -> Result<u64, TraceError> {
         c.cycle
             .checked_add(1)
             .and_then(|end| end.checked_add(latency))
@@ -983,7 +983,7 @@ impl StreamFold {
             })
     }
 
-    fn push_awake(&mut self, c: TraceCommand) -> Result<(), TraceError> {
+    fn push_awake(&mut self, c: TimedCommand) -> Result<(), TraceError> {
         if c.cycle < self.cursor {
             // Same-cycle pile-up is legal (the cycle is already
             // billed); anything earlier sits inside an exit-latency
@@ -1189,7 +1189,7 @@ mod tests {
         assert!(matches!(whole[1], TraceEvent::Policy(p) if p == PowerDownPolicy::AGGRESSIVE));
         assert!(matches!(
             whole[2],
-            TraceEvent::Command(TraceCommand {
+            TraceEvent::Command(TimedCommand {
                 cycle: 0,
                 bank: 2,
                 command: Command::Activate
@@ -1273,7 +1273,7 @@ mod tests {
         let text =
             b"\t+0\x0bACT\x0c+2\r\n 12 Read 2 \r\n28\tPreCharge\t2\n40 PDE\n\x0b\r\n44 pdx\n";
         let command = |cycle, command, bank| {
-            TraceEvent::Command(TraceCommand {
+            TraceEvent::Command(TimedCommand {
                 cycle,
                 bank,
                 command,
@@ -1324,7 +1324,7 @@ mod tests {
             documented_grammar_example(),
             quoted(example, "const TRACE", "\"\\\n", "\";"),
         ] {
-            let commands: Vec<TraceCommand> = decode_all(text.as_bytes(), text.len())
+            let commands: Vec<TimedCommand> = decode_all(text.as_bytes(), text.len())
                 .expect("decodes")
                 .into_iter()
                 .filter_map(|e| match e {
@@ -1333,9 +1333,9 @@ mod tests {
                 })
                 .collect();
             assert!(commands.len() > 4, "{text}");
-            Trace::new(commands, u64::MAX)
+            Schedule::new(commands, u64::MAX)
                 .expect("builds")
-                .validate(&d.timing, d.spec.control_clock, d.spec.banks())
+                .validate_trace(&d.timing, d.spec.control_clock, d.spec.banks())
                 .unwrap_or_else(|e| panic!("{e} in\n{text}"));
         }
     }
@@ -1410,7 +1410,7 @@ mod tests {
             (20, Command::PowerDownEnter, 0),
             (100, Command::PowerDownExit, 0),
         ] {
-            fold.push(TraceCommand {
+            fold.push(TimedCommand {
                 cycle,
                 bank,
                 command,
@@ -1454,13 +1454,13 @@ mod tests {
     fn self_refresh_billing_matches_hand_computation() {
         let dram = model();
         let mut fold = StreamFold::new(&dram, PowerDownPolicy::AGGRESSIVE);
-        fold.push(TraceCommand {
+        fold.push(TimedCommand {
             cycle: 0,
             bank: 0,
             command: Command::SelfRefreshEnter,
         })
         .expect("legal");
-        fold.push(TraceCommand {
+        fold.push(TimedCommand {
             cycle: 5000,
             bank: 0,
             command: Command::SelfRefreshExit,
@@ -1478,7 +1478,7 @@ mod tests {
     #[test]
     fn state_machine_rejects_illegal_transitions() {
         let dram = model();
-        let cmd = |cycle, command| TraceCommand {
+        let cmd = |cycle, command| TimedCommand {
             cycle,
             bank: 0,
             command,
@@ -1531,7 +1531,7 @@ mod tests {
     #[test]
     fn billing_past_the_last_cycle_is_refused() {
         let dram = model();
-        let cmd = |cycle, command| TraceCommand {
+        let cmd = |cycle, command| TimedCommand {
             cycle,
             bank: 0,
             command,
@@ -1720,7 +1720,7 @@ mod tests {
                 (1100, Command::SelfRefreshEnter),
                 (90_000, Command::SelfRefreshExit),
             ] {
-                fold.push(TraceCommand {
+                fold.push(TimedCommand {
                     cycle,
                     bank: 0,
                     command,
@@ -1831,7 +1831,7 @@ mod tests {
             }
         }
         *last_cycle = Some(cycle);
-        Ok(TraceEvent::Command(TraceCommand {
+        Ok(TraceEvent::Command(TimedCommand {
             cycle,
             bank,
             command,

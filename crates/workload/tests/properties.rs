@@ -6,11 +6,11 @@
 //! the workspace resolves offline.
 
 use dram_core::reference::ddr3_1g_x16_55nm;
+use dram_core::timing::{Schedule, TimedCommand};
 use dram_core::Dram;
 use dram_units::rng::SplitMix64;
 use dram_workload::{
-    generate, simulate, write_trace, PowerDownPolicy, Trace, TraceCommand, TraceDecoder,
-    TraceEvent, WorkloadSpec,
+    generate, simulate, write_trace, PowerDownPolicy, TraceDecoder, TraceEvent, WorkloadSpec,
 };
 
 const CASES: usize = 48;
@@ -45,7 +45,7 @@ fn generated_traces_are_always_legal() {
         let w = generate(&dram, &spec).expect("generates");
         let d = dram.description();
         w.trace
-            .validate(&d.timing, d.spec.control_clock, d.spec.banks())
+            .validate_trace(&d.timing, d.spec.control_clock, d.spec.banks())
             .expect("generator output is timing-legal");
         // All requested accesses happen.
         let columns =
@@ -82,16 +82,16 @@ fn accounting_is_consistent() {
 fn trace_text_roundtrip() {
     let dram = model();
     let mut r = SplitMix64::new(0xD003);
-    let mut traces: Vec<Trace> = (0..CASES)
+    let mut traces: Vec<Schedule> = (0..CASES)
         .map(|_| generate(&dram, &any_spec(&mut r)).expect("generates").trace)
         .collect();
-    traces.push(Trace::new(vec![], 500).expect("builds"));
-    let act = TraceCommand {
+    traces.push(Schedule::new(vec![], 500).expect("builds"));
+    let act = TimedCommand {
         cycle: 0,
         bank: 3,
         command: dram_core::Command::Activate,
     };
-    traces.push(Trace::new(vec![act], 1000).expect("builds"));
+    traces.push(Schedule::new(vec![act], 1000).expect("builds"));
     for trace in traces {
         let text = write_trace(&trace);
         let (mut commands, mut length) = (Vec::new(), None);
@@ -107,7 +107,7 @@ fn trace_text_roundtrip() {
         decoder.feed(text.as_bytes(), &mut sink).expect("own output decodes");
         decoder.finish(&mut sink).expect("own output decodes");
         assert_eq!(commands, trace.commands(), "{text}");
-        assert_eq!(length, Some(trace.length_cycles()), "{text}");
+        assert_eq!(length, Some(trace.cycles()), "{text}");
     }
 }
 

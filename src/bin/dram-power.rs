@@ -185,7 +185,6 @@ fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
         &desc.timing,
         desc.spec.control_clock,
         desc.spec.banks(),
-        desc.timing.tccd_cycles,
         InitialBankState::AllClosed,
     );
     let mut policy = PowerDownPolicy::NEVER;

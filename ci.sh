@@ -48,11 +48,16 @@ if [[ $fast -eq 0 ]]; then
   refuse repro 'bad thread count `x`' --threads x
   refuse serve-bench 'bad soak connection count `0`' --soak 0
   refuse serve-bench 'bad request count `0`' --requests 0
+  refuse serve-bench '--soak needs --soak-addr HOST:PORT' --soak 3
+  refuse serve-bench 'bad soak address `nonsense`' --soak 3 --soak-addr nonsense
+  refuse serve-bench '--soak-addr needs --soak N' --soak-addr 127.0.0.1:1
+  refuse serve-bench '--soak-kill needs --soak N' --soak-kill 1
+  refuse serve-bench 'bad pid `x`' --soak 3 --soak-addr 127.0.0.1:1 --soak-kill x
   refuse chaos-bench 'bad request count `10` (minimum 50)' --requests 10
   refuse shard-bench 'bad node count `9` (2..=8)' --nodes 9
   refuse trace-bench 'bad chunk size `3`' --chunk 3
   refuse sweep-bench 'bad thread count `0`' --threads 0
-  echo "    9 binaries refused --no-such-flag and a bad number with exit 2, naming each"
+  echo "    9 binaries refused --no-such-flag and a bad number, serve-bench its soak flags apart, with exit 2"
   for bin in dram-serve dram-route dram-power repro serve-bench chaos-bench shard-bench \
     trace-bench sweep-bench; do
     help=$(./target/release/"$bin" --help 2>&1) || { echo "    $bin --help exited non-zero"; exit 1; }
@@ -60,12 +65,26 @@ if [[ $fast -eq 0 ]]; then
   done
   echo "    9 binaries answered --help with their usage and exit 0"
 
-  echo "==> repro all --timing smoke (writes BENCH_repro.json)"
+  # Every bench writes its file under target/ci (repro --timing writes
+  # into its working directory, so it runs there), and no smoke may
+  # rewrite a bench file at the root: their checksums are compared after
+  # the last smoke.
+  bench_out=target/ci
+  mkdir -p "$bench_out"
+  root_bench_sums=$(sha256sum BENCH_*.json)
+  bench_doc() { # file bench — fails unless file is one {"bench","records","values"} document of bench
+    grep -q "^{\"bench\":\"$2\",\"records\":\[.*],\"values\":{.*}}$" "$1" \
+      || { echo "    $1 is not a $2 bench document"; exit 1; }
+  }
+
+  echo "==> repro all --timing smoke (writes $bench_out/BENCH_repro.json)"
   start=$(date +%s)
-  ./target/release/repro all --timing > /dev/null
+  (cd "$bench_out" && ../release/repro all --timing > /dev/null)
   echo "    repro all completed in $(( $(date +%s) - start ))s"
-  test -s BENCH_repro.json
-  echo "    BENCH_repro.json written ($(wc -c < BENCH_repro.json) bytes)"
+  repro_json=$bench_out/BENCH_repro.json
+  test -s "$repro_json"
+  bench_doc "$repro_json" repro
+  echo "    $repro_json written ($(wc -c < "$repro_json") bytes)"
 
   echo "==> repro --profile smoke (Chrome-trace export)"
   # fig8 rebuilds 18 models, so the trace must cover every engine phase.
@@ -412,21 +431,19 @@ if [[ $fast -eq 0 ]]; then
   trap - EXIT
   rm -f "$serve_log"
 
-  # The benches write their files under target/ci, so a run leaves the
-  # committed BENCH_*.json files as they are.
-  bench_out=target/ci
-  mkdir -p "$bench_out"
-
   echo "==> serve-bench smoke (writes $bench_out/BENCH_server.json)"
   # The bench itself asserts the keep-alive stage reaches >= 2x the
   # close-per-request throughput on /healthz and that bodies stay
   # bit-identical across 1 vs N server threads.
   server_json=$bench_out/BENCH_server.json
   ./target/release/serve-bench --requests 600 --clients 4 --threads 4 --out "$server_json" > /dev/null
-  test -s "$server_json"
-  grep -q '"keepalive_speedup"' "$server_json" \
-    || { echo "    $server_json records no keepalive_speedup"; exit 1; }
-  echo "    $server_json written ($(wc -c < "$server_json") bytes, keep-alive >= 2x verified)"
+  bench_doc "$server_json" server
+  grep -q '"values":{.*"bit_identical":true' "$server_json" \
+    || { echo "    $server_json does not record bit_identical"; exit 1; }
+  ka_speedup=$(sed -n 's|.*"values":{.*"keepalive_speedup":\([0-9.]*\).*|\1|p' "$server_json")
+  awk -v s="${ka_speedup:-0}" 'BEGIN { exit !(s >= 2.0) }' \
+    || { echo "    keep-alive is under 2x close-per-request (got: ${ka_speedup:-none})"; exit 1; }
+  printf '    %s written (keep-alive %.1fx at the slower thread count)\n' "$server_json" "$ka_speedup"
 
   echo "==> serve-bench --journal (timeline completeness under concurrency)"
   # Boots its own in-process server with the journal armed, drives an
@@ -447,10 +464,10 @@ if [[ $fast -eq 0 ]]; then
   # dirty drain.
   chaos_json=$bench_out/BENCH_chaos.json
   ./target/release/chaos-bench --requests 200 --clients 4 --seed 7 --out "$chaos_json" > /dev/null
-  test -s "$chaos_json"
-  grep -q '"invariants_hold":true' "$chaos_json" \
+  bench_doc "$chaos_json" chaos
+  grep -q '"values":{.*"invariants_hold":true' "$chaos_json" \
     || { echo "    $chaos_json does not report invariants_hold"; exit 1; }
-  respawns=$(sed -n 's|.*"worker_respawns":\([0-9]*\).*|\1|p' "$chaos_json")
+  respawns=$(sed -n 's|.*"values":{.*"worker_respawns":\([0-9]*\).*|\1|p' "$chaos_json")
   [[ -n "$respawns" && "$respawns" -ge 1 ]] \
     || { echo "    chaos run saw no worker respawns (got: ${respawns:-none})"; exit 1; }
   echo "    $chaos_json written (invariants hold, $respawns worker respawns)"
@@ -460,19 +477,21 @@ if [[ $fast -eq 0 ]]; then
   # differential results are not bit-identical to full rebuilds.
   sweep_json=$bench_out/BENCH_sweep.json
   ./target/release/sweep-bench --quick --out "$sweep_json" > /dev/null
-  test -s "$sweep_json"
-  grep -q '"sweep": {.*"bit_identical": true' "$sweep_json" \
+  bench_doc "$sweep_json" sweep
+  grep -q '"values":{.*"sweep_bit_identical":true' "$sweep_json" \
     || { echo "    differential sweep is not bit-identical"; exit 1; }
-  grep -q '"interaction_matrix": {.*"bit_identical": true' "$sweep_json" \
+  grep -q '"values":{.*"interaction_matrix_bit_identical":true' "$sweep_json" \
     || { echo "    differential interaction matrix is not bit-identical"; exit 1; }
-  phases_skipped=$(sed -n 's|.*"phases_skipped": \([0-9]*\).*|\1|p' "$sweep_json")
+  phases_skipped=$(sed -n 's|.*"values":{.*"phases_skipped":\([0-9]*\).*|\1|p' "$sweep_json")
   [[ -n "$phases_skipped" && "$phases_skipped" -ge 1 ]] \
     || { echo "    differential path skipped no build phases (got: ${phases_skipped:-none})"; exit 1; }
-  sweep_speedup=$(sed -n 's|.*"sweep": {.*"speedup": \([0-9.]*\).*|\1|p' "$sweep_json")
-  matrix_speedup=$(sed -n 's|.*"interaction_matrix": {.*"speedup": \([0-9.]*\).*|\1|p' "$sweep_json")
-  awk -v s="$sweep_speedup" -v m="$matrix_speedup" 'BEGIN { exit !(s >= 1.0 && m >= 1.0) }' \
+  # Each speedup is the ratio of the two paths' median times.
+  sweep_speedup=$(sed -n 's|.*"values":{.*"sweep_speedup":\([0-9.]*\).*|\1|p' "$sweep_json")
+  matrix_speedup=$(sed -n 's|.*"values":{.*"interaction_matrix_speedup":\([0-9.]*\).*|\1|p' "$sweep_json")
+  awk -v s="${sweep_speedup:-0}" -v m="${matrix_speedup:-0}" 'BEGIN { exit !(s >= 1.0 && m >= 1.0) }' \
     || { echo "    differential path is slower than full rebuilds (sweep ${sweep_speedup}x, matrix ${matrix_speedup}x)"; exit 1; }
-  echo "    $sweep_json written (sweep ${sweep_speedup}x, matrix ${matrix_speedup}x, $phases_skipped phases skipped)"
+  printf '    %s written (sweep %.2fx, matrix %.2fx, %s phases skipped)\n' \
+    "$sweep_json" "$sweep_speedup" "$matrix_speedup" "$phases_skipped"
 
   echo "==> trace-bench smoke (streams 1M commands, writes $bench_out/BENCH_trace.json)"
   # trace-bench boots the server in-process, streams a seeded trace with
@@ -483,14 +502,18 @@ if [[ $fast -eq 0 ]]; then
   trace_bench_out=$(./target/release/trace-bench --commands 1000000 --out "$trace_json")
   grep -q 'bit-identical to in-memory fold: yes' <<<"$trace_bench_out" \
     || { echo "    trace-bench did not report bit-identity"; exit 1; }
-  test -s "$trace_json"
-  grep -q '"bit_identical":true' "$trace_json" \
+  bench_doc "$trace_json" trace
+  grep -q '"values":{.*"bit_identical":true' "$trace_json" \
     || { echo "    $trace_json does not record bit_identical"; exit 1; }
-  trace_rss=$(sed -n 's|.*"peak_rss_delta_kb":\([0-9]*\).*|\1|p' "$trace_json")
-  [[ -n "$trace_rss" && "$trace_rss" -le 262144 ]] \
+  record_median() { # file name unit — the median of the record name, in unit
+    sed -n "s|.*{\"name\":\"$2\",\"unit\":\"$3\",[^}]*\"median\":\([0-9.]*\),.*|\1|p" "$1"
+  }
+  trace_rss=$(record_median "$trace_json" peak_rss_delta kB)
+  [[ "$trace_rss" =~ ^[0-9]+$ && "$trace_rss" -le 262144 ]] \
     || { echo "    trace-bench peak RSS delta ${trace_rss:-unknown} kB exceeds the 256 MiB bound"; exit 1; }
-  trace_rate=$(sed -n 's|.*"mb_per_s":\([0-9.]*\).*|\1|p' "$trace_json")
-  echo "    $trace_json written (bit-identical, ${trace_rate:-?} MB/s, peak RSS delta ${trace_rss} kB)"
+  trace_rate=$(record_median "$trace_json" ingest_rate MB/s)
+  printf '    %s written (bit-identical, %.1f MB/s, peak RSS delta %s kB)\n' \
+    "$trace_json" "${trace_rate:-0}" "$trace_rss"
 
   echo "==> shard-bench smoke (multi-process pool, writes $bench_out/BENCH_shard.json)"
   # Boots real dram-serve children behind the in-process router, SIGKILLs
@@ -499,15 +522,15 @@ if [[ $fast -eq 0 ]]; then
   # canon, or the ring's cache-hit rate fails to beat random routing.
   shard_json=$bench_out/BENCH_shard.json
   ./target/release/shard-bench --requests 120 --kills 2 --seed 7 --out "$shard_json" > /dev/null
-  test -s "$shard_json"
-  grep -q '"invariants_hold":true' "$shard_json" \
+  bench_doc "$shard_json" shard
+  grep -q '"values":{.*"invariants_hold":true' "$shard_json" \
     || { echo "    $shard_json does not report invariants_hold"; exit 1; }
-  grep -q '"lost_requests":0' "$shard_json" \
+  grep -q '"values":{.*"lost_requests":0,' "$shard_json" \
     || { echo "    shard run lost requests"; exit 1; }
-  shard_failovers=$(sed -n 's|.*"failovers":\([0-9]*\).*|\1|p' "$shard_json")
+  shard_failovers=$(sed -n 's|.*"values":{.*"failovers":\([0-9]*\).*|\1|p' "$shard_json")
   [[ -n "$shard_failovers" && "$shard_failovers" -ge 1 ]] \
     || { echo "    shard run recorded no failovers (got: ${shard_failovers:-none})"; exit 1; }
-  shard_gain=$(sed -n 's|.*"affinity_gain":\([0-9.]*\).*|\1|p' "$shard_json")
+  shard_gain=$(sed -n 's|.*"values":{.*"affinity_gain":\([0-9.]*\).*|\1|p' "$shard_json")
   awk -v g="${shard_gain:-0}" 'BEGIN { exit !(g > 0.05) }' \
     || { echo "    ring routing shows no cache-affinity gain (got: ${shard_gain:-none})"; exit 1; }
   echo "    $shard_json written ($shard_failovers failovers, affinity gain +$shard_gain, 0 lost)"
@@ -613,6 +636,11 @@ if [[ $fast -eq 0 ]]; then
       || { echo "    perfbench $workload: oracle failed or no result: $result"; exit 1; }
     echo "    perfbench $workload -> correct"
   done
+
+  echo "==> bench files at the root unchanged by the smokes"
+  sha256sum --quiet -c <<<"$root_bench_sums" \
+    || { echo "    a smoke rewrote a bench file at the root"; exit 1; }
+  echo "    $(wc -l <<<"$root_bench_sums") files checked"
 fi
 
 echo "==> ci.sh: all green"

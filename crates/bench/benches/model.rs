@@ -5,14 +5,14 @@
 //! device evaluation must stay interactive. Uses the in-tree harness so
 //! the workspace stays resolvable offline.
 
-use dram_bench::harness::{bench, bench_default, render, Measurement};
+use dram_bench::harness::{bench, bench_default, render};
 use dram_core::reference::ddr3_1g_x16_55nm;
 use dram_core::{Dram, Pattern};
 use std::time::Duration;
 
 fn main() {
     let desc = ddr3_1g_x16_55nm();
-    let mut measurements: Vec<Measurement> = Vec::new();
+    let mut measurements = Vec::new();
 
     measurements.push(bench_default("dram_build", || {
         Dram::new(desc.clone()).expect("valid")

@@ -32,6 +32,7 @@ use std::collections::HashSet;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
+use dram_obs::{Better, Record};
 use dram_server::client::{self, Reply};
 use dram_server::{serve, ServerConfig};
 use dram_units::cli::{exit_usage, in_range, Flags};
@@ -461,13 +462,13 @@ fn main() {
             .map(|(site, n)| ((*site).to_string(), (*n).into()))
             .collect()
     };
-    let doc = obj(vec![
+    let load = Record::new("load", "s", Better::Lower, &[total_s]);
+    let values = vec![
         ("seed", args.seed.into()),
-        ("plan", plan.render().as_str().into()),
+        ("plan", plan.render().into()),
         ("requests", driven.into()),
         ("clients", args.clients.into()),
         ("server_threads", args.threads.into()),
-        ("total_s", total_s.into()),
         ("injected", Value::Obj(injected_json)),
         ("shed", shed.into()),
         ("ok_responses", ok.into()),
@@ -477,7 +478,7 @@ fn main() {
         ("served_total", served.into()),
         ("unique_ids", all_ids.len().into()),
         ("invariants_hold", true.into()),
-    ]);
-    std::fs::write(&args.out, format!("{doc}\n")).expect("write bench file");
+    ];
+    dram_obs::write_bench(&args.out, "chaos", &[load], values).expect("write bench file");
     println!("wrote {}", args.out);
 }

@@ -13,9 +13,10 @@
 
 use std::time::{Duration, Instant};
 
-use dram_bench::harness::{self, Measurement};
+use dram_bench::harness;
 use dram_bench::ReportId;
 use dram_core::EvalEngine;
+use dram_obs::{Better, Record};
 use dram_units::cli::Flags;
 
 /// File the `--timing` run is serialized to, for cross-run comparison.
@@ -85,20 +86,18 @@ fn main() {
     }
 
     if timing {
-        let measurements: Vec<Measurement> = selected
+        let records: Vec<Record> = selected
             .iter()
             .zip(&generated)
-            .map(|(r, (_, dt))| Measurement {
-                name: format!("repro/{}", r.command()),
-                iters: 1,
-                mean: *dt,
-                min: *dt,
-                max: *dt,
+            .map(|(r, (_, dt))| {
+                let name = format!("repro/{}", r.command());
+                Record::new(name, "s", Better::Lower, &[dt.as_secs_f64()])
             })
             .collect();
         println!("\n== report generation timing ==\n");
-        print!("{}", harness::render(&measurements));
-        match std::fs::write(TIMING_FILE, harness::to_json(&measurements)) {
+        print!("{}", harness::render(&records));
+        let values = vec![("threads", engine.thread_count().into())];
+        match dram_obs::write_bench(TIMING_FILE, "repro", &records, values) {
             Ok(()) => println!("\nwrote {TIMING_FILE}"),
             Err(e) => {
                 eprintln!("failed to write {TIMING_FILE}: {e}");

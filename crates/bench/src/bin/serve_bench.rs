@@ -1,8 +1,9 @@
 //! `serve-bench` — throughput/latency load generator for `dram-serve`.
 //!
 //! Boots the server in-process on an ephemeral port, fires a warm-cache
-//! closed-loop load from concurrent client threads, and records the run
-//! to `BENCH_server.json`. The same load is driven against a 1-thread
+//! closed-loop load from concurrent client threads, and records each
+//! stage's latency (median and quartiles) and throughput to
+//! `BENCH_server.json`. The same load is driven against a 1-thread
 //! and an N-thread server and every response body is required to be
 //! byte-identical across both — the service must scale without changing
 //! a single bit of its answers. Every response must also carry an
@@ -46,10 +47,11 @@ use std::io::{Read, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use dram_obs::{Better, Record};
 use dram_server::client::{self, Conn, Reply};
 use dram_server::{serve, ServerConfig, ServerHandle};
 use dram_units::cli::{exit_usage, Flags};
-use dram_units::json::{obj, Value};
+use dram_units::json::Value;
 
 const OUT_FILE: &str = "BENCH_server.json";
 
@@ -64,9 +66,14 @@ struct Args {
     out: String,
     profile: bool,
     journal: bool,
-    soak: Option<usize>,
-    soak_addr: Option<String>,
-    soak_kill: Option<String>,
+    soak: Option<Soak>,
+}
+
+/// `--soak N --soak-addr HOST:PORT [--soak-kill PID]`.
+struct Soak {
+    count: usize,
+    addr: SocketAddr,
+    kill: Option<u32>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -78,9 +85,8 @@ fn parse_args() -> Result<Args, String> {
         profile: false,
         journal: false,
         soak: None,
-        soak_addr: None,
-        soak_kill: None,
     };
+    let (mut soak, mut soak_addr, mut soak_kill) = (None, None, None);
     let mut flags = Flags::from_env();
     while let Some(a) = flags.next_arg() {
         match a.as_str() {
@@ -90,13 +96,27 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = flags.value("--out")?,
             "--profile" => args.profile = true,
             "--journal" => args.journal = true,
-            "--soak" => args.soak = Some(flags.number("--soak", "soak connection count", 1..)?),
-            "--soak-addr" => args.soak_addr = Some(flags.value("--soak-addr")?),
-            "--soak-kill" => args.soak_kill = Some(flags.value("--soak-kill")?),
+            "--soak" => soak = Some(flags.number("--soak", "soak connection count", 1..)?),
+            "--soak-addr" => {
+                let v = flags.value("--soak-addr")?;
+                soak_addr = Some(v.parse().map_err(|_| format!("bad soak address `{v}`"))?);
+            }
+            "--soak-kill" => soak_kill = Some(flags.number("--soak-kill", "pid", 1..)?),
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
+    args.soak = match (soak, soak_addr) {
+        (Some(count), Some(addr)) => Some(Soak {
+            count,
+            addr,
+            kill: soak_kill,
+        }),
+        (Some(_), None) => return Err("--soak needs --soak-addr HOST:PORT".into()),
+        (None, Some(_)) => return Err("--soak-addr needs --soak N".into()),
+        (None, None) if soak_kill.is_some() => return Err("--soak-kill needs --soak N".into()),
+        (None, None) => None,
+    };
     Ok(args)
 }
 
@@ -112,18 +132,12 @@ fn request_id(reply: &Reply) -> String {
 }
 
 /// One measured load stage against a running server.
-struct StageResult {
+struct Stage {
     name: String,
-    server_threads: usize,
-    clients: usize,
-    requests: usize,
-    total_s: f64,
-    throughput_rps: f64,
-    mean_us: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    max_us: f64,
+    /// Per-request latency, in µs.
+    latency: Record,
+    /// Requests per second over the whole stage: one reading.
+    throughput: Record,
     /// The (single) response body every request returned.
     body: String,
 }
@@ -139,7 +153,8 @@ struct Call<'a> {
 /// request, and the one body every request returned.
 #[derive(Default)]
 struct Samples {
-    latencies: Vec<u128>,
+    /// Per request, in µs.
+    latencies: Vec<f64>,
     ids: Vec<String>,
     body: Option<String>,
 }
@@ -148,7 +163,7 @@ impl Samples {
     /// Records one reply, timed from `since`: it must be a 200 whose body
     /// matches the client's earlier ones.
     fn record(&mut self, reply: &Reply, since: Instant) {
-        self.latencies.push(since.elapsed().as_micros());
+        self.latencies.push(since.elapsed().as_secs_f64() * 1e6);
         assert_eq!(reply.status(), 200, "request failed: {reply:?}");
         self.ids.push(request_id(reply));
         let body = reply.text();
@@ -209,12 +224,11 @@ fn pipelined(addr: SocketAddr, call: &Call<'_>, n: usize, samples: &mut Samples)
 fn run_stage(
     name: &str,
     handle: &ServerHandle,
-    server_threads: usize,
     clients: usize,
     requests: usize,
     call: &Call<'_>,
     send: Client,
-) -> StageResult {
+) -> Stage {
     let addr = handle.local_addr();
     let per_client = requests.div_ceil(clients);
     let started = Instant::now();
@@ -233,7 +247,7 @@ fn run_stage(
     let total_s = started.elapsed().as_secs_f64();
 
     let first_body = results[0].body.clone().expect("at least one request");
-    let mut latencies: Vec<u128> = Vec::with_capacity(clients * per_client);
+    let mut latencies: Vec<f64> = Vec::with_capacity(clients * per_client);
     let mut seen_ids: HashSet<String> = HashSet::with_capacity(clients * per_client);
     for samples in results {
         assert_eq!(
@@ -246,26 +260,12 @@ fn run_stage(
             assert!(seen_ids.insert(id.clone()), "request id `{id}` repeated");
         }
     }
-    latencies.sort_unstable();
-    let n = latencies.len();
-    let pct = |p: f64| {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let idx = (((n - 1) as f64) * p).round() as usize;
-        latencies[idx] as f64
-    };
     #[allow(clippy::cast_precision_loss)]
-    StageResult {
+    let rps = latencies.len() as f64 / total_s;
+    Stage {
         name: name.to_string(),
-        server_threads,
-        clients,
-        requests: n,
-        total_s,
-        throughput_rps: n as f64 / total_s,
-        mean_us: latencies.iter().sum::<u128>() as f64 / n as f64,
-        p50_us: pct(0.50),
-        p95_us: pct(0.95),
-        p99_us: pct(0.99),
-        max_us: pct(1.0),
+        latency: Record::new(format!("{name}/latency"), "us", Better::Lower, &latencies),
+        throughput: Record::new(format!("{name}/throughput"), "1/s", Better::Higher, &[rps]),
         body: first_body,
     }
 }
@@ -274,7 +274,7 @@ fn run_stage(
 /// server must not degrade `/healthz`, and (with `kill_pid`) a SIGTERM
 /// drain must close them all losslessly — EOF on every connection with
 /// zero stray bytes after its served response.
-fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
+fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<u32>) {
     let mut conns = Vec::with_capacity(count);
     let opened = Instant::now();
     for i in 0..count {
@@ -317,7 +317,7 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<&str>) {
     // Ask the server to drain; every parked connection must see clean
     // EOF with no bytes it never asked for.
     let status = std::process::Command::new("kill")
-        .args(["-TERM", pid])
+        .args(["-TERM", &pid.to_string()])
         .status()
         .expect("run kill");
     assert!(status.success(), "kill -TERM {pid} failed");
@@ -482,27 +482,6 @@ fn run_journal_verification(threads: usize, clients: usize) {
     dram_obs::journal::configure(0);
 }
 
-fn stage_json(s: &StageResult) -> Value {
-    obj(vec![
-        ("name", s.name.as_str().into()),
-        ("server_threads", s.server_threads.into()),
-        ("clients", s.clients.into()),
-        ("requests", s.requests.into()),
-        ("total_s", s.total_s.into()),
-        ("throughput_rps", s.throughput_rps.into()),
-        (
-            "latency_us",
-            obj(vec![
-                ("mean", s.mean_us.into()),
-                ("p50", s.p50_us.into()),
-                ("p95", s.p95_us.into()),
-                ("p99", s.p99_us.into()),
-                ("max", s.max_us.into()),
-            ]),
-        ),
-    ])
-}
-
 fn main() {
     let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
 
@@ -511,14 +490,8 @@ fn main() {
         return;
     }
 
-    if let Some(count) = args.soak {
-        let addr = args
-            .soak_addr
-            .as_deref()
-            .expect("--soak needs --soak-addr HOST:PORT")
-            .parse::<SocketAddr>()
-            .expect("bad --soak-addr");
-        run_soak(addr, count, args.soak_kill.as_deref());
+    if let Some(soak) = args.soak {
+        run_soak(soak.addr, soak.count, soak.kill);
         return;
     }
 
@@ -529,7 +502,7 @@ fn main() {
     let eval_body = r#"{"preset":"ddr3_1g_55nm"}"#;
     let batch_body =
         r#"{"requests":[{"preset":"ddr3_1g_55nm"},{"preset":"ddr3_1g_x16_55nm"}]}"#;
-    let mut stages: Vec<StageResult> = Vec::new();
+    let mut stages: Vec<Stage> = Vec::new();
 
     // One stage per server thread count; the model cache is the shared
     // process-global engine, so after the first stage's warm-up every
@@ -579,7 +552,6 @@ fn main() {
             stages.push(run_stage(
                 &format!("server/{stage}/threads={threads}"),
                 &handle,
-                threads,
                 args.clients,
                 args.requests,
                 call,
@@ -611,13 +583,13 @@ fn main() {
     assert!(identical, "responses are not bit-identical across thread counts");
 
     println!(
-        "{:44}  {:>10}  {:>9}  {:>9}  {:>9}  {:>9}",
-        "stage", "rps", "p50 µs", "p95 µs", "p99 µs", "max µs"
+        "{:44}  {:>10}  {:>9}  {:>9}  {:>9}",
+        "stage", "rps", "q1 µs", "p50 µs", "q3 µs"
     );
     for s in &stages {
         println!(
-            "{:44}  {:>10.0}  {:>9.0}  {:>9.0}  {:>9.0}  {:>9.0}",
-            s.name, s.throughput_rps, s.p50_us, s.p95_us, s.p99_us, s.max_us
+            "{:44}  {:>10.0}  {:>9.0}  {:>9.0}  {:>9.0}",
+            s.name, s.throughput.median, s.latency.q1, s.latency.median, s.latency.q3
         );
     }
     println!("bit-identical across 1 vs {} server threads: yes", args.threads);
@@ -629,9 +601,10 @@ fn main() {
             .iter()
             .find(|s| s.name == name)
             .unwrap_or_else(|| panic!("missing stage {name}"))
-            .throughput_rps
+            .throughput
+            .median
     };
-    let mut speedups = Vec::new();
+    let mut slowest = f64::INFINITY;
     for threads in [1, args.threads] {
         let close_rps = stage_rps(format!("server/healthz/threads={threads}"));
         let ka_rps = stage_rps(format!("server/healthz_keepalive/threads={threads}"));
@@ -644,26 +617,20 @@ fn main() {
             speedup >= 2.0,
             "keep-alive must be >= 2x close-per-request, got {speedup:.2}x at {threads} threads"
         );
-        speedups.push(obj(vec![
-            ("server_threads", threads.into()),
-            ("close_rps", close_rps.into()),
-            ("keepalive_rps", ka_rps.into()),
-            ("speedup", speedup.into()),
-        ]));
+        slowest = slowest.min(speedup);
     }
 
-    let doc = obj(vec![
-        (
-            "server_bench",
-            Value::Arr(stages.iter().map(stage_json).collect()),
-        ),
-        ("bit_identical_across_thread_counts", true.into()),
-        ("keepalive_speedup", Value::Arr(speedups)),
-        (
-            "evaluate_request",
-            Value::parse(eval_body).expect("literal is valid"),
-        ),
-    ]);
-    std::fs::write(&args.out, format!("{doc}\n")).expect("write bench file");
+    let records: Vec<Record> = stages
+        .into_iter()
+        .flat_map(|s| [s.latency, s.throughput])
+        .collect();
+    let values = vec![
+        ("requests", args.requests.into()),
+        ("clients", args.clients.into()),
+        ("server_threads", args.threads.into()),
+        ("bit_identical", true.into()),
+        ("keepalive_speedup", slowest.into()),
+    ];
+    dram_obs::write_bench(&args.out, "server", &records, values).expect("write bench file");
     println!("wrote {}", args.out);
 }

@@ -38,6 +38,7 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use dram_obs::{Better, Record};
 use dram_server::client::{self, Reply};
 use dram_server::{route_serve, serve, RetryPolicy, RouterConfig, ServerConfig};
 use dram_units::cli::{exit_usage, in_range, Flags};
@@ -677,15 +678,15 @@ fn main() {
         ring_rate - random_rate
     );
 
-    let doc = obj(vec![
+    let kill_stage = Record::new("kill_stage", "s", Better::Lower, &[total_s]);
+    let values = vec![
         ("seed", args.seed.into()),
-        ("plan", plan.render().as_str().into()),
+        ("plan", plan.render().into()),
         ("nodes", args.nodes.into()),
         ("clients", args.clients.into()),
         ("descriptions", DESCRIPTIONS.into()),
         ("rounds", ROUNDS.into()),
         ("kill_stage_requests", driven.into()),
-        ("kill_stage_s", total_s.into()),
         ("kills", kills.into()),
         ("client_retries", client_retries.into()),
         ("worst_attempts", u64::from(worst_attempts).into()),
@@ -704,7 +705,7 @@ fn main() {
         ("byte_identical", true.into()),
         ("reabsorbed", true.into()),
         ("invariants_hold", true.into()),
-    ]);
-    std::fs::write(&args.out, format!("{doc}\n")).expect("write bench file");
+    ];
+    dram_obs::write_bench(&args.out, "shard", &[kill_stage], values).expect("write bench file");
     println!("wrote {}", args.out);
 }

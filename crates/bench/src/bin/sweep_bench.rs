@@ -8,7 +8,7 @@
 //! at the same thread count and the outputs are required to be
 //! bit-identical — a speedup that changes a single bit is a bug, not an
 //! optimisation. Results land in `BENCH_sweep.json` together with the
-//! observed speedups and the rebuild-counter deltas
+//! observed speedups (ratios of medians) and the rebuild-counter deltas
 //! (`dram_model_rebuilds_total`, `dram_rebuild_phases_skipped_total`),
 //! so CI can assert the fast path actually skipped work.
 //!
@@ -16,13 +16,12 @@
 //! sweep-bench [--quick] [--threads T] [--out FILE]
 //! ```
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
-use dram_bench::harness::{bench, render, Measurement};
+use dram_bench::harness::{bench, render};
 use dram_core::reference::ddr3_1g_x16_55nm;
 use dram_core::EvalEngine;
-use dram_obs::Registry;
+use dram_obs::{Record, Registry};
 use dram_sensitivity::{
     interaction_matrix_with, interaction_matrix_with_full_rebuild, sweep_with,
     sweep_with_full_rebuild, InteractionMatrix, Sweep,
@@ -81,29 +80,9 @@ fn matrices_match(a: &InteractionMatrix, b: &InteractionMatrix) -> bool {
         })
 }
 
-/// One full-vs-differential comparison: timings plus bit-identity.
-struct Comparison {
-    full: Measurement,
-    fast: Measurement,
-    bit_identical: bool,
-}
-
-impl Comparison {
-    fn speedup(&self) -> f64 {
-        self.full.mean.as_secs_f64() / self.fast.mean.as_secs_f64().max(1e-12)
-    }
-
-    fn json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"full_mean_s\": {:.9}, \"fast_mean_s\": {:.9}, \
-             \"speedup\": {:.3}, \"bit_identical\": {}}}",
-            self.full.mean.as_secs_f64(),
-            self.fast.mean.as_secs_f64(),
-            self.speedup(),
-            self.bit_identical
-        );
-    }
+/// Median full-rebuild time over median differential time.
+fn speedup(full: &Record, fast: &Record) -> f64 {
+    full.median / fast.median.max(1e-12)
 }
 
 fn main() {
@@ -137,18 +116,17 @@ fn main() {
     let matrix_fast = interaction_matrix_with(&EvalEngine::new().threads(threads), &desc, VARIATION)
         .expect("matrix runs");
 
-    let sweep_cmp = Comparison {
-        full: bench("sweep/full_rebuild", budget, max_iters, || {
+    let sweep_bit_identical = sweeps_match(&sweep_fast, &sweep_full);
+    let matrix_bit_identical = matrices_match(&matrix_fast, &matrix_full);
+    let records = [
+        bench("sweep/full_rebuild", budget, max_iters, || {
             sweep_with_full_rebuild(&EvalEngine::new().threads(threads), &desc, VARIATION)
                 .expect("sweep runs")
         }),
-        fast: bench("sweep/differential", budget, max_iters, || {
+        bench("sweep/differential", budget, max_iters, || {
             sweep_with(&EvalEngine::new().threads(threads), &desc, VARIATION).expect("sweep runs")
         }),
-        bit_identical: sweeps_match(&sweep_fast, &sweep_full),
-    };
-    let matrix_cmp = Comparison {
-        full: bench("interaction_matrix/full_rebuild", budget, max_iters, || {
+        bench("interaction_matrix/full_rebuild", budget, max_iters, || {
             interaction_matrix_with_full_rebuild(
                 &EvalEngine::new().threads(threads),
                 &desc,
@@ -156,58 +134,36 @@ fn main() {
             )
             .expect("matrix runs")
         }),
-        fast: bench("interaction_matrix/differential", budget, max_iters, || {
+        bench("interaction_matrix/differential", budget, max_iters, || {
             interaction_matrix_with(&EvalEngine::new().threads(threads), &desc, VARIATION)
                 .expect("matrix runs")
         }),
-        bit_identical: matrices_match(&matrix_fast, &matrix_full),
-    };
+    ];
+    let sweep_speedup = speedup(&records[0], &records[1]);
+    let matrix_speedup = speedup(&records[2], &records[3]);
 
     let rebuilds_delta = rebuilds.get() - rebuilds_before;
     let skipped_delta = skipped.get() - skipped_before;
 
-    let measurements = [
-        sweep_cmp.full.clone(),
-        sweep_cmp.fast.clone(),
-        matrix_cmp.full.clone(),
-        matrix_cmp.fast.clone(),
-    ];
-    print!("{}", render(&measurements));
+    print!("{}", render(&records));
     println!(
-        "sweep speedup {:.2}x, interaction matrix speedup {:.2}x \
-         ({rebuilds_delta} differential rebuilds, {skipped_delta} phases skipped)",
-        sweep_cmp.speedup(),
-        matrix_cmp.speedup()
+        "sweep speedup {sweep_speedup:.2}x, interaction matrix speedup {matrix_speedup:.2}x \
+         ({rebuilds_delta} differential rebuilds, {skipped_delta} phases skipped)"
     );
 
-    let mut doc = String::from("{\n  \"benchmarks\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        let _ = write!(
-            doc,
-            "    {{\"name\": \"{}\", \"iters\": {}, \"mean_s\": {:.9}, \
-             \"min_s\": {:.9}, \"max_s\": {:.9}}}",
-            m.name,
-            m.iters,
-            m.mean.as_secs_f64(),
-            m.min.as_secs_f64(),
-            m.max.as_secs_f64()
-        );
-        doc.push_str(if i + 1 < measurements.len() { ",\n" } else { "\n" });
-    }
-    doc.push_str("  ],\n  \"threads\": ");
-    let _ = write!(doc, "{threads}");
-    doc.push_str(",\n  \"sweep\": ");
-    sweep_cmp.json(&mut doc);
-    doc.push_str(",\n  \"interaction_matrix\": ");
-    matrix_cmp.json(&mut doc);
-    let _ = write!(
-        doc,
-        ",\n  \"rebuilds\": {rebuilds_delta},\n  \"phases_skipped\": {skipped_delta}\n}}\n"
-    );
-    std::fs::write(&args.out, &doc).expect("write bench file");
+    let values = vec![
+        ("threads", threads.into()),
+        ("sweep_bit_identical", sweep_bit_identical.into()),
+        ("sweep_speedup", sweep_speedup.into()),
+        ("interaction_matrix_bit_identical", matrix_bit_identical.into()),
+        ("interaction_matrix_speedup", matrix_speedup.into()),
+        ("rebuilds", rebuilds_delta.into()),
+        ("phases_skipped", skipped_delta.into()),
+    ];
+    dram_obs::write_bench(&args.out, "sweep", &records, values).expect("write bench file");
     println!("wrote {}", args.out);
 
-    if !(sweep_cmp.bit_identical && matrix_cmp.bit_identical) {
+    if !(sweep_bit_identical && matrix_bit_identical) {
         eprintln!("error: differential results are not bit-identical to full rebuilds");
         std::process::exit(1);
     }

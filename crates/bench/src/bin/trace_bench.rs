@@ -20,10 +20,10 @@ use std::time::Instant;
 
 use dram_core::timing::{InitialBankState, TimingChecker};
 use dram_core::Dram;
+use dram_obs::{Better, Record};
 use dram_server::client::{self, Conn};
 use dram_server::{serve, ServerConfig};
 use dram_units::cli::{exit_usage, Flags};
-use dram_units::json::obj;
 use dram_workload::{
     PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceErrorKind, TraceEvent,
 };
@@ -282,25 +282,24 @@ fn main() {
     );
     println!("bit-identical to in-memory fold: yes");
 
-    let doc = obj(vec![(
-        "trace_bench",
-        obj(vec![
-            ("preset", PRESET.into()),
-            ("commands", commands.into()),
-            ("trace_bytes", bytes.into()),
-            ("cycles", cycles.into()),
-            ("chunk_bytes", args.chunk.into()),
-            ("seconds", elapsed.into()),
-            ("mb_per_s", mb_per_s.into()),
-            ("commands_per_s", commands_per_s.into()),
-            ("peak_rss_delta_kb", rss_delta.into()),
-            ("peak_rss_bound_kb", MAX_RSS_DELTA_KB.into()),
-            ("power_down_cycles", report.power_down_cycles.into()),
-            ("self_refresh_cycles", report.self_refresh_cycles.into()),
-            ("bit_identical", true.into()),
-        ]),
-    )]);
-    std::fs::write(&args.out, format!("{doc}\n")).expect("write bench file");
+    let records = [
+        Record::new("stream", "s", Better::Lower, &[elapsed]),
+        Record::new("ingest_rate", "MB/s", Better::Higher, &[mb_per_s]),
+        Record::new("command_rate", "1/s", Better::Higher, &[commands_per_s]),
+        Record::new("peak_rss_delta", "kB", Better::Lower, &[rss_delta as f64]),
+    ];
+    let values = vec![
+        ("preset", PRESET.into()),
+        ("commands", commands.into()),
+        ("trace_bytes", bytes.into()),
+        ("cycles", cycles.into()),
+        ("chunk_bytes", args.chunk.into()),
+        ("peak_rss_bound_kb", MAX_RSS_DELTA_KB.into()),
+        ("power_down_cycles", report.power_down_cycles.into()),
+        ("self_refresh_cycles", report.self_refresh_cycles.into()),
+        ("bit_identical", true.into()),
+    ];
+    dram_obs::write_bench(&args.out, "trace", &records, values).expect("write bench file");
     println!("wrote {}", args.out);
     server.shutdown();
 }

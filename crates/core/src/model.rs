@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 use dram_units::json::{obj, Value};
-use dram_units::{Amperes, Hertz, Joules, Watts};
+use dram_units::{Amperes, BitsPerSecond, Hertz, Joules, Watts};
 
 use crate::area::AreaReport;
 use crate::charges::ChargeModel;
@@ -488,6 +488,11 @@ impl Dram {
     /// constructible from validated timing.
     #[must_use]
     pub fn idd(&self) -> IddReport {
+        self.idd_with(&self.idd7_loop().0)
+    }
+
+    /// [`Self::idd`], given the priced IDD7 loop.
+    fn idd_with(&self, idd7: &PowerSummary) -> IddReport {
         let spec = &self.desc.spec;
         let timing = &self.desc.timing;
         let f = spec.control_clock;
@@ -518,10 +523,6 @@ impl Dram {
             let p = background + Watts::new(refresh_energy.joules() / timing.trfc.seconds());
             p / vdd
         };
-        let idd7 = {
-            let p = Schedule::idd7(timing, f, spec.banks()).expect("validated timing builds IDD7");
-            self.timed_pattern_power(&p).current
-        };
 
         let idd2p = self.state_power(crate::lowpower::PowerState::PrechargePowerDown) / vdd;
         let idd6 = self.state_power(crate::lowpower::PowerState::SelfRefresh) / vdd;
@@ -537,8 +538,24 @@ impl Dram {
             idd4w,
             idd5,
             idd6,
-            idd7,
+            idd7: idd7.current,
         }
+    }
+
+    /// The IDD7 loop, built and priced once: its power, and the bit rate
+    /// its reads transfer. [`Self::idd`] reads the current and
+    /// [`Self::energy_per_bit_random`] divides the power by the rate.
+    fn idd7_loop(&self) -> (PowerSummary, BitsPerSecond) {
+        let spec = &self.desc.spec;
+        let pattern = Schedule::idd7(&self.desc.timing, spec.control_clock, spec.banks())
+            .expect("validated timing builds IDD7");
+        let bits_per_loop =
+            pattern.count(Command::Read) as f64 * f64::from(spec.bits_per_column_access());
+        let loop_time = pattern.cycles() as f64 / spec.control_clock.hertz();
+        (
+            self.timed_pattern_power(&pattern),
+            BitsPerSecond::new(bits_per_loop / loop_time),
+        )
     }
 
     /// The paper's sensitivity workload: an IDD7-style interleaved loop
@@ -592,15 +609,8 @@ impl Dram {
     /// Includes the background power share.
     #[must_use]
     pub fn energy_per_bit_random(&self) -> Joules {
-        let spec = &self.desc.spec;
-        let pattern = Schedule::idd7(&self.desc.timing, spec.control_clock, spec.banks())
-            .expect("validated timing builds IDD7");
-        let summary = self.timed_pattern_power(&pattern);
-        let bits_per_loop =
-            pattern.count(Command::Read) as f64 * f64::from(spec.bits_per_column_access());
-        let loop_time = pattern.cycles() as f64 / spec.control_clock.hertz();
-        let rate = dram_units::BitsPerSecond::new(bits_per_loop / loop_time);
-        summary.power / rate
+        let (idd7, rate) = self.idd7_loop();
+        idd7.power / rate
     }
 
     /// Die area breakdown.
@@ -676,7 +686,8 @@ pub(crate) fn loop_power(
 /// entries are bit-identical to single `/v1/evaluate` bodies.
 #[must_use]
 pub fn evaluate_document(dram: &Dram) -> Value {
-    let idd = dram.idd();
+    let (idd7, idd7_rate) = dram.idd7_loop();
+    let idd = dram.idd_with(&idd7);
     let idd_ma: Vec<(String, Value)> = IddKind::ALL
         .iter()
         .map(|&k| (k.symbol().to_string(), (idd.get(k).amperes() * 1e3).into()))
@@ -707,10 +718,7 @@ pub fn evaluate_document(dram: &Dram) -> Value {
                     "streaming",
                     (dram.energy_per_bit_streaming().joules() * 1e12).into(),
                 ),
-                (
-                    "random",
-                    (dram.energy_per_bit_random().joules() * 1e12).into(),
-                ),
+                ("random", ((idd7.power / idd7_rate).joules() * 1e12).into()),
             ]),
         ),
         ("die_area_mm2", (area.die.square_meters() * 1e6).into()),

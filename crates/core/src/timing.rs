@@ -282,30 +282,6 @@ impl Schedule {
         self.commands.iter().filter(|c| c.command == cmd).count()
     }
 
-    /// Rate of a given command: occurrences per second at `clock`.
-    #[must_use]
-    pub fn rate(&self, cmd: Command, clock: Hertz) -> Hertz {
-        clock * (self.count(cmd) as f64 / self.cycles as f64)
-    }
-
-    /// Idle gaps between consecutive commands, in cycles — the windows a
-    /// power-down policy can exploit.
-    #[must_use]
-    pub fn idle_gaps(&self) -> Vec<u64> {
-        let mut gaps = Vec::new();
-        let mut cursor = 0u64;
-        for c in &self.commands {
-            if c.cycle > cursor {
-                gaps.push(c.cycle - cursor);
-            }
-            cursor = c.cycle + 1;
-        }
-        if self.cycles > cursor {
-            gaps.push(self.cycles - cursor);
-        }
-        gaps
-    }
-
     /// The IDD0 loop: one activate and one precharge on bank 0, repeating
     /// every tRC.
     ///
@@ -523,8 +499,8 @@ mod tests {
         p.validate_loop(&t, f, 8, InitialBankState::AllClosed)
             .expect("IDD0 loop is legal");
         // Activate rate is 1/tRC.
-        let rate = p.rate(Command::Activate, f);
-        assert!((rate.megahertz() - 20.0).abs() < 0.5);
+        let rate = f.megahertz() * p.count(Command::Activate) as f64 / p.cycles() as f64;
+        assert!((rate - 20.0).abs() < 0.5);
     }
 
     #[test]
@@ -536,8 +512,8 @@ mod tests {
         p.validate_loop(&t, f, 8, InitialBankState::AllOpen)
             .expect("IDD4R loop is legal");
         // One read per tCCD: rate = clock/4.
-        let rate = p.rate(Command::Read, f);
-        assert!((rate.megahertz() - 200.0).abs() < 1e-6);
+        let rate = f.megahertz() * p.count(Command::Read) as f64 / p.cycles() as f64;
+        assert!((rate - 200.0).abs() < 1e-6);
     }
 
     #[test]
@@ -751,16 +727,5 @@ mod tests {
             let err = t.validate_trace(&timing, clock, 8).unwrap_err();
             assert!(err.to_string().contains(rule), "{rule}: {err}");
         }
-    }
-
-    #[test]
-    fn idle_gaps_are_found() {
-        let t = schedule(
-            &[(0, 0, Command::Activate), (20, 0, Command::Precharge)],
-            100,
-        )
-        .expect("builds");
-        // gap between cycle 1..20 (19 cycles) and 21..100 (79 cycles)
-        assert_eq!(t.idle_gaps(), vec![19, 79]);
     }
 }

@@ -25,6 +25,9 @@
 //!   per-thread shards with zero allocation, read back by the server's
 //!   `/debug/*` endpoints. Sized 0 (the default) it costs one relaxed
 //!   load per call site.
+//! * [`write_bench`] writes the one bench-file shape every bench of the
+//!   workspace uses: [`Record`]s, each the median and quartiles of its
+//!   samples by one [`percentile`] rule, then the run's named values.
 //!
 //! ```
 //! dram_obs::set_enabled(true);
@@ -42,11 +45,13 @@
 //! metric naming scheme.
 #![warn(missing_docs)]
 
+mod bench;
 mod export;
 pub mod journal;
 pub mod metrics;
 pub mod span;
 
+pub use bench::{bench_document, percentile, write_bench, Better, Record};
 pub use export::{
     chrome_trace, escape_help, escape_label, json_members, registry_json, wants_prometheus, Kind,
     PromWriter, Series,

@@ -1,9 +1,9 @@
 //! A minimal JSON encoder/decoder shared across the workspace.
 //!
 //! The workspace must build with an empty registry, so there is no serde;
-//! the bench harness' timing files, the `dram-serve` request/response
-//! bodies and the load generator all go through this one module instead
-//! of each carrying a private escaper.
+//! the bench files, the `dram-serve` request/response bodies and the
+//! load generator all go through this one module instead of each
+//! carrying a private escaper.
 //!
 //! The decoder is a strict recursive-descent parser over the full JSON
 //! grammar (RFC 8259): objects, arrays, strings with `\uXXXX` escapes
@@ -216,8 +216,8 @@ impl From<Vec<Value>> for Value {
 
 /// Escapes a string as a JSON literal, quotes included.
 ///
-/// This is the one escaper of the workspace: the bench harness' timing
-/// serializer calls it, and the [`Value`] writer shares its loop.
+/// This is the one escaper of the workspace: the server's error bodies
+/// call it, and the [`Value`] writer shares its loop.
 #[must_use]
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

@@ -223,7 +223,8 @@ mod tests {
     use crate::generator::{generate_validated, WorkloadSpec};
     use dram_core::reference::ddr3_1g_x16_55nm;
     use dram_core::timing::TimedCommand;
-    use dram_core::{Command, Dram, DramDescription};
+    use dram_core::{Command, Dram, DramDescription, Pattern};
+    use dram_units::rng::SplitMix64;
 
     fn model() -> Dram {
         Dram::new(ddr3_1g_x16_55nm()).expect("valid")
@@ -397,10 +398,14 @@ mod tests {
                     "{name}"
                 );
             }
-            // The folded idle accounting agrees with the standalone pass.
+            // The folded idle accounting agrees with a standalone pass
+            // over the idle gaps: before each command and after the last.
             let policy = PowerDownPolicy::AGGRESSIVE;
+            let trace = &random.trace;
+            let starts = trace.commands().iter().map(|c| c.cycle).chain([trace.cycles()]);
+            let ends = [0].into_iter().chain(trace.commands().iter().map(|c| c.cycle + 1));
             let mut pd = 0u64;
-            for gap in random.trace.idle_gaps() {
+            for gap in starts.zip(ends).map(|(start, end)| start.saturating_sub(end)) {
                 if gap > policy.threshold_cycles {
                     pd += gap
                         .saturating_sub(policy.threshold_cycles)
@@ -547,6 +552,45 @@ mod tests {
                 assert!(
                     ulps(traced, looped) <= 4,
                     "{name} {pattern_name}: trace {traced} vs loop {looped}"
+                );
+            }
+        }
+    }
+
+    /// `Dram::pattern_power` prices a slot loop as `E·f/n`, and
+    /// `Dram::timed_pattern_power` prices the same slots as a bank-0
+    /// schedule as `E·(1/(n/f))`. The two round differently (a third of
+    /// seeded patterns differ by 1 or 2 ulps), so they stay apart and are
+    /// pinned within 4 ulps: on the paper example and on seeded patterns
+    /// of 1 to 1,024 slots, on every preset.
+    #[test]
+    fn slot_patterns_price_as_their_bank0_schedule() {
+        const KINDS: [Command; 6] = [
+            Command::Activate,
+            Command::Precharge,
+            Command::Read,
+            Command::Write,
+            Command::Nop,
+            Command::Refresh,
+        ];
+        let mut rng = SplitMix64::new(0x5107_7e57);
+        for description in every_preset() {
+            let name = description.name.clone();
+            let dram = Dram::new(description).expect("valid");
+            let mut patterns = vec![Pattern::paper_example()];
+            patterns.extend((0..200).map(|_| {
+                let len = 1 + rng.range_usize(1024);
+                Pattern::new((0..len).map(|_| *rng.pick(&KINDS)).collect()).expect("non-empty")
+            }));
+            for pattern in patterns {
+                let slots: Vec<(u64, Command)> = (0u64..).zip(pattern.slots().iter().copied()).collect();
+                let schedule = bank0_trace(&slots, pattern.len() as u64);
+                let slotted = dram.pattern_power(&pattern).power.watts();
+                let timed = dram.timed_pattern_power(&schedule).power.watts();
+                assert!(
+                    ulps(slotted, timed) <= 4,
+                    "{name}, {} slots: pattern {slotted} vs schedule {timed}",
+                    pattern.len()
                 );
             }
         }

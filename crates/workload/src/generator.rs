@@ -365,8 +365,10 @@ mod tests {
     fn sparse_workloads_have_long_idle_gaps() {
         let dram = model();
         let w = generate(&dram, &WorkloadSpec::sparse(50, 9)).expect("ok");
-        let gaps = w.trace.idle_gaps();
-        let max_gap = gaps.iter().copied().max().unwrap_or(0);
+        let t = &w.trace;
+        let starts = t.commands().iter().map(|c| c.cycle).chain([t.cycles()]);
+        let ends = [0].into_iter().chain(t.commands().iter().map(|c| c.cycle + 1));
+        let max_gap = starts.zip(ends).map(|(s, e)| s.saturating_sub(e)).max().unwrap_or(0);
         assert!(max_gap > 50, "max idle gap {max_gap}");
     }
 

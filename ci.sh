@@ -102,12 +102,15 @@ if [[ $fast -eq 0 ]]; then
 
   echo "==> dram-power --trace smoke (the /v1/trace grammar through the power-state machine)"
   # A legal act/rd/pre access plus a pde..pdx nap must be priced; an act
-  # issued while powered down and a rd under tRCD must each exit
-  # non-zero naming the violation.
+  # issued while powered down, a rd under tRCD and an act on an srx's own
+  # cycle (inside its exit-latency window) must each exit non-zero
+  # naming the violation.
   trace_dir=$(mktemp -d)
   printf '!length 2000\n0 act 0\n12 rd 0\n28 pre 0\n100 pde\n1000 pdx\n' > "$trace_dir/legal.trace"
   printf '!length 2000\n0 pde\n500 act\n1000 pdx\n' > "$trace_dir/asleep.trace"
   printf '0 act 0\n6 rd 0\n28 pre 0\n' > "$trace_dir/trcd.trace"
+  pileup=$'!policy aggressive\n0 sre\n1000 srx\n1000 act 0\n2000 pre 0\n'
+  printf '%s' "$pileup" > "$trace_dir/pileup.trace"
   legal_out=$(./target/release/dram-power --preset 55 --trace "$trace_dir/legal.trace") \
     || { echo "    dram-power rejected a legal trace"; exit 1; }
   legal_line=$(grep "^trace .*: 5 commands over" <<<"$legal_out") \
@@ -122,8 +125,13 @@ if [[ $fast -eq 0 ]]; then
   fi
   grep -q '(timing)' <<<"$trcd_err" \
     || { echo "    dram-power error does not name the timing violation: $trcd_err"; exit 1; }
+  if pileup_err=$(./target/release/dram-power --preset 55 --trace "$trace_dir/pileup.trace" 2>&1); then
+    echo "    dram-power priced an act on an srx's own cycle"; exit 1
+  fi
+  grep -q 'line 4: command at cycle 1000 inside an exit-latency window ending at 1513 (bad_transition)' \
+    <<<"$pileup_err" || { echo "    dram-power error does not name the pile-up: $pileup_err"; exit 1; }
   rm -rf "$trace_dir"
-  echo "    legal trace priced (${legal_line##*— }); act while powered down and rd under tRCD refused"
+  echo "    legal trace priced (${legal_line##*— }); act while powered down, rd under tRCD and act on an srx's cycle refused"
 
   echo "==> dram-serve smoke (boot, tracing, deadline, SIGTERM drain)"
   serve_log=$(mktemp)
@@ -291,6 +299,17 @@ if [[ $fast -eq 0 ]]; then
   done
   rm -f "$refused_file"
   echo "    an empty trace and a !preset after a nop -> both readers refuse with the same kind and line"
+  # An act on an srx's own cycle sits inside the exit-latency window: the
+  # 400 names the kind and the act's line, as dram-power does above.
+  pileup_file=$(mktemp)
+  printf '%s' "$pileup" > "$pileup_file"
+  pileup_reply=$(post_trace "$pileup_file" '?preset=ddr3_1g_x16_55nm')
+  rm -f "$pileup_file"
+  [[ "${pileup_reply:0:12}" == "HTTP/1.1 400" ]] \
+    || { echo "    POST the srx pile-up -> ${pileup_reply:0:12} (want 400)"; exit 1; }
+  grep -q '"kind":"bad_transition","line":4}' <<<"$pileup_reply" \
+    || { echo "    the srx pile-up 400 does not name bad_transition at line 4: ${pileup_reply##*$'\r\n\r\n'}"; exit 1; }
+  echo "    an act on an srx's own cycle -> 400 bad_transition at line 4"
 
   # The shipped description as /v1/evaluate text, in two spellings the
   # lexer must read alike: as shipped, and with CRLF line ends, a tab

@@ -18,8 +18,8 @@ pub use dram_core::evaluate_document;
 use dram_core::{content_key, Dram, DramDescription, EvalEngine, ModelError, Pattern};
 use dram_units::json::{obj, Value};
 use dram_workload::{
-    PowerDownPolicy, StreamFold, TraceDecoder, TraceError, TraceErrorKind, TraceEvent, TraceReport,
-    TraceState,
+    PowerDownPolicy, StreamFold, TraceCommand, TraceDecoder, TraceError, TraceErrorKind,
+    TraceEvent, TraceReport, TraceSink, TraceState,
 };
 
 use crate::http::{ChunkedBody, Request, Response};
@@ -489,11 +489,12 @@ fn trace_error_response(e: &TraceError) -> Response {
     )
 }
 
-/// Event-application state of one `/v1/trace` request: resolves the
-/// preset from the `?preset=` query or the `!preset` directive, defers
-/// building the [`StreamFold`] to the first command (directives may
-/// still change the device or policy before then), and accumulates the
-/// cache activity its one model lookup causes.
+/// The [`TraceSink`] of one `/v1/trace` request: resolves the preset
+/// from the `?preset=` query or the `!preset` directive, defers building
+/// the [`StreamFold`] to the first command (directives may still change
+/// the device or policy before then), and accumulates the cache activity
+/// its one model lookup causes. Every command after the first goes
+/// straight to the fold.
 struct TraceSession {
     activity: CacheActivity,
     preset: Option<&'static Preset>,
@@ -517,8 +518,60 @@ impl TraceSession {
         })
     }
 
-    fn apply(&mut self, event: TraceEvent) -> Result<(), TraceError> {
-        match event {
+    /// Builds the fold through the model cache, then folds the first
+    /// command into it.
+    #[inline(never)]
+    fn first_command(&mut self, command: TraceCommand) -> Result<(), TraceError> {
+        let Some(preset) = self.preset else {
+            return Err(TraceError::new(
+                TraceErrorKind::Syntax,
+                "trace needs a `!preset` directive or `?preset=` query parameter",
+            ));
+        };
+        let (dram, _) = Device::Preset(preset)
+            .model(&mut self.activity)
+            .map_err(|e| TraceError::new(TraceErrorKind::Syntax, model_error_message(&e)))?;
+        self.fold
+            .insert(StreamFold::new(&dram, self.policy))
+            .push(command)
+    }
+
+    /// Flushes the decoder's last line and closes the fold into the
+    /// response, leaving the session usable so the caller can still
+    /// collect [`Self::activity`] afterwards.
+    fn finish_response(&mut self, decoder: &mut TraceDecoder) -> Response {
+        if let Err(e) = decoder.finish(self) {
+            return trace_error_response(&e);
+        }
+        let Some(fold) = self.fold.take() else {
+            return trace_error_response(&TraceError::new(
+                TraceErrorKind::Syntax,
+                "trace contains no commands",
+            ));
+        };
+        let name = self.preset.map_or("", Preset::name);
+        let commands = fold.commands();
+        match fold.finish(self.length) {
+            Ok(report) => Response::json(
+                200,
+                trace_document(name, &report, commands, decoder.bytes_fed()).to_string(),
+            ),
+            Err(e) => trace_error_response(&e),
+        }
+    }
+}
+
+impl TraceSink for TraceSession {
+    #[inline]
+    fn command(&mut self, command: TraceCommand) -> Result<(), TraceError> {
+        match &mut self.fold {
+            Some(fold) => fold.push(command),
+            None => self.first_command(command),
+        }
+    }
+
+    fn directive(&mut self, directive: TraceEvent) -> Result<(), TraceError> {
+        match directive {
             TraceEvent::Preset(name) => {
                 if self.fold.is_some() {
                     return Err(TraceError::new(
@@ -543,43 +596,7 @@ impl TraceSession {
                 self.length = Some(cycles);
                 Ok(())
             }
-            TraceEvent::Command(c) => {
-                if self.fold.is_none() {
-                    let Some(preset) = self.preset else {
-                        return Err(TraceError::new(
-                            TraceErrorKind::Syntax,
-                            "trace needs a `!preset` directive or `?preset=` query parameter",
-                        ));
-                    };
-                    let (dram, _) = Device::Preset(preset)
-                        .model(&mut self.activity)
-                        .map_err(|e| {
-                            TraceError::new(TraceErrorKind::Syntax, model_error_message(&e))
-                        })?;
-                    self.fold = Some(StreamFold::new(&dram, self.policy));
-                }
-                self.fold.as_mut().expect("fold built above").push(c)
-            }
-        }
-    }
-
-    /// Closes the fold into the response, leaving the session usable so
-    /// the caller can still collect [`Self::activity`] afterwards.
-    fn finish_response(&mut self, trace_bytes: u64) -> Response {
-        let Some(fold) = self.fold.take() else {
-            return trace_error_response(&TraceError::new(
-                TraceErrorKind::Syntax,
-                "trace contains no commands",
-            ));
-        };
-        let name = self.preset.map_or("", Preset::name);
-        let commands = fold.commands();
-        match fold.finish(self.length) {
-            Ok(report) => Response::json(
-                200,
-                trace_document(name, &report, commands, trace_bytes).to_string(),
-            ),
-            Err(e) => trace_error_response(&e),
+            TraceEvent::Command(command) => self.command(command),
         }
     }
 }
@@ -593,11 +610,8 @@ fn trace_buffered(req: &Request, activity: &mut CacheActivity) -> Response {
         Err(r) => return r,
     };
     let mut decoder = TraceDecoder::new();
-    let fed = decoder
-        .feed(&req.body, &mut |e| session.apply(e))
-        .and_then(|()| decoder.finish(&mut |e| session.apply(e)));
-    let response = match fed {
-        Ok(()) => session.finish_response(decoder.bytes_fed()),
+    let response = match decoder.feed(&req.body, &mut session) {
+        Ok(()) => session.finish_response(&mut decoder),
         Err(e) => trace_error_response(&e),
     };
     activity.hits += session.activity.hits;
@@ -605,9 +619,10 @@ fn trace_buffered(req: &Request, activity: &mut CacheActivity) -> Response {
     response
 }
 
-/// `POST /v1/trace` with a chunked body still on the wire: decoded
-/// chunks feed the trace decoder as they arrive, so memory stays O(1)
-/// in the trace length (one network chunk plus one partial line).
+/// `POST /v1/trace` with a chunked body still on the wire: each run of
+/// chunk data feeds the trace decoder in place, in the reader's buffer,
+/// as it arrives, so memory stays O(1) in the trace length (one read
+/// buffer plus one partial line).
 ///
 /// Called by the server front end instead of [`handle`] when the
 /// request streams; the returned activity is attributed to the request
@@ -622,22 +637,16 @@ pub fn handle_trace_stream(
         Ok(s) => s,
         Err(r) => return (r, CacheActivity::default()),
     };
-    let mut buf = Vec::with_capacity(16 * 1024);
     let mut decoder = TraceDecoder::new();
     let response = loop {
-        buf.clear();
-        let more = match body.read_chunk(stream, &mut buf) {
-            Ok(more) => more,
-            Err(e) => break Response::error(e.status(), &e.message()),
-        };
-        if let Err(e) = decoder.feed(&buf, &mut |e| session.apply(e)) {
-            break trace_error_response(&e);
-        }
-        if !more {
-            match decoder.finish(&mut |e| session.apply(e)) {
-                Ok(()) => break session.finish_response(decoder.bytes_fed()),
-                Err(e) => break trace_error_response(&e),
+        match body.next_run(stream) {
+            Ok(Some(data)) => {
+                if let Err(e) = decoder.feed(data, &mut session) {
+                    break trace_error_response(&e);
+                }
             }
+            Ok(None) => break session.finish_response(&mut decoder),
+            Err(e) => break Response::error(e.status(), &e.message()),
         }
     };
     (response, session.activity)

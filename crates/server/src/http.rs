@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::ops::Range;
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
@@ -307,8 +308,8 @@ enum Framing {
 /// One request coming off a connection: either fully buffered, or a
 /// parsed head whose chunked body is still on the wire.
 ///
-/// Streaming endpoints take the [`Inbound::Streaming`] arm and pull
-/// decoded body bytes incrementally through [`ChunkedBody::read_chunk`];
+/// Streaming endpoints take the [`Inbound::Streaming`] arm and take
+/// decoded body bytes in place through [`ChunkedBody::next_run`];
 /// every other route drains the body into memory first (bounded by
 /// [`Limits::max_body`]) and proceeds exactly as before.
 #[derive(Debug)]
@@ -630,6 +631,27 @@ impl ChunkedDecoder {
     /// `max_chunk`, `431` for oversized trailers.
     pub fn advance(&mut self, input: &[u8], out: &mut Vec<u8>) -> Result<usize, HttpError> {
         let mut i = 0;
+        loop {
+            let run = self.next_run(&input[i..])?;
+            out.extend_from_slice(&input[i..][run.clone()]);
+            i += run.end;
+            if run.is_empty() {
+                return Ok(i);
+            }
+        }
+    }
+
+    /// Consumes the framing at the front of `input` up to the next run of
+    /// chunk data, and that run, which the caller reads in place: the
+    /// returned range of `input` is body data, and everything before it
+    /// was framing. The range is empty once `input` is used up, or at
+    /// the end of the encoding, before any byte after it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::advance`].
+    fn next_run(&mut self, input: &[u8]) -> Result<Range<usize>, HttpError> {
+        let mut i = 0;
         while i < input.len() {
             match &mut self.state {
                 ChunkState::Size(line) => {
@@ -654,12 +676,11 @@ impl ChunkedDecoder {
                 }
                 ChunkState::Data(remaining) => {
                     let take = (*remaining).min(input.len() - i);
-                    out.extend_from_slice(&input[i..i + take]);
-                    i += take;
                     *remaining -= take;
                     if *remaining == 0 {
                         self.state = ChunkState::DataEnd { cr_seen: false };
                     }
+                    return Ok(i..i + take);
                 }
                 ChunkState::DataEnd { cr_seen } => {
                     let b = input[i];
@@ -697,7 +718,7 @@ impl ChunkedDecoder {
                 ChunkState::Done => break,
             }
         }
-        Ok(i)
+        Ok(i..i)
     }
 }
 
@@ -715,27 +736,40 @@ fn parse_chunk_size(line: &[u8]) -> Result<usize, HttpError> {
         .map_err(|_| HttpError::BadRequest(format!("bad chunk size `{digits}`")))
 }
 
-/// A chunked request body still (partially) on the wire: feeds socket
-/// reads through a [`ChunkedDecoder`] on demand, under the original
-/// request deadline and a total-size cap of [`Limits::max_stream`].
+/// A chunked request body still (partially) on the wire. It reads the
+/// socket into one buffer it keeps for the whole body and hands out each
+/// run of chunk data in place, as a slice of that buffer, under the
+/// original request deadline and a total-size cap of
+/// [`Limits::max_stream`]. The body is judged in byte order: a caller
+/// sees every byte before a framing error or the cap, however the reads
+/// split the bytes.
 #[derive(Debug)]
 pub struct ChunkedBody {
     decoder: ChunkedDecoder,
-    /// Bytes read past the head before the body reader took over.
-    buffered: Vec<u8>,
-    buf_pos: usize,
+    /// The read buffer: first the bytes read past the head, then each
+    /// socket read.
+    buf: Vec<u8>,
+    /// Where the decoder resumes in `buf`.
+    pos: usize,
+    /// End of the bytes read into `buf`.
+    filled: usize,
     deadline: Instant,
     io_timeout: Duration,
     max_stream: usize,
+    /// Chunk data decoded so far, past the cap included.
     total: usize,
 }
 
 impl ChunkedBody {
+    /// Bytes asked of each socket read.
+    const READ_BYTES: usize = 16 * 1024;
+
     fn new(leftover: Vec<u8>, deadline: Instant, limits: &Limits) -> Self {
         Self {
             decoder: ChunkedDecoder::new(limits.max_stream),
-            buffered: leftover,
-            buf_pos: 0,
+            filled: leftover.len(),
+            buf: leftover,
+            pos: 0,
             deadline,
             io_timeout: limits.io_timeout,
             max_stream: limits.max_stream,
@@ -743,58 +777,47 @@ impl ChunkedBody {
         }
     }
 
-    /// Total decoded body bytes produced so far.
-    #[must_use]
-    pub fn bytes_read(&self) -> usize {
-        self.total
-    }
-
-    /// Appends the next run of decoded body bytes to `out`, reading
-    /// from the socket as needed. Returns `false` once the terminating
-    /// chunk (and trailers) have been fully consumed — the final call
-    /// may both append bytes *and* return `false`. Bytes past the
-    /// terminator are not an error: they are the next pipelined request,
-    /// retained for [`ChunkedBody::take_leftover`].
+    /// The next run of decoded body bytes, as a slice of the reader's
+    /// buffer, read from the socket as needed; `None` once the
+    /// terminating chunk (and trailers) have been consumed. Bytes past
+    /// the terminator are not an error: they are the next pipelined
+    /// request, retained for [`ChunkedBody::take_leftover`].
     ///
     /// # Errors
     ///
     /// `400` on malformed framing, `408` past the request deadline,
-    /// `413` past [`Limits::max_stream`].
-    pub fn read_chunk(
-        &mut self,
-        stream: &mut TcpStream,
-        out: &mut Vec<u8>,
-    ) -> Result<bool, HttpError> {
+    /// `413` at the first decoded byte past [`Limits::max_stream`]; each
+    /// only after every body byte before it was handed out.
+    pub fn next_run(&mut self, stream: &mut TcpStream) -> Result<Option<&[u8]>, HttpError> {
         loop {
-            // Drain what we already hold before touching the socket.
-            if self.buf_pos < self.buffered.len() {
-                let before = out.len();
-                let used = self
-                    .decoder
-                    .advance(&self.buffered[self.buf_pos..], out)?;
-                self.buf_pos += used;
-                self.total += out.len() - before;
-                if self.total > self.max_stream {
-                    return Err(HttpError::PayloadTooLarge);
+            if self.total > self.max_stream {
+                return Err(HttpError::PayloadTooLarge);
+            }
+            let run = self.decoder.next_run(&self.buf[self.pos..self.filled])?;
+            let start = self.pos + run.start;
+            self.pos += run.end;
+            if !run.is_empty() {
+                // Only the bytes up to the cap go out; a byte past it
+                // makes the next call a 413.
+                let room = self.max_stream - self.total;
+                self.total += run.len();
+                if room > 0 {
+                    return Ok(Some(&self.buf[start..start + run.len().min(room)]));
                 }
-                if self.decoder.is_done() {
-                    return Ok(false);
-                }
-                if out.len() > before {
-                    return Ok(true);
-                }
+                continue;
             }
             if self.decoder.is_done() {
-                return Ok(false);
+                return Ok(None);
             }
-            self.buffered.clear();
-            self.buf_pos = 0;
-            let mut chunk = [0u8; 16 * 1024];
-            let n = read_bounded(stream, &mut chunk, self.deadline, self.io_timeout)?;
+            if self.buf.len() < Self::READ_BYTES {
+                self.buf.resize(Self::READ_BYTES, 0);
+            }
+            let n = read_bounded(stream, &mut self.buf, self.deadline, self.io_timeout)?;
             if n == 0 {
                 return Err(HttpError::BadRequest("truncated chunked body".into()));
             }
-            self.buffered.extend_from_slice(&chunk[..n]);
+            self.pos = 0;
+            self.filled = n;
         }
     }
 
@@ -804,7 +827,7 @@ impl ChunkedBody {
     ///
     /// # Errors
     ///
-    /// As [`ChunkedBody::read_chunk`], plus `413` once the decoded body
+    /// As [`ChunkedBody::next_run`], plus `413` once the decoded body
     /// passes `max_body`.
     pub fn read_all(
         &mut self,
@@ -812,25 +835,22 @@ impl ChunkedBody {
         max_body: usize,
     ) -> Result<Vec<u8>, HttpError> {
         let mut body = Vec::new();
-        loop {
-            let more = self.read_chunk(stream, &mut body)?;
-            if body.len() > max_body {
+        while let Some(run) = self.next_run(stream)? {
+            if body.len() + run.len() > max_body {
                 return Err(HttpError::PayloadTooLarge);
             }
-            if !more {
-                return Ok(body);
-            }
+            body.extend_from_slice(run);
         }
+        Ok(body)
     }
 
     /// The bytes read past the chunked terminator — the start of the
-    /// next pipelined request. Meaningful only once `read_chunk` has
-    /// returned `false`; draining resets the reader's buffer.
+    /// next pipelined request. Meaningful only once `next_run` has
+    /// returned `None`; draining empties the reader's buffer.
     #[must_use]
     pub fn take_leftover(&mut self) -> Vec<u8> {
-        let rest = self.buffered.split_off(self.buf_pos);
-        self.buffered.clear();
-        self.buf_pos = 0;
+        let rest = self.buf[self.pos..self.filled].to_vec();
+        self.pos = self.filled;
         rest
     }
 }
@@ -1643,6 +1663,176 @@ mod tests {
                 Err(ReadError::Http(HttpError::BadRequest(_))) => {}
                 other => panic!("case {case}: {other:?}"),
             }
+        }
+    }
+
+    /// Hands a [`ChunkedBody`] and the server's end of a loopback
+    /// connection to `run`: the first `split` bytes of `wire` are what
+    /// the head read left over, and the peer writes the rest in writes
+    /// of the `pieces` sizes, then the remainder, then hangs up.
+    fn with_chunked_body<T>(
+        listener: &std::net::TcpListener,
+        wire: &[u8],
+        split: usize,
+        pieces: &[usize],
+        max_stream: usize,
+        run: impl FnOnce(&mut ChunkedBody, &mut TcpStream) -> T,
+    ) -> T {
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        let limits = Limits {
+            max_stream,
+            ..Limits::default()
+        };
+        let deadline = Instant::now() + limits.request_deadline;
+        let mut body = ChunkedBody::new(wire[..split].to_vec(), deadline, &limits);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let mut rest = &wire[split..];
+                for &n in pieces {
+                    let (piece, tail) = rest.split_at(n.min(rest.len()));
+                    rest = tail;
+                    if peer.write_all(piece).is_err() {
+                        return;
+                    }
+                }
+                let _ = peer.write_all(rest);
+            });
+            run(&mut body, &mut stream)
+        })
+    }
+
+    /// Seeded loopback test of the in-place body reader over random
+    /// bodies and chunkings, a `max_stream` of a few hundred bytes, and
+    /// random splits between the bytes read with the head and the writes
+    /// still on the wire. The runs it hands out concatenate to exactly
+    /// the body; a framing error comes after exactly the body bytes
+    /// before it; the 413 comes at the first decoded byte past the cap,
+    /// after every byte up to it; and the bytes behind the terminator are
+    /// exactly the pipelined request. A trace error before a chunk that
+    /// passes the cap gets the same 400 at every split.
+    #[test]
+    fn chunked_body_judges_the_body_in_byte_order() {
+        let mut state = 0xb0d1_0dd5_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let pipelined = b"GET /healthz HTTP/1.1\r\n\r\n";
+        let mut verdicts = [0; 3];
+        for case in 0..400 {
+            let max_stream = 100 + next() % 300;
+            let body: Vec<u8> = (0..next() % (2 * max_stream))
+                .map(|_| next() as u8)
+                .collect();
+            // No chunk passes the cap alone, so only the running total
+            // can.
+            let Framed {
+                mut wire,
+                sizes,
+                data_ends,
+            } = frame_chunked(&body, 1 + next() % max_stream, &mut next);
+            // The body bytes before the byte that breaks the framing.
+            let mut broken_after = None;
+            match next() % 3 {
+                0 => {
+                    let (at, before) = sizes[next() % sizes.len()];
+                    let digits = wire[at..]
+                        .iter()
+                        .take_while(|b| b.is_ascii_hexdigit())
+                        .count();
+                    wire[at + next() % digits] = b"gGxz-+.\xff"[next() % 8];
+                    broken_after = Some(before);
+                }
+                1 if !data_ends.is_empty() => {
+                    let (end, sent) = data_ends[next() % data_ends.len()];
+                    let at = end + next() % 2;
+                    wire[at] = if wire[at] == b'x' { b'y' } else { b'x' };
+                    broken_after = Some(sent);
+                }
+                _ => {}
+            }
+            let handed = broken_after.unwrap_or(body.len()).min(max_stream);
+            wire.extend_from_slice(pipelined);
+            let split = next() % (wire.len() + 1);
+            let pieces: Vec<usize> = (0..next() % 6).map(|_| 1 + next() % 64).collect();
+            let read = |body: &mut ChunkedBody, stream: &mut TcpStream| {
+                let mut runs = Vec::new();
+                let verdict = loop {
+                    match body.next_run(stream) {
+                        Ok(Some(run)) => {
+                            assert!(!run.is_empty(), "case {case}: an empty run");
+                            runs.extend_from_slice(run);
+                        }
+                        Ok(None) => break Ok(()),
+                        Err(e) => break Err(e),
+                    }
+                };
+                let mut behind = body.take_leftover();
+                if verdict.is_ok() {
+                    stream.read_to_end(&mut behind).unwrap();
+                }
+                (runs, verdict, behind)
+            };
+            let (runs, verdict, behind) =
+                with_chunked_body(&listener, &wire, split, &pieces, max_stream, read);
+            assert_eq!(runs, body[..handed], "case {case} split {split}");
+            match broken_after {
+                Some(before) if before <= max_stream => {
+                    assert!(
+                        matches!(verdict, Err(HttpError::BadRequest(_))),
+                        "case {case}: {verdict:?}"
+                    );
+                    verdicts[1] += 1;
+                }
+                _ if body.len().min(broken_after.unwrap_or(usize::MAX)) > max_stream => {
+                    assert_eq!(verdict, Err(HttpError::PayloadTooLarge), "case {case}");
+                    verdicts[2] += 1;
+                }
+                _ => {
+                    assert_eq!(verdict, Ok(()), "case {case}");
+                    assert_eq!(behind, pipelined, "case {case} split {split}");
+                    verdicts[0] += 1;
+                }
+            }
+        }
+        assert!(verdicts.iter().all(|&n| n > 50), "verdicts {verdicts:?}");
+
+        // A trace error in the first chunk, then a chunk that takes the
+        // body past the cap: the error comes first in the body, so it
+        // answers whether or not one read holds both chunks.
+        let first = b"0 act 0\n5 act 1\nbogus line\n";
+        let second = b"# pad\n".repeat(40);
+        let mut wire = Vec::new();
+        for chunk in [&first[..], &second] {
+            wire.extend_from_slice(format!("{:x}\r\n", chunk.len()).as_bytes());
+            wire.extend_from_slice(chunk);
+            wire.extend_from_slice(b"\r\n");
+        }
+        wire.extend_from_slice(b"0\r\n\r\n");
+        let max_stream = 256;
+        assert!(first.len() < max_stream && first.len() + second.len() > max_stream);
+        let request = Request {
+            method: "POST".into(),
+            path: "/v1/trace".into(),
+            query: "preset=ddr3_1g_x16_55nm".into(),
+            headers: HashMap::new(),
+            body: Vec::new(),
+            http11: true,
+        };
+        let want = r#"{"error":"line 3: bad cycle \"bogus\"","kind":"syntax","line":3}"#;
+        for split in 0..=wire.len() {
+            let pieces = [1 + next() % 32, 1 + next() % 32];
+            let serve = |body: &mut ChunkedBody, stream: &mut TcpStream| {
+                crate::api::handle_trace_stream(&request, stream, body)
+            };
+            let (response, _) =
+                with_chunked_body(&listener, &wire, split, &pieces, max_stream, serve);
+            let answer = (response.status, String::from_utf8_lossy(&response.body));
+            assert_eq!(answer, (400, want.into()), "split {split}");
         }
     }
 

@@ -1120,8 +1120,8 @@ fn serve_buffered(ex: &mut Exchange<'_>, req: &http::Request, leftover: Vec<u8>)
 }
 
 /// Answers `POST /v1/trace` with a chunked body still on the wire: the
-/// handler pulls decoded chunks through the trace decoder as they
-/// arrive, so the body is never buffered whole. The route counts as
+/// handler feeds each run of chunk data to the trace decoder in place,
+/// in the body reader's buffer, so the body is never buffered whole. The route counts as
 /// expensive for load shedding (it holds its worker for the entire
 /// upload) and the handler runs under the same [`guarded`] as the
 /// buffered path.

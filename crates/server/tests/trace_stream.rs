@@ -324,6 +324,34 @@ fn billing_past_the_last_cycle_is_refused_at_its_line() {
     server.shutdown();
 }
 
+/// A command on a power-down or self-refresh exit's own cycle sits
+/// inside the exit-latency window: a `bad_transition` 400 at its own
+/// line, buffered or chunked. Under `!policy never` no exit latency is
+/// billed, and the same trace prices.
+#[test]
+fn a_command_on_an_exits_own_cycle_is_refused_at_its_line() {
+    let server = start(1);
+    let addr = server.local_addr();
+    let path = "/v1/trace?preset=ddr3_1g_x16_55nm";
+    for (payload, error) in [
+        (
+            &b"!policy aggressive\n0 sre\n1000 srx\n1000 act 0\n2000 pre 0\n"[..],
+            "line 4: command at cycle 1000 inside an exit-latency window ending at 1513",
+        ),
+        (
+            b"!policy aggressive\n0 pde\n100 pdx\n100 act 0\n",
+            "line 4: command at cycle 100 inside an exit-latency window ending at 107",
+        ),
+    ] {
+        let want = format!(r#"{{"error":"{error}","kind":"bad_transition","line":4}}"#);
+        assert_eq!(buffered(addr, path, payload), (400, want.clone()));
+        assert_eq!(chunked(addr, path, payload, 7), (400, want));
+    }
+    let (status, body) = buffered(addr, path, b"!policy never\n0 sre\n1000 srx\n1000 act 0\n");
+    assert_eq!(status, 200, "{body}");
+    server.shutdown();
+}
+
 /// An over-long line is `line_too_long` at its own line whether the
 /// body arrives buffered (one decoder chunk) or chunked on the wire.
 #[test]

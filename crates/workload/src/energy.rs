@@ -100,6 +100,7 @@ impl TraceState {
 
     /// Index into [`StateBreakdown`] arrays.
     #[must_use]
+    #[inline]
     pub fn index(self) -> usize {
         self as usize
     }

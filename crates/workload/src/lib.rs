@@ -8,8 +8,8 @@
 //! [`dram_core::timing::Schedule`] — the one command schedule type,
 //! which the datasheet loops share — read as a finite sequence. Trace
 //! text has one grammar, the one `POST /v1/trace` reads:
-//! [`TraceDecoder`] is its one reader and [`write_trace`] renders a
-//! schedule in it. Every trace — buffered or streamed — is billed by one
+//! [`TraceDecoder`] is its one reader, handing what it decodes to a
+//! [`TraceSink`], and [`write_trace`] renders a schedule in it. Every trace — buffered or streamed — is billed by one
 //! fold, [`StreamFold`]; [`simulate`] drives it over a schedule, and
 //! every trace's bank timing is checked by `dram-core`'s one
 //! [`dram_core::timing::TimingChecker`].
@@ -46,5 +46,5 @@ pub use generator::{
 };
 pub use stream::{
     trace_bytes_total, trace_commands_total, write_trace, StreamFold, TraceDecoder, TraceError,
-    TraceErrorKind, TraceEvent,
+    TraceErrorKind, TraceEvent, TraceSink,
 };

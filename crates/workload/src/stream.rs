@@ -132,6 +132,25 @@ impl TraceError {
         }
     }
 
+    /// An error formatted only once it is raised, kept out of line so
+    /// the paths that check for it stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn raised(line: u64, kind: TraceErrorKind, message: core::fmt::Arguments<'_>) -> Self {
+        Self::at(line, kind, message.to_string())
+    }
+
+    /// A command whose cycle goes backwards, at `line` (0 for the fold).
+    #[cold]
+    #[inline(never)]
+    fn backwards(line: u64, cycle: u64, last: u64) -> Self {
+        Self::raised(
+            line,
+            TraceErrorKind::NonMonotonicCycle,
+            format_args!("cycle {cycle} after cycle {last}"),
+        )
+    }
+
     /// Stamps a line number if the error does not carry one yet.
     #[must_use]
     pub fn with_line(mut self, line: u64) -> Self {
@@ -167,12 +186,58 @@ pub enum TraceEvent {
     Length(u64),
 }
 
+/// Where a [`TraceDecoder`] delivers what it decodes: each command line
+/// through [`Self::command`], and each `!directive` through
+/// [`Self::directive`].
+///
+/// Commands have a path of their own so that a sink's per-command work
+/// inlines into the decoder's loop, with no [`TraceEvent`] built around
+/// each command; directives take the slower, general path. Any
+/// `FnMut(TraceEvent) -> Result<(), TraceError>` closure is a sink that
+/// takes both as events.
+///
+/// A sink's error ends decoding; the decoder stamps it with the line it
+/// was decoding, unless the error carries a line already.
+pub trait TraceSink {
+    /// Takes a command, in trace order, once the decoder has checked
+    /// that its cycle does not go backwards.
+    ///
+    /// # Errors
+    ///
+    /// Any [`TraceError`]; it ends decoding.
+    fn command(&mut self, command: TimedCommand) -> Result<(), TraceError>;
+
+    /// Takes a directive: a [`TraceEvent`] other than
+    /// [`TraceEvent::Command`].
+    ///
+    /// # Errors
+    ///
+    /// Any [`TraceError`]; it ends decoding.
+    fn directive(&mut self, directive: TraceEvent) -> Result<(), TraceError>;
+}
+
+impl<F> TraceSink for F
+where
+    F: FnMut(TraceEvent) -> Result<(), TraceError>,
+{
+    #[inline]
+    fn command(&mut self, command: TimedCommand) -> Result<(), TraceError> {
+        self(TraceEvent::Command(command))
+    }
+
+    #[inline]
+    fn directive(&mut self, directive: TraceEvent) -> Result<(), TraceError> {
+        self(directive)
+    }
+}
+
 /// A resumable decoder for the line-oriented streaming trace format.
 ///
 /// Feed it byte chunks in any split — commands may straddle chunk
-/// boundaries — and it emits [`TraceEvent`]s through a sink closure.
-/// Memory is O(1): the only buffered state is the partial last line,
-/// bounded by [`Self::MAX_LINE_BYTES`].
+/// boundaries — and it hands what it decodes to a [`TraceSink`]: a
+/// closure over [`TraceEvent`]s, or a type with a command path of its
+/// own. Memory is O(1): the only buffered state is the partial last
+/// line, bounded by [`Self::MAX_LINE_BYTES`].
 ///
 /// Grammar: one event per line; blank lines and lines that start with
 /// `#` are skipped, and a `#` later in a line is not a comment. A
@@ -190,7 +255,8 @@ pub enum TraceEvent {
 /// errors.
 ///
 /// ```
-/// use dram_workload::{PowerDownPolicy, TraceDecoder, TraceEvent};
+/// use dram_workload::{PowerDownPolicy, TraceCommand, TraceDecoder, TraceError};
+/// use dram_workload::{TraceEvent, TraceSink};
 ///
 /// let trace = [
 ///     "# device selection",
@@ -208,6 +274,8 @@ pub enum TraceEvent {
 ///     "900 pdx",
 /// ]
 /// .join("\n");
+///
+/// // A closure sink takes every event.
 /// let mut events = Vec::new();
 /// let mut sink = |event: TraceEvent| {
 ///     events.push(event);
@@ -220,13 +288,39 @@ pub enum TraceEvent {
 /// assert_eq!(events[0], TraceEvent::Preset("ddr3_1g_x16_55nm".into()));
 /// assert_eq!(events[1], TraceEvent::Policy(PowerDownPolicy::AGGRESSIVE));
 /// assert_eq!(events[2], TraceEvent::Length(100_000));
+///
+/// // A struct sink takes commands on a path of their own.
+/// #[derive(Default)]
+/// struct Counts {
+///     commands: u64,
+///     last_cycle: u64,
+///     directives: u64,
+/// }
+/// impl TraceSink for Counts {
+///     fn command(&mut self, command: TraceCommand) -> Result<(), TraceError> {
+///         self.commands += 1;
+///         self.last_cycle = command.cycle;
+///         Ok(())
+///     }
+///     fn directive(&mut self, _: TraceEvent) -> Result<(), TraceError> {
+///         self.directives += 1;
+///         Ok(())
+///     }
+/// }
+/// let mut counts = Counts::default();
+/// let mut decoder = TraceDecoder::new();
+/// decoder.feed(trace.as_bytes(), &mut counts)?;
+/// decoder.finish(&mut counts)?;
+/// assert_eq!((counts.commands, counts.last_cycle, counts.directives), (5, 900, 3));
 /// # Ok::<(), dram_workload::TraceError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct TraceDecoder {
     carry: Vec<u8>,
     line: u64,
-    last_cycle: Option<u64>,
+    /// The cycle of the last command line, 0 before the first: no
+    /// cycle is below it then.
+    last_cycle: u64,
     bytes: u64,
 }
 
@@ -254,16 +348,15 @@ impl TraceDecoder {
         self.bytes
     }
 
-    /// Feeds one chunk, emitting every completed event into `sink`.
+    /// Feeds one chunk, handing every completed line's command or
+    /// directive to `sink`.
     ///
     /// # Errors
     ///
     /// Returns the first [`TraceError`] from parsing or from the sink
     /// (sink errors are stamped with the current line number).
-    pub fn feed<F>(&mut self, chunk: &[u8], sink: &mut F) -> Result<(), TraceError>
-    where
-        F: FnMut(TraceEvent) -> Result<(), TraceError>,
-    {
+    #[inline]
+    pub fn feed<S: TraceSink>(&mut self, chunk: &[u8], sink: &mut S) -> Result<(), TraceError> {
         self.bytes += chunk.len() as u64;
         trace_bytes_total().add(chunk.len() as u64);
         let mut rest = chunk;
@@ -279,13 +372,9 @@ impl TraceDecoder {
         loop {
             let len = if let Some((command, len)) = single_space_command(rest) {
                 self.line += 1;
-                let event = self.in_order(command)?;
-                self.emit(event, sink)?;
+                self.command(command, sink)?;
                 len
-            } else if let Some((event, len)) = self.next_line(rest)? {
-                if let Some(event) = event {
-                    self.emit(event, sink)?;
-                }
+            } else if let Some(len) = self.next_line(rest, sink)? {
                 len
             } else {
                 break;
@@ -300,10 +389,7 @@ impl TraceDecoder {
     /// # Errors
     ///
     /// Returns the first [`TraceError`] from parsing or from the sink.
-    pub fn finish<F>(&mut self, sink: &mut F) -> Result<(), TraceError>
-    where
-        F: FnMut(TraceEvent) -> Result<(), TraceError>,
-    {
+    pub fn finish<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), TraceError> {
         if self.carry.is_empty() {
             return Ok(());
         }
@@ -330,63 +416,59 @@ impl TraceDecoder {
 
     /// Decodes the carried line, ended with a newline here so that a
     /// final line without one decodes like every other line.
-    fn decode_carry<F>(&mut self, sink: &mut F) -> Result<(), TraceError>
-    where
-        F: FnMut(TraceEvent) -> Result<(), TraceError>,
-    {
+    fn decode_carry<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), TraceError> {
         let mut carried = core::mem::take(&mut self.carry);
         carried.push(b'\n');
-        let decoded = self.next_line(&carried);
+        let decoded = self.next_line(&carried, sink);
         carried.clear();
         self.carry = carried;
-        match decoded? {
-            Some((Some(event), _)) => self.emit(event, sink),
-            _ => Ok(()),
-        }
+        decoded.map(drop)
     }
 
-    /// Hands an event to the sink, stamping its errors with the line.
-    fn emit<F>(&self, event: TraceEvent, sink: &mut F) -> Result<(), TraceError>
-    where
-        F: FnMut(TraceEvent) -> Result<(), TraceError>,
-    {
-        sink(event).map_err(|e| e.with_line(self.line))
-    }
-
-    /// Decodes the line at the start of `bytes`: its event, if it has
-    /// one, and its length with the newline. `None` while `bytes` holds
-    /// no newline.
-    fn next_line(
+    /// Decodes the line at the start of `bytes` into `sink` and returns
+    /// its length with the newline; `None` while `bytes` holds no
+    /// newline.
+    fn next_line<S: TraceSink>(
         &mut self,
         bytes: &[u8],
-    ) -> Result<Option<(Option<TraceEvent>, usize)>, TraceError> {
+        sink: &mut S,
+    ) -> Result<Option<usize>, TraceError> {
         let (scanned, at) = scan_line(bytes);
         let Some(end) = newline(bytes, at) else {
             return Ok(None);
         };
         self.check_line_budget(end)?;
         self.line += 1;
-        let event = match scanned {
-            Scanned::Command(command) => Some(self.in_order(command)?),
-            Scanned::Other => Self::parse_other(self.line, &bytes[..end])?,
+        match scanned {
+            Scanned::Command(command) => self.command(command, sink)?,
+            Scanned::Other => {
+                if let Some(directive) = Self::parse_other(self.line, &bytes[..end])? {
+                    sink.directive(directive)
+                        .map_err(|e| e.with_line(self.line))?;
+                }
+            }
             Scanned::Malformed(fault) => return Err(fault.error(self.line, &bytes[..end], at)),
-        };
-        Ok(Some((event, end + 1)))
+        }
+        Ok(Some(end + 1))
     }
 
-    /// Passes a command on unless its cycle goes backwards.
-    fn in_order(&mut self, command: TimedCommand) -> Result<TraceEvent, TraceError> {
-        if let Some(last) = self.last_cycle {
-            if command.cycle < last {
-                return Err(TraceError::at(
-                    self.line,
-                    TraceErrorKind::NonMonotonicCycle,
-                    format!("cycle {} after cycle {last}", command.cycle),
-                ));
-            }
+    /// Hands a command to the sink unless its cycle goes backwards,
+    /// stamping the sink's errors with the line.
+    #[inline]
+    fn command<S: TraceSink>(
+        &mut self,
+        command: TimedCommand,
+        sink: &mut S,
+    ) -> Result<(), TraceError> {
+        if command.cycle < self.last_cycle {
+            return Err(TraceError::backwards(
+                self.line,
+                command.cycle,
+                self.last_cycle,
+            ));
         }
-        self.last_cycle = Some(command.cycle);
-        Ok(TraceEvent::Command(command))
+        self.last_cycle = command.cycle;
+        sink.command(command).map_err(|e| e.with_line(self.line))
     }
 
     /// A blank, `#` comment or `!` directive line.
@@ -555,6 +637,7 @@ fn token_end(bytes: &[u8], i: usize) -> usize {
 }
 
 /// The offset of the first newline at or after `i`.
+#[inline]
 fn newline(bytes: &[u8], i: usize) -> Option<usize> {
     bytes[i..].iter().position(|&b| b == b'\n').map(|n| i + n)
 }
@@ -625,6 +708,7 @@ fn scan_line(bytes: &[u8]) -> (Scanned, usize) {
 /// newline, or `None` at the first byte this spelling does not expect,
 /// the end of `bytes` included. [`scan_line`] reads every line this
 /// accepts to the same command, so a `None` only sends the line there.
+#[inline]
 fn single_space_command(bytes: &[u8]) -> Option<(TimedCommand, usize)> {
     let (cycle, i) = digits(bytes, 0, 19)?;
     if bytes.get(i) != Some(&b' ') {
@@ -653,6 +737,7 @@ fn single_space_command(bytes: &[u8]) -> Option<(TimedCommand, usize)> {
 /// The run of 1 to `max` decimal digits at `start` as a number, and the
 /// offset after it; `None` for no digit or more than `max`. Up to 19
 /// digits always fit a `u64`.
+#[inline]
 fn digits(bytes: &[u8], start: usize, max: usize) -> Option<(u64, usize)> {
     let mut value = 0u64;
     let mut i = start;
@@ -708,8 +793,9 @@ struct Sleep {
 ///   command executes (`Active` if any bank is open, else `Standby`).
 /// * Explicit entries bill [`Self::PD_ENTRY_CYCLES`] /
 ///   [`Self::SR_ENTRY_CYCLES`] at the pre-entry state before the CKE-low
-///   power applies; explicit exits bill the policy's exit latency at the
-///   awake state, and any non-nop command inside that window is a
+///   power applies; explicit exits bill their own cycle and the policy's
+///   exit latency at the awake state, and any non-nop command inside
+///   that window, the exit's own cycle included, is a
 ///   [`TraceErrorKind::BadTransition`].
 /// * Awake idle gaps tier into power-down past `threshold_cycles` and —
 ///   only with all banks precharged — into self-refresh past
@@ -731,7 +817,8 @@ pub struct StreamFold {
     open: Vec<bool>,
     open_count: u32,
     cursor: u64,
-    last_cycle: Option<u64>,
+    /// The cycle of the last command folded, 0 before the first.
+    last_cycle: u64,
     sleep: Option<Sleep>,
     cycles: [u64; 5],
     command_energy: Joules,
@@ -772,7 +859,7 @@ impl StreamFold {
             open: vec![false; spec.banks() as usize],
             open_count: 0,
             cursor: 0,
-            last_cycle: None,
+            last_cycle: 0,
             sleep: None,
             cycles: [0; 5],
             command_energy: Joules::ZERO,
@@ -806,10 +893,12 @@ impl StreamFold {
         self.commands
     }
 
+    #[inline]
     fn bill(&mut self, state: TraceState, cycles: u64) {
         self.cycles[state.index()] += cycles;
     }
 
+    #[inline]
     fn awake_state(&self) -> TraceState {
         if self.open_count > 0 {
             TraceState::Active
@@ -819,6 +908,7 @@ impl StreamFold {
     }
 
     /// Bills an awake idle window with the policy's tiering.
+    #[inline]
     fn bill_awake_gap(&mut self, gap: u64) {
         let awake = self.awake_state();
         // The self-refresh tier needs all banks precharged; power-down
@@ -865,22 +955,22 @@ impl StreamFold {
     ///
     /// Returns a [`TraceError`] (line 0 — the decoder stamps it) on any
     /// state-machine violation; see [`TraceErrorKind`].
+    // Always inlined, with the awake path, so that a decoder's sink folds
+    // each command in the decoder's own loop; the asleep path and every
+    // error stay out of line.
+    #[inline(always)]
     pub fn push(&mut self, c: TimedCommand) -> Result<(), TraceError> {
         if c.command == Command::Nop {
             return Ok(());
         }
-        if let Some(last) = self.last_cycle {
-            if c.cycle < last {
-                return Err(TraceError::new(
-                    TraceErrorKind::NonMonotonicCycle,
-                    format!("cycle {} after cycle {last}", c.cycle),
-                ));
-            }
+        if c.cycle < self.last_cycle {
+            return Err(TraceError::backwards(0, c.cycle, self.last_cycle));
         }
         if c.bank >= self.banks && Self::addresses_bank(c.command) {
-            return Err(TraceError::new(
+            return Err(TraceError::raised(
+                0,
                 TraceErrorKind::Syntax,
-                format!("bank {} of {}", c.bank, self.banks),
+                format_args!("bank {} of {}", c.bank, self.banks),
             ));
         }
 
@@ -890,13 +980,14 @@ impl StreamFold {
             self.push_awake(c)?;
         }
 
-        self.last_cycle = Some(c.cycle);
+        self.last_cycle = c.cycle;
         self.commands += 1;
         self.command_energy += self.command_energies[c.command as usize];
         self.row_energy += self.row_energies[c.command as usize];
         Ok(())
     }
 
+    #[inline]
     fn addresses_bank(command: Command) -> bool {
         matches!(
             command,
@@ -961,37 +1052,50 @@ impl StreamFold {
     /// cycles after it. The cursor is the first unbilled cycle, so the
     /// last billable cycle is `u64::MAX - 1`; a command that would bill
     /// past it is a [`TraceErrorKind::Syntax`] error.
+    #[inline]
     fn billed_through(c: TimedCommand, latency: u64) -> Result<u64, TraceError> {
-        c.cycle
+        match c
+            .cycle
             .checked_add(1)
             .and_then(|end| end.checked_add(latency))
-            .ok_or_else(|| {
-                let exit = if latency > 0 {
-                    format!(" plus {latency} exit cycles")
-                } else {
-                    String::new()
-                };
-                TraceError::new(
-                    TraceErrorKind::Syntax,
-                    format!(
-                        "{} at cycle {}{exit} passes the last billable cycle, {}",
-                        c.command.mnemonic(),
-                        c.cycle,
-                        u64::MAX - 1
-                    ),
-                )
-            })
+        {
+            Some(cursor) => Ok(cursor),
+            None => Err(Self::past_the_last_cycle(c, latency)),
+        }
     }
 
+    #[cold]
+    #[inline(never)]
+    fn past_the_last_cycle(c: TimedCommand, latency: u64) -> TraceError {
+        let exit = if latency > 0 {
+            format!(" plus {latency} exit cycles")
+        } else {
+            String::new()
+        };
+        TraceError::new(
+            TraceErrorKind::Syntax,
+            format!(
+                "{} at cycle {}{exit} passes the last billable cycle, {}",
+                c.command.mnemonic(),
+                c.cycle,
+                u64::MAX - 1
+            ),
+        )
+    }
+
+    #[inline(always)]
     fn push_awake(&mut self, c: TimedCommand) -> Result<(), TraceError> {
         if c.cycle < self.cursor {
-            // Same-cycle pile-up is legal (the cycle is already
-            // billed); anything earlier sits inside an exit-latency
-            // window.
-            if self.last_cycle != Some(c.cycle) {
-                return Err(TraceError::new(
+            // A pile-up on the last command's own cycle is legal when
+            // that command billed no exit latency, so the cursor sits
+            // one past it (the cycle is already billed). Anything else
+            // sits inside an exit-latency window, the exit's own cycle
+            // included.
+            if c.cycle != self.last_cycle || self.cursor != c.cycle + 1 {
+                return Err(TraceError::raised(
+                    0,
                     TraceErrorKind::BadTransition,
-                    format!(
+                    format_args!(
                         "command at cycle {} inside an exit-latency window ending at {}",
                         c.cycle, self.cursor
                     ),
@@ -1024,9 +1128,10 @@ impl StreamFold {
             }
             Command::Refresh => {
                 if self.open_count > 0 {
-                    return Err(TraceError::new(
+                    return Err(TraceError::raised(
+                        0,
                         TraceErrorKind::BadTransition,
-                        format!("refresh at cycle {} with open banks", c.cycle),
+                        format_args!("refresh at cycle {} with open banks", c.cycle),
                     ));
                 }
             }
@@ -1044,9 +1149,10 @@ impl StreamFold {
             }
             Command::SelfRefreshEnter => {
                 if self.open_count > 0 {
-                    return Err(TraceError::new(
+                    return Err(TraceError::raised(
+                        0,
                         TraceErrorKind::BadTransition,
-                        format!("self-refresh entry at cycle {} with open banks", c.cycle),
+                        format_args!("self-refresh entry at cycle {} with open banks", c.cycle),
                     ));
                 }
                 self.sleep = Some(Sleep {
@@ -1056,9 +1162,10 @@ impl StreamFold {
                 });
             }
             Command::PowerDownExit | Command::SelfRefreshExit => {
-                return Err(TraceError::new(
+                return Err(TraceError::raised(
+                    0,
                     TraceErrorKind::BadTransition,
-                    format!("{} at cycle {} while awake", c.command.mnemonic(), c.cycle),
+                    format_args!("{} at cycle {} while awake", c.command.mnemonic(), c.cycle),
                 ));
             }
             Command::Nop => {}
@@ -1177,12 +1284,72 @@ mod tests {
         Ok(events)
     }
 
+    /// A struct sink: records each command and directive through its own
+    /// method, and refuses the `fail_at`-th event (1-based) with an
+    /// error that carries no line, for the decoder to stamp.
+    #[derive(Debug, Default)]
+    struct Recorder {
+        events: Vec<TraceEvent>,
+        fail_at: Option<usize>,
+    }
+
+    impl Recorder {
+        fn take(&mut self, event: TraceEvent) -> Result<(), TraceError> {
+            if self.fail_at == Some(self.events.len() + 1) {
+                return Err(TraceError::new(
+                    TraceErrorKind::BadTransition,
+                    format!("sink refused {event:?}"),
+                ));
+            }
+            self.events.push(event);
+            Ok(())
+        }
+    }
+
+    impl TraceSink for Recorder {
+        fn command(&mut self, command: TimedCommand) -> Result<(), TraceError> {
+            self.take(TraceEvent::Command(command))
+        }
+
+        fn directive(&mut self, directive: TraceEvent) -> Result<(), TraceError> {
+            assert!(
+                !matches!(directive, TraceEvent::Command(_)),
+                "a command took the directive path"
+            );
+            self.take(directive)
+        }
+    }
+
+    /// Feeds `input` cut at `cuts` (piece lengths, the rest in one
+    /// piece) to a [`Recorder`]: the events before the first error, and
+    /// that error.
+    fn decode_into(recorder: &mut Recorder, input: &[u8], cuts: &[usize]) -> Option<TraceError> {
+        let mut decoder = TraceDecoder::new();
+        let mut rest = input;
+        for &cut in cuts {
+            let (piece, tail) = rest.split_at(cut.min(rest.len()));
+            rest = tail;
+            if let Err(e) = decoder.feed(piece, recorder) {
+                return Some(e);
+            }
+            assert!(decoder.carry_len() <= TraceDecoder::MAX_LINE_BYTES);
+        }
+        decoder
+            .feed(rest, recorder)
+            .and_then(|()| decoder.finish(recorder))
+            .err()
+    }
+
     #[test]
     fn decoder_is_split_invariant() {
         let input = b"# comment\n!preset ddr3_1g_x16_55nm\n!policy aggressive\n0 act 2\n12 rd 2\n28 pre 2\n!length 100\n";
         let whole = decode_all(input, input.len()).expect("whole");
         for chunk in [1, 2, 3, 7, 16] {
             assert_eq!(decode_all(input, chunk).expect("split"), whole, "chunk {chunk}");
+            let cuts = vec![chunk; input.len() / chunk];
+            let mut recorder = Recorder::default();
+            assert_eq!(decode_into(&mut recorder, input, &cuts), None);
+            assert_eq!(recorder.events, whole, "struct sink, chunk {chunk}");
         }
         assert_eq!(whole.len(), 6);
         assert!(matches!(&whole[0], TraceEvent::Preset(p) if p == "ddr3_1g_x16_55nm"));
@@ -1202,6 +1369,110 @@ mod tests {
     fn decoder_accepts_final_line_without_newline() {
         let events = decode_all(b"0 act 0\n5 pre 0", 4).expect("ok");
         assert_eq!(events.len(), 2);
+    }
+
+    /// An error a sink raises from `command` or from `directive` comes
+    /// back stamped with the line of the command or directive it
+    /// refused, on the single-space path, the full scan and a final
+    /// line without a newline alike; an error that carries a line keeps
+    /// it.
+    #[test]
+    fn sink_errors_are_stamped_with_their_own_line() {
+        let input = b"# header\n!policy never\n0 act 0\n\n12\trd 0\n!length 90\n28 pre 0";
+        // Event n (1-based) sits on line lines[n - 1].
+        let lines = [2, 3, 5, 6, 7];
+        for (n, &line) in lines.iter().enumerate() {
+            for chunk in [1, 5, input.len()] {
+                let mut recorder = Recorder {
+                    fail_at: Some(n + 1),
+                    ..Recorder::default()
+                };
+                let cuts = vec![chunk; input.len() / chunk];
+                let err = decode_into(&mut recorder, input, &cuts).expect("refused");
+                assert_eq!(err.line, line, "event {} chunk {chunk}", n + 1);
+                assert_eq!(recorder.events.len(), n, "event {} chunk {chunk}", n + 1);
+            }
+        }
+        let mut decoder = TraceDecoder::new();
+        let err = decoder
+            .feed(b"0 act 0\n", &mut |_: TraceEvent| {
+                Err(TraceError::at(99, TraceErrorKind::Syntax, "already placed"))
+            })
+            .unwrap_err();
+        assert_eq!(err.line, 99);
+    }
+
+    /// A command on an exit's own cycle sits inside the exit-latency
+    /// window like any later cycle of it: a `bad_transition` after `pdx`
+    /// and after `srx` under every policy with an exit latency. Under
+    /// `never` no exit latency is billed, and the pile-up stays legal.
+    #[test]
+    fn a_command_on_an_exits_own_cycle_is_inside_its_window() {
+        let dram = model();
+        let cmd = |cycle, command| TimedCommand {
+            cycle,
+            bank: 0,
+            command,
+        };
+        let custom = PowerDownPolicy {
+            threshold_cycles: 64,
+            exit_latency_cycles: 10,
+            self_refresh_threshold_cycles: 8192,
+            self_refresh_exit_latency_cycles: 600,
+        };
+        let pairs = [
+            (Command::PowerDownEnter, Command::PowerDownExit),
+            (Command::SelfRefreshEnter, Command::SelfRefreshExit),
+        ];
+        for (enter, exit) in pairs {
+            for policy in [PowerDownPolicy::AGGRESSIVE, custom, PowerDownPolicy::NEVER] {
+                let latency = match exit {
+                    Command::PowerDownExit => policy.exit_latency_cycles,
+                    _ => policy.self_refresh_exit_latency_cycles,
+                };
+                let asleep_then = |next: TimedCommand| {
+                    let mut fold = StreamFold::new(&dram, policy);
+                    fold.push(cmd(0, enter)).expect("enters");
+                    fold.push(cmd(1000, exit)).expect("exits");
+                    fold.push(next).map(|()| fold)
+                };
+                let piled = asleep_then(cmd(1000, Command::Activate));
+                if latency == 0 {
+                    let report = piled
+                        .expect("no exit latency: the pile-up is legal")
+                        .finish(None)
+                        .expect("report");
+                    assert_eq!(report.states.total_cycles(), 1001, "{exit:?} {policy:?}");
+                    continue;
+                }
+                let err = piled.unwrap_err();
+                assert_eq!(
+                    err.kind,
+                    TraceErrorKind::BadTransition,
+                    "{exit:?} {policy:?}"
+                );
+                assert_eq!(
+                    err.message,
+                    format!(
+                        "command at cycle 1000 inside an exit-latency window ending at {}",
+                        1001 + latency
+                    )
+                );
+                assert!(asleep_then(cmd(1000 + latency, Command::Activate)).is_err());
+                asleep_then(cmd(1001 + latency, Command::Activate))
+                    .expect("legal once the window ends");
+            }
+        }
+        // A pile-up on a command that billed no exit latency stays legal.
+        let mut fold = StreamFold::new(&dram, PowerDownPolicy::AGGRESSIVE);
+        for c in [
+            cmd(0, Command::Activate),
+            cmd(0, Command::Read),
+            cmd(0, Command::Precharge),
+        ] {
+            fold.push(c).expect("same-cycle pile-up");
+        }
+        assert_eq!(fold.finish(None).expect("report").states.total_cycles(), 1);
     }
 
     #[test]
@@ -1843,6 +2114,12 @@ mod tests {
     /// then the directive parser or [`parse_command`]. Returns the
     /// events before the first error, and that error.
     fn reference_decode(input: &[u8]) -> (Vec<TraceEvent>, Option<TraceError>) {
+        let (events, error) = reference_decode_lines(input);
+        (events.into_iter().map(|(_, event)| event).collect(), error)
+    }
+
+    /// [`reference_decode`] with each event's 1-based line.
+    fn reference_decode_lines(input: &[u8]) -> (Vec<(u64, TraceEvent)>, Option<TraceError>) {
         let mut events = Vec::new();
         let mut last_cycle = None;
         let lines: Vec<&[u8]> = input.split(|&b| b == b'\n').collect();
@@ -1872,7 +2149,7 @@ mod tests {
                     })
             };
             match parsed {
-                Ok(event) => events.extend(event),
+                Ok(event) => events.extend(event.map(|event| (line, event))),
                 Err(e) => return (events, Some(e)),
             }
         }
@@ -1887,7 +2164,10 @@ mod tests {
     /// single-space lines at the edges of the short branch — after
     /// bit flips and stray high bytes. Inputs holding non-ASCII
     /// whitespace are skipped: only ASCII whitespace separates command
-    /// tokens now.
+    /// tokens now. A closure sink and a struct [`TraceSink`] get the
+    /// same events and error at the same split, and a struct sink that
+    /// refuses a random event of a clean input gets its error back
+    /// stamped with that event's line.
     #[test]
     fn fuzz_decoder_matches_str_reference() {
         const SPACES: [u8; 6] = [b' ', b'\t', b'\n', 0x0b, 0x0c, b'\r'];
@@ -1922,6 +2202,8 @@ mod tests {
             });
         };
         let (mut skipped, mut clean, mut kinds) = (0, 0, Vec::new());
+        // Sink errors raised from `directive` and from `command`.
+        let mut refused = [0; 2];
         for case in 0..10_000 {
             let mut input = Vec::new();
             let mut cycle = 0u64;
@@ -2041,6 +2323,16 @@ mod tests {
                 continue;
             }
             let expected = reference_decode(&input);
+            let mut cuts = Vec::new();
+            let mut left = input.len();
+            while left > 0 {
+                let take = match next() % 4 {
+                    0 => left,
+                    _ => (1 + next() % 40).min(left),
+                };
+                cuts.push(take);
+                left -= take;
+            }
             let mut events = Vec::new();
             let mut sink = |e: TraceEvent| {
                 events.push(e);
@@ -2048,13 +2340,10 @@ mod tests {
             };
             let mut decoder = TraceDecoder::new();
             let mut rest = &input[..];
+            let mut pieces = cuts.iter();
             let fed = loop {
-                if rest.is_empty() {
+                let Some(&take) = pieces.next() else {
                     break decoder.finish(&mut sink);
-                }
-                let take = match next() % 4 {
-                    0 => rest.len(),
-                    _ => (1 + next() % 40).min(rest.len()),
                 };
                 let (piece, tail) = rest.split_at(take);
                 rest = tail;
@@ -2065,14 +2354,47 @@ mod tests {
             };
             let got = (events, fed.err());
             assert_eq!(got, expected, "case {case}: {text:?}");
+            let mut recorder = Recorder::default();
+            let error = decode_into(&mut recorder, &input, &cuts);
+            assert_eq!(
+                (recorder.events, error),
+                expected,
+                "struct sink, case {case}"
+            );
             match &got.1 {
                 Some(e) => kinds.push(e.kind),
                 None => clean += 1,
             }
+            let (lines, None) = reference_decode_lines(&input) else {
+                continue;
+            };
+            if lines.is_empty() {
+                continue;
+            }
+            // Half the time a directive, which clean inputs hold few of.
+            let directives: Vec<usize> = (0..lines.len())
+                .filter(|&i| !matches!(lines[i].1, TraceEvent::Command(_)))
+                .collect();
+            let at = match directives.len() {
+                n if n > 0 && next().is_multiple_of(2) => directives[next() % n],
+                _ => next() % lines.len(),
+            };
+            let mut recorder = Recorder {
+                fail_at: Some(at + 1),
+                ..Recorder::default()
+            };
+            let error = decode_into(&mut recorder, &input, &cuts).expect("refused");
+            assert_eq!(error.line, lines[at].0, "refused event {at}, case {case}");
+            assert_eq!(recorder.events.len(), at, "case {case}");
+            refused[usize::from(matches!(lines[at].1, TraceEvent::Command(_)))] += 1;
         }
         // The inputs reach every verdict, not just the first error.
         assert!(skipped < 100, "{skipped} inputs skipped");
         assert!(clean > 300, "only {clean} inputs decode cleanly");
+        assert!(
+            refused.iter().all(|&n| n > 10),
+            "sink errors raised: {refused:?}"
+        );
         for kind in [
             TraceErrorKind::Syntax,
             TraceErrorKind::LineTooLong,

@@ -253,9 +253,7 @@ impl Plan {
                             .ok_or_else(|| format!("bad times `{raw}` at `{site}`"))?;
                         rule.times = Some(times);
                     }
-                    other => {
-                        return Err(format!("unknown fault parameter `{other}` at `{site}`"))
-                    }
+                    other => return Err(format!("unknown fault parameter `{other}` at `{site}`")),
                 }
             }
             // Later clauses for the same site replace earlier ones, so a
@@ -351,9 +349,7 @@ pub fn arm(plan: &Plan) {
             // Mix the site name into the seed so each site gets an
             // independent stream: two sites armed with the same plan do
             // not mirror each other's decisions.
-            rng: Mutex::new(SplitMix64::new(
-                plan.seed ^ site_salt(rule.site),
-            )),
+            rng: Mutex::new(SplitMix64::new(plan.seed ^ site_salt(rule.site))),
             burst_left: AtomicU32::new(0),
             fired: AtomicU64::new(0),
             counter: dram_obs::Registry::global().counter(
@@ -449,11 +445,11 @@ pub fn trip(site: &str) -> Option<Injection> {
     state.counter.inc();
     // Flight-recorder breadcrumb: which site fired, attributed to the
     // request the calling thread is serving (if any).
-    let site_index = SITES.iter().position(|(name, _)| *name == site).unwrap_or(0);
-    dram_obs::journal::note(
-        dram_obs::journal::EventKind::FaultFire,
-        site_index as u64,
-    );
+    let site_index = SITES
+        .iter()
+        .position(|(name, _)| *name == site)
+        .unwrap_or(0);
+    dram_obs::journal::note(dram_obs::journal::EventKind::FaultFire, site_index as u64);
     match state.rule.kind {
         Kind::Delay => {
             std::thread::sleep(state.rule.delay);
@@ -515,9 +511,8 @@ mod tests {
 
     #[test]
     fn spec_round_trips_and_rejects_garbage() {
-        let plan =
-            Plan::parse("seed=42; engine.build=panic:p=0.25:times=3 ;http.read=delay:ms=50")
-                .expect("parses");
+        let plan = Plan::parse("seed=42; engine.build=panic:p=0.25:times=3 ;http.read=delay:ms=50")
+            .expect("parses");
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rules.len(), 2);
         let build = &plan.rules[0];

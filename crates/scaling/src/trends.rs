@@ -301,7 +301,10 @@ mod tests {
             let mut ranked = row.swings.clone();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
             assert!(
-                matches!(ranked[0].0, dram_core::ParamId::Vint | dram_core::ParamId::Vbl),
+                matches!(
+                    ranked[0].0,
+                    dram_core::ParamId::Vint | dram_core::ParamId::Vbl
+                ),
                 "{}: top is {}",
                 row.node,
                 ranked[0].0
@@ -326,10 +329,10 @@ mod tests {
             dram_core::ParamId::BitlineCap,
             dram_core::ParamId::LogicGates,
         ];
-        let serial = sensitivity_trends_with(&EvalEngine::new().threads(1), &params, 0.2)
-            .expect("runs");
-        let parallel = sensitivity_trends_with(&EvalEngine::new().threads(8), &params, 0.2)
-            .expect("runs");
+        let serial =
+            sensitivity_trends_with(&EvalEngine::new().threads(1), &params, 0.2).expect("runs");
+        let parallel =
+            sensitivity_trends_with(&EvalEngine::new().threads(8), &params, 0.2).expect("runs");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.node, p.node);

@@ -21,7 +21,7 @@ cargo test --workspace --release -q --offline
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo fmt --check (the crates kept rustfmt-clean)"
   # A crate joins this list once it is formatted; the rest are not yet.
-  cargo fmt -p dram-dsl -p dram-units -p dram-datasheet -- --check
+  cargo fmt -p dram-dsl -p dram-units -p dram-datasheet -p dram-faults -p dram-scaling -- --check
 
   echo "==> cargo clippy (deny warnings)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -317,11 +317,15 @@ if [[ $fast -eq 0 ]]; then
   # trailing `// note` on every line. Quoted text is left alone: a
   # LogicBlock name holds "column", and the Device name is echoed back.
   description=crates/dsl/descriptions/ddr3_1gb_x16_55nm.dram
+  description_json() { # file — prints it as the JSON object {"description": ...}
+    local text
+    text=$(sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e 's/\r/\\r/g' -e 's/\t/\\t/g' "$1" \
+      | awk '{ printf "%s\\n", $0 }')
+    printf '{"description":"%s"}' "$text"
+  }
   evaluate_text() { # file — POSTs it as {"description": ...}, prints the reply
     local body len
-    body=$(sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' -e 's/\r/\\r/g' -e 's/\t/\\t/g' "$1" \
-      | awk '{ printf "%s\\n", $0 }')
-    body="{\"description\":\"$body\"}"
+    body=$(description_json "$1")
     len=$(printf '%s' "$body" | wc -c) # bytes: µ is two
     exec 3<>"/dev/tcp/127.0.0.1/$port"
     printf 'POST /v1/evaluate HTTP/1.1\r\ncontent-length: %d\r\nconnection: close\r\n\r\n%s' \
@@ -344,6 +348,47 @@ if [[ $fast -eq 0 ]]; then
   [[ "${shipped_reply#*$'\r\n\r\n'}" == "${respelled_text_reply#*$'\r\n\r\n'}" ]] \
     || { echo "    respelled description evaluates differently: ${respelled_text_reply#*$'\r\n\r\n'}"; exit 1; }
   echo "    POST /v1/evaluate (description as shipped; CRLF, tabs, µm, // notes) -> 200, the same body"
+  # The evaluate above moved its parsed description into the model it
+  # built; a /v1/batch lends its items' descriptions to the cache
+  # instead. Either way the bodies are the one rendering: a batch of the
+  # shipped description and a preset is exactly the two bodies
+  # /v1/evaluate returned for them.
+  batch=$(post_body /v1/batch \
+    "{\"requests\":[$(description_json "$description"),{\"preset\":\"sdr_128m_170nm\"}]}") || exit 1
+  [[ "$batch" == "{\"count\":2,\"results\":[${shipped_reply#*$'\r\n\r\n'},${stored[0]}]}" ]] \
+    || { echo "    /v1/batch (description, preset) differs from their /v1/evaluate bodies: $batch"; exit 1; }
+  echo "    POST /v1/batch (shipped description, preset) -> exactly their /v1/evaluate bodies"
+  # A description that parses but fails validation, handed to the cache
+  # by value, is still filed in the negative cache: POSTed twice it gets
+  # the same 400 both times, and the second comes from that cache.
+  error_cache_hits() { # prints the engine's negative-cache hit count from /metrics
+    local reply
+    exec 3<>"/dev/tcp/127.0.0.1/$port"
+    printf 'GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n' >&3
+    reply=$(cat <&3)
+    exec 3<&- 3>&-
+    sed -n 's/.*"error_cache_hits":\([0-9]*\).*/\1/p' <<<"$reply"
+  }
+  invalid_text=$(mktemp)
+  sed 's/ bankadd=3 / bankadd=5 /' "$description" > "$invalid_text"
+  grep -q ' bankadd=5 ' "$invalid_text" || { echo "    the description was not invalidated"; exit 1; }
+  hits_before=$(error_cache_hits)
+  first_invalid=$(evaluate_text "$invalid_text")
+  second_invalid=$(evaluate_text "$invalid_text")
+  hits_after=$(error_cache_hits)
+  rm -f "$invalid_text"
+  for reply in "$first_invalid" "$second_invalid"; do
+    [[ "${reply:0:12}" == "HTTP/1.1 400" ]] \
+      || { echo "    POST an invalid description -> ${reply:0:12} (want 400)"; exit 1; }
+  done
+  invalid_body=${first_invalid#*$'\r\n\r\n'}
+  [[ "$invalid_body" == '{"error":"invalid description: '* ]] \
+    || { echo "    the invalid description's 400 is not a validation failure: $invalid_body"; exit 1; }
+  [[ "${second_invalid#*$'\r\n\r\n'}" == "$invalid_body" ]] \
+    || { echo "    the retried invalid description got a different 400: ${second_invalid#*$'\r\n\r\n'}"; exit 1; }
+  [[ -n "$hits_before" && "$hits_after" == "$((hits_before + 1))" ]] \
+    || { echo "    negative-cache hits went ${hits_before:-?} -> ${hits_after:-?} (want +1)"; exit 1; }
+  echo "    POST an invalid description twice -> the same 400, the second from the negative cache"
 
   # After traffic, /metrics must surface at least one slow-request sample
   # (with its request id) for the evaluate route.

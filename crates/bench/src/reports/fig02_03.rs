@@ -77,7 +77,7 @@ pub fn generate() -> String {
         let mut tbl = Table::new(["contributor", "domain", "energy (pJ)"]);
         for item in &e.items {
             tbl.row([
-                item.label.clone(),
+                item.label.to_string(),
                 item.domain.to_string(),
                 format!("{:.2}", item.external.picojoules()),
             ]);

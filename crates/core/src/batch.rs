@@ -38,6 +38,7 @@
 //! }
 //! ```
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -500,7 +501,7 @@ impl ModelCache {
     ///
     /// Returns [`ModelError`] if the description fails validation.
     pub fn get_or_build(&self, desc: &DramDescription) -> Result<Arc<Dram>, ModelError> {
-        self.get_or_build_keyed(content_key(desc), desc)
+        self.get_or_build_keyed(content_key(desc), Cow::Borrowed(desc))
             .map(|(model, _)| model)
     }
 
@@ -509,6 +510,13 @@ impl ModelCache {
     /// whether the lookup was a cache hit (`true`) or had to build
     /// (`false`), which the aggregate [`ModelCache::stats`] counters
     /// cannot attribute to concurrent callers.
+    ///
+    /// The description comes by value or by reference. A miss runs the
+    /// build phases that can fail on the borrow, so a failed description
+    /// is still filed in the negative cache; only then does the model
+    /// take it, moving an owned one in and cloning a borrowed one. A
+    /// description parsed for this call should come owned: its miss then
+    /// copies nothing.
     ///
     /// `key` must be `content_key(desc)`; debug builds assert it. Any
     /// other key files the model in the wrong bucket: a later lookup
@@ -520,12 +528,12 @@ impl ModelCache {
     pub fn get_or_build_keyed(
         &self,
         key: u64,
-        desc: &DramDescription,
+        desc: Cow<'_, DramDescription>,
     ) -> Result<(Arc<Dram>, bool), ModelError> {
-        debug_assert_eq!(key, content_key(desc), "a cache key is the content key");
+        debug_assert_eq!(key, content_key(&desc), "a cache key is the content key");
         let cached = {
             let _s = dram_obs::span("engine.cache_lookup");
-            self.lookup(key, desc)
+            self.lookup(key, &desc)
         };
         if let Some(hit) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -536,7 +544,7 @@ impl ModelCache {
             .errors
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .lookup(key, desc);
+            .lookup(key, &desc);
         if let Some(err) = known_bad {
             self.error_hits.fetch_add(1, Ordering::Relaxed);
             return Err(err);
@@ -546,14 +554,17 @@ impl ModelCache {
         // Fault site outside every lock: an injected build panic unwinds
         // without poisoning either cache map.
         dram_faults::trip("engine.build");
-        let built = match Dram::new(desc.clone()) {
-            Ok(model) => Arc::new(model),
-            Err(err) => {
-                self.errors
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .remember(key, desc, &err);
-                return Err(err);
+        let built = {
+            let _build = dram_obs::span("model.build");
+            match Dram::check(&desc) {
+                Ok(geom) => Arc::new(Dram::assemble(desc.into_owned(), geom)),
+                Err(err) => {
+                    self.errors
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .remember(key, &desc, &err);
+                    return Err(err);
+                }
             }
         };
         let mut buckets = self.buckets.lock().unwrap_or_else(PoisonError::into_inner);
@@ -561,7 +572,10 @@ impl ModelCache {
         // A concurrent builder may have won the race; keep its model so
         // every caller shares one allocation. This call still built a
         // model, so it reports a miss either way.
-        if let Some(existing) = bucket.iter().find(|m| m.description() == desc) {
+        if let Some(existing) = bucket
+            .iter()
+            .find(|m| m.description() == built.description())
+        {
             return Ok((Arc::clone(existing), false));
         }
         bucket.push(Arc::clone(&built));
@@ -714,9 +728,10 @@ impl EvalEngine {
     }
 
     /// Like [`EvalEngine::model`], under a key the caller already holds
-    /// (`key` must be `content_key(desc)`), and also reports whether the
-    /// model came from the cache (`true`) or was built by this call
-    /// (`false`). See [`ModelCache::get_or_build_keyed`].
+    /// (`key` must be `content_key(desc)`) and with the description by
+    /// value or by reference, and also reports whether the model came
+    /// from the cache (`true`) or was built by this call (`false`). See
+    /// [`ModelCache::get_or_build_keyed`].
     ///
     /// # Errors
     ///
@@ -724,7 +739,7 @@ impl EvalEngine {
     pub fn model_keyed(
         &self,
         key: u64,
-        desc: &DramDescription,
+        desc: Cow<'_, DramDescription>,
     ) -> Result<(Arc<Dram>, bool), ModelError> {
         self.cache.get_or_build_keyed(key, desc)
     }
@@ -766,7 +781,7 @@ impl EvalEngine {
         self.map(items, |&(key, d)| {
             isolate(|| {
                 dram_faults::trip("engine.worker");
-                self.cache.get_or_build_keyed(key, d)
+                self.cache.get_or_build_keyed(key, Cow::Borrowed(d))
             })
         })
     }
@@ -1026,7 +1041,9 @@ mod tests {
 
     /// Builders released together on one new description all get the
     /// model filed first: a builder that lost the race drops its own.
-    /// Each round races on a description no earlier round built.
+    /// Each round races on a description no earlier round built, and
+    /// half the builders hand their description over by value, so an
+    /// owned loser drops the description it moved in.
     #[test]
     fn racing_builders_share_one_model() {
         const BUILDERS: u64 = 8;
@@ -1034,14 +1051,24 @@ mod tests {
         for round in 0..16 {
             let mut desc = ddr3_1g_x16_55nm();
             desc.electrical.vdd = dram_units::Volts::new(1.4 + 0.01 * f64::from(round));
+            let key = content_key(&desc);
             let before = cache.stats();
             let barrier = std::sync::Barrier::new(BUILDERS as usize);
             let models: Vec<Arc<Dram>> = std::thread::scope(|s| {
                 let builders: Vec<_> = (0..BUILDERS)
-                    .map(|_| {
-                        s.spawn(|| {
+                    .map(|b| {
+                        let (barrier, cache, desc) = (&barrier, &cache, &desc);
+                        s.spawn(move || {
+                            let owned = (b % 2 == 1).then(|| desc.clone());
                             barrier.wait();
-                            cache.get_or_build(&desc).expect("builds")
+                            match owned {
+                                Some(owned) => {
+                                    cache.get_or_build_keyed(key, Cow::Owned(owned))
+                                }
+                                None => cache.get_or_build_keyed(key, Cow::Borrowed(desc)),
+                            }
+                            .expect("builds")
+                            .0
                         })
                     })
                     .collect();
@@ -1186,9 +1213,9 @@ mod tests {
         let engine = EvalEngine::new().threads(2);
         let desc = ddr3_1g_x16_55nm();
         let key = content_key(&desc);
-        let (first, hit) = engine.model_keyed(key, &desc).expect("builds");
+        let (first, hit) = engine.model_keyed(key, Cow::Borrowed(&desc)).expect("builds");
         assert!(!hit, "first sight must build");
-        let (second, hit) = engine.model_keyed(key, &desc).expect("cached");
+        let (second, hit) = engine.model_keyed(key, Cow::Borrowed(&desc)).expect("cached");
         assert!(hit, "second lookup must hit");
         assert!(Arc::ptr_eq(&first, &second));
 
@@ -1227,6 +1254,46 @@ mod tests {
         cache.clear();
         assert_eq!(cache.error_len(), 0);
         assert_eq!(cache.error_hits(), 0);
+    }
+
+    /// A description handed over by value keeps every check a borrowed
+    /// one gets: a failed build is filed in the negative cache before the
+    /// description is dropped, and its retry, either way, builds nothing.
+    #[test]
+    fn owned_descriptions_keep_the_negative_cache() {
+        let cache = ModelCache::new();
+        let mut bad = ddr3_1g_x16_55nm();
+        bad.spec.bank_address_bits = 5; // floorplan grid mismatch
+        let key = content_key(&bad);
+        let first = cache
+            .get_or_build_keyed(key, Cow::Owned(bad.clone()))
+            .expect_err("invalid");
+        assert_eq!(cache.stats().misses, 1, "first sight runs validation");
+        assert_eq!(cache.error_len(), 1, "the owned description is filed");
+        let by_value = cache
+            .get_or_build_keyed(key, Cow::Owned(bad.clone()))
+            .expect_err("still invalid");
+        let by_reference = cache.get_or_build(&bad).expect_err("still invalid");
+        assert_eq!(first, by_value);
+        assert_eq!(first, by_reference);
+        assert_eq!(cache.error_hits(), 2, "both retries fail fast");
+        assert_eq!(cache.stats().misses, 1, "no retry builds");
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn an_owned_miss_is_shared_with_a_borrowed_hit() {
+        let cache = ModelCache::new();
+        let desc = ddr3_1g_x16_55nm();
+        let (owned, hit) = cache
+            .get_or_build_keyed(content_key(&desc), Cow::Owned(desc.clone()))
+            .expect("builds");
+        assert!(!hit);
+        assert_eq!(owned.description(), &desc, "the model keeps what it was handed");
+        let borrowed = cache.get_or_build(&desc).expect("hits");
+        assert!(Arc::ptr_eq(&owned, &borrowed));
+        assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

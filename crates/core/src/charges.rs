@@ -13,6 +13,8 @@
 //! The bitline midlevel precharge is adiabatic (true and complement are
 //! shorted), exactly as §III.A notes, and therefore books no charge.
 
+use std::borrow::Cow;
+
 use dram_units::{Coulombs, Farads, Joules, Meters, Volts};
 
 use crate::devices::{
@@ -104,8 +106,9 @@ impl core::fmt::Display for ContributorGroup {
 /// One named charge contribution of an operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChargeItem {
-    /// Human-readable contributor name.
-    pub label: String,
+    /// Human-readable contributor name: a fixed name is borrowed, and
+    /// only a per-block `logic: {name}` label owns its text.
+    pub label: Cow<'static, str>,
     /// Functional group.
     pub group: ContributorGroup,
     /// Domain the charge is drawn from.
@@ -147,12 +150,11 @@ impl OperationCharges {
 
     fn push(
         &mut self,
-        label: impl Into<String>,
+        label: Cow<'static, str>,
         group: ContributorGroup,
         domain: VoltageDomain,
         charge: Coulombs,
     ) {
-        let label = label.into();
         debug_assert!(
             charge.coulombs() >= 0.0,
             "negative charge for `{label}`: {charge:?}"
@@ -167,8 +169,8 @@ impl OperationCharges {
 }
 
 /// Label of a charge event before materialization. The itemized ledger
-/// turns it into a `String`; the batch kernel drops it, so the hot path
-/// never allocates.
+/// borrows a fixed name and formats only a logic block's; the batch
+/// kernel drops it, so the hot path never allocates.
 #[derive(Debug, Clone, Copy)]
 enum ChargeLabel<'a> {
     /// A fixed contributor name.
@@ -178,10 +180,10 @@ enum ChargeLabel<'a> {
 }
 
 impl ChargeLabel<'_> {
-    fn materialize(self) -> String {
+    fn materialize(self) -> Cow<'static, str> {
         match self {
-            ChargeLabel::Static(s) => s.to_string(),
-            ChargeLabel::Logic(name) => format!("logic: {name}"),
+            ChargeLabel::Static(s) => Cow::Borrowed(s),
+            ChargeLabel::Logic(name) => Cow::Owned(format!("logic: {name}")),
         }
     }
 }

@@ -56,8 +56,8 @@ pub use batch::{content_key, CacheStats, EngineSnapshot, EvalEngine, ModelCache,
 pub use error::ModelError;
 pub use lowpower::{PowerState, TemperatureRange};
 pub use model::{
-    evaluate_document, CapacitanceReport, Dram, IddKind, IddReport, PowerSummary,
-    REFRESH_COMMANDS_PER_WINDOW,
+    evaluate_document, write_evaluate_body, CapacitanceReport, Dram, IddKind, IddReport,
+    PowerSummary, REFRESH_COMMANDS_PER_WINDOW,
 };
 pub use params::DramDescription;
 pub use pattern::{Command, Pattern};

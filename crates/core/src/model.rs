@@ -8,7 +8,7 @@
 
 use std::sync::OnceLock;
 
-use dram_units::json::{obj, Value};
+use dram_units::json::{self, Value};
 use dram_units::{Amperes, BitsPerSecond, Hertz, Joules, Watts};
 
 use crate::area::AreaReport;
@@ -21,7 +21,8 @@ use crate::perturb::{BuildPhase, DirtySet};
 use crate::power::{static_power, Operation, OperationEnergy};
 use crate::timing::{InitialBankState, Schedule, TimedCommand};
 
-/// Process-wide count of [`Dram::new`] calls, registered once.
+/// Process-wide count of model builds ([`Dram::new`] calls and cache
+/// misses), registered once.
 fn model_builds_total() -> &'static std::sync::Arc<dram_obs::Counter> {
     static COUNTER: std::sync::OnceLock<std::sync::Arc<dram_obs::Counter>> =
         std::sync::OnceLock::new();
@@ -74,8 +75,9 @@ pub struct Dram {
     read: OperationEnergy,
     write: OperationEnergy,
     clock_cycle: OperationEnergy,
-    /// [`evaluate_document`] of this model, encoded on the first
-    /// [`Dram::evaluate_body`] call. Every build starts it empty.
+    /// The reply [`write_evaluate_body`] writes for this model, kept on
+    /// the first [`Dram::evaluate_body`] call. Every build starts it
+    /// empty.
     body: OnceLock<Box<str>>,
 }
 
@@ -232,42 +234,51 @@ impl Dram {
     /// floorplan, specification and signaling are mutually inconsistent.
     pub fn new(desc: DramDescription) -> Result<Self, ModelError> {
         let _build = dram_obs::span("model.build");
+        let geom = Self::check(&desc)?;
+        Ok(Self::assemble(desc, geom))
+    }
+
+    /// The build phases that can fail, validation and geometry, run on a
+    /// borrowed description; counts the build. The model cache runs them
+    /// before it takes the description, so a failed one can still be
+    /// filed in its negative cache.
+    pub(crate) fn check(desc: &DramDescription) -> Result<Geometry, ModelError> {
         model_builds_total().inc();
         {
             let _s = dram_obs::span("model.validate");
-            validate(&desc)?;
+            validate(desc)?;
         }
-        let geom = {
-            let _s = dram_obs::span("model.geometry");
-            Geometry::new(&desc)?
+        let _s = dram_obs::span("model.geometry");
+        Geometry::new(desc)
+    }
+
+    /// The build phases that cannot fail (devices, charges and power)
+    /// on a description that passed [`Dram::check`] with `geom`. The
+    /// model keeps the description it is handed, and each charge ledger
+    /// moves into its energy ledger.
+    pub(crate) fn assemble(desc: DramDescription, geom: Geometry) -> Self {
+        let m = {
+            let _s = dram_obs::span("model.devices");
+            ChargeModel::new(&desc, &geom)
         };
-        let (activate, precharge, read, write, clock_cycle) = {
-            let m = {
-                let _s = dram_obs::span("model.devices");
-                ChargeModel::new(&desc, &geom)
-            };
-            let books = {
-                let _s = dram_obs::span("model.charges");
-                [
-                    m.activate(),
-                    m.precharge(),
-                    m.read(),
-                    m.write(),
-                    m.clock_cycle(),
-                ]
-            };
-            let _s = dram_obs::span("model.power");
-            let e = &desc.electrical;
-            let [act, pre, rd, wr, clk] = &books;
-            (
-                OperationEnergy::from_charges(Operation::Activate, act, e),
-                OperationEnergy::from_charges(Operation::Precharge, pre, e),
-                OperationEnergy::from_charges(Operation::Read, rd, e),
-                OperationEnergy::from_charges(Operation::Write, wr, e),
-                OperationEnergy::from_charges(Operation::ClockCycle, clk, e),
-            )
+        let [act, pre, rd, wr, clk] = {
+            let _s = dram_obs::span("model.charges");
+            [
+                m.activate(),
+                m.precharge(),
+                m.read(),
+                m.write(),
+                m.clock_cycle(),
+            ]
         };
-        Ok(Self {
+        let _s = dram_obs::span("model.power");
+        let e = &desc.electrical;
+        let activate = OperationEnergy::from_charges(Operation::Activate, act, e);
+        let precharge = OperationEnergy::from_charges(Operation::Precharge, pre, e);
+        let read = OperationEnergy::from_charges(Operation::Read, rd, e);
+        let write = OperationEnergy::from_charges(Operation::Write, wr, e);
+        let clock_cycle = OperationEnergy::from_charges(Operation::ClockCycle, clk, e);
+        Self {
             desc,
             geom,
             activate,
@@ -276,7 +287,7 @@ impl Dram {
             write,
             clock_cycle,
             body: OnceLock::new(),
-        })
+        }
     }
 
     /// Rebuilds the model for an edited description, re-running only the
@@ -310,11 +321,11 @@ impl Dram {
         let (energies, skipped) = if charges_dirty {
             let m = ChargeModel::new(desc, &geom);
             let energies = (
-                OperationEnergy::from_charges(Operation::Activate, &m.activate(), e),
-                OperationEnergy::from_charges(Operation::Precharge, &m.precharge(), e),
-                OperationEnergy::from_charges(Operation::Read, &m.read(), e),
-                OperationEnergy::from_charges(Operation::Write, &m.write(), e),
-                OperationEnergy::from_charges(Operation::ClockCycle, &m.clock_cycle(), e),
+                OperationEnergy::from_charges(Operation::Activate, m.activate(), e),
+                OperationEnergy::from_charges(Operation::Precharge, m.precharge(), e),
+                OperationEnergy::from_charges(Operation::Read, m.read(), e),
+                OperationEnergy::from_charges(Operation::Write, m.write(), e),
+                OperationEnergy::from_charges(Operation::ClockCycle, m.clock_cycle(), e),
             );
             (energies, u64::from(!geometry_dirty))
         } else if dirty.contains(BuildPhase::Power) {
@@ -619,12 +630,16 @@ impl Dram {
         AreaReport::new(&self.desc, &self.geom)
     }
 
-    /// `evaluate_document(self).to_string()`, encoded on the first call
-    /// and kept for the life of the model, so later calls copy nothing.
+    /// The `/v1/evaluate` reply text, written by [`write_evaluate_body`]
+    /// on the first call and kept for the life of the model, so later
+    /// calls render nothing. [`evaluate_document`] is its parse.
     #[must_use]
     pub fn evaluate_body(&self) -> &str {
-        self.body
-            .get_or_init(|| evaluate_document(self).to_string().into_boxed_str())
+        self.body.get_or_init(|| {
+            let mut text = String::new();
+            write_evaluate_body(self, &mut text);
+            text.into_boxed_str()
+        })
     }
 }
 
@@ -677,52 +692,65 @@ pub(crate) fn loop_power(
     }
 }
 
-/// The `dram-serve` `/v1/evaluate` response document for one model:
+/// Appends the `dram-serve` `/v1/evaluate` reply for one model to `out`:
 /// datasheet currents, per-operation energies, background power, energy
-/// per bit and die area.
+/// per bit and die area, as compact JSON text.
 ///
-/// It reads only the model, so a cached model can keep its encoding
-/// ([`Dram::evaluate_body`]). `/v1/batch` builds it per item, so batch
-/// entries are bit-identical to single `/v1/evaluate` bodies.
-#[must_use]
-pub fn evaluate_document(dram: &Dram) -> Value {
+/// This is the one rendering of the reply. A miss writes it once,
+/// [`Dram::evaluate_body`] keeps it for hits, and `/v1/batch` splices
+/// it per item, so batch entries are byte-identical to single
+/// `/v1/evaluate` bodies. Keys, key order, escaping and numbers are
+/// exactly what [`Value`]'s `Display` writes for [`evaluate_document`].
+pub fn write_evaluate_body(dram: &Dram, out: &mut String) {
+    // The reply runs to about 900 bytes; reserving once spares the
+    // doubling steps.
+    out.reserve(1024);
     let (idd7, idd7_rate) = dram.idd7_loop();
     let idd = dram.idd_with(&idd7);
-    let idd_ma: Vec<(String, Value)> = IddKind::ALL
-        .iter()
-        .map(|&k| (k.symbol().to_string(), (idd.get(k).amperes() * 1e3).into()))
-        .collect();
-    let ops: Vec<(String, Value)> = Operation::ALL
-        .iter()
-        .map(|&op| {
-            let e = dram.operation_energy(op);
-            (
-                op.to_string(),
-                obj(vec![
-                    ("external_pj", (e.external().joules() * 1e12).into()),
-                    ("internal_pj", (e.internal().joules() * 1e12).into()),
-                ]),
-            )
-        })
-        .collect();
-    let area = dram.area();
-    obj(vec![
-        ("name", dram.description().name.as_str().into()),
-        ("idd_ma", Value::Obj(idd_ma)),
-        ("operations", Value::Obj(ops)),
-        ("background_w", dram.background_power().watts().into()),
-        (
-            "energy_per_bit_pj",
-            obj(vec![
-                (
-                    "streaming",
-                    (dram.energy_per_bit_streaming().joules() * 1e12).into(),
-                ),
-                ("random", ((idd7.power / idd7_rate).joules() * 1e12).into()),
-            ]),
-        ),
-        ("die_area_mm2", (area.die.square_meters() * 1e6).into()),
-    ])
+    out.push_str("{\"name\":");
+    json::write_string(out, &dram.description().name);
+    out.push_str(",\"idd_ma\":{");
+    for (i, &k) in IddKind::ALL.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::write_string(out, k.symbol());
+        out.push(':');
+        json::write_number(out, idd.get(k).amperes() * 1e3);
+    }
+    out.push_str("},\"operations\":{");
+    for (i, &op) in Operation::ALL.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let e = dram.operation_energy(op);
+        json::write_string(out, op.name());
+        out.push_str(":{\"external_pj\":");
+        json::write_number(out, e.external().joules() * 1e12);
+        out.push_str(",\"internal_pj\":");
+        json::write_number(out, e.internal().joules() * 1e12);
+        out.push('}');
+    }
+    out.push_str("},\"background_w\":");
+    json::write_number(out, dram.background_power().watts());
+    out.push_str(",\"energy_per_bit_pj\":{\"streaming\":");
+    json::write_number(out, dram.energy_per_bit_streaming().joules() * 1e12);
+    out.push_str(",\"random\":");
+    json::write_number(out, (idd7.power / idd7_rate).joules() * 1e12);
+    out.push_str("},\"die_area_mm2\":");
+    json::write_number(out, dram.area().die.square_meters() * 1e6);
+    out.push('}');
+}
+
+/// The `/v1/evaluate` reply for one model as a document: the parse of
+/// the text [`write_evaluate_body`] writes, which [`Value`] round-trips
+/// exactly (shortest float text, keys in order), so
+/// `evaluate_document(dram).to_string()` is that text byte for byte.
+#[must_use]
+pub fn evaluate_document(dram: &Dram) -> Value {
+    let mut text = String::new();
+    write_evaluate_body(dram, &mut text);
+    Value::parse(&text).expect("the evaluate reply is valid JSON")
 }
 
 /// Validates parameter ranges that the geometry pass does not cover.

@@ -6,6 +6,8 @@
 //! voltage and the generator/pump efficiency; external power divided by
 //! Vdd gives the currents that datasheets specify.
 
+use std::borrow::Cow;
+
 use dram_units::{Coulombs, Joules, Watts};
 
 use crate::charges::{ContributorGroup, OperationCharges};
@@ -37,26 +39,31 @@ impl Operation {
         Operation::Write,
         Operation::ClockCycle,
     ];
-}
 
-impl core::fmt::Display for Operation {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let s = match self {
+    /// The display name, e.g. `"clock cycle"`.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
             Operation::Activate => "activate",
             Operation::Precharge => "precharge",
             Operation::Read => "read",
             Operation::Write => "write",
             Operation::ClockCycle => "clock cycle",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl core::fmt::Display for Operation {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
 /// One contributor's energy within an operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnergyItem {
-    /// Contributor name (matches the charge item).
-    pub label: String,
+    /// Contributor name (the charge item's, moved over).
+    pub label: Cow<'static, str>,
     /// Functional group.
     pub group: ContributorGroup,
     /// Voltage domain the charge was drawn from.
@@ -79,14 +86,15 @@ pub struct OperationEnergy {
 }
 
 impl OperationEnergy {
-    /// Converts an operation's charges into energies.
+    /// Converts an operation's charges into energies. The ledger is
+    /// consumed, so each item's label moves over without a copy.
     #[must_use]
-    pub fn from_charges(op: Operation, charges: &OperationCharges, e: &Electrical) -> Self {
+    pub fn from_charges(op: Operation, charges: OperationCharges, e: &Electrical) -> Self {
         let items = charges
             .items
-            .iter()
+            .into_iter()
             .map(|c| EnergyItem {
-                label: c.label.clone(),
+                label: c.label,
                 group: c.group,
                 domain: c.domain,
                 charge: c.charge,
@@ -190,7 +198,7 @@ mod tests {
         let geom = Geometry::new(&desc).expect("valid");
         let m = ChargeModel::new(&desc, &geom);
         let act =
-            OperationEnergy::from_charges(Operation::Activate, &m.activate(), &desc.electrical);
+            OperationEnergy::from_charges(Operation::Activate, m.activate(), &desc.electrical);
         assert!(act.external() > act.internal());
         // Efficiency-weighted: the gap is bounded by the worst pump.
         assert!(act.external().joules() < act.internal().joules() / 0.4 + 1e-18);
@@ -202,7 +210,7 @@ mod tests {
         let geom = Geometry::new(&desc).expect("valid");
         let m = ChargeModel::new(&desc, &geom);
         let act =
-            OperationEnergy::from_charges(Operation::Activate, &m.activate(), &desc.electrical);
+            OperationEnergy::from_charges(Operation::Activate, m.activate(), &desc.electrical);
         let nj = act.external().joules() * 1e9;
         // A 16 Kb page activate in a 1 Gb DDR3 is on the order of a
         // nanojoule at the supply.
@@ -215,8 +223,8 @@ mod tests {
         let geom = Geometry::new(&desc).expect("valid");
         let m = ChargeModel::new(&desc, &geom);
         let e = &desc.electrical;
-        let act = OperationEnergy::from_charges(Operation::Activate, &m.activate(), e);
-        let rd = OperationEnergy::from_charges(Operation::Read, &m.read(), e);
+        let act = OperationEnergy::from_charges(Operation::Activate, m.activate(), e);
+        let rd = OperationEnergy::from_charges(Operation::Read, m.read(), e);
         assert!(
             act.array_share() > 0.5,
             "activate array share {}",
@@ -234,7 +242,7 @@ mod tests {
         let desc = ddr3_1g_x16_55nm();
         let geom = Geometry::new(&desc).expect("valid");
         let m = ChargeModel::new(&desc, &geom);
-        let rd = OperationEnergy::from_charges(Operation::Read, &m.read(), &desc.electrical);
+        let rd = OperationEnergy::from_charges(Operation::Read, m.read(), &desc.electrical);
         let by_group: f64 = ContributorGroup::ALL
             .iter()
             .map(|&g| rd.group_external(g).joules())

@@ -120,3 +120,48 @@ fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
         .collect();
     assert_eq!(baseline, after);
 }
+
+/// A description handed to the cache by value passes the same checks
+/// as a borrowed one on its miss: the `engine.build` fault site fires
+/// before the build, and the journal notes the miss (and the later hit)
+/// under the calling thread's request.
+#[test]
+fn an_owned_miss_keeps_the_fault_site_and_the_journal_note() {
+    use std::borrow::Cow;
+
+    use dram_core::content_key;
+    use dram_obs::journal::{self, EventKind};
+
+    let _x = exclusive();
+    let cache = ModelCache::new();
+    let desc = ddr3_1g_x16_55nm();
+    let key = content_key(&desc);
+    dram_faults::arm(
+        &dram_faults::Plan::parse("seed=2;engine.build=panic:times=1").expect("spec"),
+    );
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _ = cache.get_or_build_keyed(key, Cow::Owned(desc.clone()));
+    }));
+    let injected = dram_faults::injected_total();
+    dram_faults::disarm();
+    assert!(caught.is_err(), "the injected panic unwinds through an owned miss");
+    assert_eq!(injected, 1);
+    assert!(cache.is_empty(), "a panicked build files nothing");
+
+    journal::configure(64);
+    journal::set_context(7, 4242);
+    let (built, hit) = cache
+        .get_or_build_keyed(key, Cow::Owned(desc.clone()))
+        .expect("builds");
+    let (cached, again) = cache
+        .get_or_build_keyed(key, Cow::Borrowed(&desc))
+        .expect("hits");
+    journal::set_context(0, 0);
+    let kinds: Vec<EventKind> = journal::events_for_request(4242)
+        .iter()
+        .map(|e| e.kind)
+        .collect();
+    journal::configure(0);
+    assert!(!hit && again && std::sync::Arc::ptr_eq(&built, &cached));
+    assert_eq!(kinds, [EventKind::CacheMiss, EventKind::CacheHit]);
+}

@@ -89,7 +89,7 @@ pub fn wordline_hierarchy_with(
     let act_flat: Joules = act
         .items
         .iter()
-        .filter(|i| !wl_labels.contains(&i.label.as_str()))
+        .filter(|i| !wl_labels.contains(&i.label.as_ref()))
         .map(|i| i.external)
         .sum::<Joules>()
         + flat_wl_external;

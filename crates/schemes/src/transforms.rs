@@ -148,7 +148,7 @@ fn scaled_op_energy(dram: &Dram, op: Operation, labels: &[&str], factor: f64) ->
         .items
         .iter()
         .map(|i| {
-            if labels.contains(&i.label.as_str()) {
+            if labels.contains(&i.label.as_ref()) {
                 i.external * factor
             } else {
                 i.external

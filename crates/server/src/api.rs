@@ -11,18 +11,21 @@
 //! ([`CacheActivity`]) so the front end can attribute hits and model
 //! builds to individual request ids in logs and slow-request samples.
 
+use std::borrow::Cow;
 use std::net::TcpStream;
 use std::sync::Arc;
 
 pub use dram_core::evaluate_document;
-use dram_core::{content_key, Dram, DramDescription, EvalEngine, ModelError, Pattern};
+use dram_core::{
+    content_key, write_evaluate_body, Dram, DramDescription, EvalEngine, ModelError, Pattern,
+};
 use dram_units::json::{obj, Value};
 use dram_workload::{
     PowerDownPolicy, StreamFold, TraceCommand, TraceDecoder, TraceError, TraceErrorKind,
     TraceEvent, TraceReport, TraceSink, TraceState,
 };
 
-use crate::http::{ChunkedBody, Request, Response};
+use crate::http::{self, ChunkedBody, Request, Response};
 use crate::metrics::{self, Metrics, Route};
 use crate::presets::{self, Preset};
 
@@ -158,8 +161,15 @@ impl Device {
 
     /// Builds (or fetches from the global cache) the device's model,
     /// noting the hit or miss in `activity`; the flag is `true` on a hit.
-    fn model(&self, activity: &mut CacheActivity) -> Result<(Arc<Dram>, bool), ModelError> {
-        let (model, hit) = EvalEngine::global().model_keyed(self.key(), self.description())?;
+    /// A parsed description moves into the model it builds; a preset's
+    /// is lent, and cloned only on a miss.
+    fn model(self, activity: &mut CacheActivity) -> Result<(Arc<Dram>, bool), ModelError> {
+        let key = self.key();
+        let desc = match self {
+            Device::Preset(p) => Cow::Borrowed(p.description()),
+            Device::Parsed(d) => Cow::Owned(*d),
+        };
+        let (model, hit) = EvalEngine::global().model_keyed(key, desc)?;
         activity.note(hit);
         Ok((model, hit))
     }
@@ -212,7 +222,7 @@ pub fn resolve_description(body: &Value) -> Result<DramDescription, String> {
 }
 
 /// [`Device::model`] with a failed build as its 400 response.
-fn model_for(device: &Device, activity: &mut CacheActivity) -> Result<(Arc<Dram>, bool), Response> {
+fn model_for(device: Device, activity: &mut CacheActivity) -> Result<(Arc<Dram>, bool), Response> {
     device
         .model(activity)
         .map_err(|e| Response::error(400, &model_error_message(&e)))
@@ -227,11 +237,15 @@ fn evaluate(body: &Value, activity: &mut CacheActivity) -> Response {
         Ok(d) => d,
         Err(msg) => return Response::error(400, &msg),
     };
-    match model_for(&device, activity) {
-        // A hit serves the body the cached model keeps. A miss renders
-        // afresh, so a model asked for once stores no copy.
+    match model_for(device, activity) {
+        // A hit serves the body the cached model keeps. A miss writes the
+        // reply once, so a model asked for once stores no copy.
         Ok((dram, true)) => Response::json(200, dram.evaluate_body().to_owned()),
-        Ok((dram, false)) => Response::json(200, evaluate_document(&dram).to_string()),
+        Ok((dram, false)) => {
+            let mut text = String::new();
+            write_evaluate_body(&dram, &mut text);
+            Response::json(200, text)
+        }
         Err(r) => r,
     }
 }
@@ -241,10 +255,11 @@ fn evaluate(body: &Value, activity: &mut CacheActivity) -> Response {
 /// memoized pass.
 ///
 /// `results[i]` corresponds to `requests[i]`: either the exact
-/// [`evaluate_document`] for that item (bit-identical to a single
-/// `/v1/evaluate` call) or `{"error": ...}` — one bad item never fails
-/// its neighbours. The response is 200 whenever the envelope itself was
-/// well-formed.
+/// [`write_evaluate_body`] text for that item (byte-identical to a
+/// single `/v1/evaluate` call) or `{"error": ...}` — one bad item never
+/// fails its neighbours. The response is 200 whenever the envelope
+/// itself was well-formed. Item bodies are spliced into the envelope as
+/// text, with no document built in between.
 fn batch(body: &Value, activity: &mut CacheActivity) -> Response {
     let Some(items) = body.get("requests").and_then(Value::as_array) else {
         return Response::error(
@@ -282,28 +297,24 @@ fn batch(body: &Value, activity: &mut CacheActivity) -> Response {
         .collect();
     let mut models = EvalEngine::global().evaluate_many_keyed(&keyed).into_iter();
 
-    let results: Vec<Value> = resolved
-        .into_iter()
-        .map(|r| match r {
-            Err(msg) => obj(vec![("error", msg.as_str().into())]),
+    let mut text = format!("{{\"count\":{},\"results\":[", resolved.len());
+    for (i, r) in resolved.iter().enumerate() {
+        if i > 0 {
+            text.push(',');
+        }
+        match r {
+            Err(msg) => http::write_error(&mut text, msg),
             Ok(_) => match models.next().expect("one model per resolved item") {
                 Ok((model, hit)) => {
                     activity.note(hit);
-                    evaluate_document(&model)
+                    write_evaluate_body(&model, &mut text);
                 }
-                Err(e) => obj(vec![("error", model_error_message(&e).as_str().into())]),
+                Err(e) => http::write_error(&mut text, &model_error_message(&e)),
             },
-        })
-        .collect();
-
-    Response::json(
-        200,
-        obj(vec![
-            ("count", results.len().into()),
-            ("results", results.into()),
-        ])
-        .to_string(),
-    )
+        }
+    }
+    text.push_str("]}");
+    Response::json(200, text)
 }
 
 /// The `/v1/pattern` response document.
@@ -341,7 +352,7 @@ fn pattern(body: &Value, activity: &mut CacheActivity) -> Response {
         Ok(p) => p,
         Err(e) => return Response::error(400, &format!("bad pattern: {e}")),
     };
-    let dram = match model_for(&device, activity) {
+    let dram = match model_for(device, activity) {
         Ok((d, _)) => d,
         Err(r) => return r,
     };
@@ -652,6 +663,93 @@ pub fn handle_trace_stream(
     (response, session.activity)
 }
 
+/// The `Value`-building renderers the text writers replaced: the
+/// evaluate document built member by member, and the batch envelope
+/// built from item documents. Kept as the reference the writers are
+/// pinned to, byte for byte.
+#[cfg(test)]
+mod reference {
+    use dram_core::{Dram, EvalEngine, IddKind, Operation};
+    use dram_units::json::{obj, Value};
+
+    use super::{model_error_message, resolve, Device};
+
+    pub(super) fn evaluate_document(dram: &Dram) -> Value {
+        let idd = dram.idd();
+        let idd_ma: Vec<(String, Value)> = IddKind::ALL
+            .iter()
+            .map(|&k| (k.symbol().to_string(), (idd.get(k).amperes() * 1e3).into()))
+            .collect();
+        let ops: Vec<(String, Value)> = Operation::ALL
+            .iter()
+            .map(|&op| {
+                let e = dram.operation_energy(op);
+                (
+                    op.to_string(),
+                    obj(vec![
+                        ("external_pj", (e.external().joules() * 1e12).into()),
+                        ("internal_pj", (e.internal().joules() * 1e12).into()),
+                    ]),
+                )
+            })
+            .collect();
+        obj(vec![
+            ("name", dram.description().name.as_str().into()),
+            ("idd_ma", Value::Obj(idd_ma)),
+            ("operations", Value::Obj(ops)),
+            ("background_w", dram.background_power().watts().into()),
+            (
+                "energy_per_bit_pj",
+                obj(vec![
+                    (
+                        "streaming",
+                        (dram.energy_per_bit_streaming().joules() * 1e12).into(),
+                    ),
+                    (
+                        "random",
+                        (dram.energy_per_bit_random().joules() * 1e12).into(),
+                    ),
+                ]),
+            ),
+            ("die_area_mm2", (dram.area().die.square_meters() * 1e6).into()),
+        ])
+    }
+
+    /// The `/v1/batch` reply for a well-formed envelope's items.
+    pub(super) fn batch_document(items: &[Value]) -> Value {
+        let resolved: Vec<Result<Device, String>> = items
+            .iter()
+            .map(|item| {
+                if matches!(item, Value::Obj(_)) {
+                    resolve(item)
+                } else {
+                    Err("batch item must be a JSON object".into())
+                }
+            })
+            .collect();
+        let keyed: Vec<(u64, &dram_core::DramDescription)> = resolved
+            .iter()
+            .filter_map(|r| r.as_ref().ok())
+            .map(|d| (d.key(), d.description()))
+            .collect();
+        let mut models = EvalEngine::global().evaluate_many_keyed(&keyed).into_iter();
+        let results: Vec<Value> = resolved
+            .into_iter()
+            .map(|r| match r {
+                Err(msg) => obj(vec![("error", msg.as_str().into())]),
+                Ok(_) => match models.next().expect("one model per resolved item") {
+                    Ok((model, _)) => evaluate_document(&model),
+                    Err(e) => obj(vec![("error", model_error_message(&e).as_str().into())]),
+                },
+            })
+            .collect();
+        obj(vec![
+            ("count", results.len().into()),
+            ("results", results.into()),
+        ])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,6 +986,106 @@ mod tests {
             .is_some_and(|e| e.contains("must be a JSON object")));
         // Three model lookups were attributed to the batch request.
         assert_eq!(activity.hits + activity.misses, 3);
+    }
+
+    /// Every model the writer test renders: the presets, seeded
+    /// three-edit perturbations of them (the ones that still validate),
+    /// and a device whose name needs every kind of escape.
+    fn rendered_models(perturbed: usize) -> Vec<Dram> {
+        use dram_core::{ParamId, Perturbation};
+        use dram_units::rng::SplitMix64;
+
+        let presets: Vec<DramDescription> = presets::NAMES
+            .iter()
+            .map(|n| presets::get(n).expect("listed preset").description().clone())
+            .collect();
+        let mut named = presets[0].clone();
+        named.name = "a \"quoted\" back\\slash, a bell \u{7}, a tab\t and µ 東".into();
+        let mut out: Vec<Dram> = presets
+            .iter()
+            .chain([&named])
+            .map(|d| Dram::new(d.clone()).expect("presets build"))
+            .collect();
+        let mut rng = SplitMix64::new(0x5eed_0030);
+        while out.len() < presets.len() + 1 + perturbed {
+            let mut desc = rng.pick(&presets).clone();
+            let edits = (0..3)
+                .map(|_| (*rng.pick(&ParamId::ALL), rng.range_f64(0.9, 1.1)))
+                .collect();
+            Perturbation::new(edits).apply(&mut desc);
+            out.extend(Dram::new(desc).ok());
+        }
+        out
+    }
+
+    #[test]
+    fn the_text_writer_matches_the_value_reference() {
+        let mut text = String::new();
+        for dram in rendered_models(1000) {
+            let want = reference::evaluate_document(&dram);
+            text.clear();
+            write_evaluate_body(&dram, &mut text);
+            assert_eq!(text, want.to_string(), "{}", dram.description().name);
+            assert_eq!(dram.evaluate_body(), text);
+            assert_eq!(evaluate_document(&dram), want, "the document is the text's parse");
+        }
+    }
+
+    #[test]
+    fn batch_text_matches_the_value_reference() {
+        let m = Metrics::new();
+        // Parses, then fails validation: the floorplan grid no longer
+        // matches five bank-address bits.
+        let written = dram_dsl::write(presets::get("ddr3_1g_55nm").unwrap().description(), None);
+        let invalid = written.replacen(" bankadd=3 ", " bankadd=5 ", 1);
+        assert_ne!(invalid, written);
+        let body = obj(vec![(
+            "requests",
+            vec![
+                obj(vec![("preset", "ddr3_1g_x16_55nm".into())]),
+                obj(vec![("preset", "no \"such\" \\ preset \u{1} µ".into())]),
+                Value::Num(7.0),
+                obj(vec![("description", "Device bogus".into())]),
+                obj(vec![("description", invalid.into())]),
+                obj(vec![("preset", "ddr5_16g_18nm".into())]),
+                obj(vec![("preset", "ddr3_1g_x16_55nm".into())]),
+            ]
+            .into(),
+        )]);
+        let (_, r, _) = handle(&post("/v1/batch", &body.to_string()), &m);
+        assert_eq!(r.status, 200);
+        let items = body.get("requests").and_then(Value::as_array).unwrap();
+        let want = reference::batch_document(items).to_string();
+        assert_eq!(body_str(&r), want);
+        assert!(want.contains(r#""error":"invalid description: "#), "{want}");
+        assert!(want.contains(r#"\"such\" \\ preset \u0001 µ"#), "{want}");
+    }
+
+    /// Fixed contributor names are borrowed all the way into the energy
+    /// ledgers; only the per-block `logic: …` labels own their text.
+    #[test]
+    fn only_logic_labels_own_their_text() {
+        use std::borrow::Cow;
+
+        for name in presets::NAMES {
+            let dram = Dram::new(presets::get(name).unwrap().description().clone()).unwrap();
+            let (mut borrowed, mut owned) = (0, 0);
+            for op in dram_core::Operation::ALL {
+                for item in &dram.operation_energy(op).items {
+                    match &item.label {
+                        Cow::Borrowed(label) => {
+                            assert!(!label.starts_with("logic: "), "{name}: {label}");
+                            borrowed += 1;
+                        }
+                        Cow::Owned(label) => {
+                            assert!(label.starts_with("logic: "), "{name}: {label}");
+                            owned += 1;
+                        }
+                    }
+                }
+            }
+            assert!(borrowed > 0 && owned > 0, "{name}: {borrowed} borrowed, {owned} owned");
+        }
     }
 
     #[test]

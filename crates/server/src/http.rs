@@ -386,16 +386,19 @@ pub fn read_inbound_after(
             } else {
                 Vec::new()
             };
-            // Each read is capped at the bytes still owed, so the loop
-            // can never pull in the next pipelined request from the
-            // socket — `next` stays the only source of over-read bytes.
-            while body.len() < content_length {
-                let mut chunk = vec![0u8; (content_length - body.len()).min(16 * 1024)];
-                let n = read_bounded(stream, &mut chunk, deadline, limits.io_timeout)?;
+            // The body grows to its declared length once and each read
+            // fills its tail in place. A read is capped at the bytes
+            // still owed, so the loop can never pull in the next
+            // pipelined request from the socket — `next` stays the only
+            // source of over-read bytes.
+            let mut filled = body.len();
+            body.resize(content_length, 0);
+            while filled < content_length {
+                let n = read_bounded(stream, &mut body[filled..], deadline, limits.io_timeout)?;
                 if n == 0 {
                     return Err(HttpError::BadRequest("truncated request body".into()).into());
                 }
-                body.extend_from_slice(&chunk[..n]);
+                filled += n;
             }
             request.body = body;
             Ok(Inbound::Buffered {
@@ -964,6 +967,15 @@ pub struct Response {
     pub keep_alive: bool,
 }
 
+/// Appends the JSON error object `{"error": message}` to `out`: the
+/// body of every error response, and the item a failed `/v1/batch`
+/// entry answers with.
+pub(crate) fn write_error(out: &mut String, message: &str) {
+    out.push_str("{\"error\":");
+    dram_units::json::write_string(out, message);
+    out.push('}');
+}
+
 impl Response {
     /// A JSON response with the given status.
     #[must_use]
@@ -980,10 +992,9 @@ impl Response {
     /// A JSON error body `{"error": ...}` with the given status.
     #[must_use]
     pub fn error(status: u16, message: &str) -> Self {
-        Self::json(
-            status,
-            format!("{{\"error\":{}}}", dram_units::json::escape(message)),
-        )
+        let mut body = String::new();
+        write_error(&mut body, message);
+        Self::json(status, body)
     }
 
     /// Adds a header field.
@@ -1664,6 +1675,75 @@ mod tests {
                 other => panic!("case {case}: {other:?}"),
             }
         }
+    }
+
+    /// Seeded loopback test of the `Content-Length` body reader: a
+    /// request with a random body, then a pipelined request, split at
+    /// random between the bytes read with the head and the pieces a
+    /// writer thread still sends. The body is exactly the declared bytes
+    /// and what follows it exactly the pipelined request at every split;
+    /// a body cut short is a 400 `truncated request body`.
+    #[test]
+    fn length_body_is_read_into_its_own_buffer() {
+        let mut state = 0x1e46_b0d4_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let limits = Limits::default();
+        let pipelined = b"GET /healthz HTTP/1.1\r\n\r\n";
+        let mut truncated = 0;
+        for case in 0..200 {
+            let body: Vec<u8> = (0..next() % 40_000).map(|_| next() as u8).collect();
+            let mut wire = format!(
+                "POST /v1/evaluate HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+                body.len()
+            )
+            .into_bytes();
+            wire.extend_from_slice(&body);
+            let cut = !body.is_empty() && next() % 4 == 0;
+            if cut {
+                wire.truncate(wire.len() - 1 - next() % body.len());
+            } else {
+                wire.extend_from_slice(pipelined);
+            }
+            let split = next() % (wire.len() + 1);
+            let pieces: Vec<usize> = (0..next() % 8).map(|_| 1 + next() % 4096).collect();
+            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut stream, _) = listener.accept().unwrap();
+            let wire = &wire[..];
+            let (got, behind) = std::thread::scope(|scope| {
+                scope.spawn(move || {
+                    let mut rest = &wire[split..];
+                    for &n in &pieces {
+                        let (piece, tail) = rest.split_at(n.min(rest.len()));
+                        rest = tail;
+                        peer.write_all(piece).unwrap();
+                    }
+                    peer.write_all(rest).unwrap();
+                    peer.shutdown(std::net::Shutdown::Write).unwrap();
+                });
+                let got = read_inbound_after(&mut stream, &limits, wire[..split].to_vec());
+                let mut behind = Vec::new();
+                stream.read_to_end(&mut behind).unwrap();
+                (got, behind)
+            });
+            match got {
+                Ok(Inbound::Buffered { request, leftover }) if !cut => {
+                    assert_eq!(request.body, body, "case {case} split {split}");
+                    assert_eq!([leftover, behind].concat(), pipelined, "case {case} split {split}");
+                }
+                Err(ReadError::Http(HttpError::BadRequest(m))) if cut => {
+                    assert_eq!(m, "truncated request body", "case {case} split {split}");
+                    truncated += 1;
+                }
+                other => panic!("case {case} split {split} cut {cut}: {other:?}"),
+            }
+        }
+        assert!(truncated > 20, "{truncated} truncated bodies");
     }
 
     /// Hands a [`ChunkedBody`] and the server's end of a loopback

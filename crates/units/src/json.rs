@@ -134,15 +134,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.write_str("null"),
             Value::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    // A fresh formatter: the caller's width or precision
-                    // flags must not reach the number.
-                    write!(f, "{n}")
-                } else {
-                    f.write_str("null")
-                }
-            }
+            Value::Num(n) => write_num(f, *n),
             Value::Str(s) => write_escaped(f, s),
             Value::Arr(items) => {
                 f.write_char('[')?;
@@ -214,15 +206,33 @@ impl From<Vec<Value>> for Value {
     }
 }
 
-/// Escapes a string as a JSON literal, quotes included.
+/// Appends `s` to `out` as a JSON string literal, quotes included,
+/// exactly as `Value::Str(s)` writes it, for writers that put a document
+/// together as text.
 ///
-/// This is the one escaper of the workspace: the server's error bodies
-/// call it, and the [`Value`] writer shares its loop.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    write_escaped(&mut out, s).expect("writing to a String cannot fail");
-    out
+/// This and the [`Value`] writer share the one escaper of the
+/// workspace: the server's error bodies and its `/v1/evaluate` replies
+/// are written through it.
+pub fn write_string(out: &mut String, s: &str) {
+    write_escaped(out, s).expect("writing to a String cannot fail");
+}
+
+/// Appends `n` to `out` exactly as `Value::Num(n)` writes it: Rust's
+/// shortest round-trip `{}` form, or `null` when `n` is not finite.
+pub fn write_number(out: &mut String, n: f64) {
+    write_num(out, n).expect("writing to a String cannot fail");
+}
+
+/// The one number rule: non-finite numbers, which JSON cannot
+/// represent, are written `null`.
+fn write_num(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
+    if n.is_finite() {
+        // A fresh formatter: the caller's width or precision flags must
+        // not reach the number.
+        write!(out, "{n}")
+    } else {
+        out.write_str("null")
+    }
 }
 
 /// Writes `s` as a JSON string literal, quotes included. Runs that need
@@ -735,6 +745,11 @@ mod tests {
 
     #[test]
     fn escape_matches_legacy_bench_escaper() {
+        let escape = |s: &str| {
+            let mut out = String::new();
+            write_string(&mut out, s);
+            out
+        };
         assert_eq!(escape("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
         assert_eq!(escape("plain"), "\"plain\"");
@@ -787,6 +802,30 @@ mod tests {
     fn non_finite_numbers_write_as_null() {
         assert_eq!(Value::Num(f64::NAN).to_string(), "null");
         assert_eq!(Value::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    #[test]
+    fn text_writers_match_the_value_writer() {
+        let mut out = String::new();
+        for n in [
+            0.0,
+            -0.0,
+            1e21,
+            5e-324,
+            -1.5,
+            0.1 + 0.2,
+            f64::NAN,
+            f64::NEG_INFINITY,
+        ] {
+            out.clear();
+            write_number(&mut out, n);
+            assert_eq!(out, Value::Num(n).to_string(), "{n:?}");
+        }
+        for s in ["", "plain", "q\"b\\s\u{1}\n\t\r", "Grüße, 東京 😀"] {
+            out.clear();
+            write_string(&mut out, s);
+            assert_eq!(out, Value::from(s).to_string(), "{s:?}");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! so a failure reproduces by re-running the test, and every assertion
 //! message carries its input.
 
-use super::{escape, obj, JsonError, Parser, Value, MAX_DEPTH};
+use super::{obj, write_string, JsonError, Parser, Value, MAX_DEPTH};
 use crate::rng::SplitMix64;
 
 const FUZZ_SEED: u64 = 0x150A_F022;
@@ -184,7 +184,8 @@ impl Cuts {
                 }
             }
             Value::Str(s) => {
-                let literal = escape(s);
+                let mut literal = String::new();
+                write_string(&mut literal, s);
                 let body = &literal[1..literal.len() - 1];
                 self.push("\"", None, "unterminated string");
                 let mut chars = body.chars();

@@ -23,7 +23,7 @@ mod sweep;
 
 pub use dram_core::{ParamCategory, ParamId, Perturbation};
 pub use sweep::{
-    interaction, interaction_matrix, interaction_matrix_with,
-    interaction_matrix_with_full_rebuild, interaction_with, sweep, sweep_with,
-    sweep_with_full_rebuild, Interaction, InteractionMatrix, Sensitivity, Sweep,
+    interaction, interaction_matrix, interaction_matrix_with, interaction_matrix_with_full_rebuild,
+    interaction_with, sweep, sweep_with, sweep_with_full_rebuild, Interaction, InteractionMatrix,
+    Sensitivity, Sweep,
 };

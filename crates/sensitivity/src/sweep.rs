@@ -537,10 +537,8 @@ pub fn interaction_matrix_with_full_rebuild(
         .filter(|p| p.in_pareto_chart())
         .collect();
 
-    let single_descs: Vec<DramDescription> = params
-        .iter()
-        .map(|&p| perturbed(desc, p, factor))
-        .collect();
+    let single_descs: Vec<DramDescription> =
+        params.iter().map(|&p| perturbed(desc, p, factor)).collect();
     let single_powers = engine.map(&single_descs, |d| power_of(engine, d));
     let mut singles = Vec::with_capacity(params.len());
     for p in single_powers {
@@ -626,11 +624,19 @@ mod engine_tests {
         let serial = sweep_with(&EvalEngine::new().threads(1), &desc, 0.2).expect("runs");
         for n in [2, 4, 16] {
             let parallel = sweep_with(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
-            assert_eq!(serial.baseline_watts.to_bits(), parallel.baseline_watts.to_bits());
+            assert_eq!(
+                serial.baseline_watts.to_bits(),
+                parallel.baseline_watts.to_bits()
+            );
             for (a, b) in serial.entries.iter().zip(&parallel.entries) {
                 assert_eq!(a.param, b.param);
                 assert_eq!(a.up.to_bits(), b.up.to_bits(), "{} threads={n}", a.param);
-                assert_eq!(a.down.to_bits(), b.down.to_bits(), "{} threads={n}", a.param);
+                assert_eq!(
+                    a.down.to_bits(),
+                    b.down.to_bits(),
+                    "{} threads={n}",
+                    a.param
+                );
             }
         }
     }
@@ -667,7 +673,11 @@ mod engine_tests {
         let first = sweep_with(&engine, &desc, 0.2).expect("runs");
         let misses = engine.cache_stats().misses;
         let second = sweep_with(&engine, &desc, 0.2).expect("runs");
-        assert_eq!(engine.cache_stats().misses, misses, "second sweep rebuilt models");
+        assert_eq!(
+            engine.cache_stats().misses,
+            misses,
+            "second sweep rebuilt models"
+        );
         assert_eq!(first, second);
     }
 
@@ -690,7 +700,10 @@ mod engine_tests {
                 assert_eq!(hits, 1, "{a} × {b}");
             }
         }
-        assert!(m.of(ParamId::Vdd, ParamId::Vint).is_none(), "Vdd is off-chart");
+        assert!(
+            m.of(ParamId::Vdd, ParamId::Vint).is_none(),
+            "Vdd is off-chart"
+        );
     }
 
     /// Matrix entries agree bit-for-bit with pairwise `interaction()`.
@@ -703,8 +716,14 @@ mod engine_tests {
         // physically coupled bitline pair) against individual calls.
         let picks = [
             (m.entries[0].a, m.entries[0].b),
-            (m.entries[m.entries.len() / 2].a, m.entries[m.entries.len() / 2].b),
-            (m.entries[m.entries.len() - 1].a, m.entries[m.entries.len() - 1].b),
+            (
+                m.entries[m.entries.len() / 2].a,
+                m.entries[m.entries.len() / 2].b,
+            ),
+            (
+                m.entries[m.entries.len() - 1].a,
+                m.entries[m.entries.len() - 1].b,
+            ),
             (ParamId::BitlineCap, ParamId::Vbl),
         ];
         for (a, b) in picks {
@@ -747,13 +766,18 @@ mod engine_tests {
         let desc = ddr3_1g_x16_55nm();
         for n in [1, 8] {
             let fast = sweep_with(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
-            let full = sweep_with_full_rebuild(&EvalEngine::new().threads(n), &desc, 0.2)
-                .expect("runs");
+            let full =
+                sweep_with_full_rebuild(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
             assert_eq!(fast.baseline_watts.to_bits(), full.baseline_watts.to_bits());
             for (a, b) in fast.entries.iter().zip(&full.entries) {
                 assert_eq!(a.param, b.param);
                 assert_eq!(a.up.to_bits(), b.up.to_bits(), "{} threads={n}", a.param);
-                assert_eq!(a.down.to_bits(), b.down.to_bits(), "{} threads={n}", a.param);
+                assert_eq!(
+                    a.down.to_bits(),
+                    b.down.to_bits(),
+                    "{} threads={n}",
+                    a.param
+                );
             }
         }
     }
@@ -770,7 +794,13 @@ mod engine_tests {
         for (a, b) in fast.entries.iter().zip(&full.entries) {
             assert_eq!((a.a, a.b), (b.a, b.b));
             assert_eq!(a.joint.to_bits(), b.joint.to_bits(), "{} × {}", a.a, a.b);
-            assert_eq!(a.composed.to_bits(), b.composed.to_bits(), "{} × {}", a.a, a.b);
+            assert_eq!(
+                a.composed.to_bits(),
+                b.composed.to_bits(),
+                "{} × {}",
+                a.a,
+                a.b
+            );
         }
     }
 
@@ -778,16 +808,22 @@ mod engine_tests {
     #[test]
     fn matrix_is_bit_identical_across_thread_counts() {
         let desc = ddr3_1g_x16_55nm();
-        let serial = interaction_matrix_with(&EvalEngine::new().threads(1), &desc, 0.2)
-            .expect("runs");
-        let parallel = interaction_matrix_with(&EvalEngine::new().threads(4), &desc, 0.2)
-            .expect("runs");
+        let serial =
+            interaction_matrix_with(&EvalEngine::new().threads(1), &desc, 0.2).expect("runs");
+        let parallel =
+            interaction_matrix_with(&EvalEngine::new().threads(4), &desc, 0.2).expect("runs");
         assert_eq!(serial.entries.len(), parallel.entries.len());
         for (a, b) in serial.entries.iter().zip(&parallel.entries) {
             assert_eq!(a.a, b.a);
             assert_eq!(a.b, b.b);
             assert_eq!(a.joint.to_bits(), b.joint.to_bits(), "{} × {}", a.a, a.b);
-            assert_eq!(a.composed.to_bits(), b.composed.to_bits(), "{} × {}", a.a, a.b);
+            assert_eq!(
+                a.composed.to_bits(),
+                b.composed.to_bits(),
+                "{} × {}",
+                a.a,
+                a.b
+            );
         }
     }
 }

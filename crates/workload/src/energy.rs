@@ -403,10 +403,19 @@ mod tests {
             // over the idle gaps: before each command and after the last.
             let policy = PowerDownPolicy::AGGRESSIVE;
             let trace = &random.trace;
-            let starts = trace.commands().iter().map(|c| c.cycle).chain([trace.cycles()]);
-            let ends = [0].into_iter().chain(trace.commands().iter().map(|c| c.cycle + 1));
+            let starts = trace
+                .commands()
+                .iter()
+                .map(|c| c.cycle)
+                .chain([trace.cycles()]);
+            let ends = [0]
+                .into_iter()
+                .chain(trace.commands().iter().map(|c| c.cycle + 1));
             let mut pd = 0u64;
-            for gap in starts.zip(ends).map(|(start, end)| start.saturating_sub(end)) {
+            for gap in starts
+                .zip(ends)
+                .map(|(start, end)| start.saturating_sub(end))
+            {
                 if gap > policy.threshold_cycles {
                     pd += gap
                         .saturating_sub(policy.threshold_cycles)
@@ -584,7 +593,8 @@ mod tests {
                 Pattern::new((0..len).map(|_| *rng.pick(&KINDS)).collect()).expect("non-empty")
             }));
             for pattern in patterns {
-                let slots: Vec<(u64, Command)> = (0u64..).zip(pattern.slots().iter().copied()).collect();
+                let slots: Vec<(u64, Command)> =
+                    (0u64..).zip(pattern.slots().iter().copied()).collect();
                 let schedule = bank0_trace(&slots, pattern.len() as u64);
                 let slotted = dram.pattern_power(&pattern).power.watts();
                 let timed = dram.timed_pattern_power(&schedule).power.watts();

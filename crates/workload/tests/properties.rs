@@ -71,7 +71,10 @@ fn accounting_is_consistent() {
             "{spec:?}"
         );
         let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal");
-        assert!(pd.energy.joules() <= base.energy.joules() + 1e-15, "{spec:?}");
+        assert!(
+            pd.energy.joules() <= base.energy.joules() + 1e-15,
+            "{spec:?}"
+        );
     }
 }
 
@@ -104,7 +107,9 @@ fn trace_text_roundtrip() {
             Ok(())
         };
         let mut decoder = TraceDecoder::new();
-        decoder.feed(text.as_bytes(), &mut sink).expect("own output decodes");
+        decoder
+            .feed(text.as_bytes(), &mut sink)
+            .expect("own output decodes");
         decoder.finish(&mut sink).expect("own output decodes");
         assert_eq!(commands, trace.commands(), "{text}");
         assert_eq!(length, Some(trace.cycles()), "{text}");
@@ -139,8 +144,11 @@ fn closed_page_command_energy_dominates_open() {
     for _ in 0..CASES {
         let seed = r.next_u64();
         let open = generate(&dram, &WorkloadSpec::streaming(150, seed)).expect("ok");
-        let closed =
-            generate(&dram, &WorkloadSpec::streaming(150, seed).with_closed_page()).expect("ok");
+        let closed = generate(
+            &dram,
+            &WorkloadSpec::streaming(150, seed).with_closed_page(),
+        )
+        .expect("ok");
         let e_open = simulate(&dram, &open.trace, PowerDownPolicy::NEVER)
             .expect("legal")
             .command_energy;

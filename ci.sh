@@ -21,7 +21,8 @@ cargo test --workspace --release -q --offline
 if [[ $fast -eq 0 ]]; then
   echo "==> cargo fmt --check (the crates kept rustfmt-clean)"
   # A crate joins this list once it is formatted; the rest are not yet.
-  cargo fmt -p dram-dsl -p dram-units -p dram-datasheet -p dram-faults -p dram-scaling -- --check
+  cargo fmt -p dram-dsl -p dram-units -p dram-datasheet -p dram-faults -p dram-scaling \
+    -p dram-workload -p dram-schemes -p dram-sensitivity -- --check
 
   echo "==> cargo clippy (deny warnings)"
   cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -537,8 +538,9 @@ if [[ $fast -eq 0 ]]; then
   echo "    $chaos_json written (invariants hold, $respawns worker respawns)"
 
   echo "==> sweep-bench smoke (differential vs full rebuilds, writes $bench_out/BENCH_sweep.json)"
-  # A reduced run of both paths; sweep-bench itself exits non-zero if the
-  # differential results are not bit-identical to full rebuilds.
+  # A reduced run of both paths, each timed 5 to 9 times; sweep-bench
+  # itself exits non-zero if the differential results are not
+  # bit-identical to full rebuilds.
   sweep_json=$bench_out/BENCH_sweep.json
   ./target/release/sweep-bench --quick --out "$sweep_json" > /dev/null
   bench_doc "$sweep_json" sweep
@@ -549,7 +551,13 @@ if [[ $fast -eq 0 ]]; then
   phases_skipped=$(sed -n 's|.*"values":{.*"phases_skipped":\([0-9]*\).*|\1|p' "$sweep_json")
   [[ -n "$phases_skipped" && "$phases_skipped" -ge 1 ]] \
     || { echo "    differential path skipped no build phases (got: ${phases_skipped:-none})"; exit 1; }
-  # Each speedup is the ratio of the two paths' median times.
+  # Each speedup is the ratio of the two paths' median times, and no
+  # record may rest on fewer than 5 samples.
+  for record in sweep/full_rebuild sweep/differential interaction_matrix/full_rebuild \
+    interaction_matrix/differential; do
+    n=$(sed -n "s|.*{\"name\":\"$record\",[^}]*\"n\":\([0-9]*\),.*|\1|p" "$sweep_json")
+    [[ -n "$n" && "$n" -ge 5 ]] || { echo "    $record was timed ${n:-no} times (want >= 5)"; exit 1; }
+  done
   sweep_speedup=$(sed -n 's|.*"values":{.*"sweep_speedup":\([0-9.]*\).*|\1|p' "$sweep_json")
   matrix_speedup=$(sed -n 's|.*"values":{.*"interaction_matrix_speedup":\([0-9.]*\).*|\1|p' "$sweep_json")
   awk -v s="${sweep_speedup:-0}" -v m="${matrix_speedup:-0}" 'BEGIN { exit !(s >= 1.0 && m >= 1.0) }' \

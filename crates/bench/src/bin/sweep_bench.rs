@@ -87,8 +87,12 @@ fn speedup(full: &Record, fast: &Record) -> f64 {
 
 fn main() {
     let args = parse_args().unwrap_or_else(|msg| exit_usage(&msg, USAGE));
+    // `--quick` still times each path at least 5 times: the slowest, the
+    // full-rebuild interaction matrix, takes about 20 ms on a 2-vCPU
+    // host, so the budget leaves room for runs five times slower before
+    // `n` drops under 5; the cap keeps the sample odd at its full size.
     let (budget, max_iters) = if args.quick {
-        (Duration::from_millis(1), 1)
+        (Duration::from_millis(500), 9)
     } else {
         (Duration::from_secs(2), 20)
     };

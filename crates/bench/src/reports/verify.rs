@@ -3,11 +3,11 @@
 //! pass/fail verdict — the executive summary of EXPERIMENTS.md.
 
 use dram_core::Dram;
-use dram_datasheet::corpus::{configurations, envelope, IddMeasure, DDR2_1GB, DDR3_1GB};
 use dram_scaling::presets::{ddr3_1g_55nm, ddr3_2g_55nm, ddr5_16g_18nm, sdr_128m_170nm};
 use dram_scaling::trends::{energy_reduction_per_generation, energy_trends};
 use dram_sensitivity::{sweep, ParamId};
 
+use crate::reports::fig08_09;
 use crate::Table;
 
 struct Check {
@@ -21,92 +21,25 @@ fn in_band(value: f64, lo: f64, hi: f64) -> bool {
     (lo..=hi).contains(&value)
 }
 
-fn datasheet_points(
-    corpus: &[dram_datasheet::DatasheetEntry],
-    model: impl Fn(u32, u32, IddMeasure) -> f64,
-    idd0_guard: f64,
-) -> (usize, usize) {
-    let mut ok = 0;
-    let mut total = 0;
-    for (io, rate) in configurations(corpus) {
-        for m in IddMeasure::PLOTTED {
-            let env = envelope(corpus, io, rate, m).expect("config");
-            let guard = if m == IddMeasure::Idd0 {
-                idd0_guard
-            } else {
-                1.35
-            };
-            total += 1;
-            if env.accepts(model(io, rate, m), guard) {
-                ok += 1;
-            }
-        }
-    }
-    (ok, total)
-}
-
 /// Generates the verification summary.
 #[must_use]
 pub fn generate() -> String {
     let mut checks: Vec<Check> = Vec::new();
 
     // --- datasheet verification (Fig. 8/9) -----------------------------
-    let model_current = |interface, feature, io, rate, m: IddMeasure| -> f64 {
-        use dram_scaling::presets::{build, with_datarate, PresetSpec};
-        let desc = build(&PresetSpec {
-            feature_nm: feature,
-            interface,
-            density_mbit: 1024,
-            io_width: io,
+    for (claim, points) in [
+        ("Fig. 8: DDR2 currents inside vendor spread", fig08_09::ddr2_points()),
+        ("Fig. 9: DDR3 currents inside vendor spread", fig08_09::ddr3_points()),
+    ] {
+        let ok = points.iter().filter(|p| p.accepted).count();
+        let total = points.len();
+        checks.push(Check {
+            claim,
+            band: format!("{total}/{total} points"),
+            measured: format!("{ok}/{total}"),
+            pass: ok == total,
         });
-        let desc = with_datarate(desc, dram_units::BitsPerSecond::from_mbps(f64::from(rate)));
-        let idd = Dram::new(desc).expect("valid").idd();
-        match m {
-            IddMeasure::Idd0 => idd.idd0,
-            IddMeasure::Idd2n => idd.idd2n,
-            IddMeasure::Idd4r => idd.idd4r,
-            IddMeasure::Idd4w => idd.idd4w,
-        }
-        .milliamperes()
-    };
-    let (ok2, tot2) = datasheet_points(
-        &DDR2_1GB,
-        |io, rate, m| {
-            let a = model_current(dram_scaling::Interface::Ddr2, 75.0, io, rate, m);
-            let b = model_current(dram_scaling::Interface::Ddr2, 65.0, io, rate, m);
-            if (a - 100.0).abs() < (b - 100.0).abs() {
-                a
-            } else {
-                b
-            }
-        },
-        2.0,
-    );
-    checks.push(Check {
-        claim: "Fig. 8: DDR2 currents inside vendor spread",
-        band: format!("{tot2}/{tot2} points"),
-        measured: format!("{ok2}/{tot2}"),
-        pass: ok2 == tot2,
-    });
-    let (ok3, tot3) = datasheet_points(
-        &DDR3_1GB,
-        |io, rate, m| {
-            let a = model_current(dram_scaling::Interface::Ddr3, 65.0, io, rate, m);
-            let b = model_current(dram_scaling::Interface::Ddr3, 55.0, io, rate, m);
-            if (a - 100.0).abs() < (b - 100.0).abs() {
-                a
-            } else {
-                b
-            }
-        },
-        1.35,
-    );
-    checks.push(Check {
-        claim: "Fig. 9: DDR3 currents inside vendor spread",
-        band: format!("{tot3}/{tot3} points"),
-        measured: format!("{ok3}/{tot3}"),
-        pass: ok3 == tot3,
-    });
+    }
 
     // --- sensitivity (Fig. 10, Table III) ------------------------------
     let mut vint_first = true;

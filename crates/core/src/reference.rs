@@ -16,60 +16,79 @@ use crate::params::{
     SignalSpec, SignalingFloorplan, Specification, Technology, Timing, WireCount,
 };
 
-/// The center-stripe block of the canonical floorplan (paper notation
-/// `3_2`: middle column, middle row).
-pub const CENTER: BlockCoord = BlockCoord { x: 3, y: 2 };
-
-/// A representative column-logic block (under a middle-distance bank) used
-/// as the endpoint of data/address runs; averaging over the four bank
-/// columns gives about this distance.
-pub const COLUMN_LOGIC: BlockCoord = BlockCoord { x: 4, y: 1 };
-
-/// A representative row-logic block next to a far bank.
-pub const ROW_LOGIC: BlockCoord = BlockCoord { x: 5, y: 0 };
-
-/// Builds the canonical signaling floorplan of Fig. 1: write and read data
-/// buses with a 1:8 (de)serializer at the center pads and re-drivers along
-/// the way, address and control buses from the center stripe, and the
-/// clock distribution.
+/// Builds the canonical signaling floorplan of Fig. 1 for a grid of
+/// `bank_cols` × `bank_rows` banks: write and read data buses with a 1:8
+/// (de)serializer at the center pads and re-drivers along the way,
+/// address and control buses from the center stripe, and the clock
+/// distribution. Every buffer width is scaled by `misc`, the
+/// miscellaneous-logic width factor of a roadmap node. The reference
+/// device is the 4 × 2 grid at `misc` 1.0, whose center-stripe block is
+/// the paper's `3_2`.
 #[must_use]
-pub fn canonical_signaling() -> SignalingFloorplan {
-    let big_buffer = BufferDevice {
-        nmos_width: Meters::from_um(9.6),
-        pmos_width: Meters::from_um(19.2),
+pub fn canonical_signaling(bank_cols: usize, bank_rows: usize, misc: f64) -> SignalingFloorplan {
+    let h_len = 2 * bank_cols - 1;
+    let v_len = if bank_rows == 2 { 5 } else { 9 };
+    let h_mid = bank_cols - 1; // always an odd (P) column for even cols
+    let v_mid = v_len / 2; // the P2 center stripe row
+    let center = BlockCoord::new(h_mid, v_mid);
+    // A representative column-logic block under a middle-distance bank,
+    // the endpoint of data and column-address runs (averaging over the
+    // bank columns gives about this distance), and a representative
+    // row-logic block next to a far bank.
+    let column_logic = BlockCoord::new((h_mid + 1).min(h_len - 1), v_mid - 1);
+    let row_logic = BlockCoord::new((h_mid + 2).min(h_len - 2), 0);
+
+    let buf = |w_um: f64| BufferDevice {
+        nmos_width: Meters::from_um(w_um * misc),
+        pmos_width: Meters::from_um(2.0 * w_um * misc),
     };
-    let small_buffer = BufferDevice {
-        nmos_width: Meters::from_um(4.8),
-        pmos_width: Meters::from_um(9.6),
-    };
+    let big = buf(9.6);
+    let small = buf(4.8);
+
     let data_segments = vec![
         // Serializer/deserializer and pad-local routing in the center
         // stripe (the paper's `DataW0 inside=0_2 fraction=25% dir=h
-        // mux=1:8`, transplanted to the center block of our grid).
+        // mux=1:8`, transplanted to the center block of the grid).
         SegmentSpec::Inside {
-            at: CENTER,
+            at: center,
             fraction: 0.25,
             dir: Axis::Horizontal,
-            buffer: Some(big_buffer),
+            buffer: Some(big),
             mux: Some(8),
         },
         // Run along the center stripe and turn into the column logic of
-        // the target bank (average distance over the four bank columns).
+        // the target bank.
         SegmentSpec::Between {
-            from: CENTER,
-            to: COLUMN_LOGIC,
-            buffer: Some(big_buffer),
+            from: center,
+            to: column_logic,
+            buffer: Some(big),
         },
         // Distribution inside the column logic stripe to the master array
         // dataline heads.
         SegmentSpec::Inside {
-            at: COLUMN_LOGIC,
+            at: column_logic,
             fraction: 0.5,
             dir: Axis::Horizontal,
-            buffer: Some(small_buffer),
+            buffer: Some(small),
             mux: None,
         },
     ];
+    let addr = |to: BlockCoord| {
+        vec![
+            SegmentSpec::Inside {
+                at: center,
+                fraction: 0.25,
+                dir: Axis::Horizontal,
+                buffer: Some(small),
+                mux: None,
+            },
+            SegmentSpec::Between {
+                from: center,
+                to,
+                buffer: Some(small),
+            },
+        ]
+    };
     SignalingFloorplan {
         signals: vec![
             SignalSpec {
@@ -91,40 +110,14 @@ pub fn canonical_signaling() -> SignalingFloorplan {
                 class: SignalClass::RowAddress,
                 wires: WireCount::RowAddressBits,
                 toggle_rate: 0.5,
-                segments: vec![
-                    SegmentSpec::Inside {
-                        at: CENTER,
-                        fraction: 0.25,
-                        dir: Axis::Horizontal,
-                        buffer: Some(small_buffer),
-                        mux: None,
-                    },
-                    SegmentSpec::Between {
-                        from: CENTER,
-                        to: ROW_LOGIC,
-                        buffer: Some(small_buffer),
-                    },
-                ],
+                segments: addr(row_logic),
             },
             SignalSpec {
                 name: "ColAddr".into(),
                 class: SignalClass::ColumnAddress,
                 wires: WireCount::ColumnAddressBits,
                 toggle_rate: 0.5,
-                segments: vec![
-                    SegmentSpec::Inside {
-                        at: CENTER,
-                        fraction: 0.25,
-                        dir: Axis::Horizontal,
-                        buffer: Some(small_buffer),
-                        mux: None,
-                    },
-                    SegmentSpec::Between {
-                        from: CENTER,
-                        to: COLUMN_LOGIC,
-                        buffer: Some(small_buffer),
-                    },
-                ],
+                segments: addr(column_logic),
             },
             SignalSpec {
                 name: "BankAddr".into(),
@@ -132,10 +125,10 @@ pub fn canonical_signaling() -> SignalingFloorplan {
                 wires: WireCount::BankAddressBits,
                 toggle_rate: 0.5,
                 segments: vec![SegmentSpec::Inside {
-                    at: CENTER,
+                    at: center,
                     fraction: 0.3,
                     dir: Axis::Horizontal,
-                    buffer: Some(small_buffer),
+                    buffer: Some(small),
                     mux: None,
                 }],
             },
@@ -145,10 +138,10 @@ pub fn canonical_signaling() -> SignalingFloorplan {
                 wires: WireCount::ControlSignals,
                 toggle_rate: 0.25,
                 segments: vec![SegmentSpec::Inside {
-                    at: CENTER,
+                    at: center,
                     fraction: 0.5,
                     dir: Axis::Horizontal,
-                    buffer: Some(small_buffer),
+                    buffer: Some(small),
                     mux: None,
                 }],
             },
@@ -160,16 +153,16 @@ pub fn canonical_signaling() -> SignalingFloorplan {
                 toggle_rate: 2.0,
                 segments: vec![
                     SegmentSpec::Inside {
-                        at: CENTER,
+                        at: center,
                         fraction: 1.0,
                         dir: Axis::Horizontal,
-                        buffer: Some(big_buffer),
+                        buffer: Some(big),
                         mux: None,
                     },
                     SegmentSpec::Between {
-                        from: CENTER,
-                        to: COLUMN_LOGIC,
-                        buffer: Some(small_buffer),
+                        from: center,
+                        to: column_logic,
+                        buffer: Some(small),
                     },
                 ],
             },
@@ -278,7 +271,7 @@ pub fn ddr3_1g_x16_55nm() -> DramDescription {
                 ("P2".to_string(), Meters::from_um(530.0)),
             ]),
         },
-        signaling: canonical_signaling(),
+        signaling: canonical_signaling(4, 2, 1.0),
         technology: Technology {
             tox_logic: Meters::from_nm(5.0),
             tox_high_voltage: Meters::from_nm(7.0),
@@ -371,7 +364,7 @@ mod tests {
 
     #[test]
     fn signaling_covers_all_classes() {
-        let s = canonical_signaling();
+        let s = canonical_signaling(4, 2, 1.0);
         for class in SignalClass::ALL {
             assert!(
                 s.of_class(class).count() > 0,

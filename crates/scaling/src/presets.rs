@@ -6,11 +6,10 @@
 use std::collections::BTreeMap;
 
 use dram_core::params::{
-    Axis, BitlineArchitecture, BlockCoord, BufferDevice, DeviceGeometry, DramDescription,
-    Electrical, PhysicalFloorplan, SegmentSpec, SignalClass, SignalSpec, SignalingFloorplan,
+    Axis, BitlineArchitecture, DeviceGeometry, DramDescription, Electrical, PhysicalFloorplan,
     Specification,
 };
-use dram_core::reference::{canonical_logic_blocks, ddr3_1g_x16_55nm};
+use dram_core::reference::{canonical_logic_blocks, canonical_signaling, ddr3_1g_x16_55nm};
 use dram_units::{Amperes, Meters};
 
 use crate::curves::ScalingParam;
@@ -240,7 +239,7 @@ pub fn build(spec: &PresetSpec) -> DramDescription {
         })
         .collect();
 
-    let signaling = generate_signaling(bank_cols, bank_rows, misc);
+    let signaling = canonical_signaling(bank_cols, bank_rows, misc);
 
     let density_name = if spec.density_mbit >= 1024 {
         format!("{}Gb", spec.density_mbit / 1024)
@@ -261,144 +260,6 @@ pub fn build(spec: &PresetSpec) -> DramDescription {
         spec: spec_out,
         timing: iface.timing(),
         logic_blocks,
-    }
-}
-
-/// Generates the canonical signaling floorplan for a bank grid: data and
-/// address buses from the center stripe to representative blocks, plus
-/// control and clock distribution (mirrors
-/// [`dram_core::reference::canonical_signaling`] for arbitrary grids).
-fn generate_signaling(bank_cols: usize, bank_rows: usize, misc: f64) -> SignalingFloorplan {
-    let h_len = 2 * bank_cols - 1;
-    let v_len = if bank_rows == 2 { 5 } else { 9 };
-    let h_mid = bank_cols - 1; // always an odd (P) column for even cols
-    let v_mid = v_len / 2; // the P2 center stripe row
-    let center = BlockCoord::new(h_mid, v_mid);
-    let column_logic = BlockCoord::new((h_mid + 1).min(h_len - 1), v_mid - 1);
-    let row_logic = BlockCoord::new((h_mid + 2).min(h_len - 2), 0);
-
-    let buf = |w_um: f64| BufferDevice {
-        nmos_width: Meters::from_um(w_um * misc),
-        pmos_width: Meters::from_um(2.0 * w_um * misc),
-    };
-    let big = buf(9.6);
-    let small = buf(4.8);
-
-    let data_segments = vec![
-        SegmentSpec::Inside {
-            at: center,
-            fraction: 0.25,
-            dir: Axis::Horizontal,
-            buffer: Some(big),
-            mux: Some(8),
-        },
-        SegmentSpec::Between {
-            from: center,
-            to: column_logic,
-            buffer: Some(big),
-        },
-        SegmentSpec::Inside {
-            at: column_logic,
-            fraction: 0.5,
-            dir: Axis::Horizontal,
-            buffer: Some(small),
-            mux: None,
-        },
-    ];
-    let addr = |to: BlockCoord| {
-        vec![
-            SegmentSpec::Inside {
-                at: center,
-                fraction: 0.25,
-                dir: Axis::Horizontal,
-                buffer: Some(small),
-                mux: None,
-            },
-            SegmentSpec::Between {
-                from: center,
-                to,
-                buffer: Some(small),
-            },
-        ]
-    };
-    use dram_core::params::WireCount;
-    SignalingFloorplan {
-        signals: vec![
-            SignalSpec {
-                name: "DataW".into(),
-                class: SignalClass::WriteData,
-                wires: WireCount::PerIo,
-                toggle_rate: 0.5,
-                segments: data_segments.clone(),
-            },
-            SignalSpec {
-                name: "DataR".into(),
-                class: SignalClass::ReadData,
-                wires: WireCount::PerIo,
-                toggle_rate: 0.5,
-                segments: data_segments,
-            },
-            SignalSpec {
-                name: "RowAddr".into(),
-                class: SignalClass::RowAddress,
-                wires: WireCount::RowAddressBits,
-                toggle_rate: 0.5,
-                segments: addr(row_logic),
-            },
-            SignalSpec {
-                name: "ColAddr".into(),
-                class: SignalClass::ColumnAddress,
-                wires: WireCount::ColumnAddressBits,
-                toggle_rate: 0.5,
-                segments: addr(column_logic),
-            },
-            SignalSpec {
-                name: "BankAddr".into(),
-                class: SignalClass::BankAddress,
-                wires: WireCount::BankAddressBits,
-                toggle_rate: 0.5,
-                segments: vec![SegmentSpec::Inside {
-                    at: center,
-                    fraction: 0.3,
-                    dir: Axis::Horizontal,
-                    buffer: Some(small),
-                    mux: None,
-                }],
-            },
-            SignalSpec {
-                name: "Control".into(),
-                class: SignalClass::Control,
-                wires: WireCount::ControlSignals,
-                toggle_rate: 0.25,
-                segments: vec![SegmentSpec::Inside {
-                    at: center,
-                    fraction: 0.5,
-                    dir: Axis::Horizontal,
-                    buffer: Some(small),
-                    mux: None,
-                }],
-            },
-            SignalSpec {
-                name: "Clock".into(),
-                class: SignalClass::Clock,
-                wires: WireCount::ClockWires,
-                toggle_rate: 2.0,
-                segments: vec![
-                    SegmentSpec::Inside {
-                        at: center,
-                        fraction: 1.0,
-                        dir: Axis::Horizontal,
-                        buffer: Some(big),
-                        mux: None,
-                    },
-                    SegmentSpec::Between {
-                        from: center,
-                        to: column_logic,
-                        buffer: Some(small),
-                    },
-                ],
-            },
-        ],
     }
 }
 

@@ -21,8 +21,8 @@ use dram_core::{
 };
 use dram_units::json::{obj, Value};
 use dram_workload::{
-    PowerDownPolicy, StreamFold, TraceCommand, TraceDecoder, TraceError, TraceErrorKind,
-    TraceEvent, TraceReport, TraceSink, TraceState,
+    PowerDownPolicy, StreamFold, TraceDecoder, TraceDevice, TraceError, TraceErrorKind,
+    TraceReport, TraceSession, TraceState,
 };
 
 use crate::http::{self, ChunkedBody, Request, Response};
@@ -500,39 +500,36 @@ fn trace_error_response(e: &TraceError) -> Response {
     )
 }
 
-/// The [`TraceSink`] of one `/v1/trace` request: resolves the preset
-/// from the `?preset=` query or the `!preset` directive, defers building
-/// the [`StreamFold`] to the first command (directives may still change
-/// the device or policy before then), and accumulates the cache activity
-/// its one model lookup causes. Every command after the first goes
-/// straight to the fold.
-struct TraceSession {
-    activity: CacheActivity,
+/// The [`TraceDevice`] of one `/v1/trace` request: the preset the
+/// `?preset=` query or a `!preset` directive names, and the cache
+/// activity of the one model lookup its fold makes.
+#[derive(Default)]
+struct ServedPreset {
     preset: Option<&'static Preset>,
-    policy: PowerDownPolicy,
-    fold: Option<StreamFold>,
-    length: Option<u64>,
+    activity: CacheActivity,
 }
 
-impl TraceSession {
-    fn new(req: &Request) -> Result<Self, Response> {
-        let preset = match req.query_param("preset") {
-            Some(name) => Some(preset(name).map_err(|msg| Response::error(400, &msg))?),
-            None => None,
-        };
-        Ok(Self {
-            activity: CacheActivity::default(),
+impl ServedPreset {
+    /// A session for `req`, starting from its `?preset=` query.
+    fn session(req: &Request) -> Result<TraceSession<Self>, Response> {
+        let preset = req.query_param("preset").map(preset).transpose();
+        let preset = preset.map_err(|msg| Response::error(400, &msg))?;
+        Ok(TraceSession::new(Self {
             preset,
-            policy: PowerDownPolicy::NEVER,
-            fold: None,
-            length: None,
-        })
+            ..Self::default()
+        }))
+    }
+}
+
+impl TraceDevice for ServedPreset {
+    fn preset(&mut self, name: &str) -> Result<(), TraceError> {
+        self.preset = Some(presets::get(name).ok_or_else(|| {
+            TraceError::new(TraceErrorKind::Syntax, format!("unknown preset `{name}`"))
+        })?);
+        Ok(())
     }
 
-    /// Builds the fold through the model cache, then folds the first
-    /// command into it.
-    #[inline(never)]
-    fn first_command(&mut self, command: TraceCommand) -> Result<(), TraceError> {
+    fn fold(&mut self, policy: PowerDownPolicy) -> Result<StreamFold, TraceError> {
         let Some(preset) = self.preset else {
             return Err(TraceError::new(
                 TraceErrorKind::Syntax,
@@ -542,91 +539,41 @@ impl TraceSession {
         let (dram, _) = Device::Preset(preset)
             .model(&mut self.activity)
             .map_err(|e| TraceError::new(TraceErrorKind::Syntax, model_error_message(&e)))?;
-        self.fold
-            .insert(StreamFold::new(&dram, self.policy))
-            .push(command)
-    }
-
-    /// Flushes the decoder's last line and closes the fold into the
-    /// response, leaving the session usable so the caller can still
-    /// collect [`Self::activity`] afterwards.
-    fn finish_response(&mut self, decoder: &mut TraceDecoder) -> Response {
-        if let Err(e) = decoder.finish(self) {
-            return trace_error_response(&e);
-        }
-        let Some(fold) = self.fold.take() else {
-            return trace_error_response(&TraceError::new(
-                TraceErrorKind::Syntax,
-                "trace contains no commands",
-            ));
-        };
-        let name = self.preset.map_or("", Preset::name);
-        let commands = fold.commands();
-        match fold.finish(self.length) {
-            Ok(report) => Response::json(
-                200,
-                trace_document(name, &report, commands, decoder.bytes_fed()).to_string(),
-            ),
-            Err(e) => trace_error_response(&e),
-        }
+        Ok(StreamFold::new(&dram, policy))
     }
 }
 
-impl TraceSink for TraceSession {
-    #[inline]
-    fn command(&mut self, command: TraceCommand) -> Result<(), TraceError> {
-        match &mut self.fold {
-            Some(fold) => fold.push(command),
-            None => self.first_command(command),
+/// The response to a trace body: the decoder's verdict on what it was
+/// `fed`, else the session closed into the report.
+fn trace_response(
+    fed: Result<(), TraceError>,
+    session: &mut TraceSession<ServedPreset>,
+    decoder: &mut TraceDecoder,
+) -> Response {
+    match fed.and_then(|()| session.finish(decoder)) {
+        Ok((commands, report)) => {
+            let name = session.device().preset.map_or("", Preset::name);
+            Response::json(
+                200,
+                trace_document(name, &report, commands, decoder.bytes_fed()).to_string(),
+            )
         }
-    }
-
-    fn directive(&mut self, directive: TraceEvent) -> Result<(), TraceError> {
-        match directive {
-            TraceEvent::Preset(name) => {
-                if self.fold.is_some() {
-                    return Err(TraceError::new(
-                        TraceErrorKind::BadTransition,
-                        "!preset must precede the first command",
-                    ));
-                }
-                let preset = presets::get(&name).ok_or_else(|| {
-                    TraceError::new(TraceErrorKind::Syntax, format!("unknown preset `{name}`"))
-                })?;
-                self.preset = Some(preset);
-                Ok(())
-            }
-            TraceEvent::Policy(policy) => match self.fold.as_mut() {
-                Some(fold) => fold.set_policy(policy),
-                None => {
-                    self.policy = policy;
-                    Ok(())
-                }
-            },
-            TraceEvent::Length(cycles) => {
-                self.length = Some(cycles);
-                Ok(())
-            }
-            TraceEvent::Command(command) => self.command(command),
-        }
+        Err(e) => trace_error_response(&e),
     }
 }
 
 /// `POST /v1/trace` with the body already in memory (a request framed
-/// with `Content-Length`). The decoder and fold are the same as the
-/// streaming path, so results are byte-identical whatever the framing.
+/// with `Content-Length`). The decoder and session are the same as the
+/// streaming path's, so results are byte-identical whatever the framing.
 fn trace_buffered(req: &Request, activity: &mut CacheActivity) -> Response {
-    let mut session = match TraceSession::new(req) {
+    let mut session = match ServedPreset::session(req) {
         Ok(s) => s,
         Err(r) => return r,
     };
     let mut decoder = TraceDecoder::new();
-    let response = match decoder.feed(&req.body, &mut session) {
-        Ok(()) => session.finish_response(&mut decoder),
-        Err(e) => trace_error_response(&e),
-    };
-    activity.hits += session.activity.hits;
-    activity.misses += session.activity.misses;
+    let fed = decoder.feed(&req.body, &mut session);
+    let response = trace_response(fed, &mut session, &mut decoder);
+    *activity = session.device().activity;
     response
 }
 
@@ -644,7 +591,7 @@ pub fn handle_trace_stream(
     stream: &mut TcpStream,
     body: &mut ChunkedBody,
 ) -> (Response, CacheActivity) {
-    let mut session = match TraceSession::new(req) {
+    let mut session = match ServedPreset::session(req) {
         Ok(s) => s,
         Err(r) => return (r, CacheActivity::default()),
     };
@@ -656,11 +603,11 @@ pub fn handle_trace_stream(
                     break trace_error_response(&e);
                 }
             }
-            Ok(None) => break session.finish_response(&mut decoder),
+            Ok(None) => break trace_response(Ok(()), &mut session, &mut decoder),
             Err(e) => break Response::error(e.status(), &e.message()),
         }
     };
-    (response, session.activity)
+    (response, session.device().activity)
 }
 
 /// The `Value`-building renderers the text writers replaced: the

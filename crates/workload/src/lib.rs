@@ -9,9 +9,11 @@
 //! which the datasheet loops share — read as a finite sequence. Trace
 //! text has one grammar, the one `POST /v1/trace` reads:
 //! [`TraceDecoder`] is its one reader, handing what it decodes to a
-//! [`TraceSink`], and [`write_trace`] renders a schedule in it. Every trace — buffered or streamed — is billed by one
-//! fold, [`StreamFold`]; [`simulate`] drives it over a schedule, and
-//! every trace's bank timing is checked by `dram-core`'s one
+//! [`TraceSink`], [`TraceSession`] is the one meaning of its
+//! directives, and [`write_trace`] renders a schedule in it. Every
+//! trace — buffered or streamed — is billed by one fold,
+//! [`StreamFold`]; [`simulate`] drives it over a schedule, and every
+//! trace's bank timing is checked by `dram-core`'s one
 //! [`dram_core::timing::TimingChecker`].
 //!
 //! This is the system-side context of the paper's §V discussion: schemes
@@ -35,6 +37,7 @@
 
 mod energy;
 mod generator;
+mod session;
 mod stream;
 
 /// The decoder's command type under its trace-side name: one scheduled
@@ -44,6 +47,7 @@ pub use energy::{simulate, PowerDownPolicy, StateBreakdown, TraceReport, TraceSt
 pub use generator::{
     generate, generate_validated, GeneratedWorkload, GeneratorStats, PagePolicy, WorkloadSpec,
 };
+pub use session::{TraceDevice, TraceSession};
 pub use stream::{
     trace_bytes_total, trace_commands_total, write_trace, StreamFold, TraceDecoder, TraceError,
     TraceErrorKind, TraceEvent, TraceSink,

@@ -2,13 +2,15 @@
 //! grammar that `write_trace` writes, prices it with the fold `simulate`
 //! runs, and refuses a bank-timing violation, a foreign `!preset`, a late
 //! `!policy`, the retired `cycle bank command` spelling, a trace without
-//! a command line and a `!preset` after one, each with its line and kind
-//! as `/v1/trace` does.
+//! a command line and a `!preset` after one, each with its line and kind.
+//! `/v1/trace` refuses all but the first two alike.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use dram_energy::scaling::{presets, TechNode};
+use dram_energy::server::{client, serve, ServerConfig};
+use dram_energy::units::json::Value;
 use dram_energy::workload::{
     generate_validated, simulate, write_trace, PowerDownPolicy, WorkloadSpec,
 };
@@ -57,48 +59,99 @@ fn written_trace_prices_as_simulate_does() {
     assert!(stdout.lines().any(|l| l == expected), "{stdout}");
 }
 
+/// A trace `dram-power` refuses: what its error must say, the kind and
+/// line it names (0 for none), and why `/v1/trace` answers otherwise, if
+/// it does.
+struct Refusal {
+    name: &'static str,
+    text: &'static str,
+    wants: &'static str,
+    kind: &'static str,
+    line: u64,
+    served_differently: Option<&'static str>,
+}
+
+const REFUSALS: [Refusal; 8] = [
+    Refusal {
+        name: "trcd",
+        text: "0 act 0\n6 rd 0\n",
+        wants: "line 2:",
+        kind: "timing",
+        line: 2,
+        served_differently: Some("the server does not check bank timing yet"),
+    },
+    Refusal {
+        name: "foreign-preset",
+        text: "!preset ddr5_16g_18nm\n0 act 0\n",
+        wants: "ddr5_16g_18nm",
+        kind: "syntax",
+        line: 1,
+        served_differently: Some("a `!preset` first in the trace names the server's device"),
+    },
+    Refusal {
+        name: "late-policy",
+        text: "0 act 0\n!policy aggressive\n",
+        wants: "line 2:",
+        kind: "bad_transition",
+        line: 2,
+        served_differently: None,
+    },
+    Refusal {
+        name: "old-spelling",
+        text: "0 0 act\n",
+        wants: r#"line 1: unknown command "0""#,
+        kind: "syntax",
+        line: 1,
+        served_differently: None,
+    },
+    Refusal {
+        name: "empty",
+        text: "",
+        wants: ": trace contains no commands",
+        kind: "syntax",
+        line: 0,
+        served_differently: None,
+    },
+    Refusal {
+        name: "comment-only",
+        text: "# no command line\n",
+        wants: ": trace contains no commands",
+        kind: "syntax",
+        line: 0,
+        served_differently: None,
+    },
+    Refusal {
+        name: "preset-only",
+        text: "!preset ddr3_1g_x16_55nm\n",
+        wants: ": trace contains no commands",
+        kind: "syntax",
+        line: 0,
+        served_differently: None,
+    },
+    Refusal {
+        name: "preset-after-nop",
+        text: "0 nop\n!preset ddr3_1g_x16_55nm\n0 act 0\n",
+        wants: "line 2: !preset must precede the first command",
+        kind: "bad_transition",
+        line: 2,
+        served_differently: None,
+    },
+];
+
 #[test]
 fn refused_traces_name_their_line_and_kind() {
-    for (name, text, wants) in [
-        ("trcd", "0 act 0\n6 rd 0\n", &["line 2:", "(timing)"][..]),
-        (
-            "foreign-preset",
-            "!preset ddr5_16g_18nm\n0 act 0\n",
-            &["line 1:", "ddr5_16g_18nm"],
-        ),
-        (
-            "late-policy",
-            "0 act 0\n!policy aggressive\n",
-            &["line 2:", "(bad_transition)"],
-        ),
-        (
-            "old-spelling",
-            "0 0 act\n",
-            &[r#"line 1: unknown command "0" (syntax)"#],
-        ),
-        ("empty", "", &[": trace contains no commands (syntax)"]),
-        (
-            "comment-only",
-            "# no command line\n",
-            &[": trace contains no commands (syntax)"],
-        ),
-        (
-            "preset-only",
-            "!preset ddr3_1g_x16_55nm\n",
-            &[": trace contains no commands (syntax)"],
-        ),
-        (
-            "preset-after-nop",
-            "0 nop\n!preset ddr3_1g_x16_55nm\n0 act 0\n",
-            &["line 2: !preset must precede the first command (bad_transition)"],
-        ),
-    ] {
-        let (out, _) = price(name, text);
+    for r in &REFUSALS {
+        let (out, _) = price(r.name, r.text);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
-        for want in wants {
-            assert!(stderr.contains(want), "{name}: {stderr}");
-        }
+        assert_eq!(out.status.code(), Some(1), "{}: {stderr}", r.name);
+        assert!(stderr.contains(r.wants), "{}: {stderr}", r.name);
+        let kind = format!("({})", r.kind);
+        assert!(stderr.trim_end().ends_with(&kind), "{}: {stderr}", r.name);
+        let names_its_line = match r.line {
+            0 => !stderr.contains(": line "),
+            n => stderr.contains(&format!(": line {n}: ")),
+        };
+        assert!(names_its_line, "{}: {stderr}", r.name);
     }
     let (out, _) = price("own-preset", "!preset ddr3_1g_x16_55nm\n0 act 0\n");
     assert!(
@@ -106,4 +159,42 @@ fn refused_traces_name_their_line_and_kind() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+/// `/v1/trace`, given the device `dram-power --preset 55` prices on,
+/// refuses each trace `dram-power` refuses with the same kind and line,
+/// both reading through one `TraceSession`. The two deliberate
+/// differences are priced: the server checks no bank timing yet, and a
+/// `!preset` first in a trace picks the server's device, where
+/// `dram-power` holds one.
+#[test]
+fn the_server_refuses_what_dram_power_refuses_alike() {
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind ephemeral");
+    for r in &REFUSALS {
+        let reply = client::fetch(
+            server.local_addr(),
+            "POST",
+            "/v1/trace?preset=ddr3_1g_x16_55nm",
+            r.text.as_bytes(),
+        )
+        .expect("reply");
+        let body = reply.text();
+        if let Some(why) = r.served_differently {
+            assert_eq!(reply.status(), 200, "{} ({why}): {body}", r.name);
+            continue;
+        }
+        assert_eq!(reply.status(), 400, "{}: {body}", r.name);
+        let doc = Value::parse(&body).expect("error JSON");
+        let served = (
+            doc.get("kind").and_then(Value::as_str),
+            doc.get("line").and_then(Value::as_f64),
+        );
+        assert_eq!(
+            served,
+            (Some(r.kind), Some(r.line as f64)),
+            "{}: {body}",
+            r.name
+        );
+    }
+    server.shutdown();
 }

@@ -111,7 +111,8 @@ fn unique_description_body(tag: &str, i: usize) -> String {
 }
 
 const EVAL_BODY: &str = r#"{"preset":"ddr3_1g_55nm"}"#;
-const BATCH_BODY: &str = r#"{"requests":[{"preset":"ddr3_1g_55nm"},{"preset":"ddr3_1g_x16_55nm"}]}"#;
+const BATCH_BODY: &str =
+    r#"{"requests":[{"preset":"ddr3_1g_55nm"},{"preset":"ddr3_1g_x16_55nm"}]}"#;
 const SWEEP_BODY: &str = r#"{"preset":"ddr3_1g_55nm","variation":0.2,"top":3}"#;
 
 /// Canonical (unfaulted) response bodies, captured from a pristine
@@ -162,20 +163,30 @@ fn shed_stage(canon: &Canon) -> u64 {
     let addr = handle.local_addr();
     let mut shed = 0u64;
     for body in [BATCH_BODY, BATCH_BODY, SWEEP_BODY] {
-        let path = if body == SWEEP_BODY { "/v1/sweep" } else { "/v1/batch" };
+        let path = if body == SWEEP_BODY {
+            "/v1/sweep"
+        } else {
+            "/v1/batch"
+        };
         let (r, _) = fetch(addr, "POST", path, body);
         let text = r.text();
         assert_eq!(r.status(), 503, "expensive route not shed: {text}");
         assert!(text.contains("shedding"), "wrong shed body: {text}");
         let retry = r.head.retry_after().expect("shed 503 without retry-after");
-        assert!((1..=30).contains(&retry.as_secs()), "retry-after {retry:?} out of range");
+        assert!(
+            (1..=30).contains(&retry.as_secs()),
+            "retry-after {retry:?} out of range"
+        );
         shed += 1;
     }
     // Cheap routes keep flowing at the same watermark.
     let (r, _) = fetch(addr, "GET", "/healthz", "");
     assert_eq!((r.status(), r.text()), (200, canon.healthz.as_str().into()));
     let (r, _) = fetch(addr, "POST", "/v1/evaluate", EVAL_BODY);
-    assert_eq!((r.status(), r.text()), (200, canon.evaluate.as_str().into()));
+    assert_eq!(
+        (r.status(), r.text()),
+        (200, canon.evaluate.as_str().into())
+    );
     assert_eq!(handle.metrics().shed_load.get(), shed);
     assert_eq!(handle.shutdown(), shed + 2, "shed server drain");
     shed
@@ -295,10 +306,10 @@ fn main() {
     // `server.queue` site fires on any connection, this stage included),
     // counting the 503s it eats toward the rejection ledger.
     let send_through_rejections = |method: &str,
-                                       path: &str,
-                                       body: &str,
-                                       all_ids: &mut Vec<String>,
-                                       rejected: &mut u64| {
+                                   path: &str,
+                                   body: &str,
+                                   all_ids: &mut Vec<String>,
+                                   rejected: &mut u64| {
         loop {
             let (r, id) = fetch(addr, method, path, body);
             all_ids.push(id);
@@ -316,10 +327,19 @@ fn main() {
     // carrying an id, and the server must keep answering afterwards.
     for i in 0..BUILD_PANICS {
         let body = unique_description_body("fail", usize::try_from(i).expect("small"));
-        let r = send_through_rejections("POST", "/v1/evaluate", &body, &mut all_ids, &mut rejected_seen);
+        let r = send_through_rejections(
+            "POST",
+            "/v1/evaluate",
+            &body,
+            &mut all_ids,
+            &mut rejected_seen,
+        );
         let text = r.text();
         assert_eq!(r.status(), 500, "build panic {i} not a 500: {text}");
-        assert!(text.contains("request handler panicked"), "wrong 500 body: {text}");
+        assert!(
+            text.contains("request handler panicked"),
+            "wrong 500 body: {text}"
+        );
         worker_served += 1;
     }
     // The budget is spent: the same path heals end to end.
@@ -330,7 +350,12 @@ fn main() {
         &mut all_ids,
         &mut rejected_seen,
     );
-    assert_eq!(r.status(), 200, "engine did not heal after panic budget: {}", r.text());
+    assert_eq!(
+        r.status(),
+        200,
+        "engine did not heal after panic budget: {}",
+        r.text()
+    );
     worker_served += 1;
     assert_eq!(handle.metrics().worker_panics.get(), BUILD_PANICS);
     println!("build panics: {BUILD_PANICS} isolated as 500s, engine healed, pool alive");
@@ -343,7 +368,10 @@ fn main() {
         let handles: Vec<_> = (0..args.clients)
             .map(|_| s.spawn(move || chaos_client(addr, per_client, canon)))
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     let total_s = started.elapsed().as_secs_f64();
     let mut ok = 0u64;
@@ -375,8 +403,7 @@ fn main() {
     all_ids.extend(scrape_ids);
     worker_served += 1; // the successful scrape
 
-    let fired: std::collections::HashMap<&str, u64> =
-        dram_faults::injected().into_iter().collect();
+    let fired: std::collections::HashMap<&str, u64> = dram_faults::injected().into_iter().collect();
     let at = |site: &str| fired.get(site).copied().unwrap_or(0);
 
     // No lost responses + unique ids.
@@ -386,7 +413,11 @@ fn main() {
     }
 
     // Every fault accounted, every anomaly blamed on a fault.
-    assert_eq!(at("engine.build"), BUILD_PANICS, "build-panic budget mismatch");
+    assert_eq!(
+        at("engine.build"),
+        BUILD_PANICS,
+        "build-panic budget mismatch"
+    );
     assert_eq!(
         handle.metrics().worker_panics.get(),
         at("engine.build"),
@@ -425,14 +456,17 @@ fn main() {
             continue;
         }
         let name = dram_faults::metric_name(site);
-        let v = prom_value(&scrape, &name)
-            .unwrap_or_else(|| panic!("scrape is missing {name}"));
+        let v = prom_value(&scrape, &name).unwrap_or_else(|| panic!("scrape is missing {name}"));
         assert!(v >= 1.0, "{name} present but zero in scrape");
         assert!(v <= *count as f64, "{name} overshoots the fired count");
     }
     let scraped_worker = prom_value(&scrape, &dram_faults::metric_name("engine.worker"))
         .expect("engine.worker series");
-    assert_eq!(scraped_worker, at("engine.worker") as f64, "scrape lagged a quiescent site");
+    assert_eq!(
+        scraped_worker,
+        at("engine.worker") as f64,
+        "scrape lagged a quiescent site"
+    );
     let scraped_respawns =
         prom_value(&scrape, "dram_serve_worker_respawns_total").expect("respawns series");
     assert!(scraped_respawns >= 1.0, "scrape shows no worker respawns");
@@ -444,7 +478,10 @@ fn main() {
     // Clean drain: shutdown serves everything accepted, and the served
     // total equals the client-side ledger.
     let served = handle.shutdown();
-    assert_eq!(served, worker_served, "drain mismatch: served != client ledger");
+    assert_eq!(
+        served, worker_served,
+        "drain mismatch: served != client ledger"
+    );
     dram_faults::disarm();
 
     println!(

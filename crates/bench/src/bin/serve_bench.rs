@@ -242,7 +242,10 @@ fn run_stage(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     let total_s = started.elapsed().as_secs_f64();
 
@@ -278,8 +281,8 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<u32>) {
     let mut conns = Vec::with_capacity(count);
     let opened = Instant::now();
     for i in 0..count {
-        let s = TcpStream::connect(addr)
-            .unwrap_or_else(|e| panic!("soak connect {i}/{count}: {e}"));
+        let s =
+            TcpStream::connect(addr).unwrap_or_else(|e| panic!("soak connect {i}/{count}: {e}"));
         s.set_read_timeout(Some(Duration::from_secs(30)))
             .expect("timeout");
         let mut s = Conn::new(s);
@@ -335,7 +338,10 @@ fn run_soak(addr: SocketAddr, count: usize, kill_pid: Option<u32>) {
             }
         }
     }
-    assert_eq!(stray, 0, "drain pushed {stray} stray bytes to idle connections");
+    assert_eq!(
+        stray, 0,
+        "drain pushed {stray} stray bytes to idle connections"
+    );
     println!("soak: drain closed all {count} idle connections, zero stray bytes");
 }
 
@@ -383,8 +389,7 @@ fn run_journal_verification(threads: usize, clients: usize) {
         let handles: Vec<_> = (0..clients)
             .map(|_| {
                 s.spawn(move || {
-                    let mut conn =
-                        Conn::connect(addr, Duration::from_secs(30)).expect("connect");
+                    let mut conn = Conn::connect(addr, Duration::from_secs(30)).expect("connect");
                     let mut last_id = String::new();
                     for _ in 0..PER_CLIENT {
                         conn.write_all(
@@ -402,7 +407,10 @@ fn run_journal_verification(threads: usize, clients: usize) {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("client")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
     });
     dram_obs::set_enabled(false);
 
@@ -454,9 +462,9 @@ fn run_journal_verification(threads: usize, clients: usize) {
             .and_then(Value::as_array)
             .expect("timeline has spans");
         assert!(
-            spans.iter().any(|s| {
-                s.get("name").and_then(Value::as_str) == Some("server.request")
-            }),
+            spans
+                .iter()
+                .any(|s| { s.get("name").and_then(Value::as_str) == Some("server.request") }),
             "timeline for {id} did not join the request span: {first}"
         );
     }
@@ -468,15 +476,17 @@ fn run_journal_verification(threads: usize, clients: usize) {
     );
 
     // On-demand profiling round-trips through the JSON codec.
-    let reply =
-        client::fetch(addr, "GET", "/debug/profile?ms=50", b"").expect("exchange");
+    let reply = client::fetch(addr, "GET", "/debug/profile?ms=50", b"").expect("exchange");
     assert_eq!(reply.status(), 200, "profile fetch failed: {reply:?}");
     let doc = Value::parse(&reply.text()).expect("profile output is valid JSON");
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_array)
         .expect("profile output has traceEvents");
-    println!("journal: /debug/profile?ms=50 returned {} trace events", events.len());
+    println!(
+        "journal: /debug/profile?ms=50 returned {} trace events",
+        events.len()
+    );
 
     handle.shutdown();
     dram_obs::journal::configure(0);
@@ -500,8 +510,7 @@ fn main() {
     }
 
     let eval_body = r#"{"preset":"ddr3_1g_55nm"}"#;
-    let batch_body =
-        r#"{"requests":[{"preset":"ddr3_1g_55nm"},{"preset":"ddr3_1g_x16_55nm"}]}"#;
+    let batch_body = r#"{"requests":[{"preset":"ddr3_1g_55nm"},{"preset":"ddr3_1g_x16_55nm"}]}"#;
     let mut stages: Vec<Stage> = Vec::new();
 
     // One stage per server thread count; the model cache is the shared
@@ -577,10 +586,16 @@ fn main() {
         let (a, b) = (&stages[i], &stages[i + per]);
         if a.body != b.body {
             identical = false;
-            eprintln!("MISMATCH: {} vs {} returned different bodies", a.name, b.name);
+            eprintln!(
+                "MISMATCH: {} vs {} returned different bodies",
+                a.name, b.name
+            );
         }
     }
-    assert!(identical, "responses are not bit-identical across thread counts");
+    assert!(
+        identical,
+        "responses are not bit-identical across thread counts"
+    );
 
     println!(
         "{:44}  {:>10}  {:>9}  {:>9}  {:>9}",
@@ -592,7 +607,10 @@ fn main() {
             s.name, s.throughput.median, s.latency.q1, s.latency.median, s.latency.q3
         );
     }
-    println!("bit-identical across 1 vs {} server threads: yes", args.threads);
+    println!(
+        "bit-identical across 1 vs {} server threads: yes",
+        args.threads
+    );
 
     // Acceptance: connection reuse must pay. Pipelined keep-alive on the
     // small-request path has to beat close-per-request by at least 2×.

@@ -127,7 +127,9 @@ fn request_with_retry(
         };
         match schedule.next_delay(hint) {
             Some(delay) => std::thread::sleep(delay),
-            None => panic!("lost request: {path} still failing after {attempt} attempts: {failure}"),
+            None => {
+                panic!("lost request: {path} still failing after {attempt} attempts: {failure}")
+            }
         }
     }
 }
@@ -273,8 +275,8 @@ fn capture_canon(items: &mut [WorkItem]) {
     let handle = serve("127.0.0.1:0", ServerConfig::default()).expect("bind canon server");
     let addr = handle.local_addr();
     for item in items.iter_mut() {
-        let r = client::fetch(addr, "POST", item.path, item.body.as_bytes())
-            .expect("canon exchange");
+        let r =
+            client::fetch(addr, "POST", item.path, item.body.as_bytes()).expect("canon exchange");
         assert_eq!(r.status(), 200, "canon {} failed: {}", item.path, r.text());
         item.canon = r.text().into_owned();
     }
@@ -352,7 +354,10 @@ fn routed_by_node(doc: &Value) -> HashMap<String, f64> {
         .iter()
         .map(|n| {
             (
-                n.get("addr").and_then(Value::as_str).expect("addr").to_string(),
+                n.get("addr")
+                    .and_then(Value::as_str)
+                    .expect("addr")
+                    .to_string(),
                 n.get("routed").and_then(Value::as_f64).expect("routed"),
             )
         })
@@ -433,7 +438,8 @@ fn shard_client(
         );
         assert_eq!(r.status(), 200, "kill-stage request failed: {}", r.text());
         assert_eq!(
-            r.text(), item.canon,
+            r.text(),
+            item.canon,
             "routed response diverged from single-node canon under faults"
         );
         tally.requests += 1;
@@ -522,7 +528,10 @@ fn main() {
     );
 
     // Stage 2: seeded node murder under live load.
-    let spec = format!("seed={};node.kill=kill:p=0.85:times={}", args.seed, args.kills);
+    let spec = format!(
+        "seed={};node.kill=kill:p=0.85:times={}",
+        args.seed, args.kills
+    );
     let plan = dram_faults::Plan::parse(&spec).expect("fault spec");
     dram_faults::arm(&plan);
     println!("armed: {}", plan.render());
@@ -541,11 +550,15 @@ fn main() {
         let items = &all_items;
         let handles: Vec<_> = (0..args.clients)
             .map(|client| {
-                s.spawn(move || shard_client(ring_addr, items, per_client, policy, client, args.seed))
+                s.spawn(move || {
+                    shard_client(ring_addr, items, per_client, policy, client, args.seed)
+                })
             })
             .collect();
-        let tallies: Vec<ClientTally> =
-            handles.into_iter().map(|h| h.join().expect("client")).collect();
+        let tallies: Vec<ClientTally> = handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect();
         // The kill draw is seeded but the load's wall-clock isn't: if
         // the fixed request count finished before the budget was spent,
         // keep the load open until every kill lands (the schedule stays
@@ -555,10 +568,19 @@ fn main() {
         let mut i = 0usize;
         while kills.load(Ordering::Relaxed) < args.kills && Instant::now() < deadline {
             let item = &all_items[i % all_items.len()];
-            let (r, attempts) =
-                request_with_retry(ring_addr, item.path, &item.body, policy, args.seed ^ i as u64);
+            let (r, attempts) = request_with_retry(
+                ring_addr,
+                item.path,
+                &item.body,
+                policy,
+                args.seed ^ i as u64,
+            );
             assert_eq!(r.status(), 200, "hold-open request failed: {}", r.text());
-            assert_eq!(r.text(), item.canon, "hold-open response diverged from canon");
+            assert_eq!(
+                r.text(),
+                item.canon,
+                "hold-open response diverged from canon"
+            );
             extra.requests += 1;
             extra.retries += u64::from(attempts - 1);
             extra.worst_attempts = extra.worst_attempts.max(attempts);
@@ -580,7 +602,10 @@ fn main() {
         worst_attempts,
     } = extra;
     let kills = kills.load(Ordering::Relaxed);
-    assert!(kills >= 1, "no node was killed; the failover stage proved nothing");
+    assert!(
+        kills >= 1,
+        "no node was killed; the failover stage proved nothing"
+    );
     let fired: HashMap<&str, u64> = dram_faults::injected().into_iter().collect();
     assert_eq!(
         fired.get("node.kill").copied().unwrap_or(0),
@@ -611,15 +636,32 @@ fn main() {
     let doc = router_metrics(ring_addr);
     let failovers = metric(&doc, "failovers_total");
     let router_retries = metric(&doc, "retries_total");
-    assert!(failovers >= 1.0, "kills fired but the router recorded no failover");
+    assert!(
+        failovers >= 1.0,
+        "kills fired but the router recorded no failover"
+    );
 
     let before = routed_by_node(&doc);
     let mut reabsorb_retries = 0u64;
     for (i, item) in all_items.iter().enumerate() {
-        let (r, attempts) =
-            request_with_retry(ring_addr, item.path, &item.body, policy, args.seed ^ ((i as u64) << 16));
-        assert_eq!(r.status(), 200, "re-absorption request failed: {}", r.text());
-        assert_eq!(r.text(), item.canon, "re-absorption response diverged from canon");
+        let (r, attempts) = request_with_retry(
+            ring_addr,
+            item.path,
+            &item.body,
+            policy,
+            args.seed ^ ((i as u64) << 16),
+        );
+        assert_eq!(
+            r.status(),
+            200,
+            "re-absorption request failed: {}",
+            r.text()
+        );
+        assert_eq!(
+            r.text(),
+            item.canon,
+            "re-absorption response diverged from canon"
+        );
         reabsorb_retries += u64::from(attempts - 1);
     }
     let after = routed_by_node(&router_metrics(ring_addr));
@@ -654,8 +696,12 @@ fn main() {
         },
     )
     .expect("bind random router");
-    let random_retries =
-        drive_affinity(random_router.local_addr(), &affinity_items, policy, args.seed);
+    let random_retries = drive_affinity(
+        random_router.local_addr(),
+        &affinity_items,
+        policy,
+        args.seed,
+    );
     let doc = settled_metrics(random_router.local_addr());
     let random_hits = metric(&doc, "backend_cache_hits_aggregate");
     let random_misses = metric(&doc, "backend_cache_misses_aggregate");

@@ -136,7 +136,11 @@ impl TraceGen {
                 *t += 12;
                 let columns = 1 + self.rng.next() % 4;
                 for i in 0..columns {
-                    let op = if (self.rng.next() + i) % 2 == 1 { "wr" } else { "rd" };
+                    let op = if (self.rng.next() + i) % 2 == 1 {
+                        "wr"
+                    } else {
+                        "rd"
+                    };
                     let _ = writeln!(buf, "{t} {op} {bank}");
                     *t += 4;
                 }
@@ -220,7 +224,9 @@ fn main() {
         gen.episode(&mut buf);
         if buf.len() >= args.chunk {
             client::write_chunk(&mut conn, buf.as_bytes()).expect("chunk");
-            decoder.feed(buf.as_bytes(), &mut sink).expect("legal trace");
+            decoder
+                .feed(buf.as_bytes(), &mut sink)
+                .expect("legal trace");
             buf.clear();
         }
     }
@@ -229,7 +235,9 @@ fn main() {
         let _ = writeln!(buf, "!length {}", gen.cycle + 100);
     }
     client::write_chunk(&mut conn, buf.as_bytes()).expect("chunk");
-    decoder.feed(buf.as_bytes(), &mut sink).expect("legal trace");
+    decoder
+        .feed(buf.as_bytes(), &mut sink)
+        .expect("legal trace");
     conn.write_all(client::LAST_CHUNK).expect("terminator");
     decoder.finish(&mut sink).expect("legal trace");
 
@@ -244,8 +252,7 @@ fn main() {
     // local in-memory fold of the same bytes.
     let (commands, report) = session.finish(&mut decoder).expect("bills");
     let bytes = decoder.bytes_fed();
-    let expected =
-        dram_server::api::trace_document(PRESET, &report, commands, bytes).to_string();
+    let expected = dram_server::api::trace_document(PRESET, &report, commands, bytes).to_string();
     assert_eq!(
         body, expected,
         "served report diverged from the in-memory fold"

@@ -127,7 +127,9 @@ impl DirtySet {
 
     /// The dirty phases, in dependency order.
     pub fn phases(self) -> impl Iterator<Item = BuildPhase> {
-        BuildPhase::ALL.into_iter().filter(move |p| self.contains(*p))
+        BuildPhase::ALL
+            .into_iter()
+            .filter(move |p| self.contains(*p))
     }
 
     /// The earliest dirty phase, if any.
@@ -717,7 +719,9 @@ mod tests {
         assert_eq!(d.len(), 3);
         assert_eq!(DirtySet::from_phase(BuildPhase::Validate), DirtySet::ALL);
         assert_eq!(
-            DirtySet::from_phase(BuildPhase::Power).phases().collect::<Vec<_>>(),
+            DirtySet::from_phase(BuildPhase::Power)
+                .phases()
+                .collect::<Vec<_>>(),
             vec![BuildPhase::Power]
         );
         assert!(DirtySet::EMPTY.is_empty());
@@ -740,7 +744,10 @@ mod tests {
         assert_eq!(ParamId::Vdd.dirty_set(), DirtySet::from_phase(Power));
         assert_eq!(ParamId::EffVpp.dirty_set(), DirtySet::from_phase(Power));
         assert_eq!(ParamId::Vint.dirty_set(), DirtySet::from_phase(Charges));
-        assert_eq!(ParamId::BitlineCap.dirty_set(), DirtySet::from_phase(Charges));
+        assert_eq!(
+            ParamId::BitlineCap.dirty_set(),
+            DirtySet::from_phase(Charges)
+        );
         assert_eq!(
             ParamId::SenseAmpDeviceWidth.dirty_set(),
             DirtySet::from_phase(Devices)
@@ -769,10 +776,7 @@ mod tests {
         ParamId::Vint.apply(&mut manual, 1.2);
         ParamId::BitlineCap.apply(&mut manual, 0.8);
         assert_eq!(d, manual);
-        assert_eq!(
-            pert.dirty_set(),
-            DirtySet::from_phase(BuildPhase::Charges)
-        );
+        assert_eq!(pert.dirty_set(), DirtySet::from_phase(BuildPhase::Charges));
         assert_eq!(
             Perturbation::single(ParamId::Vdd, 1.1).dirty_set(),
             DirtySet::from_phase(BuildPhase::Power)

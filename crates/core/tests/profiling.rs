@@ -43,7 +43,13 @@ fn profiled_build_records_every_model_phase() {
         .iter()
         .find(|s| s.name == "model.build")
         .unwrap();
-    for phase in ["model.validate", "model.geometry", "model.devices", "model.charges", "model.power"] {
+    for phase in [
+        "model.validate",
+        "model.geometry",
+        "model.devices",
+        "model.charges",
+        "model.power",
+    ] {
         let s = profile.spans.iter().find(|s| s.name == phase).unwrap();
         assert_eq!(s.parent, build.id, "{phase} must nest under model.build");
         assert!(s.start_us >= build.start_us);
@@ -57,7 +63,10 @@ fn profiled_build_records_every_model_phase() {
     dram_obs::set_enabled(false);
     assert!(again[0].is_ok());
     let profile = dram_obs::drain();
-    assert!(profile.spans.iter().any(|s| s.name == "engine.cache_lookup"));
+    assert!(profile
+        .spans
+        .iter()
+        .any(|s| s.name == "engine.cache_lookup"));
     assert!(
         !profile.spans.iter().any(|s| s.name == "model.build"),
         "cache hit must not rebuild"

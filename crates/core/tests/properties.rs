@@ -68,8 +68,7 @@ fn geometry_invariants_hold_for_random_organizations() {
                 );
                 // Wire lengths are consistent with the grid.
                 assert!(
-                    (g.master_wordline_length().meters() - g.block_along_wl.meters()).abs()
-                        < 1e-12,
+                    (g.master_wordline_length().meters() - g.block_along_wl.meters()).abs() < 1e-12,
                     "{ctx}"
                 );
             }

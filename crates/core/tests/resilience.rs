@@ -73,15 +73,16 @@ fn injected_worker_panic_spares_the_other_items() {
 fn injected_build_panic_does_not_poison_the_cache() {
     let _x = exclusive();
     let cache = ModelCache::new();
-    dram_faults::arm(
-        &dram_faults::Plan::parse("seed=1;engine.build=panic:times=1").expect("spec"),
-    );
+    dram_faults::arm(&dram_faults::Plan::parse("seed=1;engine.build=panic:times=1").expect("spec"));
     let desc = ddr3_1g_x16_55nm();
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = cache.get_or_build(&desc);
     }));
     dram_faults::disarm();
-    assert!(caught.is_err(), "the injected panic unwinds through the cache");
+    assert!(
+        caught.is_err(),
+        "the injected panic unwinds through the cache"
+    );
     // The cache stays fully usable afterwards.
     assert!(cache.get_or_build(&desc).is_ok());
     assert_eq!(cache.len(), 1);
@@ -95,7 +96,12 @@ fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
     let baseline: Vec<u64> = engine
         .evaluate_many(&descs)
         .into_iter()
-        .map(|r| r.expect("builds").energy_per_bit_random().joules().to_bits())
+        .map(|r| {
+            r.expect("builds")
+                .energy_per_bit_random()
+                .joules()
+                .to_bits()
+        })
         .collect();
 
     // Arm, run under a delay fault (values must be unaffected), disarm,
@@ -107,7 +113,12 @@ fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
     let under_delay: Vec<u64> = faulted
         .evaluate_many(&descs)
         .into_iter()
-        .map(|r| r.expect("builds").energy_per_bit_random().joules().to_bits())
+        .map(|r| {
+            r.expect("builds")
+                .energy_per_bit_random()
+                .joules()
+                .to_bits()
+        })
         .collect();
     dram_faults::disarm();
     assert_eq!(baseline, under_delay, "delay faults never change values");
@@ -116,7 +127,12 @@ fn disarmed_runs_are_bit_identical_to_an_unfaulted_engine() {
     let after: Vec<u64> = clean
         .evaluate_many(&descs)
         .into_iter()
-        .map(|r| r.expect("builds").energy_per_bit_random().joules().to_bits())
+        .map(|r| {
+            r.expect("builds")
+                .energy_per_bit_random()
+                .joules()
+                .to_bits()
+        })
         .collect();
     assert_eq!(baseline, after);
 }
@@ -136,15 +152,16 @@ fn an_owned_miss_keeps_the_fault_site_and_the_journal_note() {
     let cache = ModelCache::new();
     let desc = ddr3_1g_x16_55nm();
     let key = content_key(&desc);
-    dram_faults::arm(
-        &dram_faults::Plan::parse("seed=2;engine.build=panic:times=1").expect("spec"),
-    );
+    dram_faults::arm(&dram_faults::Plan::parse("seed=2;engine.build=panic:times=1").expect("spec"));
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = cache.get_or_build_keyed(key, Cow::Owned(desc.clone()));
     }));
     let injected = dram_faults::injected_total();
     dram_faults::disarm();
-    assert!(caught.is_err(), "the injected panic unwinds through an owned miss");
+    assert!(
+        caught.is_err(),
+        "the injected panic unwinds through an owned miss"
+    );
     assert_eq!(injected, 1);
     assert!(cache.is_empty(), "a panicked build files nothing");
 

@@ -22,7 +22,7 @@ if [[ $fast -eq 0 ]]; then
   echo "==> cargo fmt --check (the crates kept rustfmt-clean)"
   # A crate joins this list once it is formatted; the rest are not yet.
   cargo fmt -p dram-dsl -p dram-units -p dram-datasheet -p dram-faults -p dram-scaling \
-    -p dram-workload -p dram-schemes -p dram-sensitivity -- --check
+    -p dram-workload -p dram-schemes -p dram-sensitivity -p dram-bench -p dram-core -- --check
 
   echo "==> cargo clippy (deny warnings)"
   cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -3,14 +3,16 @@
 //!
 //! Run with: `cargo run -p dram-bench --example rank_check`
 
+use dram_core::EvalEngine;
 use dram_sensitivity::sweep;
+
 fn main() {
     for desc in [
         dram_scaling::presets::sdr_128m_170nm(),
         dram_scaling::presets::ddr3_2g_55nm(),
         dram_scaling::presets::ddr5_16g_18nm(),
     ] {
-        let s = sweep(&desc, 0.2).unwrap();
+        let s = sweep(EvalEngine::global(), &desc, 0.2).unwrap();
         println!(
             "== {} (baseline {:.0} mW)",
             desc.name,

@@ -2,16 +2,18 @@
 //! 2010) from the model.
 //!
 //! Usage: `repro <report>...` where `<report>` is one of the commands
-//! listed by `repro --list`, or `all`. Reports are generated
-//! concurrently on the batch-evaluation engine; `--threads N` bounds the
-//! fan-out (`--threads 1` forces the serial path) and `--timing` appends
-//! a per-report wall-clock table and writes `BENCH_repro.json`.
+//! listed by `repro --list`, or `all`. Reports are generated in order on
+//! one batch-evaluation engine; `--threads N` sets its worker count, which
+//! bounds the fan-out of every evaluation a report or `--csv` runs
+//! (`--threads 1` forces the serial path, same bytes out), and `--timing`
+//! appends a per-report wall-clock table and writes `BENCH_repro.json`.
 //! `--profile FILE` records spans for the whole run and writes a
 //! Chrome-trace JSON (chrome://tracing, Perfetto) covering every engine
 //! phase — parse, validate, geometry, devices, charges, power — plus a
 //! per-phase rollup table on stdout.
 
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::time::Instant;
 
 use dram_bench::harness;
 use dram_bench::ReportId;
@@ -28,12 +30,31 @@ fn main() {
         print_usage();
         return;
     }
-    if let Some(pos) = args.iter().position(|a| a == "--csv") {
-        let dir = args
-            .get(pos + 1)
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| std::path::PathBuf::from("repro_csv"));
-        match dram_bench::csv::export(&dir) {
+    if args.iter().any(|a| a == "--list") {
+        for r in ReportId::ALL {
+            println!("{:10} {}", r.command(), r.title());
+        }
+        return;
+    }
+
+    let Run {
+        timing,
+        threads,
+        profile,
+        csv,
+        selected,
+    } = parse_run(args).unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
+
+    let mut engine = EvalEngine::new();
+    if let Some(n) = threads {
+        engine = engine.threads(n);
+    }
+
+    if let Some(dir) = csv {
+        match dram_bench::csv::export(Path::new(&dir), &engine) {
             Ok(files) => {
                 for f in files {
                     println!("wrote {}", f.display());
@@ -46,39 +67,16 @@ fn main() {
         }
         return;
     }
-    if args.iter().any(|a| a == "--list") {
-        for r in ReportId::ALL {
-            println!("{:10} {}", r.command(), r.title());
-        }
-        return;
-    }
-
-    let Run {
-        timing,
-        threads,
-        profile,
-        selected,
-    } = parse_run(args).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    });
     if profile.is_some() {
         dram_obs::set_enabled(true);
     }
 
-    let mut engine = EvalEngine::new();
-    if let Some(n) = threads {
-        engine = engine.threads(n);
-    }
-
-    // Generate concurrently; print in the requested order.
-    let generated: Vec<(String, Duration)> = engine.map(&selected, |r| {
+    let mut elapsed = Vec::with_capacity(selected.len());
+    for (i, r) in selected.iter().enumerate() {
         let _s = dram_obs::span("repro.report").arg("report", r.command());
         let start = Instant::now();
-        let text = r.generate();
-        (text, start.elapsed())
-    });
-    for (i, (text, _)) in generated.iter().enumerate() {
+        let text = r.generate(&engine);
+        elapsed.push(start.elapsed());
         if i > 0 {
             println!();
         }
@@ -88,8 +86,8 @@ fn main() {
     if timing {
         let records: Vec<Record> = selected
             .iter()
-            .zip(&generated)
-            .map(|(r, (_, dt))| {
+            .zip(&elapsed)
+            .map(|(r, dt)| {
                 let name = format!("repro/{}", r.command());
                 Record::new(name, "s", Better::Lower, &[dt.as_secs_f64()])
             })
@@ -150,15 +148,20 @@ struct Run {
     timing: bool,
     threads: Option<usize>,
     profile: Option<String>,
+    /// The `--csv` directory; a run with one exports the CSV files
+    /// instead of printing reports.
+    csv: Option<String>,
     selected: Vec<ReportId>,
 }
 
-/// Reads `--timing`, `--threads N`, `--profile FILE` and report names.
+/// Reads `--timing`, `--threads N`, `--profile FILE`, `--csv [dir]` and
+/// report names.
 fn parse_run(args: Vec<String>) -> Result<Run, String> {
     let mut run = Run {
         timing: false,
         threads: None,
         profile: None,
+        csv: None,
         selected: Vec::new(),
     };
     let mut flags = Flags::new(args);
@@ -167,6 +170,7 @@ fn parse_run(args: Vec<String>) -> Result<Run, String> {
             "--timing" => run.timing = true,
             "--threads" => run.threads = Some(flags.number("--threads", "thread count", ..)?),
             "--profile" => run.profile = Some(flags.value("--profile")?),
+            "--csv" => run.csv = Some(flags.next_arg().unwrap_or_else(|| "repro_csv".into())),
             "all" => run.selected.extend(ReportId::ALL),
             other => run.selected.push(
                 ReportId::parse(other)
@@ -185,7 +189,7 @@ fn print_usage() {
          usage: repro [--timing] [--threads N] [--profile FILE] <report>... | all | --list | --csv [dir]\n\n\
          flags:\n\
          \x20 --timing        print per-report wall time and write {TIMING_FILE}\n\
-         \x20 --threads N     cap report-generation concurrency (1 = serial)\n\
+         \x20 --threads N     evaluation workers of every report and --csv (1 = serial)\n\
          \x20 --profile FILE  record spans, write a Chrome-trace JSON and a rollup\n\n\
          reports:"
     );

@@ -4,7 +4,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use dram_core::Dram;
+use dram_core::{Dram, EvalEngine};
 use dram_scaling::curves::{f_shrink, ScalingParam};
 use dram_scaling::trends::{energy_trends, timing_trends, voltage_trends};
 use dram_scaling::ROADMAP;
@@ -37,7 +37,7 @@ fn scaling_csv(figure: u8) -> String {
     out
 }
 
-fn trends_csv() -> (String, String, String) {
+fn trends_csv(engine: &EvalEngine) -> (String, String, String) {
     let mut v = String::from("node_nm,year,vdd,vint,vbl,vpp\n");
     for row in voltage_trends() {
         v.push_str(&format!(
@@ -58,7 +58,7 @@ fn trends_csv() -> (String, String, String) {
         ));
     }
     let mut e = String::from("node_nm,year,density_mbit,die_mm2,epb_stream_pj,epb_random_pj\n");
-    for row in energy_trends() {
+    for row in energy_trends(engine) {
         e.push_str(&format!(
             "{},{},{},{:.2},{:.3},{:.3}\n",
             row.node.feature_nm,
@@ -92,9 +92,9 @@ fn verification_csv() -> String {
     out
 }
 
-fn schemes_csv() -> String {
+fn schemes_csv(engine: &EvalEngine) -> String {
     let base = dram_scaling::presets::ddr3_2g_55nm();
-    let evals = dram_schemes::evaluate_all(&base).expect("schemes evaluate");
+    let evals = dram_schemes::evaluate_all(engine, &base).expect("schemes evaluate");
     let mut out =
         String::from("scheme,act_pre_nj,read_pj,energy_per_bit_pj,savings,area_overhead\n");
     for e in evals {
@@ -135,15 +135,15 @@ fn idd_roadmap_csv() -> String {
     out
 }
 
-/// Writes all figure data series as CSV files into `dir`, returning the
-/// written paths.
+/// Writes all figure data series as CSV files into `dir`, evaluating the
+/// Fig. 13 and §V series on `engine`, and returns the written paths.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from creating the directory or writing files.
-pub fn export(dir: &Path) -> io::Result<Vec<PathBuf>> {
+pub fn export(dir: &Path, engine: &EvalEngine) -> io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
-    let (v, t, e) = trends_csv();
+    let (v, t, e) = trends_csv(engine);
     let written = vec![
         write_file(dir, "fig05_scaling.csv", &scaling_csv(5))?,
         write_file(dir, "fig06_scaling.csv", &scaling_csv(6))?,
@@ -152,7 +152,7 @@ pub fn export(dir: &Path) -> io::Result<Vec<PathBuf>> {
         write_file(dir, "fig11_voltages.csv", &v)?,
         write_file(dir, "fig12_timing.csv", &t)?,
         write_file(dir, "fig13_energy.csv", &e)?,
-        write_file(dir, "section5_schemes.csv", &schemes_csv())?,
+        write_file(dir, "section5_schemes.csv", &schemes_csv(engine))?,
         write_file(dir, "idd_roadmap.csv", &idd_roadmap_csv())?,
     ];
     Ok(written)
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn export_writes_all_series() {
         let dir = std::env::temp_dir().join(format!("dram_csv_{}", std::process::id()));
-        let files = export(&dir).expect("exports");
+        let files = export(&dir, EvalEngine::global()).expect("exports");
         assert_eq!(files.len(), 9);
         for f in &files {
             let text = std::fs::read_to_string(f).expect("readable");

@@ -20,6 +20,8 @@ mod table;
 
 pub use table::Table;
 
+use dram_core::EvalEngine;
+
 /// Identifies one reproducible artifact of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReportId {
@@ -165,9 +167,10 @@ impl ReportId {
         }
     }
 
-    /// Generates the report text.
+    /// Generates the report text; reports that evaluate many models run
+    /// them on `engine`.
     #[must_use]
-    pub fn generate(self) -> String {
+    pub fn generate(self, engine: &EvalEngine) -> String {
         let body = match self {
             ReportId::Table1 => reports::table1::generate(),
             ReportId::Fig1 => reports::fig01::generate(),
@@ -179,19 +182,19 @@ impl ReportId {
             ReportId::Table2 => reports::table2::generate(),
             ReportId::Fig8 => reports::fig08_09::generate_ddr2(),
             ReportId::Fig9 => reports::fig08_09::generate_ddr3(),
-            ReportId::Fig10 => reports::fig10::generate(),
-            ReportId::Table3 => reports::table3::generate(),
+            ReportId::Fig10 => reports::fig10::generate(engine),
+            ReportId::Table3 => reports::table3::generate(engine),
             ReportId::Fig11 => reports::fig11_12::generate_voltages(),
             ReportId::Fig12 => reports::fig11_12::generate_timing(),
-            ReportId::Fig13 => reports::fig13::generate(),
-            ReportId::Section5 => reports::section5::generate(),
-            ReportId::Ablations => reports::extras::generate_ablations(),
+            ReportId::Fig13 => reports::fig13::generate(engine),
+            ReportId::Section5 => reports::section5::generate(engine),
+            ReportId::Ablations => reports::extras::generate_ablations(engine),
             ReportId::PowerDown => reports::extras::generate_powerdown(),
             ReportId::Calculator => reports::extras::generate_calculator(),
             ReportId::Variants => reports::extras::generate_variants(),
             ReportId::Cost => reports::extras::generate_cost(),
             ReportId::Breakdown => reports::extras::generate_breakdown(),
-            ReportId::Verify => reports::verify::generate(),
+            ReportId::Verify => reports::verify::generate(engine),
         };
         format!("== {} ==\n\n{}", self.title(), body)
     }
@@ -212,7 +215,7 @@ mod tests {
     #[test]
     fn every_report_generates_nonempty_output() {
         for r in ReportId::ALL {
-            let text = r.generate();
+            let text = r.generate(EvalEngine::global());
             assert!(text.len() > 100, "{}: too short:\n{text}", r.command());
             assert!(text.contains(r.title()));
         }

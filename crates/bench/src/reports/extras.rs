@@ -4,7 +4,7 @@
 //! calculator baseline (the §I motivation).
 
 use dram_core::reference::ddr3_1g_x16_55nm;
-use dram_core::Dram;
+use dram_core::{Dram, EvalEngine};
 use dram_datasheet::corpus::DDR3_1GB;
 use dram_datasheet::{Calculator, Vendor, Workload};
 use dram_schemes::ablations;
@@ -36,26 +36,27 @@ fn ablation_table(title: &str, rows: &[ablations::AblationRow]) -> String {
     out
 }
 
-/// Ablations of the §II design choices on the reference device.
+/// Ablations of the §II design choices on the reference device,
+/// evaluated on `engine`.
 #[must_use]
-pub fn generate_ablations() -> String {
+pub fn generate_ablations(engine: &EvalEngine) -> String {
     let base = ddr3_1g_x16_55nm();
     let mut out = String::new();
     out.push_str(&ablation_table(
         "wordline hierarchy (refs [5],[6] made this universal in the 1990s):",
-        &ablations::wordline_hierarchy(&base).expect("runs"),
+        &ablations::wordline_hierarchy(engine, &base).expect("runs"),
     ));
     out.push_str(&ablation_table(
         "cells per bitline (Table II: 110nm -> 90nm raised it):",
-        &ablations::bitline_length(&base).expect("runs"),
+        &ablations::bitline_length(engine, &base).expect("runs"),
     ));
     out.push_str(&ablation_table(
         "page size at constant density (the §V lever):",
-        &ablations::page_size(&base).expect("runs"),
+        &ablations::page_size(engine, &base).expect("runs"),
     ));
     out.push_str(&ablation_table(
         "cell architecture (Table II structural transitions):",
-        &ablations::cell_architecture(&base).expect("runs"),
+        &ablations::cell_architecture(engine, &base).expect("runs"),
     ));
     out
 }
@@ -299,7 +300,7 @@ pub fn generate_breakdown() -> String {
 mod tests {
     #[test]
     fn ablation_report_covers_all_studies() {
-        let text = super::generate_ablations();
+        let text = super::generate_ablations(dram_core::EvalEngine::global());
         for needle in [
             "wordline hierarchy",
             "cells per bitline",

@@ -2,7 +2,7 @@
 //! sample devices the paper compares (128 Mb SDR 170 nm, DDR3 55 nm,
 //! 16 Gb DDR5 18 nm), sorted by impact on the DDR3 device.
 
-use dram_core::DramDescription;
+use dram_core::{DramDescription, EvalEngine};
 use dram_scaling::presets::{ddr3_1g_55nm, ddr5_16g_18nm, sdr_128m_170nm};
 use dram_sensitivity::{sweep, ParamId, Sweep};
 
@@ -11,13 +11,10 @@ use crate::Table;
 /// The ±variation the paper uses.
 pub const VARIATION: f64 = 0.2;
 
-fn run(desc: &DramDescription) -> Sweep {
-    sweep(desc, VARIATION).expect("preset sweeps run")
-}
-
-/// Generates the tornado table.
+/// Generates the tornado table, evaluating on `engine`.
 #[must_use]
-pub fn generate() -> String {
+pub fn generate(engine: &EvalEngine) -> String {
+    let run = |desc: &DramDescription| sweep(engine, desc, VARIATION).expect("preset sweeps run");
     let sdr = run(&sdr_128m_170nm());
     let ddr3 = run(&ddr3_1g_55nm());
     let ddr5 = run(&ddr5_16g_18nm());
@@ -60,7 +57,7 @@ pub fn generate() -> String {
     // Parameter interactions on the DDR3 device: the full in-chart pair
     // matrix, reporting where joint variation deviates most from
     // composing the individual effects.
-    let matrix = dram_sensitivity::interaction_matrix(&ddr3_1g_55nm(), VARIATION)
+    let matrix = dram_sensitivity::interaction_matrix(engine, &ddr3_1g_55nm(), VARIATION)
         .expect("interaction matrix runs");
     out.push_str(&format!(
         "\nstrongest parameter interactions (DDR3, joint vs composed +20% effects,\n\
@@ -95,7 +92,7 @@ pub fn generate() -> String {
 mod tests {
     #[test]
     fn tornado_leads_with_internal_voltage() {
-        let text = super::generate();
+        let text = super::generate(dram_core::EvalEngine::global());
         let first_data_line = text
             .lines()
             .skip_while(|l| !l.starts_with('-'))

@@ -2,14 +2,15 @@
 //! paper's headline reduction factors (×1.5/generation historically,
 //! ×1.2/generation forecast).
 
+use dram_core::EvalEngine;
 use dram_scaling::trends::{energy_reduction_per_generation, energy_trends};
 
 use crate::Table;
 
-/// Generates the energy/area trend table.
+/// Generates the energy/area trend table, evaluating on `engine`.
 #[must_use]
-pub fn generate() -> String {
-    let trends = energy_trends();
+pub fn generate(engine: &EvalEngine) -> String {
+    let trends = energy_trends(engine);
     let mut tbl = Table::new([
         "node (nm)",
         "year",
@@ -49,7 +50,7 @@ pub fn generate() -> String {
 mod tests {
     #[test]
     fn trend_flattens_as_the_paper_reports() {
-        let text = super::generate();
+        let text = super::generate(dram_core::EvalEngine::global());
         assert!(text.contains("170"));
         assert!(text.contains("16"));
         assert!(text.contains("energy-per-bit reduction"));

@@ -1,16 +1,17 @@
 //! §V — quantitative comparison of the proposed power-reduction schemes
 //! on the 2 Gb DDR3 55 nm device, with energy savings and die-area cost.
 
+use dram_core::EvalEngine;
 use dram_scaling::presets::ddr3_2g_55nm;
 use dram_schemes::evaluate_all;
 
 use crate::Table;
 
-/// Generates the scheme comparison table.
+/// Generates the scheme comparison table, evaluating on `engine`.
 #[must_use]
-pub fn generate() -> String {
+pub fn generate(engine: &EvalEngine) -> String {
     let base = ddr3_2g_55nm();
-    let evals = evaluate_all(&base).expect("schemes evaluate on the preset");
+    let evals = evaluate_all(engine, &base).expect("schemes evaluate on the preset");
 
     let mut out = format!("baseline device: {}\n", base.name);
     out.push_str(
@@ -40,7 +41,7 @@ pub fn generate() -> String {
         ]);
     }
     // The co-design endpoint: complementary schemes stacked.
-    if let Ok(stacked) = dram_schemes::apply_stacked(&base) {
+    if let Ok(stacked) = dram_schemes::apply_stacked(engine, &base) {
         let baseline = &evals[0];
         let saving = 1.0 - stacked.energy_per_bit.joules() / baseline.energy_per_bit.joules();
         let area = stacked.die_area.square_meters() / baseline.die_area.square_meters() - 1.0;
@@ -72,7 +73,7 @@ pub fn generate() -> String {
 mod tests {
     #[test]
     fn comparison_lists_all_schemes_with_savings() {
-        let text = super::generate();
+        let text = super::generate(dram_core::EvalEngine::global());
         for scheme in [
             "baseline commodity",
             "selective bitline activation",

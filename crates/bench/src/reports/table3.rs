@@ -2,18 +2,19 @@
 //! paper's three sample devices (128 Mb SDR 170 nm, 2 Gb DDR3 55 nm,
 //! 16 Gb DDR5 18 nm).
 
+use dram_core::EvalEngine;
 use dram_scaling::presets::{ddr3_2g_55nm, ddr5_16g_18nm, sdr_128m_170nm};
 use dram_sensitivity::sweep;
 
 use crate::Table;
 
-/// Generates the top-10 ranking table.
+/// Generates the top-10 ranking table, evaluating on `engine`.
 #[must_use]
-pub fn generate() -> String {
+pub fn generate(engine: &EvalEngine) -> String {
     let devices = [sdr_128m_170nm(), ddr3_2g_55nm(), ddr5_16g_18nm()];
     let sweeps: Vec<_> = devices
         .iter()
-        .map(|d| (d.name.clone(), sweep(d, 0.2).expect("sweep runs")))
+        .map(|d| (d.name.clone(), sweep(engine, d, 0.2).expect("sweep runs")))
         .collect();
 
     let mut tbl = Table::new([
@@ -42,11 +43,12 @@ pub fn generate() -> String {
 
 #[cfg(test)]
 mod tests {
+    use dram_core::EvalEngine;
     use dram_sensitivity::ParamId;
 
     #[test]
     fn vint_is_rank_one_for_every_generation() {
-        let text = super::generate();
+        let text = super::generate(EvalEngine::global());
         let rank1 = text
             .lines()
             .skip_while(|l| !l.starts_with('-'))
@@ -72,7 +74,7 @@ mod tests {
             ParamId::SenseAmpDeviceWidth,
         ];
         let array_share = |desc: &dram_core::DramDescription| -> f64 {
-            let s = dram_sensitivity::sweep(desc, 0.2).expect("runs");
+            let s = dram_sensitivity::sweep(EvalEngine::global(), desc, 0.2).expect("runs");
             let total: f64 = s.entries.iter().map(|e| e.swing()).sum();
             let array: f64 = s
                 .entries

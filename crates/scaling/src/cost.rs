@@ -90,7 +90,7 @@ pub fn cost_report(node: &TechNode, die: SquareMeters) -> CostReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trends::roadmap_models_with;
+    use crate::trends::roadmap_models;
     use dram_core::EvalEngine;
 
     #[test]
@@ -121,7 +121,7 @@ mod tests {
         // Evaluate the roadmap concurrently through the engine.
         let engine = EvalEngine::new().threads(4);
         let mut reports = Vec::new();
-        for (node, dram) in roadmap_models_with(&engine) {
+        for (node, dram) in roadmap_models(&engine) {
             reports.push((node, cost_report(&node, dram.area().die)));
         }
         let first = reports.first().unwrap().1.cost_per_gbit;

@@ -20,19 +20,12 @@ use crate::presets::all_generations;
 /// Panics if a roadmap preset fails to build — the roadmap constants are
 /// validated by the preset tests, so this indicates a programming error.
 #[must_use]
-pub fn roadmap_models_with(engine: &EvalEngine) -> Vec<(TechNode, Arc<Dram>)> {
+pub fn roadmap_models(engine: &EvalEngine) -> Vec<(TechNode, Arc<Dram>)> {
     let descs = all_generations();
     let models = engine.map(&descs, |d| {
         engine.model(d).expect("roadmap presets are valid")
     });
     ROADMAP.iter().copied().zip(models).collect()
-}
-
-/// [`roadmap_models_with`] on the process-wide [`EvalEngine::global`]
-/// engine.
-#[must_use]
-pub fn roadmap_models() -> Vec<(TechNode, Arc<Dram>)> {
-    roadmap_models_with(EvalEngine::global())
 }
 
 /// One row of the Fig. 11 voltage-trend series.
@@ -114,8 +107,8 @@ pub struct EnergyTrend {
 /// Fig. 13: die area and energy per bit over the roadmap (evaluates the
 /// full power model per node, concurrently on `engine`).
 #[must_use]
-pub fn energy_trends_with(engine: &EvalEngine) -> Vec<EnergyTrend> {
-    roadmap_models_with(engine)
+pub fn energy_trends(engine: &EvalEngine) -> Vec<EnergyTrend> {
+    roadmap_models(engine)
         .iter()
         .map(|(node, dram)| EnergyTrend {
             node: *node,
@@ -124,13 +117,6 @@ pub fn energy_trends_with(engine: &EvalEngine) -> Vec<EnergyTrend> {
             epb_random_pj: dram.energy_per_bit_random().picojoules(),
         })
         .collect()
-}
-
-/// Fig. 13: die area and energy per bit over the roadmap (evaluates the
-/// full power model per node).
-#[must_use]
-pub fn energy_trends() -> Vec<EnergyTrend> {
-    energy_trends_with(EvalEngine::global())
 }
 
 /// One row of the sensitivity-over-the-roadmap walk: how strongly each
@@ -142,7 +128,7 @@ pub struct SensitivityTrend {
     /// Baseline mixed-workload power in watts.
     pub baseline_watts: f64,
     /// Per-parameter tornado swing `|up − down|`, in the order of the
-    /// `params` slice passed to [`sensitivity_trends_with`].
+    /// `params` slice passed to [`sensitivity_trends`].
     pub swings: Vec<(ParamId, f64)>,
 }
 
@@ -160,7 +146,7 @@ pub struct SensitivityTrend {
 /// # Errors
 ///
 /// Returns [`ModelError`] if a perturbed description fails validation.
-pub fn sensitivity_trends_with(
+pub fn sensitivity_trends(
     engine: &EvalEngine,
     params: &[ParamId],
     variation: f64,
@@ -192,21 +178,6 @@ pub fn sensitivity_trends_with(
         });
     }
     Ok(rows)
-}
-
-/// [`sensitivity_trends_with`] on the process-wide engine, over the
-/// in-chart parameters at the paper's ±20 %.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if a perturbed description fails validation.
-pub fn sensitivity_trends() -> Result<Vec<SensitivityTrend>, ModelError> {
-    let params: Vec<ParamId> = ParamId::ALL
-        .iter()
-        .copied()
-        .filter(|p| p.in_pareto_chart())
-        .collect();
-    sensitivity_trends_with(EvalEngine::global(), &params, 0.2)
 }
 
 /// Average per-generation energy-per-bit reduction factor over a node
@@ -253,7 +224,7 @@ mod tests {
 
     #[test]
     fn energy_per_bit_falls_and_flattens() {
-        let e = energy_trends();
+        let e = energy_trends(EvalEngine::global());
         // Historical segment (170 -> 44 nm): strong reduction.
         let hist = energy_reduction_per_generation(&e, 170.0, 44.0);
         // Forecast segment (44 -> 16 nm): weaker reduction — the paper's
@@ -267,8 +238,8 @@ mod tests {
 
     #[test]
     fn parallel_energy_trends_match_serial_bit_for_bit() {
-        let serial = energy_trends_with(&EvalEngine::new().threads(1));
-        let parallel = energy_trends_with(&EvalEngine::new().threads(8));
+        let serial = energy_trends(&EvalEngine::new().threads(1));
+        let parallel = energy_trends(&EvalEngine::new().threads(8));
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.node, p.node);
@@ -281,10 +252,10 @@ mod tests {
     #[test]
     fn roadmap_walk_is_memoized() {
         let engine = EvalEngine::new().threads(2);
-        let _ = roadmap_models_with(&engine);
+        let _ = roadmap_models(&engine);
         let misses = engine.cache_stats().misses;
         assert_eq!(misses, ROADMAP.len() as u64);
-        let _ = roadmap_models_with(&engine);
+        let _ = roadmap_models(&engine);
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, misses, "second walk must rebuild nothing");
         assert!(stats.hits >= misses);
@@ -294,7 +265,13 @@ mod tests {
     fn sensitivity_walk_keeps_rail_voltages_on_top_at_every_node() {
         // Table III: the rail voltages dominate the ranking for every
         // generation, with Vint at or near the top throughout.
-        let rows = sensitivity_trends().expect("roadmap presets are valid");
+        let params: Vec<ParamId> = ParamId::ALL
+            .iter()
+            .copied()
+            .filter(|p| p.in_pareto_chart())
+            .collect();
+        let rows = sensitivity_trends(EvalEngine::global(), &params, 0.2)
+            .expect("roadmap presets are valid");
         assert_eq!(rows.len(), ROADMAP.len());
         for row in &rows {
             assert!(row.baseline_watts > 0.0, "{}", row.node);
@@ -329,10 +306,9 @@ mod tests {
             dram_core::ParamId::BitlineCap,
             dram_core::ParamId::LogicGates,
         ];
-        let serial =
-            sensitivity_trends_with(&EvalEngine::new().threads(1), &params, 0.2).expect("runs");
+        let serial = sensitivity_trends(&EvalEngine::new().threads(1), &params, 0.2).expect("runs");
         let parallel =
-            sensitivity_trends_with(&EvalEngine::new().threads(8), &params, 0.2).expect("runs");
+            sensitivity_trends(&EvalEngine::new().threads(8), &params, 0.2).expect("runs");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.node, p.node);
@@ -346,7 +322,7 @@ mod tests {
 
     #[test]
     fn die_area_stays_in_commodity_window() {
-        for row in energy_trends() {
+        for row in energy_trends(EvalEngine::global()) {
             assert!(
                 (20.0..=90.0).contains(&row.die_mm2),
                 "{}: die {} mm²",

@@ -37,22 +37,13 @@ fn row_for(dram: &Dram, name: impl Into<String>, detail: impl Into<String>) -> A
 /// Hierarchical vs flat wordlines (the early-1990s transition of refs
 /// \[5\], \[6\]): without sub-wordline drivers, one poly wordline spans the
 /// whole block, and every activate charges the gates of the *entire*
-/// page row directly from the Vpp rail through one driver.
+/// page row directly from the Vpp rail through one driver. Model
+/// construction is routed through `engine`'s memoizing cache.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if the baseline is invalid.
-pub fn wordline_hierarchy(base: &DramDescription) -> Result<Vec<AblationRow>, ModelError> {
-    wordline_hierarchy_with(EvalEngine::global(), base)
-}
-
-/// [`wordline_hierarchy`] with model construction routed through
-/// `engine`'s memoizing cache.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if the baseline is invalid.
-pub fn wordline_hierarchy_with(
+pub fn wordline_hierarchy(
     engine: &EvalEngine,
     base: &DramDescription,
 ) -> Result<Vec<AblationRow>, ModelError> {
@@ -114,22 +105,14 @@ pub fn wordline_hierarchy_with(
 
 /// Bitline length: 256 vs 512 vs 1024 cells per bitline — the §II
 /// trade-off between sense-amplifier stripe area and bitline charge
-/// (Table II row "increase in number of cells per bitline").
+/// (Table II row "increase in number of cells per bitline"). The
+/// variants are evaluated concurrently on `engine`, in deterministic
+/// order.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if a variant is internally inconsistent.
-pub fn bitline_length(base: &DramDescription) -> Result<Vec<AblationRow>, ModelError> {
-    bitline_length_with(EvalEngine::global(), base)
-}
-
-/// [`bitline_length`] on an explicit engine: the variants are evaluated
-/// concurrently, in deterministic order.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if a variant is internally inconsistent.
-pub fn bitline_length_with(
+pub fn bitline_length(
     engine: &EvalEngine,
     base: &DramDescription,
 ) -> Result<Vec<AblationRow>, ModelError> {
@@ -165,22 +148,13 @@ pub fn bitline_length_with(
 }
 
 /// Page size: the activate granularity (coladd ± k with rowadd ∓ k keeps
-/// density constant) — the §V motivation quantified.
+/// density constant) — the §V motivation quantified. The variants are
+/// evaluated concurrently on `engine`, in deterministic order.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if a variant is internally inconsistent.
-pub fn page_size(base: &DramDescription) -> Result<Vec<AblationRow>, ModelError> {
-    page_size_with(EvalEngine::global(), base)
-}
-
-/// [`page_size`] on an explicit engine: the variants are evaluated
-/// concurrently, in deterministic order.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if a variant is internally inconsistent.
-pub fn page_size_with(
+pub fn page_size(
     engine: &EvalEngine,
     base: &DramDescription,
 ) -> Result<Vec<AblationRow>, ModelError> {
@@ -225,22 +199,13 @@ pub fn page_size_with(
 }
 
 /// Cell architecture: folded 8F² vs open 6F² vs vertical 4F² at the same
-/// node (the Table II structural transitions).
+/// node (the Table II structural transitions). The variants are
+/// evaluated concurrently on `engine`, in deterministic order.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if a variant is internally inconsistent.
-pub fn cell_architecture(base: &DramDescription) -> Result<Vec<AblationRow>, ModelError> {
-    cell_architecture_with(EvalEngine::global(), base)
-}
-
-/// [`cell_architecture`] on an explicit engine: the variants are
-/// evaluated concurrently, in deterministic order.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if a variant is internally inconsistent.
-pub fn cell_architecture_with(
+pub fn cell_architecture(
     engine: &EvalEngine,
     base: &DramDescription,
 ) -> Result<Vec<AblationRow>, ModelError> {
@@ -295,7 +260,7 @@ mod tests {
 
     #[test]
     fn hierarchy_saves_wordline_energy_and_costs_area() {
-        let rows = wordline_hierarchy(&base()).expect("runs");
+        let rows = wordline_hierarchy(EvalEngine::global(), &base()).expect("runs");
         assert_eq!(rows.len(), 2);
         let (hier, flat) = (&rows[0], &rows[1]);
         // The flat wordline moves more charge at Vpp per activate...
@@ -311,7 +276,7 @@ mod tests {
 
     #[test]
     fn longer_bitlines_trade_area_for_energy() {
-        let rows = bitline_length(&base()).expect("runs");
+        let rows = bitline_length(EvalEngine::global(), &base()).expect("runs");
         assert_eq!(rows.len(), 3);
         // Energy grows with bitline length...
         assert!(rows[0].row_energy < rows[1].row_energy);
@@ -323,7 +288,7 @@ mod tests {
 
     #[test]
     fn smaller_pages_cut_row_energy() {
-        let rows = page_size(&base()).expect("runs");
+        let rows = page_size(EvalEngine::global(), &base()).expect("runs");
         assert!(rows.len() >= 3);
         for pair in rows.windows(2) {
             assert!(
@@ -341,17 +306,14 @@ mod tests {
         let e8 = EvalEngine::new().threads(8);
         let runs = [
             (
-                wordline_hierarchy_with(&e1, &base()),
-                wordline_hierarchy_with(&e8, &base()),
+                wordline_hierarchy(&e1, &base()),
+                wordline_hierarchy(&e8, &base()),
             ),
+            (bitline_length(&e1, &base()), bitline_length(&e8, &base())),
+            (page_size(&e1, &base()), page_size(&e8, &base())),
             (
-                bitline_length_with(&e1, &base()),
-                bitline_length_with(&e8, &base()),
-            ),
-            (page_size_with(&e1, &base()), page_size_with(&e8, &base())),
-            (
-                cell_architecture_with(&e1, &base()),
-                cell_architecture_with(&e8, &base()),
+                cell_architecture(&e1, &base()),
+                cell_architecture(&e8, &base()),
             ),
         ];
         for (serial, parallel) in runs {
@@ -373,7 +335,7 @@ mod tests {
 
     #[test]
     fn denser_cells_shrink_the_die() {
-        let rows = cell_architecture(&base()).expect("runs");
+        let rows = cell_architecture(EvalEngine::global(), &base()).expect("runs");
         assert_eq!(rows.len(), 3);
         // folded > open > 4F² in die area.
         assert!(rows[0].die_area > rows[1].die_area);

@@ -30,7 +30,7 @@ use dram_units::{Joules, SquareMeters};
 pub mod ablations;
 mod transforms;
 
-pub use transforms::{apply_stacked, apply_stacked_with, Scheme};
+pub use transforms::{apply_stacked, Scheme};
 
 /// Cache line size the rank-level metric fetches.
 pub const CACHE_LINE_BITS: f64 = 512.0;
@@ -61,32 +61,23 @@ pub struct SchemeEvaluation {
     pub notes: &'static str,
 }
 
-/// Evaluates one scheme against a baseline description.
+/// Evaluates one scheme against a baseline description on `engine`: the
+/// baseline model is fetched from the engine's memoizing cache, so
+/// repeated scheme evaluations against the same baseline rebuild it only
+/// once.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if the baseline or the transformed description
 /// fails validation.
-pub fn evaluate(base: &DramDescription, scheme: Scheme) -> Result<SchemeEvaluation, ModelError> {
-    evaluate_with(EvalEngine::global(), base, scheme)
-}
-
-/// [`evaluate`] on an explicit engine: the baseline model is fetched from
-/// the engine's memoizing cache, so repeated scheme evaluations against
-/// the same baseline rebuild it only once.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if the baseline or the transformed description
-/// fails validation.
-pub fn evaluate_with(
+pub fn evaluate(
     engine: &EvalEngine,
     base: &DramDescription,
     scheme: Scheme,
 ) -> Result<SchemeEvaluation, ModelError> {
     let base_model = engine.model(base)?;
     let baseline = transforms::rank_metrics(&base_model, Scheme::Baseline);
-    let result = transforms::apply_with(engine, base, scheme)?;
+    let result = transforms::apply(engine, base, scheme)?;
     Ok(against_baseline(result, &baseline))
 }
 
@@ -100,30 +91,22 @@ fn against_baseline(result: SchemeEvaluation, baseline: &SchemeEvaluation) -> Sc
     }
 }
 
-/// Evaluates the baseline and every scheme, in presentation order.
+/// Evaluates the baseline and every scheme, in presentation order, on
+/// `engine`: the baseline is built once and shared, and the schemes are
+/// evaluated concurrently. Result order (and every bit of every result)
+/// matches the serial walk.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if any transformed description fails validation.
-pub fn evaluate_all(base: &DramDescription) -> Result<Vec<SchemeEvaluation>, ModelError> {
-    evaluate_all_with(EvalEngine::global(), base)
-}
-
-/// [`evaluate_all`] on an explicit engine: the baseline is built once and
-/// shared, and the schemes are evaluated concurrently. Result order (and
-/// every bit of every result) matches the serial walk.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if any transformed description fails validation.
-pub fn evaluate_all_with(
+pub fn evaluate_all(
     engine: &EvalEngine,
     base: &DramDescription,
 ) -> Result<Vec<SchemeEvaluation>, ModelError> {
     let base_model = engine.model(base)?;
     let baseline = transforms::rank_metrics(&base_model, Scheme::Baseline);
     engine
-        .map(&Scheme::ALL, |&s| transforms::apply_with(engine, base, s))
+        .map(&Scheme::ALL, |&s| transforms::apply(engine, base, s))
         .into_iter()
         .map(|r| r.map(|result| against_baseline(result, &baseline)))
         .collect()
@@ -140,7 +123,7 @@ mod tests {
 
     #[test]
     fn baseline_has_zero_savings_and_overhead() {
-        let e = evaluate(&base(), Scheme::Baseline).expect("evaluates");
+        let e = evaluate(EvalEngine::global(), &base(), Scheme::Baseline).expect("evaluates");
         assert!(e.savings.abs() < 1e-12);
         assert!(e.area_overhead.abs() < 1e-12);
         assert!(e.energy_per_bit.picojoules() > 1.0);
@@ -148,7 +131,7 @@ mod tests {
 
     #[test]
     fn every_scheme_saves_energy() {
-        for e in evaluate_all(&base()).expect("evaluates") {
+        for e in evaluate_all(EvalEngine::global(), &base()).expect("evaluates") {
             if e.scheme == Scheme::Baseline {
                 continue;
             }
@@ -164,8 +147,14 @@ mod tests {
 
     #[test]
     fn row_schemes_cut_activation_energy_hard() {
-        let sba = evaluate(&base(), Scheme::selective_bitline_activation()).expect("evaluates");
-        let baseline = evaluate(&base(), Scheme::Baseline).expect("evaluates");
+        let sba = evaluate(
+            EvalEngine::global(),
+            &base(),
+            Scheme::selective_bitline_activation(),
+        )
+        .expect("evaluates");
+        let baseline =
+            evaluate(EvalEngine::global(), &base(), Scheme::Baseline).expect("evaluates");
         // Firing 1 of 32 sub-arrays must cut act/pre energy by an order
         // of magnitude.
         assert!(
@@ -180,9 +169,15 @@ mod tests {
     fn on_pitch_schemes_pay_area() {
         // §V: changes in the SA or LWD stripes have significant area
         // impact; center-stripe (off-pitch) changes are nearly free.
-        let sba = evaluate(&base(), Scheme::selective_bitline_activation()).expect("ok");
-        let ssa = evaluate(&base(), Scheme::SingleSubarrayAccess).expect("ok");
-        let seg = evaluate(&base(), Scheme::SegmentedDatalines).expect("ok");
+        let sba = evaluate(
+            EvalEngine::global(),
+            &base(),
+            Scheme::selective_bitline_activation(),
+        )
+        .expect("ok");
+        let ssa =
+            evaluate(EvalEngine::global(), &base(), Scheme::SingleSubarrayAccess).expect("ok");
+        let seg = evaluate(EvalEngine::global(), &base(), Scheme::SegmentedDatalines).expect("ok");
         assert!(
             sba.area_overhead > 0.01,
             "SBA overhead {}",
@@ -201,7 +196,7 @@ mod tests {
 
     #[test]
     fn mini_rank_saves_mostly_activation() {
-        let mr = evaluate(&base(), Scheme::MiniRank).expect("ok");
+        let mr = evaluate(EvalEngine::global(), &base(), Scheme::MiniRank).expect("ok");
         // One device activating instead of four: large rank-level saving.
         assert!(mr.savings > 0.3, "mini-rank savings {}", mr.savings);
         // No die change on the device itself.
@@ -210,8 +205,8 @@ mod tests {
 
     #[test]
     fn reduced_csl_ratio_shrinks_page_energy() {
-        let r = evaluate(&base(), Scheme::ReducedCslRatio).expect("ok");
-        let b = evaluate(&base(), Scheme::Baseline).expect("ok");
+        let r = evaluate(EvalEngine::global(), &base(), Scheme::ReducedCslRatio).expect("ok");
+        let b = evaluate(EvalEngine::global(), &base(), Scheme::Baseline).expect("ok");
         // A 4x smaller page cuts act/pre close to 4x.
         let ratio = b.act_pre_energy.joules() / r.act_pre_energy.joules();
         assert!((2.0..6.0).contains(&ratio), "act ratio {ratio}");
@@ -219,8 +214,8 @@ mod tests {
 
     #[test]
     fn parallel_evaluation_matches_serial_bit_for_bit() {
-        let serial = evaluate_all_with(&EvalEngine::new().threads(1), &base()).expect("ok");
-        let parallel = evaluate_all_with(&EvalEngine::new().threads(8), &base()).expect("ok");
+        let serial = evaluate_all(&EvalEngine::new().threads(1), &base()).expect("ok");
+        let parallel = evaluate_all(&EvalEngine::new().threads(8), &base()).expect("ok");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.scheme, p.scheme);
@@ -236,7 +231,7 @@ mod tests {
     #[test]
     fn shared_baseline_is_built_once() {
         let engine = EvalEngine::new().threads(4);
-        let _ = evaluate_all_with(&engine, &base()).expect("ok");
+        let _ = evaluate_all(&engine, &base()).expect("ok");
         let stats = engine.cache_stats();
         // The unmodified description is needed by the baseline metrics and
         // by the Baseline / SegmentedDatalines / MiniRank arms; the cache
@@ -244,13 +239,13 @@ mod tests {
         assert!(stats.hits >= 3, "hits {}", stats.hits);
         // A second full evaluation rebuilds nothing.
         let misses = stats.misses;
-        let _ = evaluate_all_with(&engine, &base()).expect("ok");
+        let _ = evaluate_all(&engine, &base()).expect("ok");
         assert_eq!(engine.cache_stats().misses, misses);
     }
 
     #[test]
     fn notes_are_present_for_all_schemes() {
-        for e in evaluate_all(&base()).expect("ok") {
+        for e in evaluate_all(EvalEngine::global(), &base()).expect("ok") {
             assert!(!e.notes.is_empty(), "{}", e.scheme.name());
         }
     }

@@ -186,20 +186,11 @@ fn metrics_with_scaling(
 }
 
 /// Applies a scheme and computes its rank metrics (savings/overhead are
-/// filled in by the caller against the baseline). Test convenience on
-/// the process-wide engine.
-#[cfg(test)]
+/// filled in by the caller against the baseline), with all model
+/// construction routed through `engine`'s memoizing cache, so repeated
+/// evaluations of the same variant (e.g. the shared baseline) rebuild
+/// nothing.
 pub(crate) fn apply(
-    base: &DramDescription,
-    scheme: Scheme,
-) -> Result<SchemeEvaluation, ModelError> {
-    apply_with(EvalEngine::global(), base, scheme)
-}
-
-/// [`apply`] with all model construction routed through `engine`'s
-/// memoizing cache, so repeated evaluations of the same variant (e.g.
-/// the shared baseline) rebuild nothing.
-pub(crate) fn apply_with(
     engine: &EvalEngine,
     base: &DramDescription,
     scheme: Scheme,
@@ -333,13 +324,14 @@ mod tests {
     fn sba_fraction_is_clamped() {
         let base = ddr3_1g_x16_55nm();
         let huge = apply(
+            EvalEngine::global(),
             &base,
             Scheme::SelectiveBitlineActivation {
                 activated_subarrays: 10_000,
             },
         )
         .expect("ok");
-        let full = apply(&base, Scheme::Baseline).expect("ok");
+        let full = apply(EvalEngine::global(), &base, Scheme::Baseline).expect("ok");
         // Activating "everything" through SBA costs at least the baseline
         // row energy (plus the wider stripe).
         assert!(huge.act_pre_energy.joules() >= full.act_pre_energy.joules() * 0.99);
@@ -350,14 +342,14 @@ mod tests {
         let mut base = ddr3_1g_x16_55nm();
         base.spec.column_address_bits = 2;
         base.spec.row_address_bits += 8;
-        assert!(apply(&base, Scheme::ReducedCslRatio).is_err());
+        assert!(apply(EvalEngine::global(), &base, Scheme::ReducedCslRatio).is_err());
     }
 
     #[test]
     fn tsv_shrinks_the_die() {
         let base = ddr3_1g_x16_55nm();
-        let tsv = apply(&base, Scheme::TsvStacking).expect("ok");
-        let b = apply(&base, Scheme::Baseline).expect("ok");
+        let tsv = apply(EvalEngine::global(), &base, Scheme::TsvStacking).expect("ok");
+        let b = apply(EvalEngine::global(), &base, Scheme::Baseline).expect("ok");
         assert!(tsv.die_area < b.die_area);
     }
 
@@ -375,7 +367,8 @@ mod tests {
 
 /// Evaluates complementary §V schemes *stacked*: TSV periphery +
 /// selective bitline activation + segmented datalines on the same device
-/// — the "co-design" endpoint the paper's conclusion argues for.
+/// — the "co-design" endpoint the paper's conclusion argues for — with
+/// model construction routed through `engine`'s memoizing cache.
 /// (The reduced-CSL architecture is an *alternative* route to small
 /// activation granularity, not a complement: stacking it on top of
 /// selective activation adds its column-path cost without further row
@@ -384,17 +377,7 @@ mod tests {
 /// # Errors
 ///
 /// Returns [`ModelError`] if the combined description fails validation.
-pub fn apply_stacked(base: &DramDescription) -> Result<SchemeEvaluation, ModelError> {
-    apply_stacked_with(EvalEngine::global(), base)
-}
-
-/// [`apply_stacked`] with model construction routed through `engine`'s
-/// memoizing cache.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if the combined description fails validation.
-pub fn apply_stacked_with(
+pub fn apply_stacked(
     engine: &EvalEngine,
     base: &DramDescription,
 ) -> Result<SchemeEvaluation, ModelError> {
@@ -451,12 +434,17 @@ mod stacked_tests {
     #[test]
     fn stacked_schemes_compound() {
         let base = ddr3_1g_x16_55nm();
-        let baseline = apply(&base, Scheme::Baseline).expect("ok");
-        let stacked = apply_stacked(&base).expect("ok");
+        let baseline = apply(EvalEngine::global(), &base, Scheme::Baseline).expect("ok");
+        let stacked = apply_stacked(EvalEngine::global(), &base).expect("ok");
         let best_single = Scheme::ALL
             .iter()
             .filter(|&&s| s != Scheme::Baseline && s != Scheme::MiniRank)
-            .map(|&s| apply(&base, s).expect("ok").energy_per_bit.joules())
+            .map(|&s| {
+                apply(EvalEngine::global(), &base, s)
+                    .expect("ok")
+                    .energy_per_bit
+                    .joules()
+            })
             .fold(f64::INFINITY, f64::min);
         // Stacking beats every single device-level scheme.
         assert!(
@@ -475,6 +463,6 @@ mod stacked_tests {
         let mut base = ddr3_1g_x16_55nm();
         base.spec.column_address_bits = 2;
         base.spec.row_address_bits += 8;
-        assert!(apply_stacked(&base).is_err());
+        assert!(apply_stacked(EvalEngine::global(), &base).is_err());
     }
 }

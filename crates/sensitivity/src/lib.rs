@@ -8,10 +8,11 @@
 //!
 //! ```
 //! use dram_core::reference::ddr3_1g_x16_55nm;
+//! use dram_core::EvalEngine;
 //! use dram_sensitivity::{sweep, ParamId};
 //!
 //! # fn main() -> Result<(), dram_core::ModelError> {
-//! let s = sweep(&ddr3_1g_x16_55nm(), 0.2)?;
+//! let s = sweep(EvalEngine::global(), &ddr3_1g_x16_55nm(), 0.2)?;
 //! // The paper's headline: the internal voltage tops the ranking.
 //! assert_eq!(s.top(1)[0].param, ParamId::Vint);
 //! # Ok(())
@@ -23,7 +24,6 @@ mod sweep;
 
 pub use dram_core::{ParamCategory, ParamId, Perturbation};
 pub use sweep::{
-    interaction, interaction_matrix, interaction_matrix_with, interaction_matrix_with_full_rebuild,
-    interaction_with, sweep, sweep_with, sweep_with_full_rebuild, Interaction, InteractionMatrix,
-    Sensitivity, Sweep,
+    interaction, interaction_matrix, interaction_matrix_with_full_rebuild, sweep,
+    sweep_with_full_rebuild, Interaction, InteractionMatrix, Sensitivity, Sweep,
 };

@@ -109,18 +109,7 @@ fn perturbed(desc: &DramDescription, param: ParamId, factor: f64) -> DramDescrip
 }
 
 /// Runs the sensitivity sweep on a device at the given relative variation
-/// (the paper uses ±20 %), on the shared process-wide engine.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if the base description is invalid or a
-/// perturbed description fails validation.
-pub fn sweep(desc: &DramDescription, variation: f64) -> Result<Sweep, ModelError> {
-    sweep_with(EvalEngine::global(), desc, variation)
-}
-
-/// [`sweep`] on an explicit engine (thread count and cache under caller
-/// control).
+/// (the paper uses ±20 %), on `engine`.
 ///
 /// The 2×|[`ParamId::ALL`]| perturbations evaluate through the engine's
 /// differential fast path ([`EvalEngine::evaluate_perturbations`]): only
@@ -134,7 +123,7 @@ pub fn sweep(desc: &DramDescription, variation: f64) -> Result<Sweep, ModelError
 ///
 /// Returns [`ModelError`] if the base description is invalid or a
 /// perturbed description fails validation.
-pub fn sweep_with(
+pub fn sweep(
     engine: &EvalEngine,
     desc: &DramDescription,
     variation: f64,
@@ -166,13 +155,13 @@ pub fn sweep_with(
     })
 }
 
-/// [`sweep_with`] through full model rebuilds (one complete
+/// [`sweep`] through full model rebuilds (one complete
 /// [`dram_core::Dram::new`] per perturbation, via the engine's model
 /// cache).
 ///
 /// This is the reference path the differential sweep is validated
 /// against — benchmarks and CI compare the two for bit-identity and
-/// speedup. Production callers should prefer [`sweep_with`].
+/// speedup. Production callers should prefer [`sweep`].
 ///
 /// # Errors
 ///
@@ -214,7 +203,7 @@ mod tests {
     use dram_core::reference::ddr3_1g_x16_55nm;
 
     fn reference_sweep() -> Sweep {
-        sweep(&ddr3_1g_x16_55nm(), 0.2).expect("sweep runs")
+        sweep(EvalEngine::global(), &ddr3_1g_x16_55nm(), 0.2).expect("sweep runs")
     }
 
     #[test]
@@ -346,27 +335,12 @@ impl Interaction {
 }
 
 /// Measures the interaction of two parameters at the given variation, on
-/// the shared process-wide engine.
+/// `engine`: the three perturbed models evaluate concurrently.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError`] if any perturbed description fails validation.
 pub fn interaction(
-    desc: &DramDescription,
-    a: ParamId,
-    b: ParamId,
-    variation: f64,
-) -> Result<Interaction, ModelError> {
-    interaction_with(EvalEngine::global(), desc, a, b, variation)
-}
-
-/// [`interaction`] on an explicit engine: the three perturbed models
-/// evaluate concurrently.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if any perturbed description fails validation.
-pub fn interaction_with(
     engine: &EvalEngine,
     desc: &DramDescription,
     a: ParamId,
@@ -440,19 +414,7 @@ impl InteractionMatrix {
 }
 
 /// Computes the full pairwise interaction matrix at the given variation,
-/// on the shared process-wide engine.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if any perturbed description fails validation.
-pub fn interaction_matrix(
-    desc: &DramDescription,
-    variation: f64,
-) -> Result<InteractionMatrix, ModelError> {
-    interaction_matrix_with(EvalEngine::global(), desc, variation)
-}
-
-/// [`interaction_matrix`] on an explicit engine.
+/// on `engine`.
 ///
 /// Every pair entry carries exactly the numbers a pairwise
 /// [`interaction`] call would produce (same arithmetic, same reduction
@@ -465,7 +427,7 @@ pub fn interaction_matrix(
 /// # Errors
 ///
 /// Returns [`ModelError`] if any perturbed description fails validation.
-pub fn interaction_matrix_with(
+pub fn interaction_matrix(
     engine: &EvalEngine,
     desc: &DramDescription,
     variation: f64,
@@ -516,10 +478,9 @@ pub fn interaction_matrix_with(
     })
 }
 
-/// [`interaction_matrix_with`] through full model rebuilds — the
-/// reference path benchmarks and CI compare the differential matrix
-/// against. Production callers should prefer
-/// [`interaction_matrix_with`].
+/// [`interaction_matrix`] through full model rebuilds — the reference
+/// path benchmarks and CI compare the differential matrix against.
+/// Production callers should prefer [`interaction_matrix`].
 ///
 /// # Errors
 ///
@@ -581,13 +542,18 @@ mod interaction_tests {
     use super::*;
     use dram_core::reference::ddr3_1g_x16_55nm;
 
+    /// The interaction of `a` and `b` on the reference device at ±20 %.
+    fn reference_interaction(a: ParamId, b: ParamId) -> Interaction {
+        let desc = ddr3_1g_x16_55nm();
+        interaction(EvalEngine::global(), &desc, a, b, 0.2).expect("runs")
+    }
+
     #[test]
     fn coupled_parameters_interact_positively() {
         // Bitline capacitance and bitline voltage multiply into the same
         // charge terms: raising both beats composing the separate
         // effects.
-        let desc = ddr3_1g_x16_55nm();
-        let i = interaction(&desc, ParamId::BitlineCap, ParamId::Vbl, 0.2).expect("runs");
+        let i = reference_interaction(ParamId::BitlineCap, ParamId::Vbl);
         assert!(i.strength() > 0.002, "strength {}", i.strength());
     }
 
@@ -595,17 +561,14 @@ mod interaction_tests {
     fn disjoint_parameters_barely_interact() {
         // The constant current sink and the bitline capacitance touch
         // disjoint terms.
-        let desc = ddr3_1g_x16_55nm();
-        let i =
-            interaction(&desc, ParamId::ConstantCurrent, ParamId::BitlineCap, 0.2).expect("runs");
+        let i = reference_interaction(ParamId::ConstantCurrent, ParamId::BitlineCap);
         assert!(i.strength().abs() < 0.004, "strength {}", i.strength());
     }
 
     #[test]
     fn interaction_is_symmetric() {
-        let desc = ddr3_1g_x16_55nm();
-        let ab = interaction(&desc, ParamId::Vint, ParamId::LogicGates, 0.2).expect("runs");
-        let ba = interaction(&desc, ParamId::LogicGates, ParamId::Vint, 0.2).expect("runs");
+        let ab = reference_interaction(ParamId::Vint, ParamId::LogicGates);
+        let ba = reference_interaction(ParamId::LogicGates, ParamId::Vint);
         assert!((ab.joint - ba.joint).abs() < 1e-12);
         assert!((ab.strength() - ba.strength()).abs() < 1e-12);
     }
@@ -621,9 +584,9 @@ mod engine_tests {
     #[test]
     fn sweep_is_bit_identical_across_thread_counts() {
         let desc = ddr3_1g_x16_55nm();
-        let serial = sweep_with(&EvalEngine::new().threads(1), &desc, 0.2).expect("runs");
+        let serial = sweep(&EvalEngine::new().threads(1), &desc, 0.2).expect("runs");
         for n in [2, 4, 16] {
-            let parallel = sweep_with(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
+            let parallel = sweep(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
             assert_eq!(
                 serial.baseline_watts.to_bits(),
                 parallel.baseline_watts.to_bits()
@@ -645,7 +608,7 @@ mod engine_tests {
     #[test]
     fn interaction_is_bit_identical_across_thread_counts() {
         let desc = ddr3_1g_x16_55nm();
-        let serial = interaction_with(
+        let serial = interaction(
             &EvalEngine::new().threads(1),
             &desc,
             ParamId::BitlineCap,
@@ -653,7 +616,7 @@ mod engine_tests {
             0.2,
         )
         .expect("runs");
-        let parallel = interaction_with(
+        let parallel = interaction(
             &EvalEngine::new().threads(8),
             &desc,
             ParamId::BitlineCap,
@@ -670,9 +633,9 @@ mod engine_tests {
     fn repeated_sweep_is_fully_cached() {
         let engine = EvalEngine::new();
         let desc = ddr3_1g_x16_55nm();
-        let first = sweep_with(&engine, &desc, 0.2).expect("runs");
+        let first = sweep(&engine, &desc, 0.2).expect("runs");
         let misses = engine.cache_stats().misses;
-        let second = sweep_with(&engine, &desc, 0.2).expect("runs");
+        let second = sweep(&engine, &desc, 0.2).expect("runs");
         assert_eq!(
             engine.cache_stats().misses,
             misses,
@@ -685,7 +648,7 @@ mod engine_tests {
     #[test]
     fn matrix_covers_all_in_chart_pairs() {
         let desc = ddr3_1g_x16_55nm();
-        let m = interaction_matrix(&desc, 0.2).expect("runs");
+        let m = interaction_matrix(EvalEngine::global(), &desc, 0.2).expect("runs");
         let n = ParamId::ALL.iter().filter(|p| p.in_pareto_chart()).count();
         assert_eq!(m.params.len(), n);
         assert_eq!(m.entries.len(), n * (n - 1) / 2);
@@ -711,7 +674,7 @@ mod engine_tests {
     fn matrix_agrees_with_pairwise_interaction() {
         let desc = ddr3_1g_x16_55nm();
         let engine = EvalEngine::new();
-        let m = interaction_matrix_with(&engine, &desc, 0.2).expect("runs");
+        let m = interaction_matrix(&engine, &desc, 0.2).expect("runs");
         // Spot-check a spread of pairs (first, middle, last, and the
         // physically coupled bitline pair) against individual calls.
         let picks = [
@@ -727,7 +690,7 @@ mod engine_tests {
             (ParamId::BitlineCap, ParamId::Vbl),
         ];
         for (a, b) in picks {
-            let pairwise = interaction_with(&engine, &desc, a, b, 0.2).expect("runs");
+            let pairwise = interaction(&engine, &desc, a, b, 0.2).expect("runs");
             let entry = m.of(a, b).expect("pair in matrix");
             assert_eq!(entry.joint.to_bits(), pairwise.joint.to_bits(), "{a} × {b}");
             assert_eq!(
@@ -743,7 +706,7 @@ mod engine_tests {
     #[test]
     fn matrix_ranks_coupled_pairs_above_disjoint_ones() {
         let desc = ddr3_1g_x16_55nm();
-        let m = interaction_matrix(&desc, 0.2).expect("runs");
+        let m = interaction_matrix(EvalEngine::global(), &desc, 0.2).expect("runs");
         let coupled = m.of(ParamId::BitlineCap, ParamId::Vbl).unwrap();
         let disjoint = m.of(ParamId::ConstantCurrent, ParamId::BitlineCap).unwrap();
         assert!(
@@ -765,7 +728,7 @@ mod engine_tests {
     fn differential_sweep_matches_full_rebuild_bitwise() {
         let desc = ddr3_1g_x16_55nm();
         for n in [1, 8] {
-            let fast = sweep_with(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
+            let fast = sweep(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
             let full =
                 sweep_with_full_rebuild(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
             assert_eq!(fast.baseline_watts.to_bits(), full.baseline_watts.to_bits());
@@ -786,7 +749,7 @@ mod engine_tests {
     #[test]
     fn differential_matrix_matches_full_rebuild_bitwise() {
         let desc = ddr3_1g_x16_55nm();
-        let fast = interaction_matrix_with(&EvalEngine::new(), &desc, 0.2).expect("runs");
+        let fast = interaction_matrix(&EvalEngine::new(), &desc, 0.2).expect("runs");
         let full =
             interaction_matrix_with_full_rebuild(&EvalEngine::new(), &desc, 0.2).expect("runs");
         assert_eq!(fast.params, full.params);
@@ -808,10 +771,8 @@ mod engine_tests {
     #[test]
     fn matrix_is_bit_identical_across_thread_counts() {
         let desc = ddr3_1g_x16_55nm();
-        let serial =
-            interaction_matrix_with(&EvalEngine::new().threads(1), &desc, 0.2).expect("runs");
-        let parallel =
-            interaction_matrix_with(&EvalEngine::new().threads(4), &desc, 0.2).expect("runs");
+        let serial = interaction_matrix(&EvalEngine::new().threads(1), &desc, 0.2).expect("runs");
+        let parallel = interaction_matrix(&EvalEngine::new().threads(4), &desc, 0.2).expect("runs");
         assert_eq!(serial.entries.len(), parallel.entries.len());
         for (a, b) in serial.entries.iter().zip(&parallel.entries) {
             assert_eq!(a.a, b.a);

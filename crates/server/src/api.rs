@@ -376,7 +376,7 @@ pub fn sweep_document(
     variation: f64,
     top: Option<usize>,
 ) -> Result<Value, Response> {
-    let result = dram_sensitivity::sweep(desc, variation)
+    let result = dram_sensitivity::sweep(EvalEngine::global(), desc, variation)
         .map_err(|e| Response::error(400, &format!("sweep failed: {e}")))?;
     let mut ranked = result.ranked();
     if let Some(n) = top {

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use dram_energy::model::reference::ddr3_1g_x16_55nm;
 use dram_energy::scaling::presets::all_generations;
-use dram_energy::sensitivity::{interaction_matrix_with, sweep_with};
+use dram_energy::sensitivity::{interaction_matrix, sweep};
 use dram_energy::EvalEngine;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -48,14 +48,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Analyses share the same cache: the sweep's +20 % single-parameter
     // variants are reused by the interaction matrix.
     let t = Instant::now();
-    let sweep = sweep_with(&engine, &reference, 0.2)?;
+    let sweep = sweep(&engine, &reference, 0.2)?;
     println!(
         "\nsensitivity sweep ({} parameters) in {:?}",
         sweep.entries.len(),
         t.elapsed()
     );
     let t = Instant::now();
-    let matrix = interaction_matrix_with(&engine, &reference, 0.2)?;
+    let matrix = interaction_matrix(&engine, &reference, 0.2)?;
     println!(
         "interaction matrix ({} in-chart pairs) in {:?}",
         matrix.entries.len(),

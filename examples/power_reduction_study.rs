@@ -21,7 +21,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     println!("baseline: {}\n", base.name);
 
-    let evals = evaluate_all(&base)?;
+    let engine = EvalEngine::global();
+    let evals = evaluate_all(engine, &base)?;
     let baseline_epb = evals
         .iter()
         .find(|e| e.scheme == Scheme::Baseline)
@@ -72,7 +73,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Beyond the §V schemes: which single model parameter, improved by
     // 20 %, buys the most mixed-workload power? One differential batch
     // answers for all of them at once.
-    let engine = EvalEngine::global();
     let baseline_w = engine.model(&base)?.mixed_workload_power().power.watts();
     let knobs: Vec<ParamId> = ParamId::ALL
         .iter()

@@ -6,7 +6,7 @@
 
 use dram_energy::scaling::trends::energy_reduction_per_generation;
 use dram_energy::scaling::{presets, ROADMAP};
-use dram_energy::{Dram, ModelError, Operation};
+use dram_energy::{Dram, EvalEngine, ModelError, Operation};
 
 fn main() -> Result<(), ModelError> {
     println!(
@@ -37,7 +37,7 @@ fn main() -> Result<(), ModelError> {
     }
 
     // The Fig. 13 headline: the reduction flattens going forward.
-    let t = dram_energy::scaling::trends::energy_trends();
+    let t = dram_energy::scaling::trends::energy_trends(EvalEngine::global());
     println!(
         "\nenergy-per-bit reduction per generation: x{:.2} (170→44 nm, paper ~x1.5), \
          x{:.2} (44→16 nm, paper forecast ~x1.2)",

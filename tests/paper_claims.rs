@@ -5,7 +5,7 @@
 use dram_energy::scaling::presets::{all_generations, ddr3_2g_55nm, ddr5_16g_18nm, sdr_128m_170nm};
 use dram_energy::scaling::trends::{energy_reduction_per_generation, energy_trends};
 use dram_energy::sensitivity::{sweep, ParamId};
-use dram_energy::{Dram, Operation};
+use dram_energy::{Dram, EvalEngine, Operation};
 
 /// §IV.B / Table III: "Internal voltage Vint" tops the sensitivity
 /// ranking for every sampled generation.
@@ -13,7 +13,7 @@ use dram_energy::{Dram, Operation};
 fn vint_is_the_most_sensitive_parameter_everywhere() {
     for desc in [sdr_128m_170nm(), ddr3_2g_55nm(), ddr5_16g_18nm()] {
         let name = desc.name.clone();
-        let s = sweep(&desc, 0.2).expect("sweep runs");
+        let s = sweep(EvalEngine::global(), &desc, 0.2).expect("sweep runs");
         assert_eq!(
             s.top(1)[0].param,
             ParamId::Vint,
@@ -28,7 +28,7 @@ fn vint_is_the_most_sensitive_parameter_everywhere() {
 /// voltage Vdd."
 #[test]
 fn only_vdd_is_exactly_proportional() {
-    let s = sweep(&ddr3_2g_55nm(), 0.2).expect("runs");
+    let s = sweep(EvalEngine::global(), &ddr3_2g_55nm(), 0.2).expect("runs");
     let vdd = s.of(ParamId::Vdd).expect("swept");
     assert!(
         (vdd.swing() - 0.40).abs() < 0.01,
@@ -51,7 +51,7 @@ fn only_vdd_is_exactly_proportional() {
 /// 2010 and the forecast reduction is distinctly weaker.
 #[test]
 fn energy_reduction_slows_down() {
-    let trends = energy_trends();
+    let trends = energy_trends(EvalEngine::global());
     let hist = energy_reduction_per_generation(&trends, 170.0, 44.0);
     let fore = energy_reduction_per_generation(&trends, 44.0, 16.0);
     assert!((1.35..=1.85).contains(&hist), "historical factor {hist}");
@@ -83,9 +83,9 @@ fn array_power_share_declines_monotonically_in_eras() {
 /// datasheet spread (with the documented guard bands).
 #[test]
 fn datasheet_verification_points_hold() {
-    let ddr3 = dram_bench::ReportId::Fig9.generate();
+    let ddr3 = dram_bench::ReportId::Fig9.generate(EvalEngine::global());
     assert!(!ddr3.contains("OUTSIDE"), "{ddr3}");
-    let ddr2 = dram_bench::ReportId::Fig8.generate();
+    let ddr2 = dram_bench::ReportId::Fig8.generate(EvalEngine::global());
     assert!(!ddr2.contains("OUTSIDE"), "{ddr2}");
 }
 
@@ -150,14 +150,19 @@ fn current_dependencies_have_the_right_signs() {
 fn scheme_tradeoffs_match_section_v() {
     use dram_energy::schemes::{evaluate, evaluate_all, Scheme};
     let base = ddr3_2g_55nm();
-    let evals = evaluate_all(&base).expect("evaluates");
+    let evals = evaluate_all(EvalEngine::global(), &base).expect("evaluates");
     for e in &evals {
         if e.scheme != Scheme::Baseline {
             assert!(e.savings > 0.0, "{} does not save", e.scheme.name());
         }
     }
-    let sba = evaluate(&base, Scheme::selective_bitline_activation()).unwrap();
-    let seg = evaluate(&base, Scheme::SegmentedDatalines).unwrap();
+    let sba = evaluate(
+        EvalEngine::global(),
+        &base,
+        Scheme::selective_bitline_activation(),
+    )
+    .unwrap();
+    let seg = evaluate(EvalEngine::global(), &base, Scheme::SegmentedDatalines).unwrap();
     // Row-granularity schemes save much more than dataline segmentation...
     assert!(sba.savings > 3.0 * seg.savings);
     // ...but cost real on-pitch area while segmentation is free.

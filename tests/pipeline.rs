@@ -83,7 +83,7 @@ fn every_roadmap_preset_roundtrips_through_the_dsl() {
 fn all_reports_generate() {
     // The complete repro surface stays alive end to end.
     for id in dram_bench_smoke::ids() {
-        let text = id.generate();
+        let text = id.generate(dram_energy::EvalEngine::global());
         assert!(text.len() > 100, "{} too short", id.command());
     }
 }

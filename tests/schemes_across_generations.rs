@@ -4,9 +4,10 @@
 use dram_energy::scaling::presets::preset;
 use dram_energy::scaling::{TechNode, ROADMAP};
 use dram_energy::schemes::{evaluate, Scheme};
+use dram_energy::EvalEngine;
 
 fn savings(node: &TechNode, scheme: Scheme) -> f64 {
-    evaluate(&preset(node), scheme)
+    evaluate(EvalEngine::global(), &preset(node), scheme)
         .expect("scheme evaluates")
         .savings
 }
@@ -67,13 +68,13 @@ fn schemes_save_on_every_generation() {
 #[test]
 fn stacked_codesign_dominates_on_reference_node() {
     let base = preset(TechNode::by_feature(55.0).expect("node"));
-    let stacked = dram_energy::schemes::apply_stacked(&base).expect("stacks");
+    let stacked = dram_energy::schemes::apply_stacked(EvalEngine::global(), &base).expect("stacks");
     for scheme in [
         Scheme::selective_bitline_activation(),
         Scheme::SegmentedDatalines,
         Scheme::TsvStacking,
     ] {
-        let single = evaluate(&base, scheme).expect("evaluates");
+        let single = evaluate(EvalEngine::global(), &base, scheme).expect("evaluates");
         assert!(
             stacked.energy_per_bit < single.energy_per_bit,
             "stacked {} vs {} {}",

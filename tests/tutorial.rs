@@ -68,7 +68,8 @@ fn tutorial_walkthrough() {
     );
 
     // Step 4: the §IV.B question.
-    let sweep = dram_energy::sensitivity::sweep(dram.description(), 0.2).expect("sweeps");
+    let engine = dram_energy::EvalEngine::global();
+    let sweep = dram_energy::sensitivity::sweep(engine, dram.description(), 0.2).expect("sweeps");
     assert_eq!(sweep.top(1)[0].param, ParamId::Vint);
 
     // Step 5: under load.

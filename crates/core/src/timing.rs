@@ -47,7 +47,8 @@ struct BankTiming {
 /// rules.
 ///
 /// Feed it commands in issue order; [`Self::check`] rejects the first
-/// one that addresses a bank out of range, activates an open bank,
+/// one that addresses a bank out of range (only `act`, `pre`, `rd` and
+/// `wr` address one), activates an open bank,
 /// breaks tRC, tRP, tRRD or tFAW on an activate, breaks tRAS on a
 /// precharge, accesses a closed bank or breaks tRCD or tCCD on a column
 /// command, or refreshes with a bank open. Its state is O(banks) plus
@@ -134,12 +135,9 @@ impl TimingChecker {
     ) -> Result<(), ModelError> {
         let fail = |message: String| Err(ModelError::TimingViolation { message });
         let t = i64::try_from(cycle).unwrap_or(i64::MAX);
-        let banks = self.banks.len();
-        let Some(b) = self.banks.get_mut(bank as usize) else {
-            return fail(format!("command addresses bank {bank} of {banks}"));
-        };
         match command {
             Command::Activate => {
+                let b = addressed(&mut self.banks, bank)?;
                 if strict {
                     if b.open {
                         return fail(format!("activate to open bank {bank} at cycle {t}"));
@@ -164,6 +162,7 @@ impl TimingChecker {
                 self.oldest_act = (self.oldest_act + 1) % self.recent_acts.len();
             }
             Command::Precharge => {
+                let b = addressed(&mut self.banks, bank)?;
                 // Precharging a precharged bank is a legal no-op.
                 if strict && b.open && elapsed(t, b.last_act) < self.tras {
                     return fail(format!("tRAS violated on bank {bank} at cycle {t}"));
@@ -172,6 +171,7 @@ impl TimingChecker {
                 b.last_pre = t;
             }
             Command::Read | Command::Write => {
+                let b = addressed(&mut self.banks, bank)?;
                 if strict {
                     if !b.open {
                         return fail(format!("column access to closed bank {bank} at cycle {t}"));
@@ -200,6 +200,17 @@ impl TimingChecker {
         }
         Ok(())
     }
+}
+
+/// The state of `bank`, which a command that addresses a bank must name
+/// in range.
+fn addressed(banks: &mut [BankTiming], bank: u32) -> Result<&mut BankTiming, ModelError> {
+    let count = banks.len();
+    banks
+        .get_mut(bank as usize)
+        .ok_or_else(|| ModelError::TimingViolation {
+            message: format!("command addresses bank {bank} of {count}"),
+        })
 }
 
 /// A command scheduled at a clock cycle on a specific bank.
@@ -656,22 +667,27 @@ mod tests {
 
     #[test]
     fn legal_access_sequence_validates() {
-        use Command::{Activate as Act, Precharge as Pre, Read as Rd};
+        use Command::{
+            Activate as Act, PowerDownEnter as Pde, PowerDownExit as Pdx, Precharge as Pre,
+            Read as Rd, Refresh as Ref,
+        };
         let (timing, clock) = fixture();
         // act @0, rd @12 (tRCD=12 cycles at 800 MHz), pre @28 (tRAS), next
         // act @40 (tRC).
-        let t = schedule(
-            &[
-                (0, 0, Act),
-                (12, 0, Rd),
-                (28, 0, Pre),
-                (40, 0, Act),
-                (52, 0, Rd),
-            ],
-            100,
-        )
-        .expect("builds");
-        t.validate_trace(&timing, clock, 8).expect("legal");
+        let access = [
+            (0, 0, Act),
+            (12, 0, Rd),
+            (28, 0, Pre),
+            (40, 0, Act),
+            (52, 0, Rd),
+        ];
+        // Only act, pre, rd and wr address a bank: the CKE transitions and
+        // an all-bank refresh pass whatever bank they carry.
+        let bankless = [(0, 9, Pde), (100, 9, Pdx), (200, 9, Ref)];
+        for commands in [&access[..], &bankless] {
+            let t = schedule(commands, 300).expect("builds");
+            t.validate_trace(&timing, clock, 8).expect("legal");
+        }
     }
 
     /// One trace per rule `validate_trace` enforces, each breaking only

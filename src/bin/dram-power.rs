@@ -18,7 +18,7 @@ use dram_energy::server::presets as named;
 use dram_energy::units::cli::{exit_usage, Flags};
 use dram_energy::workload::{TraceDecoder, TraceError, TraceErrorKind, TraceEvent, TraceReport};
 use dram_energy::workload::{TraceSession, TraceSink};
-use dram_energy::{dsl, Command, Dram, Operation, Pattern};
+use dram_energy::{dsl, Dram, Operation, Pattern};
 
 struct Args {
     input: Option<String>,
@@ -187,11 +187,9 @@ fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
     let mut session = TraceSession::new(named::FixedModel::new(dram));
     let mut checked = |event: TraceEvent| match event {
         TraceEvent::Command(c) => {
-            if c.command != Command::Nop {
-                checker
-                    .check(c.cycle, c.bank, c.command)
-                    .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
-            }
+            checker
+                .check(c.cycle, c.bank, c.command)
+                .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
             session.command(c)
         }
         directive => session.directive(directive),

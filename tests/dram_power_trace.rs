@@ -1,6 +1,7 @@
 //! `dram-power --trace` end to end: the binary reads the `/v1/trace`
 //! grammar that `write_trace` writes, prices it with the fold `simulate`
-//! runs, and refuses a bank-timing violation, a foreign `!preset`, a late
+//! runs, prices power-down and refresh lines whatever bank they carry,
+//! and refuses a bank-timing violation, a foreign `!preset`, a late
 //! `!policy`, the retired `cycle bank command` spelling, a trace without
 //! a command line and a `!preset` after one, each with its line and kind.
 //! `/v1/trace` refuses all but the first two alike.
@@ -57,6 +58,48 @@ fn written_trace_prices_as_simulate_does() {
         report.bits / 1e3
     );
     assert!(stdout.lines().any(|l| l == expected), "{stdout}");
+}
+
+/// Traces `dram-power` and `/v1/trace` both price, and alike: a
+/// `!preset` naming the device `dram-power` holds, and power-down and
+/// refresh lines carrying a bank past the device's 8 (only `act`, `pre`,
+/// `rd` and `wr` address a bank).
+const PRICED: [(&str, &str); 2] = [
+    ("own-preset", "!preset ddr3_1g_x16_55nm\n0 act 0\n"),
+    ("bankless", "0 pde 9\n100 pdx 9\n200 ref 9\n"),
+];
+
+#[test]
+fn both_readers_price_alike() {
+    let server = serve("127.0.0.1:0", ServerConfig::default()).expect("bind ephemeral");
+    for (name, text) in PRICED {
+        let (out, _) = price(name, text);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let reply = client::fetch(
+            server.local_addr(),
+            "POST",
+            "/v1/trace?preset=ddr3_1g_x16_55nm",
+            text.as_bytes(),
+        )
+        .expect("reply");
+        let body = reply.text();
+        assert_eq!(reply.status(), 200, "{name}: {body}");
+        let doc = Value::parse(&body).expect("report JSON");
+        let number = |key| doc.get(key).and_then(Value::as_f64).expect(key);
+        let served = format!(
+            ": {} commands over {:.2} µs — {:.1} mW average",
+            number("commands"),
+            number("duration_s") * 1e6,
+            number("average_power_w") * 1e3
+        );
+        assert!(stdout.contains(&served), "{name}: {served} not in {stdout}");
+    }
+    server.shutdown();
 }
 
 /// A trace `dram-power` refuses: what its error must say, the kind and
@@ -153,12 +196,6 @@ fn refused_traces_name_their_line_and_kind() {
         };
         assert!(names_its_line, "{}: {stderr}", r.name);
     }
-    let (out, _) = price("own-preset", "!preset ddr3_1g_x16_55nm\n0 act 0\n");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
 }
 
 /// `/v1/trace`, given the device `dram-power --preset 55` prices on,

@@ -31,7 +31,8 @@ use crate::span::Profile;
 /// without relying on timestamp containment.
 #[must_use]
 pub fn chrome_trace(profile: &Profile) -> Value {
-    let mut events: Vec<Value> = Vec::with_capacity(profile.spans.len() + profile.threads.len() + 1);
+    let mut events: Vec<Value> =
+        Vec::with_capacity(profile.spans.len() + profile.threads.len() + 1);
     events.push(obj(vec![
         ("ph", "M".into()),
         ("name", "process_name".into()),
@@ -305,12 +306,18 @@ impl Reading<'_> {
                     .map(|i| bucket_upper_us(i).map_or(Value::Null, Value::from))
                     .collect();
                 let counts: Vec<Value> = h.counts().into_iter().map(Value::from).collect();
-                obj(vec![("bucket_upper_us", uppers.into()), ("counts", counts.into())])
+                obj(vec![
+                    ("bucket_upper_us", uppers.into()),
+                    ("counts", counts.into()),
+                ])
             }
             Reading::Info(_, value) => (*value).into(),
-            Reading::Labeled(_, counts) => {
-                Value::Obj(counts.iter().map(|(k, n)| ((*k).to_string(), (*n).into())).collect())
-            }
+            Reading::Labeled(_, counts) => Value::Obj(
+                counts
+                    .iter()
+                    .map(|(k, n)| ((*k).to_string(), (*n).into()))
+                    .collect(),
+            ),
         }
     }
 }

@@ -292,7 +292,9 @@ thread_local! {
 /// may still hold its pointer, and reconfiguration is a startup/test
 /// operation, not a loop.
 pub fn configure(total_events: usize) {
-    let _guard = config_lock().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _guard = config_lock()
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let new = if total_events == 0 {
         std::ptr::null_mut()
     } else {
@@ -401,9 +403,7 @@ pub fn events_for_request(request: u64) -> Vec<Event> {
     };
     all.into_iter()
         .take(end + 1)
-        .filter(|e| {
-            e.request == request || (conn != 0 && e.conn == conn && e.request == 0)
-        })
+        .filter(|e| e.request == request || (conn != 0 && e.conn == conn && e.request == 0))
         .collect()
 }
 

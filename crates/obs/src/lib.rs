@@ -56,7 +56,9 @@ pub use export::{
     chrome_trace, escape_help, escape_label, json_members, registry_json, wants_prometheus, Kind,
     PromWriter, Series,
 };
-pub use metrics::{bucket_index, bucket_upper_us, Counter, Gauge, Histogram, Metric, Registry, BUCKETS};
+pub use metrics::{
+    bucket_index, bucket_upper_us, Counter, Gauge, Histogram, Metric, Registry, BUCKETS,
+};
 pub use span::{
     clear, drain, enabled, register_thread, rollup, rollup_table, set_enabled, snapshot, span,
     ManualSpan, Profile, Rollup, SpanGuard, SpanRecord, ThreadInfo,
@@ -76,7 +78,9 @@ mod tests {
     fn exclusive() -> MutexGuard<'static, ()> {
         static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
         let lock = LOCK.get_or_init(|| Mutex::new(()));
-        let guard = lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let guard = lock
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         set_enabled(false);
         clear();
         guard
@@ -139,8 +143,8 @@ mod tests {
         {
             let mut g = span("t.off");
             g.add_arg("k", "v");
-            let _manual = ManualSpan::new("t.off.manual", Instant::now(), Instant::now())
-                .arg("k", 1);
+            let _manual =
+                ManualSpan::new("t.off.manual", Instant::now(), Instant::now()).arg("k", 1);
         }
         ManualSpan::new("t.off.committed", Instant::now(), Instant::now()).commit();
         assert!(drain().spans.is_empty());
@@ -152,7 +156,9 @@ mod tests {
         set_enabled(true);
         let start = Instant::now();
         let end = start + Duration::from_micros(1500);
-        ManualSpan::new("t.manual", start, end).arg("id", "abc").commit();
+        ManualSpan::new("t.manual", start, end)
+            .arg("id", "abc")
+            .commit();
         set_enabled(false);
         let profile = drain();
         assert_eq!(profile.spans.len(), 1);
@@ -230,7 +236,11 @@ mod tests {
         );
         // Awkward arg values survive the escaper and the parser.
         assert_eq!(
-            outer.get("args").unwrap().get("quote").and_then(Value::as_str),
+            outer
+                .get("args")
+                .unwrap()
+                .get("quote")
+                .and_then(Value::as_str),
             Some("a\"b\\c")
         );
         // Thread metadata names the recording thread.
@@ -344,10 +354,22 @@ mod tests {
         assert!(text.contains("# TYPE dram_lat_seconds histogram\n"));
         // le="0.000001" (1 µs upper bound) has seen nothing; 2 µs has 1;
         // 4 µs has 2; +Inf has all 3.
-        assert!(text.contains("dram_lat_seconds_bucket{le=\"0.000001\"} 0\n"), "{text}");
-        assert!(text.contains("dram_lat_seconds_bucket{le=\"0.000002\"} 1\n"), "{text}");
-        assert!(text.contains("dram_lat_seconds_bucket{le=\"0.000004\"} 2\n"), "{text}");
-        assert!(text.contains("dram_lat_seconds_bucket{le=\"+Inf\"} 3\n"), "{text}");
+        assert!(
+            text.contains("dram_lat_seconds_bucket{le=\"0.000001\"} 0\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dram_lat_seconds_bucket{le=\"0.000002\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dram_lat_seconds_bucket{le=\"0.000004\"} 2\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dram_lat_seconds_bucket{le=\"+Inf\"} 3\n"),
+            "{text}"
+        );
         assert!(text.contains("dram_lat_seconds_count 3\n"), "{text}");
         // Cumulative counts never decrease.
         let mut last = 0.0;
@@ -391,9 +413,18 @@ mod tests {
         let mut w = PromWriter::new();
         w.histogram_seconds("dram_edge_seconds", "Boundary.", &h);
         let text = w.finish();
-        assert!(text.contains("dram_edge_seconds_bucket{le=\"0.000004\"} 0\n"), "{text}");
-        assert!(text.contains("dram_edge_seconds_bucket{le=\"0.000008\"} 1\n"), "{text}");
-        assert!(text.contains("dram_edge_seconds_bucket{le=\"+Inf\"} 1\n"), "{text}");
+        assert!(
+            text.contains("dram_edge_seconds_bucket{le=\"0.000004\"} 0\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dram_edge_seconds_bucket{le=\"0.000008\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dram_edge_seconds_bucket{le=\"+Inf\"} 1\n"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -444,13 +475,26 @@ mod tests {
             kind: Kind::Counter(|r: &Row| r.0),
         }];
         let mut w = PromWriter::new();
-        w.rows(&list, "node", [("a", &Row(2.0)), ("b", &Row(3.0))].into_iter());
+        w.rows(
+            &list,
+            "node",
+            [("a", &Row(2.0)), ("b", &Row(3.0))].into_iter(),
+        );
         let text = w.finish();
-        assert!(text.contains("dram_rows_total{node=\"a\"} 2\ndram_rows_total{node=\"b\"} 3\n"), "{text}");
+        assert!(
+            text.contains("dram_rows_total{node=\"a\"} 2\ndram_rows_total{node=\"b\"} 3\n"),
+            "{text}"
+        );
         let mut w = PromWriter::new();
         w.rows(&list, "node", std::iter::empty());
-        assert_eq!(w.finish(), "# HELP dram_rows_total Rows.\n# TYPE dram_rows_total counter\n");
-        assert_eq!(json_members(&list, &Row(4.0)), vec![("rows".to_string(), Value::Num(4.0))]);
+        assert_eq!(
+            w.finish(),
+            "# HELP dram_rows_total Rows.\n# TYPE dram_rows_total counter\n"
+        );
+        assert_eq!(
+            json_members(&list, &Row(4.0)),
+            vec![("rows".to_string(), Value::Num(4.0))]
+        );
     }
 
     #[test]

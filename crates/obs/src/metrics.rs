@@ -214,9 +214,12 @@ impl Registry {
     /// Panics if `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
         let mut inner = self.inner.lock().expect("registry lock");
-        let (metric, _) = inner
-            .entry(name.to_string())
-            .or_insert_with(|| (Metric::Histogram(Arc::new(Histogram::new())), help.to_string()));
+        let (metric, _) = inner.entry(name.to_string()).or_insert_with(|| {
+            (
+                Metric::Histogram(Arc::new(Histogram::new())),
+                help.to_string(),
+            )
+        });
         match metric {
             Metric::Histogram(h) => Arc::clone(h),
             _ => panic!("metric `{name}` is registered as a non-histogram"),

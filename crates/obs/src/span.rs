@@ -216,15 +216,19 @@ impl Drop for SpanGuard {
         CURRENT_PARENT.with(|p| p.set(active.parent));
         let start_us = us(active.start.saturating_duration_since(epoch()));
         let dur_us = us(end.saturating_duration_since(active.start));
-        sink().lock().expect("span sink lock").spans.push(SpanRecord {
-            id: active.id,
-            parent: active.parent,
-            name: active.name,
-            thread: active.thread,
-            start_us,
-            dur_us,
-            args: active.args,
-        });
+        sink()
+            .lock()
+            .expect("span sink lock")
+            .spans
+            .push(SpanRecord {
+                id: active.id,
+                parent: active.parent,
+                name: active.name,
+                thread: active.thread,
+                start_us,
+                dur_us,
+                args: active.args,
+            });
     }
 }
 

@@ -98,7 +98,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     savings.sort_by(|a, b| b.1.total_cmp(&a.1));
     println!("\ntop single-parameter improvements (±20%, mixed workload):");
     for (i, (p, saving)) in savings.iter().take(5).enumerate() {
-        println!("  {}. {:<34} {:.1}% power saving", i + 1, p.name(), saving * 100.0);
+        println!(
+            "  {}. {:<34} {:.1}% power saving",
+            i + 1,
+            p.name(),
+            saving * 100.0
+        );
     }
     Ok(())
 }

@@ -128,10 +128,20 @@ fn main() {
     let engine = doc.get("engine").expect("engine block");
     println!(
         "\nGET /metrics\n  requests_total = {}, rejected_busy = {}, cache hits = {}, misses = {}",
-        doc.get("requests_total").and_then(Value::as_f64).unwrap_or(0.0),
-        doc.get("rejected_busy").and_then(Value::as_f64).unwrap_or(0.0),
-        engine.get("cache_hits").and_then(Value::as_f64).unwrap_or(0.0),
-        engine.get("cache_misses").and_then(Value::as_f64).unwrap_or(0.0),
+        doc.get("requests_total")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0),
+        doc.get("rejected_busy")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0),
+        engine
+            .get("cache_hits")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0),
+        engine
+            .get("cache_misses")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0),
     );
 
     let served = handle.shutdown();

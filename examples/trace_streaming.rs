@@ -88,7 +88,10 @@ fn main() {
 
     let doc = Value::parse(&body).expect("valid JSON");
     let f = |k: &str| doc.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-    println!("POST /v1/trace ({} bytes, {commands} commands)", TRACE.len());
+    println!(
+        "POST /v1/trace ({} bytes, {commands} commands)",
+        TRACE.len()
+    );
     println!("  cycles          = {:.0}", f("cycles"));
     println!("  total energy    = {:9.1} pJ", f("energy_pj"));
     println!("  average power   = {:9.6} W", f("average_power_w"));

@@ -196,9 +196,9 @@ fn main() {
     conn.write_all(&head).expect("head");
 
     // Single pass: every generated batch is framed onto the socket and
-    // fed to the local decoder, whose sink checks every command's bank
-    // timing before the session folds it. Neither side ever holds more
-    // than one batch.
+    // fed to the local decoder, whose sink hands every command to the
+    // session first, as the server does, then checks its bank timing.
+    // Neither side ever holds more than one batch.
     let desc = dram.description();
     let mut checker = TimingChecker::new(
         &desc.timing,
@@ -210,10 +210,10 @@ fn main() {
     let mut decoder = TraceDecoder::new();
     let mut sink = |event: TraceEvent| match event {
         TraceEvent::Command(c) => {
+            session.command(c)?;
             checker
                 .check(c.cycle, c.bank, c.command)
-                .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
-            session.command(c)
+                .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))
         }
         directive => session.directive(directive),
     };

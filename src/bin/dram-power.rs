@@ -175,7 +175,8 @@ fn run(args: &Args) -> Result<(), String> {
 
 /// Prices the trace file at `path` on `dram` as `/v1/trace` does, in
 /// fixed-size reads through one [`TraceDecoder`] into a [`TraceSession`],
-/// after checking each command's bank timing: O(1) memory in the trace.
+/// then checks each command the session accepted for bank timing: O(1)
+/// memory in the trace.
 fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
     let desc = dram.description();
     let mut checker = TimingChecker::new(
@@ -187,10 +188,10 @@ fn price_trace(path: &str, dram: &Dram) -> Result<(u64, TraceReport), String> {
     let mut session = TraceSession::new(named::FixedModel::new(dram));
     let mut checked = |event: TraceEvent| match event {
         TraceEvent::Command(c) => {
+            session.command(c)?;
             checker
                 .check(c.cycle, c.bank, c.command)
-                .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))?;
-            session.command(c)
+                .map_err(|e| TraceError::new(TraceErrorKind::Timing, e.to_string()))
         }
         directive => session.directive(directive),
     };

@@ -1,10 +1,11 @@
 //! `dram-power --trace` end to end: the binary reads the `/v1/trace`
 //! grammar that `write_trace` writes, prices it with the fold `simulate`
 //! runs, prices power-down and refresh lines whatever bank they carry,
-//! and refuses a bank-timing violation, a foreign `!preset`, a late
-//! `!policy`, the retired `cycle bank command` spelling, a trace without
-//! a command line and a `!preset` after one, each with its line and kind.
-//! `/v1/trace` refuses all but the first two alike.
+//! and refuses a bank-timing violation, a foreign `!preset`, an `act` on a
+//! bank past the device's, a late `!policy`, the retired
+//! `cycle bank command` spelling, a trace without a command line and a
+//! `!preset` after one, each with its line and kind. `/v1/trace` refuses
+//! all but the first two alike.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -114,7 +115,7 @@ struct Refusal {
     served_differently: Option<&'static str>,
 }
 
-const REFUSALS: [Refusal; 8] = [
+const REFUSALS: [Refusal; 9] = [
     Refusal {
         name: "trcd",
         text: "0 act 0\n6 rd 0\n",
@@ -122,6 +123,14 @@ const REFUSALS: [Refusal; 8] = [
         kind: "timing",
         line: 2,
         served_differently: Some("the server does not check bank timing yet"),
+    },
+    Refusal {
+        name: "bank-past-the-device",
+        text: "0 act 9\n",
+        wants: "line 1: bank 9 of 8",
+        kind: "syntax",
+        line: 1,
+        served_differently: None,
     },
     Refusal {
         name: "foreign-preset",

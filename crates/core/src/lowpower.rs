@@ -53,14 +53,17 @@ impl TemperatureRange {
     }
 }
 
-/// A CKE-controlled device power state.
+/// A CKE-controlled device power state: the five states a trace bills.
+///
+/// Declared in trace display order, so `state as usize` indexes the
+/// per-state arrays of a trace report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerState {
-    /// CKE high, all banks precharged, clock running (IDD2N).
-    PrechargedStandby,
     /// CKE high, at least one bank open (IDD3N; the model books no DC
     /// difference to IDD2N).
     ActiveStandby,
+    /// CKE high, all banks precharged, clock running (IDD2N).
+    PrechargedStandby,
     /// CKE low with all banks precharged (IDD2P).
     PrechargePowerDown,
     /// CKE low with a bank open (IDD3P).
@@ -70,14 +73,26 @@ pub enum PowerState {
 }
 
 impl PowerState {
-    /// All power states.
+    /// All power states, in declaration (display) order.
     pub const ALL: [PowerState; 5] = [
-        PowerState::PrechargedStandby,
         PowerState::ActiveStandby,
+        PowerState::PrechargedStandby,
         PowerState::PrechargePowerDown,
         PowerState::ActivePowerDown,
         PowerState::SelfRefresh,
     ];
+
+    /// Stable snake_case label used in JSON documents and metric names.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            PowerState::ActiveStandby => "active",
+            PowerState::PrechargedStandby => "standby",
+            PowerState::PrechargePowerDown => "precharge_power_down",
+            PowerState::ActivePowerDown => "active_power_down",
+            PowerState::SelfRefresh => "self_refresh",
+        }
+    }
 
     /// The datasheet current symbol measuring this state.
     #[must_use]

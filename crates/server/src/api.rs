@@ -18,11 +18,12 @@ use std::sync::Arc;
 pub use dram_core::evaluate_document;
 use dram_core::{
     content_key, write_evaluate_body, Dram, DramDescription, EvalEngine, ModelError, Pattern,
+    PowerState,
 };
 use dram_units::json::{obj, Value};
 use dram_workload::{
     PowerDownPolicy, StreamFold, TraceDecoder, TraceDevice, TraceError, TraceErrorKind,
-    TraceReport, TraceSession, TraceState,
+    TraceReport, TraceSession,
 };
 
 use crate::http::{self, ChunkedBody, Request, Response};
@@ -436,7 +437,7 @@ fn sweep_handler(body: &Value) -> Response {
 /// bit-identical to a local [`StreamFold`] over the same commands.
 #[must_use]
 pub fn trace_document(name: &str, report: &TraceReport, commands: u64, trace_bytes: u64) -> Value {
-    let states: Vec<(String, Value)> = TraceState::ALL
+    let states: Vec<(String, Value)> = PowerState::ALL
         .iter()
         .map(|&s| {
             (

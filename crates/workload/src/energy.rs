@@ -1,8 +1,8 @@
 //! Trace-driven energy accounting: total energy, average power, energy
 //! per bit, and the effect of a memory-controller power-down policy.
 //!
-//! This module holds the policy, the five billable states and the report;
-//! the billing itself lives once, in [`crate::StreamFold`]. [`simulate`]
+//! This module holds the policy and the report, broken down by the five
+//! billable [`PowerState`]s; the billing itself lives once, in [`crate::StreamFold`]. [`simulate`]
 //! prices an in-memory [`Schedule`] by pushing its commands through that
 //! fold, so it and the streamed path agree bit for bit.
 
@@ -59,68 +59,8 @@ impl PowerDownPolicy {
     };
 }
 
-/// The five billable device states of the power-state machine. The two
-/// awake states map to IDD3N/IDD2N, the CKE-low states to
-/// IDD3P/IDD2P/IDD6 (see [`dram_core::lowpower::PowerState`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TraceState {
-    /// CKE high, at least one bank open.
-    Active,
-    /// CKE high, all banks precharged.
-    Standby,
-    /// CKE low, all banks precharged (IDD2P).
-    PrechargePowerDown,
-    /// CKE low with a bank open (IDD3P).
-    ActivePowerDown,
-    /// CKE low, the device refreshes itself (IDD6).
-    SelfRefresh,
-}
-
-impl TraceState {
-    /// All states, in display order.
-    pub const ALL: [TraceState; 5] = [
-        TraceState::Active,
-        TraceState::Standby,
-        TraceState::PrechargePowerDown,
-        TraceState::ActivePowerDown,
-        TraceState::SelfRefresh,
-    ];
-
-    /// Stable snake_case label used in JSON documents and metric names.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            TraceState::Active => "active",
-            TraceState::Standby => "standby",
-            TraceState::PrechargePowerDown => "precharge_power_down",
-            TraceState::ActivePowerDown => "active_power_down",
-            TraceState::SelfRefresh => "self_refresh",
-        }
-    }
-
-    /// Index into [`StateBreakdown`] arrays.
-    #[must_use]
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// The charge-model power of holding this state.
-    #[must_use]
-    pub fn power(self, dram: &Dram) -> Watts {
-        let s = match self {
-            TraceState::Active => PowerState::ActiveStandby,
-            TraceState::Standby => PowerState::PrechargedStandby,
-            TraceState::PrechargePowerDown => PowerState::PrechargePowerDown,
-            TraceState::ActivePowerDown => PowerState::ActivePowerDown,
-            TraceState::SelfRefresh => PowerState::SelfRefresh,
-        };
-        dram.state_power(s)
-    }
-}
-
 /// Per-state cycle and energy totals of one trace accounting pass,
-/// indexed by [`TraceState`].
+/// indexed by [`PowerState`] (`state as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StateBreakdown {
     /// Cycles spent in each state.
@@ -133,14 +73,14 @@ pub struct StateBreakdown {
 impl StateBreakdown {
     /// Cycles spent in `state`.
     #[must_use]
-    pub fn cycles(&self, state: TraceState) -> u64 {
-        self.cycles[state.index()]
+    pub fn cycles(&self, state: PowerState) -> u64 {
+        self.cycles[state as usize]
     }
 
     /// Energy billed in `state`.
     #[must_use]
-    pub fn energy(&self, state: TraceState) -> Joules {
-        self.energy[state.index()]
+    pub fn energy(&self, state: PowerState) -> Joules {
+        self.energy[state as usize]
     }
 
     /// Total cycles across all states.
@@ -456,10 +396,10 @@ mod tests {
         // into active power-down (29 - 16 threshold - 6 exit) and bills
         // the other 22, plus the precharge's own cycle, as `active`.
         assert_eq!(two_tier.states.total_cycles(), 40_000);
-        assert_eq!(two_tier.states.cycles(TraceState::Active), 23);
-        assert_eq!(two_tier.states.cycles(TraceState::ActivePowerDown), 7);
+        assert_eq!(two_tier.states.cycles(PowerState::ActiveStandby), 23);
+        assert_eq!(two_tier.states.cycles(PowerState::ActivePowerDown), 7);
         assert_eq!(
-            two_tier.states.cycles(TraceState::SelfRefresh),
+            two_tier.states.cycles(PowerState::SelfRefresh),
             two_tier.self_refresh_cycles
         );
         let sum = two_tier.command_energy
@@ -490,8 +430,8 @@ mod tests {
         // are powered down, pdx@1000 wakes with no exit latency, and the
         // 999-cycle tail idles in standby.
         assert_eq!(r.power_down_cycles, 996);
-        assert_eq!(r.states.cycles(TraceState::PrechargePowerDown), 996);
-        assert_eq!(r.states.cycles(TraceState::Standby), 1004);
+        assert_eq!(r.states.cycles(PowerState::PrechargePowerDown), 996);
+        assert_eq!(r.states.cycles(PowerState::PrechargedStandby), 1004);
         // Work while powered down is a typed error, not an energy.
         let busy = bank0_trace(
             &[

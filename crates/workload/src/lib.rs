@@ -43,7 +43,9 @@ mod stream;
 /// The decoder's command type under its trace-side name: one scheduled
 /// command of a [`dram_core::timing::Schedule`].
 pub use dram_core::timing::TimedCommand as TraceCommand;
-pub use energy::{simulate, PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
+/// The five billable power states under their trace-side name.
+pub use dram_core::PowerState as TraceState;
+pub use energy::{simulate, PowerDownPolicy, StateBreakdown, TraceReport};
 pub use generator::{
     generate, generate_validated, GeneratedWorkload, GeneratorStats, PagePolicy, WorkloadSpec,
 };

@@ -18,10 +18,10 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use dram_core::timing::{Schedule, TimedCommand};
-use dram_core::{Command, Dram};
+use dram_core::{Command, Dram, PowerState};
 use dram_units::{Joules, Seconds, Watts};
 
-use crate::energy::{PowerDownPolicy, StateBreakdown, TraceReport, TraceState};
+use crate::energy::{PowerDownPolicy, StateBreakdown, TraceReport};
 
 /// Process-wide count of commands folded from traces.
 pub fn trace_commands_total() -> &'static Arc<dram_obs::Counter> {
@@ -47,7 +47,7 @@ pub fn trace_bytes_total() -> &'static Arc<dram_obs::Counter> {
 fn state_cycles_total() -> &'static [Arc<dram_obs::Counter>; 5] {
     static COUNTERS: OnceLock<[Arc<dram_obs::Counter>; 5]> = OnceLock::new();
     COUNTERS.get_or_init(|| {
-        TraceState::ALL.map(|s| {
+        PowerState::ALL.map(|s| {
             dram_obs::Registry::global().counter(
                 &format!("dram_trace_state_cycles_{}_total", s.label()),
                 "Cycles billed to this power state across traces.",
@@ -769,10 +769,10 @@ fn parse_u64(line: u64, what: &str, token: &str) -> Result<u64, TraceError> {
 #[derive(Debug, Clone, Copy)]
 struct Sleep {
     /// State billed once the entry latency has elapsed.
-    state: TraceState,
+    state: PowerState,
     /// State the entry-latency cycles bill at (the clock tree is still
     /// running while the device falls asleep).
-    pre_state: TraceState,
+    pre_state: PowerState,
     /// Entry-latency cycles not yet billed.
     entry_remaining: u64,
 }
@@ -856,7 +856,7 @@ impl StreamFold {
             policy,
             command_energies,
             row_energies,
-            state_power: TraceState::ALL.map(|s| s.power(dram)),
+            state_power: PowerState::ALL.map(|s| dram.state_power(s)),
             cycle_time: 1.0 / spec.control_clock.hertz(),
             bits_per_column: f64::from(spec.bits_per_column_access()),
             banks: spec.banks(),
@@ -898,16 +898,16 @@ impl StreamFold {
     }
 
     #[inline]
-    fn bill(&mut self, state: TraceState, cycles: u64) {
-        self.cycles[state.index()] += cycles;
+    fn bill(&mut self, state: PowerState, cycles: u64) {
+        self.cycles[state as usize] += cycles;
     }
 
     #[inline]
-    fn awake_state(&self) -> TraceState {
+    fn awake_state(&self) -> PowerState {
         if self.open_count > 0 {
-            TraceState::Active
+            PowerState::ActiveStandby
         } else {
-            TraceState::Standby
+            PowerState::PrechargedStandby
         }
     }
 
@@ -931,13 +931,13 @@ impl StreamFold {
             0
         };
         let pd_state = if self.open_count > 0 {
-            TraceState::ActivePowerDown
+            PowerState::ActivePowerDown
         } else {
-            TraceState::PrechargePowerDown
+            PowerState::PrechargePowerDown
         };
         self.bill(awake, gap - pd - sr);
         self.bill(pd_state, pd);
-        self.bill(TraceState::SelfRefresh, sr);
+        self.bill(PowerState::SelfRefresh, sr);
     }
 
     /// Bills an explicitly-slept window: entry latency at the pre-entry
@@ -1001,7 +1001,7 @@ impl StreamFold {
 
     fn push_asleep(&mut self, c: TimedCommand) -> Result<(), TraceError> {
         let sleep = self.sleep.expect("asleep");
-        let in_self_refresh = sleep.state == TraceState::SelfRefresh;
+        let in_self_refresh = sleep.state == PowerState::SelfRefresh;
         let exit_latency = match c.command {
             Command::PowerDownExit if !in_self_refresh => self.policy.exit_latency_cycles,
             Command::SelfRefreshExit if in_self_refresh => {
@@ -1143,9 +1143,9 @@ impl StreamFold {
                 let pre = self.awake_state();
                 self.sleep = Some(Sleep {
                     state: if self.open_count > 0 {
-                        TraceState::ActivePowerDown
+                        PowerState::ActivePowerDown
                     } else {
-                        TraceState::PrechargePowerDown
+                        PowerState::PrechargePowerDown
                     },
                     pre_state: pre,
                     entry_remaining: Self::PD_ENTRY_CYCLES,
@@ -1160,8 +1160,8 @@ impl StreamFold {
                     ));
                 }
                 self.sleep = Some(Sleep {
-                    state: TraceState::SelfRefresh,
-                    pre_state: TraceState::Standby,
+                    state: PowerState::SelfRefresh,
+                    pre_state: PowerState::PrechargedStandby,
                     entry_remaining: Self::SR_ENTRY_CYCLES,
                 });
             }
@@ -1215,13 +1215,13 @@ impl StreamFold {
         };
         let command_energy = self.command_energy;
         let background_energy =
-            states.energy(TraceState::Active) + states.energy(TraceState::Standby);
-        let power_down_energy = states.energy(TraceState::PrechargePowerDown)
-            + states.energy(TraceState::ActivePowerDown);
-        let self_refresh_energy = states.energy(TraceState::SelfRefresh);
-        let power_down_cycles = states.cycles(TraceState::PrechargePowerDown)
-            + states.cycles(TraceState::ActivePowerDown);
-        let self_refresh_cycles = states.cycles(TraceState::SelfRefresh);
+            states.energy(PowerState::ActiveStandby) + states.energy(PowerState::PrechargedStandby);
+        let power_down_energy = states.energy(PowerState::PrechargePowerDown)
+            + states.energy(PowerState::ActivePowerDown);
+        let self_refresh_energy = states.energy(PowerState::SelfRefresh);
+        let power_down_cycles = states.cycles(PowerState::PrechargePowerDown)
+            + states.cycles(PowerState::ActivePowerDown);
+        let self_refresh_cycles = states.cycles(PowerState::SelfRefresh);
         let energy = command_energy + background_energy + power_down_energy + self_refresh_energy;
         let duration = Seconds::new(end as f64 * self.cycle_time);
         let bits = self.column_accesses as f64 * self.bits_per_column;
@@ -1238,8 +1238,8 @@ impl StreamFold {
 
         trace_commands_total().add(self.commands);
         let cycle_counters = state_cycles_total();
-        for s in TraceState::ALL {
-            cycle_counters[s.index()].add(states.cycles(s));
+        for s in PowerState::ALL {
+            cycle_counters[s as usize].add(states.cycles(s));
         }
         dram_obs::ManualSpan::new("workload.fold", self.started, Instant::now())
             .arg("commands", self.commands)
@@ -1711,18 +1711,19 @@ mod tests {
         // Each state's energy is its power × its cycles × the cycle time,
         // computed once: exactly this expression, to the bit.
         let ct = 1.0 / dram.description().spec.control_clock.hertz();
-        let expect = |s: TraceState, cycles: u64| s.power(&dram) * Seconds::new(cycles as f64 * ct);
+        let expect =
+            |s: PowerState, cycles: u64| dram.state_power(s) * Seconds::new(cycles as f64 * ct);
         assert_eq!(
-            r.states.energy(TraceState::Active),
-            expect(TraceState::Active, 10)
+            r.states.energy(PowerState::ActiveStandby),
+            expect(PowerState::ActiveStandby, 10)
         );
         assert_eq!(
-            r.states.energy(TraceState::Standby),
-            expect(TraceState::Standby, 43)
+            r.states.energy(PowerState::PrechargedStandby),
+            expect(PowerState::PrechargedStandby, 43)
         );
         assert_eq!(
             r.power_down_energy,
-            expect(TraceState::PrechargePowerDown, 147)
+            expect(PowerState::PrechargePowerDown, 147)
         );
         let cmd = dram.command_energy(Command::Activate) + dram.command_energy(Command::Precharge);
         assert_eq!(r.command_energy, cmd);
@@ -2022,7 +2023,7 @@ mod tests {
                 reference.energy.joules().to_bits()
             );
             assert_eq!(r.states.cycles, reference.states.cycles);
-            for s in TraceState::ALL {
+            for s in PowerState::ALL {
                 assert_eq!(
                     r.states.energy(s).joules().to_bits(),
                     reference.states.energy(s).joules().to_bits()

@@ -244,11 +244,13 @@ fn hash_logic_block<H: Hasher>(h: &mut H, b: &LogicBlock) {
 
 /// A [`Hasher`] with a pinned algorithm (64-bit FNV-1a) and pinned
 /// integer encodings (fixed-width little-endian; `usize`/`isize` widened
-/// to 64 bits). Unlike [`DefaultHasher`], whose keys are only guaranteed
-/// stable within one process, `StableHasher` produces the same digest
-/// for the same byte stream in every process, on every platform — the
-/// property [`content_key`] needs so a router and its backend pool agree
-/// on ring placement without exchanging hashes.
+/// to 64 bits). Unlike
+/// [`DefaultHasher`](std::collections::hash_map::DefaultHasher), whose
+/// keys are only guaranteed stable within one process, `StableHasher`
+/// produces the same digest for the same byte stream in every process,
+/// on every platform — the property [`content_key`] needs so a router
+/// and its backend pool agree on ring placement without exchanging
+/// hashes.
 #[derive(Debug, Clone)]
 pub struct StableHasher(u64);
 

@@ -16,7 +16,7 @@
 //!   atomic load — the same zero-cost-when-off contract as
 //!   `dram_obs::span`, so the hooks stay in production paths.
 //! * **Seeded, per-site streams.** Each site draws from its own
-//!   [`SplitMix64`](dram_units::rng::SplitMix64) stream seeded from the
+//!   [`SplitMix64`] stream seeded from the
 //!   plan seed and the site name, so the decision sequence at one site
 //!   does not depend on how often other sites are visited. Equal seeds
 //!   give equal per-site fire/skip sequences on every platform.

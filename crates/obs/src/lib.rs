@@ -9,7 +9,7 @@
 //! makes that pipeline visible from the inside without making it slower
 //! from the outside:
 //!
-//! * [`span`] opens a named span that closes when its guard drops (even
+//! * [`span`](fn@span) opens a named span that closes when its guard drops (even
 //!   under panic). Profiling is **off by default**; disabled call sites
 //!   cost one relaxed atomic load, allocate nothing and record nothing.
 //! * [`Registry::global`] hands out named [`Counter`]s, [`Gauge`]s and

@@ -340,7 +340,7 @@ impl RouterHandle {
     /// Stops the prober and runs the front end's drain (see
     /// [`ServerHandle::shutdown`]): stop accepting, serve what is in
     /// flight, close quiet keep-alive connections. A request still
-    /// waiting on its upstream after [`UPSTREAM_GRACE`] is cut and
+    /// waiting on its upstream after a one-second grace is cut and
     /// answered 502, so a stalled node cannot hold the drain. Returns
     /// how many requests were proxied to backends over the router's
     /// lifetime.
@@ -355,7 +355,7 @@ impl RouterHandle {
 
 /// Binds `addr` and starts the router described by `config` on the
 /// server's front end: its limits and log level, one worker per pooled
-/// upstream connection ([`POOL_PER_NODE`] per node), and otherwise
+/// upstream connection (eight per node), and otherwise
 /// [`ServerConfig::default`].
 ///
 /// # Errors

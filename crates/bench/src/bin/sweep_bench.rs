@@ -1,14 +1,20 @@
 //! `sweep-bench` — wall-clock comparison of the differential fast path
 //! against full model rebuilds, on the workloads that motivated it: the
-//! ±20 % sensitivity sweep and the all-pairs interaction matrix.
+//! perturbation lists of the ±20 % sensitivity sweep
+//! ([`Sweep::perturbations`]) and of the all-pairs interaction matrix
+//! ([`InteractionMatrix::perturbations`]).
 //!
-//! Each timed closure builds a *fresh* engine: the full-rebuild path
-//! memoizes every perturbed model in the engine's cache, so a shared
-//! engine would time cache hits instead of rebuild work. Both paths run
-//! at the same thread count and the outputs are required to be
-//! bit-identical — a speedup that changes a single bit is a bug, not an
-//! optimisation. Results land in `BENCH_sweep.json` together with the
-//! observed speedups (ratios of medians) and the rebuild-counter deltas
+//! The differential path is [`EvalEngine::evaluate_perturbations`]. The
+//! reference prices each perturbation with a full rebuild: clone the
+//! base description, apply the edit, build the model through the
+//! engine's cache and price the mixed workload, all on [`EvalEngine::map`].
+//! Each timed call builds a *fresh* engine: the reference memoizes every
+//! perturbed model in the engine's cache, so a shared engine would time
+//! cache hits instead of rebuild work. Both paths run at the same thread
+//! count and every perturbation's price is required to be bit-identical
+//! — a speedup that changes a single bit is a bug, not an optimisation.
+//! Results land in `BENCH_sweep.json` together with the observed
+//! speedups (ratios of medians) and the rebuild-counter deltas
 //! (`dram_model_rebuilds_total`, `dram_rebuild_phases_skipped_total`),
 //! so CI can assert the fast path actually skipped work.
 //!
@@ -20,12 +26,9 @@ use std::time::Duration;
 
 use dram_bench::harness::{bench, render};
 use dram_core::reference::ddr3_1g_x16_55nm;
-use dram_core::EvalEngine;
+use dram_core::{DramDescription, EvalEngine, ModelError, Perturbation, PowerSummary};
 use dram_obs::{Record, Registry};
-use dram_sensitivity::{
-    interaction_matrix, interaction_matrix_with_full_rebuild, sweep, sweep_with_full_rebuild,
-    InteractionMatrix, Sweep,
-};
+use dram_sensitivity::{InteractionMatrix, Sweep};
 use dram_units::cli::{exit_usage, Flags};
 
 const OUT_FILE: &str = "BENCH_sweep.json";
@@ -58,25 +61,48 @@ fn parse_args() -> Result<Args, String> {
 
 const USAGE: &str = "usage: sweep-bench [--quick] [--threads T] [--out FILE]";
 
-fn sweeps_match(a: &Sweep, b: &Sweep) -> bool {
-    a.baseline_watts.to_bits() == b.baseline_watts.to_bits()
-        && a.entries.len() == b.entries.len()
-        && a.entries.iter().zip(&b.entries).all(|(x, y)| {
-            x.param == y.param
-                && x.up.to_bits() == y.up.to_bits()
-                && x.down.to_bits() == y.down.to_bits()
-        })
+/// Each perturbation's mixed-workload price through a full rebuild.
+fn full_rebuild(
+    engine: &EvalEngine,
+    desc: &DramDescription,
+    perts: &[Perturbation],
+) -> Vec<Result<PowerSummary, ModelError>> {
+    engine.map(perts, |p| {
+        let mut d = desc.clone();
+        p.apply(&mut d);
+        Ok(engine.model(&d)?.mixed_workload_power())
+    })
 }
 
-fn matrices_match(a: &InteractionMatrix, b: &InteractionMatrix) -> bool {
-    a.baseline_watts.to_bits() == b.baseline_watts.to_bits()
-        && a.params == b.params
-        && a.entries.len() == b.entries.len()
-        && a.entries.iter().zip(&b.entries).all(|(x, y)| {
-            x.a == y.a
-                && x.b == y.b
-                && x.joint.to_bits() == y.joint.to_bits()
-                && x.composed.to_bits() == y.composed.to_bits()
+/// Each perturbation's mixed-workload price through the differential
+/// fast path.
+fn differential(
+    engine: &EvalEngine,
+    desc: &DramDescription,
+    perts: &[Perturbation],
+) -> Vec<Result<PowerSummary, ModelError>> {
+    engine
+        .evaluate_perturbations(desc, perts)
+        .expect("the base description builds")
+}
+
+/// Both paths priced every perturbation, to the same bits in every
+/// field.
+fn bit_identical(
+    a: &[Result<PowerSummary, ModelError>],
+    b: &[Result<PowerSummary, ModelError>],
+) -> bool {
+    let bits = |s: &PowerSummary| {
+        [
+            s.power.watts().to_bits(),
+            s.current.amperes().to_bits(),
+            s.background.watts().to_bits(),
+        ]
+    };
+    a.len() == b.len()
+        && a.iter().zip(b).all(|pair| match pair {
+            (Ok(x), Ok(y)) => bits(x) == bits(y),
+            _ => false,
         })
 }
 
@@ -104,39 +130,32 @@ fn main() {
     let rebuilds_before = rebuilds.get();
     let skipped_before = skipped.get();
 
-    // Reference outputs for the bit-identity check, computed once
-    // outside the timed loops.
-    let sweep_full = sweep_with_full_rebuild(&EvalEngine::new().threads(threads), &desc, VARIATION)
-        .expect("reference sweep runs");
-    let sweep_fast =
-        sweep(&EvalEngine::new().threads(threads), &desc, VARIATION).expect("sweep runs");
-    let matrix_full =
-        interaction_matrix_with_full_rebuild(&EvalEngine::new().threads(threads), &desc, VARIATION)
-            .expect("reference matrix runs");
-    let matrix_fast = interaction_matrix(&EvalEngine::new().threads(threads), &desc, VARIATION)
-        .expect("matrix runs");
+    let sweep_list = Sweep::perturbations(VARIATION);
+    let matrix_list = InteractionMatrix::perturbations(VARIATION);
+    let fresh = || EvalEngine::new().threads(threads);
 
-    let sweep_bit_identical = sweeps_match(&sweep_fast, &sweep_full);
-    let matrix_bit_identical = matrices_match(&matrix_fast, &matrix_full);
+    // Both paths' outputs for the bit-identity check, computed once
+    // outside the timed loops.
+    let sweep_bit_identical = bit_identical(
+        &differential(&fresh(), &desc, &sweep_list),
+        &full_rebuild(&fresh(), &desc, &sweep_list),
+    );
+    let matrix_bit_identical = bit_identical(
+        &differential(&fresh(), &desc, &matrix_list),
+        &full_rebuild(&fresh(), &desc, &matrix_list),
+    );
     let records = [
         bench("sweep/full_rebuild", budget, max_iters, || {
-            sweep_with_full_rebuild(&EvalEngine::new().threads(threads), &desc, VARIATION)
-                .expect("sweep runs")
+            full_rebuild(&fresh(), &desc, &sweep_list)
         }),
         bench("sweep/differential", budget, max_iters, || {
-            sweep(&EvalEngine::new().threads(threads), &desc, VARIATION).expect("sweep runs")
+            differential(&fresh(), &desc, &sweep_list)
         }),
         bench("interaction_matrix/full_rebuild", budget, max_iters, || {
-            interaction_matrix_with_full_rebuild(
-                &EvalEngine::new().threads(threads),
-                &desc,
-                VARIATION,
-            )
-            .expect("matrix runs")
+            full_rebuild(&fresh(), &desc, &matrix_list)
         }),
         bench("interaction_matrix/differential", budget, max_iters, || {
-            interaction_matrix(&EvalEngine::new().threads(threads), &desc, VARIATION)
-                .expect("matrix runs")
+            differential(&fresh(), &desc, &matrix_list)
         }),
     ];
     let sweep_speedup = speedup(&records[0], &records[1]);
@@ -167,7 +186,7 @@ fn main() {
     println!("wrote {}", args.out);
 
     if !(sweep_bit_identical && matrix_bit_identical) {
-        eprintln!("error: differential results are not bit-identical to full rebuilds");
+        eprintln!("error: differential prices are not bit-identical to full rebuilds");
         std::process::exit(1);
     }
 }

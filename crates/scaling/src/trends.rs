@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use dram_core::{Dram, EvalEngine, ModelError, ParamId, Perturbation};
+use dram_core::{Dram, EvalEngine};
 
 use crate::node::{TechNode, ROADMAP};
 use crate::presets::all_generations;
@@ -119,67 +119,6 @@ pub fn energy_trends(engine: &EvalEngine) -> Vec<EnergyTrend> {
         .collect()
 }
 
-/// One row of the sensitivity-over-the-roadmap walk: how strongly each
-/// selected parameter moves the mixed-workload power at one node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SensitivityTrend {
-    /// The node.
-    pub node: TechNode,
-    /// Baseline mixed-workload power in watts.
-    pub baseline_watts: f64,
-    /// Per-parameter tornado swing `|up − down|`, in the order of the
-    /// `params` slice passed to [`sensitivity_trends`].
-    pub swings: Vec<(ParamId, f64)>,
-}
-
-/// Walks the roadmap and, at every node, re-ranks the selected
-/// parameters by their ±`variation` power swing — Table III's
-/// "ranking stays stable across generations" claim as a series.
-///
-/// All perturbed evaluations run through the engine's differential fast
-/// path ([`EvalEngine::evaluate_perturbations`]): per node only the
-/// build phases each parameter dirties re-run, so the walk costs a
-/// fraction of `2 × params × nodes` full model builds. Rows follow
-/// [`ROADMAP`] order and each node's swings are reduced in `params`
-/// order, so the result is bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if a perturbed description fails validation.
-pub fn sensitivity_trends(
-    engine: &EvalEngine,
-    params: &[ParamId],
-    variation: f64,
-) -> Result<Vec<SensitivityTrend>, ModelError> {
-    let descs = all_generations();
-    let mut rows = Vec::with_capacity(descs.len());
-    for (node, desc) in ROADMAP.iter().copied().zip(&descs) {
-        let baseline = engine.model(desc)?.mixed_workload_power().power.watts();
-        let perts: Vec<Perturbation> = params
-            .iter()
-            .flat_map(|&p| {
-                [
-                    Perturbation::single(p, 1.0 + variation),
-                    Perturbation::single(p, 1.0 - variation),
-                ]
-            })
-            .collect();
-        let powers = engine.evaluate_perturbations(desc, &perts)?;
-        let mut swings = Vec::with_capacity(params.len());
-        for (i, &p) in params.iter().enumerate() {
-            let up = powers[2 * i].clone()?.power.watts() / baseline - 1.0;
-            let down = powers[2 * i + 1].clone()?.power.watts() / baseline - 1.0;
-            swings.push((p, (up - down).abs()));
-        }
-        rows.push(SensitivityTrend {
-            node,
-            baseline_watts: baseline,
-            swings,
-        });
-    }
-    Ok(rows)
-}
-
 /// Average per-generation energy-per-bit reduction factor over a node
 /// range (Fig. 13 reports ×1.5 per generation for 2000–2010 and forecasts
 /// ×1.2 for 2010–2018).
@@ -259,65 +198,6 @@ mod tests {
         let stats = engine.cache_stats();
         assert_eq!(stats.misses, misses, "second walk must rebuild nothing");
         assert!(stats.hits >= misses);
-    }
-
-    #[test]
-    fn sensitivity_walk_keeps_rail_voltages_on_top_at_every_node() {
-        // Table III: the rail voltages dominate the ranking for every
-        // generation, with Vint at or near the top throughout.
-        let params: Vec<ParamId> = ParamId::ALL
-            .iter()
-            .copied()
-            .filter(|p| p.in_pareto_chart())
-            .collect();
-        let rows = sensitivity_trends(EvalEngine::global(), &params, 0.2)
-            .expect("roadmap presets are valid");
-        assert_eq!(rows.len(), ROADMAP.len());
-        for row in &rows {
-            assert!(row.baseline_watts > 0.0, "{}", row.node);
-            let mut ranked = row.swings.clone();
-            ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            assert!(
-                matches!(
-                    ranked[0].0,
-                    dram_core::ParamId::Vint | dram_core::ParamId::Vbl
-                ),
-                "{}: top is {}",
-                row.node,
-                ranked[0].0
-            );
-            let vint_rank = ranked
-                .iter()
-                .position(|(p, _)| *p == dram_core::ParamId::Vint)
-                .unwrap();
-            // The bitline-heavy DDR2 nodes push Vint down a few places,
-            // but it never leaves the top of the chart.
-            assert!(vint_rank < 4, "{}: Vint rank {vint_rank}", row.node);
-            for (p, swing) in &row.swings {
-                assert!(*swing >= 0.0, "{}: {p}", row.node);
-            }
-        }
-    }
-
-    #[test]
-    fn sensitivity_walk_is_bit_identical_across_thread_counts() {
-        let params = [
-            dram_core::ParamId::Vint,
-            dram_core::ParamId::BitlineCap,
-            dram_core::ParamId::LogicGates,
-        ];
-        let serial = sensitivity_trends(&EvalEngine::new().threads(1), &params, 0.2).expect("runs");
-        let parallel =
-            sensitivity_trends(&EvalEngine::new().threads(8), &params, 0.2).expect("runs");
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.node, p.node);
-            assert_eq!(s.baseline_watts.to_bits(), p.baseline_watts.to_bits());
-            for ((pa, sa), (pb, sb)) in s.swings.iter().zip(&p.swings) {
-                assert_eq!(pa, pb);
-                assert_eq!(sa.to_bits(), sb.to_bits(), "{}: {pa}", s.node);
-            }
-        }
     }
 
     #[test]

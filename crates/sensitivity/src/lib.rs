@@ -23,7 +23,4 @@
 mod sweep;
 
 pub use dram_core::{ParamCategory, ParamId, Perturbation};
-pub use sweep::{
-    interaction, interaction_matrix, interaction_matrix_with_full_rebuild, sweep,
-    sweep_with_full_rebuild, Interaction, InteractionMatrix, Sensitivity, Sweep,
-};
+pub use sweep::{interaction_matrix, sweep, Interaction, InteractionMatrix, Sensitivity, Sweep};

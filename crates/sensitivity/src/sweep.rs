@@ -41,6 +41,22 @@ pub struct Sweep {
 }
 
 impl Sweep {
+    /// The sweep's perturbations: one raised and one lowered edit per
+    /// [`ParamId::ALL`] entry, interleaved, so item `i` varies
+    /// `ParamId::ALL[i / 2]` and raises it when `i` is even.
+    #[must_use]
+    pub fn perturbations(variation: f64) -> Vec<Perturbation> {
+        ParamId::ALL
+            .iter()
+            .flat_map(|&param| {
+                [
+                    Perturbation::single(param, 1.0 + variation),
+                    Perturbation::single(param, 1.0 - variation),
+                ]
+            })
+            .collect()
+    }
+
     /// Entries sorted by descending swing (the Pareto order of Fig. 10).
     #[must_use]
     pub fn ranked(&self) -> Vec<Sensitivity> {
@@ -95,29 +111,30 @@ impl Sweep {
     }
 }
 
-/// Evaluates the sensitivity metric — mixed-workload power — through the
-/// engine's memoizing model cache.
-fn power_of(engine: &EvalEngine, desc: &DramDescription) -> Result<f64, ModelError> {
-    Ok(engine.model(desc)?.mixed_workload_power().power.watts())
-}
-
-/// Applies one multiplicative perturbation to a fresh copy of `desc`.
-fn perturbed(desc: &DramDescription, param: ParamId, factor: f64) -> DramDescription {
-    let mut d = desc.clone();
-    param.apply(&mut d, factor);
-    d
+/// The baseline mixed-workload power of `desc` (through the engine's
+/// memoizing model cache), and each of `perts` as a ratio to it, in list
+/// order. The perturbed powers come from the differential fast path
+/// ([`EvalEngine::evaluate_perturbations`]): only the build phases each
+/// edit dirties re-run, and each power is bit-identical to a fresh
+/// [`dram_core::Dram::new`] of the perturbed description.
+fn power_ratios(
+    engine: &EvalEngine,
+    desc: &DramDescription,
+    perts: &[Perturbation],
+) -> Result<(f64, Vec<f64>), ModelError> {
+    let baseline = engine.model(desc)?.mixed_workload_power().power.watts();
+    let ratios = engine
+        .evaluate_perturbations(desc, perts)?
+        .into_iter()
+        .map(|p| Ok(p?.power.watts() / baseline))
+        .collect::<Result<_, ModelError>>()?;
+    Ok((baseline, ratios))
 }
 
 /// Runs the sensitivity sweep on a device at the given relative variation
-/// (the paper uses ±20 %), on `engine`.
-///
-/// The 2×|[`ParamId::ALL`]| perturbations evaluate through the engine's
-/// differential fast path ([`EvalEngine::evaluate_perturbations`]): only
-/// the build phases each parameter dirties re-run, on the
-/// struct-of-arrays charge kernel. Entries are reduced in
-/// [`ParamId::ALL`] order and every perturbed power is bit-identical to
-/// a full rebuild, so the result matches
-/// [`sweep_with_full_rebuild`] bit-for-bit at any thread count.
+/// (the paper uses ±20 %), on `engine`: [`Sweep::perturbations`] through
+/// the differential fast path, reduced in [`ParamId::ALL`] order, so the
+/// result is bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -128,68 +145,16 @@ pub fn sweep(
     desc: &DramDescription,
     variation: f64,
 ) -> Result<Sweep, ModelError> {
-    let baseline = power_of(engine, desc)?;
-    // One up and one down variant per parameter, interleaved, so the
-    // result index i maps to (ParamId::ALL[i / 2], i % 2 == 0).
-    let perts: Vec<Perturbation> = ParamId::ALL
+    let (baseline, ratios) = power_ratios(engine, desc, &Sweep::perturbations(variation))?;
+    let entries = ParamId::ALL
         .iter()
-        .flat_map(|&param| {
-            [
-                Perturbation::single(param, 1.0 + variation),
-                Perturbation::single(param, 1.0 - variation),
-            ]
+        .zip(ratios.chunks_exact(2))
+        .map(|(&param, ratio)| Sensitivity {
+            param,
+            up: ratio[0] - 1.0,
+            down: ratio[1] - 1.0,
         })
         .collect();
-    let powers = engine.evaluate_perturbations(desc, &perts)?;
-
-    let mut entries = Vec::with_capacity(ParamId::ALL.len());
-    for (i, &param) in ParamId::ALL.iter().enumerate() {
-        let up = powers[2 * i].clone()?.power.watts() / baseline - 1.0;
-        let down = powers[2 * i + 1].clone()?.power.watts() / baseline - 1.0;
-        entries.push(Sensitivity { param, up, down });
-    }
-    Ok(Sweep {
-        variation,
-        baseline_watts: baseline,
-        entries,
-    })
-}
-
-/// [`sweep`] through full model rebuilds (one complete
-/// [`dram_core::Dram::new`] per perturbation, via the engine's model
-/// cache).
-///
-/// This is the reference path the differential sweep is validated
-/// against — benchmarks and CI compare the two for bit-identity and
-/// speedup. Production callers should prefer [`sweep`].
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if the base description is invalid or a
-/// perturbed description fails validation.
-pub fn sweep_with_full_rebuild(
-    engine: &EvalEngine,
-    desc: &DramDescription,
-    variation: f64,
-) -> Result<Sweep, ModelError> {
-    let baseline = power_of(engine, desc)?;
-    let descs: Vec<DramDescription> = ParamId::ALL
-        .iter()
-        .flat_map(|&param| {
-            [
-                perturbed(desc, param, 1.0 + variation),
-                perturbed(desc, param, 1.0 - variation),
-            ]
-        })
-        .collect();
-    let powers = engine.map(&descs, |d| power_of(engine, d));
-
-    let mut entries = Vec::with_capacity(ParamId::ALL.len());
-    for (i, &param) in ParamId::ALL.iter().enumerate() {
-        let up = powers[2 * i].clone()? / baseline - 1.0;
-        let down = powers[2 * i + 1].clone()? / baseline - 1.0;
-        entries.push(Sensitivity { param, up, down });
-    }
     Ok(Sweep {
         variation,
         baseline_watts: baseline,
@@ -201,6 +166,8 @@ pub fn sweep_with_full_rebuild(
 mod tests {
     use super::*;
     use dram_core::reference::ddr3_1g_x16_55nm;
+    use dram_scaling::presets::all_generations;
+    use dram_scaling::ROADMAP;
 
     fn reference_sweep() -> Sweep {
         sweep(EvalEngine::global(), &ddr3_1g_x16_55nm(), 0.2).expect("sweep runs")
@@ -304,6 +271,32 @@ mod tests {
         assert!(s.baseline_watts > 0.05 && s.baseline_watts < 2.0);
         assert_eq!(s.variation, 0.2);
     }
+
+    #[test]
+    fn sensitivity_walk_keeps_rail_voltages_on_top_at_every_node() {
+        // Table III: the rail voltages dominate the ranking for every
+        // generation, with Vint at or near the top throughout.
+        for (node, desc) in ROADMAP.iter().zip(all_generations()) {
+            let s = sweep(EvalEngine::global(), &desc, 0.2).expect("roadmap presets are valid");
+            assert!(s.baseline_watts > 0.0, "{node}");
+            let ranked = s.top(ParamId::ALL.len());
+            assert!(
+                matches!(ranked[0].param, ParamId::Vint | ParamId::Vbl),
+                "{node}: top is {}",
+                ranked[0].param
+            );
+            let vint_rank = ranked
+                .iter()
+                .position(|e| e.param == ParamId::Vint)
+                .unwrap();
+            // The bitline-heavy DDR2 nodes push Vint down a few places,
+            // but it never leaves the top of the chart.
+            assert!(vint_rank < 4, "{node}: Vint rank {vint_rank}");
+            for e in &ranked {
+                assert!(e.swing() >= 0.0, "{node}: {}", e.param);
+            }
+        }
+    }
 }
 
 /// Interaction of two parameters: how far the combined effect of varying
@@ -334,46 +327,11 @@ impl Interaction {
     }
 }
 
-/// Measures the interaction of two parameters at the given variation, on
-/// `engine`: the three perturbed models evaluate concurrently.
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if any perturbed description fails validation.
-pub fn interaction(
-    engine: &EvalEngine,
-    desc: &DramDescription,
-    a: ParamId,
-    b: ParamId,
-    variation: f64,
-) -> Result<Interaction, ModelError> {
-    let baseline = power_of(engine, desc)?;
-    let factor = 1.0 + variation;
-
-    let perts = [
-        Perturbation::single(a, factor),
-        Perturbation::single(b, factor),
-        Perturbation::pair(a, factor, b, factor),
-    ];
-    let powers = engine.evaluate_perturbations(desc, &perts)?;
-    let ra = powers[0].clone()?.power.watts() / baseline;
-    let rb = powers[1].clone()?.power.watts() / baseline;
-    let rab = powers[2].clone()?.power.watts() / baseline;
-
-    Ok(Interaction {
-        a,
-        b,
-        joint: rab,
-        composed: ra * rb,
-    })
-}
-
 /// The full pairwise interaction matrix over the in-chart parameters.
 ///
-/// Until the batch engine existed this was too expensive to offer: all
-/// ~N²/2 in-chart parameter pairs take ~700 model builds. On the engine
-/// the single-parameter ratios are computed once and shared across every
-/// pair, and the joint models evaluate in parallel.
+/// All ~N²/2 in-chart parameter pairs take ~700 perturbed models: each
+/// parameter raised alone, whose ratio is shared across every pair it
+/// appears in, and every pair raised together.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InteractionMatrix {
     /// The applied relative variation.
@@ -389,6 +347,22 @@ pub struct InteractionMatrix {
 }
 
 impl InteractionMatrix {
+    /// The matrix's perturbations: each in-chart parameter raised by the
+    /// variation alone, in [`ParamId::ALL`] order, then every unordered
+    /// pair raised together, in the order [`Self::entries`] stores them.
+    #[must_use]
+    pub fn perturbations(variation: f64) -> Vec<Perturbation> {
+        let factor = 1.0 + variation;
+        let params = chart_params();
+        let singles = params.iter().map(|&p| Perturbation::single(p, factor));
+        let pairs = params.iter().enumerate().flat_map(|(i, &a)| {
+            params[i + 1..]
+                .iter()
+                .map(move |&b| Perturbation::pair(a, factor, b, factor))
+        });
+        singles.chain(pairs).collect()
+    }
+
     /// Looks up one pair's interaction (order-insensitive).
     #[must_use]
     pub fn of(&self, a: ParamId, b: ParamId) -> Option<Interaction> {
@@ -413,16 +387,22 @@ impl InteractionMatrix {
     }
 }
 
+/// The parameters spanning the matrix: every in-chart parameter, in
+/// [`ParamId::ALL`] order.
+fn chart_params() -> Vec<ParamId> {
+    ParamId::ALL
+        .iter()
+        .copied()
+        .filter(|p| p.in_pareto_chart())
+        .collect()
+}
+
 /// Computes the full pairwise interaction matrix at the given variation,
-/// on `engine`.
-///
-/// Every pair entry carries exactly the numbers a pairwise
-/// [`interaction`] call would produce (same arithmetic, same reduction
-/// order), so the matrix agrees bit-for-bit with individual calls. All
-/// ~N²/2 evaluations run through the differential fast path
-/// ([`EvalEngine::evaluate_perturbations`]), which re-runs only the
-/// dirty build phases per pair — this is the hottest loop in the
-/// workspace and the reason the fast path exists.
+/// on `engine`: [`InteractionMatrix::perturbations`] in one pass through
+/// the differential fast path, which re-runs only the dirty build phases
+/// per item — the hottest loop in the workspace and the reason the fast
+/// path exists. Entries are reduced in list order, so the matrix is
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -432,103 +412,20 @@ pub fn interaction_matrix(
     desc: &DramDescription,
     variation: f64,
 ) -> Result<InteractionMatrix, ModelError> {
-    let baseline = power_of(engine, desc)?;
-    let factor = 1.0 + variation;
-    let params: Vec<ParamId> = ParamId::ALL
-        .iter()
-        .copied()
-        .filter(|p| p.in_pareto_chart())
-        .collect();
-
-    // Single-parameter ratios, shared across every pair they appear in.
-    let single_perts: Vec<Perturbation> = params
-        .iter()
-        .map(|&p| Perturbation::single(p, factor))
-        .collect();
-    let single_powers = engine.evaluate_perturbations(desc, &single_perts)?;
-    let mut singles = Vec::with_capacity(params.len());
-    for p in single_powers {
-        singles.push(p?.power.watts() / baseline);
-    }
-
-    // Joint evaluations for every unordered pair, in parallel.
-    let pairs: Vec<(usize, usize)> = (0..params.len())
-        .flat_map(|i| (i + 1..params.len()).map(move |j| (i, j)))
-        .collect();
-    let pair_perts: Vec<Perturbation> = pairs
-        .iter()
-        .map(|&(i, j)| Perturbation::pair(params[i], factor, params[j], factor))
-        .collect();
-    let pair_powers = engine.evaluate_perturbations(desc, &pair_perts)?;
-
-    let mut entries = Vec::with_capacity(pairs.len());
-    for (&(i, j), power) in pairs.iter().zip(pair_powers) {
-        entries.push(Interaction {
+    let params = chart_params();
+    let (baseline, ratios) =
+        power_ratios(engine, desc, &InteractionMatrix::perturbations(variation))?;
+    let (singles, joints) = ratios.split_at(params.len());
+    let pairs = (0..params.len()).flat_map(|i| (i + 1..params.len()).map(move |j| (i, j)));
+    let entries = pairs
+        .zip(joints)
+        .map(|((i, j), &joint)| Interaction {
             a: params[i],
             b: params[j],
-            joint: power?.power.watts() / baseline,
+            joint,
             composed: singles[i] * singles[j],
-        });
-    }
-    Ok(InteractionMatrix {
-        variation,
-        baseline_watts: baseline,
-        params,
-        entries,
-    })
-}
-
-/// [`interaction_matrix`] through full model rebuilds — the reference
-/// path benchmarks and CI compare the differential matrix against.
-/// Production callers should prefer [`interaction_matrix`].
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if any perturbed description fails validation.
-pub fn interaction_matrix_with_full_rebuild(
-    engine: &EvalEngine,
-    desc: &DramDescription,
-    variation: f64,
-) -> Result<InteractionMatrix, ModelError> {
-    let baseline = power_of(engine, desc)?;
-    let factor = 1.0 + variation;
-    let params: Vec<ParamId> = ParamId::ALL
-        .iter()
-        .copied()
-        .filter(|p| p.in_pareto_chart())
-        .collect();
-
-    let single_descs: Vec<DramDescription> =
-        params.iter().map(|&p| perturbed(desc, p, factor)).collect();
-    let single_powers = engine.map(&single_descs, |d| power_of(engine, d));
-    let mut singles = Vec::with_capacity(params.len());
-    for p in single_powers {
-        singles.push(p? / baseline);
-    }
-
-    let pairs: Vec<(usize, usize)> = (0..params.len())
-        .flat_map(|i| (i + 1..params.len()).map(move |j| (i, j)))
-        .collect();
-    let pair_descs: Vec<DramDescription> = pairs
-        .iter()
-        .map(|&(i, j)| {
-            let mut d = desc.clone();
-            params[i].apply(&mut d, factor);
-            params[j].apply(&mut d, factor);
-            d
         })
         .collect();
-    let pair_powers = engine.map(&pair_descs, |d| power_of(engine, d));
-
-    let mut entries = Vec::with_capacity(pairs.len());
-    for (&(i, j), power) in pairs.iter().zip(pair_powers) {
-        entries.push(Interaction {
-            a: params[i],
-            b: params[j],
-            joint: power? / baseline,
-            composed: singles[i] * singles[j],
-        });
-    }
     Ok(InteractionMatrix {
         variation,
         baseline_watts: baseline,
@@ -539,13 +436,21 @@ pub fn interaction_matrix_with_full_rebuild(
 
 #[cfg(test)]
 mod interaction_tests {
+    use std::sync::OnceLock;
+
     use super::*;
     use dram_core::reference::ddr3_1g_x16_55nm;
 
-    /// The interaction of `a` and `b` on the reference device at ±20 %.
+    /// The interaction of `a` and `b` on the reference device at ±20 %,
+    /// read from one matrix shared by the tests.
     fn reference_interaction(a: ParamId, b: ParamId) -> Interaction {
-        let desc = ddr3_1g_x16_55nm();
-        interaction(EvalEngine::global(), &desc, a, b, 0.2).expect("runs")
+        static MATRIX: OnceLock<InteractionMatrix> = OnceLock::new();
+        MATRIX
+            .get_or_init(|| {
+                interaction_matrix(EvalEngine::global(), &ddr3_1g_x16_55nm(), 0.2).expect("runs")
+            })
+            .of(a, b)
+            .expect("in-chart pair")
     }
 
     #[test]
@@ -567,10 +472,22 @@ mod interaction_tests {
 
     #[test]
     fn interaction_is_symmetric() {
-        let ab = reference_interaction(ParamId::Vint, ParamId::LogicGates);
-        let ba = reference_interaction(ParamId::LogicGates, ParamId::Vint);
-        assert!((ab.joint - ba.joint).abs() < 1e-12);
-        assert!((ab.strength() - ba.strength()).abs() < 1e-12);
+        // A joint edit prices the same whichever parameter applies first.
+        let f = 1.2;
+        let perts = [
+            Perturbation::pair(ParamId::Vint, f, ParamId::LogicGates, f),
+            Perturbation::pair(ParamId::LogicGates, f, ParamId::Vint, f),
+        ];
+        let powers = EvalEngine::global()
+            .evaluate_perturbations(&ddr3_1g_x16_55nm(), &perts)
+            .expect("base builds");
+        let watts = |i: usize| powers[i].clone().expect("valid").power.watts();
+        assert!(
+            (watts(0) - watts(1)).abs() < 1e-12,
+            "{} vs {}",
+            watts(0),
+            watts(1)
+        );
     }
 }
 
@@ -578,6 +495,7 @@ mod interaction_tests {
 mod engine_tests {
     use super::*;
     use dram_core::reference::ddr3_1g_x16_55nm;
+    use dram_core::{Dram, PowerSummary};
 
     /// Parallel sweep output must be bit-for-bit equal to `threads(1)`,
     /// whatever the worker count.
@@ -602,30 +520,6 @@ mod engine_tests {
                 );
             }
         }
-    }
-
-    /// Same for the pairwise interaction helper.
-    #[test]
-    fn interaction_is_bit_identical_across_thread_counts() {
-        let desc = ddr3_1g_x16_55nm();
-        let serial = interaction(
-            &EvalEngine::new().threads(1),
-            &desc,
-            ParamId::BitlineCap,
-            ParamId::Vbl,
-            0.2,
-        )
-        .expect("runs");
-        let parallel = interaction(
-            &EvalEngine::new().threads(8),
-            &desc,
-            ParamId::BitlineCap,
-            ParamId::Vbl,
-            0.2,
-        )
-        .expect("runs");
-        assert_eq!(serial.joint.to_bits(), parallel.joint.to_bits());
-        assert_eq!(serial.composed.to_bits(), parallel.composed.to_bits());
     }
 
     /// A second sweep on the same engine rebuilds nothing.
@@ -669,38 +563,6 @@ mod engine_tests {
         );
     }
 
-    /// Matrix entries agree bit-for-bit with pairwise `interaction()`.
-    #[test]
-    fn matrix_agrees_with_pairwise_interaction() {
-        let desc = ddr3_1g_x16_55nm();
-        let engine = EvalEngine::new();
-        let m = interaction_matrix(&engine, &desc, 0.2).expect("runs");
-        // Spot-check a spread of pairs (first, middle, last, and the
-        // physically coupled bitline pair) against individual calls.
-        let picks = [
-            (m.entries[0].a, m.entries[0].b),
-            (
-                m.entries[m.entries.len() / 2].a,
-                m.entries[m.entries.len() / 2].b,
-            ),
-            (
-                m.entries[m.entries.len() - 1].a,
-                m.entries[m.entries.len() - 1].b,
-            ),
-            (ParamId::BitlineCap, ParamId::Vbl),
-        ];
-        for (a, b) in picks {
-            let pairwise = interaction(&engine, &desc, a, b, 0.2).expect("runs");
-            let entry = m.of(a, b).expect("pair in matrix");
-            assert_eq!(entry.joint.to_bits(), pairwise.joint.to_bits(), "{a} × {b}");
-            assert_eq!(
-                entry.composed.to_bits(),
-                pairwise.composed.to_bits(),
-                "{a} × {b}"
-            );
-        }
-    }
-
     /// The known physics shows up in the matrix: the bitline cap/voltage
     /// coupling ranks far above a disjoint pair.
     #[test]
@@ -722,48 +584,73 @@ mod engine_tests {
         }
     }
 
-    /// The differential fast path reproduces the full-rebuild sweep
-    /// bit-for-bit, at 1 and 8 threads (the tentpole identity contract).
-    #[test]
-    fn differential_sweep_matches_full_rebuild_bitwise() {
+    /// Each of `perts`, evaluated on the reference device through the
+    /// differential fast path at 1 and 8 threads, equals a fresh
+    /// `Dram::new` of the perturbed description bit for bit, in every
+    /// `PowerSummary` field.
+    fn assert_matches_fresh_builds(perts: &[Perturbation]) {
         let desc = ddr3_1g_x16_55nm();
+        let bits = |s: &PowerSummary| {
+            [
+                s.power.watts().to_bits(),
+                s.current.amperes().to_bits(),
+                s.background.watts().to_bits(),
+            ]
+        };
+        let fresh: Vec<_> = perts
+            .iter()
+            .map(|p| {
+                let mut d = desc.clone();
+                p.apply(&mut d);
+                bits(&Dram::new(d).expect("valid").mixed_workload_power())
+            })
+            .collect();
         for n in [1, 8] {
-            let fast = sweep(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
-            let full =
-                sweep_with_full_rebuild(&EvalEngine::new().threads(n), &desc, 0.2).expect("runs");
-            assert_eq!(fast.baseline_watts.to_bits(), full.baseline_watts.to_bits());
-            for (a, b) in fast.entries.iter().zip(&full.entries) {
-                assert_eq!(a.param, b.param);
-                assert_eq!(a.up.to_bits(), b.up.to_bits(), "{} threads={n}", a.param);
-                assert_eq!(
-                    a.down.to_bits(),
-                    b.down.to_bits(),
-                    "{} threads={n}",
-                    a.param
-                );
+            let fast = EvalEngine::new()
+                .threads(n)
+                .evaluate_perturbations(&desc, perts)
+                .expect("base builds");
+            assert_eq!(fast.len(), perts.len());
+            for ((got, want), p) in fast.iter().zip(&fresh).zip(perts) {
+                let got = got.as_ref().expect("valid");
+                assert_eq!(bits(got), *want, "{:?} threads={n}", p.edits());
             }
         }
     }
 
-    /// Same contract for the all-pairs interaction matrix.
+    /// The sweep's list prices on the differential fast path exactly as
+    /// full rebuilds do.
+    #[test]
+    fn differential_sweep_matches_full_rebuild_bitwise() {
+        assert_matches_fresh_builds(&Sweep::perturbations(0.2));
+    }
+
+    /// Same contract for the all-pairs interaction matrix's list.
     #[test]
     fn differential_matrix_matches_full_rebuild_bitwise() {
-        let desc = ddr3_1g_x16_55nm();
-        let fast = interaction_matrix(&EvalEngine::new(), &desc, 0.2).expect("runs");
-        let full =
-            interaction_matrix_with_full_rebuild(&EvalEngine::new(), &desc, 0.2).expect("runs");
-        assert_eq!(fast.params, full.params);
-        assert_eq!(fast.entries.len(), full.entries.len());
-        for (a, b) in fast.entries.iter().zip(&full.entries) {
-            assert_eq!((a.a, a.b), (b.a, b.b));
-            assert_eq!(a.joint.to_bits(), b.joint.to_bits(), "{} × {}", a.a, a.b);
-            assert_eq!(
-                a.composed.to_bits(),
-                b.composed.to_bits(),
-                "{} × {}",
-                a.a,
-                a.b
-            );
+        assert_matches_fresh_builds(&InteractionMatrix::perturbations(0.2));
+    }
+
+    /// Each list holds the edits its doc names, in the order its analysis
+    /// reduces them.
+    #[test]
+    fn perturbation_lists_follow_their_documented_order() {
+        let v = 0.2;
+        let sweep_list = Sweep::perturbations(v);
+        assert_eq!(sweep_list.len(), 2 * ParamId::ALL.len());
+        for (i, p) in sweep_list.iter().enumerate() {
+            let factor = if i % 2 == 0 { 1.0 + v } else { 1.0 - v };
+            assert_eq!(p.edits(), [(ParamId::ALL[i / 2], factor)], "item {i}");
+        }
+        let m = interaction_matrix(EvalEngine::global(), &ddr3_1g_x16_55nm(), v).expect("runs");
+        let matrix_list = InteractionMatrix::perturbations(v);
+        let (singles, pairs) = matrix_list.split_at(m.params.len());
+        for (p, &param) in singles.iter().zip(&m.params) {
+            assert_eq!(p.edits(), [(param, 1.0 + v)]);
+        }
+        assert_eq!(pairs.len(), m.entries.len());
+        for (p, e) in pairs.iter().zip(&m.entries) {
+            assert_eq!(p.edits(), [(e.a, 1.0 + v), (e.b, 1.0 + v)]);
         }
     }
 

@@ -3,15 +3,16 @@
 //! to learn where power can be saved but also which parameters need to be
 //! understood well to have an accurate model".
 //!
-//! The perturbed evaluations go through the engine's differential fast
-//! path ([`EvalEngine::evaluate_perturbations`]): one base model, then
-//! per parameter only the build phases it dirties re-run. The numbers
-//! are bit-identical to full rebuilds.
+//! [`sweep`] evaluates its perturbations through the engine's
+//! differential fast path ([`EvalEngine::evaluate_perturbations`]): one
+//! base model, then per parameter only the build phases it dirties
+//! re-run. The numbers are bit-identical to full rebuilds.
 //!
 //! Run with: `cargo run --example sensitivity_pareto [variation_percent]`
 
 use dram_energy::model::reference::ddr3_1g_x16_55nm;
-use dram_energy::{EvalEngine, ParamId, Perturbation};
+use dram_energy::sensitivity::sweep;
+use dram_energy::{EvalEngine, ParamId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let variation: f64 = std::env::args()
@@ -22,67 +23,36 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         / 100.0;
 
     let desc = ddr3_1g_x16_55nm();
-    let engine = EvalEngine::global();
-    let baseline = engine.model(&desc)?.mixed_workload_power().power.watts();
-
-    // One up and one down perturbation per parameter, evaluated in a
-    // single differential batch.
-    let perts: Vec<Perturbation> = ParamId::ALL
-        .iter()
-        .flat_map(|&p| {
-            [
-                Perturbation::single(p, 1.0 + variation),
-                Perturbation::single(p, 1.0 - variation),
-            ]
-        })
-        .collect();
-    let powers = engine.evaluate_perturbations(&desc, &perts)?;
-    let mut entries = Vec::with_capacity(ParamId::ALL.len());
-    for (i, &param) in ParamId::ALL.iter().enumerate() {
-        let up = powers[2 * i].clone()?.power.watts() / baseline - 1.0;
-        let down = powers[2 * i + 1].clone()?.power.watts() / baseline - 1.0;
-        entries.push((param, up, down));
-    }
+    let s = sweep(EvalEngine::global(), &desc, variation)?;
 
     println!(
         "device: {} — mixed activate/read/write/precharge workload, ±{:.0}%\n\
          baseline power: {:.1} mW\n",
         desc.name,
         variation * 100.0,
-        baseline * 1e3
+        s.baseline_watts * 1e3
     );
 
-    let swing = |&(_, up, down): &(ParamId, f64, f64)| (up - down).abs();
-    let mut chart: Vec<_> = entries
-        .iter()
-        .filter(|(p, _, _)| p.in_pareto_chart())
-        .copied()
-        .collect();
-    chart.sort_by(|a, b| swing(b).total_cmp(&swing(a)));
-
     let width = 30usize;
-    for (param, up, down) in chart.iter().take(20) {
+    for e in s.top(20) {
         let bar = |x: f64| {
             let n = ((x.abs() * 200.0).round() as usize).min(width);
             "#".repeat(n)
         };
         println!(
             "{:>34}  {:>width$}|{:<width$}  {:+.1}% / {:+.1}%",
-            param.name(),
-            bar(down.min(0.0)),
-            bar(up.max(0.0)),
-            down * 100.0,
-            up * 100.0,
+            e.param.name(),
+            bar(e.down.min(0.0)),
+            bar(e.up.max(0.0)),
+            e.down * 100.0,
+            e.up * 100.0,
             width = width
         );
     }
-    let (_, vdd_up, vdd_down) = entries
-        .iter()
-        .find(|(p, _, _)| *p == ParamId::Vdd)
-        .expect("vdd swept");
+    let vdd = s.of(ParamId::Vdd).expect("vdd swept");
     println!(
         "\n(Vdd excluded from the chart: swing {:.0}% — exactly proportional, §IV.B)",
-        (vdd_up - vdd_down).abs() * 100.0
+        vdd.swing() * 100.0
     );
     Ok(())
 }

@@ -2,9 +2,10 @@
 //! per bit, and the effect of a memory-controller power-down policy.
 //!
 //! This module holds the policy and the report, broken down by the five
-//! billable [`PowerState`]s; the billing itself lives once, in [`crate::StreamFold`]. [`simulate`]
-//! prices an in-memory [`Schedule`] by pushing its commands through that
-//! fold, so it and the streamed path agree bit for bit.
+//! billable [`PowerState`]s; the billing itself lives once, in
+//! [`crate::StreamFold`]. [`simulate`] prices an in-memory [`Schedule`]
+//! by pushing its commands through that fold, so it and the streamed
+//! path agree bit for bit.
 
 use dram_core::lowpower::PowerState;
 use dram_core::timing::Schedule;

@@ -263,10 +263,7 @@ fn evaluate(body: &Value, activity: &mut CacheActivity) -> Response {
 /// text, with no document built in between.
 fn batch(body: &Value, activity: &mut CacheActivity) -> Response {
     let Some(items) = body.get("requests").and_then(Value::as_array) else {
-        return Response::error(
-            400,
-            "request needs a `requests` array of evaluate requests",
-        );
+        return Response::error(400, "request needs a `requests` array of evaluate requests");
     };
     if items.len() > MAX_BATCH_ITEMS {
         return Response::error(
@@ -347,7 +344,10 @@ fn pattern(body: &Value, activity: &mut CacheActivity) -> Response {
         Err(msg) => return Response::error(400, &msg),
     };
     let Some(text) = body.get("pattern").and_then(Value::as_str) else {
-        return Response::error(400, "request needs a `pattern` string, e.g. \"act nop rd nop pre nop\"");
+        return Response::error(
+            400,
+            "request needs a `pattern` string, e.g. \"act nop rd nop pre nop\"",
+        );
     };
     let parsed = match Pattern::parse(text) {
         Ok(p) => p,
@@ -417,7 +417,8 @@ fn sweep_handler(body: &Value) -> Response {
     let top = match body.get("top") {
         None => None,
         Some(v) => match v.as_f64() {
-            Some(x) if x.fract() == 0.0 && (1.0..=10_000.0).contains(&x) => {
+            Some(x) if x.fract() == 0.0 && (1.0..=10_000.0).contains(&x) =>
+            {
                 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
                 Some(x as usize)
             }
@@ -659,7 +660,10 @@ mod reference {
                     ),
                 ]),
             ),
-            ("die_area_mm2", (dram.area().die.square_meters() * 1e6).into()),
+            (
+                "die_area_mm2",
+                (dram.area().die.square_meters() * 1e6).into(),
+            ),
         ])
     }
 
@@ -763,8 +767,14 @@ mod tests {
         assert_eq!(r.status, 200);
         assert_eq!(r.content_type, "text/plain; version=0.0.4");
         let text = body_str(&r);
-        assert!(text.contains("# TYPE dram_serve_requests_total counter"), "{text}");
-        assert!(text.contains("dram_serve_route_requests_total{route=\"evaluate\"} 1"), "{text}");
+        assert!(
+            text.contains("# TYPE dram_serve_requests_total counter"),
+            "{text}"
+        );
+        assert!(
+            text.contains("dram_serve_route_requests_total{route=\"evaluate\"} 1"),
+            "{text}"
+        );
         assert!(text.contains("dram_serve_uptime_seconds"), "{text}");
         assert!(
             text.contains(concat!("version=\"", env!("CARGO_PKG_VERSION"), "\"")),
@@ -812,10 +822,19 @@ mod tests {
     #[test]
     fn evaluate_serves_the_reference_device_and_reports_cache_activity() {
         let m = Metrics::new();
-        let (_, r, first) = handle(&post("/v1/evaluate", r#"{"preset":"ddr3_1g_x16_55nm"}"#), &m);
+        let (_, r, first) = handle(
+            &post("/v1/evaluate", r#"{"preset":"ddr3_1g_x16_55nm"}"#),
+            &m,
+        );
         assert_eq!(r.status, 200, "{}", body_str(&r));
         let doc = Value::parse(&body_str(&r)).unwrap();
-        let idd0 = doc.get("idd_ma").unwrap().get("IDD0").unwrap().as_f64().unwrap();
+        let idd0 = doc
+            .get("idd_ma")
+            .unwrap()
+            .get("IDD0")
+            .unwrap()
+            .as_f64()
+            .unwrap();
         assert!(idd0 > 10.0 && idd0 < 200.0, "IDD0 {idd0} mA");
         // Served numbers equal a direct library evaluation, bit for bit.
         let dram = Dram::new(dram_core::reference::ddr3_1g_x16_55nm()).unwrap();
@@ -824,7 +843,10 @@ mod tests {
         // again must be a pure cache hit (the preset may already have
         // been cached by a sibling test in this process).
         assert_eq!(first.hits + first.misses, 1);
-        let (_, _, again) = handle(&post("/v1/evaluate", r#"{"preset":"ddr3_1g_x16_55nm"}"#), &m);
+        let (_, _, again) = handle(
+            &post("/v1/evaluate", r#"{"preset":"ddr3_1g_x16_55nm"}"#),
+            &m,
+        );
         assert_eq!(again, CacheActivity { hits: 1, misses: 0 });
     }
 
@@ -913,10 +935,15 @@ mod tests {
         assert_eq!(results.len(), 5);
 
         // Items 0, 2, 4: bit-identical to the single-call documents.
-        for (i, preset) in [(0, "ddr3_1g_x16_55nm"), (2, "ddr2_1g_75nm"), (4, "ddr3_1g_x16_55nm")]
-        {
-            let (_, single, _) =
-                handle(&post("/v1/evaluate", &format!(r#"{{"preset":"{preset}"}}"#)), &m);
+        for (i, preset) in [
+            (0, "ddr3_1g_x16_55nm"),
+            (2, "ddr2_1g_75nm"),
+            (4, "ddr3_1g_x16_55nm"),
+        ] {
+            let (_, single, _) = handle(
+                &post("/v1/evaluate", &format!(r#"{{"preset":"{preset}"}}"#)),
+                &m,
+            );
             assert_eq!(
                 results[i].to_string(),
                 body_str(&single),
@@ -945,7 +972,12 @@ mod tests {
 
         let presets: Vec<DramDescription> = presets::NAMES
             .iter()
-            .map(|n| presets::get(n).expect("listed preset").description().clone())
+            .map(|n| {
+                presets::get(n)
+                    .expect("listed preset")
+                    .description()
+                    .clone()
+            })
             .collect();
         let mut named = presets[0].clone();
         named.name = "a \"quoted\" back\\slash, a bell \u{7}, a tab\t and µ 東".into();
@@ -975,7 +1007,11 @@ mod tests {
             write_evaluate_body(&dram, &mut text);
             assert_eq!(text, want.to_string(), "{}", dram.description().name);
             assert_eq!(dram.evaluate_body(), text);
-            assert_eq!(evaluate_document(&dram), want, "the document is the text's parse");
+            assert_eq!(
+                evaluate_document(&dram),
+                want,
+                "the document is the text's parse"
+            );
         }
     }
 
@@ -1032,7 +1068,10 @@ mod tests {
                     }
                 }
             }
-            assert!(borrowed > 0 && owned > 0, "{name}: {borrowed} borrowed, {owned} owned");
+            assert!(
+                borrowed > 0 && owned > 0,
+                "{name}: {borrowed} borrowed, {owned} owned"
+            );
         }
     }
 
@@ -1053,7 +1092,11 @@ mod tests {
         );
         let (_, r, _) = handle(&post("/v1/batch", &oversized), &m);
         assert_eq!(r.status, 400);
-        assert!(body_str(&r).contains("exceeds the limit"), "{}", body_str(&r));
+        assert!(
+            body_str(&r).contains("exceeds the limit"),
+            "{}",
+            body_str(&r)
+        );
         // An empty batch is a valid no-op.
         let (_, r, _) = handle(&post("/v1/batch", r#"{"requests":[]}"#), &m);
         assert_eq!(r.status, 200);
@@ -1129,7 +1172,10 @@ mod tests {
         );
 
         let (_, r, _) = handle(
-            &post("/v1/sweep", r#"{"preset":"ddr3_1g_x16_55nm","variation":5}"#),
+            &post(
+                "/v1/sweep",
+                r#"{"preset":"ddr3_1g_x16_55nm","variation":5}"#,
+            ),
             &m,
         );
         assert_eq!(r.status, 400);

@@ -232,7 +232,10 @@ fn events(req: &Request) -> Response {
     let body = obj(vec![
         ("count", recent.len().into()),
         ("capacity", journal::capacity().into()),
-        ("events", Value::Arr(recent.iter().map(event_json).collect())),
+        (
+            "events",
+            Value::Arr(recent.iter().map(event_json).collect()),
+        ),
     ]);
     Response::json(200, body.to_string())
 }
@@ -253,7 +256,10 @@ fn request_timeline(raw_id: &str) -> Response {
     }
     let events = journal::events_for_request(id.seq);
     if events.is_empty() {
-        return Response::error(404, "no journal events for that request id (evicted or unknown)");
+        return Response::error(
+            404,
+            "no journal events for that request id (evicted or unknown)",
+        );
     }
     let has = |k: journal::EventKind| events.iter().any(|e| e.kind == k);
     let complete = has(journal::EventKind::WorkerStart) && has(journal::EventKind::Response);
@@ -282,7 +288,10 @@ fn request_timeline(raw_id: &str) -> Response {
         ("id", rendered.into()),
         ("conn", conn.into()),
         ("complete", complete.into()),
-        ("events", Value::Arr(events.iter().map(event_json).collect())),
+        (
+            "events",
+            Value::Arr(events.iter().map(event_json).collect()),
+        ),
         ("spans", Value::Arr(spans)),
     ]);
     Response::json(200, body.to_string())
@@ -384,7 +393,12 @@ mod tests {
     fn non_loopback_peers_get_a_detail_free_404() {
         let conns = ConnTable::default();
         let remote = SocketAddr::new(IpAddr::V4(Ipv4Addr::new(8, 8, 8, 8)), 1);
-        for path in ["/debug", "/debug/events", "/debug/reactor", "/debug/profile"] {
+        for path in [
+            "/debug",
+            "/debug/events",
+            "/debug/reactor",
+            "/debug/profile",
+        ] {
             let resp = handle(&get(path, ""), Some(remote), &conns);
             assert_eq!(resp.status, 404, "{path}");
             assert_eq!(

@@ -890,7 +890,9 @@ pub(crate) fn split_field(line: &str) -> Result<(&str, &str), HttpError> {
         .split_once(':')
         .ok_or_else(|| HttpError::BadRequest(format!("malformed header `{line}`")))?;
     if name.is_empty() || name.chars().any(|c| c.is_ascii_whitespace()) {
-        return Err(HttpError::BadRequest(format!("malformed header name `{name}`")));
+        return Err(HttpError::BadRequest(format!(
+            "malformed header name `{name}`"
+        )));
     }
     Ok((name, value.trim()))
 }
@@ -905,7 +907,9 @@ pub(crate) fn same_length(first: &str, again: &str) -> Result<(), HttpError> {
     if first == again {
         Ok(())
     } else {
-        Err(HttpError::BadRequest("conflicting content-length headers".into()))
+        Err(HttpError::BadRequest(
+            "conflicting content-length headers".into(),
+        ))
     }
 }
 
@@ -939,7 +943,9 @@ fn parse_request_line(line: &str) -> Result<(String, String, String, bool), Http
         return Err(HttpError::BadRequest(format!("bad method `{method}`")));
     }
     if !target.starts_with('/') {
-        return Err(HttpError::BadRequest(format!("bad request target `{target}`")));
+        return Err(HttpError::BadRequest(format!(
+            "bad request target `{target}`"
+        )));
     }
     // Split the query string off; the API is mostly body-driven but
     // `/metrics` selects its format with `?format=...`.
@@ -1041,7 +1047,11 @@ impl Response {
             Self::reason(self.status),
             self.content_type,
             self.body.len(),
-            if self.keep_alive { "keep-alive" } else { "close" },
+            if self.keep_alive {
+                "keep-alive"
+            } else {
+                "close"
+            },
         );
         for (name, value) in &self.headers {
             head.push_str(name);
@@ -1734,7 +1744,11 @@ mod tests {
             match got {
                 Ok(Inbound::Buffered { request, leftover }) if !cut => {
                     assert_eq!(request.body, body, "case {case} split {split}");
-                    assert_eq!([leftover, behind].concat(), pipelined, "case {case} split {split}");
+                    assert_eq!(
+                        [leftover, behind].concat(),
+                        pipelined,
+                        "case {case} split {split}"
+                    );
                 }
                 Err(ReadError::Http(HttpError::BadRequest(m))) if cut => {
                     assert_eq!(m, "truncated request body", "case {case} split {split}");

@@ -495,7 +495,10 @@ impl Metrics {
 
         let mut doc = json_members(SERIES, self);
         doc.push(("slow_requests".to_string(), Value::Obj(slow)));
-        doc.push(("engine".to_string(), Value::Obj(json_members(ENGINE, &engine))));
+        doc.push((
+            "engine".to_string(),
+            Value::Obj(json_members(ENGINE, &engine)),
+        ));
         doc.push(("registry".to_string(), registry_json(Registry::global())));
         Value::Obj(doc)
     }
@@ -569,7 +572,10 @@ mod tests {
         assert_eq!(total, 4.0);
         // The giant latency lands in the unbounded overflow bucket.
         assert_eq!(counts.last().and_then(Value::as_f64), Some(1.0));
-        let uppers = hist.get("bucket_upper_us").and_then(Value::as_array).unwrap();
+        let uppers = hist
+            .get("bucket_upper_us")
+            .and_then(Value::as_array)
+            .unwrap();
         assert_eq!(uppers.last(), Some(&Value::Null));
         assert_eq!(uppers.len(), counts.len());
     }
@@ -598,7 +604,10 @@ mod tests {
         assert_eq!(samples.len(), SLOW_SAMPLES_PER_ROUTE);
         // Slowest first, and only the largest handle times survive.
         assert!(samples.windows(2).all(|w| w[0].handle_us >= w[1].handle_us));
-        assert_eq!(samples[0].handle_us, 100 + SLOW_SAMPLES_PER_ROUTE as u64 + 4);
+        assert_eq!(
+            samples[0].handle_us,
+            100 + SLOW_SAMPLES_PER_ROUTE as u64 + 4
+        );
         assert!(samples.iter().all(|s| s.handle_us > 100));
         assert_eq!(samples[0].queue_us, 7);
         assert_eq!(samples[0].cache_hits, 1);
@@ -622,11 +631,25 @@ mod tests {
         let slow = doc.get("slow_requests").expect("slow_requests");
         let sweep = slow.get("sweep").and_then(Value::as_array).unwrap();
         assert_eq!(sweep.len(), 1);
-        assert_eq!(sweep[0].get("id").and_then(Value::as_str), Some("abc-00000001"));
+        assert_eq!(
+            sweep[0].get("id").and_then(Value::as_str),
+            Some("abc-00000001")
+        );
         assert_eq!(sweep[0].get("queue_us").and_then(Value::as_f64), Some(12.0));
-        assert_eq!(sweep[0].get("handle_us").and_then(Value::as_f64), Some(34000.0));
-        assert_eq!(sweep[0].get("cache_misses").and_then(Value::as_f64), Some(2.0));
-        assert_eq!(slow.get("healthz").and_then(Value::as_array).map(<[Value]>::len), Some(0));
+        assert_eq!(
+            sweep[0].get("handle_us").and_then(Value::as_f64),
+            Some(34000.0)
+        );
+        assert_eq!(
+            sweep[0].get("cache_misses").and_then(Value::as_f64),
+            Some(2.0)
+        );
+        assert_eq!(
+            slow.get("healthz")
+                .and_then(Value::as_array)
+                .map(<[Value]>::len),
+            Some(0)
+        );
     }
 
     use std::collections::BTreeMap;
@@ -826,9 +849,19 @@ dram_serve_worker_respawns_total {}";
         let (m, engine) = busy();
         let text = m.to_prometheus(engine);
         let headers: Vec<String> = prom_headers(&text, &OWN).into_iter().collect();
-        assert_eq!(headers.join("\n"), PROM_HEADERS, "actual headers:\n{}", headers.join("\n"));
+        assert_eq!(
+            headers.join("\n"),
+            PROM_HEADERS,
+            "actual headers:\n{}",
+            headers.join("\n")
+        );
         let keys: Vec<String> = prom_label_keys(&text, &OWN).into_iter().collect();
-        assert_eq!(keys.join("\n"), PROM_LABEL_KEYS, "actual label keys:\n{}", keys.join("\n"));
+        assert_eq!(
+            keys.join("\n"),
+            PROM_LABEL_KEYS,
+            "actual label keys:\n{}",
+            keys.join("\n")
+        );
     }
 
     /// Each JSON value equals its Prometheus sample, and every sample of
@@ -843,9 +876,16 @@ dram_serve_worker_respawns_total {}";
 
         let mut want: BTreeMap<String, f64> = BTreeMap::new();
         let version = doc.get("version").and_then(Value::as_str).expect("version");
-        want.insert(format!("dram_serve_build_info{{version=\"{version}\"}}"), 1.0);
+        want.insert(
+            format!("dram_serve_build_info{{version=\"{version}\"}}"),
+            1.0,
+        );
         want.insert("dram_serve_requests_total".into(), num("requests_total"));
-        for (route, n) in doc.get("requests_by_route").and_then(Value::as_object).expect("routes") {
+        for (route, n) in doc
+            .get("requests_by_route")
+            .and_then(Value::as_object)
+            .expect("routes")
+        {
             want.insert(
                 format!("dram_serve_route_requests_total{{route=\"{route}\"}}"),
                 n.as_f64().expect("route count"),
@@ -864,15 +904,29 @@ dram_serve_worker_respawns_total {}";
         ] {
             want.insert(format!("dram_serve_{key}_total"), num(key));
         }
-        want.insert("dram_serve_retry_after_seconds".into(), num("retry_after_s"));
+        want.insert(
+            "dram_serve_retry_after_seconds".into(),
+            num("retry_after_s"),
+        );
         let hist = doc.get("latency_histogram").expect("histogram");
-        let uppers = hist.get("bucket_upper_us").and_then(Value::as_array).expect("uppers");
-        let counts = hist.get("counts").and_then(Value::as_array).expect("counts");
+        let uppers = hist
+            .get("bucket_upper_us")
+            .and_then(Value::as_array)
+            .expect("uppers");
+        let counts = hist
+            .get("counts")
+            .and_then(Value::as_array)
+            .expect("counts");
         let mut cumulative = 0.0;
         for (upper, count) in uppers.iter().zip(counts) {
             cumulative += count.as_f64().expect("bucket count");
-            let le = upper.as_f64().map_or("+Inf".to_string(), |us| (us * 1e-6).to_string());
-            want.insert(format!("dram_serve_handle_seconds_bucket{{le=\"{le}\"}}"), cumulative);
+            let le = upper
+                .as_f64()
+                .map_or("+Inf".to_string(), |us| (us * 1e-6).to_string());
+            want.insert(
+                format!("dram_serve_handle_seconds_bucket{{le=\"{le}\"}}"),
+                cumulative,
+            );
         }
         want.insert("dram_serve_handle_seconds_count".into(), cumulative);
         let eng = doc.get("engine").expect("engine");
@@ -885,13 +939,18 @@ dram_serve_worker_respawns_total {}";
             ("error_cache_hits", "dram_engine_error_cache_hits_total"),
             ("error_cache_entries", "dram_engine_error_cache_entries"),
         ] {
-            want.insert(family.into(), eng.get(key).and_then(Value::as_f64).expect(key));
+            want.insert(
+                family.into(),
+                eng.get(key).and_then(Value::as_f64).expect(key),
+            );
         }
 
         let got: BTreeMap<String, f64> = prom_samples(&prom)
             .into_iter()
             .filter(|(k, _)| OWN.iter().any(|p| k.starts_with(p)))
-            .filter(|(k, _)| k != "dram_serve_uptime_seconds" && k != "dram_serve_handle_seconds_sum")
+            .filter(|(k, _)| {
+                k != "dram_serve_uptime_seconds" && k != "dram_serve_handle_seconds_sum"
+            })
             .collect();
         assert_eq!(got, want);
         // The state is distinct enough to catch two series swapped.

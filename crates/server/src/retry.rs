@@ -156,7 +156,10 @@ mod tests {
             ..policy()
         }
         .schedule(1);
-        assert!(never.next_delay(None).is_none(), "max_attempts=1 never retries");
+        assert!(
+            never.next_delay(None).is_none(),
+            "max_attempts=1 never retries"
+        );
     }
 
     #[test]
@@ -167,7 +170,11 @@ mod tests {
         for expect_ms in [50u64, 100, 200, 400] {
             let d = s.next_delay(None).expect("budget");
             let wait = Duration::from_millis(expect_ms);
-            assert!(d >= wait / 2 && d <= wait, "{d:?} not in [{:?}, {wait:?}]", wait / 2);
+            assert!(
+                d >= wait / 2 && d <= wait,
+                "{d:?} not in [{:?}, {wait:?}]",
+                wait / 2
+            );
         }
         // With a bigger budget the computed wait pins at the cap.
         let mut long = RetryPolicy {
@@ -180,7 +187,10 @@ mod tests {
             last = long.next_delay(None).expect("budget");
         }
         assert!(last <= Duration::from_millis(500), "cap holds: {last:?}");
-        assert!(last >= Duration::from_millis(250), "cap jitter floor: {last:?}");
+        assert!(
+            last >= Duration::from_millis(250),
+            "cap jitter floor: {last:?}"
+        );
     }
 
     #[test]
@@ -204,14 +214,23 @@ mod tests {
         // A pessimistic hint is still capped by max_backoff.
         let mut s = policy().schedule(3);
         let capped = s.next_delay(Some(Duration::from_secs(3600))).unwrap();
-        assert!(capped <= Duration::from_millis(500), "hint capped: {capped:?}");
+        assert!(
+            capped <= Duration::from_millis(500),
+            "hint capped: {capped:?}"
+        );
 
         // Using a hint does not stall the computed escalation: the next
         // un-hinted wait reflects one doubling.
         let mut s = policy().schedule(3);
         s.next_delay(Some(Duration::from_millis(1)));
         let second = s.next_delay(None).unwrap();
-        assert!(second >= Duration::from_millis(50), "escalation continued: {second:?}");
-        assert!(second <= Duration::from_millis(100), "one doubling only: {second:?}");
+        assert!(
+            second >= Duration::from_millis(50),
+            "escalation continued: {second:?}"
+        );
+        assert!(
+            second <= Duration::from_millis(100),
+            "one doubling only: {second:?}"
+        );
     }
 }

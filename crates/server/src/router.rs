@@ -463,7 +463,9 @@ fn probe(node: &Node, timeout: Duration) -> bool {
     };
     conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: dram-route\r\nconnection: close\r\n\r\n")
         .is_ok()
-        && conn.read_response().is_ok_and(|reply| reply.status() == 200)
+        && conn
+            .read_response()
+            .is_ok_and(|reply| reply.status() == 200)
 }
 
 /// The router's [`Service`]: `/healthz`, `/metrics` and the `/debug`
@@ -968,7 +970,10 @@ fn scrape_backends(shared: &Arc<Shared>) -> Vec<Option<Scrape>> {
             Err(_) => break, // budget spent; stragglers serve stale
         }
     }
-    let mut cache = shared.scrapes.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut cache = shared
+        .scrapes
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     (0..shared.nodes.len())
         .map(|index| match fresh[index].take() {
             Some(scrape) => {
@@ -1444,9 +1449,12 @@ mod tests {
         }
         // Rendering scrapes, so the Prometheus render counts its own two
         // missed scrapes on top of the JSON one's.
-        *want.get_mut("dram_route_stale_scrapes_total").expect("stale scrapes") += 2.0;
+        *want
+            .get_mut("dram_route_stale_scrapes_total")
+            .expect("stale scrapes") += 2.0;
         let mut got = prom_samples(&prom);
-        got.remove("dram_route_uptime_seconds").expect("uptime gauge");
+        got.remove("dram_route_uptime_seconds")
+            .expect("uptime gauge");
         assert_eq!(got, want);
         assert_eq!(want.len(), 11 + 5 * 2 + 3, "{want:?}");
         router.shutdown();

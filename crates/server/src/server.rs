@@ -354,10 +354,7 @@ fn supervisor_loop(shared: &Arc<Shared>, mut workers: Vec<Option<JoinHandle<()>>
     let mut generations = vec![0u64; workers.len()];
     loop {
         let dead: Vec<usize> = {
-            let mut deaths = shared
-                .deaths
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut deaths = shared.deaths.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
                 if !deaths.is_empty() {
                     break std::mem::take(&mut *deaths);
@@ -1280,7 +1277,12 @@ impl ServerHandle {
         if let Some(t) = self.supervisor.take() {
             let _ = t.join();
         }
-        self.shared.metrics.requests.iter().map(dram_obs::Counter::get).sum()
+        self.shared
+            .metrics
+            .requests
+            .iter()
+            .map(dram_obs::Counter::get)
+            .sum()
     }
 }
 

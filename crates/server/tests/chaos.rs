@@ -80,7 +80,10 @@ fn injected_handler_panic_is_500_with_id_and_the_pool_recovers() {
 
     let reply = raw_request(addr, "POST", "/v1/evaluate", &body);
     assert_eq!(reply.status(), 500, "{reply:?}");
-    assert!(reply.text().contains("request handler panicked"), "{reply:?}");
+    assert!(
+        reply.text().contains("request handler panicked"),
+        "{reply:?}"
+    );
     let panicked_id = request_id(&reply).expect("500 must carry x-request-id");
 
     // Budget exhausted: the identical request now builds and serves.
@@ -154,7 +157,11 @@ fn a_worker_death_on_a_quiet_connection_costs_no_reply() {
             .read_response()
             .unwrap_or_else(|e| panic!("request {i} got no reply: {e}"));
         assert_eq!(reply.status(), 200, "request {i}: {reply:?}");
-        assert_eq!(reply.header("connection"), Some("keep-alive"), "request {i}");
+        assert_eq!(
+            reply.header("connection"),
+            Some("keep-alive"),
+            "request {i}"
+        );
         ids.push(request_id(&reply).expect("x-request-id"));
     }
     ids.sort();
@@ -187,13 +194,19 @@ fn short_writes_still_deliver_intact_responses() {
     let plan = dram_faults::Plan::parse("seed=9;http.write=short").expect("plan");
     dram_faults::arm(&plan);
     let shorted = raw_request(addr, "GET", "/v1/presets", "");
-    assert!(dram_faults::injected_total() >= 1, "short-write never fired");
+    assert!(
+        dram_faults::injected_total() >= 1,
+        "short-write never fired"
+    );
     dram_faults::disarm();
 
     // Identical except for the per-request id header.
     let strip = |reply: &Reply| {
         let mut reply = reply.clone();
-        reply.head.headers.retain(|(name, _)| name != "x-request-id");
+        reply
+            .head
+            .headers
+            .retain(|(name, _)| name != "x-request-id");
         reply
     };
     assert_eq!(strip(&clean), strip(&shorted));
@@ -253,10 +266,7 @@ fn prometheus_scrape_accounts_for_injected_faults() {
     // below; the per-arm counter and the per-server counter are exact.
     assert!(value >= 3.0, "{metric} = {value}");
     assert_eq!(dram_faults::injected_total(), 3);
-    assert!(
-        text.contains("dram_serve_rejected_busy_total 3"),
-        "{text}"
-    );
+    assert!(text.contains("dram_serve_rejected_busy_total 3"), "{text}");
     assert!(
         text.contains("dram_serve_worker_respawns_total 0"),
         "{text}"

@@ -32,7 +32,8 @@ fn start() -> ServerHandle {
 /// One close-per-request HTTP exchange; returns (status, body, id).
 fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     s.write_all(
         format!(
             "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n\
@@ -55,8 +56,7 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     let addr = handle.local_addr();
 
     // One real request to have something to reconstruct.
-    let (status, body, id) =
-        exchange(addr, "POST", "/v1/evaluate", r#"{"preset":"ddr3_1g_55nm"}"#);
+    let (status, body, id) = exchange(addr, "POST", "/v1/evaluate", r#"{"preset":"ddr3_1g_55nm"}"#);
     assert_eq!(status, 200, "evaluate failed: {body}");
     assert!(!id.is_empty(), "evaluate response carried no x-request-id");
 
@@ -64,14 +64,21 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     let (status, body, _) = exchange(addr, "GET", "/debug/events?n=64", "");
     assert_eq!(status, 200, "{body}");
     let doc = Value::parse(&body).expect("events JSON parses");
-    let events = doc.get("events").and_then(Value::as_array).expect("events array");
+    let events = doc
+        .get("events")
+        .and_then(Value::as_array)
+        .expect("events array");
     assert!(!events.is_empty(), "journal recorded nothing");
 
     // /debug/requests/<id> reconstructs the full lifecycle, in order.
     let (status, body, _) = exchange(addr, "GET", &format!("/debug/requests/{id}"), "");
     assert_eq!(status, 200, "{body}");
     let doc = Value::parse(&body).expect("timeline JSON parses");
-    assert_eq!(doc.get("complete").and_then(Value::as_bool), Some(true), "{body}");
+    assert_eq!(
+        doc.get("complete").and_then(Value::as_bool),
+        Some(true),
+        "{body}"
+    );
     let kinds: Vec<String> = doc
         .get("events")
         .and_then(Value::as_array)
@@ -96,8 +103,14 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     let (status, body, _) = exchange(addr, "GET", "/debug/reactor", "");
     assert_eq!(status, 200, "{body}");
     let doc = Value::parse(&body).expect("reactor JSON parses");
-    assert!(doc.get("table").and_then(Value::as_array).is_some(), "{body}");
-    assert_eq!(doc.get("journal_enabled").and_then(Value::as_bool), Some(true));
+    assert!(
+        doc.get("table").and_then(Value::as_array).is_some(),
+        "{body}"
+    );
+    assert_eq!(
+        doc.get("journal_enabled").and_then(Value::as_bool),
+        Some(true)
+    );
 
     // /debug/profile arms span recording live and returns Chrome-trace
     // JSON that round-trips through the workspace codec.
@@ -110,7 +123,10 @@ fn debug_family_reconstructs_timelines_and_profiles_live() {
     );
     // The window disarmed recording again (the server was booted
     // without --profile).
-    assert!(!dram_obs::enabled(), "profile window left recording enabled");
+    assert!(
+        !dram_obs::enabled(),
+        "profile window left recording enabled"
+    );
 
     handle.shutdown();
     dram_obs::journal::configure(0);
@@ -204,7 +220,10 @@ fn debug_requests_never_enter_slow_request_sampling() {
         .and_then(|r| r.get("debug"))
         .and_then(Value::as_f64)
         .expect("debug route counter");
-    assert!(debug_count >= 4.0, "debug requests not counted: {debug_count}");
+    assert!(
+        debug_count >= 4.0,
+        "debug requests not counted: {debug_count}"
+    );
     // …but never sampled as slow.
     let samples = doc
         .get("slow_requests")
@@ -257,12 +276,21 @@ fn a_held_request_never_queues_and_its_connection_shows_parked() {
         let row = rows
             .iter()
             .find(|r| r.get("served").and_then(Value::as_f64) == Some(2.0))
-            .map(|r| r.get("state").and_then(Value::as_str).unwrap_or("").to_string());
+            .map(|r| {
+                r.get("state")
+                    .and_then(Value::as_str)
+                    .unwrap_or("")
+                    .to_string()
+            });
         if row.as_deref() == Some("parked") || std::time::Instant::now() > deadline {
             break row;
         }
     };
-    assert_eq!(held_row.as_deref(), Some("parked"), "the held connection's row");
+    assert_eq!(
+        held_row.as_deref(),
+        Some("parked"),
+        "the held connection's row"
+    );
 
     // (wake thread, worker_start thread, kinds between the two, span
     // names) of one request's timeline.
@@ -270,13 +298,22 @@ fn a_held_request_never_queues_and_its_connection_shows_parked() {
         let (status, body, _) = exchange(addr, "GET", &format!("/debug/requests/{id}"), "");
         assert_eq!(status, 200, "{body}");
         let doc = Value::parse(&body).expect("timeline JSON parses");
-        assert_eq!(doc.get("complete").and_then(Value::as_bool), Some(true), "{body}");
+        assert_eq!(
+            doc.get("complete").and_then(Value::as_bool),
+            Some(true),
+            "{body}"
+        );
         let events = doc.get("events").and_then(Value::as_array).expect("events");
         let start = events
             .iter()
             .position(|e| e.get("kind").and_then(Value::as_str) == Some("worker_start"))
             .unwrap_or_else(|| panic!("no worker_start: {body}"));
-        let kind = |e: &Value| e.get("kind").and_then(Value::as_str).unwrap_or("").to_string();
+        let kind = |e: &Value| {
+            e.get("kind")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_string()
+        };
         let wake = events[..start]
             .iter()
             .rposition(|e| kind(e) == "wake")
@@ -290,18 +327,32 @@ fn a_held_request_never_queues_and_its_connection_shows_parked() {
             .iter()
             .filter_map(|s| s.get("name").and_then(Value::as_str).map(String::from))
             .collect();
-        (thread(&events[wake]), thread(&events[start]), between, spans)
+        (
+            thread(&events[wake]),
+            thread(&events[start]),
+            between,
+            spans,
+        )
     };
     let (reactor_wake, first_worker, queued, first_spans) = timeline(&ids[0]);
-    assert_ne!(reactor_wake, first_worker, "the reactor wakes a parked connection");
+    assert_ne!(
+        reactor_wake, first_worker,
+        "the reactor wakes a parked connection"
+    );
     assert_eq!(queued, ["dispatch", "queue_enter", "queue_exit"]);
     assert!(
         first_spans.iter().any(|s| s == "server.queue"),
         "{first_spans:?}"
     );
     let (held_wake, held_worker, between, held_spans) = timeline(&ids[1]);
-    assert_eq!(held_wake, held_worker, "the holding worker records the wake");
-    assert!(between.is_empty(), "a held request passed through {between:?}");
+    assert_eq!(
+        held_wake, held_worker,
+        "the holding worker records the wake"
+    );
+    assert!(
+        between.is_empty(),
+        "a held request passed through {between:?}"
+    );
     assert!(
         !held_spans.iter().any(|s| s == "server.queue"),
         "a held request recorded a queue wait: {held_spans:?}"

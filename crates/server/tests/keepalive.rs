@@ -29,7 +29,10 @@ fn read_reply(s: &mut Conn) -> Reply {
 }
 
 fn id(reply: &Reply) -> String {
-    reply.header("x-request-id").expect("x-request-id").to_string()
+    reply
+        .header("x-request-id")
+        .expect("x-request-id")
+        .to_string()
 }
 
 /// True once `read` reports EOF (within the socket's read timeout) with
@@ -68,7 +71,12 @@ fn sequential_requests_share_one_connection() {
         let reply = read_reply(&mut s);
         assert_eq!(reply.status(), 200, "request {i}");
         assert_eq!(reply.text(), baseline.text(), "request {i} body drifted");
-        assert_eq!(reply.header("connection"), Some("keep-alive"), "{:?}", reply.head);
+        assert_eq!(
+            reply.header("connection"),
+            Some("keep-alive"),
+            "{:?}",
+            reply.head
+        );
         ids.push(id(&reply));
     }
     ids.sort();
@@ -115,7 +123,12 @@ fn failed_request_poisons_only_its_connection() {
     s.write_all(batch.as_bytes()).expect("send");
     let reply = read_reply(&mut s);
     assert_eq!(reply.status(), 400, "{:?}", reply.head);
-    assert_eq!(reply.header("connection"), Some("close"), "{:?}", reply.head);
+    assert_eq!(
+        reply.header("connection"),
+        Some("close"),
+        "{:?}",
+        reply.head
+    );
     assert!(at_eof(&mut s), "connection must close after the failure");
 
     // Only the failed request was served; the pipelined healthz died
@@ -246,7 +259,11 @@ fn chunked_trace_streaming_keeps_the_connection() {
     s.write_all(&upload).expect("second upload");
     let second = read_reply(&mut s);
     assert_eq!(second.status(), 200);
-    assert_eq!(second.text(), first.text(), "streamed report must not drift");
+    assert_eq!(
+        second.text(),
+        first.text(),
+        "streamed report must not drift"
+    );
     assert_ne!(id(&first), id(&second));
     s.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n")
         .expect("send");

@@ -134,10 +134,8 @@ fn truncated_json_is_400() {
     assert!(body.contains("invalid JSON"), "{body}");
     // Body shorter than content-length (client hangs up mid-body).
     let mut s = TcpStream::connect(server.local_addr()).expect("connect");
-    s.write_all(
-        b"POST /v1/evaluate HTTP/1.1\r\ncontent-length: 500\r\n\r\n{\"preset\":",
-    )
-    .expect("send");
+    s.write_all(b"POST /v1/evaluate HTTP/1.1\r\ncontent-length: 500\r\n\r\n{\"preset\":")
+        .expect("send");
     s.shutdown(std::net::Shutdown::Write).expect("half-close");
     let reply = Conn::new(s).read_to_close().expect("recv");
     assert_eq!(reply.status(), 400, "{reply:?}");
@@ -233,7 +231,8 @@ fn graceful_shutdown_drains_accepted_connections() {
 
     // Every already-accepted client still gets a complete 200.
     for s in conns {
-        s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        s.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
         let reply = Conn::new(s).read_to_close().expect("drained response");
         assert_eq!(reply.status(), 200, "{reply:?}");
         assert!(reply.text().contains("idd_ma"), "{}", reply.text());
@@ -300,8 +299,8 @@ fn every_response_carries_a_unique_request_id() {
         raw(addr, b"WHAT\r\n\r\n"),
     ];
     for reply in &replies {
-        let id = request_id(reply)
-            .unwrap_or_else(|| panic!("response without x-request-id: {reply:?}"));
+        let id =
+            request_id(reply).unwrap_or_else(|| panic!("response without x-request-id: {reply:?}"));
         assert!(ids.insert(id.clone()), "id `{id}` repeated: {reply:?}");
     }
     server.shutdown();
@@ -349,7 +348,8 @@ fn trickling_client_gets_408_at_the_request_deadline() {
 
     let started = Instant::now();
     let mut s = TcpStream::connect(server.local_addr()).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     // Trickle a plausible request head one byte at a time, far slower
     // than it completes but fast enough to keep resetting a per-read
     // timeout. The server must cut us off at the deadline regardless.
@@ -391,7 +391,8 @@ fn silent_probe_writes_nothing_and_counts_nothing() {
     for _ in 0..3 {
         let s = TcpStream::connect(addr).expect("connect");
         s.shutdown(std::net::Shutdown::Write).expect("half-close");
-        s.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
         let received = Conn::new(s).read_response();
         assert_eq!(
             received,
@@ -415,13 +416,20 @@ fn silent_probe_writes_nothing_and_counts_nothing() {
         Some(0.0),
         "probes leaked into the `other` counter: {body}"
     );
-    assert_eq!(doc.get("responses_4xx").and_then(|v| v.as_f64()), Some(0.0), "{body}");
+    assert_eq!(
+        doc.get("responses_4xx").and_then(|v| v.as_f64()),
+        Some(0.0),
+        "{body}"
+    );
     let slow_other = doc
         .get("slow_requests")
         .and_then(|s| s.get("other"))
         .and_then(|v| v.as_array())
         .expect("slow_requests.other");
-    assert!(slow_other.is_empty(), "probes produced slow samples: {body}");
+    assert!(
+        slow_other.is_empty(),
+        "probes produced slow samples: {body}"
+    );
     server.shutdown();
 }
 
@@ -490,8 +498,12 @@ fn batch_results_are_bit_identical_to_single_calls() {
         let singles: Vec<String> = presets
             .iter()
             .map(|p| {
-                let (status, body) =
-                    request(addr, "POST", "/v1/evaluate", &format!(r#"{{"preset":"{p}"}}"#));
+                let (status, body) = request(
+                    addr,
+                    "POST",
+                    "/v1/evaluate",
+                    &format!(r#"{{"preset":"{p}"}}"#),
+                );
                 assert_eq!(status, 200, "{body}");
                 body
             })
@@ -558,8 +570,14 @@ fn metrics_slow_samples_correlate_with_response_ids() {
             seen_ids.contains(id),
             "sample id `{id}` never seen on the wire: {body}"
         );
-        assert!(s.get("queue_us").and_then(|v| v.as_f64()).is_some(), "{body}");
-        assert!(s.get("handle_us").and_then(|v| v.as_f64()).is_some(), "{body}");
+        assert!(
+            s.get("queue_us").and_then(|v| v.as_f64()).is_some(),
+            "{body}"
+        );
+        assert!(
+            s.get("handle_us").and_then(|v| v.as_f64()).is_some(),
+            "{body}"
+        );
         // Warm or cold, exactly one model lookup per evaluate request.
         let hits = s.get("cache_hits").and_then(|v| v.as_f64()).unwrap();
         let misses = s.get("cache_misses").and_then(|v| v.as_f64()).unwrap();
@@ -582,7 +600,11 @@ fn metrics_serves_both_json_and_prometheus_formats() {
     // Default: JSON, explicitly typed.
     let reply = raw(addr, b"GET /metrics HTTP/1.1\r\nconnection: close\r\n\r\n");
     assert_eq!(reply.status(), 200);
-    assert_eq!(reply.header("content-type"), Some("application/json"), "{reply:?}");
+    assert_eq!(
+        reply.header("content-type"),
+        Some("application/json"),
+        "{reply:?}"
+    );
     let body = reply.text();
     assert!(dram_units::json::Value::parse(&body).is_ok(), "{body}");
 
@@ -631,7 +653,11 @@ fn metrics_serves_both_json_and_prometheus_formats() {
         b"GET /metrics?format=yaml HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
     assert_eq!(reply.status(), 400);
-    assert!(reply.text().contains("unknown metrics format"), "{}", reply.text());
+    assert!(
+        reply.text().contains("unknown metrics format"),
+        "{}",
+        reply.text()
+    );
     server.shutdown();
 }
 
@@ -665,7 +691,10 @@ fn sweep_drives_rebuild_counters_onto_both_metrics_formats() {
     // 38 params × up/down, every one a differential rebuild; each skips
     // at least one build phase.
     assert!(rebuilds >= 76.0, "rebuilds {rebuilds}");
-    assert!(skipped >= rebuilds, "skipped {skipped} < rebuilds {rebuilds}");
+    assert!(
+        skipped >= rebuilds,
+        "skipped {skipped} < rebuilds {rebuilds}"
+    );
 
     let reply = raw(
         addr,
@@ -684,7 +713,10 @@ fn sweep_drives_rebuild_counters_onto_both_metrics_formats() {
         .lines()
         .find_map(|l| l.strip_prefix("dram_model_rebuilds_total "))
         .expect("rebuild sample line");
-    assert!(sample.trim().parse::<f64>().expect("numeric") >= 76.0, "{sample}");
+    assert!(
+        sample.trim().parse::<f64>().expect("numeric") >= 76.0,
+        "{sample}"
+    );
     server.shutdown();
 }
 

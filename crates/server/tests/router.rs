@@ -31,7 +31,8 @@ use metrics_shape::{json_shape, prom_headers, prom_label_keys};
 /// One close-per-request HTTP exchange; returns (status, body, id).
 fn exchange(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     s.write_all(
         format!(
             "{method} {path} HTTP/1.1\r\nhost: t\r\ncontent-type: application/json\r\n\
@@ -73,7 +74,10 @@ fn all_nodes_down_is_a_502_with_a_request_id() {
     assert_eq!(status, 200);
     let doc = Value::parse(&body).expect("metrics JSON");
     assert!(
-        doc.get("bad_gateway_total").and_then(Value::as_f64).unwrap_or(0.0) >= 1.0,
+        doc.get("bad_gateway_total")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0)
+            >= 1.0,
         "{body}"
     );
     router.shutdown();
@@ -186,7 +190,8 @@ fn upstream_death_mid_body_poisons_the_client_and_is_never_retried() {
     // The client sees the head, a truncated body, then a hard close —
     // never a spliced second response.
     let mut s = TcpStream::connect(router.local_addr()).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     let body = r#"{"preset":"ddr3_1g_x16_55nm"}"#;
     s.write_all(
         format!(
@@ -207,18 +212,28 @@ fn upstream_death_mid_body_poisons_the_client_and_is_never_retried() {
     );
     let mut body = Vec::new();
     let delivered = conn.read_to_end(&mut body).expect("read to close");
-    assert!(delivered < 100_000, "body must be truncated, got {delivered}");
+    assert!(
+        delivered < 100_000,
+        "body must be truncated, got {delivered}"
+    );
 
     // Exactly one upstream attempt: a request that already relayed
     // bytes is not retryable.
     std::thread::sleep(Duration::from_millis(400));
-    assert_eq!(hits.load(Ordering::SeqCst), 1, "mid-body failure was retried");
+    assert_eq!(
+        hits.load(Ordering::SeqCst),
+        1,
+        "mid-body failure was retried"
+    );
 
     let (status, body, _) = exchange(router.local_addr(), "GET", "/metrics", "");
     assert_eq!(status, 200);
     let doc = Value::parse(&body).expect("metrics JSON");
     assert!(
-        doc.get("poisoned_total").and_then(Value::as_f64).unwrap_or(0.0) >= 1.0,
+        doc.get("poisoned_total")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0)
+            >= 1.0,
         "poisoned counter missing: {body}"
     );
     router.shutdown();
@@ -240,7 +255,9 @@ fn read_request(conn: &mut TcpStream) -> Option<String> {
     let length = head
         .lines()
         .find_map(|line| line.strip_prefix("content-length: "))
-        .map_or(0, |n| n.parse().expect("the router frames bodies by length"));
+        .map_or(0, |n| {
+            n.parse().expect("the router frames bodies by length")
+        });
     conn.read_exact(&mut vec![0; length]).ok()?;
     Some(head)
 }
@@ -298,7 +315,8 @@ fn a_body_streamed_after_its_head_is_relayed_exactly_and_its_connection_reused()
     .expect("bind router");
 
     let mut s = TcpStream::connect(router.local_addr()).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     let want = format!("{HEAD}{}{}", BODY[0], BODY[1]);
     let body = r#"{"preset":"ddr3_1g_x16_55nm"}"#;
     for connection in ["keep-alive", "close"] {
@@ -358,7 +376,10 @@ fn upstream_heads_with_bad_content_length_take_the_502_path() {
         assert!(!id.is_empty(), "502 carried no x-request-id");
         let doc = Value::parse(&body).expect("502 body is JSON");
         assert!(doc.get("error").is_some(), "{body}");
-        assert!(hits.load(Ordering::SeqCst) >= 1, "the upstream was never asked");
+        assert!(
+            hits.load(Ordering::SeqCst) >= 1,
+            "the upstream was never asked"
+        );
         router.shutdown();
     }
 }
@@ -612,7 +633,9 @@ fn metrics_documents_are_pinned_over_the_wire() {
     let headers: Vec<String> = prom_headers(&prom, &["dram_route_"]).into_iter().collect();
     let headers = headers.join("\n");
     assert_eq!(headers, ROUTER_PROM_HEADERS, "actual headers:\n{headers}");
-    let keys: Vec<String> = prom_label_keys(&prom, &["dram_route_"]).into_iter().collect();
+    let keys: Vec<String> = prom_label_keys(&prom, &["dram_route_"])
+        .into_iter()
+        .collect();
     let keys = keys.join("\n");
     assert_eq!(keys, ROUTER_PROM_LABEL_KEYS, "actual label keys:\n{keys}");
     router.shutdown();
@@ -622,7 +645,8 @@ fn metrics_documents_are_pinned_over_the_wire() {
 /// Sends raw request bytes and reads the reply to close.
 fn raw(addr: SocketAddr, bytes: &[u8]) -> dram_server::client::Reply {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     s.write_all(bytes).expect("send");
     Conn::new(s).read_to_close().expect("recv")
 }
@@ -643,7 +667,13 @@ fn metrics_serves_both_json_and_prometheus_formats() {
         Some("text/plain; version=0.0.4"),
         "{reply:?}"
     );
-    assert!(reply.text().contains("# TYPE dram_route_requests_total counter"), "{}", reply.text());
+    assert!(
+        reply
+            .text()
+            .contains("# TYPE dram_route_requests_total counter"),
+        "{}",
+        reply.text()
+    );
 
     // Accept-header negotiation selects Prometheus without a query.
     let reply = raw(
@@ -662,7 +692,11 @@ fn metrics_serves_both_json_and_prometheus_formats() {
         b"GET /metrics?format=yaml HTTP/1.1\r\nconnection: close\r\n\r\n",
     );
     assert_eq!(reply.status(), 400);
-    assert!(reply.text().contains("unknown metrics format"), "{}", reply.text());
+    assert!(
+        reply.text().contains("unknown metrics format"),
+        "{}",
+        reply.text()
+    );
     router.shutdown();
     backend.shutdown();
 }
@@ -695,7 +729,8 @@ fn at_eof(conn: &mut Conn) -> bool {
 fn a_4xx_from_the_router_poisons_its_connection() {
     let router = router_without_a_pool();
     let mut s = TcpStream::connect(router.local_addr()).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
     s.write_all(
         b"GET /metrics?format=yaml HTTP/1.1\r\nhost: t\r\n\r\n\
           GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n",
@@ -723,7 +758,8 @@ fn the_routers_4xx_reaches_a_client_still_uploading() {
     upload.resize(upload.len() + 256 * 1024, b' ');
     for attempt in 0..5 {
         let mut s = TcpStream::connect(router.local_addr()).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        s.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
         // The router may stop reading; what it refuses is not the point.
         let _ = s.write_all(&upload);
         let reply = Conn::new(s).read_to_close();
@@ -739,7 +775,8 @@ fn the_routers_4xx_reaches_a_client_still_uploading() {
 fn shutdown_does_not_wait_for_an_idle_keepalive_client() {
     let router = router_without_a_pool();
     let s = TcpStream::connect(router.local_addr()).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     let mut conn = Conn::new(s);
     conn.write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
         .expect("send");
@@ -859,7 +896,8 @@ fn a_stalled_node_holds_only_its_own_requests() {
     let waiting: Vec<TcpStream> = (0..6)
         .map(|_| {
             let mut s = TcpStream::connect(router.local_addr()).expect("connect");
-            s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+            s.set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
             s.write_all(&evaluate(pool.on_stalled)).expect("send");
             s
         })
@@ -976,17 +1014,28 @@ fn a_request_waiting_on_a_reused_connection_is_cut_when_its_node_goes_down() {
 
     let reply = raw(router.local_addr(), &evaluate(on_scripted));
     assert_eq!((reply.status(), reply.text().as_ref()), (200, "\"first\""));
-    let (pooled, first) = reads.recv_timeout(Duration::from_secs(1)).expect("first read");
+    let (pooled, first) = reads
+        .recv_timeout(Duration::from_secs(1))
+        .expect("first read");
     assert_eq!(first, 0);
 
     let started = Instant::now();
     let reply = raw(router.local_addr(), &evaluate(on_scripted));
     let took = started.elapsed();
     assert_eq!(reply.status(), 200, "{reply:?}");
-    assert!(reply.text().starts_with('{'), "not the live node's answer: {reply:?}");
+    assert!(
+        reply.text().starts_with('{'),
+        "not the live node's answer: {reply:?}"
+    );
     assert!(took < Duration::from_secs(2), "failed over after {took:?}");
-    let waited = reads.recv_timeout(Duration::from_secs(1)).expect("second read");
-    assert_eq!(waited, (pooled, 1), "the request did not wait on the pooled connection");
+    let waited = reads
+        .recv_timeout(Duration::from_secs(1))
+        .expect("second read");
+    assert_eq!(
+        waited,
+        (pooled, 1),
+        "the request did not wait on the pooled connection"
+    );
     router.shutdown();
     live.shutdown();
 }

@@ -27,7 +27,8 @@ fn start(threads: usize) -> ServerHandle {
 
 fn raw(addr: SocketAddr, bytes: &[u8]) -> Reply {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     let _ = s.write_all(bytes);
     Conn::new(s).read_to_close().expect("recv")
 }
@@ -37,7 +38,8 @@ fn raw(addr: SocketAddr, bytes: &[u8]) -> Reply {
 /// may answer (and close) mid-upload on a trace error.
 fn chunked(addr: SocketAddr, path: &str, payload: &[u8], chunk: usize) -> (u16, String) {
     let mut s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
+    s.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
     let head = format!(
         "POST {path} HTTP/1.1\r\nhost: t\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n"
     );
@@ -67,7 +69,8 @@ fn buffered(addr: SocketAddr, path: &str, payload: &[u8]) -> (u16, String) {
 /// A trace that visits every power state: bursts of work, an explicit
 /// power-down window, then a long self-refresh sleep and an idle tail.
 fn sample_trace() -> String {
-    let mut t = String::from("# exercise all five states\n!preset ddr3_1g_x16_55nm\n!policy aggressive\n");
+    let mut t =
+        String::from("# exercise all five states\n!preset ddr3_1g_x16_55nm\n!policy aggressive\n");
     for i in 0..200u64 {
         let c = i * 100;
         let bank = i % 8;
@@ -90,13 +93,8 @@ fn reference_body(payload: &[u8]) -> String {
     let mut decoder = TraceDecoder::new();
     decoder.feed(payload, &mut session).expect("decodes");
     let (commands, report) = session.finish(&mut decoder).expect("bills");
-    dram_server::api::trace_document(
-        "ddr3_1g_x16_55nm",
-        &report,
-        commands,
-        payload.len() as u64,
-    )
-    .to_string()
+    dram_server::api::trace_document("ddr3_1g_x16_55nm", &report, commands, payload.len() as u64)
+        .to_string()
 }
 
 #[test]
@@ -121,7 +119,10 @@ fn streamed_trace_reports_per_state_breakdown() {
         "active_power_down",
         "self_refresh",
     ] {
-        assert!(states.get(label).is_some(), "missing state `{label}`: {body}");
+        assert!(
+            states.get(label).is_some(),
+            "missing state `{label}`: {body}"
+        );
     }
     let sr = states
         .get("self_refresh")
@@ -143,7 +144,10 @@ fn streamed_reports_are_bit_identical_to_the_library_fold() {
         let addr = server.local_addr();
         let (status, body) = buffered(addr, "/v1/trace", payload.as_bytes());
         assert_eq!(status, 200, "{body}");
-        assert_eq!(body, expected, "buffered framing diverged at {threads} threads");
+        assert_eq!(
+            body, expected,
+            "buffered framing diverged at {threads} threads"
+        );
         for chunk in [7, 256, 4096, payload.len()] {
             let (status, body) = chunked(addr, "/v1/trace", payload.as_bytes(), chunk);
             assert_eq!(status, 200, "{body}");
@@ -169,7 +173,10 @@ fn a_policy_after_a_leading_nop_applies() {
     assert!(power_down > Some(0.0), "the policy was dropped: {expected}");
     let server = start(1);
     let addr = server.local_addr();
-    assert_eq!(buffered(addr, "/v1/trace", payload), (200, expected.clone()));
+    assert_eq!(
+        buffered(addr, "/v1/trace", payload),
+        (200, expected.clone())
+    );
     for chunk in [1, 7, payload.len()] {
         assert_eq!(
             chunked(addr, "/v1/trace", payload, chunk),

@@ -14,19 +14,20 @@
 //! trace-bench [--commands N] [--chunk BYTES] [--out FILE]
 //! ```
 
+use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::TcpStream;
 use std::time::Instant;
 
 use dram_core::timing::{InitialBankState, TimingChecker};
-use dram_core::Dram;
+use dram_core::{Command, Dram};
 use dram_obs::{Better, Record};
 use dram_server::client::{self, Conn};
 use dram_server::presets::FixedModel;
 use dram_server::{serve, ServerConfig};
 use dram_units::cli::{exit_usage, Flags};
 use dram_workload::{
-    TraceDecoder, TraceError, TraceErrorKind, TraceEvent, TraceSession, TraceSink,
+    PowerDownPolicy, TraceDecoder, TraceError, TraceErrorKind, TraceEvent, TraceSession, TraceSink,
 };
 
 const OUT_FILE: &str = "BENCH_trace.json";
@@ -77,30 +78,48 @@ impl Lcg {
     }
 }
 
+/// The power-down policy the streamed trace declares, `!policy
+/// aggressive`.
+const POLICY: PowerDownPolicy = PowerDownPolicy::AGGRESSIVE;
+
 /// Generates trace episodes into `buf` until at least `target` commands
-/// are emitted; returns the final cycle. Episodes keep the state
-/// machine legal: banks close before refresh or self-refresh, exit
-/// commands respect the policy's exit-latency window (AGGRESSIVE:
-/// power-down exit 6, self-refresh exit 512), and bursts keep the
-/// preset's bank timing.
+/// are emitted. Episodes keep the state machine legal: banks close
+/// before refresh or self-refresh, and the command after an exit waits
+/// out [`POLICY`]'s exit latency. Every bank command and refresh is
+/// issued through a [`TimingChecker`] for the streamed model at the
+/// first cycle it allows, so the trace keeps the model's bank timing.
 struct TraceGen {
     rng: Lcg,
     cycle: u64,
     emitted: u64,
+    banks: u32,
+    checker: TimingChecker,
 }
 
 impl TraceGen {
-    fn new(seed: u64) -> Self {
+    fn new(seed: u64, dram: &Dram) -> Self {
         Self {
             rng: Lcg(seed),
             cycle: 0,
             emitted: 0,
+            banks: dram.description().spec.banks(),
+            checker: checker(dram),
         }
+    }
+
+    /// Appends `command` on `bank` at the first cycle from the current
+    /// one that the checker allows, and moves the clock there.
+    fn issue(&mut self, buf: &mut String, command: Command, bank: u32) {
+        let earliest = self.checker.earliest(bank, command).expect("a bank");
+        let t = self.cycle.max(earliest);
+        self.checker.check(t, bank, command).expect("legal");
+        let _ = writeln!(buf, "{t} {command} {bank}");
+        self.cycle = t;
+        self.emitted += 1;
     }
 
     /// Appends one episode of trace lines to `buf`.
     fn episode(&mut self, buf: &mut String) {
-        use std::fmt::Write as _;
         let t = &mut self.cycle;
         match self.rng.next() % 16 {
             // A power-down nap with an explicit CKE window.
@@ -108,7 +127,7 @@ impl TraceGen {
                 let _ = writeln!(buf, "{t} pde");
                 *t += 100 + self.rng.next() % 4000;
                 let _ = writeln!(buf, "{t} pdx");
-                *t += 1 + 6; // past the exit-latency window
+                *t += 1 + POLICY.exit_latency_cycles;
                 self.emitted += 2;
             }
             // A long self-refresh sleep (banks are closed between
@@ -117,40 +136,37 @@ impl TraceGen {
                 let _ = writeln!(buf, "{t} sre");
                 *t += 10_000 + self.rng.next() % 50_000;
                 let _ = writeln!(buf, "{t} srx");
-                *t += 1 + 512;
+                *t += 1 + POLICY.self_refresh_exit_latency_cycles;
                 self.emitted += 2;
             }
             // An auto-refresh between bursts.
-            2 => {
-                let _ = writeln!(buf, "{t} ref");
-                *t += 50 + self.rng.next() % 100;
-                self.emitted += 1;
-            }
-            // The common case: an open-page burst on one bank, spaced
-            // for the preset's tRCD and tRP (12 cycles), tCCD (4) and
-            // tRAS (28).
+            2 => self.issue(buf, Command::Refresh, 0),
+            // The common case: an open-page burst on one bank, then an
+            // idle gap.
             _ => {
-                let bank = self.rng.next() % 8;
-                let act = *t;
-                let _ = writeln!(buf, "{t} act {bank}");
-                *t += 12;
+                let bank = u32::try_from(self.rng.next() % u64::from(self.banks)).expect("a bank");
+                self.issue(buf, Command::Activate, bank);
                 let columns = 1 + self.rng.next() % 4;
                 for i in 0..columns {
                     let op = if (self.rng.next() + i) % 2 == 1 {
-                        "wr"
+                        Command::Write
                     } else {
-                        "rd"
+                        Command::Read
                     };
-                    let _ = writeln!(buf, "{t} {op} {bank}");
-                    *t += 4;
+                    self.issue(buf, op, bank);
                 }
-                *t = (*t).max(act + 28);
-                let _ = writeln!(buf, "{t} pre {bank}");
-                *t += 12 + self.rng.next() % 200;
-                self.emitted += 2 + columns;
+                self.issue(buf, Command::Precharge, bank);
+                self.cycle += self.rng.next() % 200;
             }
         }
     }
+}
+
+/// A checker of the model's bank timing from all banks closed.
+fn checker(dram: &Dram) -> TimingChecker {
+    let desc = dram.description();
+    let (clock, banks) = (desc.spec.control_clock, desc.spec.banks());
+    TimingChecker::new(&desc.timing, clock, banks, InitialBankState::AllClosed)
 }
 
 /// `VmHWM` from `/proc/self/status` in kB; 0 where unavailable.
@@ -199,13 +215,7 @@ fn main() {
     // fed to the local decoder, whose sink hands every command to the
     // session first, as the server does, then checks its bank timing.
     // Neither side ever holds more than one batch.
-    let desc = dram.description();
-    let mut checker = TimingChecker::new(
-        &desc.timing,
-        desc.spec.control_clock,
-        desc.spec.banks(),
-        InitialBankState::AllClosed,
-    );
+    let mut checker = checker(&dram);
     let mut session = TraceSession::new(FixedModel::new(&dram));
     let mut decoder = TraceDecoder::new();
     let mut sink = |event: TraceEvent| match event {
@@ -218,8 +228,8 @@ fn main() {
         directive => session.directive(directive),
     };
 
-    let mut gen = TraceGen::new(0x5eed_dda7_a11e_57e5);
-    let mut buf = String::from("!preset ddr3_1g_x16_55nm\n!policy aggressive\n");
+    let mut gen = TraceGen::new(0x5eed_dda7_a11e_57e5, &dram);
+    let mut buf = format!("!preset {PRESET}\n!policy aggressive\n");
     while gen.emitted < args.commands {
         gen.episode(&mut buf);
         if buf.len() >= args.chunk {
@@ -230,10 +240,7 @@ fn main() {
             buf.clear();
         }
     }
-    {
-        use std::fmt::Write as _;
-        let _ = writeln!(buf, "!length {}", gen.cycle + 100);
-    }
+    let _ = writeln!(buf, "!length {}", gen.cycle + 100);
     client::write_chunk(&mut conn, buf.as_bytes()).expect("chunk");
     decoder
         .feed(buf.as_bytes(), &mut sink)

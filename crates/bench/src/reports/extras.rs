@@ -9,7 +9,7 @@ use dram_datasheet::corpus::DDR3_1GB;
 use dram_datasheet::{Calculator, Vendor, Workload};
 use dram_schemes::ablations;
 use dram_units::Seconds;
-use dram_workload::{generate_validated, simulate, PowerDownPolicy, WorkloadSpec};
+use dram_workload::{generate, simulate, PowerDownPolicy, WorkloadSpec};
 
 use crate::Table;
 
@@ -136,7 +136,7 @@ pub fn generate_powerdown() -> String {
         ("random (0% row hits)", WorkloadSpec::random(2000, 7)),
         ("sparse (long idle gaps)", WorkloadSpec::sparse(300, 7)),
     ] {
-        let w = generate_validated(&dram, &spec).expect("generates");
+        let w = generate(&dram, &spec).expect("generates");
         let bill = |policy| simulate(&dram, &w.trace, policy).expect("generated traces are legal");
         let never = bill(PowerDownPolicy::NEVER);
         let aggressive = bill(PowerDownPolicy::AGGRESSIVE);

@@ -7,7 +7,6 @@
 
 fn main() {
     let dram = dram_core::Dram::new(dram_core::reference::ddr3_1g_x16_55nm()).unwrap();
-    let w = dram_workload::generate_validated(&dram, &dram_workload::WorkloadSpec::random(100, 1))
-        .unwrap();
+    let w = dram_workload::generate(&dram, &dram_workload::WorkloadSpec::random(100, 1)).unwrap();
     print!("{}", dram_workload::write_trace(&w.trace));
 }

@@ -162,7 +162,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::{generate_validated, WorkloadSpec};
+    use crate::generator::{generate, WorkloadSpec};
     use dram_core::reference::ddr3_1g_x16_55nm;
     use dram_core::timing::TimedCommand;
     use dram_core::{Command, Dram, DramDescription, Pattern};
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn energy_components_sum() {
         let dram = model();
-        let w = generate_validated(&dram, &WorkloadSpec::random(300, 5)).expect("ok");
+        let w = generate(&dram, &WorkloadSpec::random(300, 5)).expect("ok");
         let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         let sum = r.command_energy + r.background_energy + r.power_down_energy;
         assert!((r.energy.joules() - sum.joules()).abs() < 1e-15);
@@ -188,8 +188,8 @@ mod tests {
         // §IV.C: the Idd7-style random pattern "more closely replicates
         // power consumption in a system" and costs more than streaming.
         let dram = model();
-        let stream = generate_validated(&dram, &WorkloadSpec::streaming(800, 11)).expect("ok");
-        let random = generate_validated(&dram, &WorkloadSpec::random(800, 11)).expect("ok");
+        let stream = generate(&dram, &WorkloadSpec::streaming(800, 11)).expect("ok");
+        let random = generate(&dram, &WorkloadSpec::random(800, 11)).expect("ok");
         let epb = |trace| {
             simulate(&dram, trace, PowerDownPolicy::NEVER)
                 .expect("legal")
@@ -207,7 +207,7 @@ mod tests {
     #[test]
     fn power_down_saves_energy_on_sparse_traffic() {
         let dram = model();
-        let w = generate_validated(&dram, &WorkloadSpec::sparse(100, 13)).expect("ok");
+        let w = generate(&dram, &WorkloadSpec::sparse(100, 13)).expect("ok");
         let never = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         let aggressive = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal");
         assert!(aggressive.power_down_cycles > 0);
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn power_down_is_irrelevant_for_saturated_traffic() {
         let dram = model();
-        let w = generate_validated(&dram, &WorkloadSpec::streaming(500, 17)).expect("ok");
+        let w = generate(&dram, &WorkloadSpec::streaming(500, 17)).expect("ok");
         let never = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         let aggressive = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal");
         let saving = 1.0 - aggressive.energy.joules() / never.energy.joules();
@@ -238,8 +238,8 @@ mod tests {
     #[test]
     fn row_share_is_high_for_random_low_for_streaming() {
         let dram = model();
-        let stream = generate_validated(&dram, &WorkloadSpec::streaming(600, 19)).expect("ok");
-        let random = generate_validated(&dram, &WorkloadSpec::random(600, 19)).expect("ok");
+        let stream = generate(&dram, &WorkloadSpec::streaming(600, 19)).expect("ok");
+        let random = generate(&dram, &WorkloadSpec::random(600, 19)).expect("ok");
         let share = |trace| {
             simulate(&dram, trace, PowerDownPolicy::NEVER)
                 .expect("legal")
@@ -307,8 +307,8 @@ mod tests {
         for description in every_preset() {
             let name = description.name.clone();
             let dram = Dram::new(description).expect("valid");
-            let random = generate_validated(&dram, &WorkloadSpec::random(400, 29)).expect("ok");
-            let sparse = generate_validated(&dram, &WorkloadSpec::sparse(150, 13)).expect("ok");
+            let random = generate(&dram, &WorkloadSpec::random(400, 29)).expect("ok");
+            let sparse = generate(&dram, &WorkloadSpec::sparse(150, 13)).expect("ok");
             let traces = [
                 random.trace.clone(),
                 sparse.trace,
@@ -553,7 +553,7 @@ mod tests {
     #[test]
     fn trace_energy_agrees_with_analytic_idd7_scale() {
         let dram = model();
-        let w = generate_validated(&dram, &WorkloadSpec::random(2000, 23)).expect("ok");
+        let w = generate(&dram, &WorkloadSpec::random(2000, 23)).expect("ok");
         let r = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal");
         let analytic = dram.energy_per_bit_random();
         let ratio = r.energy_per_bit.joules() / analytic.joules();

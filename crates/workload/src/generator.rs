@@ -1,11 +1,13 @@
 //! Workload generation: an open-page memory-controller model that turns
 //! an abstract access stream (read share, row-buffer hit rate, bank
-//! locality, intensity) into a timing-legal command trace.
+//! locality, intensity) into a timing-legal command trace. Every command
+//! is issued through a [`TimingChecker`], at the first cycle it allows:
+//! the generator schedules by the rules traces are checked against.
 //!
 //! The generator is deterministic for a given seed, so figure-regenerating
 //! benches produce stable numbers.
 
-use dram_core::timing::{to_cycles, Schedule, TimedCommand};
+use dram_core::timing::{to_cycles, InitialBankState, Schedule, TimedCommand, TimingChecker};
 use dram_core::{Command, Dram, ModelError};
 use dram_units::rng::SplitMix64;
 
@@ -112,20 +114,14 @@ pub struct GeneratedWorkload {
     pub stats: GeneratorStats,
 }
 
-/// Per-bank scheduling state of the simple in-order open-page controller.
-#[derive(Debug, Clone, Copy)]
-struct BankState {
-    open_row: Option<u64>,
-    earliest_act: u64,
-    earliest_column: u64,
-    earliest_pre: u64,
-}
-
 /// Generates a legal trace for the device's timing.
 ///
 /// The controller is in-order and open-page: a row hit issues just the
 /// column command; a miss precharges and re-activates; an empty bank
-/// activates. Commands are pushed to the earliest legal cycle.
+/// activates. Every command is issued through a [`TimingChecker`] at the
+/// first cycle from its arrival that the checker allows, so the trace
+/// keeps every rule the checker holds traces to, and the generator keeps
+/// no timing state of its own.
 ///
 /// # Errors
 ///
@@ -146,36 +142,27 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
     }
 
     let desc = dram.description();
-    let timing = &desc.timing;
     let clock = desc.spec.control_clock;
     let banks = desc.spec.banks();
     let rows = desc.spec.rows_per_bank();
-    let cyc = |s| to_cycles(s, clock);
-    let (trc, tras, trp, trcd, trrd, tfaw) = (
-        cyc(timing.trc),
-        cyc(timing.tras),
-        cyc(timing.trp),
-        cyc(timing.trcd),
-        cyc(timing.trrd),
-        cyc(timing.tfaw),
-    );
-    let tccd = u64::from(timing.tccd_cycles);
 
-    let mut rng = SplitMix64::new(spec.seed);
-    let mut bank_state = vec![
-        BankState {
-            open_row: None,
-            earliest_act: 0,
-            earliest_column: 0,
-            earliest_pre: 0
-        };
-        banks as usize
-    ];
+    let mut checker = TimingChecker::new(&desc.timing, clock, banks, InitialBankState::AllClosed);
     let mut commands = Vec::new();
+    // Issues `command` on `bank` at the first cycle from `from` that the
+    // checker allows; returns that cycle.
+    let mut issue = |from: u64, bank: u32, command: Command| {
+        let cycle = from.max(checker.earliest(bank, command)?);
+        checker.check(cycle, bank, command)?;
+        commands.push(TimedCommand {
+            cycle,
+            bank,
+            command,
+        });
+        Ok::<_, ModelError>(cycle)
+    };
+    let mut rng = SplitMix64::new(spec.seed);
+    let mut open_rows: Vec<Option<u64>> = vec![None; banks as usize];
     let mut stats = GeneratorStats::default();
-    let mut next_any_act = 0u64;
-    let mut next_column = 0u64;
-    let mut recent_acts: std::collections::VecDeque<u64> = std::collections::VecDeque::new();
     let mut arrival = 0f64;
     let mut cursor = 0u64;
 
@@ -189,126 +176,50 @@ pub fn generate(dram: &Dram, spec: &WorkloadSpec) -> Result<GeneratedWorkload, M
         let t_arrival = (arrival as u64).max(cursor);
         let bank = rng.range_u32(banks);
         let b = bank as usize;
-        let is_read = rng.chance(spec.read_fraction);
-        let column_cmd = if is_read {
+        let column = if rng.chance(spec.read_fraction) {
             Command::Read
         } else {
             Command::Write
         };
 
-        // Decide the target row.
-        let target_row = match bank_state[b].open_row {
-            Some(open) if rng.chance(spec.row_hit_rate) => {
-                stats.row_hits += 1;
-                open
-            }
+        // Open the target row unless it is the open one.
+        match open_rows[b] {
+            Some(_) if rng.chance(spec.row_hit_rate) => stats.row_hits += 1,
             Some(open) => {
                 stats.row_misses += 1;
                 // A different row: precharge then activate.
-                let t_pre = t_arrival.max(bank_state[b].earliest_pre);
-                commands.push(TimedCommand {
-                    cycle: t_pre,
-                    bank,
-                    command: Command::Precharge,
-                });
-                bank_state[b].open_row = None;
-                bank_state[b].earliest_act = bank_state[b].earliest_act.max(t_pre + trp);
-                (open + 1) % rows
+                issue(t_arrival, bank, Command::Precharge)?;
+                issue(t_arrival, bank, Command::Activate)?;
+                open_rows[b] = Some((open + 1) % rows);
             }
             None => {
                 stats.row_empty += 1;
-                rng.range_u64(rows)
-            }
-        };
-
-        // Activate if the bank is closed.
-        if bank_state[b].open_row.is_none() {
-            let mut t_act = t_arrival.max(bank_state[b].earliest_act).max(next_any_act);
-            if recent_acts.len() == 4 {
-                t_act = t_act.max(recent_acts[0] + tfaw);
-            }
-            commands.push(TimedCommand {
-                cycle: t_act,
-                bank,
-                command: Command::Activate,
-            });
-            bank_state[b].open_row = Some(target_row);
-            bank_state[b].earliest_column = t_act + trcd;
-            bank_state[b].earliest_pre = t_act + tras;
-            bank_state[b].earliest_act = t_act + trc;
-            next_any_act = t_act + trrd;
-            recent_acts.push_back(t_act);
-            if recent_acts.len() > 4 {
-                recent_acts.pop_front();
+                open_rows[b] = Some(rng.range_u64(rows));
+                issue(t_arrival, bank, Command::Activate)?;
             }
         }
 
-        // Column command.
-        let t_col = t_arrival
-            .max(bank_state[b].earliest_column)
-            .max(next_column);
-        commands.push(TimedCommand {
-            cycle: t_col,
-            bank,
-            command: column_cmd,
-        });
-        next_column = t_col + tccd;
+        let t_col = issue(t_arrival, bank, column)?;
         cursor = t_col;
 
         // Closed-page policy: auto-precharge once tRAS allows.
         if spec.policy == PagePolicy::ClosedPage {
-            let t_pre = bank_state[b].earliest_pre.max(t_col + 1);
-            commands.push(TimedCommand {
-                cycle: t_pre,
-                bank,
-                command: Command::Precharge,
-            });
-            bank_state[b].open_row = None;
-            bank_state[b].earliest_act = bank_state[b].earliest_act.max(t_pre + trp);
-            cursor = cursor.max(t_pre);
+            cursor = cursor.max(issue(t_col + 1, bank, Command::Precharge)?);
+            open_rows[b] = None;
         }
     }
 
     // Close all banks at the end so the trace is self-contained.
     let mut end = cursor;
-    for (i, b) in bank_state.iter().enumerate() {
-        if b.open_row.is_some() {
-            let t_pre = b.earliest_pre.max(cursor + 1);
-            commands.push(TimedCommand {
-                cycle: t_pre,
-                bank: u32::try_from(i).expect("bank index fits"),
-                command: Command::Precharge,
-            });
-            end = end.max(t_pre);
+    for (bank, row) in (0..banks).zip(&open_rows) {
+        if row.is_some() {
+            end = end.max(issue(cursor + 1, bank, Command::Precharge)?);
         }
     }
 
+    let trp = to_cycles(desc.timing.trp, clock);
     let trace = Schedule::new(commands, end + trp.max(1))?;
     Ok(GeneratedWorkload { trace, stats })
-}
-
-/// Convenience: generate and assert legality in one step (used by tests
-/// and benches; the generator is constructed to always emit legal
-/// traces).
-///
-/// # Errors
-///
-/// Returns [`ModelError`] if generation fails.
-///
-/// # Panics
-///
-/// Panics if the generated trace violates timing — that would be a bug
-/// in the generator, not in the caller's input.
-pub fn generate_validated(
-    dram: &Dram,
-    spec: &WorkloadSpec,
-) -> Result<GeneratedWorkload, ModelError> {
-    let w = generate(dram, spec)?;
-    let desc = dram.description();
-    w.trace
-        .validate_trace(&desc.timing, desc.spec.control_clock, desc.spec.banks())
-        .expect("generator emits legal traces");
-    Ok(w)
 }
 
 #[cfg(test)]
@@ -320,6 +231,17 @@ mod tests {
         Dram::new(ddr3_1g_x16_55nm()).expect("valid")
     }
 
+    /// `Schedule::validate_trace` re-checks a generated trace, sorted,
+    /// with a checker of its own.
+    pub(super) fn legal(dram: &Dram, spec: &WorkloadSpec) -> GeneratedWorkload {
+        let w = generate(dram, spec).expect("generates");
+        let desc = dram.description();
+        w.trace
+            .validate_trace(&desc.timing, desc.spec.control_clock, desc.spec.banks())
+            .expect("generator emits legal traces");
+        w
+    }
+
     #[test]
     fn generated_traces_are_legal() {
         let dram = model();
@@ -328,7 +250,7 @@ mod tests {
             WorkloadSpec::random(500, 2),
             WorkloadSpec::sparse(100, 3),
         ] {
-            let w = generate_validated(&dram, &spec).expect("generates");
+            let w = legal(&dram, &spec);
             assert_eq!(
                 w.trace.count(Command::Read) + w.trace.count(Command::Write),
                 spec.accesses
@@ -414,7 +336,7 @@ mod page_policy_tests {
             WorkloadSpec::streaming(400, 21).with_closed_page(),
             WorkloadSpec::random(400, 21).with_closed_page(),
         ] {
-            let w = generate_validated(&dram, &spec).expect("generates");
+            let w = super::tests::legal(&dram, &spec);
             // Every access pays a full row cycle.
             assert_eq!(w.trace.count(Command::Activate), spec.accesses);
             assert_eq!(w.trace.count(Command::Precharge), spec.accesses);
@@ -426,10 +348,9 @@ mod page_policy_tests {
         // The crossover the policies are about: with high locality, open
         // page amortizes row cycles; closed page pays one per access.
         let dram = model();
-        let open = generate_validated(&dram, &WorkloadSpec::streaming(600, 23)).expect("ok");
+        let open = generate(&dram, &WorkloadSpec::streaming(600, 23)).expect("ok");
         let closed =
-            generate_validated(&dram, &WorkloadSpec::streaming(600, 23).with_closed_page())
-                .expect("ok");
+            generate(&dram, &WorkloadSpec::streaming(600, 23).with_closed_page()).expect("ok");
         let epb = |trace| {
             simulate(&dram, trace, PowerDownPolicy::NEVER)
                 .expect("legal")
@@ -449,9 +370,9 @@ mod page_policy_tests {
         // With zero row hits, open page pays pre+act per access anyway:
         // the two policies cost about the same per bit.
         let dram = model();
-        let open = generate_validated(&dram, &WorkloadSpec::random(600, 29)).expect("ok");
-        let closed = generate_validated(&dram, &WorkloadSpec::random(600, 29).with_closed_page())
-            .expect("ok");
+        let open = generate(&dram, &WorkloadSpec::random(600, 29)).expect("ok");
+        let closed =
+            generate(&dram, &WorkloadSpec::random(600, 29).with_closed_page()).expect("ok");
         let epb = |trace| {
             simulate(&dram, trace, PowerDownPolicy::NEVER)
                 .expect("legal")

@@ -1897,7 +1897,7 @@ mod tests {
     /// power-down policy, whatever the chunking.
     #[test]
     fn in_memory_and_streamed_folds_are_bit_identical() {
-        use crate::generator::{generate_validated, WorkloadSpec};
+        use crate::generator::{generate, WorkloadSpec};
         let dram = model();
         let shapes = [
             WorkloadSpec::streaming(300, 5),
@@ -1907,7 +1907,7 @@ mod tests {
         for shape in shapes {
             for spec in [shape, shape.with_closed_page()] {
                 for policy in [PowerDownPolicy::NEVER, PowerDownPolicy::AGGRESSIVE] {
-                    let w = generate_validated(&dram, &spec).expect("generates");
+                    let w = generate(&dram, &spec).expect("generates");
                     let batch = crate::energy::simulate(&dram, &w.trace, policy).expect("legal");
                     let text = format!(
                         "!policy {} {} {} {}\n{}",

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example memory_system [accesses]`
 
 use dram_energy::scaling::presets::ddr3_1g_55nm;
-use dram_energy::workload::{generate_validated, simulate, PowerDownPolicy, WorkloadSpec};
+use dram_energy::workload::{generate, simulate, PowerDownPolicy, WorkloadSpec};
 use dram_energy::{Command, Dram};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             WorkloadSpec::sparse(accesses / 8, 1),
         ),
     ] {
-        let w = generate_validated(&dram, &spec)?;
+        let w = generate(&dram, &spec)?;
         let base = simulate(&dram, &w.trace, PowerDownPolicy::NEVER)?;
         let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE)?;
         let hits = w.stats.row_hits as f64

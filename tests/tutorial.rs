@@ -4,7 +4,7 @@
 use dram_energy::scaling::{presets, Interface};
 use dram_energy::sensitivity::ParamId;
 use dram_energy::units::{Amperes, BitsPerSecond, Hertz, Volts};
-use dram_energy::workload::{generate_validated, simulate, PowerDownPolicy, WorkloadSpec};
+use dram_energy::workload::{generate, simulate, PowerDownPolicy, WorkloadSpec};
 use dram_energy::{dsl, Dram, PowerState};
 
 #[test]
@@ -73,7 +73,7 @@ fn tutorial_walkthrough() {
     assert_eq!(sweep.top(1)[0].param, ParamId::Vint);
 
     // Step 5: under load.
-    let w = generate_validated(&dram, &WorkloadSpec::sparse(500, 7)).expect("generates");
+    let w = generate(&dram, &WorkloadSpec::sparse(500, 7)).expect("generates");
     let idle = simulate(&dram, &w.trace, PowerDownPolicy::NEVER).expect("legal trace");
     let pd = simulate(&dram, &w.trace, PowerDownPolicy::AGGRESSIVE).expect("legal trace");
     let saving = 1.0 - pd.energy.joules() / idle.energy.joules();

@@ -1,6 +1,7 @@
 //! Cross-crate randomized tests: random perturbations of a valid device
 //! must keep the model physical, monotone where physics is monotone, and
-//! round-trippable through the description language.
+//! round-trippable through the description language; random command
+//! streams find the timing checker's two answers in agreement.
 //!
 //! Driven by deterministic [`SplitMix64`] loops instead of `proptest` so
 //! the workspace resolves offline.
@@ -138,5 +139,65 @@ fn pattern_power_is_convex_in_command_density() {
         assert!(p.power >= p.background, "nops={nops}");
         // Fewer nops -> denser commands -> at least as much power.
         assert!(dense_power >= p.power.watts() - 1e-12, "nops={nops}");
+    }
+}
+
+/// `TimingChecker::check` and `TimingChecker::earliest` read one list of
+/// windows. On seeded random command streams on every preset, from both
+/// initial bank states: a window refused by `check` at cycle `t` opens
+/// after `t` by `earliest`, and `check` at `earliest` passes whenever
+/// the bank state allows the command.
+#[test]
+fn check_and_earliest_read_one_list_of_windows() {
+    use dram_energy::model::timing::{InitialBankState, TimingChecker};
+    use dram_energy::model::Command::{Activate, Precharge, Read, Refresh, Write};
+    use dram_energy::server::presets;
+    let mut r = SplitMix64::new(0xE005);
+    for name in presets::NAMES {
+        let desc = presets::get(name).expect("a preset").description();
+        let banks = desc.spec.banks();
+        for initial in [InitialBankState::AllClosed, InitialBankState::AllOpen] {
+            let mut checker =
+                TimingChecker::new(&desc.timing, desc.spec.control_clock, banks, initial);
+            let mut open = vec![initial == InitialBankState::AllOpen; banks as usize];
+            let mut cycle = 0;
+            for _ in 0..1500 {
+                let command = *r.pick(&[Activate, Activate, Precharge, Read, Write, Refresh]);
+                let bank = r.range_u32(banks);
+                let earliest = checker.earliest(bank, command).expect("bank in range");
+                cycle += r.range_u64(24);
+                if r.chance(0.5) {
+                    cycle = cycle.max(earliest);
+                }
+                let allowed = match command {
+                    Activate => !open[bank as usize],
+                    Read | Write => open[bank as usize],
+                    Refresh => !open.contains(&true),
+                    _ => true,
+                };
+                let at_earliest = checker.clone().check(earliest, bank, command);
+                assert_eq!(
+                    at_earliest.is_ok(),
+                    allowed,
+                    "{name} {initial:?}: {command} on bank {bank} at earliest {earliest}: \
+                     {at_earliest:?}"
+                );
+                match checker.check(cycle, bank, command) {
+                    Ok(()) => {
+                        assert!(cycle >= earliest, "{name}: passed before {earliest}");
+                        match command {
+                            Activate => open[bank as usize] = true,
+                            Precharge => open[bank as usize] = false,
+                            _ => {}
+                        }
+                    }
+                    Err(e) if e.to_string().contains(" violated ") => assert!(
+                        cycle < earliest,
+                        "{name} {initial:?}: {e} though {command} opens at {earliest}"
+                    ),
+                    Err(e) => assert!(!allowed, "{name} {initial:?}: {e}"),
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! operation that takes place inside a bank" (§II): interleaved patterns
 //! like IDD7 are only legal if the per-bank row timings (tRC, tRAS, tRP,
 //! tRCD) and the shared-resource timings (tRRD and tFAW on the row logic,
-//! tCCD on the shared data bus, tRFC after a refresh) hold. This module
+//! tCCD on the shared data bus, tRP before and tRFC after a refresh)
+//! hold. This module
 //! provides a cycle-accurate, incremental [`TimingChecker`] — the one
 //! implementation of those rules, which schedules as well as checks: it
 //! says when a command becomes legal ([`TimingChecker::earliest`]) as
@@ -78,7 +79,8 @@ struct Window {
 /// `wr` address one), activates an open bank,
 /// breaks tRC, tRP, tRRD, tFAW or tRFC on an activate, breaks tRAS on a
 /// precharge, accesses a closed bank or breaks tRCD or tCCD on a column
-/// command, or refreshes with a bank open or within tRFC of a refresh.
+/// command, or refreshes with a bank open, within tRP of a precharge on
+/// any bank or within tRFC of a refresh.
 /// [`Self::earliest`] gives the
 /// first cycle that clears every window a command is held to, read from
 /// the same list. The state is O(banks) plus the issue cycles of the
@@ -97,6 +99,8 @@ pub struct TimingChecker {
     trfc: u64,
     banks: Vec<BankTiming>,
     last_any_act: Option<u64>,
+    /// The last precharge on any bank: a refresh waits tRP after it.
+    last_any_pre: Option<u64>,
     last_column: Option<u64>,
     last_ref: Option<u64>,
     /// Issue cycles of the last four activates, a ring whose oldest
@@ -128,6 +132,7 @@ impl TimingChecker {
             trfc: cycles(timing.trfc),
             banks: vec![bank; banks as usize],
             last_any_act: None,
+            last_any_pre: None,
             last_column: None,
             last_ref: None,
             recent_acts: [None; 4],
@@ -193,7 +198,10 @@ impl TimingChecker {
                 let tccd = w("tCCD", false, self.last_column, self.tccd);
                 padded([w("tRCD", true, b.last_act, self.trcd), tccd])
             }
-            Command::Refresh => padded([w("tRFC", false, self.last_ref, self.trfc)]),
+            Command::Refresh => padded([
+                w("tRP", false, self.last_any_pre, self.trp),
+                w("tRFC", false, self.last_ref, self.trfc),
+            ]),
             _ => padded([]),
         })
     }
@@ -271,6 +279,7 @@ impl TimingChecker {
                 let b = &mut self.banks[bank as usize];
                 b.open = false;
                 b.last_pre = Some(cycle);
+                self.last_any_pre = Some(cycle);
             }
             Command::Read | Command::Write => self.last_column = Some(cycle),
             Command::Refresh => self.last_ref = Some(cycle),
@@ -812,6 +821,10 @@ mod tests {
             (
                 "tRFC violated at cycle 87",
                 trace(&[(0, 0, Ref), (87, 0, Ref)]),
+            ),
+            (
+                "tRP violated at cycle 28",
+                trace(&[(0, 0, Act), (28, 0, Pre), (28, 0, Ref)]),
             ),
         ];
         for (rule, t) in cases {

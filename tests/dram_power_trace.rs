@@ -1,11 +1,12 @@
 //! `dram-power --trace` end to end: the binary reads the `/v1/trace`
 //! grammar that `write_trace` writes, prices it with the fold `simulate`
 //! runs, prices power-down and refresh lines whatever bank they carry,
-//! and refuses a bank-timing violation (tRCD, or tRFC after a refresh),
-//! a foreign `!preset`, an `act` on a bank past the device's, a late
-//! `!policy`, the retired `cycle bank command` spelling, a trace without
-//! a command line and a `!preset` after one, each with its line and
-//! kind. `/v1/trace` refuses all but the first two alike.
+//! and refuses a bank-timing violation (tRCD, or tRP before or tRFC
+//! after a refresh), a foreign `!preset`, an `act` on a bank past the
+//! device's, a late `!policy`, the retired `cycle bank command`
+//! spelling, a trace without a command line and a `!preset` after one,
+//! each with its line and kind. `/v1/trace` refuses all but the first
+//! two alike.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -113,7 +114,7 @@ struct Refusal {
     served_differently: Option<&'static str>,
 }
 
-const REFUSALS: [Refusal; 10] = [
+const REFUSALS: [Refusal; 11] = [
     Refusal {
         name: "trcd",
         text: "0 act 0\n6 rd 0\n",
@@ -128,6 +129,14 @@ const REFUSALS: [Refusal; 10] = [
         wants: "line 2: pattern violates timing: tRFC violated at cycle 1",
         kind: "timing",
         line: 2,
+        served_differently: Some("the server does not check bank timing yet"),
+    },
+    Refusal {
+        name: "trp",
+        text: "0 act 0\n28 pre 0\n28 ref\n",
+        wants: "line 3: pattern violates timing: tRP violated at cycle 28",
+        kind: "timing",
+        line: 3,
         served_differently: Some("the server does not check bank timing yet"),
     },
     Refusal {

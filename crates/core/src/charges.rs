@@ -183,7 +183,9 @@ impl ChargeLabel<'_> {
     fn materialize(self) -> Cow<'static, str> {
         match self {
             ChargeLabel::Static(s) => Cow::Borrowed(s),
-            ChargeLabel::Logic(name) => Cow::Owned(format!("logic: {name}")),
+            // Allocated once at its length, where `format!` would
+            // reallocate for any name longer than seven bytes.
+            ChargeLabel::Logic(name) => Cow::Owned(["logic: ", name].concat()),
         }
     }
 }
@@ -337,6 +339,35 @@ impl ChargeBatch {
     }
 }
 
+/// What one operation's ledger holds: `named` fixed contributors, then
+/// one item per logic block that is `active` during the operation. A
+/// ledger is allocated at that count, so booking it never reallocates.
+struct Ledger {
+    named: usize,
+    active: fn(&ActiveDuring) -> bool,
+}
+
+const ACTIVATE: Ledger = Ledger {
+    named: 12,
+    active: |a| a.activate,
+};
+const PRECHARGE: Ledger = Ledger {
+    named: 4,
+    active: |a| a.precharge,
+};
+const READ: Ledger = Ledger {
+    named: 7,
+    active: |a| a.read,
+};
+const WRITE: Ledger = Ledger {
+    named: 8,
+    active: |a| a.write,
+};
+const CLOCK_CYCLE: Ledger = Ledger {
+    named: 1,
+    active: |a| a.always,
+};
+
 /// Precomputed loads and geometry for charge evaluation of one device.
 #[derive(Debug, Clone)]
 pub struct ChargeModel<'a> {
@@ -488,21 +519,21 @@ impl<'a> ChargeModel<'a> {
         (device_per_gate + wire_cap_per_gate) * f64::from(b.gates)
     }
 
-    /// Emits one charge item per logic block matching `filter`, for one
-    /// triggering event (one command, or one clock cycle for background
-    /// blocks). Itemizing per block keeps the §III.B.5 fit parameters
-    /// visible in every breakdown.
+    /// Emits one charge item per logic block active during `ledger`'s
+    /// operation, for one triggering event (one command, or one clock
+    /// cycle for background blocks). Itemizing per block keeps the
+    /// §III.B.5 fit parameters visible in every breakdown.
     fn emit_logic_items(
         &self,
         sink: &mut impl ChargeSink,
         group: ContributorGroup,
-        filter: impl Fn(&ActiveDuring) -> bool,
+        ledger: &Ledger,
     ) {
         for b in self
             .desc
             .logic_blocks
             .iter()
-            .filter(|b| filter(&b.active_during))
+            .filter(|b| (ledger.active)(&b.active_during))
         {
             let q = (self.logic_block_capacitance(b) * self.vint()) * b.toggle_rate;
             sink.push(ChargeLabel::Logic(&b.name), group, VoltageDomain::Vint, q);
@@ -579,9 +610,23 @@ impl<'a> ChargeModel<'a> {
     /// bitline sensing and cell restore, sense-amp set, and row logic.
     #[must_use]
     pub fn activate(&self) -> OperationCharges {
-        let mut op = OperationCharges::default();
+        let mut op = self.ledger(&ACTIVATE);
         self.emit_activate(&mut op);
         op
+    }
+
+    /// An empty ledger with room for every item `ledger` describes for
+    /// this device.
+    fn ledger(&self, ledger: &Ledger) -> OperationCharges {
+        let logic = self
+            .desc
+            .logic_blocks
+            .iter()
+            .filter(|b| (ledger.active)(&b.active_during))
+            .count();
+        OperationCharges {
+            items: Vec::with_capacity(ledger.named + logic),
+        }
     }
 
     fn emit_activate(&self, sink: &mut impl ChargeSink) {
@@ -712,7 +757,7 @@ impl<'a> ChargeModel<'a> {
         );
 
         // --- row logic -----------------------------------------------------
-        self.emit_logic_items(sink, ContributorGroup::RowLogic, |a| a.activate);
+        self.emit_logic_items(sink, ContributorGroup::RowLogic, &ACTIVATE);
     }
 
     /// Charges of one precharge command: equalize line recharge, decoder
@@ -720,7 +765,7 @@ impl<'a> ChargeModel<'a> {
     /// (pair shorting) and books nothing.
     #[must_use]
     pub fn precharge(&self) -> OperationCharges {
-        let mut op = OperationCharges::default();
+        let mut op = self.ledger(&PRECHARGE);
         self.emit_precharge(&mut op);
         op
     }
@@ -776,7 +821,7 @@ impl<'a> ChargeModel<'a> {
             VoltageDomain::Vint,
             self.class_charge_per_event(SignalClass::Control),
         );
-        self.emit_logic_items(sink, ContributorGroup::RowLogic, |a| a.precharge);
+        self.emit_logic_items(sink, ContributorGroup::RowLogic, &PRECHARGE);
     }
 
     /// Shared column-access charges (read and write): column addressing,
@@ -835,7 +880,7 @@ impl<'a> ChargeModel<'a> {
     /// bits.
     #[must_use]
     pub fn read(&self) -> OperationCharges {
-        let mut op = OperationCharges::default();
+        let mut op = self.ledger(&READ);
         self.emit_read(&mut op);
         op
     }
@@ -849,7 +894,7 @@ impl<'a> ChargeModel<'a> {
             VoltageDomain::Vint,
             self.class_charge_per_bit(SignalClass::ReadData) * bits,
         );
-        self.emit_logic_items(sink, ContributorGroup::ColumnLogic, |a| a.read);
+        self.emit_logic_items(sink, ContributorGroup::ColumnLogic, &READ);
     }
 
     /// Charges of one write command transferring `io_width × prefetch`
@@ -857,7 +902,7 @@ impl<'a> ChargeModel<'a> {
     /// bitlines and cells.
     #[must_use]
     pub fn write(&self) -> OperationCharges {
-        let mut op = OperationCharges::default();
+        let mut op = self.ledger(&WRITE);
         self.emit_write(&mut op);
         op
     }
@@ -881,7 +926,7 @@ impl<'a> ChargeModel<'a> {
             VoltageDomain::Vbl,
             ((tech.bitline_cap + tech.cell_cap) * flips) * self.vbl(),
         );
-        self.emit_logic_items(sink, ContributorGroup::ColumnLogic, |a| a.write);
+        self.emit_logic_items(sink, ContributorGroup::ColumnLogic, &WRITE);
     }
 
     /// Background charges of one control-clock cycle: clock distribution,
@@ -889,7 +934,7 @@ impl<'a> ChargeModel<'a> {
     /// what a device burns every cycle regardless of commands.
     #[must_use]
     pub fn clock_cycle(&self) -> OperationCharges {
-        let mut op = OperationCharges::default();
+        let mut op = self.ledger(&CLOCK_CYCLE);
         self.emit_clock_cycle(&mut op);
         op
     }
@@ -901,7 +946,7 @@ impl<'a> ChargeModel<'a> {
             VoltageDomain::Vint,
             self.class_charge_per_event(SignalClass::Clock),
         );
-        self.emit_logic_items(sink, ContributorGroup::PeripheralLogic, |a| a.always);
+        self.emit_logic_items(sink, ContributorGroup::PeripheralLogic, &CLOCK_CYCLE);
     }
 }
 
@@ -916,6 +961,46 @@ mod tests {
         (desc, geom)
     }
 
+    /// Each ledger holds exactly the items its shape counts, for every
+    /// mix of operations the logic blocks are active during, so the
+    /// capacity it is allocated with is never outgrown.
+    #[test]
+    fn ledgers_hold_the_items_they_are_sized_for() {
+        let mut desc = ddr3_1g_x16_55nm();
+        let template = desc.logic_blocks[0].clone();
+        desc.logic_blocks = (0..32u8)
+            .map(|bits| {
+                let mut b = template.clone();
+                b.name = format!("mix {bits}");
+                b.active_during = ActiveDuring {
+                    always: bits & 1 != 0,
+                    activate: bits & 2 != 0,
+                    precharge: bits & 4 != 0,
+                    read: bits & 8 != 0,
+                    write: bits & 16 != 0,
+                };
+                b
+            })
+            .collect();
+        for desc in [ddr3_1g_x16_55nm(), desc] {
+            let geom = Geometry::new(&desc).expect("valid");
+            let m = ChargeModel::new(&desc, &geom);
+            for (op, ledger) in [
+                (m.activate(), &ACTIVATE),
+                (m.precharge(), &PRECHARGE),
+                (m.read(), &READ),
+                (m.write(), &WRITE),
+                (m.clock_cycle(), &CLOCK_CYCLE),
+            ] {
+                let logic = desc
+                    .logic_blocks
+                    .iter()
+                    .filter(|b| (ledger.active)(&b.active_during))
+                    .count();
+                assert_eq!(op.items.len(), ledger.named + logic);
+            }
+        }
+    }
     #[test]
     fn activate_is_dominated_by_bitlines() {
         let (desc, geom) = model_fixture();

@@ -1,14 +1,29 @@
 //! Benches of the model machinery itself: build, current report, pattern
-//! evaluation, description parsing, and the sensitivity sweep. These
-//! quantify the paper's practicality claim — the model sits between
-//! datasheet arithmetic and transistor-level simulation, and a full
-//! device evaluation must stay interactive. Uses the in-tree harness so
-//! the workspace stays resolvable offline.
+//! evaluation, description writing, parsing and quoting, and the
+//! sensitivity sweep. These quantify the paper's practicality claim —
+//! the model sits between datasheet arithmetic and transistor-level
+//! simulation, and a full device evaluation must stay interactive. Uses
+//! the in-tree harness so the workspace stays resolvable offline.
 
 use dram_bench::harness::{bench, bench_default, render};
 use dram_core::reference::ddr3_1g_x16_55nm;
-use dram_core::{Dram, EvalEngine, Pattern};
+use dram_core::{Dram, EvalEngine, ParamId, Pattern, Perturbation};
+use dram_units::json;
+use dram_units::rng::SplitMix64;
 use std::time::Duration;
+
+/// The parameters a cold `/v1/evaluate` request of the repository
+/// benchmark edits.
+const COLD_PARAMS: [ParamId; 8] = [
+    ParamId::Vdd,
+    ParamId::Vint,
+    ParamId::CellCap,
+    ParamId::BitlineCap,
+    ParamId::CWireSignal,
+    ParamId::ToxLogic,
+    ParamId::JunctionCapLogic,
+    ParamId::SaStripeWidth,
+];
 
 fn main() {
     let desc = ddr3_1g_x16_55nm();
@@ -33,6 +48,28 @@ fn main() {
 
     measurements.push(bench_default("dsl_write", || {
         dram_dsl::write(&desc, Some(&pattern))
+    }));
+
+    // The text a cold request carries: the reference device with three
+    // seeded ±5 % edits, whose numbers print with full mantissas.
+    let mut rng = SplitMix64::new(1);
+    let edits = (0..3)
+        .map(|_| (*rng.pick(&COLD_PARAMS), rng.range_f64(0.95, 1.05)))
+        .collect();
+    let mut perturbed = desc.clone();
+    Perturbation::new(edits).apply(&mut perturbed);
+    let perturbed_text = dram_dsl::write(&perturbed, None);
+    measurements.push(bench_default("perturbed/dsl_write", || {
+        dram_dsl::write(&perturbed, None)
+    }));
+    measurements.push(bench_default("perturbed/dsl_parse", || {
+        dram_dsl::parse(&perturbed_text).expect("parses")
+    }));
+    let mut body = String::new();
+    measurements.push(bench_default("perturbed/json_quote", || {
+        body.clear();
+        json::write_string(&mut body, &perturbed_text);
+        body.len()
     }));
 
     // Whole-analysis benches: few iterations, larger budget.

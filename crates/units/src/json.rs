@@ -223,22 +223,88 @@ pub fn write_number(out: &mut String, n: f64) {
     write_num(out, n).expect("writing to a String cannot fail");
 }
 
+/// Appends `n` to `out` exactly as `format!("{n}")` writes it, `NaN` and
+/// `inf` included, for text that is not JSON, such as a written
+/// description.
+pub fn write_f64(out: &mut String, n: f64) {
+    write_plain(out, n).expect("writing to a String cannot fail");
+}
+
 /// The one number rule: non-finite numbers, which JSON cannot
 /// represent, are written `null`.
 fn write_num(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
     if n.is_finite() {
-        // A fresh formatter: the caller's width or precision flags must
-        // not reach the number.
-        write!(out, "{n}")
+        write_plain(out, n)
     } else {
         out.write_str("null")
     }
 }
 
+/// `n` as `{}` writes it. An integer of magnitude below 2^53 is exact,
+/// and `{}` writes it as its digits, so it takes integer formatting;
+/// `-0.0`, which `{}` writes `-0`, and every other value take `{}`.
+fn write_plain(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    if n.trunc() == n && n.abs() < EXACT && !(n == 0.0 && n.is_sign_negative()) {
+        // In range and integral, so the cast is exact.
+        #[allow(clippy::cast_possible_truncation)]
+        return write_integer(out, n as i64);
+    }
+    // A fresh formatter: the caller's width or precision flags must not
+    // reach the number.
+    write!(out, "{n}")
+}
+
+/// The decimal digits of `n`, after a `-` when it is negative.
+fn write_integer(out: &mut impl fmt::Write, n: i64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    loop {
+        at -= 1;
+        // A remainder below 10 is one ASCII digit.
+        #[allow(clippy::cast_possible_truncation)]
+        let digit = (rest % 10) as u8;
+        digits[at] = b'0' + digit;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        out.write_char('-')?;
+    }
+    out.write_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"))
+}
+
 /// Writes `s` as a JSON string literal, quotes included. Runs that need
-/// no escape are written whole; every byte that does is ASCII, so each
-/// run ends on a character boundary.
+/// no escape are found eight bytes at a time by [`run_end`], the
+/// reader's scan, and written whole; every byte that ends one is ASCII,
+/// so each run ends on a character boundary.
 fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    loop {
+        let end = run_end(bytes, run);
+        out.write_str(&s[run..end])?;
+        let Some(&b) = bytes.get(end) else { break };
+        match b {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\t' => out.write_str("\\t")?,
+            b'\r' => out.write_str("\\r")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = end + 1;
+    }
+    out.write_char('"')
+}
+
+/// The byte loop [`write_escaped`] replaced, kept as its reference.
+#[cfg(test)]
+fn write_escaped_reference(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
     out.write_char('"')?;
     let mut run = 0;
     for (i, &b) in s.as_bytes().iter().enumerate() {
@@ -802,6 +868,92 @@ mod tests {
     fn non_finite_numbers_write_as_null() {
         assert_eq!(Value::Num(f64::NAN).to_string(), "null");
         assert_eq!(Value::Num(f64::INFINITY).to_string(), "null");
+    }
+
+    /// `write_f64` writes what `{}` writes: signed zeros, subnormals,
+    /// the integers about 2^53 and every power of ten to 1e16 with its
+    /// neighbours, non-finite values, then a million seeded bit patterns.
+    #[test]
+    fn write_f64_matches_display() {
+        let check = |x: f64| {
+            let mut out = String::new();
+            write_f64(&mut out, x);
+            assert_eq!(out, format!("{x}"), "{:#018x}", x.to_bits());
+        };
+        let two53 = 9_007_199_254_740_992.0_f64;
+        let mut fixed = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            0.5,
+            -0.5,
+            0.1 + 0.2,
+        ];
+        for d in [-2.0, -1.0, 0.0, 1.0, 2.0] {
+            fixed.extend([two53 + d, -(two53 + d)]);
+        }
+        let mut ten = 1.0_f64;
+        for _ in 0..=16 {
+            fixed.extend([ten - 1.0, ten, ten + 1.0, -ten, 0.5 * ten, ten / 3.0]);
+            ten *= 10.0;
+        }
+        fixed.into_iter().for_each(check);
+        let mut rng = crate::rng::SplitMix64::new(0xF64D_1591);
+        for _ in 0..10_000 {
+            check((rng.next_u64() % 10_000_000_000_000_001) as f64);
+        }
+        for _ in 0..1_000_000 {
+            check(f64::from_bits(rng.next_u64()));
+        }
+    }
+
+    /// The escaper gives the byte loop's text: seeded strings of up to
+    /// 64 bytes that put each escape class, a plain byte and multi-byte
+    /// characters at every offset mod 8, and text of description size.
+    #[test]
+    fn write_escaped_matches_the_byte_loop() {
+        let check = |s: &str| {
+            let (mut got, mut want) = (String::new(), String::new());
+            write_escaped(&mut got, s).expect("a String");
+            write_escaped_reference(&mut want, s).expect("a String");
+            assert_eq!(got, want, "{s:?}");
+        };
+        const PIECES: [&str; 12] = [
+            "\"", "\\", "\n", "\t", "\r", "\u{0}", "\u{1f}", "\u{7f}", "a", "é", "東", "😀",
+        ];
+        let mut rng = crate::rng::SplitMix64::new(0xE5CA_9E00);
+        for len in 0..=64 {
+            for piece in PIECES {
+                for offset in 0..8 {
+                    let mut s = "x".repeat(offset);
+                    while s.len() < len {
+                        s.push_str(if rng.range_usize(4) == 0 {
+                            piece
+                        } else {
+                            PIECES[rng.range_usize(PIECES.len())]
+                        });
+                        if rng.range_usize(3) == 0 {
+                            s.push_str(&"y".repeat(rng.range_usize(12)));
+                        }
+                    }
+                    check(&s);
+                    check(&format!("{s}{piece}"));
+                }
+            }
+        }
+        check("");
+        let text = "Signal DataW class=wdata wires=io toggle=0.5\n".repeat(100);
+        check(&format!("# {text}Device name=\"ddr3 \\ x16\"\n{text}"));
     }
 
     #[test]

@@ -128,26 +128,24 @@ const CLASSES: [Class; 256] = {
 };
 
 /// Where the run of [`Class::Word`] bytes from `i` ends, give or take: at
-/// the first byte below `!` (whitespace and control bytes), `"`, `#`,
-/// `/`, `=` or non-ASCII byte, or at the end of `bytes`. The byte loop
-/// classifies that byte itself, so a control byte, which is a word byte,
-/// only ends the run early.
+/// the first byte below `$` (whitespace and control bytes, `!`, `"` and
+/// `#`), `/`, `=` or non-ASCII byte, or at the end of `bytes`. The byte
+/// loop classifies that byte itself, so a control byte or `!`, which are
+/// word bytes, only end the run early.
 ///
 /// Eight bytes are tested at a time. For a byte `b` and a bound `c` of at
 /// most 0x80, the high bit of `(b - c) & !b` is set exactly when `b < c`:
-/// `c` is 0x21 for spaces, and 1 for a byte XOR has turned to 0. In the
-/// whole word a byte that borrows also sets bits in the bytes above it,
-/// so only the lowest set bit is exact; it is the first byte that ends
-/// the run.
+/// `c` is 0x24 for the bytes below `$`, and 1 for a byte XOR has turned
+/// to 0. In the whole word a byte that borrows also sets bits in the
+/// bytes above it, so only the lowest set bit is exact; it is the first
+/// byte that ends the run.
 fn word_end(bytes: &[u8], mut i: usize) -> usize {
     const ONES: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
     let zero = |v: u64| v.wrapping_sub(ONES) & !v;
     while let Some(chunk) = bytes.get(i..i + 8) {
         let x = u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
-        let stops = (x.wrapping_sub(ONES * 0x21) & !x
-            | zero(x ^ (ONES * u64::from(b'"')))
-            | zero(x ^ (ONES * u64::from(b'#')))
+        let stops = (x.wrapping_sub(ONES * 0x24) & !x
             | zero(x ^ (ONES * u64::from(b'/')))
             | zero(x ^ (ONES * u64::from(b'=')))
             | x)
@@ -254,8 +252,24 @@ impl<'a> Lexer<'a> {
             let Some(&b) = bytes.get(i) else { break i };
             match CLASSES[usize::from(b)] {
                 Class::Word => {
-                    start.get_or_insert(i);
+                    let s = *start.get_or_insert(i);
                     i = word_end(bytes, i + 1);
+                    // The bytes of a `key=value` word and the space or
+                    // line end after it are taken here, not one class at a
+                    // time.
+                    if bytes.get(i) == Some(&b'=') {
+                        eq.get_or_insert(i);
+                        i = word_end(bytes, i + 1);
+                    }
+                    match bytes.get(i) {
+                        Some(b' ') => {
+                            start = None;
+                            self.push(&text[s..i], "", eq.take().map(|e| e - s));
+                            i += 1;
+                        }
+                        Some(b'\n') => break i,
+                        _ => {}
+                    }
                     continue;
                 }
                 Class::Equals => {
@@ -880,23 +894,10 @@ pub(crate) mod tests {
 
     /// Every preset the stack ships, as description-language source.
     pub(crate) fn preset_sources() -> Vec<String> {
-        use dram_scaling::presets as p;
-        let mut out = vec![crate::write(
-            &dram_core::reference::ddr3_1g_x16_55nm(),
-            None,
-        )];
-        for desc in [
-            p::sdr_128m_170nm(),
-            p::ddr2_1g_75nm(),
-            p::ddr2_1g_65nm(),
-            p::ddr3_1g_65nm(),
-            p::ddr3_1g_55nm(),
-            p::ddr3_2g_55nm(),
-            p::ddr5_16g_18nm(),
-        ] {
-            out.push(crate::write(&desc, None));
-        }
-        out
+        crate::writer::tests::presets()
+            .iter()
+            .map(|desc| crate::write(desc, None))
+            .collect()
     }
 
     /// The lexer fuzz corpus: hand-picked edge cases, then every preset

@@ -74,12 +74,13 @@ fn split_number(s: &str) -> Result<(f64, &str), String> {
     Ok((value, trim(&s[end..])))
 }
 
-/// A unit with `µ` spelled `u`, borrowed unless it holds a `µ`.
+/// A unit with `µ` spelled `u`, borrowed when it is ASCII, as every
+/// written unit is.
 fn ascii_micro(unit: &str) -> Cow<'_, str> {
-    if unit.contains('µ') {
-        Cow::Owned(unit.replace('µ', "u"))
-    } else {
+    if unit.is_ascii() {
         Cow::Borrowed(unit)
+    } else {
+        Cow::Owned(unit.replace('µ', "u"))
     }
 }
 

@@ -96,8 +96,14 @@ fn power_is_linear_in_vdd() {
     }
 }
 
-/// The description language round-trips any perturbed device with
-/// bit-identical model outputs (to floating-point printing).
+/// The description language round-trips any perturbed device to within
+/// 1e-9 of its model outputs, not bit for bit. Plain numbers (voltages,
+/// fractions, ratios, integers) and names come back exactly; a value the
+/// writer scales into a unit (lengths in µm through `micrometers()`,
+/// capacitances in fF and fF/µm) can come back an ulp or two off, and
+/// the outputs move with it: the reference device's
+/// `precharge.external_pj` is 194.70221775502475 from its written text
+/// and 194.7022177550248 by name.
 #[test]
 fn dsl_roundtrip_on_perturbed_devices() {
     let mut r = SplitMix64::new(0xE004);

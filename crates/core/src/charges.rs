@@ -961,9 +961,9 @@ mod tests {
         (desc, geom)
     }
 
-    /// Each ledger holds exactly the items its shape counts, for every
-    /// mix of operations the logic blocks are active during, so the
-    /// capacity it is allocated with is never outgrown.
+    /// Each ledger holds exactly the items its `Ledger` constant counts,
+    /// for every mix of operations the logic blocks are active during,
+    /// so the capacity it is allocated with is never outgrown.
     #[test]
     fn ledgers_hold_the_items_they_are_sized_for() {
         let mut desc = ddr3_1g_x16_55nm();
@@ -1001,6 +1001,7 @@ mod tests {
             }
         }
     }
+
     #[test]
     fn activate_is_dominated_by_bitlines() {
         let (desc, geom) = model_fixture();

@@ -919,7 +919,8 @@ mod tests {
 
     /// The escaper gives the byte loop's text: seeded strings of up to
     /// 64 bytes that put each escape class, a plain byte and multi-byte
-    /// characters at every offset mod 8, and text of description size.
+    /// characters at every offset mod 8, text of description size and
+    /// the two shipped description files.
     #[test]
     fn write_escaped_matches_the_byte_loop() {
         let check = |s: &str| {
@@ -954,6 +955,12 @@ mod tests {
         check("");
         let text = "Signal DataW class=wdata wires=io toggle=0.5\n".repeat(100);
         check(&format!("# {text}Device name=\"ddr3 \\ x16\"\n{text}"));
+        for shipped in [
+            include_str!("../../dsl/descriptions/ddr3_1gb_x16_55nm.dram"),
+            include_str!("../../dsl/descriptions/ddr5_16gb_x16_18nm.dram"),
+        ] {
+            check(shipped);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::process::Command as Process;
 
 use dram_energy::dsl;
 use dram_energy::model::timing::{Schedule, TimedCommand};
-use dram_energy::model::{reference, Command, Dram, ParamId, Perturbation};
+use dram_energy::model::{content_key, reference, Command, Dram, ParamId, Pattern, Perturbation};
 use dram_energy::server::{api, presets, Metrics, Request};
 use dram_energy::units::json::{obj, Value};
 use dram_energy::units::rng::SplitMix64;
@@ -400,6 +400,147 @@ fn timing_verdicts_match_their_golden() {
         let _ = writeln!(lines, "{i} {verdict}");
     }
     golden::check("core/timing_verdicts.txt", &lines);
+}
+
+/// The digest of `dsl::parse`'s verdict on `text`: the parsed
+/// description's content key and pattern, or the error's line and
+/// message.
+fn parse_verdict(text: &str) -> String {
+    let verdict = match dsl::parse(text) {
+        Ok(parsed) => format!(
+            "ok {:016x} {}",
+            content_key(&parsed.description),
+            parsed.pattern.map_or_else(|| "-".into(), |p| p.to_string())
+        ),
+        Err(e) => format!("error {} {}", e.line(), e.message()),
+    };
+    golden::digest(verdict.as_bytes())
+}
+
+/// What a mangle puts in place of a value's number, then of its unit,
+/// then of the `x` of a device size.
+const NUMBER_MANGLES: [&str; 22] = [
+    "1e999",
+    "-1e999",
+    ".5",
+    "5.",
+    "+0",
+    "-0",
+    "1..2",
+    "0x10",
+    "12345678901234567890",
+    "-98765432109876543210.5",
+    "0.12345678901234567890",
+    "10.082930293028078",
+    "9007199254740993",
+    "0.0000000000000000000001",
+    "0.00000000000000000000001",
+    "1e-3",
+    "2E+2",
+    "1e",
+    "",
+    "-",
+    "NaN",
+    "1_000",
+];
+const UNIT_MANGLES: [&str; 8] = ["µm", "UM", "u m", "%", "", "nm", " um", "fF/µm"];
+const X_MANGLES: [&str; 5] = ["X", " x ", "xx", "", "x-"];
+
+/// `value` with its leading number (a run of digits, `.`, `+` and `-`)
+/// and the rest apart.
+fn split_value(value: &str) -> (&str, &str) {
+    let end = value
+        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '+' | '-')))
+        .unwrap_or(value.len());
+    value.split_at(end)
+}
+
+/// `dsl::parse`'s verdict on the shipped description files, on 1,000
+/// seeded perturbations of the presets as `dsl::write` gives them, and
+/// on the shipped files with one value of a line mangled: each
+/// mangle in turn on every line with `key=value` fields, at a seeded
+/// field of the line.
+#[test]
+fn parse_verdicts_match_their_golden() {
+    let shipped = [
+        (
+            "ddr3",
+            include_str!("../crates/dsl/descriptions/ddr3_1gb_x16_55nm.dram"),
+        ),
+        (
+            "ddr5",
+            include_str!("../crates/dsl/descriptions/ddr5_16gb_x16_18nm.dram"),
+        ),
+    ];
+    let mut lines = String::new();
+    for (name, text) in shipped {
+        let _ = writeln!(lines, "shipped {name} {}", parse_verdict(text));
+    }
+    let mut rng = SplitMix64::new(0x9a25e);
+    let pattern = Pattern::paper_example();
+    for i in 0..1000 {
+        let name = *rng.pick(&presets::NAMES);
+        let mut desc = presets::get(name).expect("a preset").description().clone();
+        let edits = (0..3)
+            .map(|_| (*rng.pick(&ParamId::ALL), rng.range_f64(0.75, 1.25)))
+            .collect();
+        Perturbation::new(edits).apply(&mut desc);
+        let text = dsl::write(&desc, (i % 4 == 0).then_some(&pattern));
+        let _ = writeln!(lines, "written {i} {name} {}", parse_verdict(&text));
+    }
+    let mangles = NUMBER_MANGLES
+        .iter()
+        .map(|&m| ('n', m))
+        .chain(UNIT_MANGLES.iter().map(|&m| ('u', m)))
+        .chain(X_MANGLES.iter().map(|&m| ('x', m)));
+    let mangles: Vec<(char, &str)> = mangles.collect();
+    for (name, text) in shipped {
+        let source: Vec<&str> = text.lines().collect();
+        for (at, line) in source.iter().enumerate() {
+            let words: Vec<&str> = line.split(' ').collect();
+            let fields: Vec<usize> = (0..words.len())
+                .filter(|&k| {
+                    let (key, value) = words[k].split_once('=').unwrap_or(("", ""));
+                    !key.is_empty() && !value.is_empty() && !words[k].contains('"')
+                })
+                .collect();
+            if fields.is_empty() {
+                continue;
+            }
+            let sizes: Vec<usize> = fields
+                .iter()
+                .copied()
+                .filter(|&k| words[k].contains('x'))
+                .collect();
+            for (m, &(kind, mangle)) in mangles.iter().enumerate() {
+                let k = match kind {
+                    'x' if sizes.is_empty() => continue,
+                    'x' => *rng.pick(&sizes),
+                    _ => *rng.pick(&fields),
+                };
+                let (key, value) = words[k].split_once('=').expect("a field");
+                let (number, unit) = split_value(value);
+                let value = match kind {
+                    'n' => format!("{mangle}{unit}"),
+                    'u' => format!("{number}{mangle}"),
+                    _ => value.replacen('x', mangle, 1),
+                };
+                let mut edited = words.clone();
+                let field = format!("{key}={value}");
+                edited[k] = &field;
+                let mut lines_out = source.clone();
+                let edited = edited.join(" ");
+                lines_out[at] = &edited;
+                let _ = writeln!(
+                    lines,
+                    "mangled {name} {} {m} {}",
+                    at + 1,
+                    parse_verdict(&lines_out.join("\n"))
+                );
+            }
+        }
+    }
+    golden::check("dsl/parse_verdicts.digests", &lines);
 }
 
 /// `dram-power`'s exit code, stdout and stderr for `args`, run from the

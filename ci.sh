@@ -716,6 +716,12 @@ if [[ $fast -eq 0 ]]; then
     echo "    perfbench $workload -> correct"
   done
 
+  echo "==> model bench (one run: every timed leg and the text-to-build ratios)"
+  # Clippy compiles the benches; this runs one, so its expects execute.
+  # It passes when the run finishes: a CI host is too noisy to gate on
+  # a ratio.
+  cargo bench -p dram-bench --bench model --offline 2>/dev/null | sed 's/^/    /'
+
   echo "==> bench files at the root unchanged by the smokes"
   sha256sum --quiet -c <<<"$root_bench_sums" \
     || { echo "    a smoke rewrote a bench file at the root"; exit 1; }

@@ -1,13 +1,15 @@
 //! Benches of the model machinery itself: build, current report, pattern
-//! evaluation, description writing, parsing and quoting, and the
-//! sensitivity sweep. These quantify the paper's practicality claim —
-//! the model sits between datasheet arithmetic and transistor-level
-//! simulation, and a full device evaluation must stay interactive. Uses
-//! the in-tree harness so the workspace stays resolvable offline.
+//! evaluation, description writing, parsing and quoting with the text
+//! legs as multiples of a build, and the sensitivity sweep. These
+//! quantify the paper's practicality claim — the model sits between
+//! datasheet arithmetic and transistor-level simulation, and a full
+//! device evaluation must stay interactive. Uses the in-tree harness so
+//! the workspace stays resolvable offline.
 
 use dram_bench::harness::{bench, bench_default, render};
 use dram_core::reference::ddr3_1g_x16_55nm;
 use dram_core::{Dram, EvalEngine, ParamId, Pattern, Perturbation};
+use dram_obs::{Better, Record};
 use dram_units::json;
 use dram_units::rng::SplitMix64;
 use std::time::Duration;
@@ -24,6 +26,9 @@ const COLD_PARAMS: [ParamId; 8] = [
     ParamId::JunctionCapLogic,
     ParamId::SaStripeWidth,
 ];
+
+/// Rounds of the text-to-build ratios.
+const RATIO_ROUNDS: usize = 15;
 
 fn main() {
     let desc = ddr3_1g_x16_55nm();
@@ -71,6 +76,29 @@ fn main() {
         json::write_string(&mut body, &perturbed_text);
         body.len()
     }));
+
+    // Each text leg as a multiple of a build. The legs are timed in
+    // alternating rounds, so a drift in the host's speed moves both
+    // sides of a round's ratio; the records summarise the rounds.
+    let round = Duration::from_millis(20);
+    let (mut write_ratios, mut parse_ratios) = (Vec::new(), Vec::new());
+    for _ in 0..RATIO_ROUNDS {
+        let build = bench("dram_build", round, 10_000, || {
+            Dram::new(desc.clone()).expect("valid")
+        });
+        let write = bench("perturbed/dsl_write", round, 10_000, || {
+            dram_dsl::write(&perturbed, None)
+        });
+        let parse = bench("perturbed/dsl_parse", round, 10_000, || {
+            dram_dsl::parse(&perturbed_text).expect("parses")
+        });
+        write_ratios.push(write.median / build.median);
+        parse_ratios.push(parse.median / build.median);
+    }
+    for (leg, ratios) in [("dsl_write", write_ratios), ("dsl_parse", parse_ratios)] {
+        let name = format!("perturbed/{leg} / dram_build");
+        measurements.push(Record::new(name, "ratio", Better::Lower, &ratios));
+    }
 
     // Whole-analysis benches: few iterations, larger budget.
     let budget = Duration::from_millis(500);

@@ -61,7 +61,17 @@ pub fn bench_default<T>(name: &str, f: impl FnMut() -> T) -> Record {
     bench(name, Duration::from_millis(200), 10_000, f)
 }
 
-/// Renders timing records (unit `s`) as an aligned text table.
+/// A record's figure: a time (unit `s`) with an adaptive unit, any
+/// other figure, such as a ratio, to three decimals.
+fn show(value: f64, unit: &str) -> String {
+    if unit == "s" {
+        human(value)
+    } else {
+        format!("{value:.3}")
+    }
+}
+
+/// Renders records as an aligned text table.
 #[must_use]
 pub fn render(records: &[Record]) -> String {
     let name_w = records
@@ -81,9 +91,9 @@ pub fn render(records: &[Record]) -> String {
             out,
             "{:name_w$}  {:>12}  {:>12}  {:>12}  {:>7}",
             r.name,
-            human(r.median),
-            human(r.q1),
-            human(r.q3),
+            show(r.median, r.unit),
+            show(r.q1, r.unit),
+            show(r.q3, r.unit),
             r.n
         );
     }
@@ -115,6 +125,9 @@ mod tests {
         assert!(table.contains("a "));
         assert!(table.contains("bb"));
         assert_eq!(table.lines().count(), 3);
+        let ratio = Record::new("a / bb", "ratio", Better::Lower, &[0.5, 1.25, 2.0]);
+        let table = render(&[ratio]);
+        assert!(table.contains("1.250"), "{table}");
     }
 
     #[test]
